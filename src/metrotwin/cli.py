@@ -71,8 +71,9 @@ def _apply_overrides(sc: Scenario, args: argparse.Namespace,
         if args.repeat < 1:
             raise ValidationError("--repeat must be at least 1")
         doc.setdefault("service", {})["repetitions"] = args.repeat
-        if "softfail" in doc:
-            doc["softfail"]["repetitions"] = args.repeat
+        for section in ("latency", "softfail"):
+            if section in doc:
+                doc[section]["repetitions"] = args.repeat
         changed = True
     if args.rate:
         section = doc.setdefault("softfail", {})

@@ -60,14 +60,7 @@ class VnfDescriptor:
 @dataclass
 class ConnectivityRequirements:
     endpoints: tuple[NodeId, NodeId]
-    bandwidth_bps: float = 100e9
     max_rt_latency_ns: Optional[int] = None
-
-
-@dataclass
-class MonitoringConfig:
-    telemetry_period_s: float = 1.0
-    latency_probe: bool = True
 
 
 @dataclass
@@ -75,7 +68,6 @@ class NsDescriptor:
     name: str
     vnfs: list[VnfDescriptor]
     connectivity: ConnectivityRequirements
-    monitoring: MonitoringConfig = field(default_factory=MonitoringConfig)
 
     def __post_init__(self) -> None:
         if len(self.vnfs) < 2:
@@ -444,17 +436,11 @@ class OrchestrationStack:
             rec.blocker_writes.append((roadm_id, out_link, channel))
 
     def configure_roadm_channel(self, roadm_id: NodeId, channel: ChannelId,
-                                role: str, out_link: Optional[str] = None) -> None:
-        """Idempotent single-device operation used by the drivers and tests."""
-        roadm = self.topo.roadms[roadm_id]
-        if role == "add" or role == "drop":
-            roadm.add_drop_channels.add(channel)
-        elif role in (PASS, BLOCK):
-            targets = [out_link] if out_link else list(self.topo.neighbors(roadm_id))
-            for link_id in targets:
-                roadm.set_blocker(link_id, channel, role)
-        else:
+                                role: str) -> None:
+        """Idempotent add/drop port setup on one ROADM."""
+        if role not in ("add", "drop"):
             raise ValueError(f"unknown role {role!r}")
+        self.topo.roadms[roadm_id].add_drop_channels.add(channel)
 
     def _bring_up_transponders(self, rec: ServiceRecord) -> None:
         assert rec.path is not None

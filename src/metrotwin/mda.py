@@ -190,10 +190,11 @@ def run_softfail_case(world_factory: Callable[[int], SoftFailWorld],
             link_id=link_id, rate_db_per_s=rate_db_per_s,
             start_time=ramp_start, snr_coupling=snr_coupling))
 
-        detector = DegradationDetector(detector_cfg, model.fail_snr_db())
+        fail_snr = model.fail_snr_db()
+        detector = DegradationDetector(detector_cfg, fail_snr)
         noise_rng = world.rng.split(11)
         state: dict = {"event": None, "t_cross": None}
-        span_db = model.snr0_db - model.fail_snr_db()
+        span_db = model.snr0_db - fail_snr
         sample_cap = detector_cfg.baseline_window + 1000 + int(
             2 * span_db / (rate_db_per_s * max(snr_coupling, 1e-9))
             / (period / SECOND))
@@ -214,8 +215,9 @@ def run_softfail_case(world_factory: Callable[[int], SoftFailWorld],
                         2 * stack.timings.alert_hop_ns,
                         lambda: stack.handle_degradation_alert(rec, kernel.now()),
                         kind=f"{rec.request_id}:alert")
-            crossed = (s.snr_db <= model.fail_snr_db()
-                       or s.pre_fec_ber >= model.fail_ber_above)
+            crossed = (s.snr_db <= fail_snr
+                       or (model.fail_ber_above is not None
+                           and s.pre_fec_ber >= model.fail_ber_above))
             if state["t_cross"] is None and crossed:
                 state["t_cross"] = t
                 stack.notify_fail_crossing(rec, t)

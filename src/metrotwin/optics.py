@@ -15,7 +15,7 @@ materialise into link state at telemetry sample instants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from scipy.special import erfcinv
@@ -39,12 +39,6 @@ BER_CEIL = 0.5
 
 # Jitter applied to transponder phase durations when sampling is enabled.
 TRANSPONDER_JITTER_CV = 0.02
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    c_m_per_s: float = SPEED_OF_LIGHT_M_PER_S
-    default_group_index: float = 1.4680
 
 
 @dataclass
@@ -173,12 +167,6 @@ def transponder_teardown(tp: TransponderNode) -> None:
     tp.claimed_by = None
 
 
-class RampHandle:
-    def __init__(self, ramp: AttenuationRamp):
-        self.ramp = ramp
-        self.active = True
-
-
 class OpticalPlant:
     """Time-varying physical state: ramps, receiver SNR, telemetry.
 
@@ -187,38 +175,26 @@ class OpticalPlant:
     period while analytic queries stay exact at any instant.
     """
 
-    def __init__(self, topo: RingTopology,
-                 constants: PhysicalConstants = PhysicalConstants()):
+    def __init__(self, topo: RingTopology):
         self.topo = topo
-        self.constants = constants
-        self._ramps: dict[str, RampHandle] = {}
+        self._ramps: dict[str, AttenuationRamp] = {}  # link id -> ramp
 
-    def apply_attenuation_ramp(self, ramp: AttenuationRamp) -> RampHandle:
+    def apply_attenuation_ramp(self, ramp: AttenuationRamp) -> None:
         if ramp.link_id not in self.topo.links:
             raise KeyError(f"unknown link {ramp.link_id!r}")
-        existing = self._ramps.get(ramp.link_id)
-        if existing is not None and existing.active:
+        if ramp.link_id in self._ramps:
             raise RampConflict(f"link {ramp.link_id} already has an active ramp")
-        handle = RampHandle(ramp)
-        self._ramps[ramp.link_id] = handle
-        return handle
-
-    def clear_ramp(self, handle: RampHandle, reset_attenuation: bool = True) -> None:
-        handle.active = False
-        if reset_attenuation:
-            self.topo.links[handle.ramp.link_id].added_attenuation_db = 0.0
+        self._ramps[ramp.link_id] = ramp
 
     def added_attenuation_db(self, link_id: str, t: SimTime) -> float:
-        handle = self._ramps.get(link_id)
-        if handle is None or not handle.active:
+        ramp = self._ramps.get(link_id)
+        if ramp is None:
             return self.topo.links[link_id].added_attenuation_db
-        return handle.ramp.added_db(t)
+        return ramp.added_db(t)
 
     def materialise_ramps(self, t: SimTime) -> None:
-        for handle in self._ramps.values():
-            if handle.active:
-                link = self.topo.links[handle.ramp.link_id]
-                link.added_attenuation_db = handle.ramp.added_db(t)
+        for ramp in self._ramps.values():
+            self.topo.links[ramp.link_id].added_attenuation_db = ramp.added_db(t)
 
     def _require_operational(self, path: OpticalPath) -> None:
         if path.channel is None:
@@ -233,13 +209,10 @@ class OpticalPlant:
         self._require_operational(path)
         snr = model.snr0_db
         for link_id in path.links:
-            handle = self._ramps.get(link_id)
-            coupling = handle.ramp.snr_coupling if handle is not None and handle.active else 1.0
+            ramp = self._ramps.get(link_id)
+            coupling = ramp.snr_coupling if ramp is not None else 1.0
             snr -= coupling * self.added_attenuation_db(link_id, t)
         return max(snr, LOS_FLOOR_DB)
-
-    def is_los(self, snr_db: float) -> bool:
-        return snr_db <= LOS_FLOOR_DB
 
     def sample_telemetry(self, path: OpticalPath, t: SimTime, model: SignalModel,
                          noise_sigma_db: float, rng: SimRng) -> TelemetrySample:

@@ -88,10 +88,6 @@ def measure_round_trip(path: OpticalPath, topo: RingTopology, cfg: ProbeConfig,
                               estimated_rt_prop_ns=prop)
 
 
-def compute_delta(m: LatencyMeasurement) -> int:
-    return m.delta_ns
-
-
 def fit_budget(measurements: Sequence[LatencyMeasurement],
                attribution: Sequence[Sequence[float]],
                component_names: Sequence[str]) -> BudgetReport:

@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Optional, Union
 
-from .controlplane import (ConnectivityRequirements, MonitoringConfig,
-                           NsDescriptor, OrchestrationStack, PhaseTimings,
-                           VnfDescriptor)
+from .controlplane import (ConnectivityRequirements, NsDescriptor,
+                           OrchestrationStack, PhaseTimings, VnfDescriptor)
 from .errors import ParseError, TwinError, ValidationError
 from .mda import DetectorConfig, SoftFailWorld, run_softfail_case
 from .optics import OpticalPlant, SignalModel
@@ -37,18 +36,17 @@ _SCHEMA = {
     "topology": {"roadms", "links", "transponders", "switches",
                  "compute_nodes", "channel_grid_size"},
     "topology.links[]": {"id", "endpoints", "length_m", "group_index",
-                         "base_attenuation_db", "legacy_residual_delay_ns"},
+                         "legacy_residual_delay_ns"},
     "topology.transponders[]": {"id", "roadm", "config_duration_ns",
                                 "warmup_duration_ns"},
-    "topology.switches[]": {"id", "transponder", "per_pass_latency_ns"},
+    "topology.switches[]": {"id", "transponder"},
     "topology.compute_nodes[]": {"id", "switch", "vcpu_capacity",
                                  "mem_capacity_mb"},
-    "service": {"name", "vnfs", "connectivity", "monitoring",
-                "phase_durations", "jitter", "repetitions"},
+    "service": {"name", "vnfs", "connectivity", "phase_durations", "jitter",
+                "repetitions"},
     "service.vnfs[]": {"name", "vcpu", "mem_mb", "instantiation_mean_s",
                        "instantiation_cv", "compute"},
-    "service.connectivity": {"endpoints", "bandwidth_gbps", "max_rt_latency_us"},
-    "service.monitoring": {"telemetry_period_s", "latency_probe"},
+    "service.connectivity": {"endpoints", "max_rt_latency_us"},
     "service.phase_durations": {"control_messaging_s", "roadm_config_s",
                                 "probe_verify_s", "retune_s", "alert_hop_s"},
     "latency": {"measured_link", "cases", "repetitions", "probe", "attribution"},
@@ -138,6 +136,28 @@ def _walk(node, schema_path: str, errors: list[str], warnings: list[str]) -> Non
                 _walk(item, f"{schema_path}[]", errors, warnings)
 
 
+def _positive(value, types: tuple[type, ...]) -> bool:
+    return (isinstance(value, types) and not isinstance(value, bool)
+            and value > 0)
+
+
+def _check_values(doc: dict, errors: list[str]) -> None:
+    """Reject values that would otherwise only fail once the run is underway."""
+    for section in ("service", "latency", "softfail"):
+        node = doc.get(section)
+        if isinstance(node, dict) and "repetitions" in node \
+                and not _positive(node["repetitions"], (int,)):
+            errors.append(f"{section}.repetitions must be a positive integer; "
+                          f"got {node['repetitions']!r}")
+    softfail = doc.get("softfail")
+    cases = softfail.get("cases") if isinstance(softfail, dict) else None
+    for i, case in enumerate(cases if isinstance(cases, list) else []):
+        if isinstance(case, dict) and "rate_db_per_s" in case \
+                and not _positive(case["rate_db_per_s"], (int, float)):
+            errors.append(f"softfail.cases[{i}].rate_db_per_s must be a "
+                          f"positive number; got {case['rate_db_per_s']!r}")
+
+
 def scenario_from_dict(doc: dict, lenient: bool = False) -> Scenario:
     """Validate a parsed scenario document."""
     if not isinstance(doc, dict):
@@ -145,6 +165,7 @@ def scenario_from_dict(doc: dict, lenient: bool = False) -> Scenario:
     errors: list[str] = []
     warnings: list[str] = []
     _walk(doc, "", errors, warnings)
+    _check_values(doc, errors)
 
     experiment = doc.get("experiment")
     if experiment not in EXPERIMENTS:
@@ -233,16 +254,10 @@ def _ns_descriptor(service: dict) -> NsDescriptor:
     max_lat = conn.get("max_rt_latency_us")
     requirements = ConnectivityRequirements(
         endpoints=tuple(conn["endpoints"]),
-        bandwidth_bps=float(conn.get("bandwidth_gbps", 100.0)) * 1e9,
         max_rt_latency_ns=None if max_lat is None else round(max_lat * 1000),
     )
-    mon = service.get("monitoring", {})
-    monitoring = MonitoringConfig(
-        telemetry_period_s=float(mon.get("telemetry_period_s", 1.0)),
-        latency_probe=bool(mon.get("latency_probe", True)),
-    )
     return NsDescriptor(name=service.get("name", "ns"), vnfs=vnfs,
-                        connectivity=requirements, monitoring=monitoring)
+                        connectivity=requirements)
 
 
 def build_world(sc: Scenario, spawn_key: tuple[int, ...],

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
-from typing import Callable, IO, Iterable, Optional
+from typing import Callable, IO, Optional
 
 import numpy as np
 
@@ -39,16 +38,6 @@ def seconds(x: float) -> SimTime:
 
 def to_seconds(t: SimTime) -> float:
     return t / SECOND
-
-
-@dataclass(order=True)
-class Event:
-    fire_at: SimTime
-    sequence: int
-    id: int = field(compare=False)
-    action: Callable[[], None] = field(compare=False)
-    kind: str = field(compare=False, default="")
-    cancelled: bool = field(compare=False, default=False)
 
 
 class SimRng:
@@ -94,9 +83,8 @@ class Kernel:
     def __init__(self, event_cap: int = DEFAULT_EVENT_CAP,
                  trace: Optional[IO[str]] = None):
         self._now: SimTime = 0
-        self._heap: list[Event] = []
-        self._events: dict[int, Event] = {}
-        self._next_id = 1
+        # (fire_at, sequence, action, kind); the sequence breaks time ties
+        self._heap: list[tuple[SimTime, int, Callable[[], None], str]] = []
         self._next_seq = 0
         self._fired = 0
         self.event_cap = event_cap
@@ -106,62 +94,37 @@ class Kernel:
         return self._now
 
     def schedule(self, action: Callable[[], None], at: SimTime,
-                 kind: str = "") -> int:
-        """Enqueue ``action`` to run at virtual time ``at``; returns the event id."""
+                 kind: str = "") -> None:
+        """Enqueue ``action`` to run at virtual time ``at``."""
         if at < self._now:
             raise SchedulingInPast(f"schedule at {at} ns < now {self._now} ns")
-        ev = Event(fire_at=at, sequence=self._next_seq, id=self._next_id,
-                   action=action, kind=kind or getattr(action, "__name__", ""))
-        self._next_id += 1
+        heapq.heappush(self._heap, (at, self._next_seq, action,
+                                    kind or getattr(action, "__name__", "")))
         self._next_seq += 1
-        self._events[ev.id] = ev
-        heapq.heappush(self._heap, ev)
-        return ev.id
 
     def schedule_in(self, delay: SimTime, action: Callable[[], None],
-                    kind: str = "") -> int:
-        return self.schedule(action, self._now + delay, kind=kind)
+                    kind: str = "") -> None:
+        self.schedule(action, self._now + delay, kind=kind)
 
-    def cancel(self, event_id: int) -> bool:
-        """True iff the event existed and had not fired; cancelled events never fire."""
-        ev = self._events.get(event_id)
-        if ev is None or ev.cancelled:
-            return False
-        ev.cancelled = True
-        del self._events[event_id]
-        return True
-
-    def _pop_next(self) -> Optional[Event]:
-        while self._heap:
-            ev = self._heap[0]
-            if ev.cancelled:
-                heapq.heappop(self._heap)
-                continue
-            return ev
-        return None
-
-    def _fire(self, ev: Event) -> None:
-        heapq.heappop(self._heap)
-        del self._events[ev.id]
-        self._now = ev.fire_at
+    def _fire_next(self) -> SimTime:
+        fire_at, sequence, action, kind = heapq.heappop(self._heap)
+        self._now = fire_at
         self._fired += 1
         if self._fired > self.event_cap:
             raise RunawaySimulation(
                 f"fired-event count exceeded cap {self.event_cap}")
         if self.trace is not None:
-            self.trace.write(f"{ev.fire_at},{ev.sequence},{ev.kind}\n")
-        ev.action()
+            self.trace.write(f"{fire_at},{sequence},{kind}\n")
+        action()
+        return fire_at
 
     def run_until(self, horizon: SimTime) -> int:
         """Fire every event with fire_at <= horizon; clock ends at horizon."""
         if horizon < self._now:
             raise SchedulingInPast(f"horizon {horizon} ns < now {self._now} ns")
         fired = 0
-        while True:
-            ev = self._pop_next()
-            if ev is None or ev.fire_at > horizon:
-                break
-            self._fire(ev)
+        while self._heap and self._heap[0][0] <= horizon:
+            self._fire_next()
             fired += 1
         self._now = horizon
         return fired
@@ -169,16 +132,6 @@ class Kernel:
     def run_to_end(self) -> SimTime:
         """Drain the queue; returns the fire time of the last event (now() if empty)."""
         last = self._now
-        while True:
-            ev = self._pop_next()
-            if ev is None:
-                return last
-            self._fire(ev)
-            last = ev.fire_at
-
-    @property
-    def fired_count(self) -> int:
-        return self._fired
-
-    def pending(self) -> Iterable[Event]:
-        return (ev for ev in self._heap if not ev.cancelled)
+        while self._heap:
+            last = self._fire_next()
+        return last

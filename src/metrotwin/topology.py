@@ -26,8 +26,6 @@ ChannelId = int
 
 DEFAULT_GROUP_INDEX = 1.4680
 DEFAULT_CHANNEL_GRID = 96
-# Half of the fitted per-path switch-pair overhead (two switches per path).
-DEFAULT_SWITCH_LATENCY_NS = 645
 
 PASS = "pass"
 BLOCK = "block"
@@ -43,7 +41,6 @@ class TransponderState(enum.Enum):
 @dataclass
 class RoadmNode:
     id: NodeId
-    degree: int = 2
     # (exit link id, channel) -> PASS | BLOCK; absent entry = dark
     blocker_state: dict[tuple[str, ChannelId], str] = field(default_factory=dict)
     drop_ports: list[NodeId] = field(default_factory=list)
@@ -64,8 +61,6 @@ class TransponderNode:
     id: NodeId
     attached_roadm: NodeId
     state: TransponderState = TransponderState.OFF
-    line_rate_bps: float = 100e9
-    modulation: str = "DP-QPSK"
     config_duration_ns: int = 2_000_000_000
     warmup_duration_ns: int = 125_000_000_000
     claimed_by: Optional[str] = None  # service request id holding this transponder
@@ -78,7 +73,6 @@ class FiberLink:
     endpoints: tuple[NodeId, NodeId]
     length_m: float
     group_index: float = DEFAULT_GROUP_INDEX
-    base_attenuation_db: float = 0.0
     added_attenuation_db: float = 0.0  # time-varying, written by ramp updates
     legacy_residual_delay_ns: int = 0  # lumped patch-panel/old-plant delay
 
@@ -87,15 +81,12 @@ class FiberLink:
             raise TopologyInvalid(f"link {self.id}: negative length")
         if not 1.0 <= self.group_index <= 2.0:
             raise TopologyInvalid(f"link {self.id}: group index {self.group_index} outside [1, 2]")
-        if self.base_attenuation_db < 0 or self.added_attenuation_db < 0:
-            raise TopologyInvalid(f"link {self.id}: negative attenuation")
 
 
 @dataclass
 class AggSwitchNode:
     id: NodeId
     attached_transponder: NodeId
-    per_pass_latency_ns: int = DEFAULT_SWITCH_LATENCY_NS
 
 
 @dataclass
@@ -152,18 +143,6 @@ class RingTopology:
     def transponder_roadm(self, tp_id: NodeId) -> NodeId:
         return self.transponders[tp_id].attached_roadm
 
-    def switch_for_transponder(self, tp_id: NodeId) -> AggSwitchNode:
-        for sw in self.switches.values():
-            if sw.attached_transponder == tp_id:
-                return sw
-        raise TopologyInvalid(f"transponder {tp_id} has no switch")
-
-    def compute_for_switch(self, sw_id: NodeId) -> ComputeNode:
-        for cn in self.compute_nodes.values():
-            if cn.attached_switch == sw_id:
-                return cn
-        raise TopologyInvalid(f"switch {sw_id} has no compute node")
-
 
 def build_ring(section: dict) -> RingTopology:
     """Validate a scenario topology section and assemble the plant.
@@ -198,7 +177,6 @@ def build_ring(section: dict) -> RingTopology:
             endpoints=(a, b),
             length_m=float(entry["length_m"]),
             group_index=float(entry.get("group_index", DEFAULT_GROUP_INDEX)),
-            base_attenuation_db=float(entry.get("base_attenuation_db", 0.0)),
             legacy_residual_delay_ns=int(entry.get("legacy_residual_delay_ns", 0)),
         )
         if lk.id in links:
@@ -254,10 +232,7 @@ def build_ring(section: dict) -> RingTopology:
         tp = entry["transponder"]
         if tp not in transponders:
             raise TopologyInvalid(f"switch {name}: unknown transponder {tp!r}")
-        switches[name] = AggSwitchNode(
-            id=name, attached_transponder=tp,
-            per_pass_latency_ns=int(entry.get("per_pass_latency_ns", DEFAULT_SWITCH_LATENCY_NS)),
-        )
+        switches[name] = AggSwitchNode(id=name, attached_transponder=tp)
 
     compute_nodes: dict[str, ComputeNode] = {}
     for entry in section.get("compute_nodes", []):
@@ -328,35 +303,3 @@ def find_ring_paths(a: NodeId, b: NodeId, topo: RingTopology) -> list[OpticalPat
     candidates.sort(key=lambda p: (sum(topo.links[l].length_m for l in p.links), p.direction))
     return candidates
 
-
-def path_metrics(p: OpticalPath, topo: RingTopology) -> dict:
-    total_length = sum(topo.links[l].length_m for l in p.links)
-    total_att = sum(topo.links[l].base_attenuation_db for l in p.links)
-    return {
-        "total_length_m": total_length,
-        "hop_count": len(p.links),
-        "total_base_attenuation_db": total_att,
-    }
-
-
-def check_ring_two_edge_connected(topo: RingTopology) -> bool:
-    """Removing any single ring link leaves the ROADM graph connected."""
-    nodes = list(topo.roadms)
-    for removed in topo.links:
-        adj: dict[str, list[str]] = {r: [] for r in nodes}
-        for lk in topo.links.values():
-            if lk.id == removed:
-                continue
-            a, b = lk.endpoints
-            adj[a].append(b)
-            adj[b].append(a)
-        seen = {nodes[0]}
-        stack = [nodes[0]]
-        while stack:
-            for nb in adj[stack.pop()]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        if len(seen) != len(nodes):
-            return False
-    return True

@@ -175,3 +175,54 @@ def test_repeat_must_be_positive(tmp_path, capsys):
     assert main(["setup", "--scenario", write(tmp_path, make_scenario()),
                  "--repeat", "0"]) == 1
     assert "--repeat" in capsys.readouterr().err
+
+
+def test_nonpositive_rate_exits_1_naming_key(tmp_path, capsys):
+    assert main(["softfail", "--scenario", write(tmp_path, softfail_doc()),
+                 "--rate", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "rate_db_per_s" in err
+
+
+def test_zero_repetitions_exits_1_naming_key(tmp_path, capsys):
+    doc = softfail_doc()
+    doc["softfail"]["repetitions"] = 0
+    assert main(["softfail", "--scenario", write(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "softfail.repetitions" in err
+
+
+def test_repeat_reaches_every_experiment(tmp_path, capsys):
+    doc = make_scenario(experiment="full_demo", latency={
+        "measured_link": "r1-r2",
+        "cases": [{"length_km": 6.8}],
+    }, softfail={
+        "noise_sigma_db": 0.0,
+        "emit_trace": False,
+        "cases": [{"rate_db_per_s": 0.25}],
+    })
+    assert main(["demo", "--scenario", write(tmp_path, doc), "--repeat", "2",
+                 "--format", "json"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert [results[k]["repetitions"] for k in ("setup", "latency", "softfail")] \
+        == [2, 2, 2]
+
+
+@pytest.mark.parametrize("mutate,key", [
+    (lambda d: d["topology"]["links"][0].update(base_attenuation_db=1.0),
+     "base_attenuation_db"),
+    (lambda d: d["topology"]["switches"][0].update(per_pass_latency_ns=645),
+     "per_pass_latency_ns"),
+    (lambda d: d["service"].update(monitoring={"telemetry_period_s": 1.0}),
+     "monitoring"),
+    (lambda d: d["service"]["connectivity"].update(bandwidth_gbps=100),
+     "bandwidth_gbps"),
+], ids=["link", "switch", "monitoring", "connectivity"])
+def test_removed_scenario_keys_are_unknown(tmp_path, capsys, mutate, key):
+    doc = make_scenario()
+    mutate(doc)
+    path = write(tmp_path, doc)
+    assert main(["validate", "--scenario", path]) == 1
+    assert key in capsys.readouterr().err
+    assert main(["validate", "--scenario", path, "--lenient"]) == 0
+    assert key in capsys.readouterr().err

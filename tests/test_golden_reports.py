@@ -1,0 +1,43 @@
+"""Pinned SHA-256 digests of the canonical reports of the shipped scenarios.
+
+Any change that alters a single byte of a report fails here.  Re-pin only
+when a report change is intended, and say so in the change log.
+"""
+
+import hashlib
+
+import pytest
+
+from conftest import shipped
+from metrotwin.scenario import run_scenario, scenario_from_dict
+
+HELD_OUT_SEED = 90017
+
+GOLDEN = {
+    ("paper_setup.json", 3):
+        "baced9e54536f33fa7a321bc1e97002382e06a4e72245d47870a6345cb7a6eba",
+    ("paper_setup.json", HELD_OUT_SEED):
+        "7652a5380cf7bec51bf84810e3926235cfd6667cb847b603389ec6f3dccd8c89",
+    ("paper_table2.json", 7):
+        "b5baecf31d0c0c30b4ae32b4768d138684c1077b178b10638645937a709022b5",
+    ("paper_table2.json", HELD_OUT_SEED):
+        "2aa36690456632333b1010b1b32ad7cf66e4c340bb7e25b08c5c3383de12bd91",
+    ("paper_softfail.json", 7):
+        "931256ce1f4d6d094da561028e1e2793f0acfc03dd7b5bdd7d138fd42d80f00e",
+    ("paper_softfail.json", HELD_OUT_SEED):
+        "0c128c176758a565a654cff0f06c072e3b254324a43bc15111ee9c3045673422",
+    ("paper_full_demo.json", 21):
+        "f90cdcf4708a9d512bdf669e002824e4941be4b208220e062ec1147962b80eb0",
+    ("paper_full_demo.json", HELD_OUT_SEED):
+        "125c3384387de18a009d5bf064a25f427d64e2d6dd17a58f107a73d110c7a773",
+}
+
+
+@pytest.mark.parametrize("name,seed", sorted(GOLDEN))
+def test_canonical_report_digest(name, seed):
+    doc = shipped(name)
+    if seed != HELD_OUT_SEED:
+        assert doc["seed"] == seed, "pinned own seed no longer matches the file"
+    doc["seed"] = seed
+    report = run_scenario(scenario_from_dict(doc)).to_canonical_json()
+    assert hashlib.sha256(report.encode()).hexdigest() == GOLDEN[(name, seed)]

@@ -181,3 +181,15 @@ def test_coupling_scales_effective_rate():
         detector_cfg=DetectorConfig(), model=SignalModel())
     assert weak.detection_time_s == full.detection_time_s
     assert weak.anticipation_s == full.anticipation_s
+
+
+def test_snr_only_fail_criterion():
+    model = SignalModel(fail_ber_above=None, fail_snr_below_db=9.0)
+    report = run_softfail_case(
+        world_factory=softfail_world_factory(),
+        rate_db_per_s=0.25, repetitions=1, noise_sigma_db=0.0,
+        detector_cfg=DetectorConfig(), model=model)
+    assert report.detection_time_s == pytest.approx(5.0)
+    # 12.84 dB of margin at 0.25 dB/s: first sample at or below 9 dB is t=52 s
+    assert report.anticipation_s == pytest.approx(47.0)
+    assert report.restored_count == 1

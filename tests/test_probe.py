@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 from conftest import ring_section
 from metrotwin.errors import PathNotOperational, RankDeficient, Underdetermined
 from metrotwin.probe import (BudgetReport, LatencyMeasurement, ProbeConfig,
-                             budget_from_config, compute_delta,
-                             estimate_rt_propagation, fit_budget,
-                             measure_round_trip)
+                             budget_from_config, estimate_rt_propagation,
+                             fit_budget, measure_round_trip)
 from metrotwin.simkernel import SimRng
 from metrotwin.topology import (OpticalPath, TransponderState, build_ring,
                                 find_ring_paths)
@@ -30,7 +29,6 @@ def test_measure_is_prop_plus_overheads():
     m = measure_round_trip(path, topo, cfg)
     assert m.estimated_rt_prop_ns == estimate_rt_propagation(79969.5, 1.4680)
     assert m.measured_rt_ns == m.estimated_rt_prop_ns + 15230
-    assert compute_delta(m) == 15230
     assert m.link_length_m == pytest.approx(79969.5)
 
 

@@ -65,17 +65,6 @@ def test_events_may_schedule_at_current_time():
     assert fired == ["nested"]
 
 
-def test_cancel_prevents_firing():
-    k = Kernel()
-    fired = []
-    eid = k.schedule(lambda: fired.append(1), 10)
-    assert k.cancel(eid) is True
-    assert k.cancel(eid) is False
-    k.run_to_end()
-    assert fired == []
-    assert k.cancel(12345) is False
-
-
 def test_run_until_leaves_clock_at_horizon():
     k = Kernel()
     fired = []
