@@ -18,9 +18,10 @@ import numpy as np
 
 from .controlplane import OrchestrationStack, ServiceRecord, ServiceStatus
 from .errors import DetectionTooLate, OutOfOrderSample, TwinError
-from .optics import AttenuationRamp, OpticalPlant, SignalModel, TelemetrySample
+from .optics import (AttenuationRamp, OpticalPlant, SignalModel,
+                     TelemetrySample, ber_from_snr, snr_from_ber)
 from .simkernel import Kernel, SECOND, SimRng, SimTime
-from .topology import RingTopology
+from .topology import OpticalPath, RingTopology
 
 
 @dataclass(frozen=True)
@@ -30,6 +31,14 @@ class DetectorConfig:
     drop_threshold_db: float = 0.5
     consecutive_required: int = 3
     regression_window: int = 30
+
+    def __post_init__(self) -> None:
+        for name, least in (("sample_period_ns", 1), ("baseline_window", 1),
+                            ("consecutive_required", 1),
+                            ("regression_window", 2)):
+            value = getattr(self, name)
+            if not value >= least:
+                raise ValueError(f"{name} must be >= {least}; got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -80,24 +89,9 @@ class DegradationDetector:
         if self._run < self.cfg.consecutive_required:
             return None
         self._fired = True
-        w = min(self.cfg.regression_window, len(self._times))
-        ts = np.array(self._times[-w:], dtype=float)
-        ts = (ts - ts[0]) / SECOND
-        snrs = np.array(self._snrs[-w:], dtype=float)
-        slope = float(np.polyfit(ts, snrs, 1)[0])
-        t_now = self._times[-1]
-        snr_now = self._snrs[-1]
-        predicted: Optional[SimTime]
-        if snr_now <= self.fail_snr_db:
-            predicted = t_now
-        elif slope < 0.0:
-            predicted = t_now + round((snr_now - self.fail_snr_db) / -slope * SECOND)
-        else:
-            predicted = None
-        return DegradationEvent(t_detect=t_now, snr_at_detect_db=snr_now,
-                                ber_at_detect=self._bers[-1],
-                                fitted_slope_db_per_s=slope,
-                                predicted_t_fail=predicted)
+        w = self.cfg.regression_window
+        return _degradation_event(self._times[-w:], self._snrs[-w:],
+                                 self._bers[-1], self.fail_snr_db)
 
     def reset_episode(self) -> None:
         """Forget everything; the next episode relearns its baseline."""
@@ -107,6 +101,32 @@ class DegradationDetector:
         self.baseline_db = None
         self._run = 0
         self._fired = False
+
+
+def _degradation_event(times, snrs, ber_now: float,
+                      fail_snr_db: float) -> DegradationEvent:
+    """Detection at the last of ``times``, with trend and predicted fail time.
+
+    ``times`` and ``snrs`` are the regression window that ends at the
+    detection sample.  A line fitted over it extrapolates the instant the
+    SNR reaches ``fail_snr_db``; a flat or rising trend predicts none.
+    """
+    ts = np.array(times, dtype=float)
+    ts = (ts - ts[0]) / SECOND
+    slope = float(np.polyfit(ts, np.array(snrs, dtype=float), 1)[0])
+    t_now = int(times[-1])
+    snr_now = float(snrs[-1])
+    predicted: Optional[SimTime]
+    if snr_now <= fail_snr_db:
+        predicted = t_now
+    elif slope < 0.0:
+        predicted = t_now + round((snr_now - fail_snr_db) / -slope * SECOND)
+    else:
+        predicted = None
+    return DegradationEvent(t_detect=t_now, snr_at_detect_db=snr_now,
+                            ber_at_detect=ber_now,
+                            fitted_slope_db_per_s=slope,
+                            predicted_t_fail=predicted)
 
 
 def anticipation_time(detection: DegradationEvent, t_cross: SimTime) -> SimTime:
@@ -155,6 +175,103 @@ class SoftFailReport:
     trace: list[tuple[float, float, float]] = field(default_factory=list)
 
 
+# Samples computed per numpy block.  A scan stops at the block that holds
+# the crossing, so a slow ramp never allocates its whole horizon at once.
+_BLOCK = 1024
+
+# Samples up to this far above the highest SNR that meets a fail criterion
+# are tested with the exact fail predicate.  BER falls as SNR rises, and
+# snr_from_ber inverts ber_from_snr to within 2e-14 dB (a sweep of
+# fail_ber_above from 1e-299 up to the LOS floor limit, penalties 0 to
+# 10 dB), so a sample beyond the margin cannot meet the BER criterion.
+_CROSS_MARGIN_DB = 1e-6
+
+# Sample instants are int64 nanoseconds.
+_CLOCK_MAX = int(np.iinfo(np.int64).max)
+
+
+def _crossed(snr_db: float, fail_snr_db: float, model: SignalModel) -> bool:
+    return (snr_db <= fail_snr_db
+            or (model.fail_ber_above is not None
+                and ber_from_snr(snr_db, model) >= model.fail_ber_above))
+
+
+def _scan_telemetry(plant: OpticalPlant, path: OpticalPath, model: SignalModel,
+                    cfg: DetectorConfig, fail_snr_db: float, cross_snr_db: float,
+                    first_sample: SimTime, noise_sigma_db: float,
+                    noise_rng: SimRng, sample_cap: int,
+                    trace: Optional[list[tuple[float, float, float]]],
+                    ramp_start: SimTime
+                    ) -> tuple[Optional[DegradationEvent], Optional[int]]:
+    """Detection and fail crossing of one episode's telemetry.
+
+    Sample i is taken at ``first_sample + i * period``: the noiseless SNR
+    plus one draw of ``noise_rng``.  Detection follows
+    ``DegradationDetector``: the baseline is the mean of the first
+    ``baseline_window`` samples, and the detector fires on the first later
+    sample that completes ``consecutive_required`` consecutive readings
+    below baseline minus threshold.  The crossing is the first sample that
+    meets the fail criterion, which no sample above ``cross_snr_db`` can;
+    the scan ends there, or after ``sample_cap`` samples.  Returns the
+    detection, unless it comes after the crossing, and the crossing's
+    sample index.  ``trace``, when given, receives
+    (seconds since ramp start, SNR, BER) of each sample up to the end.
+    """
+    period = cfg.sample_period_ns
+    head: list[np.ndarray] = []  # blocks until the baseline window is full
+    tail = np.empty(0)           # the samples before this block, for the fit
+    level: Optional[float] = None
+    run = 0                      # below-level readings ending the last block
+    event: Optional[DegradationEvent] = None
+    cross: Optional[int] = None
+    n = 0
+    while cross is None and n < sample_cap:
+        k = min(_BLOCK, sample_cap - n)
+        if first_sample + period * (n + k - 1) > _CLOCK_MAX:
+            raise TwinError("telemetry stream ran past the 64-bit clock")
+        snr = plant.snr_series(
+            path, first_sample + period * np.arange(n, n + k, dtype=np.int64),
+            model)
+        snr += noise_rng.normal(0.0, noise_sigma_db, size=k)
+        for j in np.flatnonzero(snr <= cross_snr_db + _CROSS_MARGIN_DB):
+            if _crossed(float(snr[j]), fail_snr_db, model):
+                cross = n + int(j)
+                break
+        if level is None:
+            head.append(snr)
+            if n + k >= cfg.baseline_window:
+                baseline = float(np.mean(
+                    np.concatenate(head)[:cfg.baseline_window]))
+                level = baseline - cfg.drop_threshold_db
+        if event is None and level is not None:
+            lo = max(cfg.baseline_window - n, 0)
+            below = snr[lo:] < level
+            pos = np.arange(below.size)
+            runs = pos - np.maximum.accumulate(np.where(below, -1 - run, pos))
+            hits = np.flatnonzero(runs >= cfg.consecutive_required)
+            if hits.size:
+                j = lo + int(hits[0])
+                if cross is None or n + j <= cross:
+                    window = np.concatenate(
+                        (tail, snr[:j + 1]))[-cfg.regression_window:]
+                    times = first_sample + period * np.arange(
+                        n + j + 1 - window.size, n + j + 1, dtype=np.int64)
+                    event = _degradation_event(
+                        times, window, ber_from_snr(float(snr[j]), model),
+                        fail_snr_db)
+            elif runs.size:
+                run = int(runs[-1])
+        if event is None:
+            tail = np.concatenate((tail, snr))[-cfg.regression_window:]
+        if trace is not None:
+            scanned = snr[:k if cross is None else cross - n + 1].tolist()
+            trace.extend(((first_sample + (n + i) * period - ramp_start)
+                          / SECOND, v, ber_from_snr(v, model))
+                         for i, v in enumerate(scanned))
+        n += k
+    return event, cross
+
+
 def run_softfail_case(world_factory: Callable[[int], SoftFailWorld],
                       rate_db_per_s: float,
                       repetitions: int,
@@ -169,11 +286,23 @@ def run_softfail_case(world_factory: Callable[[int], SoftFailWorld],
     Each repetition provisions its own world, starts an attenuation ramp one
     period after the baseline window fills, and lets detection, alerting and
     restoration race the fail-criterion crossing.
+
+    The telemetry of a repetition is computed up front (``_scan_telemetry``),
+    so the kernel carries only the events that can change its outcome: the
+    detection, which raises the alert; one event per sample instant while
+    any other event is queued, so same-instant ties break by sequence
+    number exactly as for one event per sample; and the crossing.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be positive")
     reps: list[RepetitionResult] = []
     trace: list[tuple[float, float, float]] = []
+    fail_snr = model.fail_snr_db()
+    # with both criteria set, the BER limit may be met above fail_snr
+    cross_snr = fail_snr if model.fail_ber_above is None else max(
+        fail_snr, snr_from_ber(model.fail_ber_above, model))
+    span_db = model.snr0_db - fail_snr
+    period = detector_cfg.sample_period_ns
 
     for rep in range(repetitions):
         world = world_factory(rep)
@@ -183,64 +312,59 @@ def run_softfail_case(world_factory: Callable[[int], SoftFailWorld],
             raise TwinError(f"repetition {rep}: service not active before episode")
         monitored_path = rec.path  # crossing is tracked on the original arc
         link_id = ramp_link or monitored_path.links[0]
-        period = detector_cfg.sample_period_ns
         first_sample = kernel.now() + period
         ramp_start = first_sample + (detector_cfg.baseline_window - 1) * period
         plant.apply_attenuation_ramp(AttenuationRamp(
             link_id=link_id, rate_db_per_s=rate_db_per_s,
             start_time=ramp_start, snr_coupling=snr_coupling))
-
-        fail_snr = model.fail_snr_db()
-        detector = DegradationDetector(detector_cfg, fail_snr)
-        noise_rng = world.rng.split(11)
-        state: dict = {"event": None, "t_cross": None}
-        span_db = model.snr0_db - fail_snr
         sample_cap = detector_cfg.baseline_window + 1000 + int(
             2 * span_db / (rate_db_per_s * max(snr_coupling, 1e-9))
             / (period / SECOND))
+        ev, cross = _scan_telemetry(
+            plant, monitored_path, model, detector_cfg, fail_snr, cross_snr,
+            first_sample, noise_sigma_db, world.rng.split(11), sample_cap,
+            trace if keep_trace and rep == 0 else None, ramp_start)
+        t_last = first_sample + period * (
+            sample_cap - 1 if cross is None else cross)
+        t_detect = None if ev is None else ev.t_detect
 
-        def take_sample(count: int = 0) -> None:
-            t = kernel.now()
-            s = plant.sample_telemetry(monitored_path, t, model,
-                                       noise_sigma_db, noise_rng)
-            if keep_trace and rep == 0:
-                trace.append(((t - ramp_start) / SECOND, s.snr_db, s.pre_fec_ber))
-            detector.ingest_sample(s)
-            if state["event"] is None:
-                ev = detector.detect_degradation()
-                if ev is not None:
-                    state["event"] = ev
-                    # detector -> parent controller, two control hops
-                    kernel.schedule_in(
-                        2 * stack.timings.alert_hop_ns,
-                        lambda: stack.handle_degradation_alert(rec, kernel.now()),
-                        kind=f"{rec.request_id}:alert")
-            crossed = (s.snr_db <= fail_snr
-                       or (model.fail_ber_above is not None
-                           and s.pre_fec_ber >= model.fail_ber_above))
-            if state["t_cross"] is None and crossed:
-                state["t_cross"] = t
+        def at_sample(t: SimTime) -> None:
+            if t == t_detect:
+                # detector -> parent controller, two control hops
+                kernel.schedule_in(
+                    2 * stack.timings.alert_hop_ns,
+                    lambda: stack.handle_degradation_alert(rec, kernel.now()),
+                    kind=f"{rec.request_id}:alert")
+            if t == t_last:
+                plant.materialise_ramps(t)
+                if cross is None:
+                    raise TwinError(
+                        "telemetry stream ran past its expected horizon")
                 stack.notify_fail_crossing(rec, t)
                 return  # stream ends once the old arc would have failed
-            if count + 1 >= sample_cap:
-                raise TwinError("telemetry stream ran past its expected horizon")
-            kernel.schedule_in(period, lambda: take_sample(count + 1),
-                               kind="telemetry_sample")
+            schedule_after(t)
 
-        kernel.schedule(lambda: take_sample(0), first_sample,
-                        kind="telemetry_sample")
+        def schedule_after(t: SimTime) -> None:
+            if not kernel.idle():
+                nxt = t + period
+            elif t_detect is not None and t_detect > t:
+                nxt = t_detect
+            else:
+                nxt = t_last
+            kernel.schedule(lambda: at_sample(nxt), nxt,
+                            kind="telemetry_sample")
+
+        schedule_after(first_sample - period)
         kernel.run_to_end()
 
-        ev = state["event"]
-        t_cross = state["t_cross"]
-        if ev is None or t_cross is None:
+        if ev is None:
             raise TwinError(f"repetition {rep}: episode ended without "
                             f"detection and crossing")
         predicted = (None if ev.predicted_t_fail is None
                      else ev.predicted_t_fail - ev.t_detect)
         reps.append(RepetitionResult(
             detection_time_ns=ev.t_detect - ramp_start,
-            anticipation_ns=anticipation_time(ev, t_cross),
+            anticipation_ns=anticipation_time(ev, t_last),
             predicted_anticipation_ns=predicted,
             snr_at_detect_db=ev.snr_at_detect_db,
             ber_at_detect=ev.ber_at_detect,

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
 from scipy.special import erfcinv
 
 from .errors import IllegalTransition, PathNotOperational, RampConflict
@@ -56,10 +57,14 @@ class AttenuationRamp:
         if not 0 < self.snr_coupling <= 1.5:
             raise ValueError("snr_coupling outside (0, 1.5]")
 
-    def added_db(self, t: SimTime) -> float:
-        if t <= self.start_time:
-            return 0.0
-        return self.rate_db_per_s * (t - self.start_time) / SECOND
+    def added_db(self, t: SimTime | np.ndarray) -> np.ndarray:
+        """Added loss in dB at ``t``, a SimTime or an int64 array of them.
+
+        Zero up to and including the ramp start.
+        """
+        return np.where(t > self.start_time,
+                        self.rate_db_per_s * (t - self.start_time) / SECOND,
+                        0.0)
 
 
 @dataclass
@@ -82,15 +87,24 @@ class SignalModel:
             raise ValueError("implementation penalty must be >= 0")
         if self.fail_ber_above is None and self.fail_snr_below_db is None:
             raise ValueError("signal model needs a fail criterion")
-        if self.snr0_db <= self.fail_snr_db():
+        if self.fail_ber_above is not None \
+                and not BER_FLOOR < self.fail_ber_above < BER_CEIL:
+            raise ValueError(f"fail_ber_above must lie in ({BER_FLOOR}, "
+                             f"{BER_CEIL}); got {self.fail_ber_above!r}")
+        fail_snr = self.fail_snr_db()
+        # below the LOS floor the receiver has lost the signal, and the
+        # clamped SNR of a noiseless ramp never goes there
+        if fail_snr < LOS_FLOOR_DB:
+            raise ValueError(f"fail threshold {fail_snr!r} dB must not sit "
+                             f"below the LOS floor of {LOS_FLOOR_DB} dB")
+        if not self.snr0_db > fail_snr:
             raise ValueError("baseline SNR must sit above the fail threshold")
 
     def fail_snr_db(self) -> float:
         """SNR at which the fail criterion is crossed."""
         if self.fail_snr_below_db is not None:
             return self.fail_snr_below_db
-        x = float(erfcinv(2.0 * self.fail_ber_above))
-        return 10.0 * math.log10(2.0 * x * x) + self.implementation_penalty_db
+        return snr_from_ber(self.fail_ber_above, self)
 
 
 @dataclass(frozen=True)
@@ -117,6 +131,12 @@ def ber_from_snr(snr_db: float, model: SignalModel) -> float:
     lin = 10.0 ** ((snr_db - model.implementation_penalty_db) / 10.0)
     ber = 0.5 * math.erfc(math.sqrt(lin / 2.0))
     return min(max(ber, BER_FLOOR), BER_CEIL)
+
+
+def snr_from_ber(ber: float, model: SignalModel) -> float:
+    """The SNR at which ``ber_from_snr`` gives ``ber``; its inverse."""
+    x = float(erfcinv(2.0 * ber))
+    return 10.0 * math.log10(2.0 * x * x) + model.implementation_penalty_db
 
 
 def transponder_lifecycle(
@@ -170,9 +190,9 @@ def transponder_teardown(tp: TransponderNode) -> None:
 class OpticalPlant:
     """Time-varying physical state: ramps, receiver SNR, telemetry.
 
-    Ramp state materialises into ``FiberLink.added_attenuation_db`` whenever
-    telemetry is sampled, so observable plant state advances at the telemetry
-    period while analytic queries stay exact at any instant.
+    Ramp state materialises into ``FiberLink.added_attenuation_db`` when a
+    sample is taken and when a soft-failure episode's telemetry stream ends,
+    while analytic queries stay exact at any instant.
     """
 
     def __init__(self, topo: RingTopology):
@@ -186,15 +206,10 @@ class OpticalPlant:
             raise RampConflict(f"link {ramp.link_id} already has an active ramp")
         self._ramps[ramp.link_id] = ramp
 
-    def added_attenuation_db(self, link_id: str, t: SimTime) -> float:
-        ramp = self._ramps.get(link_id)
-        if ramp is None:
-            return self.topo.links[link_id].added_attenuation_db
-        return ramp.added_db(t)
-
     def materialise_ramps(self, t: SimTime) -> None:
         for ramp in self._ramps.values():
-            self.topo.links[ramp.link_id].added_attenuation_db = ramp.added_db(t)
+            self.topo.links[ramp.link_id].added_attenuation_db = float(
+                ramp.added_db(t))
 
     def _require_operational(self, path: OpticalPath) -> None:
         if path.channel is None:
@@ -204,15 +219,28 @@ class OpticalPlant:
             if tp.state is not TransponderState.OPERATIONAL:
                 raise PathNotOperational(f"transponder {tp_id} is {tp.state.value}")
 
-    def snr_at_receiver(self, path: OpticalPath, t: SimTime, model: SignalModel) -> float:
-        """Baseline SNR minus coupled added loss over the path, LOS-clamped."""
+    def snr_series(self, path: OpticalPath, times: np.ndarray,
+                   model: SignalModel) -> np.ndarray:
+        """Noiseless receiver SNR at each of ``times`` (int64 ns).
+
+        Baseline SNR minus the coupled added loss of each link in path
+        order, LOS-clamped.  A link without a ramp adds its current
+        ``added_attenuation_db`` at coupling 1.
+        """
         self._require_operational(path)
-        snr = model.snr0_db
+        snr = np.full(times.shape, model.snr0_db)
         for link_id in path.links:
             ramp = self._ramps.get(link_id)
-            coupling = ramp.snr_coupling if ramp is not None else 1.0
-            snr -= coupling * self.added_attenuation_db(link_id, t)
-        return max(snr, LOS_FLOOR_DB)
+            if ramp is None:
+                snr -= self.topo.links[link_id].added_attenuation_db
+            else:
+                snr -= ramp.snr_coupling * ramp.added_db(times)
+        return np.maximum(snr, LOS_FLOOR_DB)
+
+    def snr_at_receiver(self, path: OpticalPath, t: SimTime, model: SignalModel) -> float:
+        """Noiseless receiver SNR at one instant; see ``snr_series``."""
+        return float(self.snr_series(path, np.array([t], dtype=np.int64),
+                                     model)[0])
 
     def sample_telemetry(self, path: OpticalPath, t: SimTime, model: SignalModel,
                          noise_sigma_db: float, rng: SimRng) -> TelemetrySample:

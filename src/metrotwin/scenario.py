@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import IO, Optional, Union
 
@@ -136,26 +137,80 @@ def _walk(node, schema_path: str, errors: list[str], warnings: list[str]) -> Non
                 _walk(item, f"{schema_path}[]", errors, warnings)
 
 
-def _positive(value, types: tuple[type, ...]) -> bool:
-    return (isinstance(value, types) and not isinstance(value, bool)
-            and value > 0)
+def _integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _number(value) -> bool:
+    return _integer(value) or (isinstance(value, float)
+                               and math.isfinite(value))
+
+
+_COUNT = (lambda v: _integer(v) and v >= 1, "a positive integer")
+_NUMBER = (_number, "a number")
+_NON_NEGATIVE = (lambda v: _number(v) and v >= 0, "a number >= 0")
+
+# key path -> (test, requirement) for values that would otherwise fail only
+# once a run is underway, or keep it running without end.  The ranges of the
+# signal and detector values are SignalModel's and DetectorConfig's own.
+_VALUE_RULES = {
+    "service.repetitions": _COUNT,
+    "latency.repetitions": _COUNT,
+    "latency.cases[].length_km": _NON_NEGATIVE,
+    "softfail.repetitions": _COUNT,
+    "softfail.noise_sigma_db": _NON_NEGATIVE,
+    "softfail.signal.snr0_db": _NUMBER,
+    "softfail.signal.implementation_penalty_db": _NUMBER,
+    "softfail.signal.fail_ber_above": _NUMBER,
+    "softfail.detector.sample_period_s": (
+        lambda v: _number(v) and 1e-9 <= v <= 1e9,
+        "a number of seconds in [1e-9, 1e9]"),
+    "softfail.detector.baseline_window": _COUNT,
+    "softfail.detector.drop_threshold_db": _NUMBER,
+    "softfail.detector.consecutive_required": _COUNT,
+    "softfail.detector.regression_window": _COUNT,
+    "softfail.cases[].rate_db_per_s": (lambda v: _number(v) and v > 0,
+                                       "a positive number"),
+    "softfail.cases[].snr_coupling": (lambda v: _number(v) and 0 < v <= 1.5,
+                                      "a number in (0, 1.5]"),
+    "softfail.cases[].drop_threshold_db": _NUMBER,
+}
+
+
+def _nodes(doc: dict, path: str) -> list[tuple[str, dict]]:
+    """(label, node) of each object at a schema path like 'softfail.cases[]'."""
+    found: list[tuple[str, object]] = [("", doc)]
+    for part in path.split("."):
+        name = part.removesuffix("[]")
+        below: list[tuple[str, object]] = []
+        for label, node in found:
+            child = node.get(name) if isinstance(node, dict) else None
+            where = f"{label}.{name}" if label else name
+            if not part.endswith("[]"):
+                below.append((where, child))
+            elif isinstance(child, list):
+                below += [(f"{where}[{i}]", item) for i, item in enumerate(child)]
+        found = below
+    return [(label, node) for label, node in found if isinstance(node, dict)]
 
 
 def _check_values(doc: dict, errors: list[str]) -> None:
     """Reject values that would otherwise only fail once the run is underway."""
-    for section in ("service", "latency", "softfail"):
-        node = doc.get(section)
-        if isinstance(node, dict) and "repetitions" in node \
-                and not _positive(node["repetitions"], (int,)):
-            errors.append(f"{section}.repetitions must be a positive integer; "
-                          f"got {node['repetitions']!r}")
-    softfail = doc.get("softfail")
-    cases = softfail.get("cases") if isinstance(softfail, dict) else None
-    for i, case in enumerate(cases if isinstance(cases, list) else []):
-        if isinstance(case, dict) and "rate_db_per_s" in case \
-                and not _positive(case["rate_db_per_s"], (int, float)):
-            errors.append(f"softfail.cases[{i}].rate_db_per_s must be a "
-                          f"positive number; got {case['rate_db_per_s']!r}")
+    bad = len(errors)
+    for key_path, (ok, requirement) in _VALUE_RULES.items():
+        path, _, key = key_path.rpartition(".")
+        for label, node in _nodes(doc, path):
+            if key in node and not ok(node[key]):
+                errors.append(f"{label}.{key} must be {requirement}; "
+                              f"got {node[key]!r}")
+    if len(errors) == bad:
+        for path, build in (("softfail.signal", _signal_model),
+                            ("softfail.detector", _detector_config)):
+            for label, node in _nodes(doc, path):
+                try:
+                    build(node)
+                except ValueError as exc:
+                    errors.append(f"{label}: {exc}")
 
 
 def scenario_from_dict(doc: dict, lenient: bool = False) -> Scenario:
@@ -411,21 +466,17 @@ def _run_latency(sc: Scenario, trace_sink=None) -> dict:
     }
 
 
-def _run_softfail(sc: Scenario, trace_sink=None) -> dict:
-    section = sc.softfail
-    assert section is not None
-    reps = int(section.get("repetitions", 10))
-    noise = float(section.get("noise_sigma_db", 0.0))
-    emit_trace = bool(section.get("emit_trace", True))
-    sig = section.get("signal", {})
-    model = SignalModel(
-        snr0_db=float(sig.get("snr0_db", 21.84)),
-        implementation_penalty_db=float(sig.get("implementation_penalty_db",
-                                                 0.25)),
-        fail_ber_above=float(sig.get("fail_ber_above", 3.8e-3)),
-    )
-    det = section.get("detector", {})
-    base_detector = DetectorConfig(
+def _signal_model(signal: dict) -> SignalModel:
+    """The ``softfail.signal`` keys are SignalModel fields; unset ones keep
+    the dataclass default."""
+    return SignalModel(**{key: float(value) for key, value in signal.items()
+                          if key in _SCHEMA["softfail.signal"]})
+
+
+def _detector_config(det: dict) -> DetectorConfig:
+    """``softfail.detector`` as a DetectorConfig; unset keys keep its
+    defaults."""
+    return DetectorConfig(
         sample_period_ns=round(float(det.get("sample_period_s", 1.0)) * SECOND),
         baseline_window=int(det.get("baseline_window", 60)),
         drop_threshold_db=float(det.get("drop_threshold_db", 0.5)),
@@ -433,17 +484,23 @@ def _run_softfail(sc: Scenario, trace_sink=None) -> dict:
         regression_window=int(det.get("regression_window", 30)),
     )
 
+
+def _run_softfail(sc: Scenario, trace_sink=None) -> dict:
+    section = sc.softfail
+    assert section is not None
+    reps = int(section.get("repetitions", 10))
+    noise = float(section.get("noise_sigma_db", 0.0))
+    emit_trace = bool(section.get("emit_trace", True))
+    model = _signal_model(section.get("signal", {}))
+    base_detector = _detector_config(section.get("detector", {}))
+
     cases_out = []
     for idx, case in enumerate(section["cases"]):
         detector_cfg = base_detector
         if "drop_threshold_db" in case:
-            detector_cfg = DetectorConfig(
-                sample_period_ns=base_detector.sample_period_ns,
-                baseline_window=base_detector.baseline_window,
-                drop_threshold_db=float(case["drop_threshold_db"]),
-                consecutive_required=base_detector.consecutive_required,
-                regression_window=base_detector.regression_window,
-            )
+            detector_cfg = replace(
+                base_detector,
+                drop_threshold_db=float(case["drop_threshold_db"]))
         factory = (lambda case_idx: lambda rep: build_world(
             sc, (100 + case_idx, rep), trace_sink=trace_sink))(idx)
         report = run_softfail_case(

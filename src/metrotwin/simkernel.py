@@ -59,10 +59,18 @@ class SimRng:
     def split(self, *labels: int) -> "SimRng":
         return SimRng(self.seed, self.spawn_key + tuple(labels))
 
-    def normal(self, mu: float = 0.0, sigma: float = 1.0) -> float:
+    def normal(self, mu: float = 0.0, sigma: float = 1.0,
+               size: Optional[int] = None):
+        """One draw as a float, or ``size`` draws as an array.
+
+        ``size=k`` yields exactly the next k single draws, so a stream may be
+        consumed in blocks.  ``sigma == 0`` draws nothing.
+        """
         if sigma == 0.0:
-            return mu
-        return float(self._gen.normal(mu, sigma))
+            return mu if size is None else np.full(size, mu)
+        if size is None:
+            return float(self._gen.normal(mu, sigma))
+        return self._gen.normal(mu, sigma, size)
 
     def lognormal_mean_cv(self, mean: float, cv: float) -> float:
         """Lognormal draw parameterised by its mean and coefficient of variation."""
@@ -92,6 +100,10 @@ class Kernel:
 
     def now(self) -> SimTime:
         return self._now
+
+    def idle(self) -> bool:
+        """True when no event is queued."""
+        return not self._heap
 
     def schedule(self, action: Callable[[], None], at: SimTime,
                  kind: str = "") -> None:

@@ -226,3 +226,51 @@ def test_removed_scenario_keys_are_unknown(tmp_path, capsys, mutate, key):
     assert key in capsys.readouterr().err
     assert main(["validate", "--scenario", path, "--lenient"]) == 0
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("detector", "consecutive_required", 0),
+    ("detector", "consecutive_required", -1),
+    ("detector", "regression_window", 0),
+    ("detector", "regression_window", 1),
+    ("detector", "baseline_window", 0),
+    ("detector", "sample_period_s", 0),
+    ("detector", "sample_period_s", 1e300),
+    ("signal", "fail_ber_above", 0),
+    ("signal", "fail_ber_above", -0.1),
+    ("signal", "fail_ber_above", 0.6),
+    (None, "noise_sigma_db", -0.1),
+    ("cases", "snr_coupling", 2.0),
+])
+def test_bad_softfail_value_exits_1_naming_key(tmp_path, capsys, section,
+                                               key, value):
+    doc = softfail_doc()
+    node = doc["softfail"]
+    if section == "cases":
+        node = node["cases"][0]
+    elif section is not None:
+        node = node.setdefault(section, {})
+    node[key] = value
+    assert main(["softfail", "--scenario", write(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+
+
+@pytest.mark.parametrize("length_km", ["abc", -1.0])
+def test_bad_length_km_exits_1_naming_key(tmp_path, capsys, length_km):
+    doc = latency_doc()
+    doc["latency"]["cases"][1]["length_km"] = length_km
+    assert main(["latency", "--scenario", write(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "latency.cases[1].length_km" in err
+
+
+def test_unreachable_fail_threshold_exits_1(tmp_path, capsys):
+    # 0.45 puts the fail threshold below the LOS floor, where the clamped
+    # SNR of a noiseless ramp never reaches it
+    doc = softfail_doc()
+    doc["softfail"]["signal"] = {"fail_ber_above": 0.45}
+    assert main(["softfail", "--scenario", write(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "softfail.signal" in err \
+        and "LOS floor" in err

@@ -1,14 +1,20 @@
+import io
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_scenario
-from metrotwin.errors import DetectionTooLate, OutOfOrderSample
+from metrotwin import mda
+from metrotwin.controlplane import ServiceStatus
+from metrotwin.errors import DetectionTooLate, OutOfOrderSample, TwinError
 from metrotwin.mda import (DegradationDetector, DetectorConfig,
-                           anticipation_time, run_softfail_case)
-from metrotwin.optics import SignalModel, TelemetrySample, ber_from_snr
+                           RepetitionResult, anticipation_time,
+                           run_softfail_case)
+from metrotwin.optics import (AttenuationRamp, SignalModel, TelemetrySample,
+                              ber_from_snr)
 from metrotwin.scenario import build_world, scenario_from_dict
 from metrotwin.simkernel import SECOND
 
@@ -29,6 +35,19 @@ def feed(detector, snrs, start=0, period=SECOND):
 
 def ramp_stream(rate, n, baseline=60, level=21.84):
     return [level] * baseline + [level - rate * k for k in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("field,value", [
+    ("sample_period_ns", 0),
+    ("baseline_window", 0),
+    ("consecutive_required", 0),
+    ("consecutive_required", -1),
+    ("regression_window", 0),
+    ("regression_window", 1),
+])
+def test_detector_config_rejects_values_that_break_the_rule(field, value):
+    with pytest.raises(ValueError, match=field):
+        DetectorConfig(**{field: value})
 
 
 def test_baseline_is_mean_of_first_window():
@@ -193,3 +212,234 @@ def test_snr_only_fail_criterion():
     # 12.84 dB of margin at 0.25 dB/s: first sample at or below 9 dB is t=52 s
     assert report.anticipation_s == pytest.approx(47.0)
     assert report.restored_count == 1
+
+
+# differential test: block scan against the per-sample episode
+
+
+def oracle_softfail_case(world_factory, rate_db_per_s, repetitions,
+                         noise_sigma_db, detector_cfg, model, snr_coupling=1.0,
+                         ramp_link=None, keep_trace=True):
+    """Reference episode: one kernel event, one ``sample_telemetry`` and one
+    detector ingest per sample period.  Returns (per_rep, trace)."""
+    reps, trace = [], []
+    for rep in range(repetitions):
+        world = world_factory(rep)
+        kernel, plant, stack, rec = (world.kernel, world.plant, world.stack,
+                                     world.record)
+        monitored_path = rec.path
+        period = detector_cfg.sample_period_ns
+        first_sample = kernel.now() + period
+        ramp_start = first_sample + (detector_cfg.baseline_window - 1) * period
+        plant.apply_attenuation_ramp(AttenuationRamp(
+            link_id=ramp_link or monitored_path.links[0],
+            rate_db_per_s=rate_db_per_s, start_time=ramp_start,
+            snr_coupling=snr_coupling))
+        fail_snr = model.fail_snr_db()
+        detector = DegradationDetector(detector_cfg, fail_snr)
+        noise_rng = world.rng.split(11)
+        state = {"event": None, "t_cross": None}
+        sample_cap = detector_cfg.baseline_window + 1000 + int(
+            2 * (model.snr0_db - fail_snr)
+            / (rate_db_per_s * max(snr_coupling, 1e-9)) / (period / SECOND))
+
+        def take_sample(count=0):
+            t = kernel.now()
+            s = plant.sample_telemetry(monitored_path, t, model,
+                                       noise_sigma_db, noise_rng)
+            if keep_trace and rep == 0:
+                trace.append(((t - ramp_start) / SECOND, s.snr_db,
+                              s.pre_fec_ber))
+            detector.ingest_sample(s)
+            if state["event"] is None:
+                ev = detector.detect_degradation()
+                if ev is not None:
+                    state["event"] = ev
+                    kernel.schedule_in(
+                        2 * stack.timings.alert_hop_ns,
+                        lambda: stack.handle_degradation_alert(rec,
+                                                               kernel.now()),
+                        kind=f"{rec.request_id}:alert")
+            crossed = (s.snr_db <= fail_snr
+                       or (model.fail_ber_above is not None
+                           and s.pre_fec_ber >= model.fail_ber_above))
+            if state["t_cross"] is None and crossed:
+                state["t_cross"] = t
+                stack.notify_fail_crossing(rec, t)
+                return
+            if count + 1 >= sample_cap:
+                raise TwinError("telemetry stream ran past its expected horizon")
+            kernel.schedule_in(period, lambda: take_sample(count + 1),
+                               kind="telemetry_sample")
+
+        kernel.schedule(lambda: take_sample(0), first_sample,
+                        kind="telemetry_sample")
+        kernel.run_to_end()
+        ev, t_cross = state["event"], state["t_cross"]
+        if ev is None or t_cross is None:
+            raise TwinError(f"repetition {rep}: episode ended without "
+                            f"detection and crossing")
+        reps.append(RepetitionResult(
+            detection_time_ns=ev.t_detect - ramp_start,
+            anticipation_ns=anticipation_time(ev, t_cross),
+            predicted_anticipation_ns=(None if ev.predicted_t_fail is None
+                                       else ev.predicted_t_fail - ev.t_detect),
+            snr_at_detect_db=ev.snr_at_detect_db,
+            ber_at_detect=ev.ber_at_detect,
+            restored=rec.status is ServiceStatus.RESTORED))
+    return reps, trace
+
+
+def run_both_episodes(doc, **kwargs):
+    """Run the oracle and ``run_softfail_case`` on identical fresh worlds.
+
+    Returns, per side: the outcome (results and trace, or the TwinError),
+    each world's final service state, and the fired kernel events other
+    than telemetry instants as (time, kind).
+    """
+    sc = scenario_from_dict(doc)
+    sides = []
+    for run in (oracle_softfail_case, run_softfail_case):
+        sink = io.StringIO()
+        worlds = []
+
+        def factory(rep):
+            worlds.append(build_world(sc, (500, rep), trace_sink=sink))
+            return worlds[-1]
+
+        try:
+            out = run(world_factory=factory, **kwargs)
+            outcome = out if run is oracle_softfail_case else (out.per_rep,
+                                                               out.trace)
+        except TwinError as exc:
+            outcome = (type(exc), str(exc))
+        state = [(w.record.status, w.record.restoration, w.record.path,
+                  {k: l.added_attenuation_db for k, l in w.topo.links.items()})
+                 for w in worlds]
+        events = [(int(t), kind) for t, _, kind in
+                  (line.split(",", 2) for line in sink.getvalue().splitlines())
+                  if kind != "telemetry_sample"]
+        sides.append((outcome, state, events))
+    return sides
+
+
+@st.composite
+def episode_inputs(draw):
+    period_s = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    # multiples of half a period put the alert, the blocker rewrites and the
+    # retune on sample instants; 0.3 of a period does not
+    steps = st.sampled_from([0.5, 1, 2, 3, 0.3])
+    doc = make_scenario(experiment="softfail", seed=draw(st.integers(0, 999)))
+    doc["service"]["phase_durations"] = {
+        "alert_hop_s": period_s * draw(st.sampled_from([0, 0.5, 1, 1.5, 2, 0.3])),
+        "control_messaging_s": period_s * draw(steps),
+        "roadm_config_s": period_s * draw(steps),
+        "retune_s": period_s * draw(st.sampled_from([0.5, 1, 2, 3, 5, 0.3])),
+    }
+    # the episode parameters below go to the runners directly; this section
+    # only makes the document a valid softfail scenario
+    doc["softfail"] = {"cases": [{"rate_db_per_s": 0.1}]}
+    # SNR-only, BER-only, or both: the BER limit of 3.8e-3 is met near
+    # 8.8 dB, 1e-2 near 7.6 dB and 1e-5 near 12.8 dB
+    criteria = draw(st.sampled_from(["snr", "ber", "both"]))
+    model = SignalModel(
+        fail_ber_above=(None if criteria == "snr" else
+                        draw(st.sampled_from([3.8e-3, 1e-2, 1e-5]))),
+        fail_snr_below_db=(None if criteria == "ber" else
+                           draw(st.floats(-10.0, 15.0))))
+    kwargs = dict(
+        rate_db_per_s=draw(st.floats(0.05, 3.0)),
+        repetitions=draw(st.integers(1, 3)),
+        noise_sigma_db=draw(st.sampled_from([0.0, 0.0, 0.05, 0.3])),
+        detector_cfg=DetectorConfig(
+            sample_period_ns=round(period_s * SECOND),
+            baseline_window=draw(st.integers(1, 40)),
+            drop_threshold_db=draw(st.floats(0.1, 3.0)),
+            consecutive_required=draw(st.integers(1, 5)),
+            regression_window=draw(st.integers(2, 30))),
+        model=model,
+        snr_coupling=draw(st.floats(0.1, 1.5)),
+        # r1-r2 is the monitored arc; a ramp on r2-r3 never reaches it
+        ramp_link=draw(st.sampled_from([None, None, None, "r2-r3"])))
+    return doc, kwargs
+
+
+@settings(max_examples=80, deadline=None)
+@given(inputs=episode_inputs(), block=st.sampled_from([1, 3, 16, 1024]))
+def test_block_scan_matches_per_sample_oracle(inputs, block):
+    doc, kwargs = inputs
+    with mock.patch.object(mda, "_BLOCK", block):
+        oracle, scan = run_both_episodes(doc, **kwargs)
+    assert scan == oracle
+
+
+@settings(max_examples=40, deadline=None)
+@given(inputs=episode_inputs(), tie=st.sampled_from(["alert", "retune"]))
+def test_block_scan_matches_oracle_when_restoration_ties_the_crossing(inputs,
+                                                                      tie):
+    # Detection and crossing indices do not depend on the phase timings, so
+    # a first oracle run gives rep 0's crossing - detection gap; the timings
+    # are then set so the alert, or the retune after the three blocker
+    # rewrites, lands on the crossing instant itself.
+    doc, kwargs = inputs
+    kwargs["ramp_link"] = None
+    sc = scenario_from_dict(doc)
+    try:
+        reps, _ = oracle_softfail_case(lambda rep: build_world(sc, (500, rep)),
+                                       **kwargs)
+    except TwinError:
+        assume(False)
+    gap = reps[0].anticipation_ns
+    timings = {k: round(v * SECOND)
+               for k, v in doc["service"]["phase_durations"].items()}
+    if tie == "alert":
+        alert_hop_ns = gap // 2
+        assume(2 * alert_hop_ns == gap)
+    else:
+        alert_hop_ns = timings["alert_hop_s"]
+    retune_ns = (gap - 2 * alert_hop_ns - timings["control_messaging_s"]
+                 - 3 * timings["roadm_config_s"])
+    if tie == "retune":
+        assume(retune_ns > 0)
+    else:
+        retune_ns = timings["retune_s"]
+    doc["service"]["phase_durations"].update(
+        alert_hop_s=alert_hop_ns / SECOND, retune_s=retune_ns / SECOND)
+    oracle, scan = run_both_episodes(doc, **kwargs)
+    assert scan == oracle
+
+
+def test_block_scan_matches_oracle_over_several_full_blocks():
+    # a 0.01 dB/s ramp crosses about 1,300 samples in, past the first block
+    doc = make_scenario(experiment="softfail", seed=3,
+                        softfail={"cases": [{"rate_db_per_s": 0.01}]})
+    oracle, scan = run_both_episodes(
+        doc, rate_db_per_s=0.01, repetitions=2, noise_sigma_db=0.1,
+        detector_cfg=DetectorConfig(regression_window=1500),
+        model=SignalModel())
+    assert len(oracle[0][1]) > mda._BLOCK
+    assert scan == oracle
+
+
+def test_block_scan_finds_ber_crossing_above_snr_threshold():
+    # both criteria set: the BER limit is met near 8.8 dB, before the SNR
+    # falls to 5 dB
+    doc = make_scenario(experiment="softfail", seed=3,
+                        softfail={"cases": [{"rate_db_per_s": 0.5}]})
+    oracle, scan = run_both_episodes(
+        doc, rate_db_per_s=0.5, repetitions=2, noise_sigma_db=0.1,
+        detector_cfg=DetectorConfig(), model=SignalModel(fail_snr_below_db=5.0))
+    assert scan == oracle
+    reps, _ = scan[0]
+    assert all(r.snr_at_detect_db > 8.8 for r in reps)
+
+
+def test_sample_instants_past_the_64_bit_clock_raise():
+    sc = scenario_from_dict(make_scenario(
+        experiment="softfail", seed=3,
+        softfail={"cases": [{"rate_db_per_s": 0.5}]}))
+    with pytest.raises(TwinError, match="64-bit clock"):
+        run_softfail_case(lambda rep: build_world(sc, (0, rep)),
+                          rate_db_per_s=0.5, repetitions=1, noise_sigma_db=0.0,
+                          detector_cfg=DetectorConfig(sample_period_ns=10**18),
+                          model=SignalModel())

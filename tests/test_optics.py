@@ -11,7 +11,8 @@ from metrotwin.errors import (IllegalTransition, PathNotOperational,
 from metrotwin.optics import (AttenuationRamp, BER_CEIL, BER_FLOOR,
                               LOS_FLOOR_DB, OpticalPlant, SignalModel,
                               ber_from_snr, rt_propagation_delay,
-                              transponder_lifecycle, transponder_teardown)
+                              snr_from_ber, transponder_lifecycle,
+                              transponder_teardown)
 from metrotwin.simkernel import Kernel, SECOND, SimRng
 from metrotwin.topology import TransponderState, build_ring, find_ring_paths
 
@@ -71,6 +72,34 @@ def test_fail_snr_inverts_fail_ber():
 def test_signal_model_rejects_unworkable_baseline():
     with pytest.raises(ValueError):
         SignalModel(snr0_db=5.0)  # below the fail threshold, nothing to monitor
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"fail_ber_above": 0.0},
+    {"fail_ber_above": -0.1},
+    {"fail_ber_above": 0.6},
+    {"fail_ber_above": float("nan")},
+    # thresholds below the LOS floor, which a clamped SNR never reaches
+    {"fail_ber_above": 0.45},
+    {"fail_ber_above": None, "fail_snr_below_db": -10.5},
+], ids=["ber-0", "ber-negative", "ber-above-half", "ber-nan", "ber-below-los",
+        "snr-below-los"])
+def test_signal_model_rejects_unreachable_fail_criterion(kwargs):
+    with pytest.raises(ValueError):
+        SignalModel(**kwargs)
+
+
+def test_signal_model_accepts_threshold_at_los_floor():
+    # the clamped SNR equals the floor, which meets "at or below"
+    model = SignalModel(fail_ber_above=None, fail_snr_below_db=LOS_FLOOR_DB)
+    assert model.fail_snr_db() == LOS_FLOOR_DB
+
+
+def test_snr_from_ber_inverts_ber_from_snr():
+    model = SignalModel(implementation_penalty_db=1.5)
+    for ber in (1e-200, 1e-5, 3.8e-3, 0.3):
+        snr = snr_from_ber(ber, model)
+        assert ber_from_snr(snr, model) == pytest.approx(ber, rel=1e-9)
 
 
 def test_ramp_added_db():
