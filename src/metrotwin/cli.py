@@ -11,7 +11,7 @@ import argparse
 import sys
 from typing import Optional
 
-from .errors import ParseError, TopologyInvalid, TwinError, ValidationError
+from .errors import ParseError, TwinError, ValidationError
 from .scenario import RunReport, Scenario, load_scenario, run_scenario, scenario_from_dict
 
 _EXPERIMENT_FOR = {
@@ -187,7 +187,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(f"scenario OK: experiment={sc.experiment} seed={sc.seed}")
             return 0
         sc = _apply_overrides(sc, args, _EXPERIMENT_FOR[args.command])
-    except (ParseError, ValidationError, TopologyInvalid) as exc:
+    except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -197,9 +197,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             trace_file = open(args.trace, "a")
         report = run_scenario(sc, trace_sink=trace_file)
         rendered = render_report(report, args.format)
-    except (ParseError, ValidationError, TopologyInvalid) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except TwinError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2

@@ -1,140 +1,48 @@
 """Scenario files: schema, loading, execution, canonical reports.
 
 A scenario is one JSON document describing the ring, the service request and
-the experiment to run over them.  ``run_scenario`` provisions a fresh world
-per repetition (nothing leaks between repetitions) and produces a RunReport
-whose canonical JSON form is byte-identical for identical inputs: every
-floating-point result is rendered to a fixed number of decimals at build
-time, and keys are emitted sorted.
+the experiment to run over them.  ``scenario_from_dict`` checks it against one
+table, ``_TABLE``, and reads it once into typed objects.  ``run_scenario``
+provisions a fresh world per repetition (nothing leaks between repetitions)
+and produces a RunReport whose canonical JSON form is byte-identical for
+identical inputs: every floating-point result is rendered to a fixed number
+of decimals at build time, and keys are emitted sorted.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import IO, Optional, Union
+from typing import IO, NamedTuple, Optional, Union
 
 from .controlplane import (ConnectivityRequirements, NsDescriptor,
                            OrchestrationStack, PhaseTimings, VnfDescriptor)
-from .errors import ParseError, TwinError, ValidationError
+from .errors import ParseError, TopologyInvalid, TwinError, ValidationError
 from .mda import DetectorConfig, SoftFailWorld, run_softfail_case
 from .optics import OpticalPlant, SignalModel
 from .probe import (LatencyMeasurement, ProbeConfig, budget_from_config,
                     fit_budget, measure_round_trip)
 from .simkernel import Kernel, SECOND, SimRng
-from .topology import build_ring
+from .topology import FiberLink, build_ring
 
 ARTIFACT_VERSION = 1
 EXPERIMENTS = ("setup_kpi", "latency", "softfail", "full_demo")
 
-# allowed keys per schema node; used for strict validation and lenient warnings
-_SCHEMA = {
-    "": {"experiment", "seed", "description", "topology", "service",
-         "latency", "softfail"},
-    "topology": {"roadms", "links", "transponders", "switches",
-                 "compute_nodes", "channel_grid_size"},
-    "topology.links[]": {"id", "endpoints", "length_m", "group_index",
-                         "legacy_residual_delay_ns"},
-    "topology.transponders[]": {"id", "roadm", "config_duration_ns",
-                                "warmup_duration_ns"},
-    "topology.switches[]": {"id", "transponder"},
-    "topology.compute_nodes[]": {"id", "switch", "vcpu_capacity",
-                                 "mem_capacity_mb"},
-    "service": {"name", "vnfs", "connectivity", "phase_durations", "jitter",
-                "repetitions"},
-    "service.vnfs[]": {"name", "vcpu", "mem_mb", "instantiation_mean_s",
-                       "instantiation_cv", "compute"},
-    "service.connectivity": {"endpoints", "max_rt_latency_us"},
-    "service.phase_durations": {"control_messaging_s", "roadm_config_s",
-                                "probe_verify_s", "retune_s", "alert_hop_s"},
-    "latency": {"measured_link", "cases", "repetitions", "probe", "attribution"},
-    "latency.cases[]": {"length_km", "legacy_residual_delay_ns"},
-    "latency.probe": {"probe_overhead_ns", "switch_overhead_ns",
-                      "optical_device_overhead_ns", "jitter_sigma_ns"},
-    "latency.attribution": {"components", "matrix"},
-    "softfail": {"repetitions", "noise_sigma_db", "emit_trace", "signal",
-                 "detector", "cases"},
-    "softfail.signal": {"snr0_db", "implementation_penalty_db",
-                        "fail_ber_above"},
-    "softfail.detector": {"sample_period_s", "baseline_window",
-                          "drop_threshold_db", "consecutive_required",
-                          "regression_window"},
-    "softfail.cases[]": {"name", "rate_db_per_s", "snr_coupling",
-                         "drop_threshold_db", "link"},
-}
-
-_REQUIRED = {
-    "": {"experiment", "seed", "topology", "service"},
-    "service": {"vnfs", "connectivity"},
-    "service.vnfs[]": {"name", "compute"},
-    "service.connectivity": {"endpoints"},
-    "latency": {"measured_link", "cases"},
-    "latency.cases[]": {"length_km"},
-    "latency.attribution": {"components", "matrix"},
-    "softfail": {"cases"},
-    "softfail.cases[]": {"rate_db_per_s"},
-    "topology": {"roadms", "links", "transponders", "switches",
-                 "compute_nodes"},
-    "topology.links[]": {"id", "endpoints", "length_m"},
-    "topology.transponders[]": {"id", "roadm"},
-    "topology.switches[]": {"id", "transponder"},
-    "topology.compute_nodes[]": {"id", "switch"},
-}
+_UNSET = object()
 
 
-@dataclass
-class Scenario:
-    experiment: str
-    seed: int
-    raw: dict
-    warnings: list[str] = field(default_factory=list)
-
-    @property
-    def topology(self) -> dict:
-        return self.raw["topology"]
-
-    @property
-    def service(self) -> dict:
-        return self.raw["service"]
-
-    @property
-    def latency(self) -> Optional[dict]:
-        return self.raw.get("latency")
-
-    @property
-    def softfail(self) -> Optional[dict]:
-        return self.raw.get("softfail")
-
-    def serialize(self) -> str:
-        return json.dumps(self.raw, sort_keys=True, indent=2) + "\n"
-
-
-def _check_keys(node: dict, schema_path: str, errors: list[str],
-                warnings: list[str]) -> None:
-    allowed = _SCHEMA.get(schema_path)
-    required = _REQUIRED.get(schema_path, set())
-    for key in node:
-        if allowed is not None and key not in allowed:
-            warnings.append(f"{schema_path or 'top level'}: unknown key {key!r}")
-    for key in required:
-        if key not in node:
-            errors.append(f"{schema_path or 'top level'}: missing key {key!r}")
-
-
-def _walk(node, schema_path: str, errors: list[str], warnings: list[str]) -> None:
-    if isinstance(node, dict):
-        _check_keys(node, schema_path, errors, warnings)
-        for key, value in node.items():
-            child = f"{schema_path}.{key}" if schema_path else key
-            if child in _SCHEMA or f"{child}[]" in _SCHEMA or child in _REQUIRED:
-                _walk(value, child, errors, warnings)
-    elif isinstance(node, list):
-        for item in node:
-            if isinstance(item, dict):
-                _walk(item, f"{schema_path}[]", errors, warnings)
+class _Key(NamedTuple):
+    """A key's kind, presence, range (in its own unit), unit and field."""
+    kind: str  # a key of _KINDS
+    required: bool = False
+    low: Optional[float] = None  # value >= low
+    above: Optional[float] = None  # value > above
+    high: Optional[float] = None  # value <= high
+    unit: Optional[str] = None  # a key of _UNITS
+    field: Optional[str] = None  # target field, when it is not the key
+    default: object = _UNSET  # only where no dataclass owns the default
 
 
 def _integer(value) -> bool:
@@ -146,105 +54,312 @@ def _number(value) -> bool:
                                and math.isfinite(value))
 
 
-_COUNT = (lambda v: _integer(v) and v >= 1, "a positive integer")
-_NUMBER = (_number, "a number")
-_NON_NEGATIVE = (lambda v: _number(v) and v >= 0, "a number >= 0")
+def _list_of(test):
+    return lambda value: isinstance(value, list) and all(map(test, value))
 
-# key path -> (test, requirement) for values that would otherwise fail only
-# once a run is underway, or keep it running without end.  The ranges of the
-# signal and detector values are SignalModel's and DetectorConfig's own.
-_VALUE_RULES = {
-    "service.repetitions": _COUNT,
-    "latency.repetitions": _COUNT,
-    "latency.cases[].length_km": _NON_NEGATIVE,
-    "softfail.repetitions": _COUNT,
-    "softfail.noise_sigma_db": _NON_NEGATIVE,
-    "softfail.signal.snr0_db": _NUMBER,
-    "softfail.signal.implementation_penalty_db": _NUMBER,
-    "softfail.signal.fail_ber_above": _NUMBER,
-    "softfail.detector.sample_period_s": (
-        lambda v: _number(v) and 1e-9 <= v <= 1e9,
-        "a number of seconds in [1e-9, 1e9]"),
-    "softfail.detector.baseline_window": _COUNT,
-    "softfail.detector.drop_threshold_db": _NUMBER,
-    "softfail.detector.consecutive_required": _COUNT,
-    "softfail.detector.regression_window": _COUNT,
-    "softfail.cases[].rate_db_per_s": (lambda v: _number(v) and v > 0,
-                                       "a positive number"),
-    "softfail.cases[].snr_coupling": (lambda v: _number(v) and 0 < v <= 1.5,
-                                      "a number in (0, 1.5]"),
-    "softfail.cases[].drop_threshold_db": _NUMBER,
+
+_KINDS = {
+    "object": (lambda v: isinstance(v, dict), "an object"),
+    "objects": (_list_of(lambda v: isinstance(v, dict)), "a list of objects"),
+    "integer": (_integer, "an integer"),
+    "number": (_number, "a number"),
+    "string": (lambda v: isinstance(v, str), "a string"),
+    "boolean": (lambda v: isinstance(v, bool), "true or false"),
+    "pair": (lambda v: _KINDS["strings"][0](v) and len(v) == 2,
+             "a pair of strings"),
+    "strings": (_list_of(lambda v: isinstance(v, str)), "a list of strings"),
+    "matrix": (_list_of(_list_of(_number)), "a list of rows of numbers"),
+    "experiment": (lambda v: v in EXPERIMENTS,
+                   f"one of {', '.join(EXPERIMENTS)}"),
+}
+
+# seconds and microseconds are read into nanoseconds, kilometres into metres
+_UNITS = {"s": lambda v: round(v * SECOND), "us": lambda v: round(v * 1000),
+          "km": lambda v: v * 1000.0}
+
+# the longest duration in seconds; in nanoseconds it fits the 64-bit clock
+_MAX_S = 1e9
+
+_NAME, _OBJECT, _OBJECTS = (_Key(kind, True)
+                            for kind in ("string", "object", "objects"))
+_NUMBER, _INTEGER = _Key("number"), _Key("integer")
+
+# schema path -> (the target its fields build, or None to keep them as a
+# dict; its keys).  Ranges that a target checks itself are not repeated.
+_TABLE = {
+    "": (None, {
+        "experiment": _Key("experiment", True),
+        "seed": _Key("integer", True, low=0), "description": _Key("string"),
+        "topology": _OBJECT, "service": _OBJECT,
+        "latency": _Key("object"), "softfail": _Key("object")}),
+    "topology": (None, {
+        "roadms": _Key("strings", True), "links": _OBJECTS,
+        "transponders": _OBJECTS, "switches": _OBJECTS,
+        "compute_nodes": _OBJECTS,
+        "channel_grid_size": _Key("integer", low=1)}),
+    "topology.links[]": (None, {
+        "id": _NAME, "endpoints": _Key("pair", True),
+        "length_m": _Key("number", True), "group_index": _NUMBER,
+        "legacy_residual_delay_ns": _Key("integer", low=0)}),
+    "topology.transponders[]": (None, {
+        "id": _NAME, "roadm": _NAME,
+        "config_duration_ns": _Key("integer", low=1),
+        "warmup_duration_ns": _Key("integer", low=1)}),
+    "topology.switches[]": (None, {"id": _NAME, "transponder": _NAME}),
+    "topology.compute_nodes[]": (None, {
+        "id": _NAME, "switch": _NAME,
+        "vcpu_capacity": _INTEGER, "mem_capacity_mb": _INTEGER}),
+    "service": (None, {
+        "name": _Key("string", default="ns"),
+        "vnfs": _OBJECTS, "connectivity": _OBJECT,
+        "phase_durations": _Key("object", field="timings", default={}),
+        "jitter": _Key("boolean", default=False),
+        "repetitions": _Key("integer", low=1, default=28)}),
+    "service.vnfs[]": (VnfDescriptor, {
+        "name": _NAME,
+        "vcpu": _Key("integer", low=0), "mem_mb": _Key("integer", low=0),
+        "instantiation_mean_s": _Key("number", above=0),
+        "instantiation_cv": _Key("number", low=0),
+        "compute": _Key("string", True, field="target_compute")}),
+    "service.connectivity": (ConnectivityRequirements, {
+        "endpoints": _Key("pair", True),
+        "max_rt_latency_us": _Key("number", low=0, unit="us",
+                                  field="max_rt_latency_ns")}),
+    "service.phase_durations": (PhaseTimings, {
+        f"{phase}_s": _Key("number", low=0, high=_MAX_S, unit="s",
+                           field=f"{phase}_ns")
+        for phase in ("control_messaging", "roadm_config", "probe_verify",
+                      "retune", "alert_hop")}),
+    "latency": (None, {
+        "measured_link": _NAME, "cases": _OBJECTS,
+        "repetitions": _Key("integer", low=1, default=1),
+        "probe": _Key("object", default={}), "attribution": _Key("object")}),
+    "latency.cases[]": (None, {
+        "length_km": _Key("number", True, low=0, unit="km", field="length_m"),
+        "legacy_residual_delay_ns": _Key("integer", low=0)}),
+    "latency.probe": (ProbeConfig, {
+        key: _Key("integer", low=0)
+        for key in ("probe_overhead_ns", "switch_overhead_ns",
+                    "optical_device_overhead_ns", "jitter_sigma_ns")}),
+    "latency.attribution": (None, {
+        "components": _Key("strings", True), "matrix": _Key("matrix", True)}),
+    "softfail": (None, {
+        "repetitions": _Key("integer", low=1, default=10),
+        "noise_sigma_db": _Key("number", low=0, default=0.0),
+        "emit_trace": _Key("boolean", default=True),
+        "signal": _Key("object", default={}),
+        "detector": _Key("object", default={}),
+        "cases": _OBJECTS}),
+    "softfail.signal": (SignalModel, {
+        key: _NUMBER
+        for key in ("snr0_db", "implementation_penalty_db", "fail_ber_above")}),
+    "softfail.detector": (DetectorConfig, {
+        "sample_period_s": _Key("number", low=1e-9, high=_MAX_S, unit="s",
+                                field="sample_period_ns"),
+        "baseline_window": _INTEGER, "drop_threshold_db": _NUMBER,
+        "consecutive_required": _INTEGER, "regression_window": _INTEGER}),
+    # run_softfail_case's arguments, plus the case's name and its detector
+    # drop_threshold_db
+    "softfail.cases[]": (None, {
+        "name": _Key("string"),
+        "rate_db_per_s": _Key("number", True, above=0),
+        "snr_coupling": _Key("number", above=0, high=1.5),
+        "drop_threshold_db": _NUMBER,
+        "link": _Key("string", field="ramp_link")}),
 }
 
 
-def _nodes(doc: dict, path: str) -> list[tuple[str, dict]]:
-    """(label, node) of each object at a schema path like 'softfail.cases[]'."""
-    found: list[tuple[str, object]] = [("", doc)]
-    for part in path.split("."):
-        name = part.removesuffix("[]")
-        below: list[tuple[str, object]] = []
-        for label, node in found:
-            child = node.get(name) if isinstance(node, dict) else None
-            where = f"{label}.{name}" if label else name
-            if not part.endswith("[]"):
-                below.append((where, child))
-            elif isinstance(child, list):
-                below += [(f"{where}[{i}]", item) for i, item in enumerate(child)]
-        found = below
-    return [(label, node) for label, node in found if isinstance(node, dict)]
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
 
 
-def _check_values(doc: dict, errors: list[str]) -> None:
-    """Reject values that would otherwise only fail once the run is underway."""
-    bad = len(errors)
-    for key_path, (ok, requirement) in _VALUE_RULES.items():
-        path, _, key = key_path.rpartition(".")
-        for label, node in _nodes(doc, path):
-            if key in node and not ok(node[key]):
-                errors.append(f"{label}.{key} must be {requirement}; "
-                              f"got {node[key]!r}")
-    if len(errors) == bad:
-        for path, build in (("softfail.signal", _signal_model),
-                            ("softfail.detector", _detector_config)):
-            for label, node in _nodes(doc, path):
-                try:
-                    build(node)
-                except ValueError as exc:
-                    errors.append(f"{label}: {exc}")
+def _requirement(spec: _Key) -> str:
+    bounds = " and ".join(
+        f"{op} {bound:g}" for op, bound in
+        ((">=", spec.low), (">", spec.above), ("<=", spec.high))
+        if bound is not None)
+    return f"{_KINDS[spec.kind][1]} {bounds}".rstrip()
+
+
+def _in_range(value, spec: _Key) -> bool:
+    return ((spec.low is None or value >= spec.low)
+            and (spec.above is None or value > spec.above)
+            and (spec.high is None or value <= spec.high))
+
+
+def _make(errors: list[str], where: str, build, *args, **kwargs):
+    """``build(...)``, or None with its ValueError or TopologyInvalid
+    reported as an error at ``where``."""
+    try:
+        return build(*args, **kwargs)
+    except (ValueError, TopologyInvalid) as exc:
+        errors.append(f"{where}: {exc}")
+        return None
+
+
+def _read(node: dict, path: str, where: str, errors: list[str],
+          warnings: list[str]):
+    """Check the object at indexed key path ``where`` against
+    ``_TABLE[path]``; return its values by target field, built into the
+    path's target if it has one and nothing at or below the object is wrong.
+    """
+    target, keys = _TABLE[path]
+    warnings.extend(f"unknown key {_join(where, key)}" for key in node
+                    if key not in keys)
+    before = len(errors)
+    values = {}
+    for key, spec in keys.items():
+        at = _join(where, key)
+        value = node.get(key, spec.default)
+        if value is _UNSET:
+            if spec.required:
+                errors.append(f"missing key {at}")
+            continue
+        if not (_KINDS[spec.kind][0](value) and _in_range(value, spec)):
+            errors.append(f"{at} must be {_requirement(spec)}; got {value!r}")
+            continue
+        child = _join(path, key)
+        if spec.kind == "object":
+            value = _read(value, child, at, errors, warnings)
+        elif spec.kind == "objects":
+            value = [_read(item, f"{child}[]", f"{at}[{i}]", errors, warnings)
+                     for i, item in enumerate(value)]
+        elif spec.kind == "number":
+            value = _UNITS.get(spec.unit, float)(value)
+        elif spec.kind == "pair":
+            value = tuple(value)
+        values[spec.field or key] = value
+    if target is None or len(errors) > before:
+        return values
+    return _make(errors, where, target, **values)
+
+
+@dataclass(frozen=True)
+class Service:
+    descriptor: NsDescriptor
+    timings: PhaseTimings
+    jitter: bool
+    repetitions: int
+
+
+@dataclass(frozen=True)
+class Latency:
+    cases: list[FiberLink]  # the measured link as each case sets it
+    repetitions: int
+    probe: ProbeConfig
+    attribution: Optional[dict] = None  # components, matrix
+
+
+@dataclass(frozen=True)
+class SoftfailCase:
+    name: str
+    detector: DetectorConfig
+    episode: dict  # run_softfail_case's rate_db_per_s, snr_coupling, ramp_link
+
+
+@dataclass(frozen=True)
+class Softfail:
+    repetitions: int
+    noise_sigma_db: float
+    emit_trace: bool
+    signal: SignalModel
+    cases: list[SoftfailCase]
+
+
+@dataclass
+class Scenario:
+    """A validated scenario: the document as parsed, and the typed objects
+    read from it once."""
+    experiment: str
+    seed: int
+    raw: dict  # as parsed: reports echo it and ``serialize`` writes it
+    service: Service
+    latency: Optional[Latency] = None
+    softfail: Optional[Softfail] = None
+    warnings: list[str] = field(default_factory=list)
+
+    def serialize(self) -> str:
+        return json.dumps(self.raw, sort_keys=True, indent=2) + "\n"
+
+
+def _sections(doc: dict, top: dict, errors: list[str]
+              ) -> tuple[Service, Optional[Latency], Optional[Softfail]]:
+    """The typed sections of a document that passed the table; builds the
+    ring once and checks every name the sections give against it."""
+    ring = _make(errors, "topology", build_ring, doc["topology"])
+    if ring is None:
+        return None, None, None
+
+    def known(where: str, name: str, names: dict) -> bool:
+        if name not in names:
+            errors.append(f"{where}: the topology has no {name!r}")
+        return name in names
+
+    svc = top["service"]
+    for i, vnf in enumerate(svc["vnfs"]):
+        known(f"service.vnfs[{i}].compute", vnf.target_compute,
+              ring.compute_nodes)
+    for i, end in enumerate(svc["connectivity"].endpoints):
+        known(f"service.connectivity.endpoints[{i}]", end, ring.transponders)
+    service = Service(_make(errors, "service", NsDescriptor, svc.pop("name"),
+                            svc.pop("vnfs"), svc.pop("connectivity")), **svc)
+
+    latency = top.get("latency")
+    if latency is not None and known("latency.measured_link",
+                                     latency["measured_link"], ring.links):
+        link = ring.links[latency.pop("measured_link")]
+        latency["cases"] = [
+            FiberLink(link.id, link.endpoints, group_index=link.group_index,
+                      **case) for case in latency["cases"]]
+        latency = Latency(**latency)
+
+    softfail = top.get("softfail")
+    if softfail is not None:
+        detector = softfail.pop("detector")
+        cases = []
+        for i, case in enumerate(softfail["cases"]):
+            if "ramp_link" in case:
+                known(f"softfail.cases[{i}].link", case["ramp_link"],
+                      ring.links)
+            cfg = detector
+            if "drop_threshold_db" in case:
+                cfg = replace(detector,
+                              drop_threshold_db=case.pop("drop_threshold_db"))
+            cases.append(SoftfailCase(case.pop("name", f"case{i + 1}"), cfg,
+                                      case))
+        softfail = Softfail(**{**softfail, "cases": cases})
+    return service, latency, softfail
 
 
 def scenario_from_dict(doc: dict, lenient: bool = False) -> Scenario:
-    """Validate a parsed scenario document."""
+    """Validate a parsed scenario document and read it into typed objects.
+
+    Every wrong shape, type or value, missing key, unknown key (a warning
+    when ``lenient``) and dangling name is reported by its key path in one
+    ValidationError.  ``doc`` is kept unchanged as ``Scenario.raw``.
+    """
     if not isinstance(doc, dict):
         raise ValidationError("scenario document must be a JSON object")
     errors: list[str] = []
     warnings: list[str] = []
-    _walk(doc, "", errors, warnings)
-    _check_values(doc, errors)
-
+    top = _read(doc, "", "", errors, warnings)
     experiment = doc.get("experiment")
-    if experiment not in EXPERIMENTS:
-        errors.append(f"experiment must be one of {', '.join(EXPERIMENTS)}; "
-                      f"got {experiment!r}")
-    seed = doc.get("seed")
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        errors.append(f"seed must be a non-negative integer; got {seed!r}")
-    if experiment in ("latency", "full_demo") and "latency" not in doc:
-        errors.append(f"experiment {experiment!r} needs a 'latency' section")
-    if experiment in ("softfail", "full_demo") and "softfail" not in doc:
-        errors.append(f"experiment {experiment!r} needs a 'softfail' section")
-
+    for section in ("latency", "softfail"):
+        if experiment in (section, "full_demo") and section not in doc:
+            errors.append(f"experiment {experiment!r} needs a {section!r} "
+                          f"section")
+    if not errors:
+        sections = _sections(doc, top, errors)
     if errors:
         raise ValidationError("; ".join(errors))
     if warnings and not lenient:
         raise ValidationError("; ".join(warnings))
-    return Scenario(experiment=experiment, seed=seed, raw=doc,
+    return Scenario(experiment, top["seed"], doc, *sections,
                     warnings=warnings)
 
 
 def load_scenario(source: Union[str, Path], lenient: bool = False) -> Scenario:
     """Parse and validate a scenario JSON file (or raw JSON text)."""
-    text = None
     if isinstance(source, Path) or (isinstance(source, str)
                                     and not source.lstrip().startswith("{")):
         path = Path(source)
@@ -265,84 +380,22 @@ def load_scenario(source: Union[str, Path], lenient: bool = False) -> Scenario:
 # ------------------------------------------------------------- world setup
 
 
-def _phase_timings(service: dict) -> PhaseTimings:
-    pd = service.get("phase_durations", {})
-    base = PhaseTimings()
-    return PhaseTimings(
-        control_messaging_ns=round(pd.get("control_messaging_s",
-                                          base.control_messaging_ns / SECOND) * SECOND),
-        roadm_config_ns=round(pd.get("roadm_config_s",
-                                     base.roadm_config_ns / SECOND) * SECOND),
-        probe_verify_ns=round(pd.get("probe_verify_s",
-                                     base.probe_verify_ns / SECOND) * SECOND),
-        retune_ns=round(pd.get("retune_s", base.retune_ns / SECOND) * SECOND),
-        alert_hop_ns=round(pd.get("alert_hop_s",
-                                  base.alert_hop_ns / SECOND) * SECOND),
-    )
-
-
-def _probe_config(sc: Scenario) -> ProbeConfig:
-    section = (sc.latency or {}).get("probe", {})
-    base = ProbeConfig()
-    return ProbeConfig(
-        probe_overhead_ns=int(section.get("probe_overhead_ns",
-                                          base.probe_overhead_ns)),
-        switch_overhead_ns=int(section.get("switch_overhead_ns",
-                                           base.switch_overhead_ns)),
-        optical_device_overhead_ns=int(section.get(
-            "optical_device_overhead_ns", base.optical_device_overhead_ns)),
-        jitter_sigma_ns=int(section.get("jitter_sigma_ns",
-                                        base.jitter_sigma_ns)),
-    )
-
-
-def _ns_descriptor(service: dict) -> NsDescriptor:
-    vnfs = [VnfDescriptor(
-        name=v["name"],
-        vcpu=int(v.get("vcpu", 4)),
-        mem_mb=int(v.get("mem_mb", 8192)),
-        instantiation_mean_s=float(v.get("instantiation_mean_s", 40.0)),
-        instantiation_cv=float(v.get("instantiation_cv", 0.05)),
-        target_compute=v["compute"],
-    ) for v in service["vnfs"]]
-    conn = service["connectivity"]
-    max_lat = conn.get("max_rt_latency_us")
-    requirements = ConnectivityRequirements(
-        endpoints=tuple(conn["endpoints"]),
-        max_rt_latency_ns=None if max_lat is None else round(max_lat * 1000),
-    )
-    return NsDescriptor(name=service.get("name", "ns"), vnfs=vnfs,
-                        connectivity=requirements)
-
-
 def build_world(sc: Scenario, spawn_key: tuple[int, ...],
-                length_override_m: Optional[float] = None,
-                residual_override_ns: Optional[int] = None,
+                measured_link: Optional[FiberLink] = None,
                 trace_sink: Optional[IO[str]] = None) -> SoftFailWorld:
-    """Provision one isolated world and deploy the scenario's service in it."""
-    topo_section = copy.deepcopy(sc.topology)
-    if length_override_m is not None or residual_override_ns is not None:
-        target = (sc.latency or {}).get("measured_link")
-        found = False
-        for link in topo_section["links"]:
-            if link["id"] == target:
-                if length_override_m is not None:
-                    link["length_m"] = length_override_m
-                if residual_override_ns is not None:
-                    link["legacy_residual_delay_ns"] = residual_override_ns
-                found = True
-        if not found:
-            raise ValidationError(f"measured_link {target!r} not in topology")
-
-    topo = build_ring(topo_section)
+    """Provision one isolated world and deploy the scenario's service in it;
+    a latency case's ``measured_link`` replaces the link of the same id."""
+    topo = build_ring(sc.raw["topology"])
+    if measured_link is not None:
+        topo.links[measured_link.id] = replace(measured_link)
     kernel = Kernel(trace=trace_sink)
     rng = SimRng(sc.seed, spawn_key=spawn_key)
     stack = OrchestrationStack(
         topo, kernel, rng.split(0),
-        timings=_phase_timings(sc.service),
-        probe_cfg=_probe_config(sc),
-        jitter=bool(sc.service.get("jitter", False)))
-    record = stack.request_network_service(_ns_descriptor(sc.service))
+        timings=sc.service.timings,
+        probe_cfg=sc.latency.probe if sc.latency else None,
+        jitter=sc.service.jitter)
+    record = stack.request_network_service(sc.service.descriptor)
     kernel.run_to_end()
     if record.status.value != "Active":
         raise TwinError(f"deployment ended {record.status.value}: "
@@ -377,7 +430,7 @@ class RunReport:
 
 
 def _run_setup(sc: Scenario, trace_sink=None) -> dict:
-    reps = int(sc.service.get("repetitions", 28))
+    reps = sc.service.repetitions
     rows = []
     kpis = []
     for rep in range(reps):
@@ -415,20 +468,14 @@ def _run_setup(sc: Scenario, trace_sink=None) -> dict:
 
 
 def _run_latency(sc: Scenario, trace_sink=None) -> dict:
-    section = sc.latency
-    assert section is not None
-    reps = int(section.get("repetitions", 1))
+    latency = sc.latency
     rows = []
     deltas = []
-    for case_idx, case in enumerate(section["cases"]):
-        length_m = float(case["length_km"]) * 1000.0
-        residual = int(case.get("legacy_residual_delay_ns", 0))
+    for case_idx, link in enumerate(latency.cases):
         measured = []
         estimated = None
-        for rep in range(reps):
-            world = build_world(sc, (200 + case_idx, rep),
-                                length_override_m=length_m,
-                                residual_override_ns=residual,
+        for rep in range(latency.repetitions):
+            world = build_world(sc, (200 + case_idx, rep), measured_link=link,
                                 trace_sink=trace_sink)
             rec = world.record
             probe_rng = world.rng.split(5)
@@ -438,25 +485,26 @@ def _run_latency(sc: Scenario, trace_sink=None) -> dict:
             estimated = m.estimated_rt_prop_ns
         mean_measured = sum(measured) / len(measured)
         delta = mean_measured - estimated
-        if residual == 0:  # only clean rows inform the overhead budget
+        # only clean rows inform the overhead budget
+        if link.legacy_residual_delay_ns == 0:
             deltas.append(delta)
         rows.append({
-            "link_length_km": _fmt(length_m / 1000.0, 4),
+            "link_length_km": _fmt(link.length_m / 1000.0, 4),
             "measured_us": _fmt(mean_measured / 1000.0, 3),
             "estimated_us": _fmt(estimated / 1000.0, 3),
             "delta_us": _fmt(delta / 1000.0, 3),
         })
 
-    attribution = section.get("attribution")
-    cfg = _probe_config(sc)
+    attribution = latency.attribution
     if attribution is not None:
         ms = [LatencyMeasurement(0.0, int(round(d)), 0) for d in deltas]
         budget = fit_budget(ms, attribution["matrix"],
                             attribution["components"])
     else:
-        budget = budget_from_config(cfg, [int(round(d)) for d in deltas])
+        budget = budget_from_config(latency.probe,
+                                    [int(round(d)) for d in deltas])
     return {
-        "repetitions": reps,
+        "repetitions": latency.repetitions,
         "cases": rows,
         "budget": {
             "components_us": {k: _fmt(v / 1000.0, 3)
@@ -466,55 +514,22 @@ def _run_latency(sc: Scenario, trace_sink=None) -> dict:
     }
 
 
-def _signal_model(signal: dict) -> SignalModel:
-    """The ``softfail.signal`` keys are SignalModel fields; unset ones keep
-    the dataclass default."""
-    return SignalModel(**{key: float(value) for key, value in signal.items()
-                          if key in _SCHEMA["softfail.signal"]})
-
-
-def _detector_config(det: dict) -> DetectorConfig:
-    """``softfail.detector`` as a DetectorConfig; unset keys keep its
-    defaults."""
-    return DetectorConfig(
-        sample_period_ns=round(float(det.get("sample_period_s", 1.0)) * SECOND),
-        baseline_window=int(det.get("baseline_window", 60)),
-        drop_threshold_db=float(det.get("drop_threshold_db", 0.5)),
-        consecutive_required=int(det.get("consecutive_required", 3)),
-        regression_window=int(det.get("regression_window", 30)),
-    )
-
-
 def _run_softfail(sc: Scenario, trace_sink=None) -> dict:
-    section = sc.softfail
-    assert section is not None
-    reps = int(section.get("repetitions", 10))
-    noise = float(section.get("noise_sigma_db", 0.0))
-    emit_trace = bool(section.get("emit_trace", True))
-    model = _signal_model(section.get("signal", {}))
-    base_detector = _detector_config(section.get("detector", {}))
-
+    softfail = sc.softfail
     cases_out = []
-    for idx, case in enumerate(section["cases"]):
-        detector_cfg = base_detector
-        if "drop_threshold_db" in case:
-            detector_cfg = replace(
-                base_detector,
-                drop_threshold_db=float(case["drop_threshold_db"]))
+    for idx, case in enumerate(softfail.cases):
         factory = (lambda case_idx: lambda rep: build_world(
             sc, (100 + case_idx, rep), trace_sink=trace_sink))(idx)
         report = run_softfail_case(
             world_factory=factory,
-            rate_db_per_s=float(case["rate_db_per_s"]),
-            repetitions=reps,
-            noise_sigma_db=noise,
-            detector_cfg=detector_cfg,
-            model=model,
-            snr_coupling=float(case.get("snr_coupling", 1.0)),
-            ramp_link=case.get("link"),
-            keep_trace=emit_trace)
+            repetitions=softfail.repetitions,
+            noise_sigma_db=softfail.noise_sigma_db,
+            detector_cfg=case.detector,
+            model=softfail.signal,
+            keep_trace=softfail.emit_trace,
+            **case.episode)
         entry = {
-            "name": case.get("name", f"case{idx + 1}"),
+            "name": case.name,
             "rate_db_per_s": _fmt(report.rate_db_per_s, 4),
             "repetitions": report.repetitions,
             "detection_time_s": _fmt(report.detection_time_s, 3),
@@ -527,29 +542,21 @@ def _run_softfail(sc: Scenario, trace_sink=None) -> dict:
             "restored": report.restored_count,
             "failed": report.failed_count,
         }
-        if emit_trace:
+        if softfail.emit_trace:
             entry["trace"] = [[_fmt(t, 1), _fmt(snr, 4), f"{ber:.3e}"]
                               for t, snr, ber in report.trace]
         cases_out.append(entry)
-    return {"repetitions": reps, "noise_sigma_db": _fmt(noise, 3),
+    return {"repetitions": softfail.repetitions,
+            "noise_sigma_db": _fmt(softfail.noise_sigma_db, 3),
             "cases": cases_out}
 
 
 def run_scenario(sc: Scenario, trace_sink: Optional[IO[str]] = None) -> RunReport:
     """Execute the scenario's experiment and wrap results in a RunReport."""
-    if sc.experiment == "setup_kpi":
-        results = {"setup": _run_setup(sc, trace_sink)}
-    elif sc.experiment == "latency":
-        results = {"latency": _run_latency(sc, trace_sink)}
-    elif sc.experiment == "softfail":
-        results = {"softfail": _run_softfail(sc, trace_sink)}
-    elif sc.experiment == "full_demo":
-        results = {
-            "setup": _run_setup(sc, trace_sink),
-            "latency": _run_latency(sc, trace_sink),
-            "softfail": _run_softfail(sc, trace_sink),
-        }
-    else:  # unreachable after validation
-        raise ValidationError(f"unknown experiment {sc.experiment!r}")
-    return RunReport(experiment=sc.experiment, seed=sc.seed,
-                     scenario=sc.raw, results=results)
+    runs = {"setup": _run_setup, "latency": _run_latency,
+            "softfail": _run_softfail}
+    names = {"setup_kpi": ["setup"], "full_demo": list(runs)}.get(
+        sc.experiment, [sc.experiment])
+    return RunReport(experiment=sc.experiment, seed=sc.seed, scenario=sc.raw,
+                     results={name: runs[name](sc, trace_sink)
+                              for name in names})

@@ -24,7 +24,6 @@ from .errors import NoPath, TopologyInvalid
 NodeId = str
 ChannelId = int
 
-DEFAULT_GROUP_INDEX = 1.4680
 DEFAULT_CHANNEL_GRID = 96
 
 PASS = "pass"
@@ -72,7 +71,7 @@ class FiberLink:
     id: str
     endpoints: tuple[NodeId, NodeId]
     length_m: float
-    group_index: float = DEFAULT_GROUP_INDEX
+    group_index: float = 1.4680
     added_attenuation_db: float = 0.0  # time-varying, written by ramp updates
     legacy_residual_delay_ns: int = 0  # lumped patch-panel/old-plant delay
 
@@ -144,6 +143,11 @@ class RingTopology:
         return self.transponders[tp_id].attached_roadm
 
 
+def _given(entry: dict, *keys: str) -> dict:
+    """The optional keys an entry sets; the others keep the field defaults."""
+    return {key: entry[key] for key in keys if key in entry}
+
+
 def build_ring(section: dict) -> RingTopology:
     """Validate a scenario topology section and assemble the plant.
 
@@ -172,13 +176,9 @@ def build_ring(section: dict) -> RingTopology:
         for end in (a, b):
             if end not in roadms:
                 raise TopologyInvalid(f"link {entry.get('id')}: unknown ROADM {end!r}")
-        lk = FiberLink(
-            id=entry.get("id") or f"{a}-{b}",
-            endpoints=(a, b),
-            length_m=float(entry["length_m"]),
-            group_index=float(entry.get("group_index", DEFAULT_GROUP_INDEX)),
-            legacy_residual_delay_ns=int(entry.get("legacy_residual_delay_ns", 0)),
-        )
+        lk = FiberLink(id=entry.get("id") or f"{a}-{b}", endpoints=(a, b),
+                       length_m=float(entry["length_m"]),
+                       **_given(entry, "group_index", "legacy_residual_delay_ns"))
         if lk.id in links:
             raise TopologyInvalid(f"duplicate link id {lk.id!r}")
         links[lk.id] = lk
@@ -216,11 +216,8 @@ def build_ring(section: dict) -> RingTopology:
         roadm = entry["roadm"]
         if roadm not in roadms:
             raise TopologyInvalid(f"transponder {name}: unknown ROADM {roadm!r}")
-        tp = TransponderNode(
-            id=name, attached_roadm=roadm,
-            config_duration_ns=int(entry.get("config_duration_ns", 2_000_000_000)),
-            warmup_duration_ns=int(entry.get("warmup_duration_ns", 125_000_000_000)),
-        )
+        tp = TransponderNode(id=name, attached_roadm=roadm, **_given(
+            entry, "config_duration_ns", "warmup_duration_ns"))
         transponders[name] = tp
         roadms[roadm].drop_ports.append(name)
     if len(transponders) < 2:
@@ -240,11 +237,8 @@ def build_ring(section: dict) -> RingTopology:
         sw = entry["switch"]
         if sw not in switches:
             raise TopologyInvalid(f"compute node {name}: unknown switch {sw!r}")
-        compute_nodes[name] = ComputeNode(
-            id=name, attached_switch=sw,
-            vcpu_capacity=int(entry.get("vcpu_capacity", 16)),
-            mem_capacity_mb=int(entry.get("mem_capacity_mb", 32768)),
-        )
+        compute_nodes[name] = ComputeNode(id=name, attached_switch=sw, **_given(
+            entry, "vcpu_capacity", "mem_capacity_mb"))
 
     # Every transponder needs exactly one switch and one compute node behind it.
     for tp in transponders:
@@ -260,7 +254,7 @@ def build_ring(section: dict) -> RingTopology:
         roadms=roadms, links=links, transponders=transponders,
         switches=switches, compute_nodes=compute_nodes,
         ring_order=tuple(order),
-        channel_grid=int(section.get("channel_grid_size", DEFAULT_CHANNEL_GRID)),
+        channel_grid=section.get("channel_grid_size", DEFAULT_CHANNEL_GRID),
     )
 
 

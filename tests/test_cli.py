@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -254,6 +255,68 @@ def test_bad_softfail_value_exits_1_naming_key(tmp_path, capsys, section,
     assert main(["softfail", "--scenario", write(tmp_path, doc)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err
+
+
+def demo_doc():
+    return make_scenario(experiment="full_demo", latency={
+        "measured_link": "r1-r2",
+        "cases": [{"length_km": 6.8}],
+    }, softfail={
+        "repetitions": 1,
+        "cases": [{"rate_db_per_s": 0.25, "link": "r1-r2"}],
+    })
+
+
+def set_key(doc, path, value):
+    """Set ``doc`` at a key path like ``service.vnfs[0].vcpu``."""
+    *parents, last = re.findall(r"\w+|\[\d+\]", path)
+    node = doc
+    for token in parents:
+        node = (node[int(token[1:-1])] if token.startswith("[")
+                else node.setdefault(token, {}))
+    node[last] = value
+
+
+@pytest.mark.parametrize("path,value,named", [
+    ("service.vnfs[0].vcpu", "abc", None),
+    ("topology.links[0].length_m", "x", None),
+    ("topology.links[0].group_index", "x", None),
+    ("service.phase_durations.retune_s", "x", None),
+    ("service.phase_durations.retune_s", -5, None),
+    ("latency.probe.jitter_sigma_ns", "x", None),
+    ("service.connectivity.max_rt_latency_us", "x", None),
+    ("topology.channel_grid_size", "x", None),
+    ("topology.channel_grid_size", 0, None),
+    ("softfail.signal", 5, None),
+    ("softfail.detector", 5, None),
+    ("softfail.cases", [5], None),
+    ("latency.probe", 5, None),
+    ("service.phase_durations", 5, None),
+    ("topology.links", 5, None),
+    ("service.vnfs", 5, None),
+    ("service.connectivity.endpoints", "tp1", None),
+    ("latency.cases[0].legacy_residual_delay_ns", "x", None),
+    ("topology.transponders[0].warmup_duration_ns", -1, None),
+    ("latency.attribution", {"components": ["probe"], "matrix": "x"},
+     "latency.attribution.matrix"),
+    ("softfail.cases[0].link", "nope", None),
+    ("service.vnfs", [{"name": "solo", "compute": "edge1"}], "service:"),
+    ("service.jitter", "false", None),
+    ("softfail.emit_trace", "no", None),
+    ("service.vnfs[0].name", 5, None),
+    ("service.vnfs[0].instantiation_cv", -1, None),
+    ("topology.roadms", ["roadm1", "roadm2"], "topology:"),
+    ("latency.measured_link", "nope", None),
+])
+def test_bad_document_fails_validation_naming_key(tmp_path, capsys, path,
+                                                  value, named):
+    doc = demo_doc()
+    set_key(doc, path, value)
+    scenario = write(tmp_path, doc)
+    for command in ("validate", "demo"):
+        assert main([command, "--scenario", scenario]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and (named or path) in err
 
 
 @pytest.mark.parametrize("length_km", ["abc", -1.0])

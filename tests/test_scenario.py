@@ -83,13 +83,20 @@ def test_round_trip_is_stable():
 
 
 def test_build_world_reproducible_per_spawn_key():
-    sc = scenario_from_dict(make_scenario())
-    sc.raw["service"]["jitter"] = True
+    doc = make_scenario()
+    doc["service"]["jitter"] = True
+    sc = scenario_from_dict(doc)
     a = build_world(sc, (4,)).record.timestamps.t_vnfs_ready
     b = build_world(sc, (4,)).record.timestamps.t_vnfs_ready
     c = build_world(sc, (5,)).record.timestamps.t_vnfs_ready
     assert a == b
     assert a != c
+    # a latency run overrides the measured link's length in its worlds only
+    sc = scenario_from_dict(make_scenario(experiment="latency",
+                                          **latency_extra()))
+    before = json.dumps(sc.raw)
+    run_scenario(sc)
+    assert json.dumps(sc.raw) == before
 
 
 def test_worlds_are_isolated():
