@@ -131,6 +131,9 @@ class RestorationOutcome:
 class ServiceRecord:
     request_id: str
     descriptor: NsDescriptor
+    # the service's stream: VNF i draws on (1, i), transponder i on (2, i),
+    # the probe verification on (3,)
+    rng: SimRng
     status: ServiceStatus = ServiceStatus.DEPLOYING
     timestamps: Timestamps = field(default_factory=Timestamps)
     placements: dict[str, NodeId] = field(default_factory=dict)
@@ -278,7 +281,9 @@ class OrchestrationStack:
     def request_network_service(self, ns: NsDescriptor) -> ServiceRecord:
         """Accept a service request; the workflow advances via kernel events."""
         self._seq += 1
-        rec = ServiceRecord(request_id=f"svc-{self._seq}", descriptor=ns)
+        request_id = f"svc-{self._seq}"
+        rec = ServiceRecord(request_id, ns,
+                            self.rng.split(hash_label(request_id)))
         self.services[rec.request_id] = rec
         rec.timestamps.t_request = self.kernel.now()
         self.kernel.schedule(lambda: self._start_deploy(rec), self.kernel.now(),
@@ -330,9 +335,8 @@ class OrchestrationStack:
             rec.placements[vnf.name] = vnf.target_compute
             dur_s = vnf.instantiation_mean_s
             if self.jitter:
-                dur_s = self.rng.split(hash_label(rec.request_id), 1, i) \
-                    .lognormal_mean_cv(vnf.instantiation_mean_s,
-                                       vnf.instantiation_cv)
+                dur_s = rec.rng.split(1, i).lognormal_mean_cv(
+                    vnf.instantiation_mean_s, vnf.instantiation_cv)
             self.kernel.schedule_in(round(dur_s * SECOND), done_one,
                                     kind=f"{rec.request_id}:vnf:{vnf.name}")
 
@@ -464,8 +468,7 @@ class OrchestrationStack:
 
         for i, tp_id in enumerate((rec.path.source, rec.path.destination)):
             tp = self.topo.transponders[tp_id]
-            rng = (self.rng.split(hash_label(rec.request_id), 2, i)
-                   if self.jitter else None)
+            rng = rec.rng.split(2, i) if self.jitter else None
             schedule = transponder_lifecycle(tp, self.kernel.now(), self.kernel,
                                              rng=rng)
             warmup_at = schedule[1][0]
@@ -477,8 +480,7 @@ class OrchestrationStack:
 
     def _verify_probe(self, rec: ServiceRecord) -> None:
         assert rec.path is not None
-        rng = (self.rng.split(hash_label(rec.request_id), 3)
-               if self.jitter else None)
+        rng = rec.rng.split(3) if self.jitter else None
         rec.probe = measure_round_trip(rec.path, self.topo, self.probe_cfg,
                                        kernel=self.kernel, rng=rng)
         rec.timestamps.t_probe_verified = self.kernel.now()

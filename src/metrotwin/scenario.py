@@ -19,7 +19,8 @@ from typing import IO, NamedTuple, Optional, Union
 
 from .controlplane import (ConnectivityRequirements, NsDescriptor,
                            OrchestrationStack, PhaseTimings, VnfDescriptor)
-from .errors import ParseError, TopologyInvalid, TwinError, ValidationError
+from .errors import (ParseError, RankDeficient, TopologyInvalid, TwinError,
+                     Underdetermined, ValidationError)
 from .mda import DetectorConfig, SoftFailWorld, run_softfail_case
 from .optics import OpticalPlant, SignalModel
 from .probe import (LatencyMeasurement, ProbeConfig, budget_from_config,
@@ -312,6 +313,18 @@ def _sections(doc: dict, top: dict, errors: list[str]
             FiberLink(link.id, link.endpoints, group_index=link.group_index,
                       **case) for case in latency["cases"]]
         latency = Latency(**latency)
+        if latency.attribution is not None:
+            # the budget's own shape and rank checks, on the cases it reads
+            clean = [LatencyMeasurement(0.0, 0, 0) for case in latency.cases
+                     if case.legacy_residual_delay_ns == 0]
+            try:
+                fit_budget(clean, latency.attribution["matrix"],
+                           latency.attribution["components"])
+            except (ValueError, Underdetermined, RankDeficient) as exc:
+                errors.append(
+                    f"latency.attribution.matrix: {exc} (one row per case "
+                    f"without legacy_residual_delay_ns, one column per "
+                    f"component)")
 
     softfail = top.get("softfail")
     if softfail is not None:

@@ -6,9 +6,10 @@ simulation start (64-bit range), so microsecond-scale probe latencies and
 minute-scale attenuation ramps coexist without floating-point drift.
 
 Randomness comes from numpy's Philox 4x64 counter-based bit generator.
-Repetition and sub-module streams are split off the run seed via
-``SeedSequence`` spawn keys, so draws are reproducible independently of
-execution order: the same (seed, spawn path) always yields the same values.
+Repetition and sub-module streams are split off the run seed by spawn keys,
+seeded exactly as numpy's ``SeedSequence(seed, spawn_key=...)`` would, so
+draws are reproducible independently of execution order: the same (seed,
+spawn path) always yields the same values.
 """
 
 from __future__ import annotations
@@ -40,12 +41,26 @@ def to_seconds(t: SimTime) -> float:
     return t / SECOND
 
 
+def _words(n: int) -> list[int]:
+    """The 32-bit words, low first, that ``SeedSequence`` reads from ``n``."""
+    if n < 0:
+        raise ValueError(f"seeds and spawn labels must be >= 0; got {n}")
+    words = [n & 0xFFFFFFFF]
+    n >>= 32
+    while n:
+        words.append(n & 0xFFFFFFFF)
+        n >>= 32
+    return words
+
+
 class SimRng:
     """Splittable deterministic RNG stream.
 
     Wraps ``numpy.random.Philox`` (counter-based, 4x64).  ``split`` derives an
-    independent child stream from an integer label; the (seed, spawn path)
-    pair fully determines every draw.
+    independent child stream from integer labels; the (seed, spawn path)
+    pair fully determines every draw.  A stream builds its generator on its
+    first draw, so a stream that is only split, or draws with zero spread,
+    builds none.
     """
 
     algorithm = "philox4x64"
@@ -53,11 +68,22 @@ class SimRng:
     def __init__(self, seed: int, spawn_key: tuple[int, ...] = ()):
         self.seed = int(seed)
         self.spawn_key = tuple(int(k) for k in spawn_key)
-        seq = np.random.SeedSequence(self.seed, spawn_key=self.spawn_key)
-        self._gen = np.random.Generator(np.random.Philox(seq))
+        self._gen: Optional[np.random.Generator] = None
 
     def split(self, *labels: int) -> "SimRng":
-        return SimRng(self.seed, self.spawn_key + tuple(labels))
+        return SimRng(self.seed, self.spawn_key + labels)
+
+    def _generator(self) -> np.random.Generator:
+        if self._gen is None:
+            # the entropy numpy assembles for SeedSequence(seed, spawn_key):
+            # the seed's words padded to the pool size of 4, then the key's
+            words = _words(self.seed)
+            words += [0] * (4 - len(words))
+            for label in self.spawn_key:
+                words += _words(label)
+            seq = np.random.SeedSequence(np.array(words, dtype=np.uint32))
+            self._gen = np.random.Generator(np.random.Philox(seq))
+        return self._gen
 
     def normal(self, mu: float = 0.0, sigma: float = 1.0,
                size: Optional[int] = None):
@@ -69,8 +95,8 @@ class SimRng:
         if sigma == 0.0:
             return mu if size is None else np.full(size, mu)
         if size is None:
-            return float(self._gen.normal(mu, sigma))
-        return self._gen.normal(mu, sigma, size)
+            return float(self._generator().normal(mu, sigma))
+        return self._generator().normal(mu, sigma, size)
 
     def lognormal_mean_cv(self, mean: float, cv: float) -> float:
         """Lognormal draw parameterised by its mean and coefficient of variation."""
@@ -78,7 +104,7 @@ class SimRng:
             return mean
         sigma2 = math.log1p(cv * cv)
         mu = math.log(mean) - sigma2 / 2.0
-        return float(self._gen.lognormal(mu, math.sqrt(sigma2)))
+        return float(self._generator().lognormal(mu, math.sqrt(sigma2)))
 
 
 class Kernel:

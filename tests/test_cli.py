@@ -307,6 +307,15 @@ def set_key(doc, path, value):
     ("service.vnfs[0].instantiation_cv", -1, None),
     ("topology.roadms", ["roadm1", "roadm2"], "topology:"),
     ("latency.measured_link", "nope", None),
+    # demo_doc has one clean latency case, so one matrix row
+    ("latency.attribution", {"components": ["a"], "matrix": [[1], [1]]},
+     "latency.attribution.matrix"),
+    ("latency.attribution", {"components": ["a", "b"], "matrix": [[1]]},
+     "latency.attribution.matrix"),
+    ("latency.attribution", {"components": ["a", "b"], "matrix": [[1, 0]]},
+     "latency.attribution.matrix"),
+    ("latency.attribution", {"components": ["a"], "matrix": [[0]]},
+     "latency.attribution.matrix"),
 ])
 def test_bad_document_fails_validation_naming_key(tmp_path, capsys, path,
                                                   value, named):

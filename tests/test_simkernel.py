@@ -1,10 +1,16 @@
 import io
+import math
+from functools import reduce
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import SCENARIO_DIR
+from metrotwin import simkernel
 from metrotwin.errors import RunawaySimulation, SchedulingInPast
+from metrotwin.scenario import build_world, load_scenario
 from metrotwin.simkernel import Kernel, SECOND, SimRng, seconds, to_seconds
 
 
@@ -140,3 +146,51 @@ def test_lognormal_mean_cv_parameterisation(mean, cv):
     assert all(x > 0 for x in draws)
     sample_mean = sum(draws) / len(draws)
     assert abs(sample_mean - mean) / mean < 6 * cv / 20  # 6 sigma of the mean estimate
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 130),
+       key=st.lists(st.integers(min_value=0, max_value=2 ** 66), max_size=6),
+       cut=st.integers(min_value=0, max_value=6),
+       size=st.integers(min_value=1, max_value=9),
+       mean=st.floats(min_value=0.5, max_value=200.0),
+       cv=st.floats(min_value=0.005, max_value=0.3))
+def test_rng_draws_equal_numpy_seed_sequence(seed, key, cut, size, mean, cv):
+    key = tuple(key)
+    oracle = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(seed, spawn_key=key)))
+    sigma2 = math.log1p(cv * cv)
+    expected = [oracle.normal(1.5, 2.0), *oracle.normal(1.5, 2.0, size),
+                oracle.lognormal(math.log(mean) - sigma2 / 2.0,
+                                 math.sqrt(sigma2)),
+                oracle.normal(1.5, 2.0)]
+    streams = [SimRng(seed, key), SimRng(seed).split(*key),
+               reduce(SimRng.split, key, SimRng(seed)),
+               SimRng(seed, key[:cut]).split(*key[cut:])]
+    for rng in streams:
+        assert rng.spawn_key == key
+        assert [rng.normal(1.5, 2.0), *rng.normal(1.5, 2.0, size),
+                rng.lognormal_mean_cv(mean, cv),
+                rng.normal(1.5, 2.0)] == expected
+
+
+def test_streams_build_a_generator_only_when_they_draw(monkeypatch):
+    built = []
+    philox = simkernel.np.random.Philox
+
+    def counting_philox(seq):
+        built.append(seq)
+        return philox(seq)
+
+    monkeypatch.setattr(simkernel.np.random, "Philox", counting_philox)
+    idle = SimRng(5).split(1, 2)
+    assert idle.normal(3.0, 0.0) == 3.0
+    assert idle.lognormal_mean_cv(40.0, 0.0) == 40.0
+    assert built == []
+    sc = load_scenario(SCENARIO_DIR / "paper_setup.json")
+    assert sc.service.jitter
+    build_world(sc, (0,))
+    # two VNF and two transponder streams draw; the world root, the stack
+    # stream, the service stream and the probe stream (jitter_sigma_ns 0)
+    # only split or draw nothing
+    assert len(built) == 4
