@@ -5,10 +5,10 @@ as discrete events over an integer-nanosecond clock, so every experiment is
 exactly reproducible from a scenario file and a seed.
 """
 
-from .controlplane import (ConnectivityIntent, ConnectivityRequirements,
-                           KpiReport, NsDescriptor, OrchestrationStack,
-                           PhaseTimings, RestorationOutcome, ServiceRecord,
-                           ServiceStatus, VnfDescriptor)
+from .controlplane import (ConnectivityRequirements, KpiReport, NsDescriptor,
+                           OrchestrationStack, PhaseTimings,
+                           RestorationOutcome, ServiceRecord, ServiceStatus,
+                           VnfDescriptor)
 from .errors import TwinError
 from .mda import (DegradationDetector, DegradationEvent, DetectorConfig,
                   SoftFailReport, anticipation_time, run_softfail_case)
@@ -26,8 +26,7 @@ from .topology import (FiberLink, OpticalPath, RingTopology, RoadmNode,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttenuationRamp", "BudgetReport", "ConnectivityIntent",
-    "ConnectivityRequirements", "DegradationDetector", "DegradationEvent",
+    "AttenuationRamp", "BudgetReport", "ConnectivityRequirements", "DegradationDetector", "DegradationEvent",
     "DetectorConfig", "FiberLink", "Kernel", "KpiReport", "LatencyMeasurement",
     "NsDescriptor", "OpticalPath", "OpticalPlant", "OrchestrationStack",
     "PhaseTimings", "ProbeConfig", "RestorationOutcome", "RingTopology",

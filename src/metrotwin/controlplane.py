@@ -3,28 +3,28 @@
 The stack collapses NFV orchestrator, VIM, parent SDN controller, optical
 controller and device drivers into one event-driven state machine.  A service
 request walks through: VNF instantiation, sequential ROADM blocker
-configuration, transponder bring-up, probe verification, monitoring
+programming, transponder bring-up, probe verification, monitoring
 registration.  Timestamps for every phase land on the service record so KPIs
 can be derived afterwards.
 
 Restoration reuses the same machinery: on a degradation alert the service is
-moved to the complementary ring arc on its original channel.
+moved to the complementary ring arc on its original channel, and the same
+routine that programmed the ROADMs for deployment reprograms them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Optional
 
 from .errors import (ChannelExhausted, IllegalTransition, IncompleteRecord,
-                     NoAlternatePath, NoPath, PlacementFailed,
-                     TransponderUnavailable)
+                     NoPath, PlacementFailed, TransponderUnavailable)
 from .optics import transponder_lifecycle, transponder_teardown
 from .probe import LatencyMeasurement, ProbeConfig, measure_round_trip
 from .simkernel import Kernel, MS, SECOND, SimRng, SimTime
-from .topology import (BLOCK, ChannelId, NodeId, OpticalPath, PASS,
-                       RingTopology, TransponderState, find_ring_paths)
+from .topology import (ChannelId, NodeId, OpticalPath, RingTopology,
+                       TransponderState, find_ring_paths)
 
 
 class ServiceStatus(Enum):
@@ -103,14 +103,6 @@ class Timestamps:
 
 
 @dataclass
-class ConnectivityIntent:
-    requester: str
-    endpoints: tuple[NodeId, NodeId]
-    channel: ChannelId
-    path: OpticalPath
-
-
-@dataclass
 class KpiReport:
     kpi_ns_deploy_ns: SimTime
     kpi_connectivity_ns: SimTime
@@ -142,43 +134,13 @@ class ServiceRecord:
     probe: Optional[LatencyMeasurement] = None
     restoration: Optional[RestorationOutcome] = None
     failure_reason: str = ""
-    # (roadm_id, out_link_id, channel) entries this service wrote
-    blocker_writes: list[tuple[NodeId, str, ChannelId]] = field(default_factory=list)
+    # roadm_id -> the (exit link id, channel) pass entries this service holds
+    passes: dict[NodeId, set[tuple[str, ChannelId]]] = field(default_factory=dict)
 
     def transition(self, new: ServiceStatus) -> None:
         if new not in _TRANSITIONS[self.status]:
             raise IllegalTransition(f"{self.status.value} -> {new.value}")
         self.status = new
-
-
-def _blocker_plan(topo: RingTopology, path: OpticalPath,
-                  channel: ChannelId) -> dict[NodeId, list[tuple[str, str]]]:
-    """Per-ROADM blocker writes for a lit path.
-
-    Terminal nodes block the through direction away from the path so add/drop
-    light cannot leak around the ring; intermediate nodes pass both along-path
-    directions.  Off-path nodes get explicit darkening entries, written only
-    where no other service occupies the channel (missing entries already mean
-    dark, the explicit write is bookkeeping).
-    """
-    plan: dict[NodeId, list[tuple[str, str]]] = {r: [] for r in topo.roadms}
-    first, last = path.links[0], path.links[-1]
-    src_roadm = topo.transponder_roadm(path.source)
-    dst_roadm = topo.transponder_roadm(path.destination)
-    plan[src_roadm].append((topo.other_link(src_roadm, first), BLOCK))
-    plan[dst_roadm].append((topo.other_link(dst_roadm, last), BLOCK))
-    for i, roadm_id in enumerate(path.roadms):
-        if roadm_id in (src_roadm, dst_roadm):
-            continue
-        plan[roadm_id].append((path.links[i], PASS))
-        plan[roadm_id].append((path.links[i - 1], PASS))
-    on_path = set(path.roadms)
-    for roadm_id in topo.roadms:
-        if roadm_id in on_path:
-            continue
-        for link_id in topo.neighbors(roadm_id):
-            plan[roadm_id].append((link_id, BLOCK))
-    return plan
 
 
 def trace_channel_light(topo: RingTopology, origin_roadm: NodeId,
@@ -206,7 +168,7 @@ def trace_channel_light(topo: RingTopology, origin_roadm: NodeId,
         if channel in roadm.add_drop_channels:
             drops.append(node)
         out = topo.other_link(node, link_id)
-        if not roadm.passes(out, channel):
+        if (out, channel) not in roadm.passing:
             return traversed, drops, False
         link_id = out
         ends = topo.links[link_id].endpoints
@@ -370,7 +332,7 @@ class OrchestrationStack:
             f"no free channel on {'+'.join(path.links)} "
             f"(grid size {self.topo.channel_grid})")
 
-    def setup_connectivity(self, rec: ServiceRecord) -> ConnectivityIntent:
+    def setup_connectivity(self, rec: ServiceRecord) -> None:
         """Reserve resources now; push device configuration through events."""
         a_tp, b_tp = rec.descriptor.connectivity.endpoints
         for tp_id in (a_tp, b_tp):
@@ -387,67 +349,53 @@ class OrchestrationStack:
             self.channel_ledger[(link_id, channel)] = rec.request_id
         for tp_id in (a_tp, b_tp):
             self.topo.transponders[tp_id].claimed_by = rec.request_id
-        rec.path = OpticalPath(path.source, path.destination, path.links,
-                               path.roadms, path.direction, channel)
+        rec.path = replace(path, channel=channel)
         rec.channel = channel
-        intent = ConnectivityIntent(requester=rec.request_id,
-                                    endpoints=(a_tp, b_tp), channel=channel,
-                                    path=rec.path)
-        self.kernel.schedule_in(self.timings.control_messaging_ns,
-                                lambda: self._configure_roadms(rec),
-                                kind=f"{rec.request_id}:messaging")
-        return intent
+        self.kernel.schedule_in(
+            self.timings.control_messaging_ns,
+            lambda: self._program_roadms(
+                rec, rec.path, 0, "roadm",
+                lambda: self._bring_up_transponders(rec)),
+            kind=f"{rec.request_id}:messaging")
 
-    def _roadm_sequence(self, path: OpticalPath) -> list[NodeId]:
-        on_path = list(path.roadms)
-        rest = [r for r in self.topo.ring_order if r not in path.roadms]
-        return on_path + rest
+    def _program_roadms(self, rec: ServiceRecord, path: OpticalPath,
+                        delay: SimTime, kind: str,
+                        then: Callable[[], None]) -> None:
+        """The OLS driver visits every ring ROADM, the path's first, one
+        configuration apiece, ``delay`` plus one config step apart.
 
-    def _configure_roadms(self, rec: ServiceRecord) -> None:
-        """OLS driver visits every ring ROADM in sequence, one config apiece."""
-        assert rec.path is not None and rec.channel is not None
-        plan = _blocker_plan(self.topo, rec.path, rec.channel)
-        order = self._roadm_sequence(rec.path)
+        A visit drops the service's earlier pass entries at that ROADM, then
+        passes ``path``'s channel through it if the path runs through it, or
+        opens it for add/drop if the path ends there.  The last visit calls
+        ``then``.
+        """
+        channel = path.channel
+        hops = len(path.links)
+        order = list(path.roadms) + [r for r in self.topo.ring_order
+                                     if r not in path.roadms]
         step = self.timings.roadm_config_ns
 
-        def apply_one(idx: int) -> None:
-            roadm_id = order[idx]
-            self._apply_roadm_writes(rec, roadm_id, plan[roadm_id])
-            if roadm_id == self.topo.transponder_roadm(rec.path.source):
-                self.configure_roadm_channel(roadm_id, rec.channel, "add")
-            if roadm_id == self.topo.transponder_roadm(rec.path.destination):
-                self.configure_roadm_channel(roadm_id, rec.channel, "drop")
-            if idx + 1 == len(order):
-                rec.timestamps.t_roadms_configured = self.kernel.now()
-                self._bring_up_transponders(rec)
+        def visit(i: int) -> None:
+            roadm = self.topo.roadms[order[i]]
+            roadm.passing -= rec.passes.pop(roadm.id, set())
+            if 0 < i < hops:
+                rec.passes[roadm.id] = {(path.links[i - 1], channel),
+                                        (path.links[i], channel)}
+                roadm.passing |= rec.passes[roadm.id]
+            elif i in (0, hops):
+                roadm.add_drop_channels.add(channel)
+            if i + 1 == len(order):
+                then()
 
-        for i in range(len(order)):
-            self.kernel.schedule_in(step * (i + 1),
-                                    lambda idx=i: apply_one(idx),
-                                    kind=f"{rec.request_id}:roadm:{order[i]}")
-
-    def _apply_roadm_writes(self, rec: ServiceRecord, roadm_id: NodeId,
-                            writes: list[tuple[str, str]]) -> None:
-        roadm = self.topo.roadms[roadm_id]
-        channel = rec.channel
-        assert channel is not None
-        for out_link, state in writes:
-            if state == BLOCK:
-                owner = self.channel_ledger.get((out_link, channel))
-                if owner is not None and owner != rec.request_id:
-                    continue  # another service lights that span; leave it alone
-            roadm.set_blocker(out_link, channel, state)
-            rec.blocker_writes.append((roadm_id, out_link, channel))
-
-    def configure_roadm_channel(self, roadm_id: NodeId, channel: ChannelId,
-                                role: str) -> None:
-        """Idempotent add/drop port setup on one ROADM."""
-        if role not in ("add", "drop"):
-            raise ValueError(f"unknown role {role!r}")
-        self.topo.roadms[roadm_id].add_drop_channels.add(channel)
+        for i, roadm_id in enumerate(order):
+            self.kernel.schedule_in(delay + step * (i + 1),
+                                    lambda i=i: visit(i),
+                                    kind=f"{rec.request_id}:{kind}:{roadm_id}")
 
     def _bring_up_transponders(self, rec: ServiceRecord) -> None:
+        """Runs once every ROADM is programmed for the service."""
         assert rec.path is not None
+        rec.timestamps.t_roadms_configured = self.kernel.now()
         pending_cfg = 2
         pending_op = 2
 
@@ -510,24 +458,14 @@ class OrchestrationStack:
 
     # ------------------------------------------------------- restoration
 
-    def _alternate_path(self, rec: ServiceRecord) -> OpticalPath:
-        assert rec.path is not None
-        candidates = find_ring_paths(rec.path.source, rec.path.destination,
-                                     self.topo)
-        used = set(rec.path.links)
-        for cand in candidates:
-            if not used.intersection(cand.links):
-                return cand
-        raise NoAlternatePath(f"no disjoint arc for {rec.request_id}")
-
     def handle_degradation_alert(self, rec: ServiceRecord,
                                  alert_time: SimTime) -> RestorationOutcome:
         """Move the service to the complementary arc, keeping its channel.
 
-        Resources on the new arc are reserved immediately; blocker rewrites,
-        one per ring ROADM, then a transponder retune run as timed events.
-        Restoration only lands if the service is still Degraded when the
-        retune completes.
+        Resources on the new arc are reserved immediately; the ROADM
+        programming, one visit per ring ROADM, and then a transponder retune
+        run as timed events.  Restoration only lands if the service is still
+        Degraded when the retune completes.
         """
         if rec.status is ServiceStatus.ACTIVE or rec.status is ServiceStatus.RESTORED:
             rec.transition(ServiceStatus.DEGRADED)
@@ -535,12 +473,11 @@ class OrchestrationStack:
                                      alert_time=alert_time)
         rec.restoration = outcome
         assert rec.path is not None and rec.channel is not None
-        channel = rec.channel
-        try:
-            alt = self._alternate_path(rec)
-        except (NoAlternatePath, NoPath) as exc:
-            outcome.reason = str(exc)
-            return outcome
+        old_path, channel = rec.path, rec.channel
+        # the two arcs partition the ring, so the spare is the other direction
+        alt = next(p for p in find_ring_paths(old_path.source,
+                                              old_path.destination, self.topo)
+                   if p.direction != old_path.direction)
         for link_id in alt.links:
             owner = self.channel_ledger.get((link_id, channel))
             if owner is not None and owner != rec.request_id:
@@ -548,34 +485,9 @@ class OrchestrationStack:
                                   f"(owner {owner})")
                 return outcome
 
-        old_path = rec.path
-        new_path = OpticalPath(alt.source, alt.destination, alt.links,
-                               alt.roadms, alt.direction, channel)
+        new_path = replace(alt, channel=channel)
         for link_id in new_path.links:
             self.channel_ledger[(link_id, channel)] = rec.request_id
-
-        plan = _blocker_plan(self.topo, new_path, channel)
-        order = self._roadm_sequence(new_path)
-        step = self.timings.roadm_config_ns
-        t0 = self.timings.control_messaging_ns
-
-        old_writes = list(rec.blocker_writes)
-        rec.blocker_writes = []
-
-        def rewrite_one(idx: int) -> None:
-            roadm_id = order[idx]
-            roadm = self.topo.roadms[roadm_id]
-            for r_id, out_link, ch in old_writes:
-                if r_id == roadm_id:
-                    roadm.clear_blocker(out_link, ch)
-            self._apply_roadm_writes(rec, roadm_id, plan[roadm_id])
-            if roadm_id == self.topo.transponder_roadm(new_path.source):
-                self.configure_roadm_channel(roadm_id, channel, "add")
-            if roadm_id == self.topo.transponder_roadm(new_path.destination):
-                self.configure_roadm_channel(roadm_id, channel, "drop")
-            if idx + 1 == len(order):
-                self.kernel.schedule_in(self.timings.retune_ns, retune_done,
-                                        kind=f"{rec.request_id}:retune")
 
         def retune_done() -> None:
             rec.path = new_path
@@ -590,10 +502,11 @@ class OrchestrationStack:
                 outcome.reason = outcome.reason or (
                     f"service already {rec.status.value} at retune")
 
-        for i in range(len(order)):
-            self.kernel.schedule_in(t0 + step * (i + 1),
-                                    lambda idx=i: rewrite_one(idx),
-                                    kind=f"{rec.request_id}:restore:{order[i]}")
+        self._program_roadms(
+            rec, new_path, self.timings.control_messaging_ns, "restore",
+            lambda: self.kernel.schedule_in(self.timings.retune_ns,
+                                            retune_done,
+                                            kind=f"{rec.request_id}:retune"))
         return outcome
 
     def notify_fail_crossing(self, rec: ServiceRecord, t: SimTime) -> None:
@@ -611,26 +524,34 @@ class OrchestrationStack:
         """Return every resource the service holds; record becomes TornDown."""
         self.release_vnfs(rec)
         self._release_channel(rec)
-        for roadm_id, out_link, ch in rec.blocker_writes:
-            self.topo.roadms[roadm_id].clear_blocker(out_link, ch)
-        rec.blocker_writes = []
         if rec.path is not None:
             for tp_id in (rec.path.source, rec.path.destination):
                 tp = self.topo.transponders[tp_id]
                 if tp.claimed_by == rec.request_id:
                     transponder_teardown(tp)
-            src = self.topo.transponder_roadm(rec.path.source)
-            dst = self.topo.transponder_roadm(rec.path.destination)
-            if rec.channel is not None:
-                self.topo.roadms[src].add_drop_channels.discard(rec.channel)
-                self.topo.roadms[dst].add_drop_channels.discard(rec.channel)
+            # another live service may end at the same ROADM on this channel
+            still_used = {
+                end for other in self.services.values()
+                if other is not rec and other.path is not None
+                and other.channel == rec.channel
+                and other.status is not ServiceStatus.TORN_DOWN
+                for end in (other.path.roadms[0], other.path.roadms[-1])}
+            for end in (rec.path.roadms[0], rec.path.roadms[-1]):
+                if end not in still_used:
+                    self.topo.roadms[end].add_drop_channels.discard(
+                        rec.channel)
         rec.transition(ServiceStatus.TORN_DOWN)
 
     def _release_channel(self, rec: ServiceRecord) -> None:
+        """Free the service's spans in the ledger and its pass entries, which
+        another service may be given next."""
         gone = [k for k, owner in self.channel_ledger.items()
                 if owner == rec.request_id]
         for k in gone:
             del self.channel_ledger[k]
+        for roadm_id, entries in rec.passes.items():
+            self.topo.roadms[roadm_id].passing -= entries
+        rec.passes.clear()
 
     # --------------------------------------------------------- invariants
 

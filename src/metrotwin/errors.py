@@ -57,10 +57,6 @@ class IncompleteRecord(TwinError):
     """KPI computation asked for a service record that never went Active."""
 
 
-class NoAlternatePath(TwinError):
-    """Restoration target arc has the service's channel occupied."""
-
-
 # -- probe ------------------------------------------------------------------
 
 class RankDeficient(TwinError):

@@ -336,7 +336,6 @@ def run_softfail_case(world_factory: Callable[[int], SoftFailWorld],
                     lambda: stack.handle_degradation_alert(rec, kernel.now()),
                     kind=f"{rec.request_id}:alert")
             if t == t_last:
-                plant.materialise_ramps(t)
                 if cross is None:
                     raise TwinError(
                         "telemetry stream ran past its expected horizon")

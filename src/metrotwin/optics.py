@@ -8,8 +8,8 @@ the per-bit QPSK mapping
     BER = 1/2 * erfc( sqrt( 10^((SNR_dB - penalty_dB)/10) / 2 ) )
 
 where the implementation penalty calibrates the ideal curve to hardware
-SNR/BER operating points.  Attenuation ramps are linear in time and
-materialise into link state at telemetry sample instants.
+SNR/BER operating points.  Attenuation ramps are linear in time and are
+evaluated in closed form at any instant; the ring's links are never written.
 """
 
 from __future__ import annotations
@@ -144,14 +144,13 @@ def transponder_lifecycle(
     configure_at: SimTime,
     kernel: Kernel,
     rng: Optional[SimRng] = None,
-    jitter_cv: float = TRANSPONDER_JITTER_CV,
 ) -> list[tuple[SimTime, TransponderState]]:
     """Drive a transponder Off -> Configuring -> LaserWarmup -> Operational.
 
     Durations come from the node's nominal config/warm-up times; when ``rng``
-    is given they are lognormal draws with the configured coefficient of
-    variation, otherwise exact.  Returns the planned (time, state) schedule;
-    the state mutations happen as kernel events fire.
+    is given they are lognormal draws with coefficient of variation
+    ``TRANSPONDER_JITTER_CV``, otherwise exact.  Returns the planned (time,
+    state) schedule; the state mutations happen as kernel events fire.
     """
     if tp.state is not TransponderState.OFF or tp.lifecycle_pending:
         raise IllegalTransition(
@@ -160,8 +159,10 @@ def transponder_lifecycle(
         config_ns = tp.config_duration_ns
         warmup_ns = tp.warmup_duration_ns
     else:
-        config_ns = round(rng.lognormal_mean_cv(tp.config_duration_ns / SECOND, jitter_cv) * SECOND)
-        warmup_ns = round(rng.lognormal_mean_cv(tp.warmup_duration_ns / SECOND, jitter_cv) * SECOND)
+        config_ns = round(rng.lognormal_mean_cv(
+            tp.config_duration_ns / SECOND, TRANSPONDER_JITTER_CV) * SECOND)
+        warmup_ns = round(rng.lognormal_mean_cv(
+            tp.warmup_duration_ns / SECOND, TRANSPONDER_JITTER_CV) * SECOND)
 
     schedule = [
         (configure_at, TransponderState.CONFIGURING),
@@ -190,9 +191,8 @@ def transponder_teardown(tp: TransponderNode) -> None:
 class OpticalPlant:
     """Time-varying physical state: ramps, receiver SNR, telemetry.
 
-    Ramp state materialises into ``FiberLink.added_attenuation_db`` when a
-    sample is taken and when a soft-failure episode's telemetry stream ends,
-    while analytic queries stay exact at any instant.
+    Ramps are kept here, one per link, and the receiver SNR at any instant
+    is computed from them; the ring's ``FiberLink`` objects stay unchanged.
     """
 
     def __init__(self, topo: RingTopology):
@@ -206,11 +206,6 @@ class OpticalPlant:
             raise RampConflict(f"link {ramp.link_id} already has an active ramp")
         self._ramps[ramp.link_id] = ramp
 
-    def materialise_ramps(self, t: SimTime) -> None:
-        for ramp in self._ramps.values():
-            self.topo.links[ramp.link_id].added_attenuation_db = float(
-                ramp.added_db(t))
-
     def _require_operational(self, path: OpticalPath) -> None:
         if path.channel is None:
             raise PathNotOperational(f"path {path.source}->{path.destination} has no channel")
@@ -223,17 +218,14 @@ class OpticalPlant:
                    model: SignalModel) -> np.ndarray:
         """Noiseless receiver SNR at each of ``times`` (int64 ns).
 
-        Baseline SNR minus the coupled added loss of each link in path
-        order, LOS-clamped.  A link without a ramp adds its current
-        ``added_attenuation_db`` at coupling 1.
+        Baseline SNR minus the coupled added loss of each ramped link in
+        path order, LOS-clamped.
         """
         self._require_operational(path)
         snr = np.full(times.shape, model.snr0_db)
         for link_id in path.links:
             ramp = self._ramps.get(link_id)
-            if ramp is None:
-                snr -= self.topo.links[link_id].added_attenuation_db
-            else:
+            if ramp is not None:
                 snr -= ramp.snr_coupling * ramp.added_db(times)
         return np.maximum(snr, LOS_FLOOR_DB)
 
@@ -244,7 +236,6 @@ class OpticalPlant:
 
     def sample_telemetry(self, path: OpticalPath, t: SimTime, model: SignalModel,
                          noise_sigma_db: float, rng: SimRng) -> TelemetrySample:
-        self.materialise_ramps(t)
         snr = self.snr_at_receiver(path, t, model)
         if noise_sigma_db:
             snr += rng.normal(0.0, noise_sigma_db)

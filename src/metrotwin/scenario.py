@@ -300,8 +300,13 @@ def _sections(doc: dict, top: dict, errors: list[str]
     for i, vnf in enumerate(svc["vnfs"]):
         known(f"service.vnfs[{i}].compute", vnf.target_compute,
               ring.compute_nodes)
-    for i, end in enumerate(svc["connectivity"].endpoints):
+    a, b = svc["connectivity"].endpoints
+    for i, end in enumerate((a, b)):
         known(f"service.connectivity.endpoints[{i}]", end, ring.transponders)
+    if a != b and a in ring.transponders and b in ring.transponders \
+            and ring.transponder_roadm(a) == ring.transponder_roadm(b):
+        errors.append(f"service.connectivity.endpoints: {a} and {b} "
+                      f"terminate on the same ROADM {ring.transponder_roadm(a)}")
     service = Service(_make(errors, "service", NsDescriptor, svc.pop("name"),
                             svc.pop("vnfs"), svc.pop("connectivity")), **svc)
 
@@ -400,7 +405,7 @@ def build_world(sc: Scenario, spawn_key: tuple[int, ...],
     a latency case's ``measured_link`` replaces the link of the same id."""
     topo = build_ring(sc.raw["topology"])
     if measured_link is not None:
-        topo.links[measured_link.id] = replace(measured_link)
+        topo.links[measured_link.id] = measured_link
     kernel = Kernel(trace=trace_sink)
     rng = SimRng(sc.seed, spawn_key=spawn_key)
     stack = OrchestrationStack(

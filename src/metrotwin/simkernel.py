@@ -24,21 +24,10 @@ from .errors import RunawaySimulation, SchedulingInPast
 
 SimTime = int  # nanoseconds since simulation start
 
-NS = 1
-US = 1_000
 MS = 1_000_000
 SECOND = 1_000_000_000
 
 DEFAULT_EVENT_CAP = 100_000_000
-
-
-def seconds(x: float) -> SimTime:
-    """Convert seconds to integer nanoseconds (nearest)."""
-    return round(x * SECOND)
-
-
-def to_seconds(t: SimTime) -> float:
-    return t / SECOND
 
 
 def _words(n: int) -> list[int]:
@@ -62,8 +51,6 @@ class SimRng:
     first draw, so a stream that is only split, or draws with zero spread,
     builds none.
     """
-
-    algorithm = "philox4x64"
 
     def __init__(self, seed: int, spawn_key: tuple[int, ...] = ()):
         self.seed = int(seed)

@@ -3,14 +3,15 @@
 A ring of 2-degree semi-filterless ROADMs (wavelength blocker + splitters),
 coherent transponders on drop ports, one aggregation switch and one edge
 compute node behind each transponder.  Immutable after ``build_ring`` except
-blocker state, transponder state and per-link added attenuation, which are
-mutated only from kernel event handlers.
+blocker pass sets, add/drop channels, transponder state and free compute
+capacity, which only the orchestration stack and transponder lifecycle change.
 
 Blocker convention: each 2-degree ROADM has two through-directions, keyed by
-the ring link the light would exit on.  A missing blocker entry means the
-channel is dark (blocked); provisioning writes explicit entries.  Add ports
-inject toward the provisioned path only; drop ports are broadcast splitters
-with no per-channel filtering.
+the ring link the light would exit on.  A ROADM passes exactly the (exit
+link, channel) pairs in its ``passing`` set; every other channel is dark, so
+provisioning writes pass entries only.  Add ports inject toward the
+provisioned path only; drop ports are broadcast splitters with no
+per-channel filtering.
 """
 
 from __future__ import annotations
@@ -26,9 +27,6 @@ ChannelId = int
 
 DEFAULT_CHANNEL_GRID = 96
 
-PASS = "pass"
-BLOCK = "block"
-
 
 class TransponderState(enum.Enum):
     OFF = "Off"
@@ -40,19 +38,9 @@ class TransponderState(enum.Enum):
 @dataclass
 class RoadmNode:
     id: NodeId
-    # (exit link id, channel) -> PASS | BLOCK; absent entry = dark
-    blocker_state: dict[tuple[str, ChannelId], str] = field(default_factory=dict)
-    drop_ports: list[NodeId] = field(default_factory=list)
+    # the (exit link id, channel) pairs the blocker passes; the rest are dark
+    passing: set[tuple[str, ChannelId]] = field(default_factory=set)
     add_drop_channels: set[ChannelId] = field(default_factory=set)
-
-    def set_blocker(self, out_link: str, channel: ChannelId, state: str) -> None:
-        self.blocker_state[(out_link, channel)] = state
-
-    def clear_blocker(self, out_link: str, channel: ChannelId) -> None:
-        self.blocker_state.pop((out_link, channel), None)
-
-    def passes(self, out_link: str, channel: ChannelId) -> bool:
-        return self.blocker_state.get((out_link, channel), BLOCK) == PASS
 
 
 @dataclass
@@ -66,13 +54,12 @@ class TransponderNode:
     lifecycle_pending: bool = False  # a lifecycle schedule already exists
 
 
-@dataclass
+@dataclass(frozen=True)
 class FiberLink:
     id: str
     endpoints: tuple[NodeId, NodeId]
     length_m: float
     group_index: float = 1.4680
-    added_attenuation_db: float = 0.0  # time-varying, written by ramp updates
     legacy_residual_delay_ns: int = 0  # lumped patch-panel/old-plant delay
 
     def __post_init__(self) -> None:
@@ -219,7 +206,6 @@ def build_ring(section: dict) -> RingTopology:
         tp = TransponderNode(id=name, attached_roadm=roadm, **_given(
             entry, "config_duration_ns", "warmup_duration_ns"))
         transponders[name] = tp
-        roadms[roadm].drop_ports.append(name)
     if len(transponders) < 2:
         raise TopologyInvalid("need at least 2 transponders")
 

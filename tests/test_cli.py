@@ -316,6 +316,9 @@ def set_key(doc, path, value):
      "latency.attribution.matrix"),
     ("latency.attribution", {"components": ["a"], "matrix": [[0]]},
      "latency.attribution.matrix"),
+    # puts tp2 on roadm1 next to tp1, so the endpoints share a ROADM
+    ("topology.transponders[1].roadm", "roadm1",
+     "service.connectivity.endpoints"),
 ])
 def test_bad_document_fails_validation_naming_key(tmp_path, capsys, path,
                                                   value, named):

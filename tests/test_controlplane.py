@@ -161,10 +161,77 @@ def test_teardown_returns_everything():
     assert topo.compute_nodes["edge1"].vcpu_free == topo.compute_nodes["edge1"].vcpu_capacity
     assert topo.transponders["tp1"].state is TransponderState.OFF
     assert topo.transponders["tp1"].claimed_by is None
-    assert all(not r.blocker_state for r in topo.roadms.values())
+    assert all(not r.passing for r in topo.roadms.values())
     # the ring is clean; an identical request succeeds again on channel 0
     again = deploy(stack, kernel, descriptor())
     assert again.status is ServiceStatus.ACTIVE and again.channel == 0
+
+
+def five_roadm_section():
+    """Ring r1..r5 of equal spans, transponders at r1, r2, r3 and r5."""
+    ends = (1, 2, 3, 5)
+    return {
+        "roadms": [f"r{i}" for i in range(1, 6)],
+        "links": [{"id": f"r{i}-r{i % 5 + 1}",
+                   "endpoints": [f"r{i}", f"r{i % 5 + 1}"], "length_m": 1e4}
+                  for i in range(1, 6)],
+        "transponders": [{"id": f"tp{i}", "roadm": f"r{i}"} for i in ends],
+        "switches": [{"id": f"sw{i}", "transponder": f"tp{i}"} for i in ends],
+        "compute_nodes": [{"id": f"edge{i}", "switch": f"sw{i}"} for i in ends],
+    }
+
+
+def test_teardown_keeps_another_services_pass_entries():
+    _, kernel, stack = fresh_stack(five_roadm_section())
+    a = deploy(stack, kernel)
+    b = deploy(stack, kernel, descriptor(endpoints=("tp3", "tp5"),
+                                         computes=("edge3", "edge5")))
+    assert a.path.links == ("r1-r2",)
+    assert b.path.links == ("r3-r4", "r4-r5")  # passes through r4
+    assert a.channel == b.channel == 0
+    stack.teardown(a)
+    assert stack.verify_invariants() == []
+
+
+def test_failed_service_gives_up_its_pass_entries():
+    sec = five_roadm_section()
+    sec["transponders"] += [{"id": "tp6", "roadm": "r1"},
+                            {"id": "tp7", "roadm": "r3"}]
+    sec["switches"] += [{"id": "sw6", "transponder": "tp6"},
+                        {"id": "sw7", "transponder": "tp7"}]
+    sec["compute_nodes"] += [{"id": "edge6", "switch": "sw6"},
+                             {"id": "edge7", "switch": "sw7"}]
+    _, kernel, stack = fresh_stack(sec)
+    slow = descriptor(endpoints=("tp1", "tp3"), computes=("edge1", "edge3"))
+    slow.connectivity.max_rt_latency_ns = 1
+    x = deploy(stack, kernel, slow)
+    assert x.status is ServiceStatus.FAILED  # at probe, after programming r2
+    y = deploy(stack, kernel, descriptor(endpoints=("tp6", "tp7"),
+                                         computes=("edge6", "edge7")))
+    assert x.path.links == y.path.links == ("r1-r2", "r2-r3")
+    assert y.channel == 0  # the failed service released channel 0
+    stack.teardown(x)
+    assert stack.verify_invariants() == []
+
+
+def test_teardown_keeps_add_drop_another_service_ends_on():
+    sec = ring_section()
+    sec["transponders"] += [{"id": "tp4", "roadm": "roadm2"},
+                            {"id": "tp5", "roadm": "roadm3"}]
+    sec["switches"] += [{"id": "sw4", "transponder": "tp4"},
+                        {"id": "sw5", "transponder": "tp5"}]
+    sec["compute_nodes"] += [{"id": "edge4", "switch": "sw4"},
+                             {"id": "edge5", "switch": "sw5"}]
+    topo, kernel, stack = fresh_stack(sec)
+    a = deploy(stack, kernel)
+    b = deploy(stack, kernel, descriptor(endpoints=("tp4", "tp5"),
+                                         computes=("edge4", "edge5")))
+    assert (a.path.links, b.path.links) == (("r1-r2",), ("r2-r3",))
+    assert a.channel == b.channel == 0  # both end on roadm2, channel 0
+    stack.teardown(a)
+    assert 0 not in topo.roadms["roadm1"].add_drop_channels
+    assert 0 in topo.roadms["roadm2"].add_drop_channels
+    assert stack.verify_invariants() == []
 
 
 def test_restoration_moves_to_spare_arc():
@@ -236,7 +303,7 @@ def test_forced_loop_is_caught():
     deploy(stack, kernel)
     for roadm in topo.roadms.values():
         for link_id in topo.neighbors(roadm.id):
-            roadm.set_blocker(link_id, 0, "pass")
+            roadm.passing.add((link_id, 0))
     _, _, looped = trace_channel_light(topo, "roadm1", "r1-r2", 0)
     assert looped
     assert any("loop" in p for p in check_no_light_loop(stack))

@@ -313,8 +313,7 @@ def run_both_episodes(doc, **kwargs):
                                                                out.trace)
         except TwinError as exc:
             outcome = (type(exc), str(exc))
-        state = [(w.record.status, w.record.restoration, w.record.path,
-                  {k: l.added_attenuation_db for k, l in w.topo.links.items()})
+        state = [(w.record.status, w.record.restoration, w.record.path)
                  for w in worlds]
         events = [(int(t), kind) for t, _, kind in
                   (line.split(",", 2) for line in sink.getvalue().splitlines())

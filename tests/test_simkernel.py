@@ -11,7 +11,7 @@ from conftest import SCENARIO_DIR
 from metrotwin import simkernel
 from metrotwin.errors import RunawaySimulation, SchedulingInPast
 from metrotwin.scenario import build_world, load_scenario
-from metrotwin.simkernel import Kernel, SECOND, SimRng, seconds, to_seconds
+from metrotwin.simkernel import Kernel, SECOND, SimRng
 
 
 def test_events_fire_in_time_order():
@@ -112,8 +112,6 @@ def test_trace_lines():
 
 
 def test_seconds_round_trip():
-    assert seconds(2.5) == 2_500_000_000
-    assert to_seconds(seconds(177)) == 177.0
     assert SECOND == 1_000_000_000
 
 

@@ -69,11 +69,11 @@ def test_rejects_negative_length():
 
 def test_blocker_default_is_dark(topo):
     roadm = topo.roadms["roadm1"]
-    assert not roadm.passes("r1-r2", 0)
-    roadm.set_blocker("r1-r2", 0, "pass")
-    assert roadm.passes("r1-r2", 0)
-    roadm.clear_blocker("r1-r2", 0)
-    assert not roadm.passes("r1-r2", 0)
+    assert ("r1-r2", 0) not in roadm.passing
+    roadm.passing.add(("r1-r2", 0))
+    assert ("r1-r2", 0) in roadm.passing
+    roadm.passing.discard(("r1-r2", 0))
+    assert ("r1-r2", 0) not in roadm.passing
 
 
 def test_find_ring_paths_two_arcs(topo):
