@@ -19,9 +19,9 @@ from .probe import (BudgetReport, LatencyMeasurement, ProbeConfig, fit_budget,
                     measure_round_trip)
 from .scenario import RunReport, Scenario, load_scenario, run_scenario
 from .simkernel import Kernel, SECOND, SimRng
-from .topology import (FiberLink, OpticalPath, RingTopology, RoadmNode,
-                       TransponderNode, TransponderState, build_ring,
-                       find_ring_paths)
+from .topology import (FiberLink, OpticalPath, RingState, RingTopology,
+                       Roadm, Transponder, TransponderNode, TransponderState,
+                       build_ring)
 
 __version__ = "0.1.0"
 
@@ -29,12 +29,13 @@ __all__ = [
     "AttenuationRamp", "BudgetReport", "ConnectivityRequirements", "DegradationDetector", "DegradationEvent",
     "DetectorConfig", "FiberLink", "Kernel", "KpiReport", "LatencyMeasurement",
     "NsDescriptor", "OpticalPath", "OpticalPlant", "OrchestrationStack",
-    "PhaseTimings", "ProbeConfig", "RestorationOutcome", "RingTopology",
-    "RoadmNode", "RunReport", "SECOND", "Scenario", "ServiceRecord",
-    "ServiceStatus", "SignalModel", "SimRng", "SoftFailReport",
-    "TelemetrySample", "TransponderNode", "TransponderState", "TwinError",
-    "VnfDescriptor", "anticipation_time", "ber_from_snr", "build_ring",
-    "find_ring_paths", "fit_budget", "load_scenario", "measure_round_trip",
+    "PhaseTimings", "ProbeConfig", "RestorationOutcome", "RingState",
+    "RingTopology", "Roadm", "RunReport", "SECOND", "Scenario",
+    "ServiceRecord", "ServiceStatus", "SignalModel", "SimRng",
+    "SoftFailReport", "TelemetrySample", "Transponder", "TransponderNode",
+    "TransponderState", "TwinError", "VnfDescriptor", "anticipation_time",
+    "ber_from_snr", "build_ring", "fit_budget", "load_scenario",
+    "measure_round_trip",
     "rt_propagation_delay", "run_scenario", "run_softfail_case",
     "transponder_lifecycle", "__version__",
 ]

@@ -23,8 +23,7 @@ from .errors import (ChannelExhausted, IllegalTransition, IncompleteRecord,
 from .optics import transponder_lifecycle, transponder_teardown
 from .probe import LatencyMeasurement, ProbeConfig, measure_round_trip
 from .simkernel import Kernel, MS, SECOND, SimRng, SimTime
-from .topology import (ChannelId, NodeId, OpticalPath, RingTopology,
-                       TransponderState, find_ring_paths)
+from .topology import ChannelId, NodeId, OpticalPath, RingState, TransponderState
 
 
 class ServiceStatus(Enum):
@@ -143,36 +142,30 @@ class ServiceRecord:
         self.status = new
 
 
-def trace_channel_light(topo: RingTopology, origin_roadm: NodeId,
+def trace_channel_light(state: RingState, origin_roadm: NodeId,
                         first_link: str, channel: ChannelId,
                         ) -> tuple[list[tuple[str, NodeId]], list[NodeId], bool]:
-    """Follow injected light hop by hop.
+    """Follow injected light hop by hop along the ring order.
 
     Returns (traversed (link, entered_roadm) pairs, drop nodes, looped flag).
-    A loop is a revisit of the same (roadm, incoming link) state.
+    A loop is light passed all the way round, back onto ``first_link``.
     """
+    order, ring_links = state.ring.ring_order, state.ring.ring_links
+    i = order.index(origin_roadm)
+    step = 1 if ring_links[i] == first_link else -1
     traversed: list[tuple[str, NodeId]] = []
     drops: list[NodeId] = []
-    seen: set[tuple[NodeId, str]] = set()
     link_id = first_link
-    node = topo.links[link_id].endpoints[1] if (
-        topo.links[link_id].endpoints[0] == origin_roadm
-    ) else topo.links[link_id].endpoints[0]
-    while True:
-        state = (node, link_id)
-        if state in seen:
-            return traversed, drops, True
-        seen.add(state)
-        traversed.append((link_id, node))
-        roadm = topo.roadms[node]
+    while len(traversed) < len(order):
+        i = (i + step) % len(order)
+        traversed.append((link_id, order[i]))
+        roadm = state.roadms[order[i]]
         if channel in roadm.add_drop_channels:
-            drops.append(node)
-        out = topo.other_link(node, link_id)
-        if (out, channel) not in roadm.passing:
+            drops.append(order[i])
+        link_id = ring_links[i if step == 1 else i - 1]
+        if (link_id, channel) not in roadm.passing:
             return traversed, drops, False
-        link_id = out
-        ends = topo.links[link_id].endpoints
-        node = ends[1] if ends[0] == node else ends[0]
+    return traversed, drops, True
 
 
 def check_no_light_loop(stack: "OrchestrationStack") -> list[str]:
@@ -184,17 +177,13 @@ def check_no_light_loop(stack: "OrchestrationStack") -> list[str]:
         if rec.status not in (ServiceStatus.ACTIVE, ServiceStatus.DEGRADED,
                               ServiceStatus.RESTORED):
             continue
-        topo = stack.topo
-        for tp_id, entry_link in ((rec.path.source, rec.path.links[0]),
-                                  (rec.path.destination, rec.path.links[-1])):
-            origin = topo.transponder_roadm(tp_id)
+        first, last = rec.path.roadms[0], rec.path.roadms[-1]
+        for origin, far, entry_link in ((first, last, rec.path.links[0]),
+                                        (last, first, rec.path.links[-1])):
             traversed, drops, looped = trace_channel_light(
-                topo, origin, entry_link, rec.channel)
+                stack.state, origin, entry_link, rec.channel)
             if looped:
                 problems.append(f"{rec.request_id}: light loop from {origin}")
-            far = topo.transponder_roadm(
-                rec.path.destination if tp_id == rec.path.source
-                else rec.path.source)
             if far not in drops:
                 problems.append(
                     f"{rec.request_id}: light from {origin} never reaches {far}")
@@ -223,11 +212,12 @@ def check_channel_exclusivity(stack: "OrchestrationStack") -> list[str]:
 class OrchestrationStack:
     """Event-driven orchestrator, controller hierarchy and device drivers."""
 
-    def __init__(self, topo: RingTopology, kernel: Kernel, rng: SimRng,
+    def __init__(self, state: RingState, kernel: Kernel, rng: SimRng,
                  timings: Optional[PhaseTimings] = None,
                  probe_cfg: Optional[ProbeConfig] = None,
                  jitter: bool = False) -> None:
-        self.topo = topo
+        self.state = state
+        self.ring = state.ring
         self.kernel = kernel
         self.rng = rng
         self.timings = timings or PhaseTimings()
@@ -271,18 +261,17 @@ class OrchestrationStack:
         ns = rec.descriptor
         demand: dict[NodeId, tuple[int, int]] = {}
         for vnf in ns.vnfs:
-            if vnf.target_compute not in self.topo.compute_nodes:
+            if vnf.target_compute not in self.ring.compute_nodes:
                 raise PlacementFailed(f"unknown compute node {vnf.target_compute}")
             cpu, mem = demand.get(vnf.target_compute, (0, 0))
             demand[vnf.target_compute] = (cpu + vnf.vcpu, mem + vnf.mem_mb)
+        free_cpu, free_mem = self.state.vcpu_free, self.state.mem_free_mb
         for node_id, (cpu, mem) in demand.items():
-            node = self.topo.compute_nodes[node_id]
-            if cpu > node.vcpu_free or mem > node.mem_free_mb:
+            if cpu > free_cpu[node_id] or mem > free_mem[node_id]:
                 raise PlacementFailed(f"insufficient capacity on {node_id}")
         for node_id, (cpu, mem) in demand.items():
-            node = self.topo.compute_nodes[node_id]
-            node.vcpu_free -= cpu
-            node.mem_free_mb -= mem
+            free_cpu[node_id] -= cpu
+            free_mem[node_id] -= mem
 
         rec.timestamps.t_vnfs_started = self.kernel.now()
         pending = len(ns.vnfs)
@@ -305,9 +294,8 @@ class OrchestrationStack:
     def release_vnfs(self, rec: ServiceRecord) -> None:
         for vnf in rec.descriptor.vnfs:
             if vnf.name in rec.placements:
-                node = self.topo.compute_nodes[rec.placements[vnf.name]]
-                node.vcpu_free += vnf.vcpu
-                node.mem_free_mb += vnf.mem_mb
+                self.state.vcpu_free[rec.placements[vnf.name]] += vnf.vcpu
+                self.state.mem_free_mb[rec.placements[vnf.name]] += vnf.mem_mb
         rec.placements.clear()
 
     def _vnfs_ready(self, rec: ServiceRecord) -> None:
@@ -320,23 +308,24 @@ class OrchestrationStack:
 
     def select_path(self, a_tp: NodeId, b_tp: NodeId) -> OpticalPath:
         """Fewest ROADM hops wins; length breaks ties."""
-        candidates = find_ring_paths(a_tp, b_tp, self.topo)
-        return min(candidates, key=lambda p: (
-            len(p.links), sum(self.topo.links[l].length_m for l in p.links)))
+        if (a_tp, b_tp) not in self.ring.arcs:
+            raise NoPath(f"{a_tp} and {b_tp} terminate on the same ROADM")
+        return min(self.ring.arcs[(a_tp, b_tp)], key=lambda p: (
+            len(p.links), sum(self.ring.links[l].length_m for l in p.links)))
 
     def assign_channel(self, path: OpticalPath) -> ChannelId:
-        for ch in range(self.topo.channel_grid):
+        for ch in range(self.ring.channel_grid):
             if all((link, ch) not in self.channel_ledger for link in path.links):
                 return ch
         raise ChannelExhausted(
             f"no free channel on {'+'.join(path.links)} "
-            f"(grid size {self.topo.channel_grid})")
+            f"(grid size {self.ring.channel_grid})")
 
     def setup_connectivity(self, rec: ServiceRecord) -> None:
         """Reserve resources now; push device configuration through events."""
         a_tp, b_tp = rec.descriptor.connectivity.endpoints
         for tp_id in (a_tp, b_tp):
-            tp = self.topo.transponders.get(tp_id)
+            tp = self.state.transponders.get(tp_id)
             if tp is None:
                 raise TransponderUnavailable(f"no transponder {tp_id}")
             if tp.claimed_by not in (None, rec.request_id):
@@ -348,7 +337,7 @@ class OrchestrationStack:
         for link_id in path.links:
             self.channel_ledger[(link_id, channel)] = rec.request_id
         for tp_id in (a_tp, b_tp):
-            self.topo.transponders[tp_id].claimed_by = rec.request_id
+            self.state.transponders[tp_id].claimed_by = rec.request_id
         rec.path = replace(path, channel=channel)
         rec.channel = channel
         self.kernel.schedule_in(
@@ -366,24 +355,25 @@ class OrchestrationStack:
 
         A visit drops the service's earlier pass entries at that ROADM, then
         passes ``path``'s channel through it if the path runs through it, or
-        opens it for add/drop if the path ends there.  The last visit calls
-        ``then``.
+        opens it for add/drop if the path ends there; for a service torn
+        down meanwhile it writes nothing.  The last visit calls ``then``.
         """
         channel = path.channel
         hops = len(path.links)
-        order = list(path.roadms) + [r for r in self.topo.ring_order
+        order = list(path.roadms) + [r for r in self.ring.ring_order
                                      if r not in path.roadms]
         step = self.timings.roadm_config_ns
 
         def visit(i: int) -> None:
-            roadm = self.topo.roadms[order[i]]
-            roadm.passing -= rec.passes.pop(roadm.id, set())
-            if 0 < i < hops:
-                rec.passes[roadm.id] = {(path.links[i - 1], channel),
-                                        (path.links[i], channel)}
-                roadm.passing |= rec.passes[roadm.id]
-            elif i in (0, hops):
-                roadm.add_drop_channels.add(channel)
+            if rec.status is not ServiceStatus.TORN_DOWN:
+                roadm = self.state.roadms[order[i]]
+                roadm.passing -= rec.passes.pop(order[i], set())
+                if 0 < i < hops:
+                    rec.passes[order[i]] = {(path.links[i - 1], channel),
+                                            (path.links[i], channel)}
+                    roadm.passing |= rec.passes[order[i]]
+                elif i in (0, hops):
+                    roadm.add_drop_channels.add(channel)
             if i + 1 == len(order):
                 then()
 
@@ -415,7 +405,7 @@ class OrchestrationStack:
                                         kind=f"{rec.request_id}:probe")
 
         for i, tp_id in enumerate((rec.path.source, rec.path.destination)):
-            tp = self.topo.transponders[tp_id]
+            tp = self.state.transponders[tp_id]
             rng = rec.rng.split(2, i) if self.jitter else None
             schedule = transponder_lifecycle(tp, self.kernel.now(), self.kernel,
                                              rng=rng)
@@ -429,7 +419,7 @@ class OrchestrationStack:
     def _verify_probe(self, rec: ServiceRecord) -> None:
         assert rec.path is not None
         rng = rec.rng.split(3) if self.jitter else None
-        rec.probe = measure_round_trip(rec.path, self.topo, self.probe_cfg,
+        rec.probe = measure_round_trip(rec.path, self.state, self.probe_cfg,
                                        kernel=self.kernel, rng=rng)
         rec.timestamps.t_probe_verified = self.kernel.now()
         req = rec.descriptor.connectivity.max_rt_latency_ns
@@ -475,8 +465,8 @@ class OrchestrationStack:
         assert rec.path is not None and rec.channel is not None
         old_path, channel = rec.path, rec.channel
         # the two arcs partition the ring, so the spare is the other direction
-        alt = next(p for p in find_ring_paths(old_path.source,
-                                              old_path.destination, self.topo)
+        alt = next(p for p in self.ring.arcs[(old_path.source,
+                                              old_path.destination)]
                    if p.direction != old_path.direction)
         for link_id in alt.links:
             owner = self.channel_ledger.get((link_id, channel))
@@ -490,6 +480,8 @@ class OrchestrationStack:
             self.channel_ledger[(link_id, channel)] = rec.request_id
 
         def retune_done() -> None:
+            if rec.status is ServiceStatus.TORN_DOWN:
+                return
             rec.path = new_path
             for link_id in old_path.links:
                 if self.channel_ledger.get((link_id, channel)) == rec.request_id \
@@ -526,7 +518,7 @@ class OrchestrationStack:
         self._release_channel(rec)
         if rec.path is not None:
             for tp_id in (rec.path.source, rec.path.destination):
-                tp = self.topo.transponders[tp_id]
+                tp = self.state.transponders[tp_id]
                 if tp.claimed_by == rec.request_id:
                     transponder_teardown(tp)
             # another live service may end at the same ROADM on this channel
@@ -538,7 +530,7 @@ class OrchestrationStack:
                 for end in (other.path.roadms[0], other.path.roadms[-1])}
             for end in (rec.path.roadms[0], rec.path.roadms[-1]):
                 if end not in still_used:
-                    self.topo.roadms[end].add_drop_channels.discard(
+                    self.state.roadms[end].add_drop_channels.discard(
                         rec.channel)
         rec.transition(ServiceStatus.TORN_DOWN)
 
@@ -550,17 +542,17 @@ class OrchestrationStack:
         for k in gone:
             del self.channel_ledger[k]
         for roadm_id, entries in rec.passes.items():
-            self.topo.roadms[roadm_id].passing -= entries
+            self.state.roadms[roadm_id].passing -= entries
         rec.passes.clear()
 
     # --------------------------------------------------------- invariants
 
     def verify_invariants(self) -> list[str]:
         problems = check_no_light_loop(self) + check_channel_exclusivity(self)
-        for node in self.topo.compute_nodes.values():
-            if not 0 <= node.vcpu_free <= node.vcpu_capacity:
+        for node in self.ring.compute_nodes.values():
+            if not 0 <= self.state.vcpu_free[node.id] <= node.vcpu_capacity:
                 problems.append(f"{node.id}: vcpu accounting out of range")
-            if not 0 <= node.mem_free_mb <= node.mem_capacity_mb:
+            if not 0 <= self.state.mem_free_mb[node.id] <= node.mem_capacity_mb:
                 problems.append(f"{node.id}: memory accounting out of range")
         for rec in self.services.values():
             stamped = [v for v in vars(rec.timestamps).values() if v is not None]

@@ -21,7 +21,7 @@ from .errors import DetectionTooLate, OutOfOrderSample, TwinError
 from .optics import (AttenuationRamp, OpticalPlant, SignalModel,
                      TelemetrySample, ber_from_snr, snr_from_ber)
 from .simkernel import Kernel, SECOND, SimRng, SimTime
-from .topology import OpticalPath, RingTopology
+from .topology import OpticalPath
 
 
 @dataclass(frozen=True)
@@ -142,7 +142,6 @@ def anticipation_time(detection: DegradationEvent, t_cross: SimTime) -> SimTime:
 class SoftFailWorld:
     """One freshly provisioned repetition: kernel, plant and an active service."""
     kernel: Kernel
-    topo: RingTopology
     plant: OpticalPlant
     stack: OrchestrationStack
     record: ServiceRecord
@@ -181,9 +180,8 @@ _BLOCK = 1024
 
 # Samples up to this far above the highest SNR that meets a fail criterion
 # are tested with the exact fail predicate.  BER falls as SNR rises, and
-# snr_from_ber inverts ber_from_snr to within 2e-14 dB (a sweep of
-# fail_ber_above from 1e-299 up to the LOS floor limit, penalties 0 to
-# 10 dB), so a sample beyond the margin cannot meet the BER criterion.
+# above snr_from_ber's result it no longer exceeds fail_ber_above, so there
+# only an SNR whose BER equals that limit exactly meets the BER criterion.
 _CROSS_MARGIN_DB = 1e-6
 
 # Sample instants are int64 nanoseconds.

@@ -19,16 +19,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import erfcinv
 
 from .errors import IllegalTransition, PathNotOperational, RampConflict
 from .simkernel import Kernel, SECOND, SimRng, SimTime
-from .topology import (
-    OpticalPath,
-    RingTopology,
-    TransponderNode,
-    TransponderState,
-)
+from .topology import OpticalPath, RingState, Transponder, TransponderState
 
 SPEED_OF_LIGHT_M_PER_S = 299792458.0
 
@@ -134,13 +128,27 @@ def ber_from_snr(snr_db: float, model: SignalModel) -> float:
 
 
 def snr_from_ber(ber: float, model: SignalModel) -> float:
-    """The SNR at which ``ber_from_snr`` gives ``ber``; its inverse."""
-    x = float(erfcinv(2.0 * ber))
-    return 10.0 * math.log10(2.0 * x * x) + model.implementation_penalty_db
+    """The inverse of ``ber_from_snr``: the largest float SNR at which it
+    gives more than ``ber``, for ``ber`` in (BER_FLOOR, BER_CEIL).
+
+    Bisects over floats.  The BER depends on SNR minus the penalty only; it
+    rounds to BER_CEIL 400 dB below the penalty and is clamped to BER_FLOOR
+    40 dB above it, which brackets every such ``ber``.
+    """
+    lo = model.implementation_penalty_db - 400.0
+    hi = model.implementation_penalty_db + 40.0
+    while True:
+        mid = lo + (hi - lo) / 2
+        if mid in (lo, hi):
+            return lo
+        if ber_from_snr(mid, model) > ber:
+            lo = mid
+        else:
+            hi = mid
 
 
 def transponder_lifecycle(
-    tp: TransponderNode,
+    tp: Transponder,
     configure_at: SimTime,
     kernel: Kernel,
     rng: Optional[SimRng] = None,
@@ -152,17 +160,18 @@ def transponder_lifecycle(
     ``TRANSPONDER_JITTER_CV``, otherwise exact.  Returns the planned (time,
     state) schedule; the state mutations happen as kernel events fire.
     """
+    node = tp.node
     if tp.state is not TransponderState.OFF or tp.lifecycle_pending:
         raise IllegalTransition(
-            f"transponder {tp.id} is {tp.state.value}, lifecycle needs Off")
+            f"transponder {node.id} is {tp.state.value}, lifecycle needs Off")
     if rng is None:
-        config_ns = tp.config_duration_ns
-        warmup_ns = tp.warmup_duration_ns
+        config_ns = node.config_duration_ns
+        warmup_ns = node.warmup_duration_ns
     else:
         config_ns = round(rng.lognormal_mean_cv(
-            tp.config_duration_ns / SECOND, TRANSPONDER_JITTER_CV) * SECOND)
+            node.config_duration_ns / SECOND, TRANSPONDER_JITTER_CV) * SECOND)
         warmup_ns = round(rng.lognormal_mean_cv(
-            tp.warmup_duration_ns / SECOND, TRANSPONDER_JITTER_CV) * SECOND)
+            node.warmup_duration_ns / SECOND, TRANSPONDER_JITTER_CV) * SECOND)
 
     schedule = [
         (configure_at, TransponderState.CONFIGURING),
@@ -177,11 +186,11 @@ def transponder_lifecycle(
         return setter
 
     for at, state in schedule:
-        kernel.schedule(make_setter(state), at, kind=f"tp:{tp.id}:{state.value}")
+        kernel.schedule(make_setter(state), at, kind=f"tp:{node.id}:{state.value}")
     return schedule
 
 
-def transponder_teardown(tp: TransponderNode) -> None:
+def transponder_teardown(tp: Transponder) -> None:
     """Any state back to Off; releases the claim."""
     tp.state = TransponderState.OFF
     tp.lifecycle_pending = False
@@ -192,15 +201,15 @@ class OpticalPlant:
     """Time-varying physical state: ramps, receiver SNR, telemetry.
 
     Ramps are kept here, one per link, and the receiver SNR at any instant
-    is computed from them; the ring's ``FiberLink`` objects stay unchanged.
+    is computed from them; the shared ring is never written.
     """
 
-    def __init__(self, topo: RingTopology):
-        self.topo = topo
+    def __init__(self, state: RingState):
+        self.state = state
         self._ramps: dict[str, AttenuationRamp] = {}  # link id -> ramp
 
     def apply_attenuation_ramp(self, ramp: AttenuationRamp) -> None:
-        if ramp.link_id not in self.topo.links:
+        if ramp.link_id not in self.state.ring.links:
             raise KeyError(f"unknown link {ramp.link_id!r}")
         if ramp.link_id in self._ramps:
             raise RampConflict(f"link {ramp.link_id} already has an active ramp")
@@ -210,7 +219,7 @@ class OpticalPlant:
         if path.channel is None:
             raise PathNotOperational(f"path {path.source}->{path.destination} has no channel")
         for tp_id in (path.source, path.destination):
-            tp = self.topo.transponders[tp_id]
+            tp = self.state.transponders[tp_id]
             if tp.state is not TransponderState.OPERATIONAL:
                 raise PathNotOperational(f"transponder {tp_id} is {tp.state.value}")
 

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import PathNotOperational, RankDeficient, Underdetermined
 from .optics import rt_propagation_delay
 from .simkernel import Kernel, SimRng
-from .topology import OpticalPath, RingTopology, TransponderState
+from .topology import OpticalPath, RingState, TransponderState
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ def estimate_rt_propagation(length_m: float, group_index: float) -> int:
     return rt_propagation_delay(length_m, group_index)
 
 
-def measure_round_trip(path: OpticalPath, topo: RingTopology, cfg: ProbeConfig,
+def measure_round_trip(path: OpticalPath, state: RingState, cfg: ProbeConfig,
                        kernel: Optional[Kernel] = None,
                        rng: Optional[SimRng] = None) -> LatencyMeasurement:
     """One probe shot over an operational path.
@@ -65,14 +65,14 @@ def measure_round_trip(path: OpticalPath, topo: RingTopology, cfg: ProbeConfig,
     if path.channel is None:
         raise PathNotOperational("path has no channel assigned")
     for tp_id in (path.source, path.destination):
-        if topo.transponders[tp_id].state is not TransponderState.OPERATIONAL:
+        if state.transponders[tp_id].state is not TransponderState.OPERATIONAL:
             raise PathNotOperational(f"transponder {tp_id} not operational")
 
     prop = 0
     residual = 0
     length = 0.0
     for link_id in path.links:
-        link = topo.links[link_id]
+        link = state.ring.links[link_id]
         prop += rt_propagation_delay(link.length_m, link.group_index)
         residual += link.legacy_residual_delay_ns
         length += link.length_m

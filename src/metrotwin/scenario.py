@@ -26,7 +26,7 @@ from .optics import OpticalPlant, SignalModel
 from .probe import (LatencyMeasurement, ProbeConfig, budget_from_config,
                     fit_budget, measure_round_trip)
 from .simkernel import Kernel, SECOND, SimRng
-from .topology import FiberLink, build_ring
+from .topology import FiberLink, RingState, RingTopology, build_ring
 
 ARTIFACT_VERSION = 1
 EXPERIMENTS = ("setup_kpi", "latency", "softfail", "full_demo")
@@ -119,7 +119,7 @@ _TABLE = {
     "service.vnfs[]": (VnfDescriptor, {
         "name": _NAME,
         "vcpu": _Key("integer", low=0), "mem_mb": _Key("integer", low=0),
-        "instantiation_mean_s": _Key("number", above=0),
+        "instantiation_mean_s": _Key("number", above=0, high=_MAX_S),
         "instantiation_cv": _Key("number", low=0),
         "compute": _Key("string", True, field="target_compute")}),
     "service.connectivity": (ConnectivityRequirements, {
@@ -270,10 +270,11 @@ class Softfail:
 @dataclass
 class Scenario:
     """A validated scenario: the document as parsed, and the typed objects
-    read from it once."""
+    read from it once, its ring among them."""
     experiment: str
     seed: int
     raw: dict  # as parsed: reports echo it and ``serialize`` writes it
+    ring: RingTopology
     service: Service
     latency: Optional[Latency] = None
     softfail: Optional[Softfail] = None
@@ -283,13 +284,13 @@ class Scenario:
         return json.dumps(self.raw, sort_keys=True, indent=2) + "\n"
 
 
-def _sections(doc: dict, top: dict, errors: list[str]
-              ) -> tuple[Service, Optional[Latency], Optional[Softfail]]:
-    """The typed sections of a document that passed the table; builds the
-    ring once and checks every name the sections give against it."""
+def _sections(doc: dict, top: dict, errors: list[str]) -> tuple[
+        RingTopology, Service, Optional[Latency], Optional[Softfail]]:
+    """The ring and typed sections of a document that passed the table;
+    checks every name the sections give against the ring."""
     ring = _make(errors, "topology", build_ring, doc["topology"])
     if ring is None:
-        return None, None, None
+        return None, None, None, None
 
     def known(where: str, name: str, names: dict) -> bool:
         if name not in names:
@@ -304,9 +305,10 @@ def _sections(doc: dict, top: dict, errors: list[str]
     for i, end in enumerate((a, b)):
         known(f"service.connectivity.endpoints[{i}]", end, ring.transponders)
     if a != b and a in ring.transponders and b in ring.transponders \
-            and ring.transponder_roadm(a) == ring.transponder_roadm(b):
+            and (a, b) not in ring.arcs:
         errors.append(f"service.connectivity.endpoints: {a} and {b} "
-                      f"terminate on the same ROADM {ring.transponder_roadm(a)}")
+                      f"terminate on the same ROADM "
+                      f"{ring.transponders[a].attached_roadm}")
     service = Service(_make(errors, "service", NsDescriptor, svc.pop("name"),
                             svc.pop("vnfs"), svc.pop("connectivity")), **svc)
 
@@ -346,7 +348,7 @@ def _sections(doc: dict, top: dict, errors: list[str]
             cases.append(SoftfailCase(case.pop("name", f"case{i + 1}"), cfg,
                                       case))
         softfail = Softfail(**{**softfail, "cases": cases})
-    return service, latency, softfail
+    return ring, service, latency, softfail
 
 
 def scenario_from_dict(doc: dict, lenient: bool = False) -> Scenario:
@@ -399,17 +401,15 @@ def load_scenario(source: Union[str, Path], lenient: bool = False) -> Scenario:
 
 
 def build_world(sc: Scenario, spawn_key: tuple[int, ...],
-                measured_link: Optional[FiberLink] = None,
+                ring: Optional[RingTopology] = None,
                 trace_sink: Optional[IO[str]] = None) -> SoftFailWorld:
-    """Provision one isolated world and deploy the scenario's service in it;
-    a latency case's ``measured_link`` replaces the link of the same id."""
-    topo = build_ring(sc.raw["topology"])
-    if measured_link is not None:
-        topo.links[measured_link.id] = measured_link
+    """Provision one isolated world on ``ring``, a latency case's or else
+    the scenario's, and deploy the scenario's service in it."""
+    state = RingState(ring or sc.ring)
     kernel = Kernel(trace=trace_sink)
     rng = SimRng(sc.seed, spawn_key=spawn_key)
     stack = OrchestrationStack(
-        topo, kernel, rng.split(0),
+        state, kernel, rng.split(0),
         timings=sc.service.timings,
         probe_cfg=sc.latency.probe if sc.latency else None,
         jitter=sc.service.jitter)
@@ -418,7 +418,7 @@ def build_world(sc: Scenario, spawn_key: tuple[int, ...],
     if record.status.value != "Active":
         raise TwinError(f"deployment ended {record.status.value}: "
                         f"{record.failure_reason}")
-    return SoftFailWorld(kernel=kernel, topo=topo, plant=OpticalPlant(topo),
+    return SoftFailWorld(kernel=kernel, plant=OpticalPlant(state),
                          stack=stack, record=record, rng=rng)
 
 
@@ -490,14 +490,17 @@ def _run_latency(sc: Scenario, trace_sink=None) -> dict:
     rows = []
     deltas = []
     for case_idx, link in enumerate(latency.cases):
+        # the case's length replaces the measured link's, in its worlds only
+        ring = replace(sc.ring, links={**sc.ring.links, link.id: link})
         measured = []
         estimated = None
         for rep in range(latency.repetitions):
-            world = build_world(sc, (200 + case_idx, rep), measured_link=link,
+            world = build_world(sc, (200 + case_idx, rep), ring,
                                 trace_sink=trace_sink)
             rec = world.record
             probe_rng = world.rng.split(5)
-            m = measure_round_trip(rec.path, world.topo, world.stack.probe_cfg,
+            m = measure_round_trip(rec.path, world.stack.state,
+                                   world.stack.probe_cfg,
                                    kernel=world.kernel, rng=probe_rng)
             measured.append(m.measured_rt_ns)
             estimated = m.estimated_rt_prop_ns

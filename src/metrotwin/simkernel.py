@@ -69,7 +69,10 @@ class SimRng:
             for label in self.spawn_key:
                 words += _words(label)
             seq = np.random.SeedSequence(np.array(words, dtype=np.uint32))
-            self._gen = np.random.Generator(np.random.Philox(seq))
+            # the default counter 0 as an array, which spares numpy's Python
+            # conversion of an int counter; the bits are the same
+            self._gen = np.random.Generator(np.random.Philox(
+                seq, counter=np.zeros(4, np.uint64)))
         return self._gen
 
     def normal(self, mu: float = 0.0, sigma: float = 1.0,

@@ -1,10 +1,14 @@
-"""Static model of the demo plant.
+"""The demo plant: a ring shared by every world, and one world's state on it.
 
 A ring of 2-degree semi-filterless ROADMs (wavelength blocker + splitters),
 coherent transponders on drop ports, one aggregation switch and one edge
-compute node behind each transponder.  Immutable after ``build_ring`` except
-blocker pass sets, add/drop channels, transponder state and free compute
-capacity, which only the orchestration stack and transponder lifecycle change.
+compute node behind each transponder.  ``build_ring`` validates a scenario's
+topology section into a frozen ``RingTopology``, once per scenario: links,
+ring order, channel grid, transponder attachments and durations, compute
+capacities, and both arcs between every pair of transponders.  Each world
+owns only a ``RingState`` over it: blocker pass sets and add/drop channels,
+transponder state and claim, and free compute capacity, which only the
+orchestration stack and transponder lifecycle change.
 
 Blocker convention: each 2-degree ROADM has two through-directions, keyed by
 the ring link the light would exit on.  A ROADM passes exactly the (exit
@@ -18,9 +22,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
-from .errors import NoPath, TopologyInvalid
+from .errors import TopologyInvalid
 
 NodeId = str
 ChannelId = int
@@ -35,23 +40,12 @@ class TransponderState(enum.Enum):
     OPERATIONAL = "Operational"
 
 
-@dataclass
-class RoadmNode:
-    id: NodeId
-    # the (exit link id, channel) pairs the blocker passes; the rest are dark
-    passing: set[tuple[str, ChannelId]] = field(default_factory=set)
-    add_drop_channels: set[ChannelId] = field(default_factory=set)
-
-
-@dataclass
+@dataclass(frozen=True)
 class TransponderNode:
     id: NodeId
     attached_roadm: NodeId
-    state: TransponderState = TransponderState.OFF
     config_duration_ns: int = 2_000_000_000
     warmup_duration_ns: int = 125_000_000_000
-    claimed_by: Optional[str] = None  # service request id holding this transponder
-    lifecycle_pending: bool = False  # a lifecycle schedule already exists
 
 
 @dataclass(frozen=True)
@@ -69,29 +63,18 @@ class FiberLink:
             raise TopologyInvalid(f"link {self.id}: group index {self.group_index} outside [1, 2]")
 
 
-@dataclass
-class AggSwitchNode:
-    id: NodeId
-    attached_transponder: NodeId
-
-
-@dataclass
+@dataclass(frozen=True)
 class ComputeNode:
     id: NodeId
-    attached_switch: NodeId
     vcpu_capacity: int = 16
     mem_capacity_mb: int = 32768
-    vcpu_free: int = 0
-    mem_free_mb: int = 0
 
     def __post_init__(self) -> None:
         if self.vcpu_capacity <= 0 or self.mem_capacity_mb <= 0:
             raise TopologyInvalid(f"compute {self.id}: capacities must be positive")
-        self.vcpu_free = self.vcpu_capacity
-        self.mem_free_mb = self.mem_capacity_mb
 
 
-@dataclass
+@dataclass(frozen=True)
 class OpticalPath:
     source: NodeId  # transponder id
     destination: NodeId
@@ -101,33 +84,79 @@ class OpticalPath:
     channel: Optional[ChannelId] = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class RingTopology:
-    roadms: dict[NodeId, RoadmNode]
-    links: dict[str, FiberLink]  # ring links only
-    transponders: dict[NodeId, TransponderNode]
-    switches: dict[NodeId, AggSwitchNode]
-    compute_nodes: dict[NodeId, ComputeNode]
+    """A validated ring, shared read-only by every world built on it."""
+    links: Mapping[str, FiberLink]  # ring links only
     ring_order: tuple[NodeId, ...]  # roadm cycle in clockwise orientation
+    ring_links: tuple[str, ...]  # ring_links[i] joins ring_order[i] and [i + 1]
+    transponders: Mapping[NodeId, TransponderNode]
+    compute_nodes: Mapping[NodeId, ComputeNode]
     channel_grid: int = DEFAULT_CHANNEL_GRID
+    # (source, destination) transponders on distinct ROADMs -> their two
+    # arcs, shorter first (clockwise on a tie); the arcs are link-disjoint
+    # and partition the ring
+    arcs: Mapping[tuple[NodeId, NodeId], tuple[OpticalPath, OpticalPath]] = \
+        field(init=False, repr=False)
 
-    def neighbors(self, roadm: NodeId) -> dict[str, NodeId]:
-        """Ring links incident to a ROADM: link id -> far-end ROADM."""
-        out = {}
-        for lk in self.links.values():
-            if lk.endpoints[0] == roadm:
-                out[lk.id] = lk.endpoints[1]
-            elif lk.endpoints[1] == roadm:
-                out[lk.id] = lk.endpoints[0]
-        return out
+    def __post_init__(self) -> None:
+        for name in ("links", "transponders", "compute_nodes"):
+            object.__setattr__(self, name,
+                               MappingProxyType(dict(getattr(self, name))))
+        arcs = {}
+        for a, ta in self.transponders.items():
+            for b, tb in self.transponders.items():
+                if ta.attached_roadm != tb.attached_roadm:
+                    arcs[(a, b)] = tuple(sorted(
+                        (self._arc(a, b, clockwise) for clockwise in (True, False)),
+                        key=lambda p: sum(self.links[l].length_m for l in p.links)))
+        object.__setattr__(self, "arcs", MappingProxyType(arcs))
 
-    def other_link(self, roadm: NodeId, link_id: str) -> str:
-        """The second ring link at a 2-degree ROADM."""
-        incident = [l for l in self.neighbors(roadm) if l != link_id]
-        return incident[0]
+    def _arc(self, a: NodeId, b: NodeId, clockwise: bool) -> OpticalPath:
+        """Walk the ring from transponder ``a``'s ROADM to ``b``'s."""
+        order, n = self.ring_order, len(self.ring_order)
+        end = self.transponders[b].attached_roadm
+        i = order.index(self.transponders[a].attached_roadm)
+        nodes, links = [order[i]], []
+        while nodes[-1] != end:
+            j = (i + (1 if clockwise else -1)) % n
+            links.append(self.ring_links[i if clockwise else j])
+            nodes.append(order[j])
+            i = j
+        return OpticalPath(
+            source=a, destination=b, links=tuple(links), roadms=tuple(nodes),
+            direction="clockwise" if clockwise else "counterclockwise")
 
-    def transponder_roadm(self, tp_id: NodeId) -> NodeId:
-        return self.transponders[tp_id].attached_roadm
+
+@dataclass
+class Roadm:
+    """A ROADM's blocker in one world."""
+    # the (exit link id, channel) pairs the blocker passes; the rest are dark
+    passing: set[tuple[str, ChannelId]] = field(default_factory=set)
+    add_drop_channels: set[ChannelId] = field(default_factory=set)
+
+
+@dataclass
+class Transponder:
+    """A transponder in one world."""
+    node: TransponderNode
+    state: TransponderState = TransponderState.OFF
+    claimed_by: Optional[str] = None  # service request id holding this transponder
+    lifecycle_pending: bool = False  # a lifecycle schedule already exists
+
+
+class RingState:
+    """One world's mutable state on a shared ring."""
+
+    def __init__(self, ring: RingTopology) -> None:
+        self.ring = ring
+        self.roadms = {r: Roadm() for r in ring.ring_order}
+        self.transponders = {t: Transponder(node)
+                             for t, node in ring.transponders.items()}
+        self.vcpu_free = {c: node.vcpu_capacity
+                          for c, node in ring.compute_nodes.items()}
+        self.mem_free_mb = {c: node.mem_capacity_mb
+                            for c, node in ring.compute_nodes.items()}
 
 
 def _given(entry: dict, *keys: str) -> dict:
@@ -136,7 +165,7 @@ def _given(entry: dict, *keys: str) -> dict:
 
 
 def build_ring(section: dict) -> RingTopology:
-    """Validate a scenario topology section and assemble the plant.
+    """Validate a scenario topology section into the ring its worlds share.
 
     Raises TopologyInvalid for duplicate names, rings smaller than 3 ROADMs,
     link sets that do not form a single cycle, or dangling attachments.
@@ -155,7 +184,7 @@ def build_ring(section: dict) -> RingTopology:
         seen.add(name)
         return name
 
-    roadms = {unique(n, "roadm"): RoadmNode(id=n) for n in roadm_names}
+    roadms = {unique(n, "roadm") for n in roadm_names}
 
     links: dict[str, FiberLink] = {}
     for entry in section.get("links", []):
@@ -184,10 +213,12 @@ def build_ring(section: dict) -> RingTopology:
 
     start = roadm_names[0]
     order = [start]
+    ring_links: list[str] = []
     prev_link = None
     node = start
     while True:
         nxt_link = [l for l in incident[node] if l != prev_link][0]
+        ring_links.append(nxt_link)
         far = links[nxt_link].endpoints[1] if links[nxt_link].endpoints[0] == node \
             else links[nxt_link].endpoints[0]
         if far == start:
@@ -209,77 +240,37 @@ def build_ring(section: dict) -> RingTopology:
     if len(transponders) < 2:
         raise TopologyInvalid("need at least 2 transponders")
 
-    switches: dict[str, AggSwitchNode] = {}
+    switches: dict[str, NodeId] = {}  # switch -> its transponder
     for entry in section.get("switches", []):
         name = unique(entry["id"], "switch")
         tp = entry["transponder"]
         if tp not in transponders:
             raise TopologyInvalid(f"switch {name}: unknown transponder {tp!r}")
-        switches[name] = AggSwitchNode(id=name, attached_transponder=tp)
+        switches[name] = tp
 
     compute_nodes: dict[str, ComputeNode] = {}
+    behind: dict[str, NodeId] = {}  # compute node -> its switch
     for entry in section.get("compute_nodes", []):
         name = unique(entry["id"], "compute node")
         sw = entry["switch"]
         if sw not in switches:
             raise TopologyInvalid(f"compute node {name}: unknown switch {sw!r}")
-        compute_nodes[name] = ComputeNode(id=name, attached_switch=sw, **_given(
+        compute_nodes[name] = ComputeNode(id=name, **_given(
             entry, "vcpu_capacity", "mem_capacity_mb"))
+        behind[name] = sw
 
     # Every transponder needs exactly one switch and one compute node behind it.
     for tp in transponders:
-        owners = [s for s in switches.values() if s.attached_transponder == tp]
+        owners = [s for s, owner in switches.items() if owner == tp]
         if len(owners) != 1:
             raise TopologyInvalid(f"transponder {tp} needs exactly 1 switch, has {len(owners)}")
-        behind = [c for c in compute_nodes.values() if c.attached_switch == owners[0].id]
-        if len(behind) != 1:
+        computes = [c for c, sw in behind.items() if sw == owners[0]]
+        if len(computes) != 1:
             raise TopologyInvalid(
-                f"switch {owners[0].id} needs exactly 1 compute node, has {len(behind)}")
+                f"switch {owners[0]} needs exactly 1 compute node, has {len(computes)}")
 
     return RingTopology(
-        roadms=roadms, links=links, transponders=transponders,
-        switches=switches, compute_nodes=compute_nodes,
-        ring_order=tuple(order),
+        links=links, ring_order=tuple(order), ring_links=tuple(ring_links),
+        transponders=transponders, compute_nodes=compute_nodes,
         channel_grid=section.get("channel_grid_size", DEFAULT_CHANNEL_GRID),
     )
-
-
-def _arc(topo: RingTopology, start: NodeId, end: NodeId, clockwise: bool) -> tuple[tuple[str, ...], tuple[NodeId, ...]]:
-    """Walk the ring from one ROADM to another in a fixed orientation."""
-    order = topo.ring_order
-    n = len(order)
-    idx = {r: i for i, r in enumerate(order)}
-    step = 1 if clockwise else -1
-    link_by_pair = {}
-    for lk in topo.links.values():
-        link_by_pair[frozenset(lk.endpoints)] = lk.id
-    nodes = [start]
-    links = []
-    i = idx[start]
-    while nodes[-1] != end:
-        j = (i + step) % n
-        links.append(link_by_pair[frozenset((order[i], order[j]))])
-        nodes.append(order[j])
-        i = j
-    return tuple(links), tuple(nodes)
-
-
-def find_ring_paths(a: NodeId, b: NodeId, topo: RingTopology) -> list[OpticalPath]:
-    """The two candidate arcs between transponders on distinct ROADMs.
-
-    Returned ordered by total length ascending; channel left unset.  The two
-    arcs are link-disjoint and partition the ring's links.
-    """
-    ra, rb = topo.transponder_roadm(a), topo.transponder_roadm(b)
-    if ra == rb:
-        raise NoPath(f"{a} and {b} terminate on the same ROADM {ra}")
-    candidates = []
-    for clockwise in (True, False):
-        links, nodes = _arc(topo, ra, rb, clockwise)
-        candidates.append(OpticalPath(
-            source=a, destination=b, links=links, roadms=nodes,
-            direction="clockwise" if clockwise else "counterclockwise",
-        ))
-    candidates.sort(key=lambda p: (sum(topo.links[l].length_m for l in p.links), p.direction))
-    return candidates
-

@@ -1,9 +1,12 @@
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
-from conftest import make_scenario
+from conftest import SCENARIO_DIR, make_scenario
 from metrotwin.cli import main
 from metrotwin.scenario import run_scenario, scenario_from_dict
 
@@ -319,6 +322,8 @@ def set_key(doc, path, value):
     # puts tp2 on roadm1 next to tp1, so the endpoints share a ROADM
     ("topology.transponders[1].roadm", "roadm1",
      "service.connectivity.endpoints"),
+    # its nanoseconds overflow the clock: exit 2 with an OverflowError before
+    ("service.vnfs[0].instantiation_mean_s", 1e300, None),
 ])
 def test_bad_document_fails_validation_naming_key(tmp_path, capsys, path,
                                                   value, named):
@@ -349,3 +354,14 @@ def test_unreachable_fail_threshold_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "softfail.signal" in err \
         and "LOS floor" in err
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(SCENARIO_DIR.parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, metrotwin.cli; print(sorted("
+         "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert loaded.strip() == "[]"

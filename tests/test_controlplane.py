@@ -7,7 +7,7 @@ from metrotwin.controlplane import (ConnectivityRequirements, NsDescriptor,
                                     check_no_light_loop, trace_channel_light)
 from metrotwin.errors import IllegalTransition, IncompleteRecord
 from metrotwin.simkernel import Kernel, SECOND, SimRng
-from metrotwin.topology import TransponderState, build_ring
+from metrotwin.topology import RingState, TransponderState, build_ring
 
 
 def descriptor(endpoints=("tp1", "tp2"), computes=("edge1", "edge2"),
@@ -22,10 +22,10 @@ def descriptor(endpoints=("tp1", "tp2"), computes=("edge1", "edge2"),
 
 
 def fresh_stack(section=None, jitter=False):
-    topo = build_ring(section or ring_section())
+    state = RingState(build_ring(section or ring_section()))
     kernel = Kernel()
-    stack = OrchestrationStack(topo, kernel, SimRng(0), jitter=jitter)
-    return topo, kernel, stack
+    stack = OrchestrationStack(state, kernel, SimRng(0), jitter=jitter)
+    return state, kernel, stack
 
 
 def deploy(stack, kernel, ns=None):
@@ -69,18 +69,18 @@ def test_kpis_refuse_incomplete_record():
 
 
 def test_path_choice_and_channel():
-    topo, kernel, stack = fresh_stack()
+    state, kernel, stack = fresh_stack()
     rec = deploy(stack, kernel)
     assert rec.path.links == ("r1-r2",)  # fewest hops wins over total length
     assert rec.channel == 0
-    assert topo.transponders["tp1"].claimed_by == rec.request_id
+    assert state.transponders["tp1"].claimed_by == rec.request_id
     assert stack.channel_ledger == {("r1-r2", 0): rec.request_id}
 
 
 def test_blockers_keep_light_on_the_arc():
-    topo, kernel, stack = fresh_stack()
+    state, kernel, stack = fresh_stack()
     rec = deploy(stack, kernel)
-    hops, drops, looped = trace_channel_light(topo, "roadm1", "r1-r2", 0)
+    hops, drops, looped = trace_channel_light(state, "roadm1", "r1-r2", 0)
     assert not looped
     assert drops == ["roadm2"]
     assert [h[0] for h in hops] == ["r1-r2"]  # terminal blocks stop the ring
@@ -88,12 +88,12 @@ def test_blockers_keep_light_on_the_arc():
 
 
 def test_placement_failure_keeps_capacity():
-    topo, kernel, stack = fresh_stack()
-    before = topo.compute_nodes["edge1"].vcpu_free
+    state, kernel, stack = fresh_stack()
+    before = state.vcpu_free["edge1"]
     rec = deploy(stack, kernel, descriptor(vcpu=1000))
     assert rec.status is ServiceStatus.FAILED
     assert "capacity" in rec.failure_reason
-    assert topo.compute_nodes["edge1"].vcpu_free == before
+    assert state.vcpu_free["edge1"] == before
 
 
 def test_vnfs_instantiate_in_parallel():
@@ -106,7 +106,7 @@ def test_vnfs_instantiate_in_parallel():
 
 
 def test_transponder_unavailable_fails_second_service():
-    topo, kernel, stack = fresh_stack()
+    state, kernel, stack = fresh_stack()
     first = deploy(stack, kernel)
     assert first.status is ServiceStatus.ACTIVE
     second = deploy(stack, kernel, descriptor())
@@ -114,8 +114,8 @@ def test_transponder_unavailable_fails_second_service():
     assert "TransponderUnavailable" in second.failure_reason
     # the failed request must not have disturbed the running one
     assert stack.verify_invariants() == []
-    cap = topo.compute_nodes["edge1"].vcpu_capacity
-    assert topo.compute_nodes["edge1"].vcpu_free == cap - 4  # only first's share held
+    cap = state.ring.compute_nodes["edge1"].vcpu_capacity
+    assert state.vcpu_free["edge1"] == cap - 4  # only first's share held
 
 
 def four_endpoint_section():
@@ -130,7 +130,7 @@ def four_endpoint_section():
 
 
 def test_second_service_gets_next_channel():
-    topo, kernel, stack = fresh_stack(four_endpoint_section())
+    state, kernel, stack = fresh_stack(four_endpoint_section())
     a = deploy(stack, kernel)
     b = deploy(stack, kernel, descriptor(endpoints=("tp3", "tp4"),
                                          computes=("edge3", "edge4")))
@@ -153,15 +153,15 @@ def test_channel_exhaustion():
 
 
 def test_teardown_returns_everything():
-    topo, kernel, stack = fresh_stack()
+    state, kernel, stack = fresh_stack()
     rec = deploy(stack, kernel)
     stack.teardown(rec)
     assert rec.status is ServiceStatus.TORN_DOWN
     assert stack.channel_ledger == {}
-    assert topo.compute_nodes["edge1"].vcpu_free == topo.compute_nodes["edge1"].vcpu_capacity
-    assert topo.transponders["tp1"].state is TransponderState.OFF
-    assert topo.transponders["tp1"].claimed_by is None
-    assert all(not r.passing for r in topo.roadms.values())
+    assert state.vcpu_free["edge1"] == state.ring.compute_nodes["edge1"].vcpu_capacity
+    assert state.transponders["tp1"].state is TransponderState.OFF
+    assert state.transponders["tp1"].claimed_by is None
+    assert all(not r.passing for r in state.roadms.values())
     # the ring is clean; an identical request succeeds again on channel 0
     again = deploy(stack, kernel, descriptor())
     assert again.status is ServiceStatus.ACTIVE and again.channel == 0
@@ -222,20 +222,20 @@ def test_teardown_keeps_add_drop_another_service_ends_on():
                         {"id": "sw5", "transponder": "tp5"}]
     sec["compute_nodes"] += [{"id": "edge4", "switch": "sw4"},
                              {"id": "edge5", "switch": "sw5"}]
-    topo, kernel, stack = fresh_stack(sec)
+    state, kernel, stack = fresh_stack(sec)
     a = deploy(stack, kernel)
     b = deploy(stack, kernel, descriptor(endpoints=("tp4", "tp5"),
                                          computes=("edge4", "edge5")))
     assert (a.path.links, b.path.links) == (("r1-r2",), ("r2-r3",))
     assert a.channel == b.channel == 0  # both end on roadm2, channel 0
     stack.teardown(a)
-    assert 0 not in topo.roadms["roadm1"].add_drop_channels
-    assert 0 in topo.roadms["roadm2"].add_drop_channels
+    assert 0 not in state.roadms["roadm1"].add_drop_channels
+    assert 0 in state.roadms["roadm2"].add_drop_channels
     assert stack.verify_invariants() == []
 
 
 def test_restoration_moves_to_spare_arc():
-    topo, kernel, stack = fresh_stack()
+    state, kernel, stack = fresh_stack()
     rec = deploy(stack, kernel)
     assert stack.verify_invariants() == []
     alert_at = kernel.now()
@@ -287,6 +287,25 @@ def test_crossing_before_retune_means_failed():
     assert rec.restoration.failed_at == t0 + 5 * S
 
 
+def test_teardown_mid_restoration_writes_nothing_after():
+    state, kernel, stack = fresh_stack()
+    rec = deploy(stack, kernel)
+    t0 = kernel.now()
+    stack.handle_degradation_alert(rec, t0)
+
+    def fail_and_tear_down():
+        stack.notify_fail_crossing(rec, kernel.now())
+        stack.teardown(rec)
+
+    kernel.schedule(fail_and_tear_down, t0 + 5 * S)  # mid-rewrite
+    kernel.run_to_end()  # the queued visits and the retune still fire
+    assert rec.status is ServiceStatus.TORN_DOWN
+    assert all(not r.passing and not r.add_drop_channels
+               for r in state.roadms.values())
+    assert stack.channel_ledger == {}
+    assert rec.path.links == ("r1-r2",)
+
+
 def test_status_transitions_are_guarded():
     _, kernel, stack = fresh_stack()
     rec = stack.request_network_service(descriptor())
@@ -299,11 +318,12 @@ def test_status_transitions_are_guarded():
 
 
 def test_forced_loop_is_caught():
-    topo, kernel, stack = fresh_stack()
+    state, kernel, stack = fresh_stack()
     deploy(stack, kernel)
-    for roadm in topo.roadms.values():
-        for link_id in topo.neighbors(roadm.id):
-            roadm.passing.add((link_id, 0))
-    _, _, looped = trace_channel_light(topo, "roadm1", "r1-r2", 0)
+    ring = state.ring
+    for i, roadm_id in enumerate(ring.ring_order):
+        for link_id in (ring.ring_links[i - 1], ring.ring_links[i]):
+            state.roadms[roadm_id].passing.add((link_id, 0))
+    _, _, looped = trace_channel_light(state, "roadm1", "r1-r2", 0)
     assert looped
     assert any("loop" in p for p in check_no_light_loop(stack))

@@ -2,7 +2,7 @@ import math
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ring_section
@@ -14,7 +14,7 @@ from metrotwin.optics import (AttenuationRamp, BER_CEIL, BER_FLOOR,
                               snr_from_ber, transponder_lifecycle,
                               transponder_teardown)
 from metrotwin.simkernel import Kernel, SECOND, SimRng
-from metrotwin.topology import TransponderState, build_ring, find_ring_paths
+from metrotwin.topology import RingState, TransponderState, build_ring
 
 mpmath.mp.dps = 60
 
@@ -102,6 +102,18 @@ def test_snr_from_ber_inverts_ber_from_snr():
         assert ber_from_snr(snr, model) == pytest.approx(ber, rel=1e-9)
 
 
+@settings(max_examples=300, deadline=None)
+@example(3.8e-3, 0.25)
+@given(st.floats(min_value=1e-299, max_value=BER_CEIL, exclude_max=True),
+       st.floats(min_value=0.0, max_value=10.0))
+def test_snr_from_ber_is_the_float_boundary(ber, penalty):
+    model = SignalModel(implementation_penalty_db=penalty,
+                        fail_ber_above=None, fail_snr_below_db=0.0)
+    snr = snr_from_ber(ber, model)
+    assert ber_from_snr(snr, model) > ber
+    assert not ber_from_snr(math.nextafter(snr, math.inf), model) > ber
+
+
 def test_ramp_added_db():
     ramp = AttenuationRamp(link_id="r1-r2", rate_db_per_s=0.25,
                            start_time=10 * SECOND)
@@ -119,19 +131,19 @@ def test_ramp_validation():
 
 
 def _operational_world():
-    topo = build_ring(ring_section())
-    paths = find_ring_paths("tp1", "tp2", topo)
+    state = RingState(build_ring(ring_section()))
+    paths = state.ring.arcs[("tp1", "tp2")]
     direct = [p for p in paths if p.links == ("r1-r2",)][0]
     path = type(direct)(direct.source, direct.destination, direct.links,
                         direct.roadms, direct.direction, 0)
-    for tp in topo.transponders.values():
+    for tp in state.transponders.values():
         tp.state = TransponderState.OPERATIONAL
-    return topo, path
+    return state, path
 
 
 def test_snr_with_ramp_and_coupling():
-    topo, path = _operational_world()
-    plant = OpticalPlant(topo)
+    state, path = _operational_world()
+    plant = OpticalPlant(state)
     model = SignalModel()
     t0 = 100 * SECOND
     plant.apply_attenuation_ramp(AttenuationRamp(
@@ -142,8 +154,8 @@ def test_snr_with_ramp_and_coupling():
 
 
 def test_snr_clamped_at_los_floor():
-    topo, path = _operational_world()
-    plant = OpticalPlant(topo)
+    state, path = _operational_world()
+    plant = OpticalPlant(state)
     plant.apply_attenuation_ramp(AttenuationRamp(
         link_id="r1-r2", rate_db_per_s=10.0, start_time=0))
     snr = plant.snr_at_receiver(path, 1000 * SECOND, SignalModel())
@@ -151,28 +163,28 @@ def test_snr_clamped_at_los_floor():
 
 
 def test_ramp_conflict():
-    topo, _ = _operational_world()
-    plant = OpticalPlant(topo)
+    state, _ = _operational_world()
+    plant = OpticalPlant(state)
     plant.apply_attenuation_ramp(AttenuationRamp("r1-r2", 0.1, 0))
     with pytest.raises(RampConflict):
         plant.apply_attenuation_ramp(AttenuationRamp("r1-r2", 0.2, 0))
 
 
 def test_sampling_requires_operational_path():
-    topo, path = _operational_world()
-    plant = OpticalPlant(topo)
+    state, path = _operational_world()
+    plant = OpticalPlant(state)
     dark = type(path)(path.source, path.destination, path.links, path.roadms,
                       path.direction, None)
     with pytest.raises(PathNotOperational):
         plant.sample_telemetry(dark, 0, SignalModel(), 0.0, SimRng(1))
-    topo.transponders["tp2"].state = TransponderState.LASER_WARMUP
+    state.transponders["tp2"].state = TransponderState.LASER_WARMUP
     with pytest.raises(PathNotOperational):
         plant.sample_telemetry(path, 0, SignalModel(), 0.0, SimRng(1))
 
 
 def test_telemetry_noise_is_seeded():
-    topo, path = _operational_world()
-    plant = OpticalPlant(topo)
+    state, path = _operational_world()
+    plant = OpticalPlant(state)
     model = SignalModel()
     a = plant.sample_telemetry(path, 0, model, 0.3, SimRng(5)).snr_db
     b = plant.sample_telemetry(path, 0, model, 0.3, SimRng(5)).snr_db
@@ -184,8 +196,8 @@ def test_telemetry_noise_is_seeded():
 
 
 def test_transponder_lifecycle_timeline():
-    topo, _ = _operational_world()
-    tp = topo.transponders["tp1"]
+    state, _ = _operational_world()
+    tp = state.transponders["tp1"]
     transponder_teardown(tp)
     k = Kernel()
     plan = transponder_lifecycle(tp, 48 * SECOND, k)
@@ -207,8 +219,8 @@ def test_transponder_lifecycle_timeline():
 
 
 def test_transponder_lifecycle_jitter_draws():
-    topo, _ = _operational_world()
-    tp = topo.transponders["tp1"]
+    state, _ = _operational_world()
+    tp = state.transponders["tp1"]
     transponder_teardown(tp)
     k = Kernel()
     plan = transponder_lifecycle(tp, 0, k, rng=SimRng(3))

@@ -9,24 +9,24 @@ from metrotwin.probe import (BudgetReport, LatencyMeasurement, ProbeConfig,
                              budget_from_config, estimate_rt_propagation,
                              fit_budget, measure_round_trip)
 from metrotwin.simkernel import SimRng
-from metrotwin.topology import (OpticalPath, TransponderState, build_ring,
-                                find_ring_paths)
+from metrotwin.topology import (OpticalPath, RingState, TransponderState,
+                                build_ring)
 
 
-def lit_path(topo, channel=0):
-    direct = [p for p in find_ring_paths("tp1", "tp2", topo)
+def lit_path(state, channel=0):
+    direct = [p for p in state.ring.arcs[("tp1", "tp2")]
               if p.links == ("r1-r2",)][0]
-    for tp in topo.transponders.values():
+    for tp in state.transponders.values():
         tp.state = TransponderState.OPERATIONAL
     return OpticalPath(direct.source, direct.destination, direct.links,
                        direct.roadms, direct.direction, channel)
 
 
 def test_measure_is_prop_plus_overheads():
-    topo = build_ring(ring_section())
-    path = lit_path(topo)
+    state = RingState(build_ring(ring_section()))
+    path = lit_path(state)
     cfg = ProbeConfig()
-    m = measure_round_trip(path, topo, cfg)
+    m = measure_round_trip(path, state, cfg)
     assert m.estimated_rt_prop_ns == estimate_rt_propagation(79969.5, 1.4680)
     assert m.measured_rt_ns == m.estimated_rt_prop_ns + 15230
     assert m.link_length_m == pytest.approx(79969.5)
@@ -35,30 +35,30 @@ def test_measure_is_prop_plus_overheads():
 def test_legacy_residual_is_additive():
     sec = ring_section()
     sec["links"][0]["legacy_residual_delay_ns"] = 717377
-    topo = build_ring(sec)
-    m = measure_round_trip(lit_path(topo), topo, ProbeConfig())
+    state = RingState(build_ring(sec))
+    m = measure_round_trip(lit_path(state), state, ProbeConfig())
     assert m.delta_ns == 15230 + 717377
 
 
 def test_requires_operational_endpoints():
-    topo = build_ring(ring_section())
-    path = lit_path(topo)
-    topo.transponders["tp1"].state = TransponderState.CONFIGURING
+    state = RingState(build_ring(ring_section()))
+    path = lit_path(state)
+    state.transponders["tp1"].state = TransponderState.CONFIGURING
     with pytest.raises(PathNotOperational):
-        measure_round_trip(path, topo, ProbeConfig())
+        measure_round_trip(path, state, ProbeConfig())
     dark = OpticalPath(path.source, path.destination, path.links, path.roadms,
                        path.direction, None)
     with pytest.raises(PathNotOperational):
-        measure_round_trip(dark, topo, ProbeConfig())
+        measure_round_trip(dark, state, ProbeConfig())
 
 
 def test_probe_jitter_seeded():
-    topo = build_ring(ring_section())
-    path = lit_path(topo)
+    state = RingState(build_ring(ring_section()))
+    path = lit_path(state)
     cfg = ProbeConfig(jitter_sigma_ns=200)
-    a = measure_round_trip(path, topo, cfg, rng=SimRng(1)).measured_rt_ns
-    b = measure_round_trip(path, topo, cfg, rng=SimRng(1)).measured_rt_ns
-    c = measure_round_trip(path, topo, cfg, rng=SimRng(2)).measured_rt_ns
+    a = measure_round_trip(path, state, cfg, rng=SimRng(1)).measured_rt_ns
+    b = measure_round_trip(path, state, cfg, rng=SimRng(1)).measured_rt_ns
+    c = measure_round_trip(path, state, cfg, rng=SimRng(2)).measured_rt_ns
     assert a == b != c
 
 

@@ -2,11 +2,13 @@ import json
 
 import pytest
 
-from conftest import make_scenario, shipped
+from conftest import SCENARIO_DIR, make_scenario, shipped
+from metrotwin import scenario
 from metrotwin.errors import ParseError, TwinError, ValidationError
 from metrotwin.scenario import (build_world, load_scenario, run_scenario,
                                 scenario_from_dict)
 from metrotwin.simkernel import SECOND
+from metrotwin.topology import build_ring
 
 
 def latency_extra():
@@ -103,9 +105,33 @@ def test_worlds_are_isolated():
     sc = scenario_from_dict(make_scenario())
     w1 = build_world(sc, (0,))
     w2 = build_world(sc, (0,))
-    assert w1.topo is not w2.topo
+    assert w1.stack.state is not w2.stack.state
+    assert w1.stack.ring is w2.stack.ring is sc.ring  # shared, read-only
     w1.stack.teardown(w1.record)
     assert w2.record.status.value == "Active"  # untouched by w1's teardown
+
+
+@pytest.mark.parametrize("name", sorted(
+    p.name for p in SCENARIO_DIR.glob("*.json")))
+def test_every_world_keeps_the_invariants_and_the_shared_ring(monkeypatch,
+                                                              name):
+    doc = shipped(name)
+    for section in ("service", "latency", "softfail"):
+        if section in doc:
+            doc[section]["repetitions"] = 2
+    sc = scenario_from_dict(doc)
+    worlds = []
+
+    def collect(*args, **kwargs):
+        worlds.append(build_world(*args, **kwargs))
+        return worlds[-1]
+
+    monkeypatch.setattr(scenario, "build_world", collect)
+    run_scenario(sc)
+    assert worlds
+    for world in worlds:
+        assert world.stack.verify_invariants() == []
+    assert sc.ring == build_ring(doc["topology"])
 
 
 def test_failed_deployment_surfaces_reason():

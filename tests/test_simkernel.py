@@ -176,9 +176,9 @@ def test_streams_build_a_generator_only_when_they_draw(monkeypatch):
     built = []
     philox = simkernel.np.random.Philox
 
-    def counting_philox(seq):
+    def counting_philox(seq, **kwargs):
         built.append(seq)
-        return philox(seq)
+        return philox(seq, **kwargs)
 
     monkeypatch.setattr(simkernel.np.random, "Philox", counting_philox)
     idle = SimRng(5).split(1, 2)

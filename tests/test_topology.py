@@ -3,23 +3,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ring_section
+from metrotwin.controlplane import OrchestrationStack
 from metrotwin.errors import NoPath, TopologyInvalid
-from metrotwin.topology import build_ring, find_ring_paths
+from metrotwin.simkernel import Kernel, SimRng
+from metrotwin.topology import RingState, build_ring
 
 
 def test_build_ring_defaults(topo):
-    assert set(topo.roadms) == {"roadm1", "roadm2", "roadm3"}
+    assert set(topo.ring_order) == {"roadm1", "roadm2", "roadm3"}
     assert topo.ring_order[0] == "roadm1" and len(topo.ring_order) == 3
     assert topo.channel_grid == 96
     assert topo.links["r1-r2"].group_index == pytest.approx(1.4680)
-    assert topo.compute_nodes["edge1"].vcpu_free == topo.compute_nodes["edge1"].vcpu_capacity
+    assert RingState(topo).vcpu_free["edge1"] == topo.compute_nodes["edge1"].vcpu_capacity
 
 
-def test_neighbors_and_other_link(topo):
-    nb = topo.neighbors("roadm1")
-    assert nb == {"r1-r2": "roadm2", "r3-r1": "roadm3"}
-    assert topo.other_link("roadm1", "r1-r2") == "r3-r1"
-    assert topo.transponder_roadm("tp2") == "roadm2"
+def test_ring_links_join_neighbours(topo):
+    assert topo.ring_order == ("roadm1", "roadm2", "roadm3")
+    assert topo.ring_links == ("r1-r2", "r2-r3", "r3-r1")
+    assert topo.transponders["tp2"].attached_roadm == "roadm2"
+
+
+def test_ring_is_read_only(topo):
+    with pytest.raises(TypeError):
+        topo.links["r1-r2"] = topo.links["r2-r3"]
+    with pytest.raises(AttributeError):
+        topo.arcs[("tp1", "tp2")][0].channel = 0
 
 
 def test_rejects_too_few_roadms():
@@ -68,7 +76,7 @@ def test_rejects_negative_length():
 
 
 def test_blocker_default_is_dark(topo):
-    roadm = topo.roadms["roadm1"]
+    roadm = RingState(topo).roadms["roadm1"]
     assert ("r1-r2", 0) not in roadm.passing
     roadm.passing.add(("r1-r2", 0))
     assert ("r1-r2", 0) in roadm.passing
@@ -77,7 +85,7 @@ def test_blocker_default_is_dark(topo):
 
 
 def test_find_ring_paths_two_arcs(topo):
-    short, long_ = find_ring_paths("tp1", "tp2", topo)
+    short, long_ = topo.arcs[("tp1", "tp2")]
     # sorted by total length: via roadm3 (48.2 km) before the direct 80 km arc
     assert short.links == ("r3-r1", "r2-r3") or short.links == ("r2-r3", "r3-r1")
     assert len(long_.links) == 1 and long_.links == ("r1-r2",)
@@ -91,8 +99,10 @@ def test_no_path_between_colocated_transponders():
     sec["switches"].append({"id": "sw3", "transponder": "tp3"})
     sec["compute_nodes"].append({"id": "edge3", "switch": "sw3"})
     topo = build_ring(sec)
+    assert ("tp1", "tp3") not in topo.arcs
+    stack = OrchestrationStack(RingState(topo), Kernel(), SimRng(0))
     with pytest.raises(NoPath):
-        find_ring_paths("tp1", "tp3", topo)
+        stack.select_path("tp1", "tp3")
 
 
 @settings(max_examples=30, deadline=None)
@@ -115,12 +125,12 @@ def test_arcs_partition_the_ring(n, data):
                           {"id": "cB", "switch": "swB"}],
     }
     topo = build_ring(sec)
-    p1, p2 = find_ring_paths("tpA", "tpB", topo)
+    p1, p2 = topo.arcs[("tpA", "tpB")]
     assert set(p1.links) | set(p2.links) == set(topo.links)
     assert set(p1.links).isdisjoint(p2.links)
     for p in (p1, p2):
-        assert p.roadms[0] == topo.transponder_roadm("tpA")
-        assert p.roadms[-1] == topo.transponder_roadm("tpB")
+        assert p.roadms[0] == topo.transponders["tpA"].attached_roadm
+        assert p.roadms[-1] == topo.transponders["tpB"].attached_roadm
         assert len(p.roadms) == len(p.links) + 1
     assert (sum(topo.links[l].length_m for l in p1.links)
             <= sum(topo.links[l].length_m for l in p2.links))
