@@ -11,6 +11,7 @@ aggregates per-repetition results.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -174,9 +175,9 @@ class SoftFailReport:
     trace: list[tuple[float, float, float]] = field(default_factory=list)
 
 
-# Samples computed per numpy block.  A scan stops at the block that holds
-# the crossing, so a slow ramp never allocates its whole horizon at once.
-_BLOCK = 1024
+# The longest episode horizon in samples, about 12 days at the 1 s default
+# period.  An episode's telemetry is one array of its horizon.
+_MAX_EPISODE_SAMPLES = 2**20
 
 # Samples up to this far above the highest SNR that meets a fail criterion
 # are tested with the exact fail predicate.  BER falls as SNR rises, and
@@ -188,85 +189,70 @@ _CROSS_MARGIN_DB = 1e-6
 _CLOCK_MAX = int(np.iinfo(np.int64).max)
 
 
-def _crossed(snr_db: float, fail_snr_db: float, model: SignalModel) -> bool:
-    return (snr_db <= fail_snr_db
-            or (model.fail_ber_above is not None
-                and ber_from_snr(snr_db, model) >= model.fail_ber_above))
+def episode_horizon(cfg: DetectorConfig, span_db: float, rate_db_per_s: float,
+                    snr_coupling: float = 1.0) -> int:
+    """Samples an episode may take: the baseline window, 1,000 more, and
+    twice the samples the ramp takes to lower the SNR by ``span_db``.
+    Raises TwinError past ``_MAX_EPISODE_SAMPLES``, or when the last sample
+    of an episode starting at time 0 passes the 64-bit clock."""
+    period = cfg.sample_period_ns
+    drop = rate_db_per_s * snr_coupling  # dB/s at the receiver
+    ramp = 2 * span_db / drop / (period / SECOND) if drop else math.inf
+    fixed = cfg.baseline_window + 1000
+    samples = fixed + int(min(ramp, _MAX_EPISODE_SAMPLES))
+    if samples > _MAX_EPISODE_SAMPLES:
+        raise TwinError(f"an episode needs {fixed + ramp:.4g} samples, more "
+                        f"than the {_MAX_EPISODE_SAMPLES} allowed")
+    if period * samples > _CLOCK_MAX:
+        raise TwinError(f"an episode's {samples} samples, {period} ns apart, "
+                        f"run past the 64-bit clock")
+    return samples
 
 
 def _scan_telemetry(plant: OpticalPlant, path: OpticalPath, model: SignalModel,
                     cfg: DetectorConfig, fail_snr_db: float, cross_snr_db: float,
                     first_sample: SimTime, noise_sigma_db: float,
-                    noise_rng: SimRng, sample_cap: int,
+                    noise_rng: SimRng, samples: int,
                     trace: Optional[list[tuple[float, float, float]]],
                     ramp_start: SimTime
                     ) -> tuple[Optional[DegradationEvent], Optional[int]]:
-    """Detection and fail crossing of one episode's telemetry.
+    """Detection and fail-crossing index of one episode, or None for either.
 
-    Sample i is taken at ``first_sample + i * period``: the noiseless SNR
-    plus one draw of ``noise_rng``.  Detection follows
-    ``DegradationDetector``: the baseline is the mean of the first
-    ``baseline_window`` samples, and the detector fires on the first later
-    sample that completes ``consecutive_required`` consecutive readings
-    below baseline minus threshold.  The crossing is the first sample that
-    meets the fail criterion, which no sample above ``cross_snr_db`` can;
-    the scan ends there, or after ``sample_cap`` samples.  Returns the
-    detection, unless it comes after the crossing, and the crossing's
-    sample index.  ``trace``, when given, receives
-    (seconds since ramp start, SNR, BER) of each sample up to the end.
+    Sample i is the noiseless SNR at ``first_sample + i * period`` plus one
+    draw of ``noise_rng``.  The crossing is the first sample that meets the
+    fail criterion, which none above ``cross_snr_db`` can; detection is as
+    in ``DegradationDetector``, up to the crossing.  ``trace``, when given,
+    receives (seconds since ramp start, SNR, BER) of each sample up to the
+    crossing.
     """
     period = cfg.sample_period_ns
-    head: list[np.ndarray] = []  # blocks until the baseline window is full
-    tail = np.empty(0)           # the samples before this block, for the fit
-    level: Optional[float] = None
-    run = 0                      # below-level readings ending the last block
-    event: Optional[DegradationEvent] = None
-    cross: Optional[int] = None
-    n = 0
-    while cross is None and n < sample_cap:
-        k = min(_BLOCK, sample_cap - n)
-        if first_sample + period * (n + k - 1) > _CLOCK_MAX:
-            raise TwinError("telemetry stream ran past the 64-bit clock")
-        snr = plant.snr_series(
-            path, first_sample + period * np.arange(n, n + k, dtype=np.int64),
-            model)
-        snr += noise_rng.normal(0.0, noise_sigma_db, size=k)
-        for j in np.flatnonzero(snr <= cross_snr_db + _CROSS_MARGIN_DB):
-            if _crossed(float(snr[j]), fail_snr_db, model):
-                cross = n + int(j)
-                break
-        if level is None:
-            head.append(snr)
-            if n + k >= cfg.baseline_window:
-                baseline = float(np.mean(
-                    np.concatenate(head)[:cfg.baseline_window]))
-                level = baseline - cfg.drop_threshold_db
-        if event is None and level is not None:
-            lo = max(cfg.baseline_window - n, 0)
-            below = snr[lo:] < level
-            pos = np.arange(below.size)
-            runs = pos - np.maximum.accumulate(np.where(below, -1 - run, pos))
-            hits = np.flatnonzero(runs >= cfg.consecutive_required)
-            if hits.size:
-                j = lo + int(hits[0])
-                if cross is None or n + j <= cross:
-                    window = np.concatenate(
-                        (tail, snr[:j + 1]))[-cfg.regression_window:]
-                    times = first_sample + period * np.arange(
-                        n + j + 1 - window.size, n + j + 1, dtype=np.int64)
-                    event = _degradation_event(
-                        times, window, ber_from_snr(float(snr[j]), model),
-                        fail_snr_db)
-            elif runs.size:
-                run = int(runs[-1])
-        if event is None:
-            tail = np.concatenate((tail, snr))[-cfg.regression_window:]
-        if trace is not None:
-            scanned = snr[:k if cross is None else cross - n + 1].tolist()
-            trace.extend(((first_sample + (n + i) * period - ramp_start)
-                          / SECOND, v, ber_from_snr(v, model))
-                         for i, v in enumerate(scanned))
-        n += k
+    if first_sample + period * (samples - 1) > _CLOCK_MAX:
+        raise TwinError("telemetry stream ran past the 64-bit clock")
+    times = first_sample + period * np.arange(samples, dtype=np.int64)
+    snr = plant.snr_series(path, times, model)
+    snr += noise_rng.normal(0.0, noise_sigma_db, size=samples)
+    limit = model.fail_ber_above
+    cross = next((int(i) for i in np.flatnonzero(
+        snr <= cross_snr_db + _CROSS_MARGIN_DB)
+        if snr[i] <= fail_snr_db or (limit is not None and ber_from_snr(
+            float(snr[i]), model) >= limit)), None)
+    end = samples if cross is None else cross + 1
+    w = cfg.baseline_window
+    below = snr[w:end] < float(np.mean(snr[:w])) - cfg.drop_threshold_db
+    # a run's length: each position minus the last one not below
+    pos = np.arange(below.size)
+    runs = pos - np.maximum.accumulate(np.where(below, -1, pos))
+    hits = np.flatnonzero(runs >= cfg.consecutive_required)
+    event = None
+    if hits.size:
+        i = w + int(hits[0])
+        lo = max(i + 1 - cfg.regression_window, 0)
+        event = _degradation_event(times[lo:i + 1], snr[lo:i + 1],
+                                   ber_from_snr(float(snr[i]), model),
+                                   fail_snr_db)
+    if trace is not None:
+        trace.extend(((t - ramp_start) / SECOND, v, ber_from_snr(v, model))
+                     for t, v in zip(times[:end].tolist(), snr[:end].tolist()))
     return event, cross
 
 
@@ -299,8 +285,9 @@ def run_softfail_case(world_factory: Callable[[int], SoftFailWorld],
     # with both criteria set, the BER limit may be met above fail_snr
     cross_snr = fail_snr if model.fail_ber_above is None else max(
         fail_snr, snr_from_ber(model.fail_ber_above, model))
-    span_db = model.snr0_db - fail_snr
     period = detector_cfg.sample_period_ns
+    samples = episode_horizon(detector_cfg, model.snr0_db - fail_snr,
+                              rate_db_per_s, snr_coupling)
 
     for rep in range(repetitions):
         world = world_factory(rep)
@@ -315,15 +302,12 @@ def run_softfail_case(world_factory: Callable[[int], SoftFailWorld],
         plant.apply_attenuation_ramp(AttenuationRamp(
             link_id=link_id, rate_db_per_s=rate_db_per_s,
             start_time=ramp_start, snr_coupling=snr_coupling))
-        sample_cap = detector_cfg.baseline_window + 1000 + int(
-            2 * span_db / (rate_db_per_s * max(snr_coupling, 1e-9))
-            / (period / SECOND))
         ev, cross = _scan_telemetry(
             plant, monitored_path, model, detector_cfg, fail_snr, cross_snr,
-            first_sample, noise_sigma_db, world.rng.split(11), sample_cap,
+            first_sample, noise_sigma_db, world.rng.split(11), samples,
             trace if keep_trace and rep == 0 else None, ramp_start)
         t_last = first_sample + period * (
-            sample_cap - 1 if cross is None else cross)
+            samples - 1 if cross is None else cross)
         t_detect = None if ev is None else ev.t_detect
 
         def at_sample(t: SimTime) -> None:

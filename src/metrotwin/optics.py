@@ -31,6 +31,8 @@ LOS_FLOOR_DB = -10.0
 
 BER_FLOOR = 1e-300
 BER_CEIL = 0.5
+# dB of SNR over the penalty well past where the BER drops below BER_FLOOR
+_FLOOR_ABOVE_PENALTY_DB = 40.0
 
 # Jitter applied to transponder phase durations when sampling is enabled.
 TRANSPONDER_JITTER_CV = 0.02
@@ -120,9 +122,11 @@ def rt_propagation_delay(length_m: float, group_index: float) -> int:
 def ber_from_snr(snr_db: float, model: SignalModel) -> float:
     """Pre-FEC BER for a given receiver SNR, clamped to [1e-300, 0.5].
 
-    Strictly decreasing in SNR until the floor clamp.
+    Strictly decreasing in SNR until the floor clamp; capping the SNR where
+    the floor holds keeps it finite for every finite SNR.
     """
-    lin = 10.0 ** ((snr_db - model.implementation_penalty_db) / 10.0)
+    lin = 10.0 ** (min(snr_db - model.implementation_penalty_db,
+                       _FLOOR_ABOVE_PENALTY_DB) / 10.0)
     ber = 0.5 * math.erfc(math.sqrt(lin / 2.0))
     return min(max(ber, BER_FLOOR), BER_CEIL)
 
@@ -133,10 +137,10 @@ def snr_from_ber(ber: float, model: SignalModel) -> float:
 
     Bisects over floats.  The BER depends on SNR minus the penalty only; it
     rounds to BER_CEIL 400 dB below the penalty and is clamped to BER_FLOOR
-    40 dB above it, which brackets every such ``ber``.
+    ``_FLOOR_ABOVE_PENALTY_DB`` above it, which brackets every such ``ber``.
     """
     lo = model.implementation_penalty_db - 400.0
-    hi = model.implementation_penalty_db + 40.0
+    hi = model.implementation_penalty_db + _FLOOR_ABOVE_PENALTY_DB
     while True:
         mid = lo + (hi - lo) / 2
         if mid in (lo, hi):

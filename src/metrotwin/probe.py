@@ -88,26 +88,27 @@ def measure_round_trip(path: OpticalPath, state: RingState, cfg: ProbeConfig,
                               estimated_rt_prop_ns=prop)
 
 
-def fit_budget(measurements: Sequence[LatencyMeasurement],
+def fit_budget(deltas_ns: Sequence[float],
                attribution: Sequence[Sequence[float]],
                component_names: Sequence[str]) -> BudgetReport:
-    """Least-squares split of measurement deltas into per-component overheads.
+    """Least-squares split of deltas (measured minus propagation, ns; a
+    LatencyMeasurement gives its ``delta_ns``) into per-component overheads.
 
     ``attribution[i][j]`` counts how many times component j appears in
-    measurement i.  Requires at least as many measurements as components and
-    a full-column-rank attribution.
+    delta i.  Requires at least as many deltas as components and a
+    full-column-rank attribution.
     """
     a = np.asarray(attribution, dtype=float)
     if a.ndim != 2 or a.shape[1] != len(component_names):
         raise ValueError("attribution shape does not match component names")
-    if a.shape[0] != len(measurements):
+    if a.shape[0] != len(deltas_ns):
         raise ValueError("attribution rows must match measurement count")
     if a.shape[0] < a.shape[1]:
         raise Underdetermined(f"{a.shape[0]} measurements for {a.shape[1]} components")
     if np.linalg.matrix_rank(a) < a.shape[1]:
         raise RankDeficient("attribution columns are linearly dependent")
 
-    deltas = np.array([m.delta_ns for m in measurements], dtype=float)
+    deltas = np.array([getattr(d, "delta_ns", d) for d in deltas_ns], float)
     x, _, _, _ = np.linalg.lstsq(a, deltas, rcond=None)
     resid = deltas - a @ x
     rms = float(math.sqrt(np.mean(resid ** 2))) if len(resid) else 0.0

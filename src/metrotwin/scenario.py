@@ -19,12 +19,12 @@ from typing import IO, NamedTuple, Optional, Union
 
 from .controlplane import (ConnectivityRequirements, NsDescriptor,
                            OrchestrationStack, PhaseTimings, VnfDescriptor)
-from .errors import (ParseError, RankDeficient, TopologyInvalid, TwinError,
-                     Underdetermined, ValidationError)
-from .mda import DetectorConfig, SoftFailWorld, run_softfail_case
+from .errors import ParseError, TwinError, ValidationError
+from .mda import (DetectorConfig, SoftFailWorld, episode_horizon,
+                  run_softfail_case)
 from .optics import OpticalPlant, SignalModel
-from .probe import (LatencyMeasurement, ProbeConfig, budget_from_config,
-                    fit_budget, measure_round_trip)
+from .probe import (ProbeConfig, budget_from_config, fit_budget,
+                    measure_round_trip)
 from .simkernel import Kernel, SECOND, SimRng
 from .topology import FiberLink, RingState, RingTopology, build_ring
 
@@ -104,8 +104,8 @@ _TABLE = {
         "legacy_residual_delay_ns": _Key("integer", low=0)}),
     "topology.transponders[]": (None, {
         "id": _NAME, "roadm": _NAME,
-        "config_duration_ns": _Key("integer", low=1),
-        "warmup_duration_ns": _Key("integer", low=1)}),
+        "config_duration_ns": _Key("integer", low=1, high=_MAX_S * SECOND),
+        "warmup_duration_ns": _Key("integer", low=1, high=_MAX_S * SECOND)}),
     "topology.switches[]": (None, {"id": _NAME, "transponder": _NAME}),
     "topology.compute_nodes[]": (None, {
         "id": _NAME, "switch": _NAME,
@@ -189,11 +189,11 @@ def _in_range(value, spec: _Key) -> bool:
 
 
 def _make(errors: list[str], where: str, build, *args, **kwargs):
-    """``build(...)``, or None with its ValueError or TopologyInvalid
-    reported as an error at ``where``."""
+    """``build(...)``, or None with its ValueError or TwinError reported as
+    an error at ``where``."""
     try:
         return build(*args, **kwargs)
-    except (ValueError, TopologyInvalid) as exc:
+    except (ValueError, TwinError) as exc:
         errors.append(f"{where}: {exc}")
         return None
 
@@ -298,9 +298,18 @@ def _sections(doc: dict, top: dict, errors: list[str]) -> tuple[
         return name in names
 
     svc = top["service"]
+    asked = {node: {"vcpu": 0, "mem_mb": 0} for node in ring.compute_nodes}
     for i, vnf in enumerate(svc["vnfs"]):
-        known(f"service.vnfs[{i}].compute", vnf.target_compute,
-              ring.compute_nodes)
+        if known(f"service.vnfs[{i}].compute", vnf.target_compute, asked):
+            node = ring.compute_nodes[vnf.target_compute]
+            for key, has in (("vcpu", node.vcpu_capacity),
+                             ("mem_mb", node.mem_capacity_mb)):
+                had = asked[node.id][key]
+                asked[node.id][key] += getattr(vnf, key)
+                if had <= has < asked[node.id][key]:  # this VNF passes it
+                    errors.append(f"service.vnfs[{i}].{key}: the VNFs on "
+                                  f"{node.id} ask for {asked[node.id][key]}"
+                                  f" in all; it has {has}")
     a, b = svc["connectivity"].endpoints
     for i, end in enumerate((a, b)):
         known(f"service.connectivity.endpoints[{i}]", end, ring.transponders)
@@ -322,20 +331,18 @@ def _sections(doc: dict, top: dict, errors: list[str]) -> tuple[
         latency = Latency(**latency)
         if latency.attribution is not None:
             # the budget's own shape and rank checks, on the cases it reads
-            clean = [LatencyMeasurement(0.0, 0, 0) for case in latency.cases
-                     if case.legacy_residual_delay_ns == 0]
-            try:
-                fit_budget(clean, latency.attribution["matrix"],
-                           latency.attribution["components"])
-            except (ValueError, Underdetermined, RankDeficient) as exc:
-                errors.append(
-                    f"latency.attribution.matrix: {exc} (one row per case "
-                    f"without legacy_residual_delay_ns, one column per "
-                    f"component)")
+            _make(errors, "latency.attribution.matrix (one row per case "
+                  "without legacy_residual_delay_ns, one column per "
+                  "component)", fit_budget,
+                  [0 for case in latency.cases
+                   if case.legacy_residual_delay_ns == 0],
+                  latency.attribution["matrix"],
+                  latency.attribution["components"])
 
     softfail = top.get("softfail")
     if softfail is not None:
         detector = softfail.pop("detector")
+        span_db = softfail["signal"].snr0_db - softfail["signal"].fail_snr_db()
         cases = []
         for i, case in enumerate(softfail["cases"]):
             if "ramp_link" in case:
@@ -345,6 +352,10 @@ def _sections(doc: dict, top: dict, errors: list[str]) -> tuple[
             if "drop_threshold_db" in case:
                 cfg = replace(detector,
                               drop_threshold_db=case.pop("drop_threshold_db"))
+            horizon = {k: case[k] for k in ("rate_db_per_s", "snr_coupling")
+                       if k in case}  # defaults are run_softfail_case's
+            _make(errors, f"softfail.cases[{i}].rate_db_per_s",
+                  episode_horizon, cfg, span_db, **horizon)
             cases.append(SoftfailCase(case.pop("name", f"case{i + 1}"), cfg,
                                       case))
         softfail = Softfail(**{**softfail, "cases": cases})
@@ -508,7 +519,7 @@ def _run_latency(sc: Scenario, trace_sink=None) -> dict:
         delta = mean_measured - estimated
         # only clean rows inform the overhead budget
         if link.legacy_residual_delay_ns == 0:
-            deltas.append(delta)
+            deltas.append(round(delta))
         rows.append({
             "link_length_km": _fmt(link.length_m / 1000.0, 4),
             "measured_us": _fmt(mean_measured / 1000.0, 3),
@@ -518,12 +529,10 @@ def _run_latency(sc: Scenario, trace_sink=None) -> dict:
 
     attribution = latency.attribution
     if attribution is not None:
-        ms = [LatencyMeasurement(0.0, int(round(d)), 0) for d in deltas]
-        budget = fit_budget(ms, attribution["matrix"],
+        budget = fit_budget(deltas, attribution["matrix"],
                             attribution["components"])
     else:
-        budget = budget_from_config(latency.probe,
-                                    [int(round(d)) for d in deltas])
+        budget = budget_from_config(latency.probe, deltas)
     return {
         "repetitions": latency.repetitions,
         "cases": rows,

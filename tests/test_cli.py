@@ -61,9 +61,10 @@ def test_unknown_key_exits_1_unless_lenient(tmp_path, capsys):
 
 
 def test_runtime_failure_exits_2(tmp_path, capsys):
-    doc = make_scenario()
-    doc["service"]["vnfs"][0]["vcpu"] = 10_000
-    assert main(["setup", "--scenario", write(tmp_path, doc)]) == 2
+    # r1-r2 is the monitored arc: a ramp on r2-r3 never makes it cross
+    doc = make_scenario(experiment="softfail", softfail={
+        "repetitions": 1, "cases": [{"rate_db_per_s": 0.25, "link": "r2-r3"}]})
+    assert main(["softfail", "--scenario", write(tmp_path, doc)]) == 2
     assert "runtime error" in capsys.readouterr().err
 
 
@@ -324,6 +325,15 @@ def set_key(doc, path, value):
      "service.connectivity.endpoints"),
     # its nanoseconds overflow the clock: exit 2 with an OverflowError before
     ("service.vnfs[0].instantiation_mean_s", 1e300, None),
+    # an episode horizon of about 2.6e301 samples: ran over 5 minutes before
+    ("softfail.cases[0].rate_db_per_s", 1e-300, None),
+    # 1,060 samples 1e9 s apart pass the 64-bit clock: exit 2 before
+    ("softfail.detector.sample_period_s", 1e9,
+     "softfail.cases[0].rate_db_per_s"),
+    # exit 2 before: "telemetry stream ran past the 64-bit clock"
+    ("topology.transponders[0].warmup_duration_ns", 10**30, None),
+    # edge1 has 16 vCPUs: exit 2 with "deployment ended Failed" before
+    ("service.vnfs[0].vcpu", 10**6, None),
 ])
 def test_bad_document_fails_validation_naming_key(tmp_path, capsys, path,
                                                   value, named):

@@ -1,13 +1,11 @@
 import io
 import math
-from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_scenario
-from metrotwin import mda
 from metrotwin.controlplane import ServiceStatus
 from metrotwin.errors import DetectionTooLate, OutOfOrderSample, TwinError
 from metrotwin.mda import (DegradationDetector, DetectorConfig,
@@ -214,7 +212,7 @@ def test_snr_only_fail_criterion():
     assert report.restored_count == 1
 
 
-# differential test: block scan against the per-sample episode
+# differential test: the one-array scan against the per-sample episode
 
 
 def oracle_softfail_case(world_factory, rate_db_per_s, repetitions,
@@ -364,11 +362,10 @@ def episode_inputs(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(inputs=episode_inputs(), block=st.sampled_from([1, 3, 16, 1024]))
-def test_block_scan_matches_per_sample_oracle(inputs, block):
+@given(inputs=episode_inputs())
+def test_block_scan_matches_per_sample_oracle(inputs):
     doc, kwargs = inputs
-    with mock.patch.object(mda, "_BLOCK", block):
-        oracle, scan = run_both_episodes(doc, **kwargs)
+    oracle, scan = run_both_episodes(doc, **kwargs)
     assert scan == oracle
 
 
@@ -416,7 +413,7 @@ def test_block_scan_matches_oracle_over_several_full_blocks():
         doc, rate_db_per_s=0.01, repetitions=2, noise_sigma_db=0.1,
         detector_cfg=DetectorConfig(regression_window=1500),
         model=SignalModel())
-    assert len(oracle[0][1]) > mda._BLOCK
+    assert len(oracle[0][1]) > 1024
     assert scan == oracle
 
 
@@ -441,4 +438,34 @@ def test_sample_instants_past_the_64_bit_clock_raise():
         run_softfail_case(lambda rep: build_world(sc, (0, rep)),
                           rate_db_per_s=0.5, repetitions=1, noise_sigma_db=0.0,
                           detector_cfg=DetectorConfig(sample_period_ns=10**18),
+                          model=SignalModel())
+
+
+def test_horizon_past_the_ceiling_raises_before_any_world():
+    # twice the ramp to the fail threshold alone takes 2**20 samples, so
+    # the horizon passes the ceiling by the baseline window and 1,000 more
+    model = SignalModel()
+    built = []
+    with pytest.raises(TwinError, match="samples, more than the 1048576"):
+        run_softfail_case(built.append,
+                          rate_db_per_s=2 * (model.snr0_db - FAIL_SNR) / 2**20,
+                          repetitions=1, noise_sigma_db=0.0,
+                          detector_cfg=DetectorConfig(), model=model,
+                          keep_trace=False)
+    assert built == []
+
+
+def test_deployment_time_can_push_the_samples_past_the_64_bit_clock():
+    # 1,060 samples 8e6 s apart fit the clock from time 0, so the horizon
+    # passes; after VNFs that take 1e9 s to instantiate they do not
+    doc = make_scenario(experiment="softfail", seed=3,
+                        softfail={"cases": [{"rate_db_per_s": 0.5}]})
+    for vnf in doc["service"]["vnfs"]:
+        vnf["instantiation_mean_s"] = 1e9
+    sc = scenario_from_dict(doc)
+    with pytest.raises(TwinError, match="telemetry stream ran past the 64-bit"):
+        run_softfail_case(lambda rep: build_world(sc, (0, rep)),
+                          rate_db_per_s=0.5, repetitions=1, noise_sigma_db=0.0,
+                          detector_cfg=DetectorConfig(
+                              sample_period_ns=8 * 10**15),
                           model=SignalModel())

@@ -50,6 +50,28 @@ def test_ber_clamps():
     assert ber_from_snr(80.0, model) == BER_FLOOR
 
 
+def uncapped_ber(snr_db, penalty_db):
+    """ber_from_snr without its cap; it overflows past about 3,080 dB."""
+    lin = 10.0 ** ((snr_db - penalty_db) / 10.0)
+    return min(max(0.5 * math.erfc(math.sqrt(lin / 2.0)), BER_FLOOR),
+               BER_CEIL)
+
+
+@settings(max_examples=300, deadline=None)
+@example(5000.0, 0.25)
+@example(31.5, 0.0)
+@given(st.floats(allow_nan=False, allow_infinity=False),
+       st.floats(min_value=0.0, allow_infinity=False))
+def test_ber_is_total_over_finite_snr(snr, penalty):
+    model = SignalModel(implementation_penalty_db=penalty,
+                        fail_ber_above=None, fail_snr_below_db=0.0)
+    try:
+        want = uncapped_ber(snr, penalty)
+    except OverflowError:
+        want = BER_FLOOR
+    assert ber_from_snr(snr, model) == want
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.floats(min_value=-5.0, max_value=24.0),
        st.floats(min_value=0.01, max_value=3.0))

@@ -65,16 +65,12 @@ def test_probe_jitter_seeded():
 # budget fitting
 
 
-def synthetic(deltas):
-    return [LatencyMeasurement(0.0, int(d), 0) for d in deltas]
-
-
 def test_fit_budget_identity():
     names = ["probe", "switches", "optics"]
     x = np.array([840.0, 1290.0, 13100.0])
     a = [[1, 1, 1], [1, 0, 1], [0, 1, 1], [1, 1, 0]]
     deltas = np.asarray(a) @ x
-    rep = fit_budget(synthetic(deltas), a, names)
+    rep = fit_budget(deltas, a, names)
     for name, want in zip(names, x):
         assert rep.components_ns[name] == pytest.approx(want, rel=1e-9)
     assert rep.residual_rms_ns == pytest.approx(0.0, abs=1e-6)
@@ -89,21 +85,28 @@ def test_fit_budget_round_trip(components, mix_seed):
     rng = np.random.default_rng(mix_seed)
     a = np.vstack([np.eye(k, dtype=int), rng.integers(0, 3, size=(3, k))])
     deltas = a @ np.array(components)  # exact integer measurements
-    rep = fit_budget(synthetic(deltas), a.tolist(), [f"c{i}" for i in range(k)])
+    rep = fit_budget(deltas, a.tolist(), [f"c{i}" for i in range(k)])
     for i, want in enumerate(components):
         assert rep.components_ns[f"c{i}"] == pytest.approx(want, abs=1e-6)
 
 
+def test_fit_budget_reads_a_measurement_as_its_delta():
+    a = [[1, 0], [0, 1], [1, 1]]
+    deltas = [840, 1290, 2135]
+    ms = [LatencyMeasurement(0.0, 5000 + d, 5000) for d in deltas]
+    assert fit_budget(ms, a, ["p", "s"]) == fit_budget(deltas, a, ["p", "s"])
+
+
 def test_fit_budget_underdetermined():
     with pytest.raises(Underdetermined):
-        fit_budget(synthetic([100.0]), [[1, 1]], ["a", "b"])
+        fit_budget([100.0], [[1, 1]], ["a", "b"])
 
 
 def test_fit_budget_rank_deficient():
     # second column is a copy of the first
     a = [[1, 1], [2, 2], [3, 3]]
     with pytest.raises(RankDeficient):
-        fit_budget(synthetic([10, 20, 30]), a, ["a", "b"])
+        fit_budget([10, 20, 30], a, ["a", "b"])
 
 
 def test_budget_from_config():

@@ -135,9 +135,9 @@ def test_every_world_keeps_the_invariants_and_the_shared_ring(monkeypatch,
 
 
 def test_failed_deployment_surfaces_reason():
-    doc = make_scenario()
-    doc["service"]["vnfs"][0]["vcpu"] = 10_000
-    sc = scenario_from_dict(doc)
+    sc = scenario_from_dict(make_scenario())
+    # set after validation, which rejects it, so placement fails at deploy
+    sc.service.descriptor.vnfs[0].vcpu = 10_000
     with pytest.raises(TwinError) as err:
         build_world(sc, (0,))
     assert "Failed" in str(err.value)
