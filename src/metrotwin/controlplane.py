@@ -306,13 +306,6 @@ class OrchestrationStack:
         except (ChannelExhausted, TransponderUnavailable, NoPath) as exc:
             self._fail(rec, f"{type(exc).__name__}: {exc}")
 
-    def select_path(self, a_tp: NodeId, b_tp: NodeId) -> OpticalPath:
-        """Fewest ROADM hops wins; length breaks ties."""
-        if (a_tp, b_tp) not in self.ring.arcs:
-            raise NoPath(f"{a_tp} and {b_tp} terminate on the same ROADM")
-        return min(self.ring.arcs[(a_tp, b_tp)], key=lambda p: (
-            len(p.links), sum(self.ring.links[l].length_m for l in p.links)))
-
     def assign_channel(self, path: OpticalPath) -> ChannelId:
         for ch in range(self.ring.channel_grid):
             if all((link, ch) not in self.channel_ledger for link in path.links):
@@ -332,7 +325,7 @@ class OrchestrationStack:
                 raise TransponderUnavailable(f"{tp_id} claimed by {tp.claimed_by}")
             if tp.state is not TransponderState.OFF:
                 raise TransponderUnavailable(f"{tp_id} is {tp.state.value}")
-        path = self.select_path(a_tp, b_tp)
+        path = self.ring.select_path(a_tp, b_tp)
         channel = self.assign_channel(path)
         for link_id in path.links:
             self.channel_ledger[(link_id, channel)] = rec.request_id

@@ -193,8 +193,10 @@ def episode_horizon(cfg: DetectorConfig, span_db: float, rate_db_per_s: float,
                     snr_coupling: float = 1.0) -> int:
     """Samples an episode may take: the baseline window, 1,000 more, and
     twice the samples the ramp takes to lower the SNR by ``span_db``.
-    Raises TwinError past ``_MAX_EPISODE_SAMPLES``, or when the last sample
-    of an episode starting at time 0 passes the 64-bit clock."""
+    Raises TwinError past ``_MAX_EPISODE_SAMPLES``; when the last sample of
+    an episode starting at time 0 passes the 64-bit clock; or when one
+    sample period of ramp takes the whole span, which leaves no degradation
+    to detect before the failure."""
     period = cfg.sample_period_ns
     drop = rate_db_per_s * snr_coupling  # dB/s at the receiver
     ramp = 2 * span_db / drop / (period / SECOND) if drop else math.inf
@@ -206,6 +208,11 @@ def episode_horizon(cfg: DetectorConfig, span_db: float, rate_db_per_s: float,
     if period * samples > _CLOCK_MAX:
         raise TwinError(f"an episode's {samples} samples, {period} ns apart, "
                         f"run past the 64-bit clock")
+    step = drop * (period / SECOND)
+    if step >= span_db:
+        raise TwinError(f"the ramp lowers the SNR by {step:.4g} dB in one "
+                        f"sample period, all of the {span_db:.4g} dB to the "
+                        f"fail criterion")
     return samples
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import PathNotOperational, RankDeficient, Underdetermined
 from .optics import rt_propagation_delay
 from .simkernel import Kernel, SimRng
-from .topology import OpticalPath, RingState, TransponderState
+from .topology import OpticalPath, RingState, RingTopology, TransponderState
 
 
 @dataclass(frozen=True)
@@ -55,37 +55,46 @@ def estimate_rt_propagation(length_m: float, group_index: float) -> int:
     return rt_propagation_delay(length_m, group_index)
 
 
+def noiseless_round_trip(path: OpticalPath, ring: RingTopology,
+                         cfg: ProbeConfig) -> LatencyMeasurement:
+    """A probe shot over ``path`` on ``ring`` without jitter.
+
+    measured = propagation + legacy residuals + configured overheads.
+    """
+    prop = 0
+    residual = 0
+    length = 0.0
+    for link_id in path.links:
+        link = ring.links[link_id]
+        prop += rt_propagation_delay(link.length_m, link.group_index)
+        residual += link.legacy_residual_delay_ns
+        length += link.length_m
+    return LatencyMeasurement(
+        link_length_m=length,
+        measured_rt_ns=prop + residual + cfg.total_overhead_ns(),
+        estimated_rt_prop_ns=prop)
+
+
 def measure_round_trip(path: OpticalPath, state: RingState, cfg: ProbeConfig,
                        kernel: Optional[Kernel] = None,
                        rng: Optional[SimRng] = None) -> LatencyMeasurement:
-    """One probe shot over an operational path.
-
-    measured = propagation + legacy residuals + configured overheads + jitter.
-    """
+    """One probe shot over an operational path: the noiseless round trip
+    plus jitter."""
     if path.channel is None:
         raise PathNotOperational("path has no channel assigned")
     for tp_id in (path.source, path.destination):
         if state.transponders[tp_id].state is not TransponderState.OPERATIONAL:
             raise PathNotOperational(f"transponder {tp_id} not operational")
 
-    prop = 0
-    residual = 0
-    length = 0.0
-    for link_id in path.links:
-        link = state.ring.links[link_id]
-        prop += rt_propagation_delay(link.length_m, link.group_index)
-        residual += link.legacy_residual_delay_ns
-        length += link.length_m
-
-    jitter = 0
+    shot = noiseless_round_trip(path, state.ring, cfg)
     if cfg.jitter_sigma_ns and rng is not None:
-        jitter = round(rng.normal(0.0, cfg.jitter_sigma_ns))
-
-    measured = prop + residual + cfg.total_overhead_ns() + jitter
+        shot = LatencyMeasurement(
+            shot.link_length_m,
+            shot.measured_rt_ns + round(rng.normal(0.0, cfg.jitter_sigma_ns)),
+            shot.estimated_rt_prop_ns)
     if kernel is not None:
         kernel.schedule(lambda: None, kernel.now(), kind="probe_rtt")
-    return LatencyMeasurement(link_length_m=length, measured_rt_ns=measured,
-                              estimated_rt_prop_ns=prop)
+    return shot
 
 
 def fit_budget(deltas_ns: Sequence[float],

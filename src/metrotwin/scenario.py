@@ -24,7 +24,7 @@ from .mda import (DetectorConfig, SoftFailWorld, episode_horizon,
                   run_softfail_case)
 from .optics import OpticalPlant, SignalModel
 from .probe import (ProbeConfig, budget_from_config, fit_budget,
-                    measure_round_trip)
+                    measure_round_trip, noiseless_round_trip)
 from .simkernel import Kernel, SECOND, SimRng
 from .topology import FiberLink, RingState, RingTopology, build_ring
 
@@ -284,6 +284,12 @@ class Scenario:
         return json.dumps(self.raw, sort_keys=True, indent=2) + "\n"
 
 
+def _case_ring(ring: RingTopology, link: FiberLink) -> RingTopology:
+    """``ring`` with a latency case's link: the case's length replaces the
+    measured link's, in that case's worlds only."""
+    return replace(ring, links={**ring.links, link.id: link})
+
+
 def _sections(doc: dict, top: dict, errors: list[str]) -> tuple[
         RingTopology, Service, Optional[Latency], Optional[Softfail]]:
     """The ring and typed sections of a document that passed the table;
@@ -310,7 +316,8 @@ def _sections(doc: dict, top: dict, errors: list[str]) -> tuple[
                     errors.append(f"service.vnfs[{i}].{key}: the VNFs on "
                                   f"{node.id} ask for {asked[node.id][key]}"
                                   f" in all; it has {has}")
-    a, b = svc["connectivity"].endpoints
+    conn = svc["connectivity"]
+    a, b = conn.endpoints
     for i, end in enumerate((a, b)):
         known(f"service.connectivity.endpoints[{i}]", end, ring.transponders)
     if a != b and a in ring.transponders and b in ring.transponders \
@@ -321,6 +328,8 @@ def _sections(doc: dict, top: dict, errors: list[str]) -> tuple[
     service = Service(_make(errors, "service", NsDescriptor, svc.pop("name"),
                             svc.pop("vnfs"), svc.pop("connectivity")), **svc)
 
+    rings = [("", ring)]  # each ring the service deploys on, as errors name it
+    probe_cfg = ProbeConfig()
     latency = top.get("latency")
     if latency is not None and known("latency.measured_link",
                                      latency["measured_link"], ring.links):
@@ -329,6 +338,9 @@ def _sections(doc: dict, top: dict, errors: list[str]) -> tuple[
             FiberLink(link.id, link.endpoints, group_index=link.group_index,
                       **case) for case in latency["cases"]]
         latency = Latency(**latency)
+        probe_cfg = latency.probe
+        rings += [(f" in latency.cases[{i}]", _case_ring(ring, case))
+                  for i, case in enumerate(latency.cases)]
         if latency.attribution is not None:
             # the budget's own shape and rank checks, on the cases it reads
             _make(errors, "latency.attribution.matrix (one row per case "
@@ -338,6 +350,18 @@ def _sections(doc: dict, top: dict, errors: list[str]) -> tuple[
                    if case.legacy_residual_delay_ns == 0],
                   latency.attribution["matrix"],
                   latency.attribution["components"])
+
+    req = conn.max_rt_latency_ns
+    if req is not None and (a, b) in ring.arcs:
+        for where, on in rings:
+            path = on.select_path(a, b)
+            least = noiseless_round_trip(path, on, probe_cfg).measured_rt_ns
+            if req < least:
+                errors.append(
+                    f"service.connectivity.max_rt_latency_us: {req / 1000:g}"
+                    f" us is below the {least / 1000:g} us a probe measures "
+                    f"without jitter over {'+'.join(path.links)}{where}")
+                break
 
     softfail = top.get("softfail")
     if softfail is not None:
@@ -501,8 +525,7 @@ def _run_latency(sc: Scenario, trace_sink=None) -> dict:
     rows = []
     deltas = []
     for case_idx, link in enumerate(latency.cases):
-        # the case's length replaces the measured link's, in its worlds only
-        ring = replace(sc.ring, links={**sc.ring.links, link.id: link})
+        ring = _case_ring(sc.ring, link)
         measured = []
         estimated = None
         for rep in range(latency.repetitions):

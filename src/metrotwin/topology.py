@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Optional
 
-from .errors import TopologyInvalid
+from .errors import NoPath, TopologyInvalid
 
 NodeId = str
 ChannelId = int
@@ -111,6 +111,14 @@ class RingTopology:
                         (self._arc(a, b, clockwise) for clockwise in (True, False)),
                         key=lambda p: sum(self.links[l].length_m for l in p.links)))
         object.__setattr__(self, "arcs", MappingProxyType(arcs))
+
+    def select_path(self, a: NodeId, b: NodeId) -> OpticalPath:
+        """The arc a service from ``a`` to ``b`` takes: fewest ROADM hops
+        wins; length breaks ties."""
+        if (a, b) not in self.arcs:
+            raise NoPath(f"{a} and {b} terminate on the same ROADM")
+        return min(self.arcs[(a, b)], key=lambda p: (
+            len(p.links), sum(self.links[l].length_m for l in p.links)))
 
     def _arc(self, a: NodeId, b: NodeId, clockwise: bool) -> OpticalPath:
         """Walk the ring from transponder ``a``'s ROADM to ``b``'s."""

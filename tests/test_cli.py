@@ -334,6 +334,12 @@ def set_key(doc, path, value):
     ("topology.transponders[0].warmup_duration_ns", 10**30, None),
     # edge1 has 16 vCPUs: exit 2 with "deployment ended Failed" before
     ("service.vnfs[0].vcpu", 10**6, None),
+    # the ramp takes the whole span in one sample period: exit 2 after
+    # numpy's overflow warning before
+    ("softfail.cases[0].rate_db_per_s", 1e300, None),
+    # below the probe's noiseless estimate: exit 2 with "probe verification
+    # exceeded latency requirement" before
+    ("service.connectivity.max_rt_latency_us", 0, None),
 ])
 def test_bad_document_fails_validation_naming_key(tmp_path, capsys, path,
                                                   value, named):
@@ -366,6 +372,20 @@ def test_unreachable_fail_threshold_exits_1(tmp_path, capsys):
         and "LOS floor" in err
 
 
+def test_latency_requirement_is_checked_on_each_case_ring(tmp_path, capsys):
+    # the scenario ring's r1-r2 (80 km) gives a noiseless probe 798.4 us; a
+    # case that sets it to 90 km gives 896.6 us, past the requirement
+    doc = latency_doc()
+    doc["latency"]["cases"].append({"length_km": 90.0})
+    doc["service"]["connectivity"]["max_rt_latency_us"] = 850
+    assert main(["latency", "--scenario", write(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: service.connectivity.max_rt_latency_us") \
+        and "896.64 us" in err and "latency.cases[2]" in err
+    doc["service"]["connectivity"]["max_rt_latency_us"] = 896.64
+    assert main(["validate", "--scenario", write(tmp_path, doc)]) == 0
+
+
 def test_cli_import_loads_no_scipy():
     src = str(SCENARIO_DIR.parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -373,5 +393,19 @@ def test_cli_import_loads_no_scipy():
     loaded = subprocess.run(
         [sys.executable, "-c", "import sys, metrotwin.cli; print(sorted("
          "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert loaded.strip() == "[]"
+
+
+def test_cli_import_loads_no_numpy_random():
+    # a stream loads numpy.random on its first draw, not at import; numpy
+    # before 2.0 loads it with numpy itself, which this does not count
+    src = str(SCENARIO_DIR.parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, numpy; before = set(sys.modules); "
+         "import metrotwin.cli; print(sorted(m for m in sys.modules if "
+         "m not in before and m.startswith('numpy.random')))"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert loaded.strip() == "[]"

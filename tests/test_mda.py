@@ -10,7 +10,7 @@ from metrotwin.controlplane import ServiceStatus
 from metrotwin.errors import DetectionTooLate, OutOfOrderSample, TwinError
 from metrotwin.mda import (DegradationDetector, DetectorConfig,
                            RepetitionResult, anticipation_time,
-                           run_softfail_case)
+                           episode_horizon, run_softfail_case)
 from metrotwin.optics import (AttenuationRamp, SignalModel, TelemetrySample,
                               ber_from_snr)
 from metrotwin.scenario import build_world, scenario_from_dict
@@ -358,6 +358,10 @@ def episode_inputs(draw):
         snr_coupling=draw(st.floats(0.1, 1.5)),
         # r1-r2 is the monitored arc; a ramp on r2-r3 never reaches it
         ramp_link=draw(st.sampled_from([None, None, None, "r2-r3"])))
+    # a ramp that takes the whole span in one sample period is rejected
+    # before any world is built
+    assume(kwargs["rate_db_per_s"] * kwargs["snr_coupling"] * period_s
+           < model.snr0_db - model.fail_snr_db())
     return doc, kwargs
 
 
@@ -455,9 +459,27 @@ def test_horizon_past_the_ceiling_raises_before_any_world():
     assert built == []
 
 
+@pytest.mark.parametrize("period_s", [0.5, 1.0, 2.0])
+def test_a_ramp_that_takes_the_span_in_one_period_raises_before_any_world(
+        period_s):
+    model = SignalModel()
+    span = model.snr0_db - FAIL_SNR
+    cfg = DetectorConfig(sample_period_ns=round(period_s * SECOND))
+    built = []
+    with pytest.raises(TwinError, match="in one sample period"):
+        run_softfail_case(built.append, rate_db_per_s=span / period_s,
+                          repetitions=1, noise_sigma_db=0.0,
+                          detector_cfg=cfg, model=model, keep_trace=False)
+    assert built == []
+    # a little slower, and the ramp takes two periods
+    assert episode_horizon(cfg, span, 0.99 * span / period_s) == \
+        cfg.baseline_window + 1002
+
+
 def test_deployment_time_can_push_the_samples_past_the_64_bit_clock():
-    # 1,060 samples 8e6 s apart fit the clock from time 0, so the horizon
-    # passes; after VNFs that take 1e9 s to instantiate they do not
+    # 1,063 samples 8e6 s apart fit the clock from time 0, so the horizon
+    # passes; after VNFs that take 1e9 s to instantiate they do not.  The
+    # ramp lowers the SNR by 8 dB a sample, less than the 13 dB to failure.
     doc = make_scenario(experiment="softfail", seed=3,
                         softfail={"cases": [{"rate_db_per_s": 0.5}]})
     for vnf in doc["service"]["vnfs"]:
@@ -465,7 +487,7 @@ def test_deployment_time_can_push_the_samples_past_the_64_bit_clock():
     sc = scenario_from_dict(doc)
     with pytest.raises(TwinError, match="telemetry stream ran past the 64-bit"):
         run_softfail_case(lambda rep: build_world(sc, (0, rep)),
-                          rate_db_per_s=0.5, repetitions=1, noise_sigma_db=0.0,
+                          rate_db_per_s=1e-6, repetitions=1, noise_sigma_db=0.0,
                           detector_cfg=DetectorConfig(
                               sample_period_ns=8 * 10**15),
                           model=SignalModel())

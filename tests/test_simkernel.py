@@ -172,6 +172,43 @@ def test_rng_draws_equal_numpy_seed_sequence(seed, key, cut, size, mean, cv):
                 rng.normal(1.5, 2.0)] == expected
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 160), data=st.data())
+def test_split_tree_draws_equal_numpy_seed_sequence(seed, data):
+    # streams split off one another in a random tree, drawn from in a
+    # random order: each matches its own numpy generator draw for draw
+    labels = st.lists(st.integers(min_value=0, max_value=2 ** 80), max_size=3)
+    root = tuple(data.draw(labels))
+    nodes = [SimRng(seed, root)]
+    paths = [root]
+    oracles = {}
+    for _ in range(data.draw(st.integers(min_value=1, max_value=25))):
+        if data.draw(st.booleans()):
+            i = data.draw(st.integers(min_value=0, max_value=len(nodes) - 1))
+            key = tuple(data.draw(labels))
+            nodes.append(nodes[i].split(*key))
+            paths.append(paths[i] + key)
+            continue
+        i = data.draw(st.integers(min_value=0, max_value=len(nodes) - 1))
+        rng = nodes[i]
+        assert rng.spawn_key == paths[i]
+        oracle = oracles.setdefault(i, np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(seed, spawn_key=paths[i]))))
+        kind = data.draw(st.sampled_from(["normal", "block", "lognormal"]))
+        if kind == "normal":
+            assert rng.normal(1.5, 2.0) == oracle.normal(1.5, 2.0)
+        elif kind == "block":
+            size = data.draw(st.integers(min_value=1, max_value=9))
+            assert list(rng.normal(1.5, 2.0, size)) == \
+                list(oracle.normal(1.5, 2.0, size))
+        else:
+            mean = data.draw(st.floats(min_value=0.5, max_value=200.0))
+            cv = data.draw(st.floats(min_value=0.005, max_value=0.3))
+            sigma2 = math.log1p(cv * cv)
+            assert rng.lognormal_mean_cv(mean, cv) == oracle.lognormal(
+                math.log(mean) - sigma2 / 2.0, math.sqrt(sigma2))
+
+
 def test_streams_build_a_generator_only_when_they_draw(monkeypatch):
     built = []
     philox = simkernel.np.random.Philox

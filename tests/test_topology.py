@@ -3,9 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ring_section
-from metrotwin.controlplane import OrchestrationStack
 from metrotwin.errors import NoPath, TopologyInvalid
-from metrotwin.simkernel import Kernel, SimRng
 from metrotwin.topology import RingState, build_ring
 
 
@@ -100,9 +98,8 @@ def test_no_path_between_colocated_transponders():
     sec["compute_nodes"].append({"id": "edge3", "switch": "sw3"})
     topo = build_ring(sec)
     assert ("tp1", "tp3") not in topo.arcs
-    stack = OrchestrationStack(RingState(topo), Kernel(), SimRng(0))
     with pytest.raises(NoPath):
-        stack.select_path("tp1", "tp3")
+        topo.select_path("tp1", "tp3")
 
 
 @settings(max_examples=30, deadline=None)
