@@ -19,8 +19,8 @@ import numpy as np
 
 from .controlplane import OrchestrationStack, ServiceRecord, ServiceStatus
 from .errors import DetectionTooLate, OutOfOrderSample, TwinError
-from .optics import (AttenuationRamp, OpticalPlant, SignalModel,
-                     TelemetrySample, ber_from_snr, snr_from_ber)
+from .optics import (LOS_FLOOR_DB, AttenuationRamp, OpticalPlant,
+                     SignalModel, TelemetrySample, ber_from_snr)
 from .simkernel import Kernel, SECOND, SimRng, SimTime
 from .topology import OpticalPath
 
@@ -93,15 +93,6 @@ class DegradationDetector:
         w = self.cfg.regression_window
         return _degradation_event(self._times[-w:], self._snrs[-w:],
                                  self._bers[-1], self.fail_snr_db)
-
-    def reset_episode(self) -> None:
-        """Forget everything; the next episode relearns its baseline."""
-        self._times.clear()
-        self._snrs.clear()
-        self._bers.clear()
-        self.baseline_db = None
-        self._run = 0
-        self._fired = False
 
 
 def _degradation_event(times, snrs, ber_now: float,
@@ -179,24 +170,23 @@ class SoftFailReport:
 # period.  An episode's telemetry is one array of its horizon.
 _MAX_EPISODE_SAMPLES = 2**20
 
-# Samples up to this far above the highest SNR that meets a fail criterion
-# are tested with the exact fail predicate.  BER falls as SNR rises, and
-# above snr_from_ber's result it no longer exceeds fail_ber_above, so there
-# only an SNR whose BER equals that limit exactly meets the BER criterion.
-_CROSS_MARGIN_DB = 1e-6
-
 # Sample instants are int64 nanoseconds.
 _CLOCK_MAX = int(np.iinfo(np.int64).max)
 
 
-def episode_horizon(cfg: DetectorConfig, span_db: float, rate_db_per_s: float,
-                    snr_coupling: float = 1.0) -> int:
+def episode_horizon(cfg: DetectorConfig, model: SignalModel,
+                    rate_db_per_s: float, snr_coupling: float = 1.0) -> int:
     """Samples an episode may take: the baseline window, 1,000 more, and
-    twice the samples the ramp takes to lower the SNR by ``span_db``.
-    Raises TwinError past ``_MAX_EPISODE_SAMPLES``; when the last sample of
-    an episode starting at time 0 passes the 64-bit clock; or when one
-    sample period of ramp takes the whole span, which leaves no degradation
-    to detect before the failure."""
+    twice the samples the ramp takes to lower the SNR from ``model``'s
+    baseline to its fail SNR.  Raises TwinError past
+    ``_MAX_EPISODE_SAMPLES``; when the last sample of an episode starting at
+    time 0 passes the 64-bit clock; when one sample period of ramp takes the
+    whole span, which leaves no degradation to detect before the failure;
+    or when the noiseless ramp reaches the fail SNR before
+    ``consecutive_required`` of its samples fall more than
+    ``drop_threshold_db`` below the baseline."""
+    fail_snr = model.fail_snr_db()
+    span_db = model.snr0_db - fail_snr
     period = cfg.sample_period_ns
     drop = rate_db_per_s * snr_coupling  # dB/s at the receiver
     ramp = 2 * span_db / drop / (period / SECOND) if drop else math.inf
@@ -213,11 +203,29 @@ def episode_horizon(cfg: DetectorConfig, span_db: float, rate_db_per_s: float,
         raise TwinError(f"the ramp lowers the SNR by {step:.4g} dB in one "
                         f"sample period, all of the {span_db:.4g} dB to the "
                         f"fail criterion")
+    # the noiseless samples from one period past the ramp start, up to one
+    # past where the span ends, and their level, as _scan_telemetry
+    # computes them: detection needs consecutive_required of them below the
+    # level by the first at or below the fail SNR
+    after = period * np.arange(1, math.ceil(span_db / step) + 2,
+                               dtype=np.int64)
+    added = AttenuationRamp("", rate_db_per_s, 0, snr_coupling).added_db(after)
+    snr = np.maximum(model.snr0_db - snr_coupling * added, LOS_FLOOR_DB)
+    cross = int(np.argmax(snr <= fail_snr))
+    level = float(np.mean(np.full(cfg.baseline_window, model.snr0_db))) \
+        - cfg.drop_threshold_db
+    below = int(np.count_nonzero(snr[:cross + 1] < level))
+    if below < cfg.consecutive_required:
+        raise TwinError(f"the ramp reaches the fail SNR with {below} of its "
+                        f"samples more than drop_threshold_db = "
+                        f"{cfg.drop_threshold_db:g} dB below the baseline, "
+                        f"fewer than consecutive_required = "
+                        f"{cfg.consecutive_required}")
     return samples
 
 
 def _scan_telemetry(plant: OpticalPlant, path: OpticalPath, model: SignalModel,
-                    cfg: DetectorConfig, fail_snr_db: float, cross_snr_db: float,
+                    cfg: DetectorConfig, fail_snr_db: float,
                     first_sample: SimTime, noise_sigma_db: float,
                     noise_rng: SimRng, samples: int,
                     trace: Optional[list[tuple[float, float, float]]],
@@ -226,11 +234,11 @@ def _scan_telemetry(plant: OpticalPlant, path: OpticalPath, model: SignalModel,
     """Detection and fail-crossing index of one episode, or None for either.
 
     Sample i is the noiseless SNR at ``first_sample + i * period`` plus one
-    draw of ``noise_rng``.  The crossing is the first sample that meets the
-    fail criterion, which none above ``cross_snr_db`` can; detection is as
-    in ``DegradationDetector``, up to the crossing.  ``trace``, when given,
-    receives (seconds since ramp start, SNR, BER) of each sample up to the
-    crossing.
+    draw of ``noise_rng``.  The crossing is the first sample whose BER is
+    above the fail limit, that is whose SNR is at or below ``fail_snr_db``;
+    detection is as in ``DegradationDetector``, up to the crossing.
+    ``trace``, when given, receives (seconds since ramp start, SNR, BER) of
+    each sample up to the crossing.
     """
     period = cfg.sample_period_ns
     if first_sample + period * (samples - 1) > _CLOCK_MAX:
@@ -238,11 +246,8 @@ def _scan_telemetry(plant: OpticalPlant, path: OpticalPath, model: SignalModel,
     times = first_sample + period * np.arange(samples, dtype=np.int64)
     snr = plant.snr_series(path, times, model)
     snr += noise_rng.normal(0.0, noise_sigma_db, size=samples)
-    limit = model.fail_ber_above
-    cross = next((int(i) for i in np.flatnonzero(
-        snr <= cross_snr_db + _CROSS_MARGIN_DB)
-        if snr[i] <= fail_snr_db or (limit is not None and ber_from_snr(
-            float(snr[i]), model) >= limit)), None)
+    crossed = np.flatnonzero(snr <= fail_snr_db)
+    cross = int(crossed[0]) if crossed.size else None
     end = samples if cross is None else cross + 1
     w = cfg.baseline_window
     below = snr[w:end] < float(np.mean(snr[:w])) - cfg.drop_threshold_db
@@ -289,12 +294,8 @@ def run_softfail_case(world_factory: Callable[[int], SoftFailWorld],
     reps: list[RepetitionResult] = []
     trace: list[tuple[float, float, float]] = []
     fail_snr = model.fail_snr_db()
-    # with both criteria set, the BER limit may be met above fail_snr
-    cross_snr = fail_snr if model.fail_ber_above is None else max(
-        fail_snr, snr_from_ber(model.fail_ber_above, model))
     period = detector_cfg.sample_period_ns
-    samples = episode_horizon(detector_cfg, model.snr0_db - fail_snr,
-                              rate_db_per_s, snr_coupling)
+    samples = episode_horizon(detector_cfg, model, rate_db_per_s, snr_coupling)
 
     for rep in range(repetitions):
         world = world_factory(rep)
@@ -310,7 +311,7 @@ def run_softfail_case(world_factory: Callable[[int], SoftFailWorld],
             link_id=link_id, rate_db_per_s=rate_db_per_s,
             start_time=ramp_start, snr_coupling=snr_coupling))
         ev, cross = _scan_telemetry(
-            plant, monitored_path, model, detector_cfg, fail_snr, cross_snr,
+            plant, monitored_path, model, detector_cfg, fail_snr,
             first_sample, noise_sigma_db, world.rng.split(11), samples,
             trace if keep_trace and rep == 0 else None, ramp_start)
         t_last = first_sample + period * (

@@ -69,22 +69,19 @@ class SignalModel:
 
     The default baseline of 21.84 dB back-propagates the slow-ramp operating
     point to zero added loss; 0.25 dB of implementation penalty lines the
-    ideal QPSK curve up with measured SNR/BER pairs.  The fail criterion
-    defaults to the common HD-FEC pre-FEC BER limit.
+    ideal QPSK curve up with measured SNR/BER pairs.  A sample fails when its
+    pre-FEC BER is above ``fail_ber_above``, by default the common HD-FEC
+    limit.
     """
 
     snr0_db: float = 21.84
     implementation_penalty_db: float = 0.25
-    fail_ber_above: Optional[float] = 3.8e-3
-    fail_snr_below_db: Optional[float] = None
+    fail_ber_above: float = 3.8e-3
 
     def __post_init__(self) -> None:
         if self.implementation_penalty_db < 0:
             raise ValueError("implementation penalty must be >= 0")
-        if self.fail_ber_above is None and self.fail_snr_below_db is None:
-            raise ValueError("signal model needs a fail criterion")
-        if self.fail_ber_above is not None \
-                and not BER_FLOOR < self.fail_ber_above < BER_CEIL:
+        if not BER_FLOOR < self.fail_ber_above < BER_CEIL:
             raise ValueError(f"fail_ber_above must lie in ({BER_FLOOR}, "
                              f"{BER_CEIL}); got {self.fail_ber_above!r}")
         fail_snr = self.fail_snr_db()
@@ -97,9 +94,8 @@ class SignalModel:
             raise ValueError("baseline SNR must sit above the fail threshold")
 
     def fail_snr_db(self) -> float:
-        """SNR at which the fail criterion is crossed."""
-        if self.fail_snr_below_db is not None:
-            return self.fail_snr_below_db
+        """The largest SNR whose BER is above ``fail_ber_above``: a sample
+        fails exactly when its SNR is at or below it."""
         return snr_from_ber(self.fail_ber_above, self)
 
 

@@ -273,15 +273,12 @@ class Scenario:
     read from it once, its ring among them."""
     experiment: str
     seed: int
-    raw: dict  # as parsed: reports echo it and ``serialize`` writes it
+    raw: dict  # as parsed: reports echo it
     ring: RingTopology
     service: Service
     latency: Optional[Latency] = None
     softfail: Optional[Softfail] = None
     warnings: list[str] = field(default_factory=list)
-
-    def serialize(self) -> str:
-        return json.dumps(self.raw, sort_keys=True, indent=2) + "\n"
 
 
 def _case_ring(ring: RingTopology, link: FiberLink) -> RingTopology:
@@ -366,12 +363,15 @@ def _sections(doc: dict, top: dict, errors: list[str]) -> tuple[
     softfail = top.get("softfail")
     if softfail is not None:
         detector = softfail.pop("detector")
-        span_db = softfail["signal"].snr0_db - softfail["signal"].fail_snr_db()
+        # the service's path, which a ramp on any other link never reaches
+        monitored = ring.select_path(a, b) if (a, b) in ring.arcs else None
         cases = []
         for i, case in enumerate(softfail["cases"]):
-            if "ramp_link" in case:
-                known(f"softfail.cases[{i}].link", case["ramp_link"],
-                      ring.links)
+            link, where = case.get("ramp_link"), f"softfail.cases[{i}].link"
+            if link is not None and known(where, link, ring.links) \
+                    and monitored is not None and link not in monitored.links:
+                errors.append(f"{where}: {link} is not on the monitored path "
+                              f"{'+'.join(monitored.links)}")
             cfg = detector
             if "drop_threshold_db" in case:
                 cfg = replace(detector,
@@ -379,7 +379,7 @@ def _sections(doc: dict, top: dict, errors: list[str]) -> tuple[
             horizon = {k: case[k] for k in ("rate_db_per_s", "snr_coupling")
                        if k in case}  # defaults are run_softfail_case's
             _make(errors, f"softfail.cases[{i}].rate_db_per_s",
-                  episode_horizon, cfg, span_db, **horizon)
+                  episode_horizon, cfg, softfail["signal"], **horizon)
             cases.append(SoftfailCase(case.pop("name", f"case{i + 1}"), cfg,
                                       case))
         softfail = Softfail(**{**softfail, "cases": cases})
@@ -413,17 +413,12 @@ def scenario_from_dict(doc: dict, lenient: bool = False) -> Scenario:
                     warnings=warnings)
 
 
-def load_scenario(source: Union[str, Path], lenient: bool = False) -> Scenario:
-    """Parse and validate a scenario JSON file (or raw JSON text)."""
-    if isinstance(source, Path) or (isinstance(source, str)
-                                    and not source.lstrip().startswith("{")):
-        path = Path(source)
-        try:
-            text = path.read_text()
-        except OSError as exc:
-            raise ParseError(f"cannot read {path}: {exc}") from exc
-    else:
-        text = str(source)
+def load_scenario(path: Union[str, Path], lenient: bool = False) -> Scenario:
+    """Parse and validate a scenario JSON file."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -534,8 +529,7 @@ def _run_latency(sc: Scenario, trace_sink=None) -> dict:
             rec = world.record
             probe_rng = world.rng.split(5)
             m = measure_round_trip(rec.path, world.stack.state,
-                                   world.stack.probe_cfg,
-                                   kernel=world.kernel, rng=probe_rng)
+                                   world.stack.probe_cfg, rng=probe_rng)
             measured.append(m.measured_rt_ns)
             estimated = m.estimated_rt_prop_ns
         mean_measured = sum(measured) / len(measured)
@@ -573,14 +567,18 @@ def _run_softfail(sc: Scenario, trace_sink=None) -> dict:
     for idx, case in enumerate(softfail.cases):
         factory = (lambda case_idx: lambda rep: build_world(
             sc, (100 + case_idx, rep), trace_sink=trace_sink))(idx)
-        report = run_softfail_case(
-            world_factory=factory,
-            repetitions=softfail.repetitions,
-            noise_sigma_db=softfail.noise_sigma_db,
-            detector_cfg=case.detector,
-            model=softfail.signal,
-            keep_trace=softfail.emit_trace,
-            **case.episode)
+        try:
+            report = run_softfail_case(
+                world_factory=factory,
+                repetitions=softfail.repetitions,
+                noise_sigma_db=softfail.noise_sigma_db,
+                detector_cfg=case.detector,
+                model=softfail.signal,
+                keep_trace=softfail.emit_trace,
+                **case.episode)
+        except TwinError as exc:
+            raise TwinError(f"softfail.cases[{idx}] ({case.name}): "
+                            f"{exc}") from exc
         entry = {
             "name": case.name,
             "rate_db_per_s": _fmt(report.rate_db_per_s, 4),

@@ -61,11 +61,16 @@ def test_unknown_key_exits_1_unless_lenient(tmp_path, capsys):
 
 
 def test_runtime_failure_exits_2(tmp_path, capsys):
-    # r1-r2 is the monitored arc: a ramp on r2-r3 never makes it cross
-    doc = make_scenario(experiment="softfail", softfail={
-        "repetitions": 1, "cases": [{"rate_db_per_s": 0.25, "link": "r2-r3"}]})
-    assert main(["softfail", "--scenario", write(tmp_path, doc)]) == 2
-    assert "runtime error" in capsys.readouterr().err
+    # 20 dB of noise meets the fail criterion during the baseline window,
+    # so the episode ends without a detection; the error names the case
+    doc = softfail_doc()
+    doc["softfail"]["noise_sigma_db"] = 20
+    path = write(tmp_path, doc)
+    assert main(["validate", "--scenario", path]) == 0
+    assert main(["softfail", "--scenario", path]) == 2
+    assert capsys.readouterr().err.startswith(
+        "runtime error: softfail.cases[0] (drift): repetition 0: episode "
+        "ended without detection")
 
 
 def test_json_format_is_canonical(tmp_path, capsys):
@@ -340,6 +345,14 @@ def set_key(doc, path, value):
     # below the probe's noiseless estimate: exit 2 with "probe verification
     # exceeded latency requirement" before
     ("service.connectivity.max_rt_latency_us", 0, None),
+    # the ramp reaches the fail SNR at its 2nd sample, before 3 samples can
+    # fall below the level: exit 2 with "episode ended without detection
+    # and crossing" before
+    ("softfail.cases[0].rate_db_per_s", 8.0, None),
+    ("softfail.detector.consecutive_required", 10**6, "consecutive_required"),
+    # r2-r3 is off the monitored r1-r2: exit 2 with "telemetry stream ran
+    # past its expected horizon" before
+    ("softfail.cases[0].link", "r2-r3", None),
 ])
 def test_bad_document_fails_validation_naming_key(tmp_path, capsys, path,
                                                   value, named):

@@ -77,9 +77,6 @@ def test_fires_once_per_episode():
     det = DegradationDetector(cfg, FAIL_SNR)
     assert feed(det, [21.84] * 3 + [10.0] * 6) is not None
     assert det.detect_degradation() is None  # latched
-    det.reset_episode()
-    assert det.baseline_db is None
-    assert feed(det, [21.84] * 3 + [10.0] * 6) is not None
 
 
 def test_out_of_order_sample_rejected():
@@ -200,18 +197,6 @@ def test_coupling_scales_effective_rate():
     assert weak.anticipation_s == full.anticipation_s
 
 
-def test_snr_only_fail_criterion():
-    model = SignalModel(fail_ber_above=None, fail_snr_below_db=9.0)
-    report = run_softfail_case(
-        world_factory=softfail_world_factory(),
-        rate_db_per_s=0.25, repetitions=1, noise_sigma_db=0.0,
-        detector_cfg=DetectorConfig(), model=model)
-    assert report.detection_time_s == pytest.approx(5.0)
-    # 12.84 dB of margin at 0.25 dB/s: first sample at or below 9 dB is t=52 s
-    assert report.anticipation_s == pytest.approx(47.0)
-    assert report.restored_count == 1
-
-
 # differential test: the one-array scan against the per-sample episode
 
 
@@ -258,9 +243,7 @@ def oracle_softfail_case(world_factory, rate_db_per_s, repetitions,
                         lambda: stack.handle_degradation_alert(rec,
                                                                kernel.now()),
                         kind=f"{rec.request_id}:alert")
-            crossed = (s.snr_db <= fail_snr
-                       or (model.fail_ber_above is not None
-                           and s.pre_fec_ber >= model.fail_ber_above))
+            crossed = s.pre_fec_ber > model.fail_ber_above
             if state["t_cross"] is None and crossed:
                 state["t_cross"] = t
                 stack.notify_fail_crossing(rec, t)
@@ -336,14 +319,10 @@ def episode_inputs(draw):
     # the episode parameters below go to the runners directly; this section
     # only makes the document a valid softfail scenario
     doc["softfail"] = {"cases": [{"rate_db_per_s": 0.1}]}
-    # SNR-only, BER-only, or both: the BER limit of 3.8e-3 is met near
-    # 8.8 dB, 1e-2 near 7.6 dB and 1e-5 near 12.8 dB
-    criteria = draw(st.sampled_from(["snr", "ber", "both"]))
-    model = SignalModel(
-        fail_ber_above=(None if criteria == "snr" else
-                        draw(st.sampled_from([3.8e-3, 1e-2, 1e-5]))),
-        fail_snr_below_db=(None if criteria == "ber" else
-                           draw(st.floats(-10.0, 15.0))))
+    # log-uniform BER limits, met from about 15 dB (2e-8) down to about
+    # -9.5 dB (0.37)
+    model = SignalModel(fail_ber_above=10 ** draw(
+        st.floats(math.log10(2e-8), math.log10(0.37))))
     kwargs = dict(
         rate_db_per_s=draw(st.floats(0.05, 3.0)),
         repetitions=draw(st.integers(1, 3)),
@@ -358,10 +337,12 @@ def episode_inputs(draw):
         snr_coupling=draw(st.floats(0.1, 1.5)),
         # r1-r2 is the monitored arc; a ramp on r2-r3 never reaches it
         ramp_link=draw(st.sampled_from([None, None, None, "r2-r3"])))
-    # a ramp that takes the whole span in one sample period is rejected
-    # before any world is built
-    assume(kwargs["rate_db_per_s"] * kwargs["snr_coupling"] * period_s
-           < model.snr0_db - model.fail_snr_db())
+    # a ramp that episode_horizon rejects raises before any world is built
+    try:
+        episode_horizon(kwargs["detector_cfg"], model,
+                        kwargs["rate_db_per_s"], kwargs["snr_coupling"])
+    except TwinError:
+        assume(False)
     return doc, kwargs
 
 
@@ -421,19 +402,6 @@ def test_block_scan_matches_oracle_over_several_full_blocks():
     assert scan == oracle
 
 
-def test_block_scan_finds_ber_crossing_above_snr_threshold():
-    # both criteria set: the BER limit is met near 8.8 dB, before the SNR
-    # falls to 5 dB
-    doc = make_scenario(experiment="softfail", seed=3,
-                        softfail={"cases": [{"rate_db_per_s": 0.5}]})
-    oracle, scan = run_both_episodes(
-        doc, rate_db_per_s=0.5, repetitions=2, noise_sigma_db=0.1,
-        detector_cfg=DetectorConfig(), model=SignalModel(fail_snr_below_db=5.0))
-    assert scan == oracle
-    reps, _ = scan[0]
-    assert all(r.snr_at_detect_db > 8.8 for r in reps)
-
-
 def test_sample_instants_past_the_64_bit_clock_raise():
     sc = scenario_from_dict(make_scenario(
         experiment="softfail", seed=3,
@@ -464,22 +432,50 @@ def test_a_ramp_that_takes_the_span_in_one_period_raises_before_any_world(
         period_s):
     model = SignalModel()
     span = model.snr0_db - FAIL_SNR
-    cfg = DetectorConfig(sample_period_ns=round(period_s * SECOND))
+    cfg = DetectorConfig(sample_period_ns=round(period_s * SECOND),
+                         consecutive_required=1)
     built = []
     with pytest.raises(TwinError, match="in one sample period"):
         run_softfail_case(built.append, rate_db_per_s=span / period_s,
                           repetitions=1, noise_sigma_db=0.0,
                           detector_cfg=cfg, model=model, keep_trace=False)
     assert built == []
-    # a little slower, and the ramp takes two periods
-    assert episode_horizon(cfg, span, 0.99 * span / period_s) == \
+    # a little slower, and the ramp takes two periods; one sample below the
+    # level detects it
+    assert episode_horizon(cfg, model, 0.99 * span / period_s) == \
         cfg.baseline_window + 1002
+
+
+def test_a_ramp_that_crosses_before_a_detection_raises_before_any_world():
+    # at 0.25 dB a sample the ramp is more than 0.5 dB below the baseline
+    # from its 3rd sample on and reaches the fail SNR at its 53rd: 51 samples
+    built = []
+    with pytest.raises(TwinError, match="than consecutive_required = 52"):
+        run_softfail_case(built.append, rate_db_per_s=0.25, repetitions=1,
+                          noise_sigma_db=0.0,
+                          detector_cfg=DetectorConfig(consecutive_required=52),
+                          model=SignalModel(), keep_trace=False)
+    assert built == []
+    # one fewer, and detection comes at the crossing sample itself
+    report = run_softfail_case(
+        softfail_world_factory(), rate_db_per_s=0.25, repetitions=1,
+        noise_sigma_db=0.0, model=SignalModel(),
+        detector_cfg=DetectorConfig(consecutive_required=51))
+    assert report.anticipation_s == 0.0
+    # a ramp of 10 dB a sample passes 31.9 dB at its 4th sample, where it
+    # reaches the fail SNR of -9.3 dB; but a level 31.9 dB below 21.84 dB
+    # lies under the LOS floor, which the clamped SNR never falls below
+    with pytest.raises(TwinError, match="with 0 of its samples"):
+        episode_horizon(DetectorConfig(drop_threshold_db=31.9,
+                                       consecutive_required=1),
+                        SignalModel(fail_ber_above=0.37), 10.0)
 
 
 def test_deployment_time_can_push_the_samples_past_the_64_bit_clock():
     # 1,063 samples 8e6 s apart fit the clock from time 0, so the horizon
     # passes; after VNFs that take 1e9 s to instantiate they do not.  The
-    # ramp lowers the SNR by 8 dB a sample, less than the 13 dB to failure.
+    # ramp lowers the SNR by 8 dB a sample, less than the 13 dB to failure,
+    # and one sample below the level detects it.
     doc = make_scenario(experiment="softfail", seed=3,
                         softfail={"cases": [{"rate_db_per_s": 0.5}]})
     for vnf in doc["service"]["vnfs"]:
@@ -489,5 +485,6 @@ def test_deployment_time_can_push_the_samples_past_the_64_bit_clock():
         run_softfail_case(lambda rep: build_world(sc, (0, rep)),
                           rate_db_per_s=1e-6, repetitions=1, noise_sigma_db=0.0,
                           detector_cfg=DetectorConfig(
-                              sample_period_ns=8 * 10**15),
+                              sample_period_ns=8 * 10**15,
+                              consecutive_required=1),
                           model=SignalModel())

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import mpmath
 import pytest
@@ -63,8 +64,8 @@ def uncapped_ber(snr_db, penalty_db):
 @given(st.floats(allow_nan=False, allow_infinity=False),
        st.floats(min_value=0.0, allow_infinity=False))
 def test_ber_is_total_over_finite_snr(snr, penalty):
-    model = SignalModel(implementation_penalty_db=penalty,
-                        fail_ber_above=None, fail_snr_below_db=0.0)
+    # ber_from_snr and snr_from_ber read only the penalty
+    model = SimpleNamespace(implementation_penalty_db=penalty)
     try:
         want = uncapped_ber(snr, penalty)
     except OverflowError:
@@ -101,20 +102,12 @@ def test_signal_model_rejects_unworkable_baseline():
     {"fail_ber_above": -0.1},
     {"fail_ber_above": 0.6},
     {"fail_ber_above": float("nan")},
-    # thresholds below the LOS floor, which a clamped SNR never reaches
+    # a threshold below the LOS floor, which a clamped SNR never reaches
     {"fail_ber_above": 0.45},
-    {"fail_ber_above": None, "fail_snr_below_db": -10.5},
-], ids=["ber-0", "ber-negative", "ber-above-half", "ber-nan", "ber-below-los",
-        "snr-below-los"])
+], ids=["ber-0", "ber-negative", "ber-above-half", "ber-nan", "ber-below-los"])
 def test_signal_model_rejects_unreachable_fail_criterion(kwargs):
     with pytest.raises(ValueError):
         SignalModel(**kwargs)
-
-
-def test_signal_model_accepts_threshold_at_los_floor():
-    # the clamped SNR equals the floor, which meets "at or below"
-    model = SignalModel(fail_ber_above=None, fail_snr_below_db=LOS_FLOOR_DB)
-    assert model.fail_snr_db() == LOS_FLOOR_DB
 
 
 def test_snr_from_ber_inverts_ber_from_snr():
@@ -129,8 +122,8 @@ def test_snr_from_ber_inverts_ber_from_snr():
 @given(st.floats(min_value=1e-299, max_value=BER_CEIL, exclude_max=True),
        st.floats(min_value=0.0, max_value=10.0))
 def test_snr_from_ber_is_the_float_boundary(ber, penalty):
-    model = SignalModel(implementation_penalty_db=penalty,
-                        fail_ber_above=None, fail_snr_below_db=0.0)
+    # ber_from_snr and snr_from_ber read only the penalty
+    model = SimpleNamespace(implementation_penalty_db=penalty)
     snr = snr_from_ber(ber, model)
     assert ber_from_snr(snr, model) > ber
     assert not ber_from_snr(math.nextafter(snr, math.inf), model) > ber
