@@ -14,6 +14,7 @@ routine that programmed the ROADMs for deployment reprograms them.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Optional
@@ -379,41 +380,32 @@ class OrchestrationStack:
         """Runs once every ROADM is programmed for the service."""
         assert rec.path is not None
         rec.timestamps.t_roadms_configured = self.kernel.now()
-        pending_cfg = 2
-        pending_op = 2
+        entered: Counter[TransponderState] = Counter()
 
-        def cfg_done() -> None:
-            nonlocal pending_cfg
-            pending_cfg -= 1
-            if pending_cfg == 0:
+        def on_state(state: TransponderState) -> None:
+            """Stamps a phase when the second transponder reaches it."""
+            entered[state] += 1
+            if entered[state] < 2:
+                return
+            if state is TransponderState.LASER_WARMUP:
                 rec.timestamps.t_transponders_configured = self.kernel.now()
-
-        def op_done() -> None:
-            nonlocal pending_op
-            pending_op -= 1
-            if pending_op == 0:
+            elif state is TransponderState.OPERATIONAL:
                 rec.timestamps.t_path_operational = self.kernel.now()
                 self.kernel.schedule_in(self.timings.probe_verify_ns,
                                         lambda: self._verify_probe(rec),
                                         kind=f"{rec.request_id}:probe")
 
         for i, tp_id in enumerate((rec.path.source, rec.path.destination)):
-            tp = self.state.transponders[tp_id]
             rng = rec.rng.split(2, i) if self.jitter else None
-            schedule = transponder_lifecycle(tp, self.kernel.now(), self.kernel,
-                                             rng=rng)
-            warmup_at = schedule[1][0]
-            operational_at = schedule[2][0]
-            self.kernel.schedule(cfg_done, warmup_at,
-                                 kind=f"{rec.request_id}:tpcfg:{tp_id}")
-            self.kernel.schedule(op_done, operational_at,
-                                 kind=f"{rec.request_id}:tpop:{tp_id}")
+            transponder_lifecycle(self.state.transponders[tp_id],
+                                  self.kernel.now(), self.kernel, on_state,
+                                  rng=rng)
 
     def _verify_probe(self, rec: ServiceRecord) -> None:
         assert rec.path is not None
         rng = rec.rng.split(3) if self.jitter else None
         rec.probe = measure_round_trip(rec.path, self.state, self.probe_cfg,
-                                       kernel=self.kernel, rng=rng)
+                                       rng=rng)
         rec.timestamps.t_probe_verified = self.kernel.now()
         req = rec.descriptor.connectivity.max_rt_latency_ns
         if req is not None and rec.probe.measured_rt_ns > req:

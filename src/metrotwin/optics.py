@@ -15,8 +15,8 @@ evaluated in closed form at any instant; the ring's links are never written.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -63,7 +63,7 @@ class AttenuationRamp:
                         0.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SignalModel:
     """Receiver baseline and fail criterion.
 
@@ -77,6 +77,7 @@ class SignalModel:
     snr0_db: float = 21.84
     implementation_penalty_db: float = 0.25
     fail_ber_above: float = 3.8e-3
+    _fail_snr_db: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.implementation_penalty_db < 0:
@@ -84,6 +85,9 @@ class SignalModel:
         if not BER_FLOOR < self.fail_ber_above < BER_CEIL:
             raise ValueError(f"fail_ber_above must lie in ({BER_FLOOR}, "
                              f"{BER_CEIL}); got {self.fail_ber_above!r}")
+        # bisected once: the model is frozen
+        object.__setattr__(self, "_fail_snr_db",
+                           snr_from_ber(self.fail_ber_above, self))
         fail_snr = self.fail_snr_db()
         # below the LOS floor the receiver has lost the signal, and the
         # clamped SNR of a noiseless ramp never goes there
@@ -96,7 +100,7 @@ class SignalModel:
     def fail_snr_db(self) -> float:
         """The largest SNR whose BER is above ``fail_ber_above``: a sample
         fails exactly when its SNR is at or below it."""
-        return snr_from_ber(self.fail_ber_above, self)
+        return self._fail_snr_db
 
 
 @dataclass(frozen=True)
@@ -151,14 +155,15 @@ def transponder_lifecycle(
     tp: Transponder,
     configure_at: SimTime,
     kernel: Kernel,
+    on_state: Callable[[TransponderState], None],
     rng: Optional[SimRng] = None,
-) -> list[tuple[SimTime, TransponderState]]:
+) -> None:
     """Drive a transponder Off -> Configuring -> LaserWarmup -> Operational.
 
     Durations come from the node's nominal config/warm-up times; when ``rng``
     is given they are lognormal draws with coefficient of variation
-    ``TRANSPONDER_JITTER_CV``, otherwise exact.  Returns the planned (time,
-    state) schedule; the state mutations happen as kernel events fire.
+    ``TRANSPONDER_JITTER_CV``, otherwise exact.  Each state is entered by a
+    kernel event, which then calls ``on_state(state)``.
     """
     node = tp.node
     if tp.state is not TransponderState.OFF or tp.lifecycle_pending:
@@ -172,22 +177,19 @@ def transponder_lifecycle(
             node.config_duration_ns / SECOND, TRANSPONDER_JITTER_CV) * SECOND)
         warmup_ns = round(rng.lognormal_mean_cv(
             node.warmup_duration_ns / SECOND, TRANSPONDER_JITTER_CV) * SECOND)
-
-    schedule = [
-        (configure_at, TransponderState.CONFIGURING),
-        (configure_at + config_ns, TransponderState.LASER_WARMUP),
-        (configure_at + config_ns + warmup_ns, TransponderState.OPERATIONAL),
-    ]
     tp.lifecycle_pending = True
 
-    def make_setter(state: TransponderState):
-        def setter() -> None:
-            tp.state = state
-        return setter
+    def enter(state: TransponderState) -> None:
+        tp.state = state
+        on_state(state)
 
-    for at, state in schedule:
-        kernel.schedule(make_setter(state), at, kind=f"tp:{node.id}:{state.value}")
-    return schedule
+    for at, state in (
+            (configure_at, TransponderState.CONFIGURING),
+            (configure_at + config_ns, TransponderState.LASER_WARMUP),
+            (configure_at + config_ns + warmup_ns,
+             TransponderState.OPERATIONAL)):
+        kernel.schedule(lambda state=state: enter(state), at,
+                        kind=f"tp:{node.id}:{state.value}")
 
 
 def transponder_teardown(tp: Transponder) -> None:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import PathNotOperational, RankDeficient, Underdetermined
 from .optics import rt_propagation_delay
-from .simkernel import Kernel, SimRng
+from .simkernel import SimRng
 from .topology import OpticalPath, RingState, RingTopology, TransponderState
 
 
@@ -76,7 +76,6 @@ def noiseless_round_trip(path: OpticalPath, ring: RingTopology,
 
 
 def measure_round_trip(path: OpticalPath, state: RingState, cfg: ProbeConfig,
-                       kernel: Optional[Kernel] = None,
                        rng: Optional[SimRng] = None) -> LatencyMeasurement:
     """One probe shot over an operational path: the noiseless round trip
     plus jitter."""
@@ -92,8 +91,6 @@ def measure_round_trip(path: OpticalPath, state: RingState, cfg: ProbeConfig,
             shot.link_length_m,
             shot.measured_rt_ns + round(rng.normal(0.0, cfg.jitter_sigma_ns)),
             shot.estimated_rt_prop_ns)
-    if kernel is not None:
-        kernel.schedule(lambda: None, kernel.now(), kind="probe_rtt")
     return shot
 
 

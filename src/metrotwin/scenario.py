@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import IO, NamedTuple, Optional, Union
@@ -22,7 +23,7 @@ from .controlplane import (ConnectivityRequirements, NsDescriptor,
 from .errors import ParseError, TwinError, ValidationError
 from .mda import (DetectorConfig, SoftFailWorld, episode_horizon,
                   run_softfail_case)
-from .optics import OpticalPlant, SignalModel
+from .optics import OpticalPlant, SignalModel, SPEED_OF_LIGHT_M_PER_S
 from .probe import (ProbeConfig, budget_from_config, fit_budget,
                     measure_round_trip, noiseless_round_trip)
 from .simkernel import Kernel, SECOND, SimRng
@@ -80,6 +81,12 @@ _UNITS = {"s": lambda v: round(v * SECOND), "us": lambda v: round(v * 1000),
 
 # the longest duration in seconds; in nanoseconds it fits the 64-bit clock
 _MAX_S = 1e9
+# the longest link in metres, whose round trip at group index 2 lasts _MAX_S:
+# a probe's round trip over up to nine such links fits the 64-bit clock
+_MAX_M = _MAX_S * SPEED_OF_LIGHT_M_PER_S / 4
+# the largest coefficient of variation whose square, and so the lognormal
+# draw's log1p(cv**2), is finite
+_MAX_CV = math.sqrt(sys.float_info.max)
 
 _NAME, _OBJECT, _OBJECTS = (_Key(kind, True)
                             for kind in ("string", "object", "objects"))
@@ -100,7 +107,8 @@ _TABLE = {
         "channel_grid_size": _Key("integer", low=1)}),
     "topology.links[]": (None, {
         "id": _NAME, "endpoints": _Key("pair", True),
-        "length_m": _Key("number", True), "group_index": _NUMBER,
+        "length_m": _Key("number", True, high=_MAX_M),
+        "group_index": _NUMBER,
         "legacy_residual_delay_ns": _Key("integer", low=0)}),
     "topology.transponders[]": (None, {
         "id": _NAME, "roadm": _NAME,
@@ -120,7 +128,7 @@ _TABLE = {
         "name": _NAME,
         "vcpu": _Key("integer", low=0), "mem_mb": _Key("integer", low=0),
         "instantiation_mean_s": _Key("number", above=0, high=_MAX_S),
-        "instantiation_cv": _Key("number", low=0),
+        "instantiation_cv": _Key("number", low=0, high=_MAX_CV),
         "compute": _Key("string", True, field="target_compute")}),
     "service.connectivity": (ConnectivityRequirements, {
         "endpoints": _Key("pair", True),
@@ -136,7 +144,8 @@ _TABLE = {
         "repetitions": _Key("integer", low=1, default=1),
         "probe": _Key("object", default={}), "attribution": _Key("object")}),
     "latency.cases[]": (None, {
-        "length_km": _Key("number", True, low=0, unit="km", field="length_m"),
+        "length_km": _Key("number", True, low=0, high=_MAX_M / 1000,
+                          unit="km", field="length_m"),
         "legacy_residual_delay_ns": _Key("integer", low=0)}),
     "latency.probe": (ProbeConfig, {
         key: _Key("integer", low=0)
@@ -157,7 +166,8 @@ _TABLE = {
     "softfail.detector": (DetectorConfig, {
         "sample_period_s": _Key("number", low=1e-9, high=_MAX_S, unit="s",
                                 field="sample_period_ns"),
-        "baseline_window": _INTEGER, "drop_threshold_db": _NUMBER,
+        "baseline_window": _INTEGER,
+        "drop_threshold_db": _Key("number", above=0),
         "consecutive_required": _INTEGER, "regression_window": _INTEGER}),
     # run_softfail_case's arguments, plus the case's name and its detector
     # drop_threshold_db
@@ -165,7 +175,7 @@ _TABLE = {
         "name": _Key("string"),
         "rate_db_per_s": _Key("number", True, above=0),
         "snr_coupling": _Key("number", above=0, high=1.5),
-        "drop_threshold_db": _NUMBER,
+        "drop_threshold_db": _Key("number", above=0),
         "link": _Key("string", field="ramp_link")}),
 }
 

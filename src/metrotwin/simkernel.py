@@ -209,10 +209,10 @@ class Kernel:
                     kind: str = "") -> None:
         self.schedule(action, self._now + delay, kind=kind)
 
-    def _drain(self, horizon: float) -> int:
-        """Fire queued events with fire_at <= horizon in order; returns how many."""
-        start = self._fired
-        while self._heap and self._heap[0][0] <= horizon:
+    def run_to_end(self) -> SimTime:
+        """Fire every queued event in order, including those queued while
+        firing; returns the fire time of the last (now() if none)."""
+        while self._heap:
             fire_at, sequence, action, kind = heapq.heappop(self._heap)
             self._now = fire_at
             self._fired += 1
@@ -222,17 +222,4 @@ class Kernel:
             if self.trace is not None:
                 self.trace.write(f"{fire_at},{sequence},{kind}\n")
             action()
-        return self._fired - start
-
-    def run_until(self, horizon: SimTime) -> int:
-        """Fire every event with fire_at <= horizon; clock ends at horizon."""
-        if horizon < self._now:
-            raise SchedulingInPast(f"horizon {horizon} ns < now {self._now} ns")
-        fired = self._drain(horizon)
-        self._now = horizon
-        return fired
-
-    def run_to_end(self) -> SimTime:
-        """Drain the queue; returns the fire time of the last event (now() if empty)."""
-        self._drain(math.inf)
         return self._now

@@ -353,6 +353,16 @@ def set_key(doc, path, value):
     # r2-r3 is off the monitored r1-r2: exit 2 with "telemetry stream ran
     # past its expected horizon" before
     ("softfail.cases[0].link", "r2-r3", None),
+    # the detector fired on the third sample after the baseline, whatever
+    # the ramp, before
+    ("softfail.detector.drop_threshold_db", -5, None),
+    ("softfail.cases[0].drop_threshold_db", 0, None),
+    # exit 2 with an OverflowError from the probe's round trip before
+    ("latency.cases[0].length_km", 1e307, None),
+    ("topology.links[0].length_m", 1e308, None),
+    # log1p(cv**2) is infinite: with service.jitter on, exit 2 with a NaN
+    # ValueError before
+    ("service.vnfs[0].instantiation_cv", 1e300, None),
 ])
 def test_bad_document_fails_validation_naming_key(tmp_path, capsys, path,
                                                   value, named):

@@ -1,3 +1,5 @@
+import io
+
 import pytest
 
 from conftest import ring_section, service_section
@@ -50,6 +52,24 @@ def test_workflow_timestamps_without_jitter():
     assert ts.t_probe_verified == ts.t_monitoring_active == 177 * S
 
 
+def test_deployment_fires_one_event_per_state_change():
+    trace = io.StringIO()
+    kernel = Kernel(trace=trace)
+    stack = OrchestrationStack(RingState(build_ring(ring_section())), kernel,
+                               SimRng(0))
+    deploy(stack, kernel)
+    assert [line.split(",")[2] for line in trace.getvalue().splitlines()] == [
+        "svc-1:request",
+        "svc-1:vnf:csm-analytics", "svc-1:vnf:css-dm",
+        "svc-1:messaging",
+        "svc-1:roadm:roadm1", "svc-1:roadm:roadm2", "svc-1:roadm:roadm3",
+        "tp:tp1:Configuring", "tp:tp2:Configuring",
+        "tp:tp1:LaserWarmup", "tp:tp2:LaserWarmup",
+        "tp:tp1:Operational", "tp:tp2:Operational",
+        "svc-1:probe",
+    ]
+
+
 def test_kpis_from_record():
     _, kernel, stack = fresh_stack()
     rec = deploy(stack, kernel)
@@ -63,9 +83,16 @@ def test_kpis_from_record():
 def test_kpis_refuse_incomplete_record():
     _, kernel, stack = fresh_stack()
     rec = stack.request_network_service(descriptor())
-    kernel.run_until(30 * S)  # VNFs still instantiating
-    with pytest.raises(IncompleteRecord):
-        stack.compute_kpis(rec)
+    refused = []
+
+    def at_30_s():  # VNFs still instantiating
+        with pytest.raises(IncompleteRecord):
+            stack.compute_kpis(rec)
+        refused.append(kernel.now())
+
+    kernel.schedule(at_30_s, 30 * S)
+    kernel.run_to_end()
+    assert refused == [30 * S]
 
 
 def test_path_choice_and_channel():

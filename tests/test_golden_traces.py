@@ -16,13 +16,13 @@ from metrotwin.cli import main
 
 GOLDEN = {
     ("setup", "paper_setup.json"):
-        "3fad8c5604388128197ef18a5d4bec8a11092868612c2986aff4ded5e42e64ff",
+        "9940930a4072dfea8107fa1709c6938471f565f5c4e1443fe3125f22937c9603",
     ("latency", "paper_table2.json"):
-        "d61c6e3d3ae03b19e5923126f2bf966fb5ca89fc172f18ad5701de1dfd23b1f6",
+        "e186829d131b8f60835f4af8ffc1b80190ee1ca21849996e07462bd3426277d9",
     ("softfail", "paper_softfail.json"):
-        "d60c94b63ffeeeef230176687727eef5b828bf931f4634baf89d9a8daa461db9",
+        "2c3292dca456281a4626216ada3d2f3ce0087f489b1ef653c7d6398300d70f56",
     ("demo", "paper_full_demo.json"):
-        "17226402d7ce47993708ed30b4e61b07aacb0478fbcdeb026c691ef41e48a664",
+        "cef91842814887f58f8120d8dcf88553183480c2b25d3beb553eaa13034d0c69",
 }
 
 

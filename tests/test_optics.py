@@ -215,20 +215,21 @@ def test_transponder_lifecycle_timeline():
     tp = state.transponders["tp1"]
     transponder_teardown(tp)
     k = Kernel()
-    plan = transponder_lifecycle(tp, 48 * SECOND, k)
-    assert [s for _, s in plan] == [TransponderState.CONFIGURING,
-                                    TransponderState.LASER_WARMUP,
-                                    TransponderState.OPERATIONAL]
-    assert plan[1][0] == 50 * SECOND
-    assert plan[2][0] == 175 * SECOND
+    entered = []
+    transponder_lifecycle(tp, 48 * SECOND, k,
+                          lambda s: entered.append((k.now(), s)))
     with pytest.raises(IllegalTransition):
-        transponder_lifecycle(tp, 48 * SECOND, k)  # schedule already pending
-    k.run_until(60 * SECOND)
-    assert tp.state is TransponderState.LASER_WARMUP
+        transponder_lifecycle(tp, 48 * SECOND, k, entered.append)  # pending
+    at_60_s = []
+    k.schedule(lambda: at_60_s.append(tp.state), 60 * SECOND)
     k.run_to_end()
+    assert entered == [(48 * SECOND, TransponderState.CONFIGURING),
+                       (50 * SECOND, TransponderState.LASER_WARMUP),
+                       (175 * SECOND, TransponderState.OPERATIONAL)]
+    assert at_60_s == [TransponderState.LASER_WARMUP]
     assert tp.state is TransponderState.OPERATIONAL
     with pytest.raises(IllegalTransition):
-        transponder_lifecycle(tp, k.now(), k)  # not Off
+        transponder_lifecycle(tp, k.now(), k, entered.append)  # not Off
     transponder_teardown(tp)
     assert tp.state is TransponderState.OFF
 
@@ -238,9 +239,15 @@ def test_transponder_lifecycle_jitter_draws():
     tp = state.transponders["tp1"]
     transponder_teardown(tp)
     k = Kernel()
-    plan = transponder_lifecycle(tp, 0, k, rng=SimRng(3))
-    config = plan[1][0]
-    warmup = plan[2][0] - plan[1][0]
+    entered = []
+    transponder_lifecycle(tp, 0, k, lambda s: entered.append((k.now(), s)),
+                          rng=SimRng(3))
+    k.run_to_end()
+    assert [s for _, s in entered] == [TransponderState.CONFIGURING,
+                                       TransponderState.LASER_WARMUP,
+                                       TransponderState.OPERATIONAL]
+    config = entered[1][0]
+    warmup = entered[2][0] - entered[1][0]
     assert config != 2 * SECOND  # jittered
     assert abs(config - 2 * SECOND) < 0.5 * SECOND
     assert abs(warmup - 125 * SECOND) < 20 * SECOND

@@ -71,18 +71,6 @@ def test_events_may_schedule_at_current_time():
     assert fired == ["nested"]
 
 
-def test_run_until_leaves_clock_at_horizon():
-    k = Kernel()
-    fired = []
-    k.schedule(lambda: fired.append(1), 10)
-    k.schedule(lambda: fired.append(2), 50)
-    n = k.run_until(30)
-    assert n == 1 and fired == [1]
-    assert k.now() == 30
-    k.run_to_end()
-    assert fired == [1, 2]
-
-
 def test_run_to_end_returns_last_fire_time():
     k = Kernel()
     k.schedule(lambda: None, 7)
