@@ -36,6 +36,8 @@ class ServiceStatus(Enum):
     TORN_DOWN = "TornDown"
 
 
+STACK_STREAM, VNF_STREAM, TRANSPONDER_STREAM, PROBE_STREAM = 0, 1, 2, 3
+
 # legal transitions; anything else raises IllegalTransition
 _TRANSITIONS = {
     ServiceStatus.DEPLOYING: {ServiceStatus.ACTIVE, ServiceStatus.FAILED},
@@ -123,9 +125,7 @@ class RestorationOutcome:
 class ServiceRecord:
     request_id: str
     descriptor: NsDescriptor
-    # the service's stream: VNF i draws on (1, i), transponder i on (2, i),
-    # the probe verification on (3,)
-    rng: SimRng
+    rng: SimRng  # the service's stream
     status: ServiceStatus = ServiceStatus.DEPLOYING
     timestamps: Timestamps = field(default_factory=Timestamps)
     placements: dict[str, NodeId] = field(default_factory=dict)
@@ -287,7 +287,7 @@ class OrchestrationStack:
             rec.placements[vnf.name] = vnf.target_compute
             dur_s = vnf.instantiation_mean_s
             if self.jitter:
-                dur_s = rec.rng.split(1, i).lognormal_mean_cv(
+                dur_s = rec.rng.split(VNF_STREAM, i).lognormal_mean_cv(
                     vnf.instantiation_mean_s, vnf.instantiation_cv)
             self.kernel.schedule_in(round(dur_s * SECOND), done_one,
                                     kind=f"{rec.request_id}:vnf:{vnf.name}")
@@ -396,14 +396,14 @@ class OrchestrationStack:
                                         kind=f"{rec.request_id}:probe")
 
         for i, tp_id in enumerate((rec.path.source, rec.path.destination)):
-            rng = rec.rng.split(2, i) if self.jitter else None
+            rng = rec.rng.split(TRANSPONDER_STREAM, i) if self.jitter else None
             transponder_lifecycle(self.state.transponders[tp_id],
                                   self.kernel.now(), self.kernel, on_state,
                                   rng=rng)
 
     def _verify_probe(self, rec: ServiceRecord) -> None:
         assert rec.path is not None
-        rng = rec.rng.split(3) if self.jitter else None
+        rng = rec.rng.split(PROBE_STREAM) if self.jitter else None
         rec.probe = measure_round_trip(rec.path, self.state, self.probe_cfg,
                                        rng=rng)
         rec.timestamps.t_probe_verified = self.kernel.now()
@@ -498,7 +498,8 @@ class OrchestrationStack:
     # ---------------------------------------------------------- teardown
 
     def teardown(self, rec: ServiceRecord) -> None:
-        """Return every resource the service holds; record becomes TornDown."""
+        """Move to TornDown, raising if illegal, then return every held resource."""
+        rec.transition(ServiceStatus.TORN_DOWN)
         self.release_vnfs(rec)
         self._release_channel(rec)
         if rec.path is not None:
@@ -517,7 +518,6 @@ class OrchestrationStack:
                 if end not in still_used:
                     self.state.roadms[end].add_drop_channels.discard(
                         rec.channel)
-        rec.transition(ServiceStatus.TORN_DOWN)
 
     def _release_channel(self, rec: ServiceRecord) -> None:
         """Free the service's spans in the ledger and its pass entries, which
@@ -544,6 +544,17 @@ class OrchestrationStack:
             if stamped != sorted(stamped):
                 problems.append(f"{rec.request_id}: timestamps not monotonic")
         return problems
+
+
+def jittered_streams(ns: NsDescriptor, probe_cfg: Optional[ProbeConfig]
+                     ) -> list[tuple[int, ...]]:
+    """The spawn paths, below a world's root, that a jittered stack's first
+    service, svc-1, draws on; the probe's only when the probe has jitter."""
+    svc = (STACK_STREAM, hash_label("svc-1"))
+    probe = (probe_cfg or ProbeConfig()).jitter_sigma_ns > 0
+    return ([svc + (VNF_STREAM, i) for i in range(len(ns.vnfs))]
+            + [svc + (TRANSPONDER_STREAM, i) for i in (0, 1)]
+            + ([svc + (PROBE_STREAM,)] if probe else []))
 
 
 def hash_label(text: str) -> int:

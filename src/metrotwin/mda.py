@@ -161,10 +161,11 @@ class SoftFailReport:
     mean_detection_ber: float
     restored_count: int
     failed_count: int
-    per_rep: list[RepetitionResult] = field(default_factory=list)
     # (seconds since ramp start, snr_db, pre_fec_ber) for the first repetition
     trace: list[tuple[float, float, float]] = field(default_factory=list)
 
+
+NOISE_STREAM = 11  # a soft-failure world's telemetry noise, below its root
 
 # The longest episode horizon in samples, about 12 days at the 1 s default
 # period.  An episode's telemetry is one array of its horizon.
@@ -312,7 +313,7 @@ def run_softfail_case(world_factory: Callable[[int], SoftFailWorld],
             start_time=ramp_start, snr_coupling=snr_coupling))
         ev, cross = _scan_telemetry(
             plant, monitored_path, model, detector_cfg, fail_snr,
-            first_sample, noise_sigma_db, world.rng.split(11), samples,
+            first_sample, noise_sigma_db, world.rng.split(NOISE_STREAM), samples,
             trace if keep_trace and rep == 0 else None, ramp_start)
         t_last = first_sample + period * (
             samples - 1 if cross is None else cross)
@@ -373,5 +374,4 @@ def run_softfail_case(world_factory: Callable[[int], SoftFailWorld],
         mean_detection_ber=sum(r.ber_at_detect for r in reps) / n,
         restored_count=sum(1 for r in reps if r.restored),
         failed_count=sum(1 for r in reps if not r.restored),
-        per_rep=reps,
         trace=trace)

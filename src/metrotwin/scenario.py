@@ -16,20 +16,22 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import IO, NamedTuple, Optional, Union
+from typing import IO, Mapping, NamedTuple, Optional, Union
 
 from .controlplane import (ConnectivityRequirements, NsDescriptor,
-                           OrchestrationStack, PhaseTimings, VnfDescriptor)
+                           OrchestrationStack, PhaseTimings, STACK_STREAM,
+                           VnfDescriptor, jittered_streams)
 from .errors import ParseError, TwinError, ValidationError
-from .mda import (DetectorConfig, SoftFailWorld, episode_horizon,
-                  run_softfail_case)
+from .mda import (DetectorConfig, NOISE_STREAM, SoftFailWorld,
+                  episode_horizon, run_softfail_case)
 from .optics import OpticalPlant, SignalModel, SPEED_OF_LIGHT_M_PER_S
 from .probe import (ProbeConfig, budget_from_config, fit_budget,
                     measure_round_trip, noiseless_round_trip)
-from .simkernel import Kernel, SECOND, SimRng
+from .simkernel import Kernel, SECOND, SimRng, stream_keys
 from .topology import FiberLink, RingState, RingTopology, build_ring
 
 ARTIFACT_VERSION = 1
+LATENCY_PROBE_STREAM = 5  # a latency world's probe jitter, below its root
 EXPERIMENTS = ("setup_kpi", "latency", "softfail", "full_demo")
 
 _UNSET = object()
@@ -442,14 +444,15 @@ def load_scenario(path: Union[str, Path], lenient: bool = False) -> Scenario:
 
 def build_world(sc: Scenario, spawn_key: tuple[int, ...],
                 ring: Optional[RingTopology] = None,
-                trace_sink: Optional[IO[str]] = None) -> SoftFailWorld:
+                trace_sink: Optional[IO[str]] = None,
+                keys: Optional[Mapping] = None) -> SoftFailWorld:
     """Provision one isolated world on ``ring``, a latency case's or else
     the scenario's, and deploy the scenario's service in it."""
     state = RingState(ring or sc.ring)
     kernel = Kernel(trace=trace_sink)
-    rng = SimRng(sc.seed, spawn_key=spawn_key)
+    rng = SimRng(sc.seed, spawn_key, keys)
     stack = OrchestrationStack(
-        state, kernel, rng.split(0),
+        state, kernel, rng.split(STACK_STREAM),
         timings=sc.service.timings,
         probe_cfg=sc.latency.probe if sc.latency else None,
         jitter=sc.service.jitter)
@@ -460,6 +463,19 @@ def build_world(sc: Scenario, spawn_key: tuple[int, ...],
                         f"{record.failure_reason}")
     return SoftFailWorld(kernel=kernel, plant=OpticalPlant(state),
                          stack=stack, record=record, rng=rng)
+
+
+def _world_builder(sc: Scenario, roots: list[tuple[int, ...]],
+                   extra: list[tuple[int, ...]], trace_sink=None):
+    """``build_world`` for the worlds at ``roots``, keyed up front for the
+    streams their deployments and ``extra`` (paths below a root) draw on."""
+    paths = extra + (jittered_streams(sc.service.descriptor,
+                                      sc.latency and sc.latency.probe)
+                     if sc.service.jitter else [])
+    table = dict(zip(roots, stream_keys(sc.seed, roots, paths)))
+    return lambda root, ring=None: build_world(
+        sc, root, ring, trace_sink,
+        dict(zip([root + p for p in paths], table[root].tolist())))
 
 
 # --------------------------------------------------------------- reporting
@@ -491,8 +507,9 @@ def _run_setup(sc: Scenario, trace_sink=None) -> dict:
     reps = sc.service.repetitions
     rows = []
     kpis = []
+    build = _world_builder(sc, [(rep,) for rep in range(reps)], [], trace_sink)
     for rep in range(reps):
-        world = build_world(sc, (rep,), trace_sink=trace_sink)
+        world = build((rep,))
         report = world.stack.compute_kpis(world.record)
         kpis.append(report)
         rows.append({
@@ -529,17 +546,18 @@ def _run_latency(sc: Scenario, trace_sink=None) -> dict:
     latency = sc.latency
     rows = []
     deltas = []
+    build = _world_builder(sc, [(200 + c, r) for c in range(len(latency.cases))
+                                for r in range(latency.repetitions)],
+                           [(LATENCY_PROBE_STREAM,)], trace_sink)
     for case_idx, link in enumerate(latency.cases):
         ring = _case_ring(sc.ring, link)
         measured = []
         estimated = None
         for rep in range(latency.repetitions):
-            world = build_world(sc, (200 + case_idx, rep), ring,
-                                trace_sink=trace_sink)
-            rec = world.record
-            probe_rng = world.rng.split(5)
-            m = measure_round_trip(rec.path, world.stack.state,
-                                   world.stack.probe_cfg, rng=probe_rng)
+            world = build((200 + case_idx, rep), ring)
+            m = measure_round_trip(
+                world.record.path, world.stack.state, world.stack.probe_cfg,
+                rng=world.rng.split(LATENCY_PROBE_STREAM))
             measured.append(m.measured_rt_ns)
             estimated = m.estimated_rt_prop_ns
         mean_measured = sum(measured) / len(measured)
@@ -574,12 +592,13 @@ def _run_latency(sc: Scenario, trace_sink=None) -> dict:
 def _run_softfail(sc: Scenario, trace_sink=None) -> dict:
     softfail = sc.softfail
     cases_out = []
+    build = _world_builder(sc, [(100 + c, r) for c in range(len(softfail.cases))
+                                for r in range(softfail.repetitions)],
+                           [(NOISE_STREAM,)], trace_sink)
     for idx, case in enumerate(softfail.cases):
-        factory = (lambda case_idx: lambda rep: build_world(
-            sc, (100 + case_idx, rep), trace_sink=trace_sink))(idx)
         try:
             report = run_softfail_case(
-                world_factory=factory,
+                world_factory=lambda rep, idx=idx: build((100 + idx, rep)),
                 repetitions=softfail.repetitions,
                 noise_sigma_db=softfail.noise_sigma_db,
                 detector_cfg=case.detector,

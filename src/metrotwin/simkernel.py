@@ -11,23 +11,20 @@ and every draw equals numpy's ``Generator(Philox(SeedSequence(seed,
 spawn_key)))``, so draws are reproducible independently of execution order:
 the same (seed, spawn path) always yields the same values.
 
-A stream reaches that generator's key in fewer numpy calls.  Its entropy
-words are those ``SeedSequence`` assembles: the seed's, padded to the pool
-size of 4, then each spawn label's, low word first; a split child extends its
-parent's words by its own labels.  numpy's C ``SeedSequence`` mixes them into
-the pool once.  The 2x64-bit Philox key is then the pool passed through
-``SeedSequence.generate_state``'s output hash, replayed here over the four
-32-bit pool words, and it reaches ``Philox`` through a seed sequence that
-only returns it.  The mixing is numpy's own code and the hash is numpy's,
-step for step, so the key, and with it every draw, is the one numpy derives.
+``philox_keys`` replays ``SeedSequence``'s Philox key derivation in numpy
+arithmetic, a row of entropy words per stream, so a runner keys all its
+worlds' streams in one pass; a stream missing from its world's table has
+numpy's C ``SeedSequence`` mix its pool and replays only the output hash.
+Keys reach ``Philox`` through a seed sequence that only returns them.
 """
 
 from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import math
-from typing import Callable, IO, Optional
+from typing import Callable, IO, Optional, Sequence
 
 import numpy as np
 
@@ -46,46 +43,68 @@ _M32 = 0xFFFFFFFF
 # conversion of an int counter.  Philox copies it, so one serves every stream.
 _ZERO_COUNTER = np.zeros(4, np.uint64)
 _ZERO_COUNTER.flags.writeable = False
+# SeedSequence's (INIT, MULT) hash constants: pool mixing, output hash
+_MIX_HASH, _OUT_HASH = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)
 
 
-def _hash_constants() -> list[int]:
-    """h_0 to h_4 of ``SeedSequence.generate_state``'s output hash: h_0 is
-    numpy's INIT_B, and h_(i+1) = h_i * MULT_B mod 2**32."""
-    h = [0x8B51F9DD]
-    for _ in range(4):
-        h.append(h[-1] * 0x58F38DED & _M32)
-    return h
-
-
-_H0, _H1, _H2, _H3, _H4 = _hash_constants()
+def _hasher(const: int, mult: int) -> Callable:
+    """numpy's hashmix from hash constant ``const`` on, over 32-bit words as
+    ints or uint64 arrays; each call advances the constant by ``mult``."""
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+    return hashmix
 
 
 def _words(labels: tuple[int, ...]) -> list[int]:
     """The 32-bit words, low first, that ``SeedSequence`` reads from each label."""
-    words = []
-    for n in labels:
-        if n < 0:
-            raise ValueError(f"seeds and spawn labels must be >= 0; got {n}")
-        words.append(n & _M32)
-        n >>= 32
-        while n:
-            words.append(n & _M32)
-            n >>= 32
-    return words
+    if labels and min(labels) < 0:
+        raise ValueError(f"seeds and spawn labels must be >= 0; got {min(labels)}")
+    return [n >> s & _M32 for n in labels
+            for s in range(0, max(n.bit_length(), 1), 32)]
 
 
-def _philox_key(words: list[int]) -> tuple[int, int]:
-    """``SeedSequence(words).generate_state(2, np.uint64)``, the Philox key."""
-    a, b, c, d = np.random.SeedSequence(
-        np.array(words, np.uint32)).pool.tolist()
-    # output word i: pool word i xor h_i, times h_(i+1), then xor-shifted
-    a = (a ^ _H0) * _H1 & _M32
-    b = (b ^ _H1) * _H2 & _M32
-    c = (c ^ _H2) * _H3 & _M32
-    d = (d ^ _H3) * _H4 & _M32
-    # the four 32-bit outputs read as two little-endian 64-bit words
-    return (a ^ a >> 16 | (b ^ b >> 16) << 32,
-            c ^ c >> 16 | (d ^ d >> 16) << 32)
+def _philox_key(pool):
+    """``generate_state(2, np.uint64)`` of a pool of four 32-bit words, ints
+    or uint64 arrays: the outputs as two little-endian 64-bit words."""
+    a, b, c, d = map(_hasher(*_OUT_HASH), pool)
+    return a | b << 32, c | d << 32
+
+
+def philox_keys(words) -> np.ndarray:
+    """Each row's Philox key, ``SeedSequence(row).generate_state(2,
+    np.uint64)``, as an (n, 2) uint64 array, for an (n, m) array of entropy
+    words, m >= 4: the seed's, padded to the pool size of 4, then the key's."""
+    cols = list(np.array(words, np.uint32, ndmin=2).T.astype(np.uint64))
+    hashmix = _hasher(*_MIX_HASH)
+
+    def mix(x, y):
+        r = (x * 0xCA01F9DD - y * 0x4973F715) & _M32  # MIX_MULT_L, MIX_MULT_R
+        return r ^ r >> 16
+    pool = [hashmix(w) for w in cols[:4]]
+    # every pool word into every other, then each further word into all
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w, dst in itertools.product(cols[4:], range(4)):
+        pool[dst] = mix(pool[dst], hashmix(w))
+    return np.stack(_philox_key(pool), axis=1)
+
+
+def stream_keys(seed: int, roots: list[tuple[int, ...]],
+                paths: list[tuple[int, ...]]) -> np.ndarray:
+    """The Philox key of stream ``roots[i] + paths[j]`` at [i, j], by path;
+    the roots' labels take one word count, as a runner's (small ints) do."""
+    head = _words((seed,))
+    rows = np.array([head + [0] * (4 - len(head)) + _words(root)
+                     for root in roots], np.uint32)
+    keys = np.empty((len(roots), len(paths), 2), np.uint64)
+    for j, tail in enumerate(map(_words, paths if roots else [])):
+        keys[:, j] = philox_keys(np.hstack(
+            [rows, np.full((len(rows), len(tail)), tail, np.uint32)]))
+    return keys
 
 
 @functools.cache
@@ -100,12 +119,12 @@ def _fixed_key() -> type:
     class FixedKey(ISeedSequence):
         __slots__ = ("key",)
 
-        def __init__(self, key: tuple[int, int]):
+        def __init__(self, key: Sequence[int]):
             self.key = key
 
         def generate_state(self, n_words, dtype=np.uint32):
             # Philox asks for its two 64-bit key words and reads them by
-            # index, so a tuple of ints spares building an array
+            # index, so a pair of ints spares building an array
             return self.key
 
     return FixedKey
@@ -118,36 +137,26 @@ class SimRng:
     independent child stream from integer labels; the (seed, spawn path)
     pair fully determines every draw.  A stream builds its generator on its
     first draw, so a stream that is only split, or draws with zero spread,
-    builds none.
+    builds none.  ``keys``, which splits pass on, maps spawn keys to Philox
+    keys derived already (``stream_keys``); it is only read.
     """
 
-    def __init__(self, seed: int, spawn_key: tuple[int, ...] = ()):
+    def __init__(self, seed: int, spawn_key: tuple[int, ...] = (), keys=None):
         self.seed = int(seed)
         self.spawn_key = tuple(map(int, spawn_key))
+        self._keys = keys or {}
         self._gen: Optional[np.random.Generator] = None
-        self._entropy: Optional[list[int]] = None
 
     def split(self, *labels: int) -> "SimRng":
-        child = SimRng(self.seed, self.spawn_key + labels)
-        # the parent's entropy, extended by the child's own labels
-        child._entropy = self._entropy_words() + _words(
-            child.spawn_key[len(self.spawn_key):])
-        return child
-
-    def _entropy_words(self) -> list[int]:
-        """The entropy numpy assembles for ``SeedSequence(seed, spawn_key)``:
-        the seed's words padded to the pool size of 4, then the key's."""
-        if self._entropy is None:
-            words = _words((self.seed,))
-            words += [0] * (4 - len(words))
-            self._entropy = words + _words(self.spawn_key)
-        return self._entropy
+        return SimRng(self.seed, self.spawn_key + labels, self._keys)
 
     def _generator(self) -> np.random.Generator:
         if self._gen is None:
+            key = self._keys.get(self.spawn_key) or _philox_key(
+                np.random.SeedSequence(self.seed,
+                                       spawn_key=self.spawn_key).pool.tolist())
             self._gen = np.random.Generator(np.random.Philox(
-                _fixed_key()(_philox_key(self._entropy_words())),
-                counter=_ZERO_COUNTER))
+                _fixed_key()(key), counter=_ZERO_COUNTER))
         return self._gen
 
     def normal(self, mu: float = 0.0, sigma: float = 1.0,

@@ -333,6 +333,29 @@ def test_teardown_mid_restoration_writes_nothing_after():
     assert rec.path.links == ("r1-r2",)
 
 
+def test_teardown_while_deploying_raises_and_keeps_every_resource():
+    state, kernel, stack = fresh_stack()
+    vcpu_free = dict(state.vcpu_free)
+    rec = stack.request_network_service(descriptor())
+    refused = []
+
+    def tear_down():  # the transponders are configuring
+        with pytest.raises(IllegalTransition):
+            stack.teardown(rec)
+        refused.append(kernel.now())
+
+    kernel.schedule(tear_down, 49 * S)
+    kernel.run_to_end()
+    assert refused == [49 * S]
+    assert rec.status is ServiceStatus.ACTIVE
+    assert stack.channel_ledger == {("r1-r2", 0): rec.request_id}
+    assert state.vcpu_free == {node: free - 4 for node, free in vcpu_free.items()}
+    for tp_id in ("tp1", "tp2"):
+        assert state.transponders[tp_id].state is TransponderState.OPERATIONAL
+        assert state.transponders[tp_id].claimed_by == rec.request_id
+    assert stack.verify_invariants() == []
+
+
 def test_status_transitions_are_guarded():
     _, kernel, stack = fresh_stack()
     rec = stack.request_network_service(descriptor())

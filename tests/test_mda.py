@@ -9,8 +9,9 @@ from conftest import make_scenario
 from metrotwin.controlplane import ServiceStatus
 from metrotwin.errors import DetectionTooLate, OutOfOrderSample, TwinError
 from metrotwin.mda import (DegradationDetector, DetectorConfig,
-                           RepetitionResult, anticipation_time,
-                           episode_horizon, run_softfail_case)
+                           RepetitionResult, SoftFailReport,
+                           anticipation_time, episode_horizon,
+                           run_softfail_case)
 from metrotwin.optics import (AttenuationRamp, SignalModel, TelemetrySample,
                               ber_from_snr)
 from metrotwin.scenario import build_world, scenario_from_dict
@@ -176,11 +177,9 @@ def test_episode_determinism_with_noise():
                   detector_cfg=DetectorConfig(), model=SignalModel())
     a = run_softfail_case(world_factory=mk, **kwargs)
     b = run_softfail_case(world_factory=softfail_world_factory(seed=9), **kwargs)
-    assert [r.detection_time_ns for r in a.per_rep] == \
-           [r.detection_time_ns for r in b.per_rep]
+    assert a == b
     c = run_softfail_case(world_factory=softfail_world_factory(seed=10), **kwargs)
-    assert [r.detection_time_ns for r in a.per_rep] != \
-           [r.detection_time_ns for r in c.per_rep]
+    assert a != c
 
 
 def test_coupling_scales_effective_rate():
@@ -204,7 +203,8 @@ def oracle_softfail_case(world_factory, rate_db_per_s, repetitions,
                          noise_sigma_db, detector_cfg, model, snr_coupling=1.0,
                          ramp_link=None, keep_trace=True):
     """Reference episode: one kernel event, one ``sample_telemetry`` and one
-    detector ingest per sample period.  Returns (per_rep, trace)."""
+    detector ingest per sample period.  Returns (per-repetition results,
+    trace)."""
     reps, trace = [], []
     for rep in range(repetitions):
         world = world_factory(rep)
@@ -271,10 +271,29 @@ def oracle_softfail_case(world_factory, rate_db_per_s, repetitions,
     return reps, trace
 
 
+def oracle_report(rate_db_per_s, reps, trace):
+    """The ``SoftFailReport`` of the oracle's repetitions, summed in the
+    order ``run_softfail_case`` sums them."""
+    n = len(reps)
+    predicted = [r.predicted_anticipation_ns for r in reps
+                 if r.predicted_anticipation_ns is not None]
+    return SoftFailReport(
+        rate_db_per_s=rate_db_per_s, repetitions=n,
+        detection_time_s=sum(r.detection_time_ns for r in reps) / n / SECOND,
+        anticipation_s=sum(r.anticipation_ns for r in reps) / n / SECOND,
+        predicted_anticipation_s=(sum(predicted) / len(predicted) / SECOND
+                                  if predicted else 0.0),
+        mean_detection_snr_db=sum(r.snr_at_detect_db for r in reps) / n,
+        mean_detection_ber=sum(r.ber_at_detect for r in reps) / n,
+        restored_count=sum(1 for r in reps if r.restored),
+        failed_count=sum(1 for r in reps if not r.restored),
+        trace=trace)
+
+
 def run_both_episodes(doc, **kwargs):
     """Run the oracle and ``run_softfail_case`` on identical fresh worlds.
 
-    Returns, per side: the outcome (results and trace, or the TwinError),
+    Returns, per side: the outcome (the report, or the TwinError),
     each world's final service state, and the fired kernel events other
     than telemetry instants as (time, kind).
     """
@@ -289,9 +308,9 @@ def run_both_episodes(doc, **kwargs):
             return worlds[-1]
 
         try:
-            out = run(world_factory=factory, **kwargs)
-            outcome = out if run is oracle_softfail_case else (out.per_rep,
-                                                               out.trace)
+            outcome = run(world_factory=factory, **kwargs)
+            if run is oracle_softfail_case:
+                outcome = oracle_report(kwargs["rate_db_per_s"], *outcome)
         except TwinError as exc:
             outcome = (type(exc), str(exc))
         state = [(w.record.status, w.record.restoration, w.record.path)
@@ -398,7 +417,7 @@ def test_block_scan_matches_oracle_over_several_full_blocks():
         doc, rate_db_per_s=0.01, repetitions=2, noise_sigma_db=0.1,
         detector_cfg=DetectorConfig(regression_window=1500),
         model=SignalModel())
-    assert len(oracle[0][1]) > 1024
+    assert len(oracle[0].trace) > 1024
     assert scan == oracle
 
 

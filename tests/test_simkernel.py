@@ -1,4 +1,5 @@
 import io
+import json
 import math
 from functools import reduce
 
@@ -9,9 +10,11 @@ from hypothesis import strategies as st
 
 from conftest import SCENARIO_DIR
 from metrotwin import simkernel
+from metrotwin.cli import main
 from metrotwin.errors import RunawaySimulation, SchedulingInPast
 from metrotwin.scenario import build_world, load_scenario
-from metrotwin.simkernel import Kernel, SECOND, SimRng
+from metrotwin.simkernel import (Kernel, SECOND, SimRng, philox_keys,
+                                 stream_keys)
 
 
 def test_events_fire_in_time_order():
@@ -167,7 +170,15 @@ def test_split_tree_draws_equal_numpy_seed_sequence(seed, data):
     # random order: each matches its own numpy generator draw for draw
     labels = st.lists(st.integers(min_value=0, max_value=2 ** 80), max_size=3)
     root = tuple(data.draw(labels))
-    nodes = [SimRng(seed, root)]
+
+    class Table:
+        """A key table that holds, or lacks, each stream's key at random:
+        a stream draws with a key from ``stream_keys`` or falls back."""
+        def get(self, key):
+            if data.draw(st.booleans()):
+                return stream_keys(seed, [()], [key])[0, 0].tolist()
+
+    nodes = [SimRng(seed, root, Table())]
     paths = [root]
     oracles = {}
     for _ in range(data.draw(st.integers(min_value=1, max_value=25))):
@@ -217,3 +228,80 @@ def test_streams_build_a_generator_only_when_they_draw(monkeypatch):
     # stream, the service stream and the probe stream (jitter_sigma_ns 0)
     # only split or draw nothing
     assert len(built) == 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 160),
+       keys=st.lists(st.lists(st.integers(min_value=0, max_value=2 ** 80),
+                              max_size=4).map(tuple), min_size=1, max_size=8))
+def test_philox_keys_equal_numpy_seed_sequence(seed, keys):
+    def words(n):
+        return [n >> s & 0xFFFFFFFF
+                for s in range(0, max(n.bit_length(), 1), 32)]
+
+    # the entropy numpy assembles: the seed's 32-bit words, low first, padded
+    # to the pool size of 4, then each label's; the rows of one word count
+    # go through one pass
+    rows = {}
+    for key in keys:
+        row = words(seed)
+        row += [0] * (4 - len(row)) + [w for n in key for w in words(n)]
+        rows.setdefault(len(row), []).append((row, np.random.SeedSequence(
+            seed, spawn_key=key).generate_state(2, np.uint64).tolist()))
+    for group in rows.values():
+        keyed = philox_keys([row for row, _ in group])
+        assert keyed.dtype == np.uint64
+        assert keyed.tolist() == [key for _, key in group]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 160),
+       width=st.integers(min_value=0, max_value=2), data=st.data())
+def test_stream_keys_equal_numpy_seed_sequence(seed, width, data):
+    label = st.integers(min_value=0, max_value=2 ** 32 - 1)
+    roots = data.draw(st.lists(st.tuples(*[label] * width), max_size=5))
+    paths = data.draw(st.lists(st.lists(
+        st.integers(min_value=0, max_value=2 ** 80), max_size=4).map(tuple),
+        max_size=4))
+    keys = stream_keys(seed, roots, paths)
+    assert keys.shape == (len(roots), len(paths), 2)
+    for i, root in enumerate(roots):
+        for j, path in enumerate(paths):
+            assert keys[i, j].tolist() == np.random.SeedSequence(
+                seed, spawn_key=root + path).generate_state(2, np.uint64).tolist()
+
+
+@pytest.mark.parametrize("probe_jitter_ns, generators", [(0, 30), (400, 41)])
+def test_every_drawing_stream_of_a_demo_is_keyed_up_front(
+        monkeypatch, tmp_path, probe_jitter_ns, generators):
+    # Each runner derives its worlds' keys in one pass, so no stream asks
+    # numpy's SeedSequence for its key; a stream label that drifts between
+    # the control plane and the key tables would.  With --repeat 1 one setup
+    # world, four latency worlds and two soft-failure worlds draw on their
+    # VNF and transponder streams (4 each), and the soft-failure worlds on
+    # their noise stream: 30 generators.  A probe with jitter adds every
+    # world's probe verification stream and each latency world's probe
+    # stream: 41.
+    sequences, built = [], []
+    seed_sequence = simkernel.np.random.SeedSequence
+    philox = simkernel.np.random.Philox
+
+    def counting_seed_sequence(*args, **kwargs):
+        sequences.append(kwargs.get("spawn_key"))
+        return seed_sequence(*args, **kwargs)
+
+    def counting_philox(seq, **kwargs):
+        built.append(seq)
+        return philox(seq, **kwargs)
+
+    monkeypatch.setattr(simkernel.np.random, "SeedSequence",
+                        counting_seed_sequence)
+    monkeypatch.setattr(simkernel.np.random, "Philox", counting_philox)
+    doc = json.loads((SCENARIO_DIR / "paper_full_demo.json").read_text())
+    doc["latency"]["probe"]["jitter_sigma_ns"] = probe_jitter_ns
+    scenario = tmp_path / "demo.json"
+    scenario.write_text(json.dumps(doc))
+    assert main(["demo", "--scenario", str(scenario), "--repeat", "1",
+                 "--out", str(tmp_path / "report.txt")]) == 0
+    assert sequences == []
+    assert len(built) == generators
