@@ -37,6 +37,7 @@ class ServiceStatus(Enum):
 
 
 STACK_STREAM, VNF_STREAM, TRANSPONDER_STREAM, PROBE_STREAM = 0, 1, 2, 3
+_REQUEST_ID = "svc-{}"  # a stack's n-th service request, n from 1
 
 # legal transitions; anything else raises IllegalTransition
 _TRANSITIONS = {
@@ -234,7 +235,7 @@ class OrchestrationStack:
     def request_network_service(self, ns: NsDescriptor) -> ServiceRecord:
         """Accept a service request; the workflow advances via kernel events."""
         self._seq += 1
-        request_id = f"svc-{self._seq}"
+        request_id = _REQUEST_ID.format(self._seq)
         rec = ServiceRecord(request_id, ns,
                             self.rng.split(hash_label(request_id)))
         self.services[rec.request_id] = rec
@@ -546,15 +547,15 @@ class OrchestrationStack:
         return problems
 
 
-def jittered_streams(ns: NsDescriptor, probe_cfg: Optional[ProbeConfig]
+def jittered_streams(ns: NsDescriptor, probe_cfg: ProbeConfig
                      ) -> list[tuple[int, ...]]:
-    """The spawn paths, below a world's root, that a jittered stack's first
-    service, svc-1, draws on; the probe's only when the probe has jitter."""
-    svc = (STACK_STREAM, hash_label("svc-1"))
-    probe = (probe_cfg or ProbeConfig()).jitter_sigma_ns > 0
+    """The spawn paths below a world's root that a jittered stack's first
+    service draws on; the probe's only when ``probe_cfg`` has jitter."""
+    svc = (STACK_STREAM, hash_label(_REQUEST_ID.format(1)))
     return ([svc + (VNF_STREAM, i) for i in range(len(ns.vnfs))]
             + [svc + (TRANSPONDER_STREAM, i) for i in (0, 1)]
-            + ([svc + (PROBE_STREAM,)] if probe else []))
+            + ([svc + (PROBE_STREAM,)] if probe_cfg.jitter_sigma_ns > 0
+               else []))
 
 
 def hash_label(text: str) -> int:

@@ -292,6 +292,11 @@ class Scenario:
     softfail: Optional[Softfail] = None
     warnings: list[str] = field(default_factory=list)
 
+    @property
+    def probe(self) -> ProbeConfig:
+        """The probe every world's stack measures with."""
+        return self.latency.probe if self.latency else ProbeConfig()
+
 
 def _case_ring(ring: RingTopology, link: FiberLink) -> RingTopology:
     """``ring`` with a latency case's link: the case's length replaces the
@@ -454,7 +459,7 @@ def build_world(sc: Scenario, spawn_key: tuple[int, ...],
     stack = OrchestrationStack(
         state, kernel, rng.split(STACK_STREAM),
         timings=sc.service.timings,
-        probe_cfg=sc.latency.probe if sc.latency else None,
+        probe_cfg=sc.probe,
         jitter=sc.service.jitter)
     record = stack.request_network_service(sc.service.descriptor)
     kernel.run_to_end()
@@ -467,15 +472,14 @@ def build_world(sc: Scenario, spawn_key: tuple[int, ...],
 
 def _world_builder(sc: Scenario, roots: list[tuple[int, ...]],
                    extra: list[tuple[int, ...]], trace_sink=None):
-    """``build_world`` for the worlds at ``roots``, keyed up front for the
-    streams their deployments and ``extra`` (paths below a root) draw on."""
-    paths = extra + (jittered_streams(sc.service.descriptor,
-                                      sc.latency and sc.latency.probe)
+    """``build_world`` for the world at ``roots[i]``, given i, with the keys
+    of the streams its deployment and ``extra`` (paths below it) draw on."""
+    paths = extra + (jittered_streams(sc.service.descriptor, sc.probe)
                      if sc.service.jitter else [])
-    table = dict(zip(roots, stream_keys(sc.seed, roots, paths)))
-    return lambda root, ring=None: build_world(
-        sc, root, ring, trace_sink,
-        dict(zip([root + p for p in paths], table[root].tolist())))
+    keys = stream_keys(sc.seed, roots, paths)
+    return lambda i, ring=None: build_world(
+        sc, roots[i], ring, trace_sink,
+        dict(zip([roots[i] + p for p in paths], keys[i].tolist())))
 
 
 # --------------------------------------------------------------- reporting
@@ -509,7 +513,7 @@ def _run_setup(sc: Scenario, trace_sink=None) -> dict:
     kpis = []
     build = _world_builder(sc, [(rep,) for rep in range(reps)], [], trace_sink)
     for rep in range(reps):
-        world = build((rep,))
+        world = build(rep)
         report = world.stack.compute_kpis(world.record)
         kpis.append(report)
         rows.append({
@@ -554,7 +558,7 @@ def _run_latency(sc: Scenario, trace_sink=None) -> dict:
         measured = []
         estimated = None
         for rep in range(latency.repetitions):
-            world = build((200 + case_idx, rep), ring)
+            world = build(case_idx * latency.repetitions + rep, ring)
             m = measure_round_trip(
                 world.record.path, world.stack.state, world.stack.probe_cfg,
                 rng=world.rng.split(LATENCY_PROBE_STREAM))
@@ -598,7 +602,8 @@ def _run_softfail(sc: Scenario, trace_sink=None) -> dict:
     for idx, case in enumerate(softfail.cases):
         try:
             report = run_softfail_case(
-                world_factory=lambda rep, idx=idx: build((100 + idx, rep)),
+                world_factory=lambda rep, idx=idx: build(
+                    idx * softfail.repetitions + rep),
                 repetitions=softfail.repetitions,
                 noise_sigma_db=softfail.noise_sigma_db,
                 detector_cfg=case.detector,

@@ -11,11 +11,10 @@ and every draw equals numpy's ``Generator(Philox(SeedSequence(seed,
 spawn_key)))``, so draws are reproducible independently of execution order:
 the same (seed, spawn path) always yields the same values.
 
-``philox_keys`` replays ``SeedSequence``'s Philox key derivation in numpy
-arithmetic, a row of entropy words per stream, so a runner keys all its
-worlds' streams in one pass; a stream missing from its world's table has
-numpy's C ``SeedSequence`` mix its pool and replays only the output hash.
-Keys reach ``Philox`` through a seed sequence that only returns them.
+``philox_keys`` replays ``SeedSequence``'s key derivation in numpy arithmetic
+over a row of entropy words per stream, so a runner keys all its worlds'
+streams in one pass, and a stream missing from its world's table is keyed
+alone by the same replay; ``Philox`` takes each key as it is.
 """
 
 from __future__ import annotations
@@ -48,8 +47,8 @@ _MIX_HASH, _OUT_HASH = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)
 
 
 def _hasher(const: int, mult: int) -> Callable:
-    """numpy's hashmix from hash constant ``const`` on, over 32-bit words as
-    ints or uint64 arrays; each call advances the constant by ``mult``."""
+    """numpy's hashmix from hash constant ``const`` on, over uint64 arrays
+    of 32-bit words; each call advances the constant by ``mult``."""
     def hashmix(value):
         nonlocal const
         value = value ^ const
@@ -65,13 +64,6 @@ def _words(labels: tuple[int, ...]) -> list[int]:
         raise ValueError(f"seeds and spawn labels must be >= 0; got {min(labels)}")
     return [n >> s & _M32 for n in labels
             for s in range(0, max(n.bit_length(), 1), 32)]
-
-
-def _philox_key(pool):
-    """``generate_state(2, np.uint64)`` of a pool of four 32-bit words, ints
-    or uint64 arrays: the outputs as two little-endian 64-bit words."""
-    a, b, c, d = map(_hasher(*_OUT_HASH), pool)
-    return a | b << 32, c | d << 32
 
 
 def philox_keys(words) -> np.ndarray:
@@ -90,20 +82,23 @@ def philox_keys(words) -> np.ndarray:
         pool[dst] = mix(pool[dst], hashmix(pool[src]))
     for w, dst in itertools.product(cols[4:], range(4)):
         pool[dst] = mix(pool[dst], hashmix(w))
-    return np.stack(_philox_key(pool), axis=1)
+    # generate_state(2, np.uint64): four output words as two 64-bit ones
+    a, b, c, d = map(_hasher(*_OUT_HASH), pool)
+    return np.stack((a | b << 32, c | d << 32), axis=1)
 
 
 def stream_keys(seed: int, roots: list[tuple[int, ...]],
                 paths: list[tuple[int, ...]]) -> np.ndarray:
     """The Philox key of stream ``roots[i] + paths[j]`` at [i, j], by path;
-    the roots' labels take one word count, as a runner's (small ints) do."""
-    head = _words((seed,))
-    rows = np.array([head + [0] * (4 - len(head)) + _words(root)
-                     for root in roots], np.uint32)
-    keys = np.empty((len(roots), len(paths), 2), np.uint64)
-    for j, tail in enumerate(map(_words, paths if roots else [])):
+    the roots hold one count of labels below 2**32, as a runner's do."""
+    n, head = len(roots), _words((seed,))
+    head += [0] * (4 - len(head))
+    rows = np.hstack([np.full((n, len(head)), head, np.uint32),
+                      np.array(roots, np.uint32).reshape(n, -1 if n else 0)])
+    keys = np.empty((n, len(paths), 2), np.uint64)
+    for j, tail in enumerate(map(_words, paths)):
         keys[:, j] = philox_keys(np.hstack(
-            [rows, np.full((len(rows), len(tail)), tail, np.uint32)]))
+            [rows, np.full((n, len(tail)), tail, np.uint32)]))
     return keys
 
 
@@ -138,7 +133,8 @@ class SimRng:
     pair fully determines every draw.  A stream builds its generator on its
     first draw, so a stream that is only split, or draws with zero spread,
     builds none.  ``keys``, which splits pass on, maps spawn keys to Philox
-    keys derived already (``stream_keys``); it is only read.
+    keys derived already (``stream_keys``); it is only read, and a stream
+    it lacks is keyed alone.
     """
 
     def __init__(self, seed: int, spawn_key: tuple[int, ...] = (), keys=None):
@@ -152,9 +148,8 @@ class SimRng:
 
     def _generator(self) -> np.random.Generator:
         if self._gen is None:
-            key = self._keys.get(self.spawn_key) or _philox_key(
-                np.random.SeedSequence(self.seed,
-                                       spawn_key=self.spawn_key).pool.tolist())
+            key = self._keys.get(self.spawn_key) or stream_keys(
+                self.seed, [()], [self.spawn_key])[0, 0].tolist()
             self._gen = np.random.Generator(np.random.Philox(
                 _fixed_key()(key), counter=_ZERO_COUNTER))
         return self._gen

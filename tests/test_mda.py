@@ -293,11 +293,15 @@ def oracle_report(rate_db_per_s, reps, trace):
 def run_both_episodes(doc, **kwargs):
     """Run the oracle and ``run_softfail_case`` on identical fresh worlds.
 
-    Returns, per side: the outcome (the report, or the TwinError),
-    each world's final service state, and the fired kernel events other
-    than telemetry instants as (time, kind).
+    Returns, per side: the outcome (the report, or the TwinError), each
+    repetition's own report without trace, each world's final service
+    state, and the fired kernel events other than telemetry instants as
+    (time, kind).  ``run_softfail_case`` gives each repetition's report by
+    a one-repetition run on a fresh copy of that repetition's world.
     """
     sc = scenario_from_dict(doc)
+    rate, alone = kwargs["rate_db_per_s"], dict(kwargs, repetitions=1,
+                                                keep_trace=False)
     sides = []
     for run in (oracle_softfail_case, run_softfail_case):
         sink = io.StringIO()
@@ -307,10 +311,17 @@ def run_both_episodes(doc, **kwargs):
             worlds.append(build_world(sc, (500, rep), trace_sink=sink))
             return worlds[-1]
 
+        per_rep = []
         try:
             outcome = run(world_factory=factory, **kwargs)
             if run is oracle_softfail_case:
-                outcome = oracle_report(kwargs["rate_db_per_s"], *outcome)
+                reps, trace = outcome
+                outcome = oracle_report(rate, reps, trace)
+                per_rep = [oracle_report(rate, [r], []) for r in reps]
+            else:
+                per_rep = [run(world_factory=lambda _, rep=rep: build_world(
+                    sc, (500, rep)), **alone)
+                    for rep in range(kwargs["repetitions"])]
         except TwinError as exc:
             outcome = (type(exc), str(exc))
         state = [(w.record.status, w.record.restoration, w.record.path)
@@ -318,7 +329,7 @@ def run_both_episodes(doc, **kwargs):
         events = [(int(t), kind) for t, _, kind in
                   (line.split(",", 2) for line in sink.getvalue().splitlines())
                   if kind != "telemetry_sample"]
-        sides.append((outcome, state, events))
+        sides.append((outcome, per_rep, state, events))
     return sides
 
 

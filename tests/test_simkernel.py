@@ -173,7 +173,7 @@ def test_split_tree_draws_equal_numpy_seed_sequence(seed, data):
 
     class Table:
         """A key table that holds, or lacks, each stream's key at random:
-        a stream draws with a key from ``stream_keys`` or falls back."""
+        a stream draws with a key from ``stream_keys`` or is keyed alone."""
         def get(self, key):
             if data.draw(st.booleans()):
                 return stream_keys(seed, [()], [key])[0, 0].tolist()
@@ -274,28 +274,29 @@ def test_stream_keys_equal_numpy_seed_sequence(seed, width, data):
 @pytest.mark.parametrize("probe_jitter_ns, generators", [(0, 30), (400, 41)])
 def test_every_drawing_stream_of_a_demo_is_keyed_up_front(
         monkeypatch, tmp_path, probe_jitter_ns, generators):
-    # Each runner derives its worlds' keys in one pass, so no stream asks
-    # numpy's SeedSequence for its key; a stream label that drifts between
-    # the control plane and the key tables would.  With --repeat 1 one setup
-    # world, four latency worlds and two soft-failure worlds draw on their
-    # VNF and transponder streams (4 each), and the soft-failure worlds on
-    # their noise stream: 30 generators.  A probe with jitter adds every
-    # world's probe verification stream and each latency world's probe
-    # stream: 41.
-    sequences, built = [], []
-    seed_sequence = simkernel.np.random.SeedSequence
+    # Each runner derives its worlds' keys in one pass, so no stream misses
+    # its world's key table and is keyed alone; a stream label that drifts
+    # between the control plane and the key tables would.  With --repeat 1
+    # one setup world, four latency worlds and two soft-failure worlds draw
+    # on their VNF and transponder streams (4 each), and the soft-failure
+    # worlds on their noise stream: 30 generators.  A probe with jitter adds
+    # every world's probe verification stream and each latency world's
+    # probe stream: 41.
+    misses, built = [], []
+    keyed_alone = simkernel.stream_keys
     philox = simkernel.np.random.Philox
 
-    def counting_seed_sequence(*args, **kwargs):
-        sequences.append(kwargs.get("spawn_key"))
-        return seed_sequence(*args, **kwargs)
+    def counting_stream_keys(seed, roots, paths):
+        misses.extend(paths)
+        return keyed_alone(seed, roots, paths)
 
     def counting_philox(seq, **kwargs):
         built.append(seq)
         return philox(seq, **kwargs)
 
-    monkeypatch.setattr(simkernel.np.random, "SeedSequence",
-                        counting_seed_sequence)
+    # the runners reach stream_keys through scenario's own import, so only
+    # SimRng's lookup of a stream missing from its table is counted
+    monkeypatch.setattr(simkernel, "stream_keys", counting_stream_keys)
     monkeypatch.setattr(simkernel.np.random, "Philox", counting_philox)
     doc = json.loads((SCENARIO_DIR / "paper_full_demo.json").read_text())
     doc["latency"]["probe"]["jitter_sigma_ns"] = probe_jitter_ns
@@ -303,5 +304,5 @@ def test_every_drawing_stream_of_a_demo_is_keyed_up_front(
     scenario.write_text(json.dumps(doc))
     assert main(["demo", "--scenario", str(scenario), "--repeat", "1",
                  "--out", str(tmp_path / "report.txt")]) == 0
-    assert sequences == []
+    assert misses == []
     assert len(built) == generators
