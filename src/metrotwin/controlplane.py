@@ -2,10 +2,10 @@
 
 The stack collapses NFV orchestrator, VIM, parent SDN controller, optical
 controller and device drivers into one event-driven state machine.  A service
-request walks through: VNF instantiation, sequential ROADM blocker
-programming, transponder bring-up, probe verification, monitoring
-registration.  Timestamps for every phase land on the service record so KPIs
-can be derived afterwards.
+request walks through: VNF instantiation, ROADM blocker programming on the
+ring's chosen arc in that arc's visit order (both settled once per ring),
+transponder bring-up, probe verification, monitoring registration.  Phase
+timestamps land on the service record so KPIs can be derived afterwards.
 
 Restoration reuses the same machinery: on a degradation alert the service is
 moved to the complementary ring arc on its original channel, and the same
@@ -14,8 +14,7 @@ routine that programmed the ROADMs for deployment reprograms them.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
 
@@ -100,9 +99,6 @@ class Timestamps:
     t_path_operational: Optional[SimTime] = None
     t_probe_verified: Optional[SimTime] = None
     t_monitoring_active: Optional[SimTime] = None
-
-    def as_dict(self) -> dict[str, Optional[SimTime]]:
-        return dict(vars(self))
 
 
 @dataclass
@@ -333,7 +329,8 @@ class OrchestrationStack:
             self.channel_ledger[(link_id, channel)] = rec.request_id
         for tp_id in (a_tp, b_tp):
             self.state.transponders[tp_id].claimed_by = rec.request_id
-        rec.path = replace(path, channel=channel)
+        rec.path = OpticalPath(path.source, path.destination, path.links,
+                               path.roadms, path.direction, channel)
         rec.channel = channel
         self.kernel.schedule_in(
             self.timings.control_messaging_ns,
@@ -345,8 +342,8 @@ class OrchestrationStack:
     def _program_roadms(self, rec: ServiceRecord, path: OpticalPath,
                         delay: SimTime, kind: str,
                         then: Callable[[], None]) -> None:
-        """The OLS driver visits every ring ROADM, the path's first, one
-        configuration apiece, ``delay`` plus one config step apart.
+        """The OLS driver configures every ring ROADM once, in the ring's
+        visit order for ``path``, ``delay`` plus one config step apart.
 
         A visit drops the service's earlier pass entries at that ROADM, then
         passes ``path``'s channel through it if the path runs through it, or
@@ -355,8 +352,7 @@ class OrchestrationStack:
         """
         channel = path.channel
         hops = len(path.links)
-        order = list(path.roadms) + [r for r in self.ring.ring_order
-                                     if r not in path.roadms]
+        order = self.ring.visit_order[path.roadms]
         step = self.timings.roadm_config_ns
 
         def visit(i: int) -> None:
@@ -381,20 +377,22 @@ class OrchestrationStack:
         """Runs once every ROADM is programmed for the service."""
         assert rec.path is not None
         rec.timestamps.t_roadms_configured = self.kernel.now()
-        entered: Counter[TransponderState] = Counter()
+        warm = operational = 0  # transponders that reached each phase
 
         def on_state(state: TransponderState) -> None:
             """Stamps a phase when the second transponder reaches it."""
-            entered[state] += 1
-            if entered[state] < 2:
-                return
+            nonlocal warm, operational
             if state is TransponderState.LASER_WARMUP:
-                rec.timestamps.t_transponders_configured = self.kernel.now()
+                warm += 1
+                if warm == 2:
+                    rec.timestamps.t_transponders_configured = self.kernel.now()
             elif state is TransponderState.OPERATIONAL:
-                rec.timestamps.t_path_operational = self.kernel.now()
-                self.kernel.schedule_in(self.timings.probe_verify_ns,
-                                        lambda: self._verify_probe(rec),
-                                        kind=f"{rec.request_id}:probe")
+                operational += 1
+                if operational == 2:
+                    rec.timestamps.t_path_operational = self.kernel.now()
+                    self.kernel.schedule_in(self.timings.probe_verify_ns,
+                                            lambda: self._verify_probe(rec),
+                                            kind=f"{rec.request_id}:probe")
 
         for i, tp_id in enumerate((rec.path.source, rec.path.destination)):
             rng = rec.rng.split(TRANSPONDER_STREAM, i) if self.jitter else None
@@ -420,8 +418,7 @@ class OrchestrationStack:
 
     def compute_kpis(self, rec: ServiceRecord) -> KpiReport:
         ts = rec.timestamps
-        needed = ts.as_dict()
-        missing = [k for k, v in needed.items() if v is None]
+        missing = [k for k, v in vars(ts).items() if v is None]
         if missing:
             raise IncompleteRecord(
                 f"{rec.request_id} missing {', '.join(sorted(missing))}")
@@ -461,7 +458,8 @@ class OrchestrationStack:
                                   f"(owner {owner})")
                 return outcome
 
-        new_path = replace(alt, channel=channel)
+        new_path = OpticalPath(alt.source, alt.destination, alt.links,
+                               alt.roadms, alt.direction, channel)
         for link_id in new_path.links:
             self.channel_ledger[(link_id, channel)] = rec.request_id
 

@@ -19,8 +19,8 @@ from pathlib import Path
 from typing import IO, Mapping, NamedTuple, Optional, Union
 
 from .controlplane import (ConnectivityRequirements, NsDescriptor,
-                           OrchestrationStack, PhaseTimings, STACK_STREAM,
-                           VnfDescriptor, jittered_streams)
+                           OrchestrationStack, PhaseTimings, ServiceStatus,
+                           STACK_STREAM, VnfDescriptor, jittered_streams)
 from .errors import ParseError, TwinError, ValidationError
 from .mda import (DetectorConfig, NOISE_STREAM, SoftFailWorld,
                   episode_horizon, run_softfail_case)
@@ -64,7 +64,8 @@ def _list_of(test):
 
 _KINDS = {
     "object": (lambda v: isinstance(v, dict), "an object"),
-    "objects": (_list_of(lambda v: isinstance(v, dict)), "a list of objects"),
+    "objects": (lambda v: v != [] and _list_of(lambda o: isinstance(o, dict))(v),
+                "a non-empty list of objects"),
     "integer": (_integer, "an integer"),
     "number": (_number, "a number"),
     "string": (lambda v: isinstance(v, str), "a string"),
@@ -463,7 +464,7 @@ def build_world(sc: Scenario, spawn_key: tuple[int, ...],
         jitter=sc.service.jitter)
     record = stack.request_network_service(sc.service.descriptor)
     kernel.run_to_end()
-    if record.status.value != "Active":
+    if record.status is not ServiceStatus.ACTIVE:
         raise TwinError(f"deployment ended {record.status.value}: "
                         f"{record.failure_reason}")
     return SoftFailWorld(kernel=kernel, plant=OpticalPlant(state),

@@ -3,10 +3,10 @@
 A ring of 2-degree semi-filterless ROADMs (wavelength blocker + splitters),
 coherent transponders on drop ports, one aggregation switch and one edge
 compute node behind each transponder.  ``build_ring`` validates a scenario's
-topology section into a frozen ``RingTopology``, once per scenario: links,
-ring order, channel grid, transponder attachments and durations, compute
-capacities, and both arcs between every pair of transponders.  Each world
-owns only a ``RingState`` over it: blocker pass sets and add/drop channels,
+topology into a frozen ``RingTopology`` once: links, ring order, channel grid,
+transponders, compute capacities, both arcs of each transponder pair, the arc
+``select_path`` gives it, and each arc's ROADM visit order.  Each world owns
+only a ``RingState`` over it: blocker pass sets and add/drop channels,
 transponder state and claim, and free compute capacity, which only the
 orchestration stack and transponder lifecycle change.
 
@@ -98,6 +98,9 @@ class RingTopology:
     # and partition the ring
     arcs: Mapping[tuple[NodeId, NodeId], tuple[OpticalPath, OpticalPath]] = \
         field(init=False, repr=False)
+    # an arc's ROADMs -> all ROADMs in programming order: the arc's, then the rest
+    visit_order: Mapping[tuple, tuple] = field(init=False, repr=False)
+    _selected: Mapping = field(init=False, repr=False)  # select_path's arcs
 
     def __post_init__(self) -> None:
         for name in ("links", "transponders", "compute_nodes"):
@@ -111,14 +114,22 @@ class RingTopology:
                         (self._arc(a, b, clockwise) for clockwise in (True, False)),
                         key=lambda p: sum(self.links[l].length_m for l in p.links)))
         object.__setattr__(self, "arcs", MappingProxyType(arcs))
+        # arcs run shorter first, clockwise on a tie, and min keeps the first
+        # of the fewest hops: select_path's rule in full
+        object.__setattr__(self, "_selected", {
+            k: min(v, key=lambda p: len(p.links)) for k, v in arcs.items()})
+        object.__setattr__(self, "visit_order", MappingProxyType({
+            p.roadms: p.roadms + tuple(r for r in self.ring_order
+                                       if r not in p.roadms)
+            for pair in arcs.values() for p in pair}))
 
     def select_path(self, a: NodeId, b: NodeId) -> OpticalPath:
-        """The arc a service from ``a`` to ``b`` takes: fewest ROADM hops
-        wins; length breaks ties."""
-        if (a, b) not in self.arcs:
+        """The arc a service from ``a`` to ``b`` takes, chosen once: fewest
+        ROADM hops, then length, then clockwise."""
+        path = self._selected.get((a, b))
+        if path is None:
             raise NoPath(f"{a} and {b} terminate on the same ROADM")
-        return min(self.arcs[(a, b)], key=lambda p: (
-            len(p.links), sum(self.links[l].length_m for l in p.links)))
+        return path
 
     def _arc(self, a: NodeId, b: NodeId, clockwise: bool) -> OpticalPath:
         """Walk the ring from transponder ``a``'s ROADM to ``b``'s."""

@@ -363,6 +363,12 @@ def set_key(doc, path, value):
     # log1p(cv**2) is infinite: with service.jitter on, exit 2 with a NaN
     # ValueError before
     ("service.vnfs[0].instantiation_cv", 1e300, None),
+    # exit 0 before, with no case measured: a latency budget fitted to no
+    # measurement, and a soft-failure section with nothing in it
+    ("latency.cases", [], None),
+    ("softfail.cases", [], None),
+    # named only "service" before
+    ("service.vnfs", [], None),
 ])
 def test_bad_document_fails_validation_naming_key(tmp_path, capsys, path,
                                                   value, named):

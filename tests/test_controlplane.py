@@ -1,4 +1,5 @@
 import io
+from dataclasses import replace
 
 import pytest
 
@@ -100,6 +101,7 @@ def test_path_choice_and_channel():
     rec = deploy(stack, kernel)
     assert rec.path.links == ("r1-r2",)  # fewest hops wins over total length
     assert rec.channel == 0
+    assert rec.path == replace(state.ring.select_path("tp1", "tp2"), channel=0)
     assert state.transponders["tp1"].claimed_by == rec.request_id
     assert stack.channel_ledger == {("r1-r2", 0): rec.request_id}
 
@@ -275,6 +277,9 @@ def test_restoration_moves_to_spare_arc():
     assert outcome.failed_at is None
     assert set(rec.path.links) == {"r2-r3", "r3-r1"}
     assert rec.channel == 0  # same channel, complementary arc
+    spare, = [p for p in state.ring.arcs[("tp1", "tp2")]
+              if p.links != ("r1-r2",)]
+    assert rec.path == replace(spare, channel=0)
     assert ("r1-r2", 0) not in stack.channel_ledger
     assert stack.verify_invariants() == []
 

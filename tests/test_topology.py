@@ -102,26 +102,32 @@ def test_no_path_between_colocated_transponders():
         topo.select_path("tp1", "tp3")
 
 
-@settings(max_examples=30, deadline=None)
-@given(n=st.integers(min_value=3, max_value=8), data=st.data())
-def test_arcs_partition_the_ring(n, data):
+def ring_of_two_transponders(lengths, b_at):
+    """A ring over one link per length, tpA on its first ROADM and tpB on
+    ROADM ``b_at``."""
+    n = len(lengths)
     names = [f"n{i}" for i in range(n)]
-    lengths = data.draw(st.lists(
-        st.floats(min_value=10.0, max_value=90_000.0),
-        min_size=n, max_size=n))
-    sec = {
+    return build_ring({
         "roadms": names,
         "links": [{"id": f"l{i}", "endpoints": [names[i], names[(i + 1) % n]],
                    "length_m": lengths[i]} for i in range(n)],
         "transponders": [{"id": "tpA", "roadm": names[0]},
-                         {"id": "tpB", "roadm": names[data.draw(
-                             st.integers(min_value=1, max_value=n - 1))]}],
+                         {"id": "tpB", "roadm": names[b_at]}],
         "switches": [{"id": "swA", "transponder": "tpA"},
                      {"id": "swB", "transponder": "tpB"}],
         "compute_nodes": [{"id": "cA", "switch": "swA"},
                           {"id": "cB", "switch": "swB"}],
-    }
-    topo = build_ring(sec)
+    })
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(min_value=3, max_value=8), data=st.data())
+def test_arcs_partition_the_ring(n, data):
+    lengths = data.draw(st.lists(
+        st.floats(min_value=10.0, max_value=90_000.0),
+        min_size=n, max_size=n))
+    topo = ring_of_two_transponders(lengths, data.draw(
+        st.integers(min_value=1, max_value=n - 1)))
     p1, p2 = topo.arcs[("tpA", "tpB")]
     assert set(p1.links) | set(p2.links) == set(topo.links)
     assert set(p1.links).isdisjoint(p2.links)
@@ -129,5 +135,23 @@ def test_arcs_partition_the_ring(n, data):
         assert p.roadms[0] == topo.transponders["tpA"].attached_roadm
         assert p.roadms[-1] == topo.transponders["tpB"].attached_roadm
         assert len(p.roadms) == len(p.links) + 1
+        order = topo.visit_order[p.roadms]
+        assert order[:len(p.roadms)] == p.roadms
+        assert sorted(order) == sorted(topo.ring_order)
     assert (sum(topo.links[l].length_m for l in p1.links)
             <= sum(topo.links[l].length_m for l in p2.links))
+    # the service's arc: the fewest ROADM hops, then the shorter
+    chosen = topo.select_path("tpA", "tpB")
+    other = p2 if chosen is p1 else p1
+    assert chosen in (p1, p2) and len(chosen.links) <= len(other.links)
+    if len(chosen.links) == len(other.links):
+        assert (sum(topo.links[l].length_m for l in chosen.links)
+                <= sum(topo.links[l].length_m for l in other.links))
+
+
+def test_select_path_takes_the_clockwise_arc_on_an_exact_tie():
+    topo = ring_of_two_transponders([1000.0] * 4, 2)  # two hops and 2 km either way
+    path = topo.select_path("tpA", "tpB")
+    assert path.direction == "clockwise" and path.links == ("l0", "l1")
+    back = topo.select_path("tpB", "tpA")
+    assert back.direction == "clockwise" and back.links == ("l2", "l3")
