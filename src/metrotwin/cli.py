@@ -76,6 +76,9 @@ def _apply_overrides(sc: Scenario, args: argparse.Namespace,
                 doc[section]["repetitions"] = args.repeat
         changed = True
     if args.rate:
+        if experiment not in ("softfail", "full_demo"):
+            raise ValidationError(f"--rate: mst {args.command} runs no "
+                                  f"soft-failure experiment")
         section = doc.setdefault("softfail", {})
         template = dict(section.get("cases", [{}])[0]) if section.get("cases") else {}
         section["cases"] = []

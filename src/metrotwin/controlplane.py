@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
 
-from .errors import (ChannelExhausted, IllegalTransition, IncompleteRecord,
+from .errors import (ChannelExhausted, FieldInvalid, IllegalTransition, IncompleteRecord,
                      NoPath, PlacementFailed, TransponderUnavailable)
 from .optics import transponder_lifecycle, transponder_teardown
 from .probe import LatencyMeasurement, ProbeConfig, measure_round_trip
@@ -36,7 +36,6 @@ class ServiceStatus(Enum):
 
 
 STACK_STREAM, VNF_STREAM, TRANSPONDER_STREAM, PROBE_STREAM = 0, 1, 2, 3
-_REQUEST_ID = "svc-{}"  # a stack's n-th service request, n from 1
 
 # legal transitions; anything else raises IllegalTransition
 _TRANSITIONS = {
@@ -73,9 +72,9 @@ class NsDescriptor:
 
     def __post_init__(self) -> None:
         if len(self.vnfs) < 2:
-            raise ValueError("a network service needs at least two VNFs")
+            raise FieldInvalid("vnfs: a network service needs at least two VNFs")
         if self.connectivity.endpoints[0] == self.connectivity.endpoints[1]:
-            raise ValueError("connectivity endpoints must differ")
+            raise FieldInvalid("connectivity.endpoints: they must differ")
 
 
 @dataclass
@@ -231,7 +230,7 @@ class OrchestrationStack:
     def request_network_service(self, ns: NsDescriptor) -> ServiceRecord:
         """Accept a service request; the workflow advances via kernel events."""
         self._seq += 1
-        request_id = _REQUEST_ID.format(self._seq)
+        request_id = f"svc-{self._seq}"
         rec = ServiceRecord(request_id, ns,
                             self.rng.split(hash_label(request_id)))
         self.services[rec.request_id] = rec
@@ -543,17 +542,6 @@ class OrchestrationStack:
             if stamped != sorted(stamped):
                 problems.append(f"{rec.request_id}: timestamps not monotonic")
         return problems
-
-
-def jittered_streams(ns: NsDescriptor, probe_cfg: ProbeConfig
-                     ) -> list[tuple[int, ...]]:
-    """The spawn paths below a world's root that a jittered stack's first
-    service draws on; the probe's only when ``probe_cfg`` has jitter."""
-    svc = (STACK_STREAM, hash_label(_REQUEST_ID.format(1)))
-    return ([svc + (VNF_STREAM, i) for i in range(len(ns.vnfs))]
-            + [svc + (TRANSPONDER_STREAM, i) for i in (0, 1)]
-            + ([svc + (PROBE_STREAM,)] if probe_cfg.jitter_sigma_ns > 0
-               else []))
 
 
 def hash_label(text: str) -> int:

@@ -85,3 +85,7 @@ class ParseError(TwinError):
 
 class ValidationError(TwinError):
     """Scenario document violates the schema; message names the key."""
+
+
+class FieldInvalid(TwinError, ValueError):
+    """A dataclass field breaks a rule; the message is "<field>: <rule>"."""

@@ -16,18 +16,18 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import IO, Mapping, NamedTuple, Optional, Union
+from typing import IO, NamedTuple, Optional, Union
 
 from .controlplane import (ConnectivityRequirements, NsDescriptor,
                            OrchestrationStack, PhaseTimings, ServiceStatus,
-                           STACK_STREAM, VnfDescriptor, jittered_streams)
-from .errors import ParseError, TwinError, ValidationError
-from .mda import (DetectorConfig, NOISE_STREAM, SoftFailWorld,
-                  episode_horizon, run_softfail_case)
+                           STACK_STREAM, VnfDescriptor)
+from .errors import FieldInvalid, ParseError, TwinError, ValidationError
+from .mda import (DetectorConfig, SoftFailWorld, episode_horizon,
+                  run_softfail_case)
 from .optics import OpticalPlant, SignalModel, SPEED_OF_LIGHT_M_PER_S
 from .probe import (ProbeConfig, budget_from_config, fit_budget,
                     measure_round_trip, noiseless_round_trip)
-from .simkernel import Kernel, SECOND, SimRng, stream_keys
+from .simkernel import Kernel, KeyTable, SECOND, SimRng
 from .topology import FiberLink, RingState, RingTopology, build_ring
 
 ARTIFACT_VERSION = 1
@@ -203,9 +203,12 @@ def _in_range(value, spec: _Key) -> bool:
 
 def _make(errors: list[str], where: str, build, *args, **kwargs):
     """``build(...)``, or None with its ValueError or TwinError reported as
-    an error at ``where``."""
+    an error at ``where``, or at the field below it that it names."""
     try:
         return build(*args, **kwargs)
+    except FieldInvalid as exc:
+        errors.append(_join(where, str(exc)))
+        return None
     except (ValueError, TwinError) as exc:
         errors.append(f"{where}: {exc}")
         return None
@@ -451,7 +454,7 @@ def load_scenario(path: Union[str, Path], lenient: bool = False) -> Scenario:
 def build_world(sc: Scenario, spawn_key: tuple[int, ...],
                 ring: Optional[RingTopology] = None,
                 trace_sink: Optional[IO[str]] = None,
-                keys: Optional[Mapping] = None) -> SoftFailWorld:
+                keys: Optional[KeyTable] = None) -> SoftFailWorld:
     """Provision one isolated world on ``ring``, a latency case's or else
     the scenario's, and deploy the scenario's service in it."""
     state = RingState(ring or sc.ring)
@@ -469,18 +472,6 @@ def build_world(sc: Scenario, spawn_key: tuple[int, ...],
                         f"{record.failure_reason}")
     return SoftFailWorld(kernel=kernel, plant=OpticalPlant(state),
                          stack=stack, record=record, rng=rng)
-
-
-def _world_builder(sc: Scenario, roots: list[tuple[int, ...]],
-                   extra: list[tuple[int, ...]], trace_sink=None):
-    """``build_world`` for the world at ``roots[i]``, given i, with the keys
-    of the streams its deployment and ``extra`` (paths below it) draw on."""
-    paths = extra + (jittered_streams(sc.service.descriptor, sc.probe)
-                     if sc.service.jitter else [])
-    keys = stream_keys(sc.seed, roots, paths)
-    return lambda i, ring=None: build_world(
-        sc, roots[i], ring, trace_sink,
-        dict(zip([roots[i] + p for p in paths], keys[i].tolist())))
 
 
 # --------------------------------------------------------------- reporting
@@ -512,9 +503,9 @@ def _run_setup(sc: Scenario, trace_sink=None) -> dict:
     reps = sc.service.repetitions
     rows = []
     kpis = []
-    build = _world_builder(sc, [(rep,) for rep in range(reps)], [], trace_sink)
+    keys = KeyTable(sc.seed, [(rep,) for rep in range(reps)])
     for rep in range(reps):
-        world = build(rep)
+        world = build_world(sc, (rep,), None, trace_sink, keys)
         report = world.stack.compute_kpis(world.record)
         kpis.append(report)
         rows.append({
@@ -551,15 +542,14 @@ def _run_latency(sc: Scenario, trace_sink=None) -> dict:
     latency = sc.latency
     rows = []
     deltas = []
-    build = _world_builder(sc, [(200 + c, r) for c in range(len(latency.cases))
-                                for r in range(latency.repetitions)],
-                           [(LATENCY_PROBE_STREAM,)], trace_sink)
+    keys = KeyTable(sc.seed, [(200 + c, r) for c in range(len(latency.cases))
+                              for r in range(latency.repetitions)])
     for case_idx, link in enumerate(latency.cases):
         ring = _case_ring(sc.ring, link)
         measured = []
         estimated = None
         for rep in range(latency.repetitions):
-            world = build(case_idx * latency.repetitions + rep, ring)
+            world = build_world(sc, (200 + case_idx, rep), ring, trace_sink, keys)
             m = measure_round_trip(
                 world.record.path, world.stack.state, world.stack.probe_cfg,
                 rng=world.rng.split(LATENCY_PROBE_STREAM))
@@ -597,14 +587,13 @@ def _run_latency(sc: Scenario, trace_sink=None) -> dict:
 def _run_softfail(sc: Scenario, trace_sink=None) -> dict:
     softfail = sc.softfail
     cases_out = []
-    build = _world_builder(sc, [(100 + c, r) for c in range(len(softfail.cases))
-                                for r in range(softfail.repetitions)],
-                           [(NOISE_STREAM,)], trace_sink)
+    keys = KeyTable(sc.seed, [(100 + c, r) for c in range(len(softfail.cases))
+                              for r in range(softfail.repetitions)])
     for idx, case in enumerate(softfail.cases):
         try:
             report = run_softfail_case(
-                world_factory=lambda rep, idx=idx: build(
-                    idx * softfail.repetitions + rep),
+                world_factory=lambda rep, idx=idx: build_world(
+                    sc, (100 + idx, rep), None, trace_sink, keys),
                 repetitions=softfail.repetitions,
                 noise_sigma_db=softfail.noise_sigma_db,
                 detector_cfg=case.detector,

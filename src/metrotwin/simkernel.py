@@ -12,9 +12,9 @@ spawn_key)))``, so draws are reproducible independently of execution order:
 the same (seed, spawn path) always yields the same values.
 
 ``philox_keys`` replays ``SeedSequence``'s key derivation in numpy arithmetic
-over a row of entropy words per stream, so a runner keys all its worlds'
-streams in one pass, and a stream missing from its world's table is keyed
-alone by the same replay; ``Philox`` takes each key as it is.
+over a row of entropy words per stream, so a runner's ``KeyTable`` keys a
+stream path for all its worlds' roots in one pass, on the path's first draw;
+``Philox`` takes each key as it is.
 """
 
 from __future__ import annotations
@@ -88,18 +88,34 @@ def philox_keys(words) -> np.ndarray:
 
 
 def stream_keys(seed: int, roots: list[tuple[int, ...]],
-                paths: list[tuple[int, ...]]) -> np.ndarray:
-    """The Philox key of stream ``roots[i] + paths[j]`` at [i, j], by path;
-    the roots hold one count of labels below 2**32, as a runner's do."""
-    n, head = len(roots), _words((seed,))
+                path: tuple[int, ...]) -> np.ndarray:
+    """The (n, 2) uint64 Philox keys of the streams ``roots[i] + path``; the
+    roots hold one count of labels below 2**32, as a runner's do."""
+    n, head, tail = len(roots), _words((seed,)), _words(path)
     head += [0] * (4 - len(head))
-    rows = np.hstack([np.full((n, len(head)), head, np.uint32),
-                      np.array(roots, np.uint32).reshape(n, -1 if n else 0)])
-    keys = np.empty((n, len(paths), 2), np.uint64)
-    for j, tail in enumerate(map(_words, paths)):
-        keys[:, j] = philox_keys(np.hstack(
-            [rows, np.full((n, len(tail)), tail, np.uint32)]))
-    return keys
+    return philox_keys(np.hstack([
+        np.full((n, len(head)), head, np.uint32),
+        np.array(roots, np.uint32).reshape(n, -1 if n else 0),
+        np.full((n, len(tail)), tail, np.uint32)]))
+
+
+class KeyTable:
+    """The Philox keys of the streams below one runner's world roots: the
+    first stream to draw on a path keys it for every root in one
+    ``stream_keys`` pass, into a uint64 column read one row at a time."""
+
+    def __init__(self, seed: int, roots: list[tuple[int, ...]]):
+        self.seed, self.roots, self._columns = seed, roots, {}
+        self._row = {root: i for i, root in enumerate(roots)}
+        self._width = len(roots[0]) if roots else 0
+
+    def key(self, spawn_key: tuple[int, ...]) -> list[int]:
+        """The key of the stream at ``spawn_key``: one of the roots, then a path."""
+        root, path = spawn_key[:self._width], spawn_key[self._width:]
+        column = self._columns.get(path)
+        if column is None:
+            column = self._columns[path] = stream_keys(self.seed, self.roots, path)
+        return column[self._row[root]].tolist()
 
 
 @functools.cache
@@ -132,15 +148,14 @@ class SimRng:
     independent child stream from integer labels; the (seed, spawn path)
     pair fully determines every draw.  A stream builds its generator on its
     first draw, so a stream that is only split, or draws with zero spread,
-    builds none.  ``keys``, which splits pass on, maps spawn keys to Philox
-    keys derived already (``stream_keys``); it is only read, and a stream
-    it lacks is keyed alone.
+    builds none.  Its key comes from ``keys``, the ``KeyTable`` that splits
+    pass on, or from a one-row table over the root ``()`` of its own.
     """
 
     def __init__(self, seed: int, spawn_key: tuple[int, ...] = (), keys=None):
         self.seed = int(seed)
         self.spawn_key = tuple(map(int, spawn_key))
-        self._keys = keys or {}
+        self._keys = keys or KeyTable(self.seed, [()])
         self._gen: Optional[np.random.Generator] = None
 
     def split(self, *labels: int) -> "SimRng":
@@ -148,10 +163,9 @@ class SimRng:
 
     def _generator(self) -> np.random.Generator:
         if self._gen is None:
-            key = self._keys.get(self.spawn_key) or stream_keys(
-                self.seed, [()], [self.spawn_key])[0, 0].tolist()
             self._gen = np.random.Generator(np.random.Philox(
-                _fixed_key()(key), counter=_ZERO_COUNTER))
+                _fixed_key()(self._keys.key(self.spawn_key)),
+                counter=_ZERO_COUNTER))
         return self._gen
 
     def normal(self, mu: float = 0.0, sigma: float = 1.0,

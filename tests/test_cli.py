@@ -154,6 +154,18 @@ def test_rate_override_rebuilds_cases(tmp_path, capsys):
     assert [c["name"] for c in cases] == ["case1", "case2"]
 
 
+@pytest.mark.parametrize("command, name", [("setup", "paper_setup.json"),
+                                           ("latency", "paper_table2.json")])
+def test_rate_on_a_command_without_soft_failure_exits_1(capsys, command,
+                                                        name):
+    # exit 0 before; the setup report also echoed a softfail section that
+    # it never ran
+    assert main([command, "--scenario", str(SCENARIO_DIR / name),
+                 "--rate", "0.3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --rate")
+
+
 def test_subcommand_overrides_experiment(tmp_path, capsys):
     # a latency scenario run through `setup` needs a service section only
     doc = latency_doc()
@@ -309,7 +321,7 @@ def set_key(doc, path, value):
     ("latency.attribution", {"components": ["probe"], "matrix": "x"},
      "latency.attribution.matrix"),
     ("softfail.cases[0].link", "nope", None),
-    ("service.vnfs", [{"name": "solo", "compute": "edge1"}], "service:"),
+    ("service.vnfs", [{"name": "solo", "compute": "edge1"}], "service.vnfs"),
     ("service.jitter", "false", None),
     ("softfail.emit_trace", "no", None),
     ("service.vnfs[0].name", 5, None),
@@ -369,6 +381,7 @@ def set_key(doc, path, value):
     ("softfail.cases", [], None),
     # named only "service" before
     ("service.vnfs", [], None),
+    ("service.connectivity.endpoints", ["tp1", "tp1"], None),
 ])
 def test_bad_document_fails_validation_naming_key(tmp_path, capsys, path,
                                                   value, named):

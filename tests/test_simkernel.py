@@ -13,8 +13,8 @@ from metrotwin import simkernel
 from metrotwin.cli import main
 from metrotwin.errors import RunawaySimulation, SchedulingInPast
 from metrotwin.scenario import build_world, load_scenario
-from metrotwin.simkernel import (Kernel, SECOND, SimRng, philox_keys,
-                                 stream_keys)
+from metrotwin.simkernel import (Kernel, KeyTable, SECOND, SimRng,
+                                 philox_keys, stream_keys)
 
 
 def test_events_fire_in_time_order():
@@ -164,31 +164,30 @@ def test_rng_draws_equal_numpy_seed_sequence(seed, key, cut, size, mean, cv):
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2 ** 160), data=st.data())
-def test_split_tree_draws_equal_numpy_seed_sequence(seed, data):
+@given(seed=st.integers(min_value=0, max_value=2 ** 160),
+       width=st.integers(min_value=0, max_value=2), data=st.data())
+def test_split_tree_draws_equal_numpy_seed_sequence(seed, width, data):
     # streams split off one another in a random tree, drawn from in a
-    # random order: each matches its own numpy generator draw for draw
+    # random order: each matches its own numpy generator draw for draw.
+    # The tree grows from the roots of one key table, as a runner's worlds
+    # do (equal width, labels below 2**32), and from an untabled stream
     labels = st.lists(st.integers(min_value=0, max_value=2 ** 80), max_size=3)
-    root = tuple(data.draw(labels))
-
-    class Table:
-        """A key table that holds, or lacks, each stream's key at random:
-        a stream draws with a key from ``stream_keys`` or is keyed alone."""
-        def get(self, key):
-            if data.draw(st.booleans()):
-                return stream_keys(seed, [()], [key])[0, 0].tolist()
-
-    nodes = [SimRng(seed, root, Table())]
-    paths = [root]
+    roots = data.draw(st.lists(st.tuples(*[st.integers(
+        min_value=0, max_value=2 ** 32 - 1)] * width), min_size=1,
+        max_size=4, unique=True))
+    keys = KeyTable(seed, roots)
+    untabled = tuple(data.draw(labels))
+    nodes = [SimRng(seed, root, keys) for root in roots]
+    nodes.append(SimRng(seed, untabled))
+    paths = roots + [untabled]
     oracles = {}
     for _ in range(data.draw(st.integers(min_value=1, max_value=25))):
+        i = data.draw(st.integers(min_value=0, max_value=len(nodes) - 1))
         if data.draw(st.booleans()):
-            i = data.draw(st.integers(min_value=0, max_value=len(nodes) - 1))
             key = tuple(data.draw(labels))
             nodes.append(nodes[i].split(*key))
             paths.append(paths[i] + key)
             continue
-        i = data.draw(st.integers(min_value=0, max_value=len(nodes) - 1))
         rng = nodes[i]
         assert rng.spawn_key == paths[i]
         oracle = oracles.setdefault(i, np.random.Generator(np.random.Philox(
@@ -260,42 +259,39 @@ def test_philox_keys_equal_numpy_seed_sequence(seed, keys):
 def test_stream_keys_equal_numpy_seed_sequence(seed, width, data):
     label = st.integers(min_value=0, max_value=2 ** 32 - 1)
     roots = data.draw(st.lists(st.tuples(*[label] * width), max_size=5))
-    paths = data.draw(st.lists(st.lists(
-        st.integers(min_value=0, max_value=2 ** 80), max_size=4).map(tuple),
-        max_size=4))
-    keys = stream_keys(seed, roots, paths)
-    assert keys.shape == (len(roots), len(paths), 2)
-    for i, root in enumerate(roots):
-        for j, path in enumerate(paths):
-            assert keys[i, j].tolist() == np.random.SeedSequence(
-                seed, spawn_key=root + path).generate_state(2, np.uint64).tolist()
+    path = tuple(data.draw(st.lists(
+        st.integers(min_value=0, max_value=2 ** 80), max_size=4)))
+    keys = stream_keys(seed, roots, path)
+    assert keys.dtype == np.uint64 and keys.shape == (len(roots), 2)
+    for root, key in zip(roots, keys.tolist()):
+        assert key == np.random.SeedSequence(
+            seed, spawn_key=root + path).generate_state(2, np.uint64).tolist()
 
 
-@pytest.mark.parametrize("probe_jitter_ns, generators", [(0, 30), (400, 41)])
-def test_every_drawing_stream_of_a_demo_is_keyed_up_front(
-        monkeypatch, tmp_path, probe_jitter_ns, generators):
-    # Each runner derives its worlds' keys in one pass, so no stream misses
-    # its world's key table and is keyed alone; a stream label that drifts
-    # between the control plane and the key tables would.  With --repeat 1
-    # one setup world, four latency worlds and two soft-failure worlds draw
-    # on their VNF and transponder streams (4 each), and the soft-failure
-    # worlds on their noise stream: 30 generators.  A probe with jitter adds
+@pytest.mark.parametrize("probe_jitter_ns, passes, generators", [
+    (0, (4, 4, 5), 30), (400, (5, 6, 6), 41)],
+    ids=["probe_jitter_0", "probe_jitter_400"])
+def test_each_stream_path_of_a_demo_is_keyed_once_for_every_root(
+        monkeypatch, tmp_path, probe_jitter_ns, passes, generators):
+    # Each runner keys a stream path for all its worlds' roots in one pass,
+    # on the first draw on that path.  With --repeat 1 one setup world, four
+    # latency worlds and two soft-failure worlds draw on their two VNF and
+    # two transponder streams, and the soft-failure worlds on their noise
+    # stream: 4 + 4 + 5 passes and 30 generators.  A probe with jitter adds
     # every world's probe verification stream and each latency world's
-    # probe stream: 41.
-    misses, built = [], []
-    keyed_alone = simkernel.stream_keys
+    # probe stream: 5 + 6 + 6 passes and 41 generators.
+    rows, built = [], []
+    keyed = simkernel.stream_keys
     philox = simkernel.np.random.Philox
 
-    def counting_stream_keys(seed, roots, paths):
-        misses.extend(paths)
-        return keyed_alone(seed, roots, paths)
+    def counting_stream_keys(seed, roots, path):
+        rows.append(len(roots))
+        return keyed(seed, roots, path)
 
     def counting_philox(seq, **kwargs):
         built.append(seq)
         return philox(seq, **kwargs)
 
-    # the runners reach stream_keys through scenario's own import, so only
-    # SimRng's lookup of a stream missing from its table is counted
     monkeypatch.setattr(simkernel, "stream_keys", counting_stream_keys)
     monkeypatch.setattr(simkernel.np.random, "Philox", counting_philox)
     doc = json.loads((SCENARIO_DIR / "paper_full_demo.json").read_text())
@@ -304,5 +300,6 @@ def test_every_drawing_stream_of_a_demo_is_keyed_up_front(
     scenario.write_text(json.dumps(doc))
     assert main(["demo", "--scenario", str(scenario), "--repeat", "1",
                  "--out", str(tmp_path / "report.txt")]) == 0
-    assert misses == []
+    # setup, then latency, then soft failure: 1, 4 and 2 roots each
+    assert rows == [1] * passes[0] + [4] * passes[1] + [2] * passes[2]
     assert len(built) == generators
