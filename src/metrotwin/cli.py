@@ -80,13 +80,10 @@ def _apply_overrides(sc: Scenario, args: argparse.Namespace,
             raise ValidationError(f"--rate: mst {args.command} runs no "
                                   f"soft-failure experiment")
         section = doc.setdefault("softfail", {})
-        template = dict(section.get("cases", [{}])[0]) if section.get("cases") else {}
-        section["cases"] = []
-        for i, rate in enumerate(args.rate):
-            case = dict(template)
-            case["rate_db_per_s"] = rate
-            case["name"] = f"case{i + 1}"
-            section["cases"].append(case)
+        template = section["cases"][0] if section.get("cases") else {}
+        section["cases"] = [dict(template, rate_db_per_s=rate,
+                                 name=f"case{i + 1}")
+                            for i, rate in enumerate(args.rate)]
         changed = True
     if changed:
         return scenario_from_dict(doc, lenient=args.lenient)

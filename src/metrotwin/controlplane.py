@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Optional
 
 from .errors import (ChannelExhausted, FieldInvalid, IllegalTransition, IncompleteRecord,
@@ -75,6 +76,15 @@ class NsDescriptor:
             raise FieldInvalid("vnfs: a network service needs at least two VNFs")
         if self.connectivity.endpoints[0] == self.connectivity.endpoints[1]:
             raise FieldInvalid("connectivity.endpoints: they must differ")
+
+    @cached_property
+    def demand(self) -> dict[NodeId, tuple[int, int]]:
+        """The vCPUs and MB of memory the VNFs ask of each compute node."""
+        demand: dict[NodeId, tuple[int, int]] = {}
+        for vnf in self.vnfs:
+            cpu, mem = demand.get(vnf.target_compute, (0, 0))
+            demand[vnf.target_compute] = (cpu + vnf.vcpu, mem + vnf.mem_mb)
+        return demand
 
 
 @dataclass
@@ -256,17 +266,13 @@ class OrchestrationStack:
                          on_ready: Callable[[], None]) -> None:
         """Place every VNF atomically, then let instantiations run in parallel."""
         ns = rec.descriptor
-        demand: dict[NodeId, tuple[int, int]] = {}
-        for vnf in ns.vnfs:
-            if vnf.target_compute not in self.ring.compute_nodes:
-                raise PlacementFailed(f"unknown compute node {vnf.target_compute}")
-            cpu, mem = demand.get(vnf.target_compute, (0, 0))
-            demand[vnf.target_compute] = (cpu + vnf.vcpu, mem + vnf.mem_mb)
         free_cpu, free_mem = self.state.vcpu_free, self.state.mem_free_mb
-        for node_id, (cpu, mem) in demand.items():
+        for node_id, (cpu, mem) in ns.demand.items():
+            if node_id not in self.ring.compute_nodes:
+                raise PlacementFailed(f"unknown compute node {node_id}")
             if cpu > free_cpu[node_id] or mem > free_mem[node_id]:
                 raise PlacementFailed(f"insufficient capacity on {node_id}")
-        for node_id, (cpu, mem) in demand.items():
+        for node_id, (cpu, mem) in ns.demand.items():
             free_cpu[node_id] -= cpu
             free_mem[node_id] -= mem
 

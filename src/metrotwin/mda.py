@@ -78,16 +78,13 @@ class DegradationDetector:
         n = len(self._times)
         if n == self.cfg.baseline_window:
             self.baseline_db = float(np.mean(self._snrs))
-        elif self.baseline_db is not None and n > self.cfg.baseline_window:
-            if s.snr_db < self.baseline_db - self.cfg.drop_threshold_db:
-                self._run += 1
-            else:
-                self._run = 0
+        elif n > self.cfg.baseline_window:
+            below = s.snr_db < self.baseline_db - self.cfg.drop_threshold_db
+            self._run = self._run + 1 if below else 0
 
     def detect_degradation(self) -> Optional[DegradationEvent]:
-        if self._fired or self.baseline_db is None:
-            return None
-        if self._run < self.cfg.consecutive_required:
+        # the run stays 0 until the baseline is known
+        if self._fired or self._run < self.cfg.consecutive_required:
             return None
         self._fired = True
         w = self.cfg.regression_window
@@ -99,15 +96,16 @@ def _degradation_event(times, snrs, ber_now: float,
                       fail_snr_db: float) -> DegradationEvent:
     """Detection at the last of ``times``, with trend and predicted fail time.
 
-    ``times`` and ``snrs`` are the regression window that ends at the
-    detection sample.  A line fitted over it extrapolates the instant the
-    SNR reaches ``fail_snr_db``; a flat or rising trend predicts none.
+    ``times`` (int ns) and ``snrs`` are the regression window, sequences of
+    at least two samples that end at the detection sample.  Their least-squares
+    line, in exactly rounded float sums, extrapolates the instant the SNR
+    reaches ``fail_snr_db``; a flat or rising trend predicts none.
     """
-    ts = np.array(times, dtype=float)
-    ts = (ts - ts[0]) / SECOND
-    slope = float(np.polyfit(ts, np.array(snrs, dtype=float), 1)[0])
-    t_now = int(times[-1])
-    snr_now = float(snrs[-1])
+    ts = [(t - times[0]) / SECOND for t in times]
+    t_bar, y_bar = math.fsum(ts) / len(ts), math.fsum(snrs) / len(snrs)
+    slope = (math.fsum([(t - t_bar) * (y - y_bar) for t, y in zip(ts, snrs)])
+             / math.fsum([(t - t_bar) * (t - t_bar) for t in ts]))
+    t_now, snr_now = int(times[-1]), float(snrs[-1])
     predicted: Optional[SimTime]
     if snr_now <= fail_snr_db:
         predicted = t_now
@@ -168,7 +166,7 @@ class SoftFailReport:
 NOISE_STREAM = 11  # a soft-failure world's telemetry noise, below its root
 
 # The longest episode horizon in samples, about 12 days at the 1 s default
-# period.  An episode's telemetry is one array of its horizon.
+# period.  An episode's telemetry is at most one array of its horizon.
 _MAX_EPISODE_SAMPLES = 2**20
 
 # Sample instants are int64 nanoseconds.
@@ -176,10 +174,12 @@ _CLOCK_MAX = int(np.iinfo(np.int64).max)
 
 
 def episode_horizon(cfg: DetectorConfig, model: SignalModel,
-                    rate_db_per_s: float, snr_coupling: float = 1.0) -> int:
-    """Samples an episode may take: the baseline window, 1,000 more, and
-    twice the samples the ramp takes to lower the SNR from ``model``'s
-    baseline to its fail SNR.  Raises TwinError past
+                    rate_db_per_s: float, snr_coupling: float = 1.0
+                    ) -> tuple[int, int]:
+    """Samples an episode may take, and the index of its first noiseless
+    sample at or below the fail SNR.  The samples are the baseline window,
+    1,000 more, and twice the samples the ramp takes to lower the SNR from
+    ``model``'s baseline to its fail SNR.  Raises TwinError past
     ``_MAX_EPISODE_SAMPLES``; when the last sample of an episode starting at
     time 0 passes the 64-bit clock; when one sample period of ramp takes the
     whole span, which leaves no degradation to detect before the failure;
@@ -222,13 +222,13 @@ def episode_horizon(cfg: DetectorConfig, model: SignalModel,
                         f"{cfg.drop_threshold_db:g} dB below the baseline, "
                         f"fewer than consecutive_required = "
                         f"{cfg.consecutive_required}")
-    return samples
+    return samples, cfg.baseline_window + cross
 
 
 def _scan_telemetry(plant: OpticalPlant, path: OpticalPath, model: SignalModel,
                     cfg: DetectorConfig, fail_snr_db: float,
                     first_sample: SimTime, noise_sigma_db: float,
-                    noise_rng: SimRng, samples: int,
+                    noise_rng: SimRng, samples: int, first: int,
                     trace: Optional[list[tuple[float, float, float]]],
                     ramp_start: SimTime
                     ) -> tuple[Optional[DegradationEvent], Optional[int]]:
@@ -237,19 +237,27 @@ def _scan_telemetry(plant: OpticalPlant, path: OpticalPath, model: SignalModel,
     Sample i is the noiseless SNR at ``first_sample + i * period`` plus one
     draw of ``noise_rng``.  The crossing is the first sample whose BER is
     above the fail limit, that is whose SNR is at or below ``fail_snr_db``;
-    detection is as in ``DegradationDetector``, up to the crossing.
-    ``trace``, when given, receives (seconds since ramp start, SNR, BER) of
-    each sample up to the crossing.
+    detection is as in ``DegradationDetector``, up to the crossing.  The
+    first ``first`` samples are drawn, and the rest of the ``samples`` only
+    when none of those crosses.  ``trace``, when given, receives (seconds
+    since ramp start, SNR, BER) of each sample up to the crossing.
     """
     period = cfg.sample_period_ns
     if first_sample + period * (samples - 1) > _CLOCK_MAX:
         raise TwinError("telemetry stream ran past the 64-bit clock")
-    times = first_sample + period * np.arange(samples, dtype=np.int64)
-    snr = plant.snr_series(path, times, model)
-    snr += noise_rng.normal(0.0, noise_sigma_db, size=samples)
+
+    def draw(lo: int, hi: int) -> np.ndarray:
+        times = first_sample + period * np.arange(lo, hi, dtype=np.int64)
+        return plant.snr_series(path, times, model) + noise_rng.normal(
+            0.0, noise_sigma_db, size=hi - lo)
+
+    snr = draw(0, first)
+    if first < samples and not (snr <= fail_snr_db).any():
+        snr = np.concatenate((snr, draw(first, samples)))
     crossed = np.flatnonzero(snr <= fail_snr_db)
     cross = int(crossed[0]) if crossed.size else None
     end = samples if cross is None else cross + 1
+    times = range(first_sample, first_sample + period * end, period)
     w = cfg.baseline_window
     below = snr[w:end] < float(np.mean(snr[:w])) - cfg.drop_threshold_db
     # a run's length: each position minus the last one not below
@@ -260,12 +268,12 @@ def _scan_telemetry(plant: OpticalPlant, path: OpticalPath, model: SignalModel,
     if hits.size:
         i = w + int(hits[0])
         lo = max(i + 1 - cfg.regression_window, 0)
-        event = _degradation_event(times[lo:i + 1], snr[lo:i + 1],
+        event = _degradation_event(times[lo:i + 1], snr[lo:i + 1].tolist(),
                                    ber_from_snr(float(snr[i]), model),
                                    fail_snr_db)
     if trace is not None:
         trace.extend(((t - ramp_start) / SECOND, v, ber_from_snr(v, model))
-                     for t, v in zip(times[:end].tolist(), snr[:end].tolist()))
+                     for t, v in zip(times, snr[:end].tolist()))
     return event, cross
 
 
@@ -296,7 +304,12 @@ def run_softfail_case(world_factory: Callable[[int], SoftFailWorld],
     trace: list[tuple[float, float, float]] = []
     fail_snr = model.fail_snr_db()
     period = detector_cfg.sample_period_ns
-    samples = episode_horizon(detector_cfg, model, rate_db_per_s, snr_coupling)
+    samples, crossing = episode_horizon(detector_cfg, model, rate_db_per_s,
+                                        snr_coupling)
+    # noise lifts a sample by more than 6 sigma about once in 1e9 draws: the
+    # first draw ends where the ramp has fallen that far past the crossing
+    step = rate_db_per_s * snr_coupling * period / SECOND  # dB a sample
+    first = min(samples, crossing + math.ceil(6 * noise_sigma_db / step) + 1)
 
     for rep in range(repetitions):
         world = world_factory(rep)
@@ -305,16 +318,15 @@ def run_softfail_case(world_factory: Callable[[int], SoftFailWorld],
         if rec.status is not ServiceStatus.ACTIVE or rec.path is None:
             raise TwinError(f"repetition {rep}: service not active before episode")
         monitored_path = rec.path  # crossing is tracked on the original arc
-        link_id = ramp_link or monitored_path.links[0]
         first_sample = kernel.now() + period
         ramp_start = first_sample + (detector_cfg.baseline_window - 1) * period
         plant.apply_attenuation_ramp(AttenuationRamp(
-            link_id=link_id, rate_db_per_s=rate_db_per_s,
-            start_time=ramp_start, snr_coupling=snr_coupling))
+            ramp_link or monitored_path.links[0], rate_db_per_s, ramp_start,
+            snr_coupling))
         ev, cross = _scan_telemetry(
             plant, monitored_path, model, detector_cfg, fail_snr,
             first_sample, noise_sigma_db, world.rng.split(NOISE_STREAM), samples,
-            trace if keep_trace and rep == 0 else None, ramp_start)
+            first, trace if keep_trace and rep == 0 else None, ramp_start)
         t_last = first_sample + period * (
             samples - 1 if cross is None else cross)
         t_detect = None if ev is None else ev.t_detect

@@ -135,8 +135,8 @@ _TABLE = {
         "compute": _Key("string", True, field="target_compute")}),
     "service.connectivity": (ConnectivityRequirements, {
         "endpoints": _Key("pair", True),
-        "max_rt_latency_us": _Key("number", low=0, unit="us",
-                                  field="max_rt_latency_ns")}),
+        "max_rt_latency_us": _Key("number", low=0, high=_MAX_S * 1e6,
+                                  unit="us", field="max_rt_latency_ns")}),
     "service.phase_durations": (PhaseTimings, {
         f"{phase}_s": _Key("number", low=0, high=_MAX_S, unit="s",
                            field=f"{phase}_ns")
@@ -322,18 +322,9 @@ def _sections(doc: dict, top: dict, errors: list[str]) -> tuple[
         return name in names
 
     svc = top["service"]
-    asked = {node: {"vcpu": 0, "mem_mb": 0} for node in ring.compute_nodes}
     for i, vnf in enumerate(svc["vnfs"]):
-        if known(f"service.vnfs[{i}].compute", vnf.target_compute, asked):
-            node = ring.compute_nodes[vnf.target_compute]
-            for key, has in (("vcpu", node.vcpu_capacity),
-                             ("mem_mb", node.mem_capacity_mb)):
-                had = asked[node.id][key]
-                asked[node.id][key] += getattr(vnf, key)
-                if had <= has < asked[node.id][key]:  # this VNF passes it
-                    errors.append(f"service.vnfs[{i}].{key}: the VNFs on "
-                                  f"{node.id} ask for {asked[node.id][key]}"
-                                  f" in all; it has {has}")
+        known(f"service.vnfs[{i}].compute", vnf.target_compute,
+              ring.compute_nodes)
     conn = svc["connectivity"]
     a, b = conn.endpoints
     for i, end in enumerate((a, b)):
@@ -343,8 +334,18 @@ def _sections(doc: dict, top: dict, errors: list[str]) -> tuple[
         errors.append(f"service.connectivity.endpoints: {a} and {b} "
                       f"terminate on the same ROADM "
                       f"{ring.transponders[a].attached_roadm}")
-    service = Service(_make(errors, "service", NsDescriptor, svc.pop("name"),
-                            svc.pop("vnfs"), svc.pop("connectivity")), **svc)
+    ns = _make(errors, "service", NsDescriptor, svc.pop("name"),
+               svc.pop("vnfs"), svc.pop("connectivity"))
+    for node in ring.compute_nodes.values() if ns else ():
+        asks = ns.demand.get(node.id, (0, 0))
+        for key, ask, has in zip(("vcpu", "mem_mb"), asks,
+                                 (node.vcpu_capacity, node.mem_capacity_mb)):
+            if ask > has:  # reported at the last VNF on the node
+                i = max(i for i, vnf in enumerate(ns.vnfs)
+                        if vnf.target_compute == node.id)
+                errors.append(f"service.vnfs[{i}].{key}: the VNFs on "
+                              f"{node.id} ask for {ask} in all; it has {has}")
+    service = Service(ns, **svc)
 
     rings = [("", ring)]  # each ring the service deploys on, as errors name it
     probe_cfg = ProbeConfig()
@@ -454,9 +455,10 @@ def load_scenario(path: Union[str, Path], lenient: bool = False) -> Scenario:
 def build_world(sc: Scenario, spawn_key: tuple[int, ...],
                 ring: Optional[RingTopology] = None,
                 trace_sink: Optional[IO[str]] = None,
-                keys: Optional[KeyTable] = None) -> SoftFailWorld:
+                keys: Optional[KeyTable] = None, where: str = "") -> SoftFailWorld:
     """Provision one isolated world on ``ring``, a latency case's or else
-    the scenario's, and deploy the scenario's service in it."""
+    the scenario's, and deploy the scenario's service in it; ``where``
+    names the world in the TwinError of a failed deployment."""
     state = RingState(ring or sc.ring)
     kernel = Kernel(trace=trace_sink)
     rng = SimRng(sc.seed, spawn_key, keys)
@@ -468,7 +470,7 @@ def build_world(sc: Scenario, spawn_key: tuple[int, ...],
     record = stack.request_network_service(sc.service.descriptor)
     kernel.run_to_end()
     if record.status is not ServiceStatus.ACTIVE:
-        raise TwinError(f"deployment ended {record.status.value}: "
+        raise TwinError(f"{where}deployment ended {record.status.value}: "
                         f"{record.failure_reason}")
     return SoftFailWorld(kernel=kernel, plant=OpticalPlant(state),
                          stack=stack, record=record, rng=rng)
@@ -505,7 +507,8 @@ def _run_setup(sc: Scenario, trace_sink=None) -> dict:
     kpis = []
     keys = KeyTable(sc.seed, [(rep,) for rep in range(reps)])
     for rep in range(reps):
-        world = build_world(sc, (rep,), None, trace_sink, keys)
+        world = build_world(sc, (rep,), None, trace_sink, keys,
+                            f"setup repetition {rep}: ")
         report = world.stack.compute_kpis(world.record)
         kpis.append(report)
         rows.append({
@@ -549,7 +552,8 @@ def _run_latency(sc: Scenario, trace_sink=None) -> dict:
         measured = []
         estimated = None
         for rep in range(latency.repetitions):
-            world = build_world(sc, (200 + case_idx, rep), ring, trace_sink, keys)
+            world = build_world(sc, (200 + case_idx, rep), ring, trace_sink, keys,
+                                f"latency.cases[{case_idx}] repetition {rep}: ")
             m = measure_round_trip(
                 world.record.path, world.stack.state, world.stack.probe_cfg,
                 rng=world.rng.split(LATENCY_PROBE_STREAM))
@@ -593,7 +597,8 @@ def _run_softfail(sc: Scenario, trace_sink=None) -> dict:
         try:
             report = run_softfail_case(
                 world_factory=lambda rep, idx=idx: build_world(
-                    sc, (100 + idx, rep), None, trace_sink, keys),
+                    sc, (100 + idx, rep), None, trace_sink, keys,
+                    f"repetition {rep}: "),
                 repetitions=softfail.repetitions,
                 noise_sigma_db=softfail.noise_sigma_db,
                 detector_cfg=case.detector,

@@ -382,6 +382,12 @@ def set_key(doc, path, value):
     # named only "service" before
     ("service.vnfs", [], None),
     ("service.connectivity.endpoints", ["tp1", "tp1"], None),
+    # its nanoseconds overflow: exit 2 with an OverflowError traceback before
+    ("service.connectivity.max_rt_latency_us", 1e306, None),
+    # 4 + 13 vCPUs on edge1's 16: reported at the last VNF on the node
+    ("service.vnfs", [{"name": "a", "vcpu": 4, "compute": "edge1"},
+                      {"name": "b", "vcpu": 13, "compute": "edge1"}],
+     "service.vnfs[1].vcpu: the VNFs on edge1 ask for 17 in all; it has 16"),
 ])
 def test_bad_document_fails_validation_naming_key(tmp_path, capsys, path,
                                                   value, named):
@@ -392,6 +398,32 @@ def test_bad_document_fails_validation_naming_key(tmp_path, capsys, path,
         assert main([command, "--scenario", scenario]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and (named or path) in err
+
+
+@pytest.mark.parametrize("command,world", [
+    ("setup", "setup repetition 1"),
+    ("latency", "latency.cases[0] repetition 1"),
+    ("softfail", "softfail.cases[0] (drift): repetition 1"),
+    ("demo", "setup repetition 1"),
+])
+def test_failed_deployment_names_its_world(tmp_path, capsys, command, world):
+    # 200 us of probe jitter against 1.6 us of headroom over the noiseless
+    # round trip: at seed 1, the second world of each experiment fails its
+    # probe verification
+    doc = make_scenario(experiment="full_demo", seed=1, latency={
+        "measured_link": "r1-r2", "repetitions": 3,
+        "cases": [{"length_km": 79.9695}],
+        "probe": {"jitter_sigma_ns": 200000},
+    }, softfail={
+        "repetitions": 3, "emit_trace": False,
+        "cases": [{"name": "drift", "rate_db_per_s": 0.25}],
+    })
+    doc["service"].update(jitter=True, repetitions=3)
+    doc["service"]["connectivity"]["max_rt_latency_us"] = 800
+    assert main([command, "--scenario", write(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == (
+        f"runtime error: {world}: deployment ended Failed: probe "
+        f"verification exceeded latency requirement\n")
 
 
 @pytest.mark.parametrize("length_km", ["abc", -1.0])

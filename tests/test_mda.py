@@ -1,21 +1,23 @@
 import io
 import math
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_scenario
+from metrotwin import mda
 from metrotwin.controlplane import ServiceStatus
 from metrotwin.errors import DetectionTooLate, OutOfOrderSample, TwinError
 from metrotwin.mda import (DegradationDetector, DetectorConfig,
                            RepetitionResult, SoftFailReport,
-                           anticipation_time, episode_horizon,
-                           run_softfail_case)
+                           _degradation_event, anticipation_time,
+                           episode_horizon, run_softfail_case)
 from metrotwin.optics import (AttenuationRamp, SignalModel, TelemetrySample,
                               ber_from_snr)
 from metrotwin.scenario import build_world, scenario_from_dict
-from metrotwin.simkernel import SECOND
+from metrotwin.simkernel import SECOND, SimRng
 
 FAIL_SNR = SignalModel().fail_snr_db()
 
@@ -136,6 +138,37 @@ def test_detection_sample_matches_closed_form(rate, threshold, k_consec):
     assert hit is not None
     expected_sample = 20 + k0 + (k_consec - 1)
     assert hit.t_detect == expected_sample * SECOND
+
+
+def polyfit_slope(times, snrs):
+    """Oracle of the closed-form fit: numpy's general least-squares line
+    over seconds since the window's first sample, its slope in dB/s."""
+    ts = np.array([(t - times[0]) / SECOND for t in times])
+    return float(np.polyfit(ts, np.array(snrs), 1)[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(noise=st.lists(st.floats(-0.25, 0.25), min_size=2, max_size=60),
+       t0=st.sampled_from([0, 10**15, 2**62]) | st.integers(0, 2**62),
+       period_s=st.sampled_from([0.5, 1.0, 2.0, 60.0]),
+       slope=st.floats(-5.0, 5.0).filter(lambda v: abs(v) >= 0.01),
+       level=st.floats(-10.0, 30.0))
+@example(noise=[0.0, 0.0], t0=2**62, period_s=1.0, slope=-0.25,
+         level=21.84)
+@example(noise=[0.25, -0.25], t0=2**62 + 1, period_s=0.5, slope=0.01,
+         level=30.0)
+def test_closed_form_slope_matches_polyfit(noise, t0, period_s, slope,
+                                           level):
+    # sample k lies ``noise[k]`` periods of trend off the line, at most a
+    # quarter: the fitted slope stays within half of ``slope``, away from
+    # the cancellation near zero that no fit resolves to 1e-9
+    period = round(period_s * SECOND)
+    times = [t0 + k * period for k in range(len(noise))]
+    snrs = [level + slope * period_s * (k + e) for k, e in enumerate(noise)]
+    event = _degradation_event(times, snrs, 1e-3, FAIL_SNR)
+    assert event.fitted_slope_db_per_s == pytest.approx(
+        polyfit_slope(times, snrs), rel=1e-9)
+    assert event.t_detect == times[-1]
 
 
 def test_anticipation_time_guard():
@@ -472,7 +505,7 @@ def test_a_ramp_that_takes_the_span_in_one_period_raises_before_any_world(
     assert built == []
     # a little slower, and the ramp takes two periods; one sample below the
     # level detects it
-    assert episode_horizon(cfg, model, 0.99 * span / period_s) == \
+    assert episode_horizon(cfg, model, 0.99 * span / period_s)[0] == \
         cfg.baseline_window + 1002
 
 
@@ -518,3 +551,55 @@ def test_deployment_time_can_push_the_samples_past_the_64_bit_clock():
                               sample_period_ns=8 * 10**15,
                               consecutive_required=1),
                           model=SignalModel())
+
+
+def noise_draw_sizes(monkeypatch):
+    """Record the size of each array of noise draws an episode takes."""
+    sizes = []
+    normal = SimRng.normal
+
+    def spy(self, mu=0.0, sigma=1.0, size=None):
+        if size is not None:
+            sizes.append(size)
+        return normal(self, mu, sigma, size)
+
+    monkeypatch.setattr(SimRng, "normal", spy)
+    return sizes
+
+
+def test_a_crossing_past_the_first_draw_matches_the_oracle(monkeypatch):
+    # The first draw ends 6 sigma of ramp past the noiseless crossing, which
+    # noise almost never outlasts; a crossing reported at half its index
+    # ends it before the noisy crossing, so the second draw holds that.
+    horizon = episode_horizon
+    monkeypatch.setattr(mda, "episode_horizon", lambda *args: (
+        horizon(*args)[0], horizon(*args)[1] // 2))
+    sizes = noise_draw_sizes(monkeypatch)
+    doc = make_scenario(experiment="softfail", seed=3,
+                        softfail={"cases": [{"rate_db_per_s": 0.05}]})
+    kwargs = dict(rate_db_per_s=0.05, repetitions=2, noise_sigma_db=0.1,
+                  detector_cfg=DetectorConfig(), model=SignalModel())
+    oracle, scan = run_both_episodes(doc, **kwargs)
+    assert scan == oracle
+    samples, crossing = horizon(DetectorConfig(), SignalModel(), 0.05)
+    first = crossing // 2 + math.ceil(6 * 0.1 / 0.05) + 1
+    assert len(oracle[0].trace) > first
+    assert sizes.count(first) == sizes.count(samples - first) == 4
+
+
+def test_an_episode_that_never_crosses_draws_its_horizon_and_raises(
+        monkeypatch):
+    # r2-r3 is off the monitored r1-r2, so no sample crosses: the rest of
+    # the horizon is drawn and the episode ends without a crossing
+    sizes = noise_draw_sizes(monkeypatch)
+    doc = make_scenario(experiment="softfail", seed=3,
+                        softfail={"cases": [{"rate_db_per_s": 0.1}]})
+    oracle, scan = run_both_episodes(
+        doc, rate_db_per_s=0.1, repetitions=1, noise_sigma_db=0.1,
+        detector_cfg=DetectorConfig(), model=SignalModel(), ramp_link="r2-r3")
+    assert scan == oracle
+    assert oracle[0] == (TwinError,
+                         "telemetry stream ran past its expected horizon")
+    samples, crossing = episode_horizon(DetectorConfig(), SignalModel(), 0.1)
+    first = crossing + math.ceil(6 * 0.1 / 0.1) + 1
+    assert sizes == [first, samples - first]

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -128,8 +129,12 @@ def test_every_world_keeps_the_invariants_and_the_shared_ring(monkeypatch,
 
 def test_failed_deployment_surfaces_reason():
     sc = scenario_from_dict(make_scenario())
-    # set after validation, which rejects it, so placement fails at deploy
-    sc.service.descriptor.vnfs[0].vcpu = 10_000
+    # set after validation, which rejects it, so placement fails at deploy;
+    # a descriptor sums its VNFs' demand once, so the VNF is replaced in a
+    # new descriptor
+    ns = sc.service.descriptor
+    sc.service = replace(sc.service, descriptor=replace(
+        ns, vnfs=[replace(ns.vnfs[0], vcpu=10_000), *ns.vnfs[1:]]))
     with pytest.raises(TwinError) as err:
         build_world(sc, (0,))
     assert "Failed" in str(err.value)
