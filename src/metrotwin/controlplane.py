@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 from .errors import (ChannelExhausted, FieldInvalid, IllegalTransition, IncompleteRecord,
@@ -246,7 +246,7 @@ class OrchestrationStack:
         self.services[rec.request_id] = rec
         rec.timestamps.t_request = self.kernel.now()
         self.kernel.schedule(lambda: self._start_deploy(rec), self.kernel.now(),
-                             kind=f"{rec.request_id}:request")
+                             kind=(rec.request_id, "request"))
         return rec
 
     def _fail(self, rec: ServiceRecord, reason: str) -> None:
@@ -292,7 +292,7 @@ class OrchestrationStack:
                 dur_s = rec.rng.split(VNF_STREAM, i).lognormal_mean_cv(
                     vnf.instantiation_mean_s, vnf.instantiation_cv)
             self.kernel.schedule_in(round(dur_s * SECOND), done_one,
-                                    kind=f"{rec.request_id}:vnf:{vnf.name}")
+                                    kind=(rec.request_id, "vnf", vnf.name))
 
     def release_vnfs(self, rec: ServiceRecord) -> None:
         for vnf in rec.descriptor.vnfs:
@@ -342,7 +342,7 @@ class OrchestrationStack:
             lambda: self._program_roadms(
                 rec, rec.path, 0, "roadm",
                 lambda: self._bring_up_transponders(rec)),
-            kind=f"{rec.request_id}:messaging")
+            kind=(rec.request_id, "messaging"))
 
     def _program_roadms(self, rec: ServiceRecord, path: OpticalPath,
                         delay: SimTime, kind: str,
@@ -376,7 +376,7 @@ class OrchestrationStack:
         for i, roadm_id in enumerate(order):
             self.kernel.schedule_in(delay + step * (i + 1),
                                     lambda i=i: visit(i),
-                                    kind=f"{rec.request_id}:{kind}:{roadm_id}")
+                                    kind=(rec.request_id, kind, roadm_id))
 
     def _bring_up_transponders(self, rec: ServiceRecord) -> None:
         """Runs once every ROADM is programmed for the service."""
@@ -397,7 +397,7 @@ class OrchestrationStack:
                     rec.timestamps.t_path_operational = self.kernel.now()
                     self.kernel.schedule_in(self.timings.probe_verify_ns,
                                             lambda: self._verify_probe(rec),
-                                            kind=f"{rec.request_id}:probe")
+                                            kind=(rec.request_id, "probe"))
 
         for i, tp_id in enumerate((rec.path.source, rec.path.destination)):
             rng = rec.rng.split(TRANSPONDER_STREAM, i) if self.jitter else None
@@ -487,7 +487,7 @@ class OrchestrationStack:
             rec, new_path, self.timings.control_messaging_ns, "restore",
             lambda: self.kernel.schedule_in(self.timings.retune_ns,
                                             retune_done,
-                                            kind=f"{rec.request_id}:retune"))
+                                            kind=(rec.request_id, "retune")))
         return outcome
 
     def notify_fail_crossing(self, rec: ServiceRecord, t: SimTime) -> None:
@@ -550,8 +550,10 @@ class OrchestrationStack:
         return problems
 
 
+@lru_cache(maxsize=1024)
 def hash_label(text: str) -> int:
-    """Stable small integer from a string, for spawn keys (hash() is salted)."""
+    """Stable small integer from a string, for spawn keys (hash() is salted);
+    every world of a runner hashes the same few request ids."""
     acc = 0
     for ch in text:
         acc = (acc * 131 + ord(ch)) % (2 ** 31 - 1)

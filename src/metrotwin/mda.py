@@ -337,7 +337,7 @@ def run_softfail_case(world_factory: Callable[[int], SoftFailWorld],
                 kernel.schedule_in(
                     2 * stack.timings.alert_hop_ns,
                     lambda: stack.handle_degradation_alert(rec, kernel.now()),
-                    kind=f"{rec.request_id}:alert")
+                    kind=(rec.request_id, "alert"))
             if t == t_last:
                 if cross is None:
                     raise TwinError(

@@ -189,7 +189,7 @@ def transponder_lifecycle(
             (configure_at + config_ns + warmup_ns,
              TransponderState.OPERATIONAL)):
         kernel.schedule(lambda state=state: enter(state), at,
-                        kind=f"tp:{node.id}:{state.value}")
+                        kind=("tp", node.id, state))
 
 
 def transponder_teardown(tp: Transponder) -> None:

@@ -14,16 +14,18 @@ the same (seed, spawn path) always yields the same values.
 ``philox_keys`` replays ``SeedSequence``'s key derivation in numpy arithmetic
 over a row of entropy words per stream, so a runner's ``KeyTable`` keys a
 stream path for all its worlds' roots in one pass, on the path's first draw;
-``Philox`` takes each key as it is.
+``philox_key`` does the same for a single row in Python ints.  ``Philox``
+takes each key as it is.
 """
 
 from __future__ import annotations
 
+import enum
 import functools
 import heapq
 import itertools
 import math
-from typing import Callable, IO, Optional, Sequence
+from typing import Callable, IO, Optional, Sequence, Union
 
 import numpy as np
 
@@ -36,6 +38,9 @@ SECOND = 1_000_000_000
 
 DEFAULT_EVENT_CAP = 100_000_000
 
+# An event's label: a string, or its parts, which a trace joins with ":"
+Label = Union[str, tuple]
+
 
 _M32 = 0xFFFFFFFF
 # Philox's counter starts at 0; as an array it spares numpy's Python
@@ -47,8 +52,8 @@ _MIX_HASH, _OUT_HASH = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)
 
 
 def _hasher(const: int, mult: int) -> Callable:
-    """numpy's hashmix from hash constant ``const`` on, over uint64 arrays
-    of 32-bit words; each call advances the constant by ``mult``."""
+    """numpy's hashmix from hash constant ``const`` on, over 32-bit words in
+    uint64 arrays or Python ints; each call advances the constant by ``mult``."""
     def hashmix(value):
         nonlocal const
         value = value ^ const
@@ -60,10 +65,48 @@ def _hasher(const: int, mult: int) -> Callable:
 
 def _words(labels: tuple[int, ...]) -> list[int]:
     """The 32-bit words, low first, that ``SeedSequence`` reads from each label."""
+    labels = list(map(int, labels))
     if labels and min(labels) < 0:
         raise ValueError(f"seeds and spawn labels must be >= 0; got {min(labels)}")
     return [n >> s & _M32 for n in labels
             for s in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _mix(x, y):
+    r = (x * 0xCA01F9DD - y * 0x4973F715) & _M32  # MIX_MULT_L, MIX_MULT_R
+    return r ^ r >> 16
+
+
+def _mixed_pool(head) -> list:
+    """``SeedSequence``'s pool after its first four entropy words, ``head``
+    (uint64 arrays holding a word of every row, or one row's ints): each
+    hashed in, then each mixed into every other.  It hashes 16 times."""
+    hashmix = _hasher(*_MIX_HASH)
+    pool = [hashmix(w) for w in head]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    return pool
+
+
+# The pool hash's constant after ``_mixed_pool``'s 16 hashes
+_MIX_AFTER_POOL = _MIX_HASH[0] * pow(_MIX_HASH[1], 16, 1 << 32) & _M32
+
+
+def _state_words(pool: list, words) -> list:
+    """``SeedSequence``'s four 32-bit output words: each entropy word past
+    the first four mixed into every word of ``pool``, in place, then the
+    pool hashed out."""
+    hashmix = _hasher(_MIX_AFTER_POOL, _MIX_HASH[1])
+    for w, dst in itertools.product(words, range(4)):
+        pool[dst] = _mix(pool[dst], hashmix(w))
+    return list(map(_hasher(*_OUT_HASH), pool))
+
+
+@functools.lru_cache(maxsize=64)
+def _seed_pool(head: tuple[int, ...]) -> tuple[int, ...]:
+    """``_mixed_pool`` of one row's first four words.  They come from the
+    seed, so every stream of a seed shares it."""
+    return tuple(_mixed_pool(head))
 
 
 def philox_keys(words) -> np.ndarray:
@@ -71,38 +114,38 @@ def philox_keys(words) -> np.ndarray:
     np.uint64)``, as an (n, 2) uint64 array, for an (n, m) array of entropy
     words, m >= 4: the seed's, padded to the pool size of 4, then the key's."""
     cols = list(np.array(words, np.uint32, ndmin=2).T.astype(np.uint64))
-    hashmix = _hasher(*_MIX_HASH)
-
-    def mix(x, y):
-        r = (x * 0xCA01F9DD - y * 0x4973F715) & _M32  # MIX_MULT_L, MIX_MULT_R
-        return r ^ r >> 16
-    pool = [hashmix(w) for w in cols[:4]]
-    # every pool word into every other, then each further word into all
-    for src, dst in itertools.permutations(range(4), 2):
-        pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w, dst in itertools.product(cols[4:], range(4)):
-        pool[dst] = mix(pool[dst], hashmix(w))
+    a, b, c, d = _state_words(_mixed_pool(cols[:4]), cols[4:])
     # generate_state(2, np.uint64): four output words as two 64-bit ones
-    a, b, c, d = map(_hasher(*_OUT_HASH), pool)
     return np.stack((a | b << 32, c | d << 32), axis=1)
 
 
+def philox_key(words: list[int]) -> list[int]:
+    """``philox_keys`` of one row, in Python ints: for a single stream the
+    same arithmetic on ints costs less than on one-element arrays, and the
+    seed's part of it is done once per seed."""
+    a, b, c, d = _state_words(list(_seed_pool(tuple(words[:4]))), words[4:])
+    return [a | b << 32, c | d << 32]
+
+
 def stream_keys(seed: int, roots: list[tuple[int, ...]],
-                path: tuple[int, ...]) -> np.ndarray:
-    """The (n, 2) uint64 Philox keys of the streams ``roots[i] + path``; the
-    roots hold one count of labels below 2**32, as a runner's do."""
+                path: tuple[int, ...]) -> list[list[int]]:
+    """The Philox keys of the streams ``roots[i] + path``, one pair of ints
+    per root; the roots hold one count of labels below 2**32, as a runner's
+    do."""
     n, head, tail = len(roots), _words((seed,)), _words(path)
     head += [0] * (4 - len(head))
+    if n == 1:
+        return [philox_key(head + _words(roots[0]) + tail)]
     return philox_keys(np.hstack([
         np.full((n, len(head)), head, np.uint32),
         np.array(roots, np.uint32).reshape(n, -1 if n else 0),
-        np.full((n, len(tail)), tail, np.uint32)]))
+        np.full((n, len(tail)), tail, np.uint32)])).tolist()
 
 
 class KeyTable:
     """The Philox keys of the streams below one runner's world roots: the
     first stream to draw on a path keys it for every root in one
-    ``stream_keys`` pass, into a uint64 column read one row at a time."""
+    ``stream_keys`` pass, into a list column read one row at a time."""
 
     def __init__(self, seed: int, roots: list[tuple[int, ...]]):
         self.seed, self.roots, self._columns = seed, roots, {}
@@ -115,7 +158,7 @@ class KeyTable:
         column = self._columns.get(path)
         if column is None:
             column = self._columns[path] = stream_keys(self.seed, self.roots, path)
-        return column[self._row[root]].tolist()
+        return column[self._row[root]]
 
 
 @functools.cache
@@ -148,14 +191,18 @@ class SimRng:
     independent child stream from integer labels; the (seed, spawn path)
     pair fully determines every draw.  A stream builds its generator on its
     first draw, so a stream that is only split, or draws with zero spread,
-    builds none.  Its key comes from ``keys``, the ``KeyTable`` that splits
-    pass on, or from a one-row table over the root ``()`` of its own.
+    builds none.  Its key comes from ``keys``, the ``KeyTable`` over
+    ``seed`` that splits pass on, or from a one-row table over the root
+    ``()`` of its own.
     """
 
-    def __init__(self, seed: int, spawn_key: tuple[int, ...] = (), keys=None):
-        self.seed = int(seed)
-        self.spawn_key = tuple(map(int, spawn_key))
-        self._keys = keys or KeyTable(self.seed, [()])
+    __slots__ = ("seed", "spawn_key", "_keys", "_gen")
+
+    def __init__(self, seed: int, spawn_key: tuple[int, ...] = (),
+                 keys: Optional[KeyTable] = None):
+        if keys is None:
+            keys = KeyTable(int(seed), [()])
+        self.seed, self.spawn_key, self._keys = keys.seed, tuple(spawn_key), keys
         self._gen: Optional[np.random.Generator] = None
 
     def split(self, *labels: int) -> "SimRng":
@@ -185,23 +232,44 @@ class SimRng:
         """Lognormal draw parameterised by its mean and coefficient of variation."""
         if cv == 0.0 or mean == 0.0:
             return mean
-        sigma2 = math.log1p(cv * cv)
-        mu = math.log(mean) - sigma2 / 2.0
-        return float(self._generator().lognormal(mu, math.sqrt(sigma2)))
+        return float(self._generator().lognormal(*_lognormal_params(mean, cv)))
+
+
+@functools.lru_cache(maxsize=256)
+def _lognormal_params(mean: float, cv: float) -> tuple[float, float]:
+    """The (mu, sigma) of the lognormal with this mean and coefficient of
+    variation; a world draws the same few (mean, cv) pairs."""
+    sigma2 = math.log1p(cv * cv)
+    return math.log(mean) - sigma2 / 2.0, math.sqrt(sigma2)
+
+
+def _label_text(kind: Label, action: Callable[[], None]) -> str:
+    """An event's trace label: its parts joined by ``:``, an enum part by
+    its value, or the action's ``__name__`` if the label is empty."""
+    if not kind:
+        return getattr(action, "__name__", "")
+    if isinstance(kind, str):
+        return kind
+    return ":".join(str(p.value) if isinstance(p, enum.Enum) else str(p)
+                    for p in kind)
 
 
 class Kernel:
     """Single-threaded discrete-event scheduler over virtual nanoseconds.
 
-    Events with equal ``fire_at`` fire in insertion order.  One instance is
-    strictly single-threaded; separate instances share nothing.
+    Events with equal ``fire_at`` fire in insertion order.  An event's label
+    (``kind``) is a string or a tuple of its parts; it is formatted, by
+    ``_label_text``, only when the event fires with a ``trace`` sink set.
+    One instance is strictly single-threaded; separate instances share
+    nothing.
     """
 
     def __init__(self, event_cap: int = DEFAULT_EVENT_CAP,
                  trace: Optional[IO[str]] = None):
         self._now: SimTime = 0
-        # (fire_at, sequence, action, kind); the sequence breaks time ties
-        self._heap: list[tuple[SimTime, int, Callable[[], None], str]] = []
+        # (fire_at, sequence, action, kind): the sequence is unique, so it
+        # breaks time ties and no action or label is ever compared
+        self._heap: list[tuple[SimTime, int, Callable[[], None], Label]] = []
         self._next_seq = 0
         self._fired = 0
         self.event_cap = event_cap
@@ -215,16 +283,15 @@ class Kernel:
         return not self._heap
 
     def schedule(self, action: Callable[[], None], at: SimTime,
-                 kind: str = "") -> None:
+                 kind: Label = "") -> None:
         """Enqueue ``action`` to run at virtual time ``at``."""
         if at < self._now:
             raise SchedulingInPast(f"schedule at {at} ns < now {self._now} ns")
-        heapq.heappush(self._heap, (at, self._next_seq, action,
-                                    kind or getattr(action, "__name__", "")))
+        heapq.heappush(self._heap, (at, self._next_seq, action, kind))
         self._next_seq += 1
 
     def schedule_in(self, delay: SimTime, action: Callable[[], None],
-                    kind: str = "") -> None:
+                    kind: Label = "") -> None:
         self.schedule(action, self._now + delay, kind=kind)
 
     def run_to_end(self) -> SimTime:
@@ -238,6 +305,7 @@ class Kernel:
                 raise RunawaySimulation(
                     f"fired-event count exceeded cap {self.event_cap}")
             if self.trace is not None:
-                self.trace.write(f"{fire_at},{sequence},{kind}\n")
+                self.trace.write(
+                    f"{fire_at},{sequence},{_label_text(kind, action)}\n")
             action()
         return self._now

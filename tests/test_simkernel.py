@@ -1,3 +1,4 @@
+import enum
 import io
 import json
 import math
@@ -14,7 +15,7 @@ from metrotwin.cli import main
 from metrotwin.errors import RunawaySimulation, SchedulingInPast
 from metrotwin.scenario import build_world, load_scenario
 from metrotwin.simkernel import (Kernel, KeyTable, SECOND, SimRng,
-                                 philox_keys, stream_keys)
+                                 philox_key, philox_keys, stream_keys)
 
 
 def test_events_fire_in_time_order():
@@ -102,6 +103,38 @@ def test_trace_lines():
     assert sink.getvalue() == "5,0,ping\n9,1,pong\n"
 
 
+def test_labels_are_formatted_only_for_a_trace_sink():
+    class Phase(enum.Enum):
+        WARM = "Warm"
+
+    class Unjoinable:
+        def __str__(self):
+            raise AssertionError("label joined")
+
+    def named():
+        pass
+
+    sink = io.StringIO()
+    k = Kernel(trace=sink)
+    k.schedule(lambda: None, 5, kind=("svc-1", "vnf", 3))
+    k.schedule(lambda: None, 6, kind=("tp", "t1", Phase.WARM))
+    k.schedule(named, 7)
+    k.run_to_end()
+    # parts joined by ":", an enum by its value; no label: the action's name
+    assert sink.getvalue() == "5,0,svc-1:vnf:3\n6,1,tp:t1:Warm\n7,2,named\n"
+
+    fired = []
+    quiet = Kernel()
+    quiet.schedule(lambda: fired.append("quiet"), 1, kind=("svc-1", Unjoinable()))
+    quiet.run_to_end()
+    assert fired == ["quiet"]
+    # the same label fails once a sink asks for it
+    traced = Kernel(trace=io.StringIO())
+    traced.schedule(lambda: None, 1, kind=("svc-1", Unjoinable()))
+    with pytest.raises(AssertionError, match="label joined"):
+        traced.run_to_end()
+
+
 def test_seconds_round_trip():
     assert SECOND == 1_000_000_000
 
@@ -170,7 +203,8 @@ def test_split_tree_draws_equal_numpy_seed_sequence(seed, width, data):
     # streams split off one another in a random tree, drawn from in a
     # random order: each matches its own numpy generator draw for draw.
     # The tree grows from the roots of one key table, as a runner's worlds
-    # do (equal width, labels below 2**32), and from an untabled stream
+    # do (equal width, labels below 2**32), from the root of a one-row
+    # table and from an untabled stream; the last two key on Python ints
     labels = st.lists(st.integers(min_value=0, max_value=2 ** 80), max_size=3)
     roots = data.draw(st.lists(st.tuples(*[st.integers(
         min_value=0, max_value=2 ** 32 - 1)] * width), min_size=1,
@@ -178,8 +212,9 @@ def test_split_tree_draws_equal_numpy_seed_sequence(seed, width, data):
     keys = KeyTable(seed, roots)
     untabled = tuple(data.draw(labels))
     nodes = [SimRng(seed, root, keys) for root in roots]
+    nodes.append(SimRng(seed, roots[0], KeyTable(seed, roots[:1])))
     nodes.append(SimRng(seed, untabled))
-    paths = roots + [untabled]
+    paths = roots + [roots[0], untabled]
     oracles = {}
     for _ in range(data.draw(st.integers(min_value=1, max_value=25))):
         i = data.draw(st.integers(min_value=0, max_value=len(nodes) - 1))
@@ -251,6 +286,8 @@ def test_philox_keys_equal_numpy_seed_sequence(seed, keys):
         keyed = philox_keys([row for row, _ in group])
         assert keyed.dtype == np.uint64
         assert keyed.tolist() == [key for _, key in group]
+        # a one-row table keys its stream on Python ints, through the same hash
+        assert [philox_key(row) for row, _ in group] == [key for _, key in group]
 
 
 @settings(max_examples=40, deadline=None)
@@ -262,8 +299,8 @@ def test_stream_keys_equal_numpy_seed_sequence(seed, width, data):
     path = tuple(data.draw(st.lists(
         st.integers(min_value=0, max_value=2 ** 80), max_size=4)))
     keys = stream_keys(seed, roots, path)
-    assert keys.dtype == np.uint64 and keys.shape == (len(roots), 2)
-    for root, key in zip(roots, keys.tolist()):
+    assert len(keys) == len(roots)
+    for root, key in zip(roots, keys):
         assert key == np.random.SeedSequence(
             seed, spawn_key=root + path).generate_state(2, np.uint64).tolist()
 
