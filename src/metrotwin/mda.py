@@ -12,6 +12,7 @@ aggregates per-repetition results.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -159,8 +160,40 @@ class SoftFailReport:
     mean_detection_ber: float
     restored_count: int
     failed_count: int
-    # (seconds since ramp start, snr_db, pre_fec_ber) for the first repetition
-    trace: list[tuple[float, float, float]] = field(default_factory=list)
+    # the first repetition's EpisodeTrace, when kept
+    trace: Sequence[tuple[float, float, float]] = field(default_factory=list)
+
+
+class EpisodeTrace(Sequence):
+    """(seconds since ramp start, SNR in dB, pre-FEC BER) of each sample of
+    an episode up to its crossing.
+
+    It keeps the sample instants and SNR values as the scan computed them;
+    a row, and its BER, is built only when it is read.
+    """
+
+    def __init__(self, times: range, snr: np.ndarray, ramp_start: SimTime,
+                 model: SignalModel) -> None:
+        self.times, self.snr = times, snr
+        self.ramp_start, self.model = ramp_start, model
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __getitem__(self, i: int) -> tuple[float, float, float]:
+        snr = float(self.snr[i])
+        return ((self.times[i] - self.ramp_start) / SECOND, snr,
+                ber_from_snr(snr, self.model))
+
+    def __iter__(self):
+        ramp_start, model = self.ramp_start, self.model
+        for t, snr in zip(self.times, self.snr.tolist()):
+            yield (t - ramp_start) / SECOND, snr, ber_from_snr(snr, model)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
 
 
 NOISE_STREAM = 11  # a soft-failure world's telemetry noise, below its root
@@ -228,19 +261,18 @@ def episode_horizon(cfg: DetectorConfig, model: SignalModel,
 def _scan_telemetry(plant: OpticalPlant, path: OpticalPath, model: SignalModel,
                     cfg: DetectorConfig, fail_snr_db: float,
                     first_sample: SimTime, noise_sigma_db: float,
-                    noise_rng: SimRng, samples: int, first: int,
-                    trace: Optional[list[tuple[float, float, float]]],
-                    ramp_start: SimTime
-                    ) -> tuple[Optional[DegradationEvent], Optional[int]]:
-    """Detection and fail-crossing index of one episode, or None for either.
+                    noise_rng: SimRng, samples: int, first: int
+                    ) -> tuple[Optional[DegradationEvent], Optional[int],
+                               range, np.ndarray]:
+    """Detection and fail-crossing index of one episode, or None for either,
+    and the instants and SNR values of its samples up to the crossing.
 
     Sample i is the noiseless SNR at ``first_sample + i * period`` plus one
     draw of ``noise_rng``.  The crossing is the first sample whose BER is
     above the fail limit, that is whose SNR is at or below ``fail_snr_db``;
     detection is as in ``DegradationDetector``, up to the crossing.  The
     first ``first`` samples are drawn, and the rest of the ``samples`` only
-    when none of those crosses.  ``trace``, when given, receives (seconds
-    since ramp start, SNR, BER) of each sample up to the crossing.
+    when none of those crosses.
     """
     period = cfg.sample_period_ns
     if first_sample + period * (samples - 1) > _CLOCK_MAX:
@@ -271,10 +303,7 @@ def _scan_telemetry(plant: OpticalPlant, path: OpticalPath, model: SignalModel,
         event = _degradation_event(times[lo:i + 1], snr[lo:i + 1].tolist(),
                                    ber_from_snr(float(snr[i]), model),
                                    fail_snr_db)
-    if trace is not None:
-        trace.extend(((t - ramp_start) / SECOND, v, ber_from_snr(v, model))
-                     for t, v in zip(times, snr[:end].tolist()))
-    return event, cross
+    return event, cross, times, snr[:end]
 
 
 def run_softfail_case(world_factory: Callable[[int], SoftFailWorld],
@@ -301,7 +330,7 @@ def run_softfail_case(world_factory: Callable[[int], SoftFailWorld],
     if repetitions < 1:
         raise ValueError("repetitions must be positive")
     reps: list[RepetitionResult] = []
-    trace: list[tuple[float, float, float]] = []
+    trace: Sequence[tuple[float, float, float]] = []
     fail_snr = model.fail_snr_db()
     period = detector_cfg.sample_period_ns
     samples, crossing = episode_horizon(detector_cfg, model, rate_db_per_s,
@@ -323,10 +352,12 @@ def run_softfail_case(world_factory: Callable[[int], SoftFailWorld],
         plant.apply_attenuation_ramp(AttenuationRamp(
             ramp_link or monitored_path.links[0], rate_db_per_s, ramp_start,
             snr_coupling))
-        ev, cross = _scan_telemetry(
+        ev, cross, times, snr = _scan_telemetry(
             plant, monitored_path, model, detector_cfg, fail_snr,
             first_sample, noise_sigma_db, world.rng.split(NOISE_STREAM), samples,
-            first, trace if keep_trace and rep == 0 else None, ramp_start)
+            first)
+        if keep_trace and rep == 0:
+            trace = EpisodeTrace(times, snr, ramp_start, model)
         t_last = first_sample + period * (
             samples - 1 if cross is None else cross)
         t_detect = None if ev is None else ev.t_detect

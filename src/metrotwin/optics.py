@@ -125,10 +125,16 @@ def ber_from_snr(snr_db: float, model: SignalModel) -> float:
     Strictly decreasing in SNR until the floor clamp; capping the SNR where
     the floor holds keeps it finite for every finite SNR.
     """
-    lin = 10.0 ** (min(snr_db - model.implementation_penalty_db,
-                       _FLOOR_ABOVE_PENALTY_DB) / 10.0)
-    ber = 0.5 * math.erfc(math.sqrt(lin / 2.0))
-    return min(max(ber, BER_FLOOR), BER_CEIL)
+    # the comparisons pick what min and max would, for a NaN too; a report's
+    # trace calls this once per row, and the two builtins cost as much as
+    # the rest of the body
+    above = snr_db - model.implementation_penalty_db
+    if _FLOOR_ABOVE_PENALTY_DB < above:
+        above = _FLOOR_ABOVE_PENALTY_DB
+    ber = 0.5 * math.erfc(math.sqrt(10.0 ** (above / 10.0) / 2.0))
+    if BER_FLOOR > ber:
+        return BER_FLOOR
+    return BER_CEIL if BER_CEIL < ber else ber
 
 
 def snr_from_ber(ber: float, model: SignalModel) -> float:

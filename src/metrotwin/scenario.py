@@ -6,7 +6,8 @@ table, ``_TABLE``, and reads it once into typed objects.  ``run_scenario``
 provisions a fresh world per repetition (nothing leaks between repetitions)
 and produces a RunReport whose canonical JSON form is byte-identical for
 identical inputs: every floating-point result is rendered to a fixed number
-of decimals at build time, and keys are emitted sorted.
+of decimals, at build time or, for a soft-failure trace's rows, when the
+report is written, and keys are emitted sorted.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from itertools import starmap
 from pathlib import Path
 from typing import IO, NamedTuple, Optional, Union
 
@@ -483,6 +486,81 @@ def _fmt(x: float, decimals: int) -> str:
     return f"{x:.{decimals}f}"
 
 
+# the cells of a trace row: seconds since ramp start, SNR in dB and BER
+_TRACE_CELLS = ("{:.1f}", "{:.4f}", "{:.3e}")
+
+
+class TraceRows(Sequence):
+    """A soft-failure case's trace as report rows of text, formatted only
+    when read or written."""
+
+    def __init__(self, trace: Sequence[tuple[float, float, float]]) -> None:
+        self.trace = trace
+
+    def __len__(self) -> int:
+        return len(self.trace)
+
+    def __getitem__(self, i: int) -> list[str]:
+        return [cell.format(x) for cell, x in zip(_TRACE_CELLS, self.trace[i])]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+
+_json_str = json.encoder.encode_basestring_ascii  # the C function
+# floats, NaN and Infinity among them, true, false and null as json writes them
+_json_scalar = json.JSONEncoder().encode
+
+
+def _write_json(value, out: list[str], indent: str) -> None:
+    """Append to ``out`` the text ``json.dumps(value, sort_keys=True,
+    indent=2)`` gives ``value`` at the depth whose lines start with
+    ``indent``, a newline and the depth's spaces."""
+    if isinstance(value, str):
+        out.append(_json_str(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):  # keys are unique
+            # most values are plain strings or ints: in the key's piece
+            if item.__class__ is str:
+                out.append(f"{sep}{_json_str(key)}: {_json_str(item)}")
+            elif item.__class__ is int:
+                out.append(f"{sep}{_json_str(key)}: {item}")
+            else:
+                out.append(f"{sep}{_json_str(key)}: ")
+                _write_json(item, out, inner)
+            sep = "," + inner
+        out.append(indent + "}")
+    elif isinstance(value, TraceRows):
+        # one template per row; its cells are numbers, which need no escapes
+        inner, cell = indent + "  ", indent + "    "
+        row = (inner + "[" + cell + '"' + ('",' + cell + '"').join(_TRACE_CELLS)
+               + '"' + inner + "]").format
+        out.append("[" + ",".join(starmap(row, value.trace)) + indent + "]"
+                   if value else "[]")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, out, inner)
+            sep = "," + inner
+        out.append(indent + "]")
+    elif isinstance(value, int) and not isinstance(value, bool):
+        out.append(int.__repr__(value))
+    else:
+        out.append(_json_scalar(value))
+
+
 @dataclass
 class RunReport:
     experiment: str
@@ -498,7 +576,12 @@ class RunReport:
                 "results": self.results}
 
     def to_canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        """``json.dumps(self.to_dict(), sort_keys=True, indent=2)`` and a
+        newline, written in one pass."""
+        out: list[str] = []
+        _write_json(self.to_dict(), out, "\n")
+        out.append("\n")
+        return "".join(out)
 
 
 def _run_setup(sc: Scenario, trace_sink=None) -> dict:
@@ -623,8 +706,7 @@ def _run_softfail(sc: Scenario, trace_sink=None) -> dict:
             "failed": report.failed_count,
         }
         if softfail.emit_trace:
-            entry["trace"] = [[_fmt(t, 1), _fmt(snr, 4), f"{ber:.3e}"]
-                              for t, snr, ber in report.trace]
+            entry["trace"] = TraceRows(report.trace)
         cases_out.append(entry)
     return {"repetitions": softfail.repetitions,
             "noise_sigma_db": _fmt(softfail.noise_sigma_db, 3),

@@ -118,6 +118,21 @@ def test_out_redirects_report(tmp_path, capsys):
     assert json.loads(target.read_text())["experiment"] == "latency"
 
 
+def test_out_writes_canonical_traced_softfail(tmp_path, capsys):
+    doc = softfail_doc()
+    doc["softfail"]["emit_trace"] = True
+    target = tmp_path / "report.json"
+    assert main(["softfail", "--scenario", write(tmp_path, doc),
+                 "--format", "json", "--out", str(target)]) == 0
+    report = run_scenario(scenario_from_dict(doc))
+    expected = report.to_canonical_json()
+    assert target.read_text() == expected
+    # the report's trace reads as the rows of text it is written as
+    trace = report.results["softfail"]["cases"][0]["trace"]
+    assert trace and trace == \
+        json.loads(expected)["results"]["softfail"]["cases"][0]["trace"]
+
+
 def test_trace_appends_kernel_events(tmp_path, capsys):
     trace = tmp_path / "events.log"
     doc = make_scenario()

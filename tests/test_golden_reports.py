@@ -41,3 +41,17 @@ def test_canonical_report_digest(name, seed):
     doc["seed"] = seed
     report = run_scenario(scenario_from_dict(doc)).to_canonical_json()
     assert hashlib.sha256(report.encode()).hexdigest() == GOLDEN[(name, seed)]
+
+
+# One repetition of a slow ramp: about 51,000 trace rows up to the crossing,
+# where the reports pinned above hold about 800 between them.
+SLOW_TRACE = "c4a34e626c86657b35d6f08bd69e7e971186e122fef81186ef9d22d4b022181d"
+
+
+def test_slow_trace_report_digest():
+    doc = shipped("paper_softfail.json")
+    softfail = doc["softfail"]
+    softfail["repetitions"] = 1
+    softfail["cases"] = [dict(softfail["cases"][0], rate_db_per_s=2.5e-4)]
+    report = run_scenario(scenario_from_dict(doc)).to_canonical_json()
+    assert hashlib.sha256(report.encode()).hexdigest() == SLOW_TRACE

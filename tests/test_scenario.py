@@ -1,12 +1,16 @@
 import json
+import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SCENARIO_DIR, make_scenario, shipped
 from metrotwin import scenario
 from metrotwin.errors import ParseError, TwinError, ValidationError
-from metrotwin.scenario import (build_world, load_scenario, run_scenario,
+from metrotwin.scenario import (RunReport, TraceRows, build_world,
+                                load_scenario, run_scenario,
                                 scenario_from_dict)
 from metrotwin.simkernel import SECOND
 from metrotwin.topology import build_ring
@@ -182,6 +186,32 @@ def test_canonical_json_is_sorted_and_stable():
     assert text == json.dumps(parsed, sort_keys=True, indent=2) + "\n"
     assert parsed["artifact_version"] == 1
     assert parsed["scenario"] == sc.raw  # full echo of the input
+
+
+# user text: non-ASCII, lone surrogates, control characters, quotes and
+# backslashes among any other code point
+_TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\b\t\n\ud800\udfff\u2028é€😀')
+                | st.characters(exclude_categories=()), max_size=8)
+_FLOATS = st.sampled_from([-0.0, 5e-324, 1e300, math.nan, math.inf, -math.inf]) \
+    | st.floats()
+_LEAVES = (_TEXT | _FLOATS | st.integers() | st.integers(-2**200, 2**200)
+           | st.booleans() | st.none()
+           | st.lists(st.tuples(_FLOATS, _FLOATS, _FLOATS), max_size=3)
+           .map(TraceRows))
+_TREES = st.recursive(_LEAVES, lambda children:
+                      st.lists(children, max_size=4)
+                      | st.dictionaries(_TEXT, children, max_size=4),
+                      max_leaves=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(experiment=_TEXT, seed=st.integers(), scenario=_TREES, results=_TREES)
+def test_canonical_writer_matches_json_dumps(experiment, seed, scenario,
+                                             results):
+    report = RunReport(experiment, seed, scenario, results)
+    # a trace's rows are written as the lists of text they read as
+    assert report.to_canonical_json() == json.dumps(
+        report.to_dict(), sort_keys=True, indent=2, default=list) + "\n"
 
 
 def test_same_seed_same_bytes_jittered():
