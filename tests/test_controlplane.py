@@ -125,6 +125,22 @@ def test_placement_failure_keeps_capacity():
     assert state.vcpu_free["edge1"] == before
 
 
+def test_failed_service_returns_compute_to_each_node():
+    # two VNFs that share a name, on two nodes, failed at probe verification
+    state, kernel, stack = fresh_stack()
+    ns = descriptor()
+    for vnf in ns.vnfs:
+        vnf.name = "x"
+    ns.connectivity.max_rt_latency_ns = 1
+    rec = deploy(stack, kernel, ns)
+    assert rec.status is ServiceStatus.FAILED
+    assert "probe" in rec.failure_reason
+    assert stack.verify_invariants() == []
+    for node in state.ring.compute_nodes.values():
+        assert state.vcpu_free[node.id] == node.vcpu_capacity
+        assert state.mem_free_mb[node.id] == node.mem_capacity_mb
+
+
 def test_vnfs_instantiate_in_parallel():
     _, kernel, stack = fresh_stack()
     ns = descriptor()
