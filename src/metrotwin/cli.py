@@ -2,7 +2,7 @@
 
 One subcommand per experiment plus ``validate``.  Reports go to stdout (or
 ``--out``); anything diagnostic goes to stderr.  Exit code 0 on success, 1
-for scenario parse/validation problems, 2 for runtime failures.
+for a bad scenario or an unwritable output path, 2 for runtime failures.
 """
 
 from __future__ import annotations
@@ -176,6 +176,11 @@ def render_report(report: RunReport, fmt: str) -> str:
 # ------------------------------------------------------------------ main
 
 
+def _cannot_write(option: str, path: str, exc: OSError) -> int:
+    print(f"error: {option}: cannot write {path}: {exc.strerror}", file=sys.stderr)
+    return 1
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -191,10 +196,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    trace_file = None
     try:
-        if args.trace:
-            trace_file = open(args.trace, "a")
+        trace_file = open(args.trace, "a") if args.trace else None
+    except OSError as exc:
+        return _cannot_write("--trace", args.trace, exc)
+    try:
         report = run_scenario(sc, trace_sink=trace_file)
         rendered = render_report(report, args.format)
     except TwinError as exc:
@@ -208,8 +214,11 @@ def main(argv: Optional[list[str]] = None) -> int:
             trace_file.close()
 
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(rendered)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(rendered)
+        except OSError as exc:
+            return _cannot_write("--out", args.out, exc)
         print(f"report written to {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(rendered)

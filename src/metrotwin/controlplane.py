@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 from .errors import (ChannelExhausted, FieldInvalid, IllegalTransition, IncompleteRecord,
                      NoPath, PlacementFailed, TransponderUnavailable)
-from .optics import transponder_lifecycle, transponder_teardown
+from .optics import transponder_lifecycle
 from .probe import LatencyMeasurement, ProbeConfig, measure_round_trip
 from .simkernel import Kernel, MS, SECOND, SimRng, SimTime
 from .topology import ChannelId, NodeId, OpticalPath, RingState, TransponderState
@@ -33,7 +33,6 @@ class ServiceStatus(Enum):
     DEGRADED = "Degraded"
     RESTORED = "Restored"
     FAILED = "Failed"
-    TORN_DOWN = "TornDown"
 
 
 STACK_STREAM, VNF_STREAM, TRANSPONDER_STREAM, PROBE_STREAM = 0, 1, 2, 3
@@ -41,11 +40,10 @@ STACK_STREAM, VNF_STREAM, TRANSPONDER_STREAM, PROBE_STREAM = 0, 1, 2, 3
 # legal transitions; anything else raises IllegalTransition
 _TRANSITIONS = {
     ServiceStatus.DEPLOYING: {ServiceStatus.ACTIVE, ServiceStatus.FAILED},
-    ServiceStatus.ACTIVE: {ServiceStatus.DEGRADED, ServiceStatus.TORN_DOWN},
+    ServiceStatus.ACTIVE: {ServiceStatus.DEGRADED},
     ServiceStatus.DEGRADED: {ServiceStatus.RESTORED, ServiceStatus.FAILED},
-    ServiceStatus.RESTORED: {ServiceStatus.DEGRADED, ServiceStatus.TORN_DOWN},
-    ServiceStatus.FAILED: {ServiceStatus.TORN_DOWN},
-    ServiceStatus.TORN_DOWN: set(),
+    ServiceStatus.RESTORED: {ServiceStatus.DEGRADED},
+    ServiceStatus.FAILED: set(),
 }
 
 
@@ -134,7 +132,6 @@ class ServiceRecord:
     rng: SimRng  # the service's stream
     status: ServiceStatus = ServiceStatus.DEPLOYING
     timestamps: Timestamps = field(default_factory=Timestamps)
-    placements: dict[str, NodeId] = field(default_factory=dict)
     path: Optional[OpticalPath] = None
     channel: Optional[ChannelId] = None
     probe: Optional[LatencyMeasurement] = None
@@ -202,9 +199,7 @@ def check_channel_exclusivity(stack: "OrchestrationStack") -> list[str]:
     owners: dict[tuple[str, ChannelId], str] = {}
     problems = []
     for rec in stack.services.values():
-        if rec.path is None or rec.channel is None:
-            continue
-        if rec.status in (ServiceStatus.TORN_DOWN, ServiceStatus.FAILED):
+        if rec.path is None or rec.status is ServiceStatus.FAILED:
             continue
         for link_id in rec.path.links:
             key = (link_id, rec.channel)
@@ -251,7 +246,9 @@ class OrchestrationStack:
 
     def _fail(self, rec: ServiceRecord, reason: str) -> None:
         rec.failure_reason = reason
-        self.release_vnfs(rec)
+        for node_id, (cpu, mem) in rec.descriptor.demand.items():
+            self.state.vcpu_free[node_id] += cpu
+            self.state.mem_free_mb[node_id] += mem
         self._release_channel(rec)
         rec.transition(ServiceStatus.FAILED)
 
@@ -286,20 +283,12 @@ class OrchestrationStack:
                 on_ready()
 
         for i, vnf in enumerate(ns.vnfs):
-            rec.placements[vnf.name] = vnf.target_compute
             dur_s = vnf.instantiation_mean_s
             if self.jitter:
                 dur_s = rec.rng.split(VNF_STREAM, i).lognormal_mean_cv(
                     vnf.instantiation_mean_s, vnf.instantiation_cv)
             self.kernel.schedule_in(round(dur_s * SECOND), done_one,
                                     kind=(rec.request_id, "vnf", vnf.name))
-
-    def release_vnfs(self, rec: ServiceRecord) -> None:
-        for vnf in rec.descriptor.vnfs:
-            if vnf.name in rec.placements:
-                self.state.vcpu_free[rec.placements[vnf.name]] += vnf.vcpu
-                self.state.mem_free_mb[rec.placements[vnf.name]] += vnf.mem_mb
-        rec.placements.clear()
 
     def _vnfs_ready(self, rec: ServiceRecord) -> None:
         rec.timestamps.t_vnfs_ready = self.kernel.now()
@@ -352,8 +341,7 @@ class OrchestrationStack:
 
         A visit drops the service's earlier pass entries at that ROADM, then
         passes ``path``'s channel through it if the path runs through it, or
-        opens it for add/drop if the path ends there; for a service torn
-        down meanwhile it writes nothing.  The last visit calls ``then``.
+        opens it for add/drop if the path ends there; the last calls ``then``.
         """
         channel = path.channel
         hops = len(path.links)
@@ -361,15 +349,14 @@ class OrchestrationStack:
         step = self.timings.roadm_config_ns
 
         def visit(i: int) -> None:
-            if rec.status is not ServiceStatus.TORN_DOWN:
-                roadm = self.state.roadms[order[i]]
-                roadm.passing -= rec.passes.pop(order[i], set())
-                if 0 < i < hops:
-                    rec.passes[order[i]] = {(path.links[i - 1], channel),
-                                            (path.links[i], channel)}
-                    roadm.passing |= rec.passes[order[i]]
-                elif i in (0, hops):
-                    roadm.add_drop_channels.add(channel)
+            roadm = self.state.roadms[order[i]]
+            roadm.passing -= rec.passes.pop(order[i], set())
+            if 0 < i < hops:
+                rec.passes[order[i]] = {(path.links[i - 1], channel),
+                                        (path.links[i], channel)}
+                roadm.passing |= rec.passes[order[i]]
+            elif i in (0, hops):
+                roadm.add_drop_channels.add(channel)
             if i + 1 == len(order):
                 then()
 
@@ -469,8 +456,6 @@ class OrchestrationStack:
             self.channel_ledger[(link_id, channel)] = rec.request_id
 
         def retune_done() -> None:
-            if rec.status is ServiceStatus.TORN_DOWN:
-                return
             rec.path = new_path
             for link_id in old_path.links:
                 if self.channel_ledger.get((link_id, channel)) == rec.request_id \
@@ -498,30 +483,6 @@ class OrchestrationStack:
                 rec.restoration.failed_at = t
                 rec.restoration.reason = (rec.restoration.reason
                                           or "fail criterion crossed")
-
-    # ---------------------------------------------------------- teardown
-
-    def teardown(self, rec: ServiceRecord) -> None:
-        """Move to TornDown, raising if illegal, then return every held resource."""
-        rec.transition(ServiceStatus.TORN_DOWN)
-        self.release_vnfs(rec)
-        self._release_channel(rec)
-        if rec.path is not None:
-            for tp_id in (rec.path.source, rec.path.destination):
-                tp = self.state.transponders[tp_id]
-                if tp.claimed_by == rec.request_id:
-                    transponder_teardown(tp)
-            # another live service may end at the same ROADM on this channel
-            still_used = {
-                end for other in self.services.values()
-                if other is not rec and other.path is not None
-                and other.channel == rec.channel
-                and other.status is not ServiceStatus.TORN_DOWN
-                for end in (other.path.roadms[0], other.path.roadms[-1])}
-            for end in (rec.path.roadms[0], rec.path.roadms[-1]):
-                if end not in still_used:
-                    self.state.roadms[end].add_drop_channels.discard(
-                        rec.channel)
 
     def _release_channel(self, rec: ServiceRecord) -> None:
         """Free the service's spans in the ledger and its pass entries, which

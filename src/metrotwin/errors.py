@@ -73,10 +73,6 @@ class OutOfOrderSample(TwinError):
     """Telemetry sample arrived with a timestamp earlier than its predecessor."""
 
 
-class DetectionTooLate(TwinError):
-    """Fail criterion crossed before the detector fired."""
-
-
 # -- scenario / cli ---------------------------------------------------------
 
 class ParseError(TwinError):

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .controlplane import OrchestrationStack, ServiceRecord, ServiceStatus
-from .errors import DetectionTooLate, OutOfOrderSample, TwinError
+from .errors import OutOfOrderSample, TwinError
 from .optics import (LOS_FLOOR_DB, AttenuationRamp, OpticalPlant,
                      SignalModel, TelemetrySample, ber_from_snr)
 from .simkernel import Kernel, SECOND, SimRng, SimTime
@@ -122,11 +122,7 @@ def _degradation_event(times, snrs, ber_now: float,
 
 def anticipation_time(detection: DegradationEvent, t_cross: SimTime) -> SimTime:
     """Margin between detection and the actual fail-criterion crossing."""
-    margin = t_cross - detection.t_detect
-    if margin < 0:
-        raise DetectionTooLate(
-            f"crossed at {t_cross} ns, detected only at {detection.t_detect} ns")
-    return margin
+    return t_cross - detection.t_detect
 
 
 @dataclass

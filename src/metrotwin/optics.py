@@ -198,13 +198,6 @@ def transponder_lifecycle(
                         kind=("tp", node.id, state))
 
 
-def transponder_teardown(tp: Transponder) -> None:
-    """Any state back to Off; releases the claim."""
-    tp.state = TransponderState.OFF
-    tp.lifecycle_pending = False
-    tp.claimed_by = None
-
-
 class OpticalPlant:
     """Time-varying physical state: ramps, receiver SNR, telemetry.
 

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from conftest import SCENARIO_DIR, make_scenario
+from metrotwin import cli
 from metrotwin.cli import main
 from metrotwin.scenario import run_scenario, scenario_from_dict
 
@@ -131,6 +132,33 @@ def test_out_writes_canonical_traced_softfail(tmp_path, capsys):
     trace = report.results["softfail"]["cases"][0]["trace"]
     assert trace and trace == \
         json.loads(expected)["results"]["softfail"]["cases"][0]["trace"]
+
+
+@pytest.mark.parametrize("target, reason", [
+    ("missing/report.json", "No such file or directory"),
+    (".", "Is a directory"),
+])
+def test_unwritable_out_exits_1_naming_it(tmp_path, capsys, target, reason):
+    out = str(tmp_path / target)
+    assert main(["latency", "--scenario", write(tmp_path, latency_doc()),
+                 "--format", "json", "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --out: cannot write {out}: {reason}\n"
+
+
+def test_unwritable_trace_exits_1_before_any_world_runs(tmp_path, capsys,
+                                                        monkeypatch):
+    runs = []
+    monkeypatch.setattr(cli, "run_scenario", lambda *a, **kw: runs.append(a))
+    trace = str(tmp_path / "missing" / "events.log")
+    assert main(["setup", "--scenario", write(tmp_path, make_scenario()),
+                 "--trace", trace]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: --trace: cannot write {trace}: "
+                            f"No such file or directory\n")
+    assert runs == []
 
 
 def test_trace_appends_kernel_events(tmp_path, capsys):

@@ -10,7 +10,7 @@ from metrotwin.controlplane import (ConnectivityRequirements, NsDescriptor,
                                     check_no_light_loop, trace_channel_light)
 from metrotwin.errors import IllegalTransition, IncompleteRecord
 from metrotwin.simkernel import Kernel, SECOND, SimRng
-from metrotwin.topology import RingState, TransponderState, build_ring
+from metrotwin.topology import RingState, build_ring
 
 
 def descriptor(endpoints=("tp1", "tp2"), computes=("edge1", "edge2"),
@@ -197,21 +197,6 @@ def test_channel_exhaustion():
     assert "ChannelExhausted" in b.failure_reason
 
 
-def test_teardown_returns_everything():
-    state, kernel, stack = fresh_stack()
-    rec = deploy(stack, kernel)
-    stack.teardown(rec)
-    assert rec.status is ServiceStatus.TORN_DOWN
-    assert stack.channel_ledger == {}
-    assert state.vcpu_free["edge1"] == state.ring.compute_nodes["edge1"].vcpu_capacity
-    assert state.transponders["tp1"].state is TransponderState.OFF
-    assert state.transponders["tp1"].claimed_by is None
-    assert all(not r.passing for r in state.roadms.values())
-    # the ring is clean; an identical request succeeds again on channel 0
-    again = deploy(stack, kernel, descriptor())
-    assert again.status is ServiceStatus.ACTIVE and again.channel == 0
-
-
 def five_roadm_section():
     """Ring r1..r5 of equal spans, transponders at r1, r2, r3 and r5."""
     ends = (1, 2, 3, 5)
@@ -224,18 +209,6 @@ def five_roadm_section():
         "switches": [{"id": f"sw{i}", "transponder": f"tp{i}"} for i in ends],
         "compute_nodes": [{"id": f"edge{i}", "switch": f"sw{i}"} for i in ends],
     }
-
-
-def test_teardown_keeps_another_services_pass_entries():
-    _, kernel, stack = fresh_stack(five_roadm_section())
-    a = deploy(stack, kernel)
-    b = deploy(stack, kernel, descriptor(endpoints=("tp3", "tp5"),
-                                         computes=("edge3", "edge5")))
-    assert a.path.links == ("r1-r2",)
-    assert b.path.links == ("r3-r4", "r4-r5")  # passes through r4
-    assert a.channel == b.channel == 0
-    stack.teardown(a)
-    assert stack.verify_invariants() == []
 
 
 def test_failed_service_gives_up_its_pass_entries():
@@ -255,27 +228,6 @@ def test_failed_service_gives_up_its_pass_entries():
                                          computes=("edge6", "edge7")))
     assert x.path.links == y.path.links == ("r1-r2", "r2-r3")
     assert y.channel == 0  # the failed service released channel 0
-    stack.teardown(x)
-    assert stack.verify_invariants() == []
-
-
-def test_teardown_keeps_add_drop_another_service_ends_on():
-    sec = ring_section()
-    sec["transponders"] += [{"id": "tp4", "roadm": "roadm2"},
-                            {"id": "tp5", "roadm": "roadm3"}]
-    sec["switches"] += [{"id": "sw4", "transponder": "tp4"},
-                        {"id": "sw5", "transponder": "tp5"}]
-    sec["compute_nodes"] += [{"id": "edge4", "switch": "sw4"},
-                             {"id": "edge5", "switch": "sw5"}]
-    state, kernel, stack = fresh_stack(sec)
-    a = deploy(stack, kernel)
-    b = deploy(stack, kernel, descriptor(endpoints=("tp4", "tp5"),
-                                         computes=("edge4", "edge5")))
-    assert (a.path.links, b.path.links) == (("r1-r2",), ("r2-r3",))
-    assert a.channel == b.channel == 0  # both end on roadm2, channel 0
-    stack.teardown(a)
-    assert 0 not in state.roadms["roadm1"].add_drop_channels
-    assert 0 in state.roadms["roadm2"].add_drop_channels
     assert stack.verify_invariants() == []
 
 
@@ -335,48 +287,6 @@ def test_crossing_before_retune_means_failed():
     assert rec.restoration.failed_at == t0 + 5 * S
 
 
-def test_teardown_mid_restoration_writes_nothing_after():
-    state, kernel, stack = fresh_stack()
-    rec = deploy(stack, kernel)
-    t0 = kernel.now()
-    stack.handle_degradation_alert(rec, t0)
-
-    def fail_and_tear_down():
-        stack.notify_fail_crossing(rec, kernel.now())
-        stack.teardown(rec)
-
-    kernel.schedule(fail_and_tear_down, t0 + 5 * S)  # mid-rewrite
-    kernel.run_to_end()  # the queued visits and the retune still fire
-    assert rec.status is ServiceStatus.TORN_DOWN
-    assert all(not r.passing and not r.add_drop_channels
-               for r in state.roadms.values())
-    assert stack.channel_ledger == {}
-    assert rec.path.links == ("r1-r2",)
-
-
-def test_teardown_while_deploying_raises_and_keeps_every_resource():
-    state, kernel, stack = fresh_stack()
-    vcpu_free = dict(state.vcpu_free)
-    rec = stack.request_network_service(descriptor())
-    refused = []
-
-    def tear_down():  # the transponders are configuring
-        with pytest.raises(IllegalTransition):
-            stack.teardown(rec)
-        refused.append(kernel.now())
-
-    kernel.schedule(tear_down, 49 * S)
-    kernel.run_to_end()
-    assert refused == [49 * S]
-    assert rec.status is ServiceStatus.ACTIVE
-    assert stack.channel_ledger == {("r1-r2", 0): rec.request_id}
-    assert state.vcpu_free == {node: free - 4 for node, free in vcpu_free.items()}
-    for tp_id in ("tp1", "tp2"):
-        assert state.transponders[tp_id].state is TransponderState.OPERATIONAL
-        assert state.transponders[tp_id].claimed_by == rec.request_id
-    assert stack.verify_invariants() == []
-
-
 def test_status_transitions_are_guarded():
     _, kernel, stack = fresh_stack()
     rec = stack.request_network_service(descriptor())
@@ -386,6 +296,10 @@ def test_status_transitions_are_guarded():
     rec.transition(ServiceStatus.DEGRADED)
     with pytest.raises(IllegalTransition):
         rec.transition(ServiceStatus.ACTIVE)  # no way back to Active
+    rec.transition(ServiceStatus.FAILED)
+    for status in ServiceStatus:
+        with pytest.raises(IllegalTransition):
+            rec.transition(status)  # Failed is terminal
 
 
 def test_forced_loop_is_caught():

@@ -12,10 +12,10 @@ from metrotwin.errors import (IllegalTransition, PathNotOperational,
 from metrotwin.optics import (AttenuationRamp, BER_CEIL, BER_FLOOR,
                               LOS_FLOOR_DB, OpticalPlant, SignalModel,
                               ber_from_snr, rt_propagation_delay,
-                              snr_from_ber, transponder_lifecycle,
-                              transponder_teardown)
+                              snr_from_ber, transponder_lifecycle)
 from metrotwin.simkernel import Kernel, SECOND, SimRng
-from metrotwin.topology import RingState, TransponderState, build_ring
+from metrotwin.topology import (RingState, Transponder, TransponderState,
+                               build_ring)
 
 mpmath.mp.dps = 60
 
@@ -211,9 +211,7 @@ def test_telemetry_noise_is_seeded():
 
 
 def test_transponder_lifecycle_timeline():
-    state, _ = _operational_world()
-    tp = state.transponders["tp1"]
-    transponder_teardown(tp)
+    tp = Transponder(build_ring(ring_section()).transponders["tp1"])
     k = Kernel()
     entered = []
     transponder_lifecycle(tp, 48 * SECOND, k,
@@ -230,14 +228,10 @@ def test_transponder_lifecycle_timeline():
     assert tp.state is TransponderState.OPERATIONAL
     with pytest.raises(IllegalTransition):
         transponder_lifecycle(tp, k.now(), k, entered.append)  # not Off
-    transponder_teardown(tp)
-    assert tp.state is TransponderState.OFF
 
 
 def test_transponder_lifecycle_jitter_draws():
-    state, _ = _operational_world()
-    tp = state.transponders["tp1"]
-    transponder_teardown(tp)
+    tp = Transponder(build_ring(ring_section()).transponders["tp1"])
     k = Kernel()
     entered = []
     transponder_lifecycle(tp, 0, k, lambda s: entered.append((k.now(), s)),

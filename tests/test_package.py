@@ -1,0 +1,23 @@
+import re
+
+import metrotwin
+from conftest import SCENARIO_DIR
+
+SRC_DIR = SCENARIO_DIR.parent
+
+# a service is never torn down: its world is dropped once it is restored or failed
+DELETED = ("teardown", "transponder_teardown", "TORN_DOWN", "DetectionTooLate")
+
+
+def test_every_export_resolves():
+    assert len(set(metrotwin.__all__)) == len(metrotwin.__all__)
+    for name in metrotwin.__all__:
+        assert hasattr(metrotwin, name), name
+
+
+def test_deleted_names_stay_deleted():
+    assert not set(DELETED) & set(metrotwin.__all__)
+    for path in sorted(SRC_DIR.glob("*.py")):
+        text = path.read_text()
+        for name in DELETED:
+            assert not re.search(rf"\b{name}\b", text), f"{path.name}: {name}"

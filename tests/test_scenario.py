@@ -104,8 +104,11 @@ def test_worlds_are_isolated():
     w2 = build_world(sc, (0,))
     assert w1.stack.state is not w2.stack.state
     assert w1.stack.ring is w2.stack.ring is sc.ring  # shared, read-only
-    w1.stack.teardown(w1.record)
-    assert w2.record.status.value == "Active"  # untouched by w1's teardown
+    w1.stack.handle_degradation_alert(w1.record, w1.kernel.now())
+    assert w1.record.status.value == "Degraded"
+    assert w2.record.status.value == "Active"  # untouched by w1's alert
+    # w1 reserved its spare arc; w2's ledger holds only its first arc
+    assert len(w1.stack.channel_ledger) > len(w2.stack.channel_ledger)
 
 
 @pytest.mark.parametrize("name", sorted(
