@@ -8,6 +8,7 @@ for a bad scenario or an unwritable output path, 2 for runtime failures.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from typing import Optional
 
@@ -201,17 +202,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:
         return _cannot_write("--trace", args.trace, exc)
     try:
-        report = run_scenario(sc, trace_sink=trace_file)
+        with trace_file or contextlib.nullcontext():
+            report = run_scenario(sc, trace_sink=trace_file)
         rendered = render_report(report, args.format)
     except TwinError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - report, fail with runtime code
+        if isinstance(exc, OSError) and trace_file is not None:
+            return _cannot_write("--trace", args.trace, exc)
         print(f"runtime error: {exc!r}", file=sys.stderr)
         return 2
-    finally:
-        if trace_file is not None:
-            trace_file.close()
 
     if args.out:
         try:

@@ -313,10 +313,8 @@ class OrchestrationStack:
             tp = self.state.transponders.get(tp_id)
             if tp is None:
                 raise TransponderUnavailable(f"no transponder {tp_id}")
-            if tp.claimed_by not in (None, rec.request_id):
+            if tp.claimed_by is not None:
                 raise TransponderUnavailable(f"{tp_id} claimed by {tp.claimed_by}")
-            if tp.state is not TransponderState.OFF:
-                raise TransponderUnavailable(f"{tp_id} is {tp.state.value}")
         path = self.ring.select_path(a_tp, b_tp)
         channel = self.assign_channel(path)
         for link_id in path.links:

@@ -242,8 +242,8 @@ def episode_horizon(cfg: DetectorConfig, model: SignalModel,
     added = AttenuationRamp("", rate_db_per_s, 0, snr_coupling).added_db(after)
     snr = np.maximum(model.snr0_db - snr_coupling * added, LOS_FLOOR_DB)
     cross = int(np.argmax(snr <= fail_snr))
-    level = float(np.mean(np.full(cfg.baseline_window, model.snr0_db))) \
-        - cfg.drop_threshold_db
+    w = cfg.baseline_window
+    level = np.full(w, model.snr0_db).sum() / w - cfg.drop_threshold_db
     below = int(np.count_nonzero(snr[:cross + 1] < level))
     if below < cfg.consecutive_required:
         raise TwinError(f"the ramp reaches the fail SNR with {below} of its "
@@ -257,7 +257,8 @@ def episode_horizon(cfg: DetectorConfig, model: SignalModel,
 def _scan_telemetry(plant: OpticalPlant, path: OpticalPath, model: SignalModel,
                     cfg: DetectorConfig, fail_snr_db: float,
                     first_sample: SimTime, noise_sigma_db: float,
-                    noise_rng: SimRng, samples: int, first: int
+                    noise_rng: SimRng, samples: int, first: int,
+                    noiseless: list[np.ndarray]
                     ) -> tuple[Optional[DegradationEvent], Optional[int],
                                range, np.ndarray]:
     """Detection and fail-crossing index of one episode, or None for either,
@@ -268,38 +269,44 @@ def _scan_telemetry(plant: OpticalPlant, path: OpticalPath, model: SignalModel,
     above the fail limit, that is whose SNR is at or below ``fail_snr_db``;
     detection is as in ``DegradationDetector``, up to the crossing.  The
     first ``first`` samples are drawn, and the rest of the ``samples`` only
-    when none of those crosses.
+    when none of those crosses.  ``noiseless`` holds the pieces' noiseless
+    SNR that earlier episodes computed; this one adds what it lacks.
     """
     period = cfg.sample_period_ns
     if first_sample + period * (samples - 1) > _CLOCK_MAX:
         raise TwinError("telemetry stream ran past the 64-bit clock")
 
-    def draw(lo: int, hi: int) -> np.ndarray:
-        times = first_sample + period * np.arange(lo, hi, dtype=np.int64)
-        return plant.snr_series(path, times, model) + noise_rng.normal(
-            0.0, noise_sigma_db, size=hi - lo)
+    def draw(piece: int, lo: int, hi: int) -> np.ndarray:
+        if len(noiseless) == piece:  # no earlier episode needed it
+            times = first_sample + period * np.arange(lo, hi, dtype=np.int64)
+            noiseless.append(plant.snr_series(path, times, model))
+        return noiseless[piece] + noise_rng.normal(0.0, noise_sigma_db,
+                                                   size=hi - lo)
 
-    snr = draw(0, first)
-    if first < samples and not (snr <= fail_snr_db).any():
-        snr = np.concatenate((snr, draw(first, samples)))
-    crossed = np.flatnonzero(snr <= fail_snr_db)
-    cross = int(crossed[0]) if crossed.size else None
-    end = samples if cross is None else cross + 1
+    snr = draw(0, 0, first)
+    low = snr <= fail_snr_db
+    if first < samples and not low[low.argmax()]:
+        snr = np.concatenate((snr, draw(1, first, samples)))
+        low = snr <= fail_snr_db
+    cross = int(low.argmax())  # the first crossing, or 0 when there is none
+    end = cross + 1 if low[cross] else samples
     times = range(first_sample, first_sample + period * end, period)
     w = cfg.baseline_window
-    below = snr[w:end] < float(np.mean(snr[:w])) - cfg.drop_threshold_db
-    # a run's length: each position minus the last one not below
-    pos = np.arange(below.size)
-    runs = pos - np.maximum.accumulate(np.where(below, -1, pos))
-    hits = np.flatnonzero(runs >= cfg.consecutive_required)
+    below = snr[w:end] < snr[:w].sum() / w - cfg.drop_threshold_db
+    # run[j]: the span samples from j on are all below; span doubles up to k
+    run, span, k = below, 1, cfg.consecutive_required
+    while span < k:
+        step = min(span, k - span)
+        run, span = run[:-step] & run[step:], span + step
+    hits = np.flatnonzero(run)
     event = None
     if hits.size:
-        i = w + int(hits[0])
+        i = w + int(hits[0]) + k - 1
         lo = max(i + 1 - cfg.regression_window, 0)
         event = _degradation_event(times[lo:i + 1], snr[lo:i + 1].tolist(),
                                    ber_from_snr(float(snr[i]), model),
                                    fail_snr_db)
-    return event, cross, times, snr[:end]
+    return event, cross if low[cross] else None, times, snr[:end]
 
 
 def run_softfail_case(world_factory: Callable[[int], SoftFailWorld],
@@ -335,6 +342,9 @@ def run_softfail_case(world_factory: Callable[[int], SoftFailWorld],
     # first draw ends where the ramp has fallen that far past the crossing
     step = rate_db_per_s * snr_coupling * period / SECOND  # dB a sample
     first = min(samples, crossing + math.ceil(6 * noise_sigma_db / step) + 1)
+    # a ramp starts baseline_window - 1 periods in, on ramp_link or the path's
+    # first: sample i's noiseless SNR depends on the monitored path alone
+    noiseless: dict[tuple[str, ...], list[np.ndarray]] = {}
 
     for rep in range(repetitions):
         world = world_factory(rep)
@@ -351,7 +361,7 @@ def run_softfail_case(world_factory: Callable[[int], SoftFailWorld],
         ev, cross, times, snr = _scan_telemetry(
             plant, monitored_path, model, detector_cfg, fail_snr,
             first_sample, noise_sigma_db, world.rng.split(NOISE_STREAM), samples,
-            first)
+            first, noiseless.setdefault(monitored_path.links, []))
         if keep_trace and rep == 0:
             trace = EpisodeTrace(times, snr, ramp_start, model)
         t_last = first_sample + period * (

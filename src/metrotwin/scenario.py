@@ -482,12 +482,13 @@ def build_world(sc: Scenario, spawn_key: tuple[int, ...],
 # --------------------------------------------------------------- reporting
 
 
-def _fmt(x: float, decimals: int) -> str:
-    return f"{x:.{decimals}f}"
-
-
+_FIXED_SPECS = [f".{d}f" for d in range(10)]  # _fmt's, built once
 # the cells of a trace row: seconds since ramp start, SNR in dB and BER
 _TRACE_CELLS = ("{:.1f}", "{:.4f}", "{:.3e}")
+
+
+def _fmt(x: float, decimals: int) -> str:
+    return format(x, _FIXED_SPECS[decimals])
 
 
 class TraceRows(Sequence):

@@ -1,3 +1,5 @@
+import errno
+import io
 import json
 import os
 import re
@@ -159,6 +161,34 @@ def test_unwritable_trace_exits_1_before_any_world_runs(tmp_path, capsys,
     assert captured.err == (f"error: --trace: cannot write {trace}: "
                             f"No such file or directory\n")
     assert runs == []
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="no /dev/full on this system")
+def test_trace_on_a_full_device_exits_1_naming_it(tmp_path, capsys):
+    # the open succeeds; the flush that closes the file fails
+    assert main(["setup", "--scenario", write(tmp_path, make_scenario()),
+                 "--repeat", "1", "--trace", "/dev/full"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --trace: cannot write /dev/full: "
+                            "No space left on device\n")
+
+
+def test_trace_write_failing_mid_run_exits_1_naming_it(tmp_path, capsys,
+                                                       monkeypatch):
+    class FailingFile(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    monkeypatch.setattr(cli, "open", lambda path, mode: FailingFile(),
+                        raising=False)
+    assert main(["setup", "--scenario", write(tmp_path, make_scenario()),
+                 "--repeat", "1", "--trace", "events.log"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: --trace: cannot write events.log: "
+                            f"{os.strerror(errno.EIO)}\n")
 
 
 def test_trace_appends_kernel_events(tmp_path, capsys):

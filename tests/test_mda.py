@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from conftest import make_scenario
+from conftest import make_scenario, shipped
 from metrotwin import mda
 from metrotwin.controlplane import ServiceStatus
 from metrotwin.errors import OutOfOrderSample, TwinError
@@ -14,9 +15,9 @@ from metrotwin.mda import (DegradationDetector, DetectorConfig,
                            RepetitionResult, SoftFailReport,
                            _degradation_event, anticipation_time,
                            episode_horizon, run_softfail_case)
-from metrotwin.optics import (AttenuationRamp, SignalModel, TelemetrySample,
-                              ber_from_snr)
-from metrotwin.scenario import build_world, scenario_from_dict
+from metrotwin.optics import (AttenuationRamp, OpticalPlant, SignalModel,
+                              TelemetrySample, ber_from_snr)
+from metrotwin.scenario import build_world, run_scenario, scenario_from_dict
 from metrotwin.simkernel import SECOND, SimRng
 
 FAIL_SNR = SignalModel().fail_snr_db()
@@ -371,6 +372,8 @@ def episode_inputs(draw):
     # retune on sample instants; 0.3 of a period does not
     steps = st.sampled_from([0.5, 1, 2, 3, 0.3])
     doc = make_scenario(experiment="softfail", seed=draw(st.integers(0, 999)))
+    # jittered deployments reach their first sample at different instants
+    doc["service"]["jitter"] = draw(st.booleans())
     doc["service"]["phase_durations"] = {
         "alert_hop_s": period_s * draw(st.sampled_from([0, 0.5, 1, 1.5, 2, 0.3])),
         "control_messaging_s": period_s * draw(steps),
@@ -601,3 +604,70 @@ def test_an_episode_that_never_crosses_draws_its_horizon_and_raises(
     samples, crossing = episode_horizon(DetectorConfig(), SignalModel(), 0.1)
     first = crossing + math.ceil(6 * 0.1 / 0.1) + 1
     assert sizes == [first, samples - first]
+
+
+def snr_series_calls(monkeypatch):
+    """Record each ``OpticalPlant.snr_series`` call, by its sample count."""
+    calls = []
+    snr_series = OpticalPlant.snr_series
+
+    def spy(self, path, times, model):
+        calls.append(len(times))
+        return snr_series(self, path, times, model)
+
+    monkeypatch.setattr(OpticalPlant, "snr_series", spy)
+    return calls
+
+
+def test_a_case_computes_its_noiseless_ramp_once(monkeypatch):
+    doc = shipped("paper_softfail.json")
+    doc["softfail"]["repetitions"] = 100
+    sc = scenario_from_dict(doc)
+    calls = snr_series_calls(monkeypatch)
+    run_scenario(sc)
+    # one call for each of the two cases, not one for each repetition
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("ramp_link,calls", [(None, 2), ("r1-r2", 3)])
+def test_repetitions_on_other_paths_match_the_oracle(monkeypatch, ramp_link,
+                                                     calls):
+    # odd repetitions end the service at roadm3, so it runs over r3-r1 and
+    # not r1-r2: with ramp_link r1-r2, their ramp never reaches it, and the
+    # first of them draws both pieces and raises as the oracle does
+    doc = make_scenario(seed=5)
+    doc["topology"]["transponders"][1]["roadm"] = "roadm3"
+    worlds = (scenario_from_dict(make_scenario(seed=5)),
+              scenario_from_dict(doc))
+
+    def factory(rep):
+        return build_world(worlds[rep % 2], (500, rep))
+
+    def outcome(run):
+        try:
+            return run()
+        except TwinError as exc:
+            return type(exc), str(exc)
+
+    kwargs = dict(rate_db_per_s=0.1, repetitions=4, noise_sigma_db=0.1,
+                  detector_cfg=DetectorConfig(), model=SignalModel(),
+                  ramp_link=ramp_link)
+    oracle = outcome(lambda: oracle_report(
+        0.1, *oracle_softfail_case(factory, **kwargs)))
+    assert factory(1).record.path.links == ("r3-r1",)
+    spied = snr_series_calls(monkeypatch)
+    assert outcome(lambda: run_softfail_case(factory, **kwargs)) == oracle
+    assert len(spied) == calls
+    if ramp_link is None:
+        assert isinstance(oracle, SoftFailReport)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=arrays(np.float64, st.integers(1, 600),
+                elements=st.floats(-1e300, 1e300)),
+       data=st.data())
+def test_a_sum_over_the_window_size_is_np_mean(a, data):
+    # the scan takes the baseline as sum / w, numpy's own mean without its
+    # Python frames
+    w = data.draw(st.integers(1, a.size))
+    assert a[:w].sum() / w == np.mean(a[:w])
