@@ -150,8 +150,16 @@ def _softfail_csv_rows(results: dict) -> list[list[str]]:
     return rows
 
 
+def _csv_cell(cell: str) -> str:
+    """``cell`` quoted as RFC 4180 does, when it holds a comma, a quote or
+    a line break (``csv.writer`` leaves a lone CR bare before Python 3.13)."""
+    if any(c in cell for c in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
 def _csv(rows: list[list[str]]) -> str:
-    return "\n".join(",".join(cells) for cells in rows) + "\n"
+    return "".join(",".join(map(_csv_cell, cells)) + "\n" for cells in rows)
 
 
 def render_report(report: RunReport, fmt: str) -> str:

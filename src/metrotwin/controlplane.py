@@ -3,28 +3,32 @@
 The stack collapses NFV orchestrator, VIM, parent SDN controller, optical
 controller and device drivers into one event-driven state machine.  A service
 request walks through: VNF instantiation, ROADM blocker programming on the
-ring's chosen arc in that arc's visit order (both settled once per ring),
-transponder bring-up, probe verification, monitoring registration.  Phase
-timestamps land on the service record so KPIs can be derived afterwards.
+ring's chosen arc in that arc's visit order, transponder bring-up, probe
+verification, monitoring registration.  Phase timestamps land on the service
+record so KPIs can be derived afterwards.
 
-Restoration reuses the same machinery: on a degradation alert the service is
-moved to the complementary ring arc on its original channel, and the same
-routine that programmed the ROADMs for deployment reprograms them.
+Every world deploys one service, on channel 0.  What all worlds of a runner
+deploy alike, a ``DeployPlan`` settles once: a world makes only its draws and
+schedules its events from the plan.  Restoration reuses the same machinery:
+on a degradation alert the service is moved to the complementary ring arc on
+its channel, and the same routine that programmed the ROADMs for deployment
+reprograms them, from the plan's visit list for that arc.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property, lru_cache
-from typing import Callable, Optional
+from functools import cached_property
+from typing import Optional
 
-from .errors import (ChannelExhausted, FieldInvalid, IllegalTransition, IncompleteRecord,
-                     NoPath, PlacementFailed, TransponderUnavailable)
+from .errors import FieldInvalid, IllegalTransition, IncompleteRecord
 from .optics import transponder_lifecycle
-from .probe import LatencyMeasurement, ProbeConfig, measure_round_trip
+from .probe import (LatencyMeasurement, ProbeConfig, measure_round_trip,
+                    noiseless_round_trip)
 from .simkernel import Kernel, MS, SECOND, SimRng, SimTime
-from .topology import ChannelId, NodeId, OpticalPath, RingState, TransponderState
+from .topology import (ChannelId, NodeId, OpticalPath, RingState, RingTopology,
+                       TransponderState)
 
 
 class ServiceStatus(Enum):
@@ -36,6 +40,8 @@ class ServiceStatus(Enum):
 
 
 STACK_STREAM, VNF_STREAM, TRANSPONDER_STREAM, PROBE_STREAM = 0, 1, 2, 3
+# every world deploys one service, under this request id, on this channel
+REQUEST_ID, CHANNEL = "svc-1", 0
 
 # legal transitions; anything else raises IllegalTransition
 _TRANSITIONS = {
@@ -128,8 +134,6 @@ class RestorationOutcome:
 @dataclass
 class ServiceRecord:
     request_id: str
-    descriptor: NsDescriptor
-    rng: SimRng  # the service's stream
     status: ServiceStatus = ServiceStatus.DEPLOYING
     timestamps: Timestamps = field(default_factory=Timestamps)
     path: Optional[OpticalPath] = None
@@ -138,7 +142,7 @@ class ServiceRecord:
     restoration: Optional[RestorationOutcome] = None
     failure_reason: str = ""
     # roadm_id -> the (exit link id, channel) pass entries this service holds
-    passes: dict[NodeId, set[tuple[str, ChannelId]]] = field(default_factory=dict)
+    passes: dict[NodeId, frozenset[tuple[str, ChannelId]]] = field(default_factory=dict)
 
     def transition(self, new: ServiceStatus) -> None:
         if new not in _TRANSITIONS[self.status]:
@@ -173,232 +177,232 @@ def trace_channel_light(state: RingState, origin_roadm: NodeId,
 
 
 def check_no_light_loop(stack: "OrchestrationStack") -> list[str]:
-    """Light injected by any operational service must terminate, not circulate."""
-    problems = []
-    for rec in stack.services.values():
-        if rec.path is None or rec.channel is None:
-            continue
-        if rec.status not in (ServiceStatus.ACTIVE, ServiceStatus.DEGRADED,
-                              ServiceStatus.RESTORED):
-            continue
-        first, last = rec.path.roadms[0], rec.path.roadms[-1]
-        for origin, far, entry_link in ((first, last, rec.path.links[0]),
-                                        (last, first, rec.path.links[-1])):
-            traversed, drops, looped = trace_channel_light(
-                stack.state, origin, entry_link, rec.channel)
-            if looped:
-                problems.append(f"{rec.request_id}: light loop from {origin}")
-            if far not in drops:
-                problems.append(
-                    f"{rec.request_id}: light from {origin} never reaches {far}")
+    """Light injected by an operational service must terminate, not circulate."""
+    rec, problems = stack.record, []
+    if rec is None or rec.path is None or rec.status not in (
+            ServiceStatus.ACTIVE, ServiceStatus.DEGRADED, ServiceStatus.RESTORED):
+        return problems
+    first, last = rec.path.roadms[0], rec.path.roadms[-1]
+    for origin, far, entry_link in ((first, last, rec.path.links[0]),
+                                    (last, first, rec.path.links[-1])):
+        traversed, drops, looped = trace_channel_light(
+            stack.state, origin, entry_link, rec.channel)
+        if looped:
+            problems.append(f"{rec.request_id}: light loop from {origin}")
+        if far not in drops:
+            problems.append(
+                f"{rec.request_id}: light from {origin} never reaches {far}")
     return problems
 
 
 def check_channel_exclusivity(stack: "OrchestrationStack") -> list[str]:
-    """No two services may light the same channel on the same fiber span."""
-    owners: dict[tuple[str, ChannelId], str] = {}
-    problems = []
-    for rec in stack.services.values():
-        if rec.path is None or rec.status is ServiceStatus.FAILED:
-            continue
-        for link_id in rec.path.links:
-            key = (link_id, rec.channel)
-            if key in owners and owners[key] != rec.request_id:
-                problems.append(
-                    f"channel {rec.channel} on {link_id} shared by "
-                    f"{owners[key]} and {rec.request_id}")
-            owners[key] = rec.request_id
-    return problems
+    """A live service's channel passes ROADMs only between spans of its own
+    path: no pass entry lights a span it does not hold."""
+    rec = stack.record
+    if rec is None or rec.path is None or rec.status is ServiceStatus.FAILED:
+        return []
+    return [f"channel {channel} on {link_id} passes {roadm_id}, off the path "
+            f"of {rec.request_id}"
+            for roadm_id, roadm in stack.state.roadms.items()
+            for link_id, channel in sorted(roadm.passing)
+            if link_id not in rec.path.links]
 
 
-class OrchestrationStack:
-    """Event-driven orchestrator, controller hierarchy and device drivers."""
+class _Arc:
+    """One arc of a plan's service on channel 0, and how a world programs
+    the ring for it: each ROADM in visit order, the arc's then the rest,
+    with the pass entries it gets, None at the arc's ends, which add and
+    drop the channel, or none off the arc; and each visit's label, by kind."""
 
-    def __init__(self, state: RingState, kernel: Kernel, rng: SimRng,
+    def __init__(self, ring: RingTopology, path: OpticalPath) -> None:
+        self.path = replace(path, channel=CHANNEL)
+        order, links = path.roadms + tuple(
+            r for r in ring.ring_order if r not in path.roadms), path.links
+        self.visits = [
+            (roadm_id, None if i in (0, len(links)) else frozenset(
+                {(links[i - 1], CHANNEL), (links[i], CHANNEL)}
+                if i < len(links) else ()))
+            for i, roadm_id in enumerate(order)]
+        self.labels = {kind: [(REQUEST_ID, kind, roadm_id) for roadm_id in order]
+                       for kind in ("roadm", "restore")}
+
+
+class DeployPlan:
+    """What every world of a runner deploys alike, settled once: the service
+    ``ns`` on ``ring``, on the arc ``select_path`` gives it, then the spare
+    arc; its event labels, VNF demand and noiseless probe shot; and the
+    leaf spawn paths, below a world's root, of its streams that draw."""
+
+    def __init__(self, ring: RingTopology, ns: NsDescriptor,
                  timings: Optional[PhaseTimings] = None,
                  probe_cfg: Optional[ProbeConfig] = None,
                  jitter: bool = False) -> None:
-        self.state = state
-        self.ring = state.ring
-        self.kernel = kernel
-        self.rng = rng
+        self.ring, self.ns, self.demand = ring, ns, ns.demand
         self.timings = timings or PhaseTimings()
         self.probe_cfg = probe_cfg or ProbeConfig()
-        self.jitter = jitter
-        self.services: dict[str, ServiceRecord] = {}
-        # (link_id, channel) -> request_id
-        self.channel_ledger: dict[tuple[str, ChannelId], str] = {}
-        self._seq = 0
+        chosen = ring.select_path(*ns.connectivity.endpoints)
+        spare, = (p for p in ring.arcs[ns.connectivity.endpoints]
+                  if p is not chosen)
+        self.arcs = (_Arc(ring, chosen), _Arc(ring, spare))
+        self.path = self.arcs[0].path
+        self.shot = noiseless_round_trip(self.path, ring, self.probe_cfg)
+        self.labels = {kind: (REQUEST_ID, kind)
+                       for kind in ("request", "messaging", "probe", "retune")}
+        self.vnf_labels = [(REQUEST_ID, "vnf", vnf.name) for vnf in ns.vnfs]
+        service = (STACK_STREAM, hash_label(REQUEST_ID))
+        self.vnf_streams = [service + (VNF_STREAM, i) if jitter else None
+                            for i in range(len(ns.vnfs))]
+        self.transponder_streams = [service + (TRANSPONDER_STREAM, i)
+                                    if jitter else None for i in range(2)]
+        self.probe_stream = (service + (PROBE_STREAM,) if jitter
+                             and self.probe_cfg.jitter_sigma_ns else None)
+
+
+class OrchestrationStack:
+    """One world's orchestrator, controller hierarchy and device drivers:
+    it deploys its plan's service on a ``RingState`` of its own, drawing
+    on streams below the world's root ``rng``."""
+
+    def __init__(self, plan: DeployPlan, kernel: Kernel, rng: SimRng) -> None:
+        self.plan, self.ring, self.timings = plan, plan.ring, plan.timings
+        self.state, self.kernel, self.rng = RingState(plan.ring), kernel, rng
+        self.record: Optional[ServiceRecord] = None
+        self._arc: Optional[_Arc] = None  # the arc being programmed
+
+    def _stream(self, leaf: Optional[tuple[int, ...]]) -> Optional[SimRng]:
+        return None if leaf is None else self.rng.split(*leaf)
 
     # ---------------------------------------------------------- deployment
 
-    def request_network_service(self, ns: NsDescriptor) -> ServiceRecord:
-        """Accept a service request; the workflow advances via kernel events."""
-        self._seq += 1
-        request_id = f"svc-{self._seq}"
-        rec = ServiceRecord(request_id, ns,
-                            self.rng.split(hash_label(request_id)))
-        self.services[rec.request_id] = rec
+    def request_network_service(self) -> ServiceRecord:
+        """Accept the plan's service request, once; the workflow advances
+        via kernel events."""
+        rec = self.record = ServiceRecord(REQUEST_ID)
         rec.timestamps.t_request = self.kernel.now()
-        self.kernel.schedule(lambda: self._start_deploy(rec), self.kernel.now(),
-                             kind=(rec.request_id, "request"))
+        self.kernel.schedule(self._start_deploy, self.kernel.now(),
+                             self.plan.labels["request"])
         return rec
 
-    def _fail(self, rec: ServiceRecord, reason: str) -> None:
+    def _fail(self, reason: str) -> None:
+        """Fail the service: its compute goes back to each node, and its
+        pass entries leave the ROADMs."""
+        rec = self.record
         rec.failure_reason = reason
-        for node_id, (cpu, mem) in rec.descriptor.demand.items():
+        for node_id, (cpu, mem) in self.plan.demand.items():
             self.state.vcpu_free[node_id] += cpu
             self.state.mem_free_mb[node_id] += mem
-        self._release_channel(rec)
+        for roadm_id, entries in rec.passes.items():
+            self.state.roadms[roadm_id].passing -= entries
+        rec.passes.clear()
         rec.transition(ServiceStatus.FAILED)
 
-    def _start_deploy(self, rec: ServiceRecord) -> None:
-        try:
-            self.instantiate_vnfs(rec, lambda: self._vnfs_ready(rec))
-        except PlacementFailed as exc:
-            rec.failure_reason = str(exc)
-            rec.transition(ServiceStatus.FAILED)
+    def _start_deploy(self) -> None:
+        """Place every VNF, then let their instantiations run in parallel."""
+        plan, now = self.plan, self.kernel.now()
+        for node_id, (cpu, mem) in plan.demand.items():
+            self.state.vcpu_free[node_id] -= cpu
+            self.state.mem_free_mb[node_id] -= mem
+        self.record.timestamps.t_vnfs_started = now
+        self._pending = len(plan.ns.vnfs)
+        for vnf, leaf, label in zip(plan.ns.vnfs, plan.vnf_streams,
+                                    plan.vnf_labels):
+            rng, dur_s = self._stream(leaf), vnf.instantiation_mean_s
+            if rng is not None:
+                dur_s = rng.lognormal_mean_cv(dur_s, vnf.instantiation_cv)
+            self.kernel.schedule(self._vnf_ready, now + round(dur_s * SECOND),
+                                 label)
 
-    def instantiate_vnfs(self, rec: ServiceRecord,
-                         on_ready: Callable[[], None]) -> None:
-        """Place every VNF atomically, then let instantiations run in parallel."""
-        ns = rec.descriptor
-        free_cpu, free_mem = self.state.vcpu_free, self.state.mem_free_mb
-        for node_id, (cpu, mem) in ns.demand.items():
-            if node_id not in self.ring.compute_nodes:
-                raise PlacementFailed(f"unknown compute node {node_id}")
-            if cpu > free_cpu[node_id] or mem > free_mem[node_id]:
-                raise PlacementFailed(f"insufficient capacity on {node_id}")
-        for node_id, (cpu, mem) in ns.demand.items():
-            free_cpu[node_id] -= cpu
-            free_mem[node_id] -= mem
+    def _vnf_ready(self) -> None:
+        self._pending -= 1
+        if self._pending == 0:
+            self._setup_connectivity()
 
-        rec.timestamps.t_vnfs_started = self.kernel.now()
-        pending = len(ns.vnfs)
+    def _setup_connectivity(self) -> None:
+        """The service takes the plan's path; device configuration goes
+        out through events."""
+        rec, now = self.record, self.kernel.now()
+        rec.timestamps.t_vnfs_ready = rec.timestamps.t_conn_requested = now
+        rec.path, rec.channel = self.plan.path, CHANNEL
+        self.kernel.schedule(self._configure_path,
+                             now + self.timings.control_messaging_ns,
+                             self.plan.labels["messaging"])
 
-        def done_one() -> None:
-            nonlocal pending
-            pending -= 1
-            if pending == 0:
-                on_ready()
+    def _configure_path(self) -> None:
+        self._program_roadms(self.plan.arcs[0], "roadm", 0)
 
-        for i, vnf in enumerate(ns.vnfs):
-            dur_s = vnf.instantiation_mean_s
-            if self.jitter:
-                dur_s = rec.rng.split(VNF_STREAM, i).lognormal_mean_cv(
-                    vnf.instantiation_mean_s, vnf.instantiation_cv)
-            self.kernel.schedule_in(round(dur_s * SECOND), done_one,
-                                    kind=(rec.request_id, "vnf", vnf.name))
-
-    def _vnfs_ready(self, rec: ServiceRecord) -> None:
-        rec.timestamps.t_vnfs_ready = self.kernel.now()
-        rec.timestamps.t_conn_requested = self.kernel.now()
-        try:
-            self.setup_connectivity(rec)
-        except (ChannelExhausted, TransponderUnavailable, NoPath) as exc:
-            self._fail(rec, f"{type(exc).__name__}: {exc}")
-
-    def assign_channel(self, path: OpticalPath) -> ChannelId:
-        for ch in range(self.ring.channel_grid):
-            if all((link, ch) not in self.channel_ledger for link in path.links):
-                return ch
-        raise ChannelExhausted(
-            f"no free channel on {'+'.join(path.links)} "
-            f"(grid size {self.ring.channel_grid})")
-
-    def setup_connectivity(self, rec: ServiceRecord) -> None:
-        """Reserve resources now; push device configuration through events."""
-        a_tp, b_tp = rec.descriptor.connectivity.endpoints
-        for tp_id in (a_tp, b_tp):
-            tp = self.state.transponders.get(tp_id)
-            if tp is None:
-                raise TransponderUnavailable(f"no transponder {tp_id}")
-            if tp.claimed_by is not None:
-                raise TransponderUnavailable(f"{tp_id} claimed by {tp.claimed_by}")
-        path = self.ring.select_path(a_tp, b_tp)
-        channel = self.assign_channel(path)
-        for link_id in path.links:
-            self.channel_ledger[(link_id, channel)] = rec.request_id
-        for tp_id in (a_tp, b_tp):
-            self.state.transponders[tp_id].claimed_by = rec.request_id
-        rec.path = OpticalPath(path.source, path.destination, path.links,
-                               path.roadms, path.direction, channel)
-        rec.channel = channel
-        self.kernel.schedule_in(
-            self.timings.control_messaging_ns,
-            lambda: self._program_roadms(
-                rec, rec.path, 0, "roadm",
-                lambda: self._bring_up_transponders(rec)),
-            kind=(rec.request_id, "messaging"))
-
-    def _program_roadms(self, rec: ServiceRecord, path: OpticalPath,
-                        delay: SimTime, kind: str,
-                        then: Callable[[], None]) -> None:
-        """The OLS driver configures every ring ROADM once, in the ring's
-        visit order for ``path``, ``delay`` plus one config step apart.
+    def _program_roadms(self, arc: _Arc, kind: str, delay: SimTime) -> None:
+        """The OLS driver configures every ring ROADM once, in ``arc``'s
+        visit order, ``delay`` plus one config step apart; after the last
+        visit, a deployment (``kind`` "roadm") brings up the transponders
+        and a restoration ("restore") retunes them.  One programming runs
+        at a time, which ``handle_degradation_alert`` enforces.
 
         A visit drops the service's earlier pass entries at that ROADM, then
-        passes ``path``'s channel through it if the path runs through it, or
-        opens it for add/drop if the path ends there; the last calls ``then``.
+        passes the channel through it if the arc runs through it, or opens
+        it for add/drop if the arc ends there.
         """
-        channel = path.channel
-        hops = len(path.links)
-        order = self.ring.visit_order[path.roadms]
-        step = self.timings.roadm_config_ns
+        self._arc, self._kind, self._visited = arc, kind, 0
+        at, step = self.kernel.now() + delay, self.timings.roadm_config_ns
+        for label in arc.labels[kind]:
+            at += step
+            self.kernel.schedule(self._visit, at, label)
 
-        def visit(i: int) -> None:
-            roadm = self.state.roadms[order[i]]
-            roadm.passing -= rec.passes.pop(order[i], set())
-            if 0 < i < hops:
-                rec.passes[order[i]] = {(path.links[i - 1], channel),
-                                        (path.links[i], channel)}
-                roadm.passing |= rec.passes[order[i]]
-            elif i in (0, hops):
-                roadm.add_drop_channels.add(channel)
-            if i + 1 == len(order):
-                then()
+    def _visit(self) -> None:
+        visits, passes = self._arc.visits, self.record.passes
+        roadm_id, entries = visits[self._visited]
+        self._visited += 1
+        roadm = self.state.roadms[roadm_id]
+        roadm.passing -= passes.pop(roadm_id, frozenset())
+        if entries is None:
+            roadm.add_drop_channels.add(CHANNEL)
+        elif entries:
+            passes[roadm_id] = entries
+            roadm.passing |= entries
+        if self._visited < len(visits):
+            return
+        if self._kind == "roadm":
+            self._arc = None
+            self._bring_up_transponders()
+        else:
+            self.kernel.schedule(self._retune_done,
+                                 self.kernel.now() + self.timings.retune_ns,
+                                 self.plan.labels["retune"])
 
-        for i, roadm_id in enumerate(order):
-            self.kernel.schedule_in(delay + step * (i + 1),
-                                    lambda i=i: visit(i),
-                                    kind=(rec.request_id, kind, roadm_id))
-
-    def _bring_up_transponders(self, rec: ServiceRecord) -> None:
+    def _bring_up_transponders(self) -> None:
         """Runs once every ROADM is programmed for the service."""
-        assert rec.path is not None
-        rec.timestamps.t_roadms_configured = self.kernel.now()
-        warm = operational = 0  # transponders that reached each phase
+        rec, now = self.record, self.kernel.now()
+        rec.timestamps.t_roadms_configured = now
+        self._warm = self._operational = 0  # transponders past each phase
+        for tp_id, leaf in zip((rec.path.source, rec.path.destination),
+                               self.plan.transponder_streams):
+            transponder_lifecycle(self.state.transponders[tp_id], now,
+                                  self.kernel, self._on_transponder,
+                                  rng=self._stream(leaf))
 
-        def on_state(state: TransponderState) -> None:
-            """Stamps a phase when the second transponder reaches it."""
-            nonlocal warm, operational
-            if state is TransponderState.LASER_WARMUP:
-                warm += 1
-                if warm == 2:
-                    rec.timestamps.t_transponders_configured = self.kernel.now()
-            elif state is TransponderState.OPERATIONAL:
-                operational += 1
-                if operational == 2:
-                    rec.timestamps.t_path_operational = self.kernel.now()
-                    self.kernel.schedule_in(self.timings.probe_verify_ns,
-                                            lambda: self._verify_probe(rec),
-                                            kind=(rec.request_id, "probe"))
+    def _on_transponder(self, state: TransponderState) -> None:
+        """Stamps a phase when the second transponder reaches it."""
+        ts = self.record.timestamps
+        if state is TransponderState.LASER_WARMUP:
+            self._warm += 1
+            if self._warm == 2:
+                ts.t_transponders_configured = self.kernel.now()
+        elif state is TransponderState.OPERATIONAL:
+            self._operational += 1
+            if self._operational == 2:
+                ts.t_path_operational = self.kernel.now()
+                self.kernel.schedule(
+                    self._verify_probe,
+                    self.kernel.now() + self.timings.probe_verify_ns,
+                    self.plan.labels["probe"])
 
-        for i, tp_id in enumerate((rec.path.source, rec.path.destination)):
-            rng = rec.rng.split(TRANSPONDER_STREAM, i) if self.jitter else None
-            transponder_lifecycle(self.state.transponders[tp_id],
-                                  self.kernel.now(), self.kernel, on_state,
-                                  rng=rng)
-
-    def _verify_probe(self, rec: ServiceRecord) -> None:
-        assert rec.path is not None
-        rng = rec.rng.split(PROBE_STREAM) if self.jitter else None
-        rec.probe = measure_round_trip(rec.path, self.state, self.probe_cfg,
-                                       rng=rng)
+    def _verify_probe(self) -> None:
+        rec, plan = self.record, self.plan
+        rec.probe = measure_round_trip(rec.path, self.state, plan.probe_cfg,
+                                       plan.shot, self._stream(plan.probe_stream))
         rec.timestamps.t_probe_verified = self.kernel.now()
-        req = rec.descriptor.connectivity.max_rt_latency_ns
+        req = plan.ns.connectivity.max_rt_latency_ns
         if req is not None and rec.probe.measured_rt_ns > req:
-            self._fail(rec, "probe verification exceeded latency requirement")
+            self._fail("probe verification exceeded latency requirement")
             return
         # monitoring registration is bookkeeping only, no extra delay
         rec.timestamps.t_monitoring_active = self.kernel.now()
@@ -425,53 +429,37 @@ class OrchestrationStack:
                                  alert_time: SimTime) -> RestorationOutcome:
         """Move the service to the complementary arc, keeping its channel.
 
-        Resources on the new arc are reserved immediately; the ROADM
-        programming, one visit per ring ROADM, and then a transponder retune
-        run as timed events.  Restoration only lands if the service is still
-        Degraded when the retune completes.
+        The ROADM programming, one visit per ring ROADM, and then a
+        transponder retune run as timed events.  Restoration only lands if
+        the service is still Degraded when the retune completes.  An alert
+        before the deployment's ROADM programming or an earlier alert's
+        retune has finished raises ``IllegalTransition``.
         """
+        if self._arc is not None:
+            raise IllegalTransition(
+                f"{rec.request_id}: ROADM programming already in progress")
         if rec.status is ServiceStatus.ACTIVE or rec.status is ServiceStatus.RESTORED:
             rec.transition(ServiceStatus.DEGRADED)
         outcome = RestorationOutcome(service_id=rec.request_id,
                                      alert_time=alert_time)
         rec.restoration = outcome
-        assert rec.path is not None and rec.channel is not None
-        old_path, channel = rec.path, rec.channel
-        # the two arcs partition the ring, so the spare is the other direction
-        alt = next(p for p in self.ring.arcs[(old_path.source,
-                                              old_path.destination)]
-                   if p.direction != old_path.direction)
-        for link_id in alt.links:
-            owner = self.channel_ledger.get((link_id, channel))
-            if owner is not None and owner != rec.request_id:
-                outcome.reason = (f"channel {channel} busy on {link_id} "
-                                  f"(owner {owner})")
-                return outcome
-
-        new_path = OpticalPath(alt.source, alt.destination, alt.links,
-                               alt.roadms, alt.direction, channel)
-        for link_id in new_path.links:
-            self.channel_ledger[(link_id, channel)] = rec.request_id
-
-        def retune_done() -> None:
-            rec.path = new_path
-            for link_id in old_path.links:
-                if self.channel_ledger.get((link_id, channel)) == rec.request_id \
-                        and link_id not in new_path.links:
-                    del self.channel_ledger[(link_id, channel)]
-            if rec.status is ServiceStatus.DEGRADED:
-                rec.transition(ServiceStatus.RESTORED)
-                outcome.restored_at = self.kernel.now()
-            else:
-                outcome.reason = outcome.reason or (
-                    f"service already {rec.status.value} at retune")
-
-        self._program_roadms(
-            rec, new_path, self.timings.control_messaging_ns, "restore",
-            lambda: self.kernel.schedule_in(self.timings.retune_ns,
-                                            retune_done,
-                                            kind=(rec.request_id, "retune")))
+        assert rec.path is not None
+        # the two arcs partition the ring: the spare is the one not in use
+        first, second = self.plan.arcs
+        self._program_roadms(second if rec.path is first.path else first,
+                             "restore", self.timings.control_messaging_ns)
         return outcome
+
+    def _retune_done(self) -> None:
+        rec = self.record
+        outcome = rec.restoration
+        rec.path, self._arc = self._arc.path, None
+        if rec.status is ServiceStatus.DEGRADED:
+            rec.transition(ServiceStatus.RESTORED)
+            outcome.restored_at = self.kernel.now()
+        else:
+            outcome.reason = outcome.reason or (
+                f"service already {rec.status.value} at retune")
 
     def notify_fail_crossing(self, rec: ServiceRecord, t: SimTime) -> None:
         """Signal quality crossed the fail criterion before restoration landed."""
@@ -482,17 +470,6 @@ class OrchestrationStack:
                 rec.restoration.reason = (rec.restoration.reason
                                           or "fail criterion crossed")
 
-    def _release_channel(self, rec: ServiceRecord) -> None:
-        """Free the service's spans in the ledger and its pass entries, which
-        another service may be given next."""
-        gone = [k for k, owner in self.channel_ledger.items()
-                if owner == rec.request_id]
-        for k in gone:
-            del self.channel_ledger[k]
-        for roadm_id, entries in rec.passes.items():
-            self.state.roadms[roadm_id].passing -= entries
-        rec.passes.clear()
-
     # --------------------------------------------------------- invariants
 
     def verify_invariants(self) -> list[str]:
@@ -502,17 +479,16 @@ class OrchestrationStack:
                 problems.append(f"{node.id}: vcpu accounting out of range")
             if not 0 <= self.state.mem_free_mb[node.id] <= node.mem_capacity_mb:
                 problems.append(f"{node.id}: memory accounting out of range")
-        for rec in self.services.values():
-            stamped = [v for v in vars(rec.timestamps).values() if v is not None]
+        if self.record is not None:
+            stamped = [v for v in vars(self.record.timestamps).values()
+                       if v is not None]
             if stamped != sorted(stamped):
-                problems.append(f"{rec.request_id}: timestamps not monotonic")
+                problems.append(f"{REQUEST_ID}: timestamps not monotonic")
         return problems
 
 
-@lru_cache(maxsize=1024)
 def hash_label(text: str) -> int:
-    """Stable small integer from a string, for spawn keys (hash() is salted);
-    every world of a runner hashes the same few request ids."""
+    """Stable small integer from a string, for spawn keys (hash() is salted)."""
     acc = 0
     for ch in text:
         acc = (acc * 131 + ord(ch)) % (2 ** 31 - 1)

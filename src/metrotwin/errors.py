@@ -41,18 +41,6 @@ class PathNotOperational(TwinError):
 
 # -- control plane ----------------------------------------------------------
 
-class PlacementFailed(TwinError):
-    """VNF placement exceeds compute capacity."""
-
-
-class ChannelExhausted(TwinError):
-    """No free channel slot on the requested arc."""
-
-
-class TransponderUnavailable(TwinError):
-    """Requested transponder is already claimed by another service."""
-
-
 class IncompleteRecord(TwinError):
     """KPI computation asked for a service record that never went Active."""
 

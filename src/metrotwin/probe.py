@@ -76,16 +76,16 @@ def noiseless_round_trip(path: OpticalPath, ring: RingTopology,
 
 
 def measure_round_trip(path: OpticalPath, state: RingState, cfg: ProbeConfig,
-                       rng: Optional[SimRng] = None) -> LatencyMeasurement:
-    """One probe shot over an operational path: the noiseless round trip
-    plus jitter."""
+                       shot: LatencyMeasurement, rng: Optional[SimRng] = None
+                       ) -> LatencyMeasurement:
+    """One probe shot over an operational path: ``shot``, the path's
+    noiseless round trip as ``noiseless_round_trip`` gives it, plus jitter."""
     if path.channel is None:
         raise PathNotOperational("path has no channel assigned")
     for tp_id in (path.source, path.destination):
         if state.transponders[tp_id].state is not TransponderState.OPERATIONAL:
             raise PathNotOperational(f"transponder {tp_id} not operational")
 
-    shot = noiseless_round_trip(path, state.ring, cfg)
     if cfg.jitter_sigma_ns and rng is not None:
         shot = LatencyMeasurement(
             shot.link_length_m,

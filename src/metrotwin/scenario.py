@@ -21,9 +21,9 @@ from itertools import starmap
 from pathlib import Path
 from typing import IO, NamedTuple, Optional, Union
 
-from .controlplane import (ConnectivityRequirements, NsDescriptor,
-                           OrchestrationStack, PhaseTimings, ServiceStatus,
-                           STACK_STREAM, VnfDescriptor)
+from .controlplane import (ConnectivityRequirements, DeployPlan,
+                           NsDescriptor, OrchestrationStack, PhaseTimings,
+                           ServiceStatus, VnfDescriptor)
 from .errors import FieldInvalid, ParseError, TwinError, ValidationError
 from .mda import (DetectorConfig, SoftFailWorld, episode_horizon,
                   run_softfail_case)
@@ -31,7 +31,7 @@ from .optics import OpticalPlant, SignalModel, SPEED_OF_LIGHT_M_PER_S
 from .probe import (ProbeConfig, budget_from_config, fit_budget,
                     measure_round_trip, noiseless_round_trip)
 from .simkernel import Kernel, KeyTable, SECOND, SimRng
-from .topology import FiberLink, RingState, RingTopology, build_ring
+from .topology import FiberLink, RingTopology, build_ring
 
 ARTIFACT_VERSION = 1
 LATENCY_PROBE_STREAM = 5  # a latency world's probe jitter, below its root
@@ -109,8 +109,7 @@ _TABLE = {
     "topology": (None, {
         "roadms": _Key("strings", True), "links": _OBJECTS,
         "transponders": _OBJECTS, "switches": _OBJECTS,
-        "compute_nodes": _OBJECTS,
-        "channel_grid_size": _Key("integer", low=1)}),
+        "compute_nodes": _OBJECTS}),
     "topology.links[]": (None, {
         "id": _NAME, "endpoints": _Key("pair", True),
         "length_m": _Key("number", True, high=_MAX_M),
@@ -299,10 +298,12 @@ class Scenario:
     softfail: Optional[Softfail] = None
     warnings: list[str] = field(default_factory=list)
 
-    @property
-    def probe(self) -> ProbeConfig:
-        """The probe every world's stack measures with."""
-        return self.latency.probe if self.latency else ProbeConfig()
+    def plan(self, ring: Optional[RingTopology] = None) -> DeployPlan:
+        """What each world deploys on ``ring``, by default the scenario's."""
+        return DeployPlan(ring or self.ring, self.service.descriptor,
+                          self.service.timings,
+                          self.latency and self.latency.probe,
+                          self.service.jitter)
 
 
 def _case_ring(ring: RingTopology, link: FiberLink) -> RingTopology:
@@ -456,26 +457,21 @@ def load_scenario(path: Union[str, Path], lenient: bool = False) -> Scenario:
 
 
 def build_world(sc: Scenario, spawn_key: tuple[int, ...],
-                ring: Optional[RingTopology] = None,
+                plan: Optional[DeployPlan] = None,
                 trace_sink: Optional[IO[str]] = None,
                 keys: Optional[KeyTable] = None, where: str = "") -> SoftFailWorld:
-    """Provision one isolated world on ``ring``, a latency case's or else
-    the scenario's, and deploy the scenario's service in it; ``where``
-    names the world in the TwinError of a failed deployment."""
-    state = RingState(ring or sc.ring)
+    """Provision one isolated world and deploy ``plan``'s service in it, by
+    default the scenario's on its own ring; ``where`` names the world in
+    the TwinError of a failed deployment."""
     kernel = Kernel(trace=trace_sink)
     rng = SimRng(sc.seed, spawn_key, keys)
-    stack = OrchestrationStack(
-        state, kernel, rng.split(STACK_STREAM),
-        timings=sc.service.timings,
-        probe_cfg=sc.probe,
-        jitter=sc.service.jitter)
-    record = stack.request_network_service(sc.service.descriptor)
+    stack = OrchestrationStack(plan or sc.plan(), kernel, rng)
+    record = stack.request_network_service()
     kernel.run_to_end()
     if record.status is not ServiceStatus.ACTIVE:
         raise TwinError(f"{where}deployment ended {record.status.value}: "
                         f"{record.failure_reason}")
-    return SoftFailWorld(kernel=kernel, plant=OpticalPlant(state),
+    return SoftFailWorld(kernel=kernel, plant=OpticalPlant(stack.state),
                          stack=stack, record=record, rng=rng)
 
 
@@ -590,8 +586,9 @@ def _run_setup(sc: Scenario, trace_sink=None) -> dict:
     rows = []
     kpis = []
     keys = KeyTable(sc.seed, [(rep,) for rep in range(reps)])
+    plan = sc.plan()
     for rep in range(reps):
-        world = build_world(sc, (rep,), None, trace_sink, keys,
+        world = build_world(sc, (rep,), plan, trace_sink, keys,
                             f"setup repetition {rep}: ")
         report = world.stack.compute_kpis(world.record)
         kpis.append(report)
@@ -632,15 +629,15 @@ def _run_latency(sc: Scenario, trace_sink=None) -> dict:
     keys = KeyTable(sc.seed, [(200 + c, r) for c in range(len(latency.cases))
                               for r in range(latency.repetitions)])
     for case_idx, link in enumerate(latency.cases):
-        ring = _case_ring(sc.ring, link)
+        plan = sc.plan(_case_ring(sc.ring, link))
         measured = []
         estimated = None
         for rep in range(latency.repetitions):
-            world = build_world(sc, (200 + case_idx, rep), ring, trace_sink, keys,
+            world = build_world(sc, (200 + case_idx, rep), plan, trace_sink, keys,
                                 f"latency.cases[{case_idx}] repetition {rep}: ")
             m = measure_round_trip(
-                world.record.path, world.stack.state, world.stack.probe_cfg,
-                rng=world.rng.split(LATENCY_PROBE_STREAM))
+                world.record.path, world.stack.state, plan.probe_cfg, plan.shot,
+                world.rng.split(LATENCY_PROBE_STREAM))
             measured.append(m.measured_rt_ns)
             estimated = m.estimated_rt_prop_ns
         mean_measured = sum(measured) / len(measured)
@@ -677,11 +674,12 @@ def _run_softfail(sc: Scenario, trace_sink=None) -> dict:
     cases_out = []
     keys = KeyTable(sc.seed, [(100 + c, r) for c in range(len(softfail.cases))
                               for r in range(softfail.repetitions)])
+    plan = sc.plan()
     for idx, case in enumerate(softfail.cases):
         try:
             report = run_softfail_case(
                 world_factory=lambda rep, idx=idx: build_world(
-                    sc, (100 + idx, rep), None, trace_sink, keys,
+                    sc, (100 + idx, rep), plan, trace_sink, keys,
                     f"repetition {rep}: "),
                 repetitions=softfail.repetitions,
                 noise_sigma_db=softfail.noise_sigma_db,

@@ -15,7 +15,8 @@ the same (seed, spawn path) always yields the same values.
 over a row of entropy words per stream, so a runner's ``KeyTable`` keys a
 stream path for all its worlds' roots in one pass, on the path's first draw;
 ``philox_key`` does the same for a single row in Python ints.  ``Philox``
-takes each key as it is.
+takes each key as it is.  The streams of one table take turns on one
+``Philox`` generator, reset to a stream's key on that stream's first draw.
 """
 
 from __future__ import annotations
@@ -43,10 +44,6 @@ Label = Union[str, tuple]
 
 
 _M32 = 0xFFFFFFFF
-# Philox's counter starts at 0; as an array it spares numpy's Python
-# conversion of an int counter.  Philox copies it, so one serves every stream.
-_ZERO_COUNTER = np.zeros(4, np.uint64)
-_ZERO_COUNTER.flags.writeable = False
 # SeedSequence's (INIT, MULT) hash constants: pool mixing, output hash
 _MIX_HASH, _OUT_HASH = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)
 
@@ -145,12 +142,24 @@ def stream_keys(seed: int, roots: list[tuple[int, ...]],
 class KeyTable:
     """The Philox keys of the streams below one runner's world roots: the
     first stream to draw on a path keys it for every root in one
-    ``stream_keys`` pass, into a list column read one row at a time."""
+    ``stream_keys`` pass, into a list column read one row at a time.
+
+    The table's streams take turns on one generator, built on the first
+    draw: a stream's first draw takes the next turn, which resets the
+    generator to the stream's key.  ``turn`` counts the turns taken.
+    """
 
     def __init__(self, seed: int, roots: list[tuple[int, ...]]):
         self.seed, self.roots, self._columns = seed, roots, {}
         self._row = {root: i for i, root in enumerate(roots)}
         self._width = len(roots[0]) if roots else 0
+        self.turn = 0
+        self._shared: Optional[np.random.Generator] = None
+        # a fresh Philox's state in Python ints, whose key each turn swaps
+        self._state = {"bit_generator": "Philox",
+                       "state": {"counter": [0] * 4, "key": None},
+                       "buffer": [0] * 4, "buffer_pos": 4,
+                       "has_uint32": 0, "uinteger": 0}
 
     def key(self, spawn_key: tuple[int, ...]) -> list[int]:
         """The key of the stream at ``spawn_key``: one of the roots, then a path."""
@@ -159,6 +168,21 @@ class KeyTable:
         if column is None:
             column = self._columns[path] = stream_keys(self.seed, self.roots, path)
         return column[self._row[root]]
+
+    def take_turn(self, key: list[int]) -> tuple[int, np.random.Generator]:
+        """The next turn, and the shared generator as ``Philox`` builds it
+        from ``key``."""
+        self.turn += 1
+        if self._shared is None:
+            self._shared = _new_generator(key)
+        else:
+            self._state["state"]["key"] = key
+            self._shared.bit_generator.state = self._state
+        return self.turn, self._shared
+
+
+def _new_generator(key: list[int]) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(_fixed_key()(key)))
 
 
 @functools.cache
@@ -189,14 +213,14 @@ class SimRng:
 
     Wraps ``numpy.random.Philox`` (counter-based, 4x64).  ``split`` derives an
     independent child stream from integer labels; the (seed, spawn path)
-    pair fully determines every draw.  A stream builds its generator on its
-    first draw, so a stream that is only split, or draws with zero spread,
-    builds none.  Its key comes from ``keys``, the ``KeyTable`` over
-    ``seed`` that splits pass on, or from a one-row table over the root
-    ``()`` of its own.
+    pair fully determines every draw.  Its key comes from ``keys``, the
+    ``KeyTable`` over ``seed`` that splits pass on, or from a one-row table
+    over the root ``()`` of its own.  Its first draw, if any, takes a turn on
+    the table's generator.  Drawing again after another stream took a turn,
+    it builds a generator of its own and replays its earlier calls on it.
     """
 
-    __slots__ = ("seed", "spawn_key", "_keys", "_gen")
+    __slots__ = ("seed", "spawn_key", "_keys", "_gen", "_ticket", "_calls")
 
     def __init__(self, seed: int, spawn_key: tuple[int, ...] = (),
                  keys: Optional[KeyTable] = None):
@@ -204,16 +228,29 @@ class SimRng:
             keys = KeyTable(int(seed), [()])
         self.seed, self.spawn_key, self._keys = keys.seed, tuple(spawn_key), keys
         self._gen: Optional[np.random.Generator] = None
+        # the table turn it took on its first draw, and its calls while on
+        # the shared generator: None once it has a generator of its own
+        self._ticket: Optional[int] = None
+        self._calls: Optional[list[tuple[str, tuple]]] = None
 
     def split(self, *labels: int) -> "SimRng":
         return SimRng(self.seed, self.spawn_key + labels, self._keys)
 
-    def _generator(self) -> np.random.Generator:
-        if self._gen is None:
-            self._gen = np.random.Generator(np.random.Philox(
-                _fixed_key()(self._keys.key(self.spawn_key)),
-                counter=_ZERO_COUNTER))
-        return self._gen
+    def _draw(self, method: str, *args):
+        """``Generator.<method>(*args)`` on the stream's generator."""
+        keys = self._keys
+        if self._ticket is None:
+            self._ticket, self._gen = keys.take_turn(keys.key(self.spawn_key))
+            self._calls = []
+        elif self._ticket != keys.turn and self._calls is not None:
+            # another stream took a turn since
+            self._gen = _new_generator(keys.key(self.spawn_key))
+            for name, earlier in self._calls:
+                getattr(self._gen, name)(*earlier)
+            self._calls = None
+        if self._calls is not None:
+            self._calls.append((method, args))
+        return getattr(self._gen, method)(*args)
 
     def normal(self, mu: float = 0.0, sigma: float = 1.0,
                size: Optional[int] = None):
@@ -225,14 +262,14 @@ class SimRng:
         if sigma == 0.0:
             return mu if size is None else np.full(size, mu)
         if size is None:
-            return float(self._generator().normal(mu, sigma))
-        return self._generator().normal(mu, sigma, size)
+            return float(self._draw("normal", mu, sigma))
+        return self._draw("normal", mu, sigma, size)
 
     def lognormal_mean_cv(self, mean: float, cv: float) -> float:
         """Lognormal draw parameterised by its mean and coefficient of variation."""
         if cv == 0.0 or mean == 0.0:
             return mean
-        return float(self._generator().lognormal(*_lognormal_params(mean, cv)))
+        return float(self._draw("lognormal", *_lognormal_params(mean, cv)))
 
 
 @functools.lru_cache(maxsize=256)
@@ -297,15 +334,15 @@ class Kernel:
     def run_to_end(self) -> SimTime:
         """Fire every queued event in order, including those queued while
         firing; returns the fire time of the last (now() if none)."""
-        while self._heap:
-            fire_at, sequence, action, kind = heapq.heappop(self._heap)
+        heap, pop, trace = self._heap, heapq.heappop, self.trace
+        while heap:
+            fire_at, sequence, action, kind = pop(heap)
             self._now = fire_at
             self._fired += 1
             if self._fired > self.event_cap:
                 raise RunawaySimulation(
                     f"fired-event count exceeded cap {self.event_cap}")
-            if self.trace is not None:
-                self.trace.write(
-                    f"{fire_at},{sequence},{_label_text(kind, action)}\n")
+            if trace is not None:
+                trace.write(f"{fire_at},{sequence},{_label_text(kind, action)}\n")
             action()
         return self._now

@@ -3,12 +3,12 @@
 A ring of 2-degree semi-filterless ROADMs (wavelength blocker + splitters),
 coherent transponders on drop ports, one aggregation switch and one edge
 compute node behind each transponder.  ``build_ring`` validates a scenario's
-topology into a frozen ``RingTopology`` once: links, ring order, channel grid,
-transponders, compute capacities, both arcs of each transponder pair, the arc
-``select_path`` gives it, and each arc's ROADM visit order.  Each world owns
-only a ``RingState`` over it: blocker pass sets and add/drop channels,
-transponder state and claim, and free compute capacity, which only the
-orchestration stack and transponder lifecycle change.
+topology into a frozen ``RingTopology`` once: links, ring order,
+transponders, compute capacities, both arcs of each transponder pair and the
+arc ``select_path`` gives it.  Each world owns only a ``RingState`` over it:
+blocker pass sets and add/drop channels, transponder state, and free compute
+capacity, which only the orchestration stack and transponder lifecycle
+change.
 
 Blocker convention: each 2-degree ROADM has two through-directions, keyed by
 the ring link the light would exit on.  A ROADM passes exactly the (exit
@@ -29,8 +29,6 @@ from .errors import NoPath, TopologyInvalid
 
 NodeId = str
 ChannelId = int
-
-DEFAULT_CHANNEL_GRID = 96
 
 
 class TransponderState(enum.Enum):
@@ -92,14 +90,11 @@ class RingTopology:
     ring_links: tuple[str, ...]  # ring_links[i] joins ring_order[i] and [i + 1]
     transponders: Mapping[NodeId, TransponderNode]
     compute_nodes: Mapping[NodeId, ComputeNode]
-    channel_grid: int = DEFAULT_CHANNEL_GRID
     # (source, destination) transponders on distinct ROADMs -> their two
     # arcs, shorter first (clockwise on a tie); the arcs are link-disjoint
     # and partition the ring
     arcs: Mapping[tuple[NodeId, NodeId], tuple[OpticalPath, OpticalPath]] = \
         field(init=False, repr=False)
-    # an arc's ROADMs -> all ROADMs in programming order: the arc's, then the rest
-    visit_order: Mapping[tuple, tuple] = field(init=False, repr=False)
     _selected: Mapping = field(init=False, repr=False)  # select_path's arcs
 
     def __post_init__(self) -> None:
@@ -118,10 +113,6 @@ class RingTopology:
         # of the fewest hops: select_path's rule in full
         object.__setattr__(self, "_selected", {
             k: min(v, key=lambda p: len(p.links)) for k, v in arcs.items()})
-        object.__setattr__(self, "visit_order", MappingProxyType({
-            p.roadms: p.roadms + tuple(r for r in self.ring_order
-                                       if r not in p.roadms)
-            for pair in arcs.values() for p in pair}))
 
     def select_path(self, a: NodeId, b: NodeId) -> OpticalPath:
         """The arc a service from ``a`` to ``b`` takes, chosen once: fewest
@@ -160,7 +151,6 @@ class Transponder:
     """A transponder in one world."""
     node: TransponderNode
     state: TransponderState = TransponderState.OFF
-    claimed_by: Optional[str] = None  # service request id holding this transponder
     lifecycle_pending: bool = False  # a lifecycle schedule already exists
 
 
@@ -290,6 +280,4 @@ def build_ring(section: dict) -> RingTopology:
 
     return RingTopology(
         links=links, ring_order=tuple(order), ring_links=tuple(ring_links),
-        transponders=transponders, compute_nodes=compute_nodes,
-        channel_grid=section.get("channel_grid_size", DEFAULT_CHANNEL_GRID),
-    )
+        transponders=transponders, compute_nodes=compute_nodes)

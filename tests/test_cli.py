@@ -1,3 +1,4 @@
+import csv
 import errno
 import io
 import json
@@ -7,11 +8,13 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SCENARIO_DIR, make_scenario
 from metrotwin import cli
 from metrotwin.cli import main
-from metrotwin.scenario import run_scenario, scenario_from_dict
+from metrotwin.scenario import RunReport, run_scenario, scenario_from_dict
 
 
 def write(tmp_path, doc, name="scenario.json"):
@@ -92,6 +95,41 @@ def test_csv_latency_header(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "link_length_km,measured_us,estimated_us,delta_us"
     assert lines[1].split(",")[0] == "0.0021"
+
+
+def parsed_csv(text):
+    return list(csv.reader(io.StringIO(text, newline="")))
+
+
+# any text; the csv module's reader before Python 3.11 rejects any NUL
+CASE_NAMES = st.text(st.characters(
+    blacklist_characters="\x00" if sys.version_info < (3, 11) else ""))
+
+
+@settings(max_examples=200, deadline=None)
+@given(names=st.lists(CASE_NAMES, min_size=1, max_size=3))
+def test_csv_parses_back_into_the_report_cells(names):
+    cells = {key: f"{key}-cell" for key in (
+        "rate_db_per_s", "detection_time_s", "anticipation_s",
+        "predicted_anticipation_s", "mean_detection_snr_db",
+        "mean_detection_ber")}
+    results = {"cases": [dict(cells, name=name, restored=1, failed=0)
+                         for name in names]}
+    report = RunReport("softfail", 1, {}, {"softfail": results})
+    assert parsed_csv(cli.render_report(report, "csv")) == \
+        cli._softfail_csv_rows(results)
+
+
+def test_csv_keeps_a_case_name_with_a_comma_quote_and_newline(tmp_path,
+                                                              capsys):
+    doc = softfail_doc()
+    name = 'ramp, "slow"\nx'
+    doc["softfail"]["cases"][0]["name"] = name
+    assert main(["softfail", "--scenario", write(tmp_path, doc),
+                 "--format", "csv"]) == 0
+    rows = parsed_csv(capsys.readouterr().out)
+    assert len(rows) == 2 and len(rows[1]) == len(rows[0])
+    assert rows[1][0] == name
 
 
 def test_softfail_table_labels(tmp_path, capsys):
@@ -312,7 +350,9 @@ def test_repeat_reaches_every_experiment(tmp_path, capsys):
      "monitoring"),
     (lambda d: d["service"]["connectivity"].update(bandwidth_gbps=100),
      "bandwidth_gbps"),
-], ids=["link", "switch", "monitoring", "connectivity"])
+    (lambda d: d["topology"].update(channel_grid_size=96),
+     "channel_grid_size"),
+], ids=["link", "switch", "monitoring", "connectivity", "grid"])
 def test_removed_scenario_keys_are_unknown(tmp_path, capsys, mutate, key):
     doc = make_scenario()
     mutate(doc)

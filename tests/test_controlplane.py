@@ -4,13 +4,14 @@ from dataclasses import replace
 import pytest
 
 from conftest import ring_section, service_section
-from metrotwin.controlplane import (ConnectivityRequirements, NsDescriptor,
-                                    OrchestrationStack, ServiceStatus,
-                                    VnfDescriptor, check_channel_exclusivity,
+from metrotwin.controlplane import (ConnectivityRequirements, DeployPlan,
+                                    NsDescriptor, OrchestrationStack,
+                                    ServiceStatus, VnfDescriptor,
+                                    check_channel_exclusivity,
                                     check_no_light_loop, trace_channel_light)
 from metrotwin.errors import IllegalTransition, IncompleteRecord
 from metrotwin.simkernel import Kernel, SECOND, SimRng
-from metrotwin.topology import RingState, build_ring
+from metrotwin.topology import build_ring
 
 
 def descriptor(endpoints=("tp1", "tp2"), computes=("edge1", "edge2"),
@@ -24,15 +25,16 @@ def descriptor(endpoints=("tp1", "tp2"), computes=("edge1", "edge2"),
         connectivity=ConnectivityRequirements(endpoints=tuple(endpoints)))
 
 
-def fresh_stack(section=None, jitter=False):
-    state = RingState(build_ring(section or ring_section()))
-    kernel = Kernel()
-    stack = OrchestrationStack(state, kernel, SimRng(0), jitter=jitter)
-    return state, kernel, stack
+def fresh_stack(section=None, ns=None, kernel=None):
+    """A world's state, kernel and stack for the service ``ns``."""
+    plan = DeployPlan(build_ring(section or ring_section()), ns or descriptor())
+    kernel = kernel or Kernel()
+    stack = OrchestrationStack(plan, kernel, SimRng(0))
+    return stack.state, kernel, stack
 
 
-def deploy(stack, kernel, ns=None):
-    rec = stack.request_network_service(ns or descriptor())
+def deploy(stack, kernel):
+    rec = stack.request_network_service()
     kernel.run_to_end()
     return rec
 
@@ -55,9 +57,7 @@ def test_workflow_timestamps_without_jitter():
 
 def test_deployment_fires_one_event_per_state_change():
     trace = io.StringIO()
-    kernel = Kernel(trace=trace)
-    stack = OrchestrationStack(RingState(build_ring(ring_section())), kernel,
-                               SimRng(0))
+    _, kernel, stack = fresh_stack(kernel=Kernel(trace=trace))
     deploy(stack, kernel)
     assert [line.split(",")[2] for line in trace.getvalue().splitlines()] == [
         "svc-1:request",
@@ -83,7 +83,7 @@ def test_kpis_from_record():
 
 def test_kpis_refuse_incomplete_record():
     _, kernel, stack = fresh_stack()
-    rec = stack.request_network_service(descriptor())
+    rec = stack.request_network_service()
     refused = []
 
     def at_30_s():  # VNFs still instantiating
@@ -102,8 +102,6 @@ def test_path_choice_and_channel():
     assert rec.path.links == ("r1-r2",)  # fewest hops wins over total length
     assert rec.channel == 0
     assert rec.path == replace(state.ring.select_path("tp1", "tp2"), channel=0)
-    assert state.transponders["tp1"].claimed_by == rec.request_id
-    assert stack.channel_ledger == {("r1-r2", 0): rec.request_id}
 
 
 def test_blockers_keep_light_on_the_arc():
@@ -116,23 +114,14 @@ def test_blockers_keep_light_on_the_arc():
     assert stack.verify_invariants() == []
 
 
-def test_placement_failure_keeps_capacity():
-    state, kernel, stack = fresh_stack()
-    before = state.vcpu_free["edge1"]
-    rec = deploy(stack, kernel, descriptor(vcpu=1000))
-    assert rec.status is ServiceStatus.FAILED
-    assert "capacity" in rec.failure_reason
-    assert state.vcpu_free["edge1"] == before
-
-
 def test_failed_service_returns_compute_to_each_node():
     # two VNFs that share a name, on two nodes, failed at probe verification
-    state, kernel, stack = fresh_stack()
     ns = descriptor()
     for vnf in ns.vnfs:
         vnf.name = "x"
     ns.connectivity.max_rt_latency_ns = 1
-    rec = deploy(stack, kernel, ns)
+    state, kernel, stack = fresh_stack(ns=ns)
+    rec = deploy(stack, kernel)
     assert rec.status is ServiceStatus.FAILED
     assert "probe" in rec.failure_reason
     assert stack.verify_invariants() == []
@@ -142,59 +131,12 @@ def test_failed_service_returns_compute_to_each_node():
 
 
 def test_vnfs_instantiate_in_parallel():
-    _, kernel, stack = fresh_stack()
     ns = descriptor()
     ns.vnfs[1].instantiation_mean_s = 25.0
-    rec = deploy(stack, kernel, ns)
+    _, kernel, stack = fresh_stack(ns=ns)
+    rec = deploy(stack, kernel)
     # ready when the slowest one lands, not the sum
     assert rec.timestamps.t_vnfs_ready == 40 * S
-
-
-def test_transponder_unavailable_fails_second_service():
-    state, kernel, stack = fresh_stack()
-    first = deploy(stack, kernel)
-    assert first.status is ServiceStatus.ACTIVE
-    second = deploy(stack, kernel, descriptor())
-    assert second.status is ServiceStatus.FAILED
-    assert "TransponderUnavailable" in second.failure_reason
-    # the failed request must not have disturbed the running one
-    assert stack.verify_invariants() == []
-    cap = state.ring.compute_nodes["edge1"].vcpu_capacity
-    assert state.vcpu_free["edge1"] == cap - 4  # only first's share held
-
-
-def four_endpoint_section():
-    sec = ring_section()
-    sec["transponders"] += [{"id": "tp3", "roadm": "roadm1"},
-                            {"id": "tp4", "roadm": "roadm2"}]
-    sec["switches"] += [{"id": "sw3", "transponder": "tp3"},
-                        {"id": "sw4", "transponder": "tp4"}]
-    sec["compute_nodes"] += [{"id": "edge3", "switch": "sw3"},
-                             {"id": "edge4", "switch": "sw4"}]
-    return sec
-
-
-def test_second_service_gets_next_channel():
-    state, kernel, stack = fresh_stack(four_endpoint_section())
-    a = deploy(stack, kernel)
-    b = deploy(stack, kernel, descriptor(endpoints=("tp3", "tp4"),
-                                         computes=("edge3", "edge4")))
-    assert a.status is ServiceStatus.ACTIVE and b.status is ServiceStatus.ACTIVE
-    assert a.channel == 0 and b.channel == 1
-    assert check_channel_exclusivity(stack) == []
-    assert check_no_light_loop(stack) == []
-
-
-def test_channel_exhaustion():
-    sec = four_endpoint_section()
-    sec["channel_grid_size"] = 1
-    _, kernel, stack = fresh_stack(sec)
-    a = deploy(stack, kernel)
-    b = deploy(stack, kernel, descriptor(endpoints=("tp3", "tp4"),
-                                         computes=("edge3", "edge4")))
-    assert a.status is ServiceStatus.ACTIVE
-    assert b.status is ServiceStatus.FAILED
-    assert "ChannelExhausted" in b.failure_reason
 
 
 def five_roadm_section():
@@ -212,23 +154,40 @@ def five_roadm_section():
 
 
 def test_failed_service_gives_up_its_pass_entries():
-    sec = five_roadm_section()
-    sec["transponders"] += [{"id": "tp6", "roadm": "r1"},
-                            {"id": "tp7", "roadm": "r3"}]
-    sec["switches"] += [{"id": "sw6", "transponder": "tp6"},
-                        {"id": "sw7", "transponder": "tp7"}]
-    sec["compute_nodes"] += [{"id": "edge6", "switch": "sw6"},
-                             {"id": "edge7", "switch": "sw7"}]
-    _, kernel, stack = fresh_stack(sec)
     slow = descriptor(endpoints=("tp1", "tp3"), computes=("edge1", "edge3"))
     slow.connectivity.max_rt_latency_ns = 1
-    x = deploy(stack, kernel, slow)
+    state, kernel, stack = fresh_stack(five_roadm_section(), slow)
+    passed = []
+    kernel.schedule(lambda: passed.append(set(state.roadms["r2"].passing)),
+                    60 * S)  # once the ROADMs are programmed
+    x = deploy(stack, kernel)
     assert x.status is ServiceStatus.FAILED  # at probe, after programming r2
-    y = deploy(stack, kernel, descriptor(endpoints=("tp6", "tp7"),
-                                         computes=("edge6", "edge7")))
-    assert x.path.links == y.path.links == ("r1-r2", "r2-r3")
-    assert y.channel == 0  # the failed service released channel 0
+    assert x.path.links == ("r1-r2", "r2-r3")
+    assert passed == [{("r1-r2", 0), ("r2-r3", 0)}]
+    assert all(not roadm.passing for roadm in state.roadms.values())
+    assert x.passes == {}
     assert stack.verify_invariants() == []
+
+
+def test_plan_visits_every_roadm_once_from_each_arc():
+    ring = build_ring(five_roadm_section())
+    plan = DeployPlan(ring, descriptor(endpoints=("tp1", "tp3"),
+                                       computes=("edge1", "edge3")))
+    chosen, spare = plan.arcs
+    assert chosen.path == replace(ring.select_path("tp1", "tp3"), channel=0)
+    assert spare.path.links == ("r5-r1", "r4-r5", "r3-r4")
+    assert [roadm for roadm, _ in spare.visits] == ["r1", "r5", "r4", "r3", "r2"]
+    # the ends add and drop the channel, and each ROADM between them passes
+    # it from the span it enters by to the span it leaves by
+    assert [entries for _, entries in spare.visits] == [
+        None, {("r5-r1", 0), ("r4-r5", 0)}, {("r4-r5", 0), ("r3-r4", 0)},
+        None, set()]
+    for arc in plan.arcs:
+        order = [roadm for roadm, _ in arc.visits]
+        assert order[:len(arc.path.roadms)] == list(arc.path.roadms)
+        assert sorted(order) == sorted(ring.ring_order)
+        assert arc.labels["restore"] == [("svc-1", "restore", roadm)
+                                         for roadm in order]
 
 
 def test_restoration_moves_to_spare_arc():
@@ -248,30 +207,24 @@ def test_restoration_moves_to_spare_arc():
     spare, = [p for p in state.ring.arcs[("tp1", "tp2")]
               if p.links != ("r1-r2",)]
     assert rec.path == replace(spare, channel=0)
-    assert ("r1-r2", 0) not in stack.channel_ledger
     assert stack.verify_invariants() == []
 
 
-def test_restoration_blocked_when_spare_arc_is_lit():
-    sec = four_endpoint_section()
-    sec["transponders"] += [{"id": "tp5", "roadm": "roadm3"}]
-    sec["switches"] += [{"id": "sw5", "transponder": "tp5"}]
-    sec["compute_nodes"] += [{"id": "edge5", "switch": "sw5"}]
-    sec["channel_grid_size"] = 1
-    _, kernel, stack = fresh_stack(sec)
+def test_alert_during_a_restoration_is_refused():
+    state, kernel, stack = fresh_stack()
     rec = deploy(stack, kernel)
-    rival = deploy(stack, kernel, descriptor(endpoints=("tp4", "tp5"),
-                                             computes=("edge4", "edge5")))
-    assert rival.status is ServiceStatus.ACTIVE
-    assert rival.path.links == ("r2-r3",)  # occupies channel 0 on the spare arc
-    outcome = stack.handle_degradation_alert(rec, kernel.now())
+    first = stack.handle_degradation_alert(rec, kernel.now())
+    with pytest.raises(IllegalTransition):
+        stack.handle_degradation_alert(rec, kernel.now())
     kernel.run_to_end()
-    assert outcome.restored_at is None
-    assert "busy" in outcome.reason
-    assert rec.status is ServiceStatus.DEGRADED
-    stack.notify_fail_crossing(rec, kernel.now())
-    assert rec.status is ServiceStatus.FAILED
-    assert outcome.failed_at == kernel.now()
+    assert rec.status is ServiceStatus.RESTORED and rec.restoration is first
+    assert stack.verify_invariants() == []
+    # once the retune is done, a new alert moves the service back
+    second = stack.handle_degradation_alert(rec, kernel.now())
+    kernel.run_to_end()
+    assert rec.status is ServiceStatus.RESTORED and second.restored_at
+    assert rec.path.links == ("r1-r2",)
+    assert stack.verify_invariants() == []
 
 
 def test_crossing_before_retune_means_failed():
@@ -289,7 +242,7 @@ def test_crossing_before_retune_means_failed():
 
 def test_status_transitions_are_guarded():
     _, kernel, stack = fresh_stack()
-    rec = stack.request_network_service(descriptor())
+    rec = stack.request_network_service()
     with pytest.raises(IllegalTransition):
         rec.transition(ServiceStatus.DEGRADED)  # Deploying cannot degrade
     kernel.run_to_end()
@@ -312,3 +265,8 @@ def test_forced_loop_is_caught():
     _, _, looped = trace_channel_light(state, "roadm1", "r1-r2", 0)
     assert looped
     assert any("loop" in p for p in check_no_light_loop(stack))
+    # every entry on r2-r3 or r3-r1 lights a span the service does not hold
+    assert check_channel_exclusivity(stack) == [
+        f"channel 0 on {link} passes {roadm}, off the path of svc-1"
+        for roadm, link in (("roadm1", "r3-r1"), ("roadm2", "r2-r3"),
+                            ("roadm3", "r2-r3"), ("roadm3", "r3-r1"))]

@@ -1,6 +1,7 @@
 """Pinned SHA-256 digests of the canonical reports of the shipped scenarios.
 
-Any change that alters a single byte of a report fails here.  Re-pin only
+Any change that alters a single byte of a report, or of its table or CSV
+rendering, fails here.  Re-pin only
 when a report change is intended, and say so in the change log.
 """
 
@@ -8,7 +9,8 @@ import hashlib
 
 import pytest
 
-from conftest import shipped
+from conftest import SCENARIO_DIR, shipped
+from metrotwin.cli import main
 from metrotwin.scenario import run_scenario, scenario_from_dict
 
 HELD_OUT_SEED = 90017
@@ -55,3 +57,34 @@ def test_slow_trace_report_digest():
     softfail["cases"] = [dict(softfail["cases"][0], rate_db_per_s=2.5e-4)]
     report = run_scenario(scenario_from_dict(doc)).to_canonical_json()
     assert hashlib.sha256(report.encode()).hexdigest() == SLOW_TRACE
+
+
+# The table and CSV renderings of the shipped scenarios, each under its own
+# subcommand at its own seed, as the CLI prints them to standard output.
+GOLDEN_FORMATS = {
+    ("setup", "paper_setup.json", "table"):
+        "4a099c6883e60f1e26b17de60eb46f4155616705ff634691e801c14c86b9a090",
+    ("latency", "paper_table2.json", "table"):
+        "6c4ef134483bb435ffcc245bc645feaeb6f4e824d5a4899e3e2fe32d2b899ea4",
+    ("softfail", "paper_softfail.json", "table"):
+        "202867a91db27a6806fb5fc65bab3c893a5528e7da7a7a4645e44910a3ab5c1c",
+    ("demo", "paper_full_demo.json", "table"):
+        "d029f8a46e6b5c585a33b4d9c0d2d03d6121789d3e6e9b751659ab9780ba8bf0",
+    ("setup", "paper_setup.json", "csv"):
+        "1c25103424e2be0c85d79ad196974744b706966de362ddfb8a8b7bb19fcdd75d",
+    ("latency", "paper_table2.json", "csv"):
+        "3579d87ee13acd8cda9e7a2eb014e5ddd4571c6cb7e806735e48b24b61a20292",
+    ("softfail", "paper_softfail.json", "csv"):
+        "a2fdfa13e2968f37423301b9264bfeeb32257a7bbcb10f21c9f2516bf7f27540",
+    ("demo", "paper_full_demo.json", "csv"):
+        "5678cb84bfeca89e651ccbaddd946b13193209cfc6479053eb168d161a3a6328",
+}
+
+
+@pytest.mark.parametrize("command,name,fmt", sorted(GOLDEN_FORMATS))
+def test_rendered_report_digest(capsys, command, name, fmt):
+    assert main([command, "--scenario", str(SCENARIO_DIR / name),
+                 "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        GOLDEN_FORMATS[(command, name, fmt)]

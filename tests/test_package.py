@@ -5,8 +5,12 @@ from conftest import SCENARIO_DIR
 
 SRC_DIR = SCENARIO_DIR.parent
 
-# a service is never torn down: its world is dropped once it is restored or failed
-DELETED = ("teardown", "transponder_teardown", "TORN_DOWN", "DetectionTooLate")
+# a service is never torn down: its world is dropped once it is restored or
+# failed; and a world deploys one service, so nothing arbitrates between
+# services for channels, transponders or compute
+DELETED = ("teardown", "transponder_teardown", "TORN_DOWN", "DetectionTooLate",
+           "channel_ledger", "assign_channel", "claimed_by", "channel_grid",
+           "PlacementFailed", "ChannelExhausted", "TransponderUnavailable")
 
 
 def test_every_export_resolves():

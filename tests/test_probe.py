@@ -7,7 +7,8 @@ from conftest import ring_section
 from metrotwin.errors import PathNotOperational, RankDeficient, Underdetermined
 from metrotwin.probe import (BudgetReport, LatencyMeasurement, ProbeConfig,
                              budget_from_config, estimate_rt_propagation,
-                             fit_budget, measure_round_trip)
+                             fit_budget, measure_round_trip,
+                             noiseless_round_trip)
 from metrotwin.simkernel import SimRng
 from metrotwin.topology import (OpticalPath, RingState, TransponderState,
                                 build_ring)
@@ -22,11 +23,16 @@ def lit_path(state, channel=0):
                        direct.roadms, direct.direction, channel)
 
 
+def measure(path, state, cfg, rng=None):
+    return measure_round_trip(path, state, cfg,
+                              noiseless_round_trip(path, state.ring, cfg), rng)
+
+
 def test_measure_is_prop_plus_overheads():
     state = RingState(build_ring(ring_section()))
     path = lit_path(state)
     cfg = ProbeConfig()
-    m = measure_round_trip(path, state, cfg)
+    m = measure(path, state, cfg)
     assert m.estimated_rt_prop_ns == estimate_rt_propagation(79969.5, 1.4680)
     assert m.measured_rt_ns == m.estimated_rt_prop_ns + 15230
     assert m.link_length_m == pytest.approx(79969.5)
@@ -36,7 +42,7 @@ def test_legacy_residual_is_additive():
     sec = ring_section()
     sec["links"][0]["legacy_residual_delay_ns"] = 717377
     state = RingState(build_ring(sec))
-    m = measure_round_trip(lit_path(state), state, ProbeConfig())
+    m = measure(lit_path(state), state, ProbeConfig())
     assert m.delta_ns == 15230 + 717377
 
 
@@ -45,20 +51,20 @@ def test_requires_operational_endpoints():
     path = lit_path(state)
     state.transponders["tp1"].state = TransponderState.CONFIGURING
     with pytest.raises(PathNotOperational):
-        measure_round_trip(path, state, ProbeConfig())
+        measure(path, state, ProbeConfig())
     dark = OpticalPath(path.source, path.destination, path.links, path.roadms,
                        path.direction, None)
     with pytest.raises(PathNotOperational):
-        measure_round_trip(dark, state, ProbeConfig())
+        measure(dark, state, ProbeConfig())
 
 
 def test_probe_jitter_seeded():
     state = RingState(build_ring(ring_section()))
     path = lit_path(state)
     cfg = ProbeConfig(jitter_sigma_ns=200)
-    a = measure_round_trip(path, state, cfg, rng=SimRng(1)).measured_rt_ns
-    b = measure_round_trip(path, state, cfg, rng=SimRng(1)).measured_rt_ns
-    c = measure_round_trip(path, state, cfg, rng=SimRng(2)).measured_rt_ns
+    a = measure(path, state, cfg, rng=SimRng(1)).measured_rt_ns
+    b = measure(path, state, cfg, rng=SimRng(1)).measured_rt_ns
+    c = measure(path, state, cfg, rng=SimRng(2)).measured_rt_ns
     assert a == b != c
 
 

@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -107,18 +106,24 @@ def test_worlds_are_isolated():
     w1.stack.handle_degradation_alert(w1.record, w1.kernel.now())
     assert w1.record.status.value == "Degraded"
     assert w2.record.status.value == "Active"  # untouched by w1's alert
-    # w1 reserved its spare arc; w2's ledger holds only its first arc
-    assert len(w1.stack.channel_ledger) > len(w2.stack.channel_ledger)
+    w1.kernel.run_to_end()
+    assert w1.record.status.value == "Restored"
+    # w1's ROADMs carry its spare arc; w2's still carry its first one
+    assert w1.record.path != w2.record.path
+    assert w1.stack.state.roadms != w2.stack.state.roadms
+    assert w2.stack.verify_invariants() == w1.stack.verify_invariants() == []
 
 
 @pytest.mark.parametrize("name", sorted(
     p.name for p in SCENARIO_DIR.glob("*.json")))
 def test_every_world_keeps_the_invariants_and_the_shared_ring(monkeypatch,
                                                               name):
+    # every world a run at --repeat 3 builds, the setup worlds and the
+    # worlds of each latency and soft-failure case, as its runner left it
     doc = shipped(name)
     for section in ("service", "latency", "softfail"):
         if section in doc:
-            doc[section]["repetitions"] = 2
+            doc[section]["repetitions"] = 3
     sc = scenario_from_dict(doc)
     worlds = []
 
@@ -128,7 +133,11 @@ def test_every_world_keeps_the_invariants_and_the_shared_ring(monkeypatch,
 
     monkeypatch.setattr(scenario, "build_world", collect)
     run_scenario(sc)
-    assert worlds
+    runs = {"setup_kpi": ["service"], "full_demo": ["service", "latency",
+                                                    "softfail"]}.get(
+        sc.experiment, [sc.experiment])
+    assert len(worlds) == sum(3 * len(doc[run].get("cases", [None]))
+                              for run in runs)
     for world in worlds:
         assert world.stack.verify_invariants() == []
     assert sc.ring == build_ring(doc["topology"])
@@ -136,15 +145,14 @@ def test_every_world_keeps_the_invariants_and_the_shared_ring(monkeypatch,
 
 def test_failed_deployment_surfaces_reason():
     sc = scenario_from_dict(make_scenario())
-    # set after validation, which rejects it, so placement fails at deploy;
-    # a descriptor sums its VNFs' demand once, so the VNF is replaced in a
-    # new descriptor
-    ns = sc.service.descriptor
-    sc.service = replace(sc.service, descriptor=replace(
-        ns, vnfs=[replace(ns.vnfs[0], vcpu=10_000), *ns.vnfs[1:]]))
+    # set after validation, which rejects a requirement below the probe's
+    # noiseless round trip, so the probe verification fails at deploy
+    sc.service.descriptor.connectivity.max_rt_latency_ns = 1
     with pytest.raises(TwinError) as err:
-        build_world(sc, (0,))
-    assert "Failed" in str(err.value)
+        build_world(sc, (0,), where="setup repetition 0: ")
+    assert str(err.value) == ("setup repetition 0: deployment ended Failed: "
+                              "probe verification exceeded latency "
+                              "requirement")
 
 
 def test_setup_report_layout():

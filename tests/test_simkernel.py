@@ -242,7 +242,8 @@ def test_split_tree_draws_equal_numpy_seed_sequence(seed, width, data):
                 math.log(mean) - sigma2 / 2.0, math.sqrt(sigma2))
 
 
-def test_streams_build_a_generator_only_when_they_draw(monkeypatch):
+def count_philox(monkeypatch) -> list:
+    """Each ``Philox`` a stream builds from here on."""
     built = []
     philox = simkernel.np.random.Philox
 
@@ -251,17 +252,58 @@ def test_streams_build_a_generator_only_when_they_draw(monkeypatch):
         return philox(seq, **kwargs)
 
     monkeypatch.setattr(simkernel.np.random, "Philox", counting_philox)
+    return built
+
+
+def record_tables(monkeypatch) -> list:
+    """Each ``KeyTable`` made from here on."""
+    tables = []
+    init = KeyTable.__init__
+
+    def recording_init(self, *args):
+        tables.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(KeyTable, "__init__", recording_init)
+    return tables
+
+
+def test_streams_build_a_generator_only_when_they_draw(monkeypatch):
+    built = count_philox(monkeypatch)
     idle = SimRng(5).split(1, 2)
     assert idle.normal(3.0, 0.0) == 3.0
     assert idle.lognormal_mean_cv(40.0, 0.0) == 40.0
     assert built == []
     sc = load_scenario(SCENARIO_DIR / "paper_setup.json")
     assert sc.service.jitter
+    tables = record_tables(monkeypatch)
     build_world(sc, (0,))
-    # two VNF and two transponder streams draw; the world root, the stack
-    # stream, the service stream and the probe stream (jitter_sigma_ns 0)
-    # only split or draw nothing
-    assert len(built) == 4
+    # two VNF and two transponder streams draw, each on its first draw
+    # taking a turn on the world's one generator; the world root only
+    # splits, and no probe stream is made (jitter_sigma_ns 0)
+    assert [table.turn for table in tables] == [4]
+    assert len(built) == len(tables)
+
+
+def test_streams_take_turns_on_one_generator_and_replay_when_they_lose_it(
+        monkeypatch):
+    oracles = [np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(3, spawn_key=key))) for key in ((0, 7), (1, 7))]
+    built = count_philox(monkeypatch)
+    keys = KeyTable(3, [(0,), (1,)])
+    a, b = SimRng(3, (0, 7), keys), SimRng(3, (1, 7), keys)
+    assert a.normal(1.0, 2.0) == oracles[0].normal(1.0, 2.0)
+    assert b.normal(1.0, 2.0) == oracles[1].normal(1.0, 2.0)
+    assert keys.turn == 2 and len(built) == 1
+    # a lost its turn to b: it replays its first draw on a generator of its
+    # own, and draws on there from then on
+    mu, sigma = math.log(40.0) - math.log1p(0.01) / 2, math.sqrt(math.log1p(0.01))
+    assert a.lognormal_mean_cv(40.0, 0.1) == oracles[0].lognormal(mu, sigma)
+    assert list(a.normal(0.0, 1.0, 9)) == list(oracles[0].normal(0.0, 1.0, 9))
+    assert len(built) == 2
+    # b still holds its turn
+    assert b.normal(0.0, 1.0) == oracles[1].normal(0.0, 1.0)
+    assert keys.turn == 2 and len(built) == 2
 
 
 @settings(max_examples=60, deadline=None)
@@ -305,32 +347,29 @@ def test_stream_keys_equal_numpy_seed_sequence(seed, width, data):
             seed, spawn_key=root + path).generate_state(2, np.uint64).tolist()
 
 
-@pytest.mark.parametrize("probe_jitter_ns, passes, generators", [
+@pytest.mark.parametrize("probe_jitter_ns, passes, drawn", [
     (0, (4, 4, 5), 30), (400, (5, 6, 6), 41)],
     ids=["probe_jitter_0", "probe_jitter_400"])
 def test_each_stream_path_of_a_demo_is_keyed_once_for_every_root(
-        monkeypatch, tmp_path, probe_jitter_ns, passes, generators):
+        monkeypatch, tmp_path, probe_jitter_ns, passes, drawn):
     # Each runner keys a stream path for all its worlds' roots in one pass,
     # on the first draw on that path.  With --repeat 1 one setup world, four
     # latency worlds and two soft-failure worlds draw on their two VNF and
     # two transponder streams, and the soft-failure worlds on their noise
-    # stream: 4 + 4 + 5 passes and 30 generators.  A probe with jitter adds
-    # every world's probe verification stream and each latency world's
-    # probe stream: 5 + 6 + 6 passes and 41 generators.
-    rows, built = [], []
+    # stream: 4 + 4 + 5 passes and 30 streams that draw.  A probe with
+    # jitter adds every world's probe verification stream and each latency
+    # world's probe stream: 5 + 6 + 6 passes and 41 streams.  Each runner's
+    # streams take turns on its table's one generator.
+    rows = []
     keyed = simkernel.stream_keys
-    philox = simkernel.np.random.Philox
 
     def counting_stream_keys(seed, roots, path):
         rows.append(len(roots))
         return keyed(seed, roots, path)
 
-    def counting_philox(seq, **kwargs):
-        built.append(seq)
-        return philox(seq, **kwargs)
-
     monkeypatch.setattr(simkernel, "stream_keys", counting_stream_keys)
-    monkeypatch.setattr(simkernel.np.random, "Philox", counting_philox)
+    built = count_philox(monkeypatch)
+    tables = record_tables(monkeypatch)
     doc = json.loads((SCENARIO_DIR / "paper_full_demo.json").read_text())
     doc["latency"]["probe"]["jitter_sigma_ns"] = probe_jitter_ns
     scenario = tmp_path / "demo.json"
@@ -339,4 +378,5 @@ def test_each_stream_path_of_a_demo_is_keyed_once_for_every_root(
                  "--out", str(tmp_path / "report.txt")]) == 0
     # setup, then latency, then soft failure: 1, 4 and 2 roots each
     assert rows == [1] * passes[0] + [4] * passes[1] + [2] * passes[2]
-    assert len(built) == generators
+    assert sum(table.turn for table in tables) == drawn
+    assert len(built) == len(tables) == 3

@@ -3,6 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ring_section
+from metrotwin.controlplane import (ConnectivityRequirements, DeployPlan,
+                                    NsDescriptor, VnfDescriptor)
 from metrotwin.errors import NoPath, TopologyInvalid
 from metrotwin.topology import RingState, build_ring
 
@@ -10,7 +12,6 @@ from metrotwin.topology import RingState, build_ring
 def test_build_ring_defaults(topo):
     assert set(topo.ring_order) == {"roadm1", "roadm2", "roadm3"}
     assert topo.ring_order[0] == "roadm1" and len(topo.ring_order) == 3
-    assert topo.channel_grid == 96
     assert topo.links["r1-r2"].group_index == pytest.approx(1.4680)
     assert RingState(topo).vcpu_free["edge1"] == topo.compute_nodes["edge1"].vcpu_capacity
 
@@ -135,9 +136,26 @@ def test_arcs_partition_the_ring(n, data):
         assert p.roadms[0] == topo.transponders["tpA"].attached_roadm
         assert p.roadms[-1] == topo.transponders["tpB"].attached_roadm
         assert len(p.roadms) == len(p.links) + 1
-        order = topo.visit_order[p.roadms]
-        assert order[:len(p.roadms)] == p.roadms
+    # each arc of a plan visits its own ROADMs first, then every other one
+    # once; its ends add and drop the channel, each ROADM between them
+    # passes it from the span it enters by to the span it leaves by, and
+    # the ROADMs off the arc get no pass entries
+    plan = DeployPlan(topo, NsDescriptor(
+        name="ring-under-test",
+        vnfs=[VnfDescriptor(name="a", target_compute="cA"),
+              VnfDescriptor(name="b", target_compute="cB")],
+        connectivity=ConnectivityRequirements(endpoints=("tpA", "tpB"))))
+    assert {arc.path.links for arc in plan.arcs} == {p1.links, p2.links}
+    for arc in plan.arcs:
+        roadms, links = arc.path.roadms, arc.path.links
+        order = [roadm for roadm, _ in arc.visits]
+        assert order[:len(roadms)] == list(roadms)
         assert sorted(order) == sorted(topo.ring_order)
+        entries = [e for _, e in arc.visits]
+        assert entries[0] is None and entries[len(links)] is None
+        for i in range(1, len(links)):
+            assert entries[i] == {(links[i - 1], 0), (links[i], 0)}
+        assert all(e == set() for e in entries[len(roadms):])
     assert (sum(topo.links[l].length_m for l in p1.links)
             <= sum(topo.links[l].length_m for l in p2.links))
     # the service's arc: the fewest ROADM hops, then the shorter
