@@ -13,8 +13,7 @@ from .errors import TwinError
 from .mda import (DegradationDetector, DegradationEvent, DetectorConfig,
                   SoftFailReport, anticipation_time, run_softfail_case)
 from .optics import (AttenuationRamp, OpticalPlant, SignalModel,
-                     TelemetrySample, ber_from_snr, rt_propagation_delay,
-                     transponder_lifecycle)
+                     TelemetrySample, ber_from_snr, rt_propagation_delay)
 from .probe import (BudgetReport, LatencyMeasurement, ProbeConfig, fit_budget,
                     measure_round_trip)
 from .scenario import RunReport, Scenario, load_scenario, run_scenario
@@ -37,5 +36,5 @@ __all__ = [
     "ber_from_snr", "build_ring", "fit_budget", "load_scenario",
     "measure_round_trip",
     "rt_propagation_delay", "run_scenario", "run_softfail_case",
-    "transponder_lifecycle", "__version__",
+    "__version__",
 ]

@@ -23,10 +23,10 @@ from functools import cached_property
 from typing import Optional
 
 from .errors import FieldInvalid, IllegalTransition, IncompleteRecord
-from .optics import transponder_lifecycle
+from .optics import TRANSPONDER_JITTER_CV
 from .probe import (LatencyMeasurement, ProbeConfig, measure_round_trip,
                     noiseless_round_trip)
-from .simkernel import Kernel, MS, SECOND, SimRng, SimTime
+from .simkernel import Kernel, MS, SECOND, SimRng, SimTime, lognormal_params
 from .topology import (ChannelId, NodeId, OpticalPath, RingState, RingTopology,
                        TransponderState)
 
@@ -51,6 +51,10 @@ _TRANSITIONS = {
     ServiceStatus.RESTORED: {ServiceStatus.DEGRADED},
     ServiceStatus.FAILED: set(),
 }
+# a transponder's bring-up phases, each entered by an event, and the next
+_BRING_UP = (TransponderState.CONFIGURING, TransponderState.LASER_WARMUP,
+             TransponderState.OPERATIONAL)
+_NEXT_PHASE = dict(zip((TransponderState.OFF,) + _BRING_UP, _BRING_UP))
 
 
 @dataclass
@@ -227,11 +231,24 @@ class _Arc:
                        for kind in ("roadm", "restore")}
 
 
+def _deploy_stream(leaf: tuple[int, ...], jitter: bool, values: list) -> tuple:
+    """A deployment stream: its leaf spawn path below a world's root, None
+    if it draws nothing, and its durations for ``KeyTable.draw_ns``.  Each
+    value, (nominal ns, mean s, cv), is a lognormal draw under ``jitter``,
+    unless its mean or cv is 0: then it is the mean, undrawn."""
+    durations = [lognormal_params(mean, cv) if jitter and mean and cv
+                 else nominal for nominal, mean, cv in values]
+    return (leaf if any(d.__class__ is tuple for d in durations) else None,
+            durations)
+
+
 class DeployPlan:
     """What every world of a runner deploys alike, settled once: the service
     ``ns`` on ``ring``, on the arc ``select_path`` gives it, then the spare
-    arc; its event labels, VNF demand and noiseless probe shot; and the
-    leaf spawn paths, below a world's root, of its streams that draw."""
+    arc; its event labels, VNF demand and noiseless probe shot; and its
+    streams: each VNF's instantiation and each transponder's configuration,
+    then warm-up, as ``_deploy_stream`` settles them, and the probe's leaf
+    spawn path if it draws."""
 
     def __init__(self, ring: RingTopology, ns: NsDescriptor,
                  timings: Optional[PhaseTimings] = None,
@@ -250,10 +267,20 @@ class DeployPlan:
                        for kind in ("request", "messaging", "probe", "retune")}
         self.vnf_labels = [(REQUEST_ID, "vnf", vnf.name) for vnf in ns.vnfs]
         service = (STACK_STREAM, hash_label(REQUEST_ID))
-        self.vnf_streams = [service + (VNF_STREAM, i) if jitter else None
-                            for i in range(len(ns.vnfs))]
-        self.transponder_streams = [service + (TRANSPONDER_STREAM, i)
-                                    if jitter else None for i in range(2)]
+        self.vnf_streams = [_deploy_stream(
+            service + (VNF_STREAM, i), jitter,
+            [(round(vnf.instantiation_mean_s * SECOND),
+              vnf.instantiation_mean_s, vnf.instantiation_cv)])
+            for i, vnf in enumerate(ns.vnfs)]
+        nodes = [ring.transponders[tp_id]
+                 for tp_id in (self.path.source, self.path.destination)]
+        self.transponder_streams = [_deploy_stream(
+            service + (TRANSPONDER_STREAM, i), jitter,
+            [(d, d / SECOND, TRANSPONDER_JITTER_CV)
+             for d in (node.config_duration_ns, node.warmup_duration_ns)])
+            for i, node in enumerate(nodes)]
+        self.transponder_labels = [
+            [("tp", node.id, state) for state in _BRING_UP] for node in nodes]
         self.probe_stream = (service + (PROBE_STREAM,) if jitter
                              and self.probe_cfg.jitter_sigma_ns else None)
 
@@ -269,8 +296,13 @@ class OrchestrationStack:
         self.record: Optional[ServiceRecord] = None
         self._arc: Optional[_Arc] = None  # the arc being programmed
 
-    def _stream(self, leaf: Optional[tuple[int, ...]]) -> Optional[SimRng]:
-        return None if leaf is None else self.rng.split(*leaf)
+    def _durations(self, stream: tuple) -> list[SimTime]:
+        """A deployment stream's durations in ns, drawn on the world's key
+        table if it draws."""
+        leaf, durations = stream
+        if leaf is None:
+            return durations
+        return self.rng.keys.draw_ns(self.rng.spawn_key + leaf, durations)
 
     # ---------------------------------------------------------- deployment
 
@@ -304,13 +336,9 @@ class OrchestrationStack:
             self.state.mem_free_mb[node_id] -= mem
         self.record.timestamps.t_vnfs_started = now
         self._pending = len(plan.ns.vnfs)
-        for vnf, leaf, label in zip(plan.ns.vnfs, plan.vnf_streams,
-                                    plan.vnf_labels):
-            rng, dur_s = self._stream(leaf), vnf.instantiation_mean_s
-            if rng is not None:
-                dur_s = rng.lognormal_mean_cv(dur_s, vnf.instantiation_cv)
-            self.kernel.schedule(self._vnf_ready, now + round(dur_s * SECOND),
-                                 label)
+        for stream, label in zip(plan.vnf_streams, plan.vnf_labels):
+            dur_ns, = self._durations(stream)
+            self.kernel.schedule(self._vnf_ready, now + dur_ns, label)
 
     def _vnf_ready(self) -> None:
         self._pending -= 1
@@ -369,19 +397,30 @@ class OrchestrationStack:
                                  self.plan.labels["retune"])
 
     def _bring_up_transponders(self) -> None:
-        """Runs once every ROADM is programmed for the service."""
+        """Runs once every ROADM is programmed for the service: each
+        transponder enters its bring-up phases by events of its own."""
         rec, now = self.record, self.kernel.now()
         rec.timestamps.t_roadms_configured = now
         self._warm = self._operational = 0  # transponders past each phase
-        for tp_id, leaf in zip((rec.path.source, rec.path.destination),
-                               self.plan.transponder_streams):
-            transponder_lifecycle(self.state.transponders[tp_id], now,
-                                  self.kernel, self._on_transponder,
-                                  rng=self._stream(leaf))
+        for phase, stream, labels in zip(
+                (self._source_phase, self._destination_phase),
+                self.plan.transponder_streams, self.plan.transponder_labels):
+            config_ns, warmup_ns = self._durations(stream)
+            for at, label in zip((now, now + config_ns,
+                                  now + config_ns + warmup_ns), labels):
+                self.kernel.schedule(phase, at, label)
 
-    def _on_transponder(self, state: TransponderState) -> None:
-        """Stamps a phase when the second transponder reaches it."""
-        ts = self.record.timestamps
+    def _source_phase(self) -> None:
+        self._next_phase(self.plan.path.source)
+
+    def _destination_phase(self) -> None:
+        self._next_phase(self.plan.path.destination)
+
+    def _next_phase(self, tp_id: NodeId) -> None:
+        """Moves a transponder on to its next phase, and stamps a phase when
+        the second transponder reaches it."""
+        tp, ts = self.state.transponders[tp_id], self.record.timestamps
+        state = tp.state = _NEXT_PHASE[tp.state]
         if state is TransponderState.LASER_WARMUP:
             self._warm += 1
             if self._warm == 2:
@@ -397,8 +436,10 @@ class OrchestrationStack:
 
     def _verify_probe(self) -> None:
         rec, plan = self.record, self.plan
-        rec.probe = measure_round_trip(rec.path, self.state, plan.probe_cfg,
-                                       plan.shot, self._stream(plan.probe_stream))
+        leaf = plan.probe_stream
+        rec.probe = measure_round_trip(
+            rec.path, self.state, plan.probe_cfg, plan.shot,
+            None if leaf is None else self.rng.split(*leaf))
         rec.timestamps.t_probe_verified = self.kernel.now()
         req = plan.ns.connectivity.max_rt_latency_ns
         if req is not None and rec.probe.measured_rt_ns > req:

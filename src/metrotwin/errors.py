@@ -27,10 +27,6 @@ class NoPath(TwinError):
 
 # -- optics -----------------------------------------------------------------
 
-class IllegalTransition(TwinError):
-    """Transponder state machine asked to make a forbidden transition."""
-
-
 class RampConflict(TwinError):
     """A second attenuation ramp was applied to a link with an active one."""
 
@@ -40,6 +36,11 @@ class PathNotOperational(TwinError):
 
 
 # -- control plane ----------------------------------------------------------
+
+class IllegalTransition(TwinError):
+    """A service was asked to make a forbidden state transition, or to start
+    a ROADM programming while another runs."""
+
 
 class IncompleteRecord(TwinError):
     """KPI computation asked for a service record that never went Active."""

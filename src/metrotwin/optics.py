@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import IllegalTransition, PathNotOperational, RampConflict
-from .simkernel import Kernel, SECOND, SimRng, SimTime
-from .topology import OpticalPath, RingState, Transponder, TransponderState
+from .errors import PathNotOperational, RampConflict
+from .simkernel import SECOND, SimRng, SimTime
+from .topology import OpticalPath, RingState, TransponderState
 
 SPEED_OF_LIGHT_M_PER_S = 299792458.0
 
@@ -34,7 +33,7 @@ BER_CEIL = 0.5
 # dB of SNR over the penalty well past where the BER drops below BER_FLOOR
 _FLOOR_ABOVE_PENALTY_DB = 40.0
 
-# Jitter applied to transponder phase durations when sampling is enabled.
+# The coefficient of variation of a transponder phase's duration under jitter.
 TRANSPONDER_JITTER_CV = 0.02
 
 
@@ -155,47 +154,6 @@ def snr_from_ber(ber: float, model: SignalModel) -> float:
             lo = mid
         else:
             hi = mid
-
-
-def transponder_lifecycle(
-    tp: Transponder,
-    configure_at: SimTime,
-    kernel: Kernel,
-    on_state: Callable[[TransponderState], None],
-    rng: Optional[SimRng] = None,
-) -> None:
-    """Drive a transponder Off -> Configuring -> LaserWarmup -> Operational.
-
-    Durations come from the node's nominal config/warm-up times; when ``rng``
-    is given they are lognormal draws with coefficient of variation
-    ``TRANSPONDER_JITTER_CV``, otherwise exact.  Each state is entered by a
-    kernel event, which then calls ``on_state(state)``.
-    """
-    node = tp.node
-    if tp.state is not TransponderState.OFF or tp.lifecycle_pending:
-        raise IllegalTransition(
-            f"transponder {node.id} is {tp.state.value}, lifecycle needs Off")
-    if rng is None:
-        config_ns = node.config_duration_ns
-        warmup_ns = node.warmup_duration_ns
-    else:
-        config_ns = round(rng.lognormal_mean_cv(
-            node.config_duration_ns / SECOND, TRANSPONDER_JITTER_CV) * SECOND)
-        warmup_ns = round(rng.lognormal_mean_cv(
-            node.warmup_duration_ns / SECOND, TRANSPONDER_JITTER_CV) * SECOND)
-    tp.lifecycle_pending = True
-
-    def enter(state: TransponderState) -> None:
-        tp.state = state
-        on_state(state)
-
-    for at, state in (
-            (configure_at, TransponderState.CONFIGURING),
-            (configure_at + config_ns, TransponderState.LASER_WARMUP),
-            (configure_at + config_ns + warmup_ns,
-             TransponderState.OPERATIONAL)):
-        kernel.schedule(lambda state=state: enter(state), at,
-                        kind=("tp", node.id, state))
 
 
 class OpticalPlant:

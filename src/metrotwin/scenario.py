@@ -635,9 +635,11 @@ def _run_latency(sc: Scenario, trace_sink=None) -> dict:
         for rep in range(latency.repetitions):
             world = build_world(sc, (200 + case_idx, rep), plan, trace_sink, keys,
                                 f"latency.cases[{case_idx}] repetition {rep}: ")
+            # the probe stream draws only if the probe has jitter
             m = measure_round_trip(
                 world.record.path, world.stack.state, plan.probe_cfg, plan.shot,
-                world.rng.split(LATENCY_PROBE_STREAM))
+                world.rng.split(LATENCY_PROBE_STREAM)
+                if plan.probe_cfg.jitter_sigma_ns else None)
             measured.append(m.measured_rt_ns)
             estimated = m.estimated_rt_prop_ns
         mean_measured = sum(measured) / len(measured)

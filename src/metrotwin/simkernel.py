@@ -16,7 +16,8 @@ over a row of entropy words per stream, so a runner's ``KeyTable`` keys a
 stream path for all its worlds' roots in one pass, on the path's first draw;
 ``philox_key`` does the same for a single row in Python ints.  ``Philox``
 takes each key as it is.  The streams of one table take turns on one
-``Philox`` generator, reset to a stream's key on that stream's first draw.
+``Philox`` generator, reset to a stream's key on that stream's first draw:
+a ``SimRng`` stream's, or one that ``KeyTable.draw_ns`` draws all at once.
 """
 
 from __future__ import annotations
@@ -74,18 +75,20 @@ def _mix(x, y):
     return r ^ r >> 16
 
 
-def _mixed_pool(head) -> list:
-    """``SeedSequence``'s pool after its first four entropy words, ``head``
-    (uint64 arrays holding a word of every row, or one row's ints): each
-    hashed in, then each mixed into every other.  It hashes 16 times."""
+@functools.lru_cache(maxsize=64)
+def _seed_pool(head: tuple[int, ...]) -> tuple[int, ...]:
+    """``SeedSequence``'s pool after its first four entropy words, ``head``,
+    in Python ints: each hashed in, then each mixed into every other.  They
+    come from the seed, so every stream of a seed shares it.  It hashes 16
+    times."""
     hashmix = _hasher(*_MIX_HASH)
     pool = [hashmix(w) for w in head]
     for src, dst in itertools.permutations(range(4), 2):
         pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    return pool
+    return tuple(pool)
 
 
-# The pool hash's constant after ``_mixed_pool``'s 16 hashes
+# The pool hash's constant after ``_seed_pool``'s 16 hashes
 _MIX_AFTER_POOL = _MIX_HASH[0] * pow(_MIX_HASH[1], 16, 1 << 32) & _M32
 
 
@@ -99,21 +102,20 @@ def _state_words(pool: list, words) -> list:
     return list(map(_hasher(*_OUT_HASH), pool))
 
 
-@functools.lru_cache(maxsize=64)
-def _seed_pool(head: tuple[int, ...]) -> tuple[int, ...]:
-    """``_mixed_pool`` of one row's first four words.  They come from the
-    seed, so every stream of a seed shares it."""
-    return tuple(_mixed_pool(head))
-
-
 def philox_keys(words) -> np.ndarray:
     """Each row's Philox key, ``SeedSequence(row).generate_state(2,
     np.uint64)``, as an (n, 2) uint64 array, for an (n, m) array of entropy
-    words, m >= 4: the seed's, padded to the pool size of 4, then the key's."""
-    cols = list(np.array(words, np.uint32, ndmin=2).T.astype(np.uint64))
-    a, b, c, d = _state_words(_mixed_pool(cols[:4]), cols[4:])
-    # generate_state(2, np.uint64): four output words as two 64-bit ones
-    return np.stack((a | b << 32, c | d << 32), axis=1)
+    words, n >= 1 and m >= 4, whose rows share their first four, the seed's
+    padded to the pool size of 4: so the pool starts from ``_seed_pool``,
+    in Python ints, and only the words past those four are columns."""
+    rows = np.array(words, np.uint32, ndmin=2)
+    a, b, c, d = _state_words(list(_seed_pool(tuple(rows[0, :4].tolist()))),
+                              list(rows[:, 4:].T.astype(np.uint64)))
+    # generate_state(2, np.uint64): four output words as two 64-bit ones,
+    # ints if every row is the seed's alone
+    keys = np.empty((len(rows), 2), np.uint64)
+    keys[:, 0], keys[:, 1] = a | b << 32, c | d << 32
+    return keys
 
 
 def philox_key(words: list[int]) -> list[int]:
@@ -131,11 +133,11 @@ def stream_keys(seed: int, roots: list[tuple[int, ...]],
     do."""
     n, head, tail = len(roots), _words((seed,)), _words(path)
     head += [0] * (4 - len(head))
-    if n == 1:
-        return [philox_key(head + _words(roots[0]) + tail)]
+    if n < 2:
+        return [philox_key(head + _words(root) + tail) for root in roots]
     return philox_keys(np.hstack([
         np.full((n, len(head)), head, np.uint32),
-        np.array(roots, np.uint32).reshape(n, -1 if n else 0),
+        np.array(roots, np.uint32),
         np.full((n, len(tail)), tail, np.uint32)])).tolist()
 
 
@@ -180,6 +182,16 @@ class KeyTable:
             self._shared.bit_generator.state = self._state
         return self.turn, self._shared
 
+    def draw_ns(self, spawn_key: tuple[int, ...],
+                durations: list) -> list[SimTime]:
+        """The durations of the stream at ``spawn_key``, in ns and in draw
+        order: a ``(mu, sigma)`` pair is a lognormal draw in seconds,
+        rounded, and any other value is kept as it is.  The stream draws in
+        one turn."""
+        gen = self.take_turn(self.key(spawn_key))[1]
+        return [round(gen.lognormal(*d) * SECOND) if d.__class__ is tuple
+                else d for d in durations]
+
 
 def _new_generator(key: list[int]) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(_fixed_key()(key)))
@@ -220,37 +232,37 @@ class SimRng:
     it builds a generator of its own and replays its earlier calls on it.
     """
 
-    __slots__ = ("seed", "spawn_key", "_keys", "_gen", "_ticket", "_calls")
+    __slots__ = ("seed", "spawn_key", "keys", "_gen", "_ticket", "_calls")
 
     def __init__(self, seed: int, spawn_key: tuple[int, ...] = (),
                  keys: Optional[KeyTable] = None):
         if keys is None:
             keys = KeyTable(int(seed), [()])
-        self.seed, self.spawn_key, self._keys = keys.seed, tuple(spawn_key), keys
+        self.seed, self.spawn_key, self.keys = keys.seed, tuple(spawn_key), keys
         self._gen: Optional[np.random.Generator] = None
         # the table turn it took on its first draw, and its calls while on
         # the shared generator: None once it has a generator of its own
         self._ticket: Optional[int] = None
-        self._calls: Optional[list[tuple[str, tuple]]] = None
+        self._calls: Optional[list[tuple]] = None
 
     def split(self, *labels: int) -> "SimRng":
-        return SimRng(self.seed, self.spawn_key + labels, self._keys)
+        return SimRng(self.seed, self.spawn_key + labels, self.keys)
 
-    def _draw(self, method: str, *args):
-        """``Generator.<method>(*args)`` on the stream's generator."""
-        keys = self._keys
+    def _normal(self, *args):
+        """``Generator.normal(*args)`` on the stream's generator."""
+        keys = self.keys
         if self._ticket is None:
             self._ticket, self._gen = keys.take_turn(keys.key(self.spawn_key))
             self._calls = []
         elif self._ticket != keys.turn and self._calls is not None:
             # another stream took a turn since
             self._gen = _new_generator(keys.key(self.spawn_key))
-            for name, earlier in self._calls:
-                getattr(self._gen, name)(*earlier)
+            for earlier in self._calls:
+                self._gen.normal(*earlier)
             self._calls = None
         if self._calls is not None:
-            self._calls.append((method, args))
-        return getattr(self._gen, method)(*args)
+            self._calls.append(args)
+        return self._gen.normal(*args)
 
     def normal(self, mu: float = 0.0, sigma: float = 1.0,
                size: Optional[int] = None):
@@ -262,20 +274,13 @@ class SimRng:
         if sigma == 0.0:
             return mu if size is None else np.full(size, mu)
         if size is None:
-            return float(self._draw("normal", mu, sigma))
-        return self._draw("normal", mu, sigma, size)
-
-    def lognormal_mean_cv(self, mean: float, cv: float) -> float:
-        """Lognormal draw parameterised by its mean and coefficient of variation."""
-        if cv == 0.0 or mean == 0.0:
-            return mean
-        return float(self._draw("lognormal", *_lognormal_params(mean, cv)))
+            return float(self._normal(mu, sigma))
+        return self._normal(mu, sigma, size)
 
 
-@functools.lru_cache(maxsize=256)
-def _lognormal_params(mean: float, cv: float) -> tuple[float, float]:
+def lognormal_params(mean: float, cv: float) -> tuple[float, float]:
     """The (mu, sigma) of the lognormal with this mean and coefficient of
-    variation; a world draws the same few (mean, cv) pairs."""
+    variation."""
     sigma2 = math.log1p(cv * cv)
     return math.log(mean) - sigma2 / 2.0, math.sqrt(sigma2)
 

@@ -7,8 +7,7 @@ topology into a frozen ``RingTopology`` once: links, ring order,
 transponders, compute capacities, both arcs of each transponder pair and the
 arc ``select_path`` gives it.  Each world owns only a ``RingState`` over it:
 blocker pass sets and add/drop channels, transponder state, and free compute
-capacity, which only the orchestration stack and transponder lifecycle
-change.
+capacity, which only the orchestration stack changes.
 
 Blocker convention: each 2-degree ROADM has two through-directions, keyed by
 the ring link the light would exit on.  A ROADM passes exactly the (exit
@@ -149,9 +148,7 @@ class Roadm:
 @dataclass
 class Transponder:
     """A transponder in one world."""
-    node: TransponderNode
     state: TransponderState = TransponderState.OFF
-    lifecycle_pending: bool = False  # a lifecycle schedule already exists
 
 
 class RingState:
@@ -160,8 +157,7 @@ class RingState:
     def __init__(self, ring: RingTopology) -> None:
         self.ring = ring
         self.roadms = {r: Roadm() for r in ring.ring_order}
-        self.transponders = {t: Transponder(node)
-                             for t, node in ring.transponders.items()}
+        self.transponders = {t: Transponder() for t in ring.transponders}
         self.vcpu_free = {c: node.vcpu_capacity
                           for c, node in ring.compute_nodes.items()}
         self.mem_free_mb = {c: node.mem_capacity_mb

@@ -1,17 +1,26 @@
 import io
+import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import ring_section, service_section
+from conftest import make_scenario, ring_section, service_section
 from metrotwin.controlplane import (ConnectivityRequirements, DeployPlan,
                                     NsDescriptor, OrchestrationStack,
+                                    REQUEST_ID, STACK_STREAM,
+                                    TRANSPONDER_STREAM, VNF_STREAM,
                                     ServiceStatus, VnfDescriptor,
                                     check_channel_exclusivity,
-                                    check_no_light_loop, trace_channel_light)
+                                    check_no_light_loop, hash_label,
+                                    trace_channel_light)
 from metrotwin.errors import IllegalTransition, IncompleteRecord
-from metrotwin.simkernel import Kernel, SECOND, SimRng
-from metrotwin.topology import build_ring
+from metrotwin.optics import TRANSPONDER_JITTER_CV
+from metrotwin.scenario import build_world, scenario_from_dict
+from metrotwin.simkernel import Kernel, KeyTable, SECOND, SimRng
+from metrotwin.topology import TransponderState, build_ring
 
 
 def descriptor(endpoints=("tp1", "tp2"), computes=("edge1", "edge2"),
@@ -69,6 +78,90 @@ def test_deployment_fires_one_event_per_state_change():
         "tp:tp1:Operational", "tp:tp2:Operational",
         "svc-1:probe",
     ]
+
+
+def fired_at(trace: io.StringIO) -> dict:
+    """Each fired event's label, and when it fired."""
+    return {label: int(at) for at, _, label in
+            (line.split(",") for line in trace.getvalue().splitlines())}
+
+
+def test_transponder_bring_up_timeline():
+    trace = io.StringIO()
+    state, kernel, stack = fresh_stack(kernel=Kernel(trace=trace))
+    at_60_s = []
+    kernel.schedule(lambda: at_60_s.append(state.transponders["tp1"].state),
+                    60 * S)
+    deploy(stack, kernel)
+    # each transponder enters each phase by an event of its own, after the
+    # ROADMs are programmed at 48 s: nominal 2 s configuration, 125 s warm-up
+    fired = fired_at(trace)
+    for tp_id in ("tp1", "tp2"):
+        assert [fired[f"tp:{tp_id}:{phase.value}"] for phase in (
+            TransponderState.CONFIGURING, TransponderState.LASER_WARMUP,
+            TransponderState.OPERATIONAL)] == [48 * S, 50 * S, 175 * S]
+        assert state.transponders[tp_id].state is TransponderState.OPERATIONAL
+    assert at_60_s == [TransponderState.LASER_WARMUP]
+
+
+def jittered(seed: int, vnfs: list[tuple[float, float]]) -> dict:
+    """A jittered setup scenario whose VNFs have these (mean s, cv)."""
+    doc = make_scenario(seed=seed, service=service_section(jitter=True))
+    for entry, (mean, cv) in zip(doc["service"]["vnfs"], vnfs):
+        entry.update(instantiation_mean_s=mean, instantiation_cv=cv)
+    return scenario_from_dict(doc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 130),
+       width=st.integers(min_value=1, max_value=2), data=st.data())
+def test_deploy_draws_equal_numpy_seed_sequence(seed, width, data):
+    # every VNF and transponder duration of a jittered world is a lognormal
+    # draw of its stream, below the world's root in a runner's key table,
+    # in the stream's draw order
+    roots = data.draw(st.lists(st.tuples(*[st.integers(
+        min_value=0, max_value=2 ** 32 - 1)] * width), min_size=1,
+        max_size=4, unique=True))
+    root = data.draw(st.sampled_from(roots))
+    vnfs = [(40.0, 0.05), (31.5, 0.1)]
+    sc = jittered(seed, vnfs)
+    trace = io.StringIO()
+    world = build_world(sc, root, sc.plan(), trace, KeyTable(seed, roots))
+    assert world.record.status is ServiceStatus.ACTIVE
+    service = (STACK_STREAM, hash_label(REQUEST_ID))
+
+    def draws(leaf, *means_cvs):
+        oracle = np.random.Generator(np.random.Philox(np.random.SeedSequence(
+            seed, spawn_key=root + service + leaf)))
+        out = []
+        for mean, cv in means_cvs:
+            sigma2 = math.log1p(cv * cv)
+            out.append(round(oracle.lognormal(
+                math.log(mean) - sigma2 / 2.0, math.sqrt(sigma2)) * SECOND))
+        return out
+
+    fired = fired_at(trace)
+    for i, (vnf, mean_cv) in enumerate(zip(sc.service.descriptor.vnfs, vnfs)):
+        assert [fired[f"{REQUEST_ID}:vnf:{vnf.name}"]] == draws(
+            (VNF_STREAM, i), mean_cv)
+    start = world.record.timestamps.t_roadms_configured
+    for i, tp_id in enumerate(("tp1", "tp2")):
+        config, warmup = draws((TRANSPONDER_STREAM, i),
+                               (2.0, TRANSPONDER_JITTER_CV),
+                               (125.0, TRANSPONDER_JITTER_CV))
+        assert [fired[f"tp:{tp_id}:{phase}"] for phase in (
+            "Configuring", "LaserWarmup", "Operational")] == [
+            start, start + config, start + config + warmup]
+
+
+def test_zero_cv_is_the_mean_under_jitter():
+    # a VNF whose cv is 0 takes its mean exactly and draws nothing: only
+    # the two transponder streams take a turn
+    sc = jittered(7, [(37.5, 0.0), (37.5, 0)])
+    keys = KeyTable(sc.seed, [(0,)])
+    world = build_world(sc, (0,), sc.plan(), keys=keys)
+    assert world.stack.compute_kpis(world.record).kpi_ns_deploy_ns == 37.5 * S
+    assert keys.turn == 2
 
 
 def test_kpis_from_record():

@@ -7,15 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ring_section
-from metrotwin.errors import (IllegalTransition, PathNotOperational,
-                              RampConflict)
+from metrotwin.errors import PathNotOperational, RampConflict
 from metrotwin.optics import (AttenuationRamp, BER_CEIL, BER_FLOOR,
                               LOS_FLOOR_DB, OpticalPlant, SignalModel,
                               ber_from_snr, rt_propagation_delay,
-                              snr_from_ber, transponder_lifecycle)
-from metrotwin.simkernel import Kernel, SECOND, SimRng
-from metrotwin.topology import (RingState, Transponder, TransponderState,
-                               build_ring)
+                              snr_from_ber)
+from metrotwin.simkernel import SECOND, SimRng
+from metrotwin.topology import RingState, TransponderState, build_ring
 
 mpmath.mp.dps = 60
 
@@ -208,40 +206,3 @@ def test_telemetry_noise_is_seeded():
     clean = plant.sample_telemetry(path, 0, model, 0.0, SimRng(5))
     assert clean.snr_db == pytest.approx(21.84)
     assert clean.pre_fec_ber == pytest.approx(ber_from_snr(21.84, model))
-
-
-def test_transponder_lifecycle_timeline():
-    tp = Transponder(build_ring(ring_section()).transponders["tp1"])
-    k = Kernel()
-    entered = []
-    transponder_lifecycle(tp, 48 * SECOND, k,
-                          lambda s: entered.append((k.now(), s)))
-    with pytest.raises(IllegalTransition):
-        transponder_lifecycle(tp, 48 * SECOND, k, entered.append)  # pending
-    at_60_s = []
-    k.schedule(lambda: at_60_s.append(tp.state), 60 * SECOND)
-    k.run_to_end()
-    assert entered == [(48 * SECOND, TransponderState.CONFIGURING),
-                       (50 * SECOND, TransponderState.LASER_WARMUP),
-                       (175 * SECOND, TransponderState.OPERATIONAL)]
-    assert at_60_s == [TransponderState.LASER_WARMUP]
-    assert tp.state is TransponderState.OPERATIONAL
-    with pytest.raises(IllegalTransition):
-        transponder_lifecycle(tp, k.now(), k, entered.append)  # not Off
-
-
-def test_transponder_lifecycle_jitter_draws():
-    tp = Transponder(build_ring(ring_section()).transponders["tp1"])
-    k = Kernel()
-    entered = []
-    transponder_lifecycle(tp, 0, k, lambda s: entered.append((k.now(), s)),
-                          rng=SimRng(3))
-    k.run_to_end()
-    assert [s for _, s in entered] == [TransponderState.CONFIGURING,
-                                       TransponderState.LASER_WARMUP,
-                                       TransponderState.OPERATIONAL]
-    config = entered[1][0]
-    warmup = entered[2][0] - entered[1][0]
-    assert config != 2 * SECOND  # jittered
-    assert abs(config - 2 * SECOND) < 0.5 * SECOND
-    assert abs(warmup - 125 * SECOND) < 20 * SECOND

@@ -15,7 +15,8 @@ from metrotwin.cli import main
 from metrotwin.errors import RunawaySimulation, SchedulingInPast
 from metrotwin.scenario import build_world, load_scenario
 from metrotwin.simkernel import (Kernel, KeyTable, SECOND, SimRng,
-                                 philox_key, philox_keys, stream_keys)
+                                 lognormal_params, philox_key, philox_keys,
+                                 stream_keys)
 
 
 def test_events_fire_in_time_order():
@@ -157,14 +158,18 @@ def test_rng_reproducible_and_split_independent():
 def test_rng_zero_sigma_is_exact():
     r = SimRng(0)
     assert r.normal(40.0, 0.0) == 40.0
-    assert r.lognormal_mean_cv(125.0, 0.0) == 125.0
+    assert list(r.normal(40.0, 0.0, 3)) == [40.0] * 3
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.floats(min_value=0.5, max_value=200.0),
        st.floats(min_value=0.005, max_value=0.3))
 def test_lognormal_mean_cv_parameterisation(mean, cv):
-    draws = [SimRng(42).split(i).lognormal_mean_cv(mean, cv) for i in range(400)]
+    # one stream per root, each drawn in one turn, as a world's deployment
+    # streams are
+    keys = KeyTable(42, [(i,) for i in range(400)])
+    params = lognormal_params(mean, cv)
+    draws = [keys.draw_ns((i,), [params])[0] / SECOND for i in range(400)]
     assert all(x > 0 for x in draws)
     sample_mean = sum(draws) / len(draws)
     assert abs(sample_mean - mean) / mean < 6 * cv / 20  # 6 sigma of the mean estimate
@@ -179,20 +184,30 @@ def test_lognormal_mean_cv_parameterisation(mean, cv):
        cv=st.floats(min_value=0.005, max_value=0.3))
 def test_rng_draws_equal_numpy_seed_sequence(seed, key, cut, size, mean, cv):
     key = tuple(key)
-    oracle = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(seed, spawn_key=key)))
+
+    def oracle():
+        return np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(seed, spawn_key=key)))
+
+    stream = oracle()
+    expected = [stream.normal(1.5, 2.0), *stream.normal(1.5, 2.0, size),
+                stream.normal(1.5, 2.0)]
     sigma2 = math.log1p(cv * cv)
-    expected = [oracle.normal(1.5, 2.0), *oracle.normal(1.5, 2.0, size),
-                oracle.lognormal(math.log(mean) - sigma2 / 2.0,
-                                 math.sqrt(sigma2)),
-                oracle.normal(1.5, 2.0)]
+    params = (math.log(mean) - sigma2 / 2.0, math.sqrt(sigma2))
+    assert lognormal_params(mean, cv) == params
+    # the table draws the stream's durations in one turn, from its start
+    drawn = oracle()
+    durations = [round(drawn.lognormal(*params) * SECOND), 7,
+                 round(drawn.lognormal(*params) * SECOND)]
     streams = [SimRng(seed, key), SimRng(seed).split(*key),
                reduce(SimRng.split, key, SimRng(seed)),
                SimRng(seed, key[:cut]).split(*key[cut:])]
     for rng in streams:
         assert rng.spawn_key == key
-        assert [rng.normal(1.5, 2.0), *rng.normal(1.5, 2.0, size),
-                rng.lognormal_mean_cv(mean, cv),
+        first = rng.normal(1.5, 2.0)
+        assert rng.keys.draw_ns(key, [params, 7, params]) == durations
+        # the stream lost its turn to the table's draw, and replays
+        assert [first, *rng.normal(1.5, 2.0, size),
                 rng.normal(1.5, 2.0)] == expected
 
 
@@ -235,11 +250,16 @@ def test_split_tree_draws_equal_numpy_seed_sequence(seed, width, data):
             assert list(rng.normal(1.5, 2.0, size)) == \
                 list(oracle.normal(1.5, 2.0, size))
         else:
+            # the stream's durations in one turn, from the stream's start:
+            # a stream that held the turn replays when it draws again
             mean = data.draw(st.floats(min_value=0.5, max_value=200.0))
             cv = data.draw(st.floats(min_value=0.005, max_value=0.3))
             sigma2 = math.log1p(cv * cv)
-            assert rng.lognormal_mean_cv(mean, cv) == oracle.lognormal(
-                math.log(mean) - sigma2 / 2.0, math.sqrt(sigma2))
+            params = (math.log(mean) - sigma2 / 2.0, math.sqrt(sigma2))
+            fresh = np.random.Generator(np.random.Philox(
+                np.random.SeedSequence(seed, spawn_key=paths[i])))
+            assert rng.keys.draw_ns(rng.spawn_key, [params]) == [
+                round(fresh.lognormal(*params) * SECOND)]
 
 
 def count_philox(monkeypatch) -> list:
@@ -272,23 +292,33 @@ def test_streams_build_a_generator_only_when_they_draw(monkeypatch):
     built = count_philox(monkeypatch)
     idle = SimRng(5).split(1, 2)
     assert idle.normal(3.0, 0.0) == 3.0
-    assert idle.lognormal_mean_cv(40.0, 0.0) == 40.0
+    assert list(idle.normal(3.0, 0.0, 2)) == [3.0, 3.0]
     assert built == []
     sc = load_scenario(SCENARIO_DIR / "paper_setup.json")
     assert sc.service.jitter
     tables = record_tables(monkeypatch)
+    made = []
+    init = SimRng.__init__
+
+    def recording_init(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(SimRng, "__init__", recording_init)
     build_world(sc, (0,))
-    # two VNF and two transponder streams draw, each on its first draw
-    # taking a turn on the world's one generator; the world root only
-    # splits, and no probe stream is made (jitter_sigma_ns 0)
+    # two VNF and two transponder streams draw, each through the world's
+    # key table in one turn on its one generator; the world's one SimRng is
+    # its root, and no probe stream is made (jitter_sigma_ns 0)
     assert [table.turn for table in tables] == [4]
     assert len(built) == len(tables)
+    assert made == [(sc.seed, (0,), None)]
 
 
 def test_streams_take_turns_on_one_generator_and_replay_when_they_lose_it(
         monkeypatch):
     oracles = [np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(3, spawn_key=key))) for key in ((0, 7), (1, 7))]
+        np.random.SeedSequence(3, spawn_key=key)))
+        for key in ((0, 7), (1, 7), (0, 8))]
     built = count_philox(monkeypatch)
     keys = KeyTable(3, [(0,), (1,)])
     a, b = SimRng(3, (0, 7), keys), SimRng(3, (1, 7), keys)
@@ -297,13 +327,20 @@ def test_streams_take_turns_on_one_generator_and_replay_when_they_lose_it(
     assert keys.turn == 2 and len(built) == 1
     # a lost its turn to b: it replays its first draw on a generator of its
     # own, and draws on there from then on
-    mu, sigma = math.log(40.0) - math.log1p(0.01) / 2, math.sqrt(math.log1p(0.01))
-    assert a.lognormal_mean_cv(40.0, 0.1) == oracles[0].lognormal(mu, sigma)
+    assert a.normal(40.0, 0.1) == oracles[0].normal(40.0, 0.1)
     assert list(a.normal(0.0, 1.0, 9)) == list(oracles[0].normal(0.0, 1.0, 9))
     assert len(built) == 2
     # b still holds its turn
     assert b.normal(0.0, 1.0) == oracles[1].normal(0.0, 1.0)
     assert keys.turn == 2 and len(built) == 2
+    # a stream drawn through the table takes the next turn on the shared
+    # generator, from the stream's start; b lost its turn to it, and replays
+    mu, sigma = math.log(40.0) - math.log1p(0.01) / 2, math.sqrt(math.log1p(0.01))
+    assert keys.draw_ns((0, 8), [(mu, sigma), 5]) == [
+        round(oracles[2].lognormal(mu, sigma) * SECOND), 5]
+    assert keys.turn == 3 and len(built) == 2
+    assert b.normal(0.0, 1.0) == oracles[1].normal(0.0, 1.0)
+    assert len(built) == 3
 
 
 @settings(max_examples=60, deadline=None)
