@@ -79,7 +79,8 @@ def measure_round_trip(path: OpticalPath, state: RingState, cfg: ProbeConfig,
                        shot: LatencyMeasurement, rng: Optional[SimRng] = None
                        ) -> LatencyMeasurement:
     """One probe shot over an operational path: ``shot``, the path's
-    noiseless round trip as ``noiseless_round_trip`` gives it, plus jitter."""
+    noiseless round trip as ``noiseless_round_trip`` gives it, plus jitter.
+    A jittered shot never measures less than its propagation delay."""
     if path.channel is None:
         raise PathNotOperational("path has no channel assigned")
     for tp_id in (path.source, path.destination):
@@ -89,7 +90,8 @@ def measure_round_trip(path: OpticalPath, state: RingState, cfg: ProbeConfig,
     if cfg.jitter_sigma_ns and rng is not None:
         shot = LatencyMeasurement(
             shot.link_length_m,
-            shot.measured_rt_ns + round(rng.normal(0.0, cfg.jitter_sigma_ns)),
+            max(shot.estimated_rt_prop_ns, shot.measured_rt_ns
+                + round(rng.normal(0.0, cfg.jitter_sigma_ns))),
             shot.estimated_rt_prop_ns)
     return shot
 

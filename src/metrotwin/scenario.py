@@ -97,6 +97,8 @@ _MAX_CV = math.sqrt(sys.float_info.max)
 _NAME, _OBJECT, _OBJECTS = (_Key(kind, True)
                             for kind in ("string", "object", "objects"))
 _NUMBER, _INTEGER = _Key("number"), _Key("integer")
+# a delay in nanoseconds, at most _MAX_S
+_NS = _Key("integer", low=0, high=_MAX_S * SECOND)
 
 # schema path -> (the target its fields build, or None to keep them as a
 # dict; its keys).  Ranges that a target checks itself are not repeated.
@@ -113,8 +115,7 @@ _TABLE = {
     "topology.links[]": (None, {
         "id": _NAME, "endpoints": _Key("pair", True),
         "length_m": _Key("number", True, high=_MAX_M),
-        "group_index": _NUMBER,
-        "legacy_residual_delay_ns": _Key("integer", low=0)}),
+        "group_index": _NUMBER, "legacy_residual_delay_ns": _NS}),
     "topology.transponders[]": (None, {
         "id": _NAME, "roadm": _NAME,
         "config_duration_ns": _Key("integer", low=1, high=_MAX_S * SECOND),
@@ -151,9 +152,9 @@ _TABLE = {
     "latency.cases[]": (None, {
         "length_km": _Key("number", True, low=0, high=_MAX_M / 1000,
                           unit="km", field="length_m"),
-        "legacy_residual_delay_ns": _Key("integer", low=0)}),
+        "legacy_residual_delay_ns": _NS}),
     "latency.probe": (ProbeConfig, {
-        key: _Key("integer", low=0)
+        key: _NS
         for key in ("probe_overhead_ns", "switch_overhead_ns",
                     "optical_device_overhead_ns", "jitter_sigma_ns")}),
     "latency.attribution": (None, {

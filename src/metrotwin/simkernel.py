@@ -15,9 +15,10 @@ the same (seed, spawn path) always yields the same values.
 over a row of entropy words per stream, so a runner's ``KeyTable`` keys a
 stream path for all its worlds' roots in one pass, on the path's first draw;
 ``philox_key`` does the same for a single row in Python ints.  ``Philox``
-takes each key as it is.  The streams of one table take turns on one
-``Philox`` generator, reset to a stream's key on that stream's first draw:
-a ``SimRng`` stream's, or one that ``KeyTable.draw_ns`` draws all at once.
+takes each key as it is.  The streams of one table take turns on its one
+``Philox`` generator: every draw, a ``SimRng`` stream's or one that
+``KeyTable.draw_ns`` draws all at once, takes a turn, which resets the
+generator to the stream's key.
 """
 
 from __future__ import annotations
@@ -147,15 +148,14 @@ class KeyTable:
     ``stream_keys`` pass, into a list column read one row at a time.
 
     The table's streams take turns on one generator, built on the first
-    draw: a stream's first draw takes the next turn, which resets the
-    generator to the stream's key.  ``turn`` counts the turns taken.
+    draw: every draw takes a turn, which resets the generator to the
+    drawing stream's key, so the table builds one ``Philox`` at most.
     """
 
     def __init__(self, seed: int, roots: list[tuple[int, ...]]):
         self.seed, self.roots, self._columns = seed, roots, {}
         self._row = {root: i for i, root in enumerate(roots)}
         self._width = len(roots[0]) if roots else 0
-        self.turn = 0
         self._shared: Optional[np.random.Generator] = None
         # a fresh Philox's state in Python ints, whose key each turn swaps
         self._state = {"bit_generator": "Philox",
@@ -171,30 +171,25 @@ class KeyTable:
             column = self._columns[path] = stream_keys(self.seed, self.roots, path)
         return column[self._row[root]]
 
-    def take_turn(self, key: list[int]) -> tuple[int, np.random.Generator]:
-        """The next turn, and the shared generator as ``Philox`` builds it
-        from ``key``."""
-        self.turn += 1
+    def take_turn(self, key: list[int]) -> np.random.Generator:
+        """The shared generator, as ``Philox`` builds it from ``key``."""
         if self._shared is None:
-            self._shared = _new_generator(key)
+            self._shared = np.random.Generator(
+                np.random.Philox(_fixed_key()(key)))
         else:
             self._state["state"]["key"] = key
             self._shared.bit_generator.state = self._state
-        return self.turn, self._shared
+        return self._shared
 
     def draw_ns(self, spawn_key: tuple[int, ...],
                 durations: list) -> list[SimTime]:
         """The durations of the stream at ``spawn_key``, in ns and in draw
         order: a ``(mu, sigma)`` pair is a lognormal draw in seconds,
         rounded, and any other value is kept as it is.  The stream draws in
-        one turn."""
-        gen = self.take_turn(self.key(spawn_key))[1]
+        one turn, from its start."""
+        gen = self.take_turn(self.key(spawn_key))
         return [round(gen.lognormal(*d) * SECOND) if d.__class__ is tuple
                 else d for d in durations]
-
-
-def _new_generator(key: list[int]) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(_fixed_key()(key)))
 
 
 @functools.cache
@@ -227,55 +222,46 @@ class SimRng:
     independent child stream from integer labels; the (seed, spawn path)
     pair fully determines every draw.  Its key comes from ``keys``, the
     ``KeyTable`` over ``seed`` that splits pass on, or from a one-row table
-    over the root ``()`` of its own.  Its first draw, if any, takes a turn on
-    the table's generator.  Drawing again after another stream took a turn,
-    it builds a generator of its own and replays its earlier calls on it.
+    over the root ``()`` of its own.  Each draw takes a turn on the table's
+    generator and skips the standard normals the stream drew before, so a
+    stream's n-th draw re-draws its n - 1 earlier ones; every stream of the
+    twin draws once, but a soft-failure episode's noise when no sample of
+    its first block crosses.
     """
 
-    __slots__ = ("seed", "spawn_key", "keys", "_gen", "_ticket", "_calls")
+    __slots__ = ("seed", "spawn_key", "keys", "_drawn")
 
     def __init__(self, seed: int, spawn_key: tuple[int, ...] = (),
                  keys: Optional[KeyTable] = None):
         if keys is None:
             keys = KeyTable(int(seed), [()])
+        elif keys.seed != seed:
+            raise ValueError(f"SimRng seed {seed} differs from the seed "
+                             f"{keys.seed} of its key table")
         self.seed, self.spawn_key, self.keys = keys.seed, tuple(spawn_key), keys
-        self._gen: Optional[np.random.Generator] = None
-        # the table turn it took on its first draw, and its calls while on
-        # the shared generator: None once it has a generator of its own
-        self._ticket: Optional[int] = None
-        self._calls: Optional[list[tuple]] = None
+        self._drawn = 0
 
     def split(self, *labels: int) -> "SimRng":
         return SimRng(self.seed, self.spawn_key + labels, self.keys)
-
-    def _normal(self, *args):
-        """``Generator.normal(*args)`` on the stream's generator."""
-        keys = self.keys
-        if self._ticket is None:
-            self._ticket, self._gen = keys.take_turn(keys.key(self.spawn_key))
-            self._calls = []
-        elif self._ticket != keys.turn and self._calls is not None:
-            # another stream took a turn since
-            self._gen = _new_generator(keys.key(self.spawn_key))
-            for earlier in self._calls:
-                self._gen.normal(*earlier)
-            self._calls = None
-        if self._calls is not None:
-            self._calls.append(args)
-        return self._gen.normal(*args)
 
     def normal(self, mu: float = 0.0, sigma: float = 1.0,
                size: Optional[int] = None):
         """One draw as a float, or ``size`` draws as an array.
 
         ``size=k`` yields exactly the next k single draws, so a stream may be
-        consumed in blocks.  ``sigma == 0`` draws nothing.
+        consumed in blocks.  ``sigma == 0`` draws nothing and takes no turn;
+        any other draw takes a turn and skips the stream's earlier draws, as
+        ``Generator.normal(mu, sigma)`` is ``mu + sigma * standard_normal()``.
         """
         if sigma == 0.0:
             return mu if size is None else np.full(size, mu)
+        gen = self.keys.take_turn(self.keys.key(self.spawn_key))
+        gen.standard_normal(self._drawn)  # the stream's earlier draws
         if size is None:
-            return float(self._normal(mu, sigma))
-        return self._normal(mu, sigma, size)
+            self._drawn += 1
+            return float(gen.normal(mu, sigma))
+        self._drawn += size
+        return gen.normal(mu, sigma, size)
 
 
 def lognormal_params(mean: float, cv: float) -> tuple[float, float]:

@@ -62,6 +62,22 @@ def shipped(name):
     return json.loads((SCENARIO_DIR / name).read_text())
 
 
+def count_turns(monkeypatch) -> list:
+    """The key table of each turn taken on a table's generator from here
+    on, one entry a turn."""
+    from metrotwin.simkernel import KeyTable
+
+    turns = []
+    take_turn = KeyTable.take_turn
+
+    def counting_take_turn(self, key):
+        turns.append(self)
+        return take_turn(self, key)
+
+    monkeypatch.setattr(KeyTable, "take_turn", counting_take_turn)
+    return turns
+
+
 @pytest.fixture
 def topo():
     from metrotwin.topology import build_ring

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SCENARIO_DIR, make_scenario
+from conftest import SCENARIO_DIR, make_scenario, shipped
 from metrotwin import cli
 from metrotwin.cli import main
 from metrotwin.scenario import RunReport, run_scenario, scenario_from_dict
@@ -501,6 +501,14 @@ def set_key(doc, path, value):
     ("service.vnfs", [{"name": "a", "vcpu": 4, "compute": "edge1"},
                       {"name": "b", "vcpu": 13, "compute": "edge1"}],
      "service.vnfs[1].vcpu: the VNFs on edge1 ask for 17 in all; it has 16"),
+    # a float of the round trip overflows: validate passed and a run exited
+    # 2 with an OverflowError before, or validate died with a traceback
+    *(pytest.param(path, 10**320, None, id=f"{path}-10**320") for path in (
+        "topology.links[0].legacy_residual_delay_ns",
+        "latency.cases[0].legacy_residual_delay_ns",
+        "latency.probe.probe_overhead_ns", "latency.probe.switch_overhead_ns",
+        "latency.probe.optical_device_overhead_ns",
+        "latency.probe.jitter_sigma_ns")),
 ])
 def test_bad_document_fails_validation_naming_key(tmp_path, capsys, path,
                                                   value, named):
@@ -511,6 +519,34 @@ def test_bad_document_fails_validation_naming_key(tmp_path, capsys, path,
         assert main([command, "--scenario", scenario]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and (named or path) in err
+
+
+def test_nanosecond_delays_at_their_bound_run(tmp_path, capsys):
+    # every nanosecond delay a document sets, at its bound of 1e9 s: the
+    # round trips stay within the clock and floats
+    doc = shipped("paper_table2.json")
+    for section in (doc["topology"]["links"], doc["latency"]["cases"]):
+        for item in section:
+            item["legacy_residual_delay_ns"] = 10**18
+    doc["latency"]["probe"] = dict.fromkeys((
+        "probe_overhead_ns", "switch_overhead_ns",
+        "optical_device_overhead_ns", "jitter_sigma_ns"), 10**18)
+    scenario = write(tmp_path, doc)
+    assert main(["validate", "--scenario", scenario]) == 0
+    assert main(["latency", "--scenario", scenario, "--repeat", "2"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_jittered_probe_never_measures_less_than_propagation(tmp_path):
+    # 10 ms of probe jitter on a 2.1 m case: a shot below the light's round
+    # trip is clamped to it, so no delta is negative
+    doc = shipped("paper_table2.json")
+    doc["latency"].update(probe={"jitter_sigma_ns": 10**7}, repetitions=3)
+    out = tmp_path / "report.json"
+    assert main(["latency", "--scenario", write(tmp_path, doc),
+                 "--format", "json", "--out", str(out)]) == 0
+    cases = json.loads(out.read_text())["results"]["latency"]["cases"]
+    assert all(float(case["delta_us"]) >= 0 for case in cases)
 
 
 @pytest.mark.parametrize("command,world", [

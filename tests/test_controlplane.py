@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_scenario, ring_section, service_section
+from conftest import count_turns, make_scenario, ring_section, service_section
 from metrotwin.controlplane import (ConnectivityRequirements, DeployPlan,
                                     NsDescriptor, OrchestrationStack,
                                     REQUEST_ID, STACK_STREAM,
@@ -154,14 +154,15 @@ def test_deploy_draws_equal_numpy_seed_sequence(seed, width, data):
             start, start + config, start + config + warmup]
 
 
-def test_zero_cv_is_the_mean_under_jitter():
+def test_zero_cv_is_the_mean_under_jitter(monkeypatch):
     # a VNF whose cv is 0 takes its mean exactly and draws nothing: only
     # the two transponder streams take a turn
     sc = jittered(7, [(37.5, 0.0), (37.5, 0)])
     keys = KeyTable(sc.seed, [(0,)])
+    turns = count_turns(monkeypatch)
     world = build_world(sc, (0,), sc.plan(), keys=keys)
     assert world.stack.compute_kpis(world.record).kpi_ns_deploy_ns == 37.5 * S
-    assert keys.turn == 2
+    assert turns == [keys] * 2
 
 
 def test_kpis_from_record():

@@ -68,6 +68,16 @@ def test_probe_jitter_seeded():
     assert a == b != c
 
 
+@settings(max_examples=50, deadline=None)
+@given(sigma=st.integers(min_value=1, max_value=10**9),
+       seed=st.integers(min_value=0, max_value=2**64))
+def test_jittered_shot_never_beats_light(sigma, seed):
+    state = RingState(build_ring(ring_section()))
+    m = measure(lit_path(state), state, ProbeConfig(jitter_sigma_ns=sigma),
+                rng=SimRng(seed))
+    assert m.measured_rt_ns >= m.estimated_rt_prop_ns
+
+
 # budget fitting
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SCENARIO_DIR
+from conftest import SCENARIO_DIR, count_turns
 from metrotwin import simkernel
 from metrotwin.cli import main
 from metrotwin.errors import RunawaySimulation, SchedulingInPast
@@ -206,7 +206,7 @@ def test_rng_draws_equal_numpy_seed_sequence(seed, key, cut, size, mean, cv):
         assert rng.spawn_key == key
         first = rng.normal(1.5, 2.0)
         assert rng.keys.draw_ns(key, [params, 7, params]) == durations
-        # the stream lost its turn to the table's draw, and replays
+        # each draw takes a turn, and skips the stream's earlier draws
         assert [first, *rng.normal(1.5, 2.0, size),
                 rng.normal(1.5, 2.0)] == expected
 
@@ -219,7 +219,8 @@ def test_split_tree_draws_equal_numpy_seed_sequence(seed, width, data):
     # random order: each matches its own numpy generator draw for draw.
     # The tree grows from the roots of one key table, as a runner's worlds
     # do (equal width, labels below 2**32), from the root of a one-row
-    # table and from an untabled stream; the last two key on Python ints
+    # table and from an untabled stream; the last two key on Python ints.
+    # However the draws interleave, each table that draws builds one Philox
     labels = st.lists(st.integers(min_value=0, max_value=2 ** 80), max_size=3)
     roots = data.draw(st.lists(st.tuples(*[st.integers(
         min_value=0, max_value=2 ** 32 - 1)] * width), min_size=1,
@@ -230,45 +231,50 @@ def test_split_tree_draws_equal_numpy_seed_sequence(seed, width, data):
     nodes.append(SimRng(seed, roots[0], KeyTable(seed, roots[:1])))
     nodes.append(SimRng(seed, untabled))
     paths = roots + [roots[0], untabled]
-    oracles = {}
-    for _ in range(data.draw(st.integers(min_value=1, max_value=25))):
-        i = data.draw(st.integers(min_value=0, max_value=len(nodes) - 1))
-        if data.draw(st.booleans()):
-            key = tuple(data.draw(labels))
-            nodes.append(nodes[i].split(*key))
-            paths.append(paths[i] + key)
-            continue
-        rng = nodes[i]
-        assert rng.spawn_key == paths[i]
-        oracle = oracles.setdefault(i, np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(seed, spawn_key=paths[i]))))
-        kind = data.draw(st.sampled_from(["normal", "block", "lognormal"]))
-        if kind == "normal":
-            assert rng.normal(1.5, 2.0) == oracle.normal(1.5, 2.0)
-        elif kind == "block":
-            size = data.draw(st.integers(min_value=1, max_value=9))
-            assert list(rng.normal(1.5, 2.0, size)) == \
-                list(oracle.normal(1.5, 2.0, size))
-        else:
-            # the stream's durations in one turn, from the stream's start:
-            # a stream that held the turn replays when it draws again
-            mean = data.draw(st.floats(min_value=0.5, max_value=200.0))
-            cv = data.draw(st.floats(min_value=0.005, max_value=0.3))
-            sigma2 = math.log1p(cv * cv)
-            params = (math.log(mean) - sigma2 / 2.0, math.sqrt(sigma2))
-            fresh = np.random.Generator(np.random.Philox(
-                np.random.SeedSequence(seed, spawn_key=paths[i])))
-            assert rng.keys.draw_ns(rng.spawn_key, [params]) == [
-                round(fresh.lognormal(*params) * SECOND)]
+    oracles, drew = {}, set()
+    with pytest.MonkeyPatch.context() as patch:
+        built = count_philox(patch)
+        for _ in range(data.draw(st.integers(min_value=1, max_value=25))):
+            i = data.draw(st.integers(min_value=0, max_value=len(nodes) - 1))
+            if data.draw(st.booleans()):
+                key = tuple(data.draw(labels))
+                nodes.append(nodes[i].split(*key))
+                paths.append(paths[i] + key)
+                continue
+            rng = nodes[i]
+            assert rng.spawn_key == paths[i]
+            drew.add(id(rng.keys))
+            oracle = oracles.setdefault(i, np.random.Generator(np.random.Philox(
+                np.random.SeedSequence(seed, spawn_key=paths[i]))))
+            kind = data.draw(st.sampled_from(["normal", "block", "lognormal"]))
+            if kind == "normal":
+                assert rng.normal(1.5, 2.0) == oracle.normal(1.5, 2.0)
+            elif kind == "block":
+                size = data.draw(st.integers(min_value=1, max_value=9))
+                assert list(rng.normal(1.5, 2.0, size)) == \
+                    list(oracle.normal(1.5, 2.0, size))
+            else:
+                # the stream's durations in one turn, from the stream's start
+                mean = data.draw(st.floats(min_value=0.5, max_value=200.0))
+                cv = data.draw(st.floats(min_value=0.005, max_value=0.3))
+                sigma2 = math.log1p(cv * cv)
+                params = (math.log(mean) - sigma2 / 2.0, math.sqrt(sigma2))
+                fresh = np.random.Generator(np.random.Philox(
+                    np.random.SeedSequence(seed, spawn_key=paths[i])))
+                assert rng.keys.draw_ns(rng.spawn_key, [params]) == [
+                    round(fresh.lognormal(*params) * SECOND)]
+    assert len(built) == len(drew)
 
 
 def count_philox(monkeypatch) -> list:
-    """Each ``Philox`` a stream builds from here on."""
+    """Each ``Philox`` a stream builds from here on; a test's numpy oracle,
+    built from a ``SeedSequence``, is not counted."""
     built = []
     philox = simkernel.np.random.Philox
 
     def counting_philox(seq, **kwargs):
-        built.append(seq)
+        if not isinstance(seq, np.random.SeedSequence):
+            built.append(seq)
         return philox(seq, **kwargs)
 
     monkeypatch.setattr(simkernel.np.random, "Philox", counting_philox)
@@ -289,11 +295,11 @@ def record_tables(monkeypatch) -> list:
 
 
 def test_streams_build_a_generator_only_when_they_draw(monkeypatch):
-    built = count_philox(monkeypatch)
+    built, turns = count_philox(monkeypatch), count_turns(monkeypatch)
     idle = SimRng(5).split(1, 2)
     assert idle.normal(3.0, 0.0) == 3.0
     assert list(idle.normal(3.0, 0.0, 2)) == [3.0, 3.0]
-    assert built == []
+    assert built == [] and turns == []
     sc = load_scenario(SCENARIO_DIR / "paper_setup.json")
     assert sc.service.jitter
     tables = record_tables(monkeypatch)
@@ -309,38 +315,47 @@ def test_streams_build_a_generator_only_when_they_draw(monkeypatch):
     # two VNF and two transponder streams draw, each through the world's
     # key table in one turn on its one generator; the world's one SimRng is
     # its root, and no probe stream is made (jitter_sigma_ns 0)
-    assert [table.turn for table in tables] == [4]
+    assert len(tables) == 1 and turns == tables * 4
     assert len(built) == len(tables)
     assert made == [(sc.seed, (0,), None)]
 
 
-def test_streams_take_turns_on_one_generator_and_replay_when_they_lose_it(
-        monkeypatch):
-    oracles = [np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(3, spawn_key=key)))
-        for key in ((0, 7), (1, 7), (0, 8))]
-    built = count_philox(monkeypatch)
+@settings(max_examples=40, deadline=None)
+@given(draws=st.lists(st.tuples(st.sampled_from("abt"),
+                                st.integers(min_value=0, max_value=4)),
+                      max_size=12))
+def test_streams_take_turns_on_one_generator(draws):
+    # two SimRng streams and a stream drawn through the table, interleaved
+    # in any order: each draw (a single one at size 0) takes one turn on
+    # the table's one Philox and matches its stream's numpy generator
+    def oracle(key):
+        return np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(3, spawn_key=key)))
+
+    oracles = {"a": oracle((0, 7)), "b": oracle((1, 7))}
+    mu, sigma = lognormal_params(40.0, 0.1)
+    # the table draws the stream's durations in one turn, from its start
+    durations = [round(oracle((0, 8)).lognormal(mu, sigma) * SECOND), 5]
     keys = KeyTable(3, [(0,), (1,)])
-    a, b = SimRng(3, (0, 7), keys), SimRng(3, (1, 7), keys)
-    assert a.normal(1.0, 2.0) == oracles[0].normal(1.0, 2.0)
-    assert b.normal(1.0, 2.0) == oracles[1].normal(1.0, 2.0)
-    assert keys.turn == 2 and len(built) == 1
-    # a lost its turn to b: it replays its first draw on a generator of its
-    # own, and draws on there from then on
-    assert a.normal(40.0, 0.1) == oracles[0].normal(40.0, 0.1)
-    assert list(a.normal(0.0, 1.0, 9)) == list(oracles[0].normal(0.0, 1.0, 9))
-    assert len(built) == 2
-    # b still holds its turn
-    assert b.normal(0.0, 1.0) == oracles[1].normal(0.0, 1.0)
-    assert keys.turn == 2 and len(built) == 2
-    # a stream drawn through the table takes the next turn on the shared
-    # generator, from the stream's start; b lost its turn to it, and replays
-    mu, sigma = math.log(40.0) - math.log1p(0.01) / 2, math.sqrt(math.log1p(0.01))
-    assert keys.draw_ns((0, 8), [(mu, sigma), 5]) == [
-        round(oracles[2].lognormal(mu, sigma) * SECOND), 5]
-    assert keys.turn == 3 and len(built) == 2
-    assert b.normal(0.0, 1.0) == oracles[1].normal(0.0, 1.0)
-    assert len(built) == 3
+    streams = {"a": SimRng(3, (0, 7), keys), "b": SimRng(3, (1, 7), keys)}
+    with pytest.MonkeyPatch.context() as patch:
+        built, turns = count_philox(patch), count_turns(patch)
+        for name, size in draws:
+            if name == "t":
+                assert keys.draw_ns((0, 8), [(mu, sigma), 5]) == durations
+            elif size == 0:
+                assert streams[name].normal(1.0, 2.0) == \
+                    oracles[name].normal(1.0, 2.0)
+            else:
+                assert list(streams[name].normal(0.0, 1.0, size)) == \
+                    list(oracles[name].normal(0.0, 1.0, size))
+    assert turns == [keys] * len(draws)
+    assert len(built) == min(len(draws), 1)
+
+
+def test_stream_refuses_a_table_of_another_seed():
+    with pytest.raises(ValueError, match="seed 5 .* seed 7"):
+        SimRng(5, (0,), KeyTable(7, [(0,)]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -405,7 +420,7 @@ def test_each_stream_path_of_a_demo_is_keyed_once_for_every_root(
         return keyed(seed, roots, path)
 
     monkeypatch.setattr(simkernel, "stream_keys", counting_stream_keys)
-    built = count_philox(monkeypatch)
+    built, turns = count_philox(monkeypatch), count_turns(monkeypatch)
     tables = record_tables(monkeypatch)
     doc = json.loads((SCENARIO_DIR / "paper_full_demo.json").read_text())
     doc["latency"]["probe"]["jitter_sigma_ns"] = probe_jitter_ns
@@ -415,5 +430,5 @@ def test_each_stream_path_of_a_demo_is_keyed_once_for_every_root(
                  "--out", str(tmp_path / "report.txt")]) == 0
     # setup, then latency, then soft failure: 1, 4 and 2 roots each
     assert rows == [1] * passes[0] + [4] * passes[1] + [2] * passes[2]
-    assert sum(table.turn for table in tables) == drawn
+    assert len(turns) == drawn
     assert len(built) == len(tables) == 3
