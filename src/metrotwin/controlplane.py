@@ -17,18 +17,16 @@ reprograms them, from the plan's visit list for that arc.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import FieldInvalid, IllegalTransition, IncompleteRecord
 from .optics import TRANSPONDER_JITTER_CV
 from .probe import (LatencyMeasurement, ProbeConfig, measure_round_trip,
                     noiseless_round_trip)
 from .simkernel import Kernel, MS, SECOND, SimRng, SimTime, lognormal_params
-from .topology import (ChannelId, NodeId, OpticalPath, RingState, RingTopology,
-                       TransponderState)
+from .topology import (ChannelId, NodeId, OpticalPath, Record, RingState,
+                       RingTopology, TransponderState)
 
 
 class ServiceStatus(Enum):
@@ -43,22 +41,22 @@ STACK_STREAM, VNF_STREAM, TRANSPONDER_STREAM, PROBE_STREAM = 0, 1, 2, 3
 # every world deploys one service, under this request id, on this channel
 REQUEST_ID, CHANNEL = "svc-1", 0
 
-# legal transitions; anything else raises IllegalTransition
-_TRANSITIONS = {
-    ServiceStatus.DEPLOYING: {ServiceStatus.ACTIVE, ServiceStatus.FAILED},
-    ServiceStatus.ACTIVE: {ServiceStatus.DEGRADED},
-    ServiceStatus.DEGRADED: {ServiceStatus.RESTORED, ServiceStatus.FAILED},
-    ServiceStatus.RESTORED: {ServiceStatus.DEGRADED},
-    ServiceStatus.FAILED: set(),
-}
-# a transponder's bring-up phases, each entered by an event, and the next
-_BRING_UP = (TransponderState.CONFIGURING, TransponderState.LASER_WARMUP,
-             TransponderState.OPERATIONAL)
-_NEXT_PHASE = dict(zip((TransponderState.OFF,) + _BRING_UP, _BRING_UP))
+# the legal (from, to) transitions; anything else raises IllegalTransition.
+# A member of an Enum hashes in Python: the test compares them by identity
+_TRANSITIONS = (
+    (ServiceStatus.DEPLOYING, ServiceStatus.ACTIVE),
+    (ServiceStatus.DEPLOYING, ServiceStatus.FAILED),
+    (ServiceStatus.ACTIVE, ServiceStatus.DEGRADED),
+    (ServiceStatus.DEGRADED, ServiceStatus.RESTORED),
+    (ServiceStatus.DEGRADED, ServiceStatus.FAILED),
+    (ServiceStatus.RESTORED, ServiceStatus.DEGRADED))
+# a transponder's states in order: each after OFF is a bring-up phase,
+# entered by an event
+_PHASES = tuple(TransponderState)
+_BRING_UP = _PHASES[1:]
 
 
-@dataclass
-class VnfDescriptor:
+class VnfDescriptor(NamedTuple):
     name: str
     vcpu: int = 4
     mem_mb: int = 8192
@@ -67,36 +65,31 @@ class VnfDescriptor:
     target_compute: NodeId = ""
 
 
-@dataclass
-class ConnectivityRequirements:
+class ConnectivityRequirements(NamedTuple):
     endpoints: tuple[NodeId, NodeId]
     max_rt_latency_ns: Optional[int] = None
 
 
-@dataclass
-class NsDescriptor:
-    name: str
-    vnfs: list[VnfDescriptor]
-    connectivity: ConnectivityRequirements
+class NsDescriptor(Record):
+    """A network service, and ``demand``: the vCPUs and MB of memory its
+    VNFs ask of each compute node."""
 
-    def __post_init__(self) -> None:
-        if len(self.vnfs) < 2:
+    __slots__ = ("name", "vnfs", "connectivity", "demand")
+
+    def __init__(self, name: str, vnfs: list[VnfDescriptor],
+                 connectivity: ConnectivityRequirements) -> None:
+        if len(vnfs) < 2:
             raise FieldInvalid("vnfs: a network service needs at least two VNFs")
-        if self.connectivity.endpoints[0] == self.connectivity.endpoints[1]:
+        if connectivity.endpoints[0] == connectivity.endpoints[1]:
             raise FieldInvalid("connectivity.endpoints: they must differ")
-
-    @cached_property
-    def demand(self) -> dict[NodeId, tuple[int, int]]:
-        """The vCPUs and MB of memory the VNFs ask of each compute node."""
-        demand: dict[NodeId, tuple[int, int]] = {}
-        for vnf in self.vnfs:
-            cpu, mem = demand.get(vnf.target_compute, (0, 0))
-            demand[vnf.target_compute] = (cpu + vnf.vcpu, mem + vnf.mem_mb)
-        return demand
+        self.name, self.vnfs, self.connectivity = name, vnfs, connectivity
+        self.demand: dict[NodeId, tuple[int, int]] = {}
+        for vnf in vnfs:
+            cpu, mem = self.demand.get(vnf.target_compute, (0, 0))
+            self.demand[vnf.target_compute] = (cpu + vnf.vcpu, mem + vnf.mem_mb)
 
 
-@dataclass
-class PhaseTimings:
+class PhaseTimings(NamedTuple):
     """Deterministic control-plane phase durations, ns."""
     control_messaging_ns: int = 2 * SECOND
     roadm_config_ns: int = 2 * SECOND
@@ -105,51 +98,57 @@ class PhaseTimings:
     alert_hop_ns: int = 100 * MS
 
 
-@dataclass
-class Timestamps:
-    t_request: Optional[SimTime] = None
-    t_vnfs_started: Optional[SimTime] = None
-    t_vnfs_ready: Optional[SimTime] = None
-    t_conn_requested: Optional[SimTime] = None
-    t_roadms_configured: Optional[SimTime] = None
-    t_transponders_configured: Optional[SimTime] = None
-    t_path_operational: Optional[SimTime] = None
-    t_probe_verified: Optional[SimTime] = None
-    t_monitoring_active: Optional[SimTime] = None
+class Timestamps(Record):
+    """A service's phase instants, each None until the phase is reached;
+    ``FIELDS`` names them in phase order."""
+
+    __slots__ = FIELDS = (
+        "t_request", "t_vnfs_started", "t_vnfs_ready", "t_conn_requested",
+        "t_roadms_configured", "t_transponders_configured",
+        "t_path_operational", "t_probe_verified", "t_monitoring_active")
+
+    def __init__(self) -> None:
+        self.t_request = self.t_vnfs_started = self.t_vnfs_ready = \
+            self.t_conn_requested = self.t_roadms_configured = \
+            self.t_transponders_configured = self.t_path_operational = \
+            self.t_probe_verified = self.t_monitoring_active = None
 
 
-@dataclass
-class KpiReport:
+class KpiReport(NamedTuple):
     kpi_ns_deploy_ns: SimTime
     kpi_connectivity_ns: SimTime
     kpi_e2e_ns: SimTime
     e2e_excl_transponder_ns: SimTime
 
 
-@dataclass
-class RestorationOutcome:
-    service_id: str
-    alert_time: SimTime
-    restored_at: Optional[SimTime] = None
-    failed_at: Optional[SimTime] = None
-    reason: str = ""
+class RestorationOutcome(Record):
+    __slots__ = ("service_id", "alert_time", "restored_at", "failed_at",
+                 "reason")
+
+    def __init__(self, service_id: str, alert_time: SimTime) -> None:
+        self.service_id, self.alert_time = service_id, alert_time
+        self.restored_at: Optional[SimTime] = None
+        self.failed_at: Optional[SimTime] = None
+        self.reason = ""
 
 
-@dataclass
-class ServiceRecord:
-    request_id: str
-    status: ServiceStatus = ServiceStatus.DEPLOYING
-    timestamps: Timestamps = field(default_factory=Timestamps)
-    path: Optional[OpticalPath] = None
-    channel: Optional[ChannelId] = None
-    probe: Optional[LatencyMeasurement] = None
-    restoration: Optional[RestorationOutcome] = None
-    failure_reason: str = ""
-    # roadm_id -> the (exit link id, channel) pass entries this service holds
-    passes: dict[NodeId, frozenset[tuple[str, ChannelId]]] = field(default_factory=dict)
+class ServiceRecord(Record):
+    __slots__ = ("request_id", "status", "timestamps", "path", "channel",
+                 "probe", "restoration", "failure_reason", "passes")
+
+    def __init__(self, request_id: str) -> None:
+        self.request_id, self.status = request_id, ServiceStatus.DEPLOYING
+        self.timestamps = Timestamps()
+        self.path: Optional[OpticalPath] = None
+        self.channel: Optional[ChannelId] = None
+        self.probe: Optional[LatencyMeasurement] = None
+        self.restoration: Optional[RestorationOutcome] = None
+        self.failure_reason = ""
+        # roadm_id -> the (exit link id, channel) pass entries it holds
+        self.passes: dict[NodeId, frozenset[tuple[str, ChannelId]]] = {}
 
     def transition(self, new: ServiceStatus) -> None:
-        if new not in _TRANSITIONS[self.status]:
+        if (self.status, new) not in _TRANSITIONS:
             raise IllegalTransition(f"{self.status.value} -> {new.value}")
         self.status = new
 
@@ -219,7 +218,7 @@ class _Arc:
     drop the channel, or none off the arc; and each visit's label, by kind."""
 
     def __init__(self, ring: RingTopology, path: OpticalPath) -> None:
-        self.path = replace(path, channel=CHANNEL)
+        self.path = path._replace(channel=CHANNEL)
         order, links = path.roadms + tuple(
             r for r in ring.ring_order if r not in path.roadms), path.links
         self.visits = [
@@ -420,7 +419,7 @@ class OrchestrationStack:
         """Moves a transponder on to its next phase, and stamps a phase when
         the second transponder reaches it."""
         tp, ts = self.state.transponders[tp_id], self.record.timestamps
-        state = tp.state = _NEXT_PHASE[tp.state]
+        state = tp.state = _PHASES[_PHASES.index(tp.state) + 1]
         if state is TransponderState.LASER_WARMUP:
             self._warm += 1
             if self._warm == 2:
@@ -453,7 +452,7 @@ class OrchestrationStack:
 
     def compute_kpis(self, rec: ServiceRecord) -> KpiReport:
         ts = rec.timestamps
-        missing = [k for k, v in vars(ts).items() if v is None]
+        missing = [k for k in ts.FIELDS if getattr(ts, k) is None]
         if missing:
             raise IncompleteRecord(
                 f"{rec.request_id} missing {', '.join(sorted(missing))}")
@@ -521,8 +520,9 @@ class OrchestrationStack:
             if not 0 <= self.state.mem_free_mb[node.id] <= node.mem_capacity_mb:
                 problems.append(f"{node.id}: memory accounting out of range")
         if self.record is not None:
-            stamped = [v for v in vars(self.record.timestamps).values()
-                       if v is not None]
+            ts = self.record.timestamps
+            stamped = [getattr(ts, k) for k in ts.FIELDS
+                       if getattr(ts, k) is not None]
             if stamped != sorted(stamped):
                 problems.append(f"{REQUEST_ID}: timestamps not monotonic")
         return problems

@@ -73,4 +73,4 @@ class ValidationError(TwinError):
 
 
 class FieldInvalid(TwinError, ValueError):
-    """A dataclass field breaks a rule; the message is "<field>: <rule>"."""
+    """A record field breaks a rule; the message is "<field>: <rule>"."""

@@ -13,28 +13,31 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .controlplane import OrchestrationStack, ServiceRecord, ServiceStatus
 from .errors import OutOfOrderSample, TwinError
-from .optics import (LOS_FLOOR_DB, AttenuationRamp, OpticalPlant,
-                     SignalModel, TelemetrySample, ber_from_snr)
+from .optics import (AttenuationRamp, OpticalPlant, SignalModel,
+                     TelemetrySample, ber_from_snr, ramped_snr)
 from .simkernel import Kernel, SECOND, SimRng, SimTime
-from .topology import OpticalPath
+from .topology import Frozen, OpticalPath
 
 
-@dataclass(frozen=True)
-class DetectorConfig:
-    sample_period_ns: int = SECOND
-    baseline_window: int = 60
-    drop_threshold_db: float = 0.5
-    consecutive_required: int = 3
-    regression_window: int = 30
+class DetectorConfig(Frozen):
+    __slots__ = ("sample_period_ns", "baseline_window", "drop_threshold_db",
+                 "consecutive_required", "regression_window")
 
-    def __post_init__(self) -> None:
+    def __init__(self, sample_period_ns: int = SECOND,
+                 baseline_window: int = 60, drop_threshold_db: float = 0.5,
+                 consecutive_required: int = 3,
+                 regression_window: int = 30) -> None:
+        self._set(sample_period_ns=sample_period_ns,
+                  baseline_window=baseline_window,
+                  drop_threshold_db=drop_threshold_db,
+                  consecutive_required=consecutive_required,
+                  regression_window=regression_window)
         for name, least in (("sample_period_ns", 1), ("baseline_window", 1),
                             ("consecutive_required", 1),
                             ("regression_window", 2)):
@@ -43,8 +46,7 @@ class DetectorConfig:
                 raise ValueError(f"{name} must be >= {least}; got {value!r}")
 
 
-@dataclass(frozen=True)
-class DegradationEvent:
+class DegradationEvent(NamedTuple):
     t_detect: SimTime
     snr_at_detect_db: float
     ber_at_detect: float
@@ -125,8 +127,7 @@ def anticipation_time(detection: DegradationEvent, t_cross: SimTime) -> SimTime:
     return t_cross - detection.t_detect
 
 
-@dataclass
-class SoftFailWorld:
+class SoftFailWorld(NamedTuple):
     """One freshly provisioned repetition: kernel, plant and an active service."""
     kernel: Kernel
     plant: OpticalPlant
@@ -135,8 +136,7 @@ class SoftFailWorld:
     rng: SimRng
 
 
-@dataclass
-class RepetitionResult:
+class RepetitionResult(NamedTuple):
     detection_time_ns: SimTime
     anticipation_ns: SimTime
     predicted_anticipation_ns: Optional[SimTime]
@@ -145,8 +145,7 @@ class RepetitionResult:
     restored: bool
 
 
-@dataclass
-class SoftFailReport:
+class SoftFailReport(NamedTuple):
     rate_db_per_s: float
     repetitions: int
     detection_time_s: float
@@ -157,7 +156,7 @@ class SoftFailReport:
     restored_count: int
     failed_count: int
     # the first repetition's EpisodeTrace, when kept
-    trace: Sequence[tuple[float, float, float]] = field(default_factory=list)
+    trace: Sequence[tuple[float, float, float]]
 
 
 class EpisodeTrace(Sequence):
@@ -239,8 +238,8 @@ def episode_horizon(cfg: DetectorConfig, model: SignalModel,
     # level by the first at or below the fail SNR
     after = period * np.arange(1, math.ceil(span_db / step) + 2,
                                dtype=np.int64)
-    added = AttenuationRamp("", rate_db_per_s, 0, snr_coupling).added_db(after)
-    snr = np.maximum(model.snr0_db - snr_coupling * added, LOS_FLOOR_DB)
+    snr = ramped_snr(model, after,
+                     [AttenuationRamp("", rate_db_per_s, 0, snr_coupling)])
     cross = int(np.argmax(snr <= fail_snr))
     w = cfg.baseline_window
     level = np.full(w, model.snr0_db).sum() / w - cfg.drop_threshold_db

@@ -15,13 +15,13 @@ evaluated in closed form at any instant; the ring's links are never written.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .errors import PathNotOperational, RampConflict
 from .simkernel import SECOND, SimRng, SimTime
-from .topology import OpticalPath, RingState, TransponderState
+from .topology import Frozen, OpticalPath, Record, RingState, TransponderState
 
 SPEED_OF_LIGHT_M_PER_S = 299792458.0
 
@@ -37,20 +37,20 @@ _FLOOR_ABOVE_PENALTY_DB = 40.0
 TRANSPONDER_JITTER_CV = 0.02
 
 
-@dataclass
-class AttenuationRamp:
-    """Linear added-loss ramp on one link, e.g. a motorised attenuator."""
+class AttenuationRamp(Record):
+    """Linear added-loss ramp on one link, e.g. a motorised attenuator;
+    ``snr_coupling`` is the dB of SNR lost per dB of added attenuation."""
 
-    link_id: str
-    rate_db_per_s: float
-    start_time: SimTime
-    snr_coupling: float = 1.0  # dB of SNR lost per dB of added attenuation
+    __slots__ = ("link_id", "rate_db_per_s", "start_time", "snr_coupling")
 
-    def __post_init__(self) -> None:
-        if self.rate_db_per_s <= 0:
+    def __init__(self, link_id: str, rate_db_per_s: float,
+                 start_time: SimTime, snr_coupling: float = 1.0) -> None:
+        if rate_db_per_s <= 0:
             raise ValueError("ramp rate must be positive")
-        if not 0 < self.snr_coupling <= 1.5:
+        if not 0 < snr_coupling <= 1.5:
             raise ValueError("snr_coupling outside (0, 1.5]")
+        self.link_id, self.rate_db_per_s = link_id, rate_db_per_s
+        self.start_time, self.snr_coupling = start_time, snr_coupling
 
     def added_db(self, t: SimTime | np.ndarray) -> np.ndarray:
         """Added loss in dB at ``t``, a SimTime or an int64 array of them.
@@ -62,8 +62,7 @@ class AttenuationRamp:
                         0.0)
 
 
-@dataclass(frozen=True)
-class SignalModel:
+class SignalModel(Frozen):
     """Receiver baseline and fail criterion.
 
     The default baseline of 21.84 dB back-propagates the slow-ramp operating
@@ -73,20 +72,22 @@ class SignalModel:
     limit.
     """
 
-    snr0_db: float = 21.84
-    implementation_penalty_db: float = 0.25
-    fail_ber_above: float = 3.8e-3
-    _fail_snr_db: float = field(init=False, repr=False, compare=False)
+    __slots__ = ("snr0_db", "implementation_penalty_db", "fail_ber_above",
+                 "_fail_snr_db")
 
-    def __post_init__(self) -> None:
-        if self.implementation_penalty_db < 0:
+    def __init__(self, snr0_db: float = 21.84,
+                 implementation_penalty_db: float = 0.25,
+                 fail_ber_above: float = 3.8e-3) -> None:
+        if implementation_penalty_db < 0:
             raise ValueError("implementation penalty must be >= 0")
-        if not BER_FLOOR < self.fail_ber_above < BER_CEIL:
+        if not BER_FLOOR < fail_ber_above < BER_CEIL:
             raise ValueError(f"fail_ber_above must lie in ({BER_FLOOR}, "
-                             f"{BER_CEIL}); got {self.fail_ber_above!r}")
+                             f"{BER_CEIL}); got {fail_ber_above!r}")
+        self._set(snr0_db=snr0_db,
+                  implementation_penalty_db=implementation_penalty_db,
+                  fail_ber_above=fail_ber_above)
         # bisected once: the model is frozen
-        object.__setattr__(self, "_fail_snr_db",
-                           snr_from_ber(self.fail_ber_above, self))
+        self._set(_fail_snr_db=snr_from_ber(fail_ber_above, self))
         fail_snr = self.fail_snr_db()
         # below the LOS floor the receiver has lost the signal, and the
         # clamped SNR of a noiseless ramp never goes there
@@ -102,8 +103,7 @@ class SignalModel:
         return self._fail_snr_db
 
 
-@dataclass(frozen=True)
-class TelemetrySample:
+class TelemetrySample(NamedTuple):
     t: SimTime
     snr_db: float
     pre_fec_ber: float
@@ -156,6 +156,17 @@ def snr_from_ber(ber: float, model: SignalModel) -> float:
             hi = mid
 
 
+def ramped_snr(model: SignalModel, times: np.ndarray,
+               ramps: Iterable[AttenuationRamp]) -> np.ndarray:
+    """Noiseless receiver SNR at each of ``times`` (int64 ns): ``model``'s
+    baseline minus the coupled added loss of each of ``ramps`` in turn,
+    LOS-clamped."""
+    snr = np.full(times.shape, model.snr0_db, dtype=float)
+    for ramp in ramps:
+        snr -= ramp.snr_coupling * ramp.added_db(times)
+    return np.maximum(snr, LOS_FLOOR_DB)
+
+
 class OpticalPlant:
     """Time-varying physical state: ramps, receiver SNR, telemetry.
 
@@ -184,18 +195,12 @@ class OpticalPlant:
 
     def snr_series(self, path: OpticalPath, times: np.ndarray,
                    model: SignalModel) -> np.ndarray:
-        """Noiseless receiver SNR at each of ``times`` (int64 ns).
-
-        Baseline SNR minus the coupled added loss of each ramped link in
-        path order, LOS-clamped.
-        """
+        """``ramped_snr`` at each of ``times`` of the ramps on ``path``'s
+        links, in path order."""
         self._require_operational(path)
-        snr = np.full(times.shape, model.snr0_db)
-        for link_id in path.links:
-            ramp = self._ramps.get(link_id)
-            if ramp is not None:
-                snr -= ramp.snr_coupling * ramp.added_db(times)
-        return np.maximum(snr, LOS_FLOOR_DB)
+        return ramped_snr(model, times, [
+            self._ramps[link_id] for link_id in path.links
+            if link_id in self._ramps])
 
     def snr_at_receiver(self, path: OpticalPath, t: SimTime, model: SignalModel) -> float:
         """Noiseless receiver SNR at one instant; see ``snr_series``."""

@@ -10,8 +10,7 @@ squares over an explicit attribution matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -21,8 +20,7 @@ from .simkernel import SimRng
 from .topology import OpticalPath, RingState, RingTopology, TransponderState
 
 
-@dataclass(frozen=True)
-class ProbeConfig:
+class ProbeConfig(NamedTuple):
     probe_overhead_ns: int = 840
     switch_overhead_ns: int = 1290  # per traversal pair
     optical_device_overhead_ns: int = 13100  # per path
@@ -33,8 +31,7 @@ class ProbeConfig:
                 + self.optical_device_overhead_ns)
 
 
-@dataclass(frozen=True)
-class LatencyMeasurement:
+class LatencyMeasurement(NamedTuple):
     link_length_m: float
     measured_rt_ns: int
     estimated_rt_prop_ns: int
@@ -44,10 +41,9 @@ class LatencyMeasurement:
         return self.measured_rt_ns - self.estimated_rt_prop_ns
 
 
-@dataclass
-class BudgetReport:
-    components_ns: dict[str, float] = field(default_factory=dict)
-    residual_rms_ns: float = 0.0
+class BudgetReport(NamedTuple):
+    components_ns: dict[str, float]
+    residual_rms_ns: float
 
 
 def estimate_rt_propagation(length_m: float, group_index: float) -> int:

@@ -16,7 +16,6 @@ import json
 import math
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
 from itertools import starmap
 from pathlib import Path
 from typing import IO, NamedTuple, Optional, Union
@@ -49,7 +48,7 @@ class _Key(NamedTuple):
     high: Optional[float] = None  # value <= high
     unit: Optional[str] = None  # a key of _UNITS
     field: Optional[str] = None  # target field, when it is not the key
-    default: object = _UNSET  # only where no dataclass owns the default
+    default: object = _UNSET  # only where no target owns the default
 
 
 def _integer(value) -> bool:
@@ -254,31 +253,27 @@ def _read(node: dict, path: str, where: str, errors: list[str],
     return _make(errors, where, target, **values)
 
 
-@dataclass(frozen=True)
-class Service:
+class Service(NamedTuple):
     descriptor: NsDescriptor
     timings: PhaseTimings
     jitter: bool
     repetitions: int
 
 
-@dataclass(frozen=True)
-class Latency:
+class Latency(NamedTuple):
     cases: list[FiberLink]  # the measured link as each case sets it
     repetitions: int
     probe: ProbeConfig
     attribution: Optional[dict] = None  # components, matrix
 
 
-@dataclass(frozen=True)
-class SoftfailCase:
+class SoftfailCase(NamedTuple):
     name: str
     detector: DetectorConfig
     episode: dict  # run_softfail_case's rate_db_per_s, snr_coupling, ramp_link
 
 
-@dataclass(frozen=True)
-class Softfail:
+class Softfail(NamedTuple):
     repetitions: int
     noise_sigma_db: float
     emit_trace: bool
@@ -286,8 +281,7 @@ class Softfail:
     cases: list[SoftfailCase]
 
 
-@dataclass
-class Scenario:
+class Scenario(NamedTuple):
     """A validated scenario: the document as parsed, and the typed objects
     read from it once, its ring among them."""
     experiment: str
@@ -297,7 +291,7 @@ class Scenario:
     service: Service
     latency: Optional[Latency] = None
     softfail: Optional[Softfail] = None
-    warnings: list[str] = field(default_factory=list)
+    warnings: Sequence[str] = ()
 
     def plan(self, ring: Optional[RingTopology] = None) -> DeployPlan:
         """What each world deploys on ``ring``, by default the scenario's."""
@@ -310,7 +304,8 @@ class Scenario:
 def _case_ring(ring: RingTopology, link: FiberLink) -> RingTopology:
     """``ring`` with a latency case's link: the case's length replaces the
     measured link's, in that case's worlds only."""
-    return replace(ring, links={**ring.links, link.id: link})
+    return RingTopology({**ring.links, link.id: link}, ring.ring_order,
+                        ring.ring_links, ring.transponders, ring.compute_nodes)
 
 
 def _sections(doc: dict, top: dict, errors: list[str]) -> tuple[
@@ -401,8 +396,10 @@ def _sections(doc: dict, top: dict, errors: list[str]) -> tuple[
                               f"{'+'.join(monitored.links)}")
             cfg = detector
             if "drop_threshold_db" in case:
-                cfg = replace(detector,
-                              drop_threshold_db=case.pop("drop_threshold_db"))
+                cfg = DetectorConfig(
+                    detector.sample_period_ns, detector.baseline_window,
+                    case.pop("drop_threshold_db"),
+                    detector.consecutive_required, detector.regression_window)
             horizon = {k: case[k] for k in ("rate_db_per_s", "snr_coupling")
                        if k in case}  # defaults are run_softfail_case's
             _make(errors, f"softfail.cases[{i}].rate_db_per_s",
@@ -559,8 +556,7 @@ def _write_json(value, out: list[str], indent: str) -> None:
         out.append(_json_scalar(value))
 
 
-@dataclass
-class RunReport:
+class RunReport(NamedTuple):
     experiment: str
     seed: int
     scenario: dict

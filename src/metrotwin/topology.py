@@ -20,9 +20,8 @@ per-channel filtering.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .errors import NoPath, TopologyInvalid
 
@@ -37,42 +36,71 @@ class TransponderState(enum.Enum):
     OPERATIONAL = "Operational"
 
 
-@dataclass(frozen=True)
-class TransponderNode:
+class Record:
+    """A record whose ``__slots__`` are its fields: two records of one class
+    are equal when their fields are."""
+
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name)
+                   for name in self.__slots__)
+
+
+class Frozen(Record):
+    """A record whose ``__init__`` sets each field once, with ``_set``:
+    setting one later raises AttributeError, as on a NamedTuple."""
+
+    __slots__ = ()
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__}.{name} cannot be set")
+
+
+class TransponderNode(NamedTuple):
     id: NodeId
     attached_roadm: NodeId
     config_duration_ns: int = 2_000_000_000
     warmup_duration_ns: int = 125_000_000_000
 
 
-@dataclass(frozen=True)
-class FiberLink:
-    id: str
-    endpoints: tuple[NodeId, NodeId]
-    length_m: float
-    group_index: float = 1.4680
-    legacy_residual_delay_ns: int = 0  # lumped patch-panel/old-plant delay
+class FiberLink(Frozen):
+    """A ring link; ``legacy_residual_delay_ns`` is a lumped
+    patch-panel/old-plant delay."""
 
-    def __post_init__(self) -> None:
-        if self.length_m < 0:
-            raise TopologyInvalid(f"link {self.id}: negative length")
-        if not 1.0 <= self.group_index <= 2.0:
-            raise TopologyInvalid(f"link {self.id}: group index {self.group_index} outside [1, 2]")
+    __slots__ = ("id", "endpoints", "length_m", "group_index",
+                 "legacy_residual_delay_ns")
 
-
-@dataclass(frozen=True)
-class ComputeNode:
-    id: NodeId
-    vcpu_capacity: int = 16
-    mem_capacity_mb: int = 32768
-
-    def __post_init__(self) -> None:
-        if self.vcpu_capacity <= 0 or self.mem_capacity_mb <= 0:
-            raise TopologyInvalid(f"compute {self.id}: capacities must be positive")
+    def __init__(self, id: str, endpoints: tuple[NodeId, NodeId],
+                 length_m: float, group_index: float = 1.4680,
+                 legacy_residual_delay_ns: int = 0) -> None:
+        if length_m < 0:
+            raise TopologyInvalid(f"link {id}: negative length")
+        if not 1.0 <= group_index <= 2.0:
+            raise TopologyInvalid(f"link {id}: group index {group_index} outside [1, 2]")
+        self._set(id=id, endpoints=endpoints, length_m=length_m,
+                  group_index=group_index,
+                  legacy_residual_delay_ns=legacy_residual_delay_ns)
 
 
-@dataclass(frozen=True)
-class OpticalPath:
+class ComputeNode(Frozen):
+    __slots__ = ("id", "vcpu_capacity", "mem_capacity_mb")
+
+    def __init__(self, id: NodeId, vcpu_capacity: int = 16,
+                 mem_capacity_mb: int = 32768) -> None:
+        if vcpu_capacity <= 0 or mem_capacity_mb <= 0:
+            raise TopologyInvalid(f"compute {id}: capacities must be positive")
+        self._set(id=id, vcpu_capacity=vcpu_capacity,
+                  mem_capacity_mb=mem_capacity_mb)
+
+
+class OpticalPath(NamedTuple):
     source: NodeId  # transponder id
     destination: NodeId
     links: tuple[str, ...]
@@ -81,25 +109,28 @@ class OpticalPath:
     channel: Optional[ChannelId] = None
 
 
-@dataclass(frozen=True)
-class RingTopology:
+class RingTopology(Frozen):
     """A validated ring, shared read-only by every world built on it."""
-    links: Mapping[str, FiberLink]  # ring links only
-    ring_order: tuple[NodeId, ...]  # roadm cycle in clockwise orientation
-    ring_links: tuple[str, ...]  # ring_links[i] joins ring_order[i] and [i + 1]
-    transponders: Mapping[NodeId, TransponderNode]
-    compute_nodes: Mapping[NodeId, ComputeNode]
-    # (source, destination) transponders on distinct ROADMs -> their two
-    # arcs, shorter first (clockwise on a tie); the arcs are link-disjoint
-    # and partition the ring
-    arcs: Mapping[tuple[NodeId, NodeId], tuple[OpticalPath, OpticalPath]] = \
-        field(init=False, repr=False)
-    _selected: Mapping = field(init=False, repr=False)  # select_path's arcs
 
-    def __post_init__(self) -> None:
-        for name in ("links", "transponders", "compute_nodes"):
-            object.__setattr__(self, name,
-                               MappingProxyType(dict(getattr(self, name))))
+    __slots__ = (
+        "links",  # ring links only
+        "ring_order",  # roadm cycle in clockwise orientation
+        "ring_links",  # ring_links[i] joins ring_order[i] and [i + 1]
+        "transponders", "compute_nodes",
+        # (source, destination) transponders on distinct ROADMs -> their two
+        # arcs, shorter first (clockwise on a tie); the arcs are link-disjoint
+        # and partition the ring
+        "arcs",
+        "_selected")  # select_path's arcs
+
+    def __init__(self, links: Mapping[str, FiberLink],
+                 ring_order: tuple[NodeId, ...], ring_links: tuple[str, ...],
+                 transponders: Mapping[NodeId, TransponderNode],
+                 compute_nodes: Mapping[NodeId, ComputeNode]) -> None:
+        self._set(links=MappingProxyType(dict(links)), ring_order=ring_order,
+                  ring_links=ring_links,
+                  transponders=MappingProxyType(dict(transponders)),
+                  compute_nodes=MappingProxyType(dict(compute_nodes)))
         arcs = {}
         for a, ta in self.transponders.items():
             for b, tb in self.transponders.items():
@@ -107,12 +138,10 @@ class RingTopology:
                     arcs[(a, b)] = tuple(sorted(
                         (self._arc(a, b, clockwise) for clockwise in (True, False)),
                         key=lambda p: sum(self.links[l].length_m for l in p.links)))
-        object.__setattr__(self, "arcs", MappingProxyType(arcs))
         # arcs run shorter first, clockwise on a tie, and min keeps the first
         # of the fewest hops: select_path's rule in full
-        object.__setattr__(self, "_selected", {
+        self._set(arcs=MappingProxyType(arcs), _selected={
             k: min(v, key=lambda p: len(p.links)) for k, v in arcs.items()})
-
     def select_path(self, a: NodeId, b: NodeId) -> OpticalPath:
         """The arc a service from ``a`` to ``b`` takes, chosen once: fewest
         ROADM hops, then length, then clockwise."""
@@ -137,18 +166,24 @@ class RingTopology:
             direction="clockwise" if clockwise else "counterclockwise")
 
 
-@dataclass
-class Roadm:
+class Roadm(Record):
     """A ROADM's blocker in one world."""
-    # the (exit link id, channel) pairs the blocker passes; the rest are dark
-    passing: set[tuple[str, ChannelId]] = field(default_factory=set)
-    add_drop_channels: set[ChannelId] = field(default_factory=set)
+
+    __slots__ = ("passing", "add_drop_channels")
+
+    def __init__(self) -> None:
+        # the (exit link id, channel) pairs the blocker passes; the rest are dark
+        self.passing: set[tuple[str, ChannelId]] = set()
+        self.add_drop_channels: set[ChannelId] = set()
 
 
-@dataclass
-class Transponder:
+class Transponder(Record):
     """A transponder in one world."""
-    state: TransponderState = TransponderState.OFF
+
+    __slots__ = ("state",)
+
+    def __init__(self, state: TransponderState = TransponderState.OFF) -> None:
+        self.state = state
 
 
 class RingState:

@@ -1,6 +1,5 @@
 import io
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -195,7 +194,7 @@ def test_path_choice_and_channel():
     rec = deploy(stack, kernel)
     assert rec.path.links == ("r1-r2",)  # fewest hops wins over total length
     assert rec.channel == 0
-    assert rec.path == replace(state.ring.select_path("tp1", "tp2"), channel=0)
+    assert rec.path == state.ring.select_path("tp1", "tp2")._replace(channel=0)
 
 
 def test_blockers_keep_light_on_the_arc():
@@ -211,9 +210,8 @@ def test_blockers_keep_light_on_the_arc():
 def test_failed_service_returns_compute_to_each_node():
     # two VNFs that share a name, on two nodes, failed at probe verification
     ns = descriptor()
-    for vnf in ns.vnfs:
-        vnf.name = "x"
-    ns.connectivity.max_rt_latency_ns = 1
+    ns.vnfs[:] = [vnf._replace(name="x") for vnf in ns.vnfs]
+    ns.connectivity = ns.connectivity._replace(max_rt_latency_ns=1)
     state, kernel, stack = fresh_stack(ns=ns)
     rec = deploy(stack, kernel)
     assert rec.status is ServiceStatus.FAILED
@@ -226,7 +224,7 @@ def test_failed_service_returns_compute_to_each_node():
 
 def test_vnfs_instantiate_in_parallel():
     ns = descriptor()
-    ns.vnfs[1].instantiation_mean_s = 25.0
+    ns.vnfs[1] = ns.vnfs[1]._replace(instantiation_mean_s=25.0)
     _, kernel, stack = fresh_stack(ns=ns)
     rec = deploy(stack, kernel)
     # ready when the slowest one lands, not the sum
@@ -249,7 +247,7 @@ def five_roadm_section():
 
 def test_failed_service_gives_up_its_pass_entries():
     slow = descriptor(endpoints=("tp1", "tp3"), computes=("edge1", "edge3"))
-    slow.connectivity.max_rt_latency_ns = 1
+    slow.connectivity = slow.connectivity._replace(max_rt_latency_ns=1)
     state, kernel, stack = fresh_stack(five_roadm_section(), slow)
     passed = []
     kernel.schedule(lambda: passed.append(set(state.roadms["r2"].passing)),
@@ -268,7 +266,7 @@ def test_plan_visits_every_roadm_once_from_each_arc():
     plan = DeployPlan(ring, descriptor(endpoints=("tp1", "tp3"),
                                        computes=("edge1", "edge3")))
     chosen, spare = plan.arcs
-    assert chosen.path == replace(ring.select_path("tp1", "tp3"), channel=0)
+    assert chosen.path == ring.select_path("tp1", "tp3")._replace(channel=0)
     assert spare.path.links == ("r5-r1", "r4-r5", "r3-r4")
     assert [roadm for roadm, _ in spare.visits] == ["r1", "r5", "r4", "r3", "r2"]
     # the ends add and drop the channel, and each ROADM between them passes
@@ -300,7 +298,7 @@ def test_restoration_moves_to_spare_arc():
     assert rec.channel == 0  # same channel, complementary arc
     spare, = [p for p in state.ring.arcs[("tp1", "tp2")]
               if p.links != ("r1-r2",)]
-    assert rec.path == replace(spare, channel=0)
+    assert rec.path == spare._replace(channel=0)
     assert stack.verify_invariants() == []
 
 

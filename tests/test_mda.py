@@ -214,6 +214,17 @@ def test_episode_determinism_with_noise():
     assert a != c
 
 
+def test_an_integer_baseline_runs_as_its_float():
+    # the SNR rule subtracts each ramp's float loss in place from an array
+    # of the baseline, which must not take the baseline's integer type
+    kwargs = dict(rate_db_per_s=0.1, repetitions=2, noise_sigma_db=0.1,
+                  detector_cfg=DetectorConfig())
+    assert (run_softfail_case(world_factory=softfail_world_factory(),
+                              model=SignalModel(snr0_db=22), **kwargs)
+            == run_softfail_case(world_factory=softfail_world_factory(),
+                                 model=SignalModel(snr0_db=22.0), **kwargs))
+
+
 def test_coupling_scales_effective_rate():
     weak = run_softfail_case(
         world_factory=softfail_world_factory(),

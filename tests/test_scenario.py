@@ -147,7 +147,8 @@ def test_failed_deployment_surfaces_reason():
     sc = scenario_from_dict(make_scenario())
     # set after validation, which rejects a requirement below the probe's
     # noiseless round trip, so the probe verification fails at deploy
-    sc.service.descriptor.connectivity.max_rt_latency_ns = 1
+    ns = sc.service.descriptor
+    ns.connectivity = ns.connectivity._replace(max_rt_latency_ns=1)
     with pytest.raises(TwinError) as err:
         build_world(sc, (0,), where="setup repetition 0: ")
     assert str(err.value) == ("setup repetition 0: deployment ended Failed: "
