@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import sys
 from typing import Optional
 
@@ -23,6 +24,7 @@ _EXPERIMENT_FOR = {
 }
 
 
+@functools.cache  # one parser a process: each run of main parses anew
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mst",

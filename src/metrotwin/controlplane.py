@@ -18,6 +18,7 @@ reprograms them, from the plan's visit list for that arc.
 from __future__ import annotations
 
 from enum import Enum
+from operator import attrgetter
 from typing import NamedTuple, Optional
 
 from .errors import FieldInvalid, IllegalTransition, IncompleteRecord
@@ -51,9 +52,9 @@ _TRANSITIONS = (
     (ServiceStatus.DEGRADED, ServiceStatus.FAILED),
     (ServiceStatus.RESTORED, ServiceStatus.DEGRADED))
 # a transponder's states in order: each after OFF is a bring-up phase,
-# entered by an event
-_PHASES = tuple(TransponderState)
-_BRING_UP = _PHASES[1:]
+# entered by an event; each state's next, by its name, whose hash is a str's
+_BRING_UP = tuple(TransponderState)[1:]
+_NEXT_PHASE = {s._name_: phase for s, phase in zip(TransponderState, _BRING_UP)}
 
 
 class VnfDescriptor(NamedTuple):
@@ -112,6 +113,9 @@ class Timestamps(Record):
             self.t_conn_requested = self.t_roadms_configured = \
             self.t_transponders_configured = self.t_path_operational = \
             self.t_probe_verified = self.t_monitoring_active = None
+
+
+_STAMPS = attrgetter(*Timestamps.FIELDS)  # a record's instants, as a tuple
 
 
 class KpiReport(NamedTuple):
@@ -232,7 +236,7 @@ class _Arc:
 
 def _deploy_stream(leaf: tuple[int, ...], jitter: bool, values: list) -> tuple:
     """A deployment stream: its leaf spawn path below a world's root, None
-    if it draws nothing, and its durations for ``KeyTable.draw_ns``.  Each
+    if it draws nothing, and its durations for ``KeyTable.draws``.  Each
     value, (nominal ns, mean s, cv), is a lognormal draw under ``jitter``,
     unless its mean or cv is 0: then it is the mean, undrawn."""
     durations = [lognormal_params(mean, cv) if jitter and mean and cv
@@ -247,7 +251,8 @@ class DeployPlan:
     arc; its event labels, VNF demand and noiseless probe shot; and its
     streams: each VNF's instantiation and each transponder's configuration,
     then warm-up, as ``_deploy_stream`` settles them, and the probe's leaf
-    spawn path if it draws."""
+    spawn path if it draws.  A key table draws a path for all its roots at
+    once, so the plans of one runner ask the same durations of each path."""
 
     def __init__(self, ring: RingTopology, ns: NsDescriptor,
                  timings: Optional[PhaseTimings] = None,
@@ -296,12 +301,12 @@ class OrchestrationStack:
         self._arc: Optional[_Arc] = None  # the arc being programmed
 
     def _durations(self, stream: tuple) -> list[SimTime]:
-        """A deployment stream's durations in ns, drawn on the world's key
-        table if it draws."""
+        """A deployment stream's durations in ns, the world's row of those
+        its key table draws if it draws."""
         leaf, durations = stream
         if leaf is None:
             return durations
-        return self.rng.keys.draw_ns(self.rng.spawn_key + leaf, durations)
+        return self.rng.keys.draws(self.rng.spawn_key, leaf, durations)
 
     # ---------------------------------------------------------- deployment
 
@@ -309,9 +314,8 @@ class OrchestrationStack:
         """Accept the plan's service request, once; the workflow advances
         via kernel events."""
         rec = self.record = ServiceRecord(REQUEST_ID)
-        rec.timestamps.t_request = self.kernel.now()
-        self.kernel.schedule(self._start_deploy, self.kernel.now(),
-                             self.plan.labels["request"])
+        now = rec.timestamps.t_request = self.kernel.now()
+        self.kernel.schedule(self._start_deploy, now, self.plan.labels["request"])
         return rec
 
     def _fail(self, reason: str) -> None:
@@ -419,7 +423,7 @@ class OrchestrationStack:
         """Moves a transponder on to its next phase, and stamps a phase when
         the second transponder reaches it."""
         tp, ts = self.state.transponders[tp_id], self.record.timestamps
-        state = tp.state = _PHASES[_PHASES.index(tp.state) + 1]
+        state = tp.state = _NEXT_PHASE[tp.state._name_]
         if state is TransponderState.LASER_WARMUP:
             self._warm += 1
             if self._warm == 2:
@@ -427,11 +431,10 @@ class OrchestrationStack:
         elif state is TransponderState.OPERATIONAL:
             self._operational += 1
             if self._operational == 2:
-                ts.t_path_operational = self.kernel.now()
-                self.kernel.schedule(
-                    self._verify_probe,
-                    self.kernel.now() + self.timings.probe_verify_ns,
-                    self.plan.labels["probe"])
+                now = ts.t_path_operational = self.kernel.now()
+                self.kernel.schedule(self._verify_probe,
+                                     now + self.timings.probe_verify_ns,
+                                     self.plan.labels["probe"])
 
     def _verify_probe(self) -> None:
         rec, plan = self.record, self.plan
@@ -451,17 +454,15 @@ class OrchestrationStack:
     # ------------------------------------------------------------- KPIs
 
     def compute_kpis(self, rec: ServiceRecord) -> KpiReport:
-        ts = rec.timestamps
-        missing = [k for k in ts.FIELDS if getattr(ts, k) is None]
-        if missing:
+        stamps = _STAMPS(rec.timestamps)
+        if None in stamps:
+            missing = [k for k, t in zip(Timestamps.FIELDS, stamps) if t is None]
             raise IncompleteRecord(
                 f"{rec.request_id} missing {', '.join(sorted(missing))}")
-        deploy = ts.t_vnfs_ready - ts.t_vnfs_started
-        conn = ts.t_path_operational - ts.t_conn_requested
-        e2e = ts.t_monitoring_active - ts.t_request
-        warm = ts.t_path_operational - ts.t_roadms_configured
-        return KpiReport(kpi_ns_deploy_ns=deploy, kpi_connectivity_ns=conn,
-                         kpi_e2e_ns=e2e, e2e_excl_transponder_ns=e2e - warm)
+        request, started, ready, conn, roadms, _, operational, _, active = stamps
+        e2e = active - request
+        return KpiReport(ready - started, operational - conn, e2e,
+                         e2e - (operational - roadms))
 
     # ------------------------------------------------------- restoration
 
@@ -520,9 +521,8 @@ class OrchestrationStack:
             if not 0 <= self.state.mem_free_mb[node.id] <= node.mem_capacity_mb:
                 problems.append(f"{node.id}: memory accounting out of range")
         if self.record is not None:
-            ts = self.record.timestamps
-            stamped = [getattr(ts, k) for k in ts.FIELDS
-                       if getattr(ts, k) is not None]
+            stamped = [t for t in _STAMPS(self.record.timestamps)
+                       if t is not None]
             if stamped != sorted(stamped):
                 problems.append(f"{REQUEST_ID}: timestamps not monotonic")
         return problems

@@ -469,8 +469,7 @@ def build_world(sc: Scenario, spawn_key: tuple[int, ...],
     if record.status is not ServiceStatus.ACTIVE:
         raise TwinError(f"{where}deployment ended {record.status.value}: "
                         f"{record.failure_reason}")
-    return SoftFailWorld(kernel=kernel, plant=OpticalPlant(stack.state),
-                         stack=stack, record=record, rng=rng)
+    return SoftFailWorld(kernel, OpticalPlant(stack.state), stack, record, rng)
 
 
 # --------------------------------------------------------------- reporting
@@ -581,22 +580,19 @@ class RunReport(NamedTuple):
 def _run_setup(sc: Scenario, trace_sink=None) -> dict:
     reps = sc.service.repetitions
     rows = []
-    kpis = []
+    kpis = []  # each world's KPIs in seconds, as a KpiReport orders them
     keys = KeyTable(sc.seed, [(rep,) for rep in range(reps)])
     plan = sc.plan()
     for rep in range(reps):
         world = build_world(sc, (rep,), plan, trace_sink, keys,
                             f"setup repetition {rep}: ")
-        report = world.stack.compute_kpis(world.record)
-        kpis.append(report)
-        rows.append({
-            "repetition": rep,
-            "kpi_ns_deploy_s": _fmt(report.kpi_ns_deploy_ns / SECOND, 3),
-            "kpi_connectivity_s": _fmt(report.kpi_connectivity_ns / SECOND, 3),
-            "kpi_e2e_s": _fmt(report.kpi_e2e_ns / SECOND, 3),
-            "e2e_excl_transponder_s": _fmt(
-                report.e2e_excl_transponder_ns / SECOND, 3),
-        })
+        deploy, conn, e2e, excl = seconds = [
+            ns / SECOND for ns in world.stack.compute_kpis(world.record)]
+        kpis.append(seconds)
+        rows.append({"repetition": rep, "kpi_ns_deploy_s": _fmt(deploy, 3),
+                     "kpi_connectivity_s": _fmt(conn, 3),
+                     "kpi_e2e_s": _fmt(e2e, 3),
+                     "e2e_excl_transponder_s": _fmt(excl, 3)})
 
     def stats(values: list[float]) -> dict:
         n = len(values)
@@ -608,14 +604,8 @@ def _run_setup(sc: Scenario, trace_sink=None) -> dict:
     return {
         "repetitions": reps,
         "per_repetition": rows,
-        "summary": {
-            "kpi_ns_deploy": stats([k.kpi_ns_deploy_ns / SECOND for k in kpis]),
-            "kpi_connectivity": stats([k.kpi_connectivity_ns / SECOND
-                                       for k in kpis]),
-            "kpi_e2e": stats([k.kpi_e2e_ns / SECOND for k in kpis]),
-            "e2e_excl_transponder": stats([k.e2e_excl_transponder_ns / SECOND
-                                           for k in kpis]),
-        },
+        "summary": dict(zip(("kpi_ns_deploy", "kpi_connectivity", "kpi_e2e",
+                             "e2e_excl_transponder"), map(stats, zip(*kpis)))),
     }
 
 

@@ -16,18 +16,19 @@ over a row of entropy words per stream, so a runner's ``KeyTable`` keys a
 stream path for all its worlds' roots in one pass, on the path's first draw;
 ``philox_key`` does the same for a single row in Python ints.  ``Philox``
 takes each key as it is.  The streams of one table take turns on its one
-``Philox`` generator: every draw, a ``SimRng`` stream's or one that
-``KeyTable.draw_ns`` draws all at once, takes a turn, which resets the
-generator to the stream's key.
+``Philox`` generator: every draw takes a turn, which resets the generator
+to the stream's key.  A ``SimRng`` stream draws when it is asked; a
+deployment path, which ``KeyTable.draws`` asks for, is drawn for every root
+at once, one turn a root, and its worlds read their rows of durations.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-import heapq
 import itertools
 import math
+from heapq import heappop, heappush
 from typing import Callable, IO, Optional, Sequence, Union
 
 import numpy as np
@@ -143,9 +144,10 @@ def stream_keys(seed: int, roots: list[tuple[int, ...]],
 
 
 class KeyTable:
-    """The Philox keys of the streams below one runner's world roots: the
-    first stream to draw on a path keys it for every root in one
-    ``stream_keys`` pass, into a list column read one row at a time.
+    """The streams below one runner's world roots, by path: a path's first
+    use fills its column for every root, read one row at a time.  A
+    ``SimRng`` path's column holds each root's key, from one ``stream_keys``
+    pass; a deployment path's, which ``draws`` reads, each root's durations.
 
     The table's streams take turns on one generator, built on the first
     draw: every draw takes a turn, which resets the generator to the
@@ -153,7 +155,7 @@ class KeyTable:
     """
 
     def __init__(self, seed: int, roots: list[tuple[int, ...]]):
-        self.seed, self.roots, self._columns = seed, roots, {}
+        self.seed, self.roots, self._columns, self._drawn = seed, roots, {}, {}
         self._row = {root: i for i, root in enumerate(roots)}
         self._width = len(roots[0]) if roots else 0
         self._shared: Optional[np.random.Generator] = None
@@ -181,15 +183,24 @@ class KeyTable:
             self._shared.bit_generator.state = self._state
         return self._shared
 
-    def draw_ns(self, spawn_key: tuple[int, ...],
-                durations: list) -> list[SimTime]:
-        """The durations of the stream at ``spawn_key``, in ns and in draw
+    def draws(self, root: tuple[int, ...], path: tuple[int, ...],
+              durations: list) -> list[SimTime]:
+        """The durations of the stream at ``root + path``, in ns and in draw
         order: a ``(mu, sigma)`` pair is a lognormal draw in seconds,
-        rounded, and any other value is kept as it is.  The stream draws in
-        one turn, from its start."""
-        gen = self.take_turn(self.key(spawn_key))
-        return [round(gen.lognormal(*d) * SECOND) if d.__class__ is tuple
-                else d for d in durations]
+        rounded, and any other value is kept as it is.  The path's first
+        call draws it for every root, each in one turn from its start, with
+        its ``durations``, which every later call asks of the path too; the
+        rows lie end to end in one list."""
+        column = self._drawn.get(path)
+        if column is None:
+            column = self._drawn[path] = [
+                round(gen.lognormal(*d) * SECOND) if d.__class__ is tuple else d
+                for gen in map(self.take_turn,
+                               stream_keys(self.seed, self.roots, path))
+                for d in durations]
+        n = len(durations)
+        start = self._row[root] * n
+        return column[start:start + n]
 
 
 @functools.cache
@@ -222,7 +233,8 @@ class SimRng:
     independent child stream from integer labels; the (seed, spawn path)
     pair fully determines every draw.  Its key comes from ``keys``, the
     ``KeyTable`` over ``seed`` that splits pass on, or from a one-row table
-    over the root ``()`` of its own.  Each draw takes a turn on the table's
+    of its own whose root is the stream's spawn key, so that a world's root
+    stream is a root of its table.  Each draw takes a turn on the table's
     generator and skips the standard normals the stream drew before, so a
     stream's n-th draw re-draws its n - 1 earlier ones; every stream of the
     twin draws once, but a soft-failure episode's noise when no sample of
@@ -233,12 +245,13 @@ class SimRng:
 
     def __init__(self, seed: int, spawn_key: tuple[int, ...] = (),
                  keys: Optional[KeyTable] = None):
+        spawn_key = tuple(spawn_key)
         if keys is None:
-            keys = KeyTable(int(seed), [()])
+            keys = KeyTable(int(seed), [spawn_key])
         elif keys.seed != seed:
             raise ValueError(f"SimRng seed {seed} differs from the seed "
                              f"{keys.seed} of its key table")
-        self.seed, self.spawn_key, self.keys = keys.seed, tuple(spawn_key), keys
+        self.seed, self.spawn_key, self.keys = keys.seed, spawn_key, keys
         self._drawn = 0
 
     def split(self, *labels: int) -> "SimRng":
@@ -315,7 +328,7 @@ class Kernel:
         """Enqueue ``action`` to run at virtual time ``at``."""
         if at < self._now:
             raise SchedulingInPast(f"schedule at {at} ns < now {self._now} ns")
-        heapq.heappush(self._heap, (at, self._next_seq, action, kind))
+        heappush(self._heap, (at, self._next_seq, action, kind))
         self._next_seq += 1
 
     def schedule_in(self, delay: SimTime, action: Callable[[], None],
@@ -325,15 +338,19 @@ class Kernel:
     def run_to_end(self) -> SimTime:
         """Fire every queued event in order, including those queued while
         firing; returns the fire time of the last (now() if none)."""
-        heap, pop, trace = self._heap, heapq.heappop, self.trace
-        while heap:
-            fire_at, sequence, action, kind = pop(heap)
-            self._now = fire_at
-            self._fired += 1
-            if self._fired > self.event_cap:
-                raise RunawaySimulation(
-                    f"fired-event count exceeded cap {self.event_cap}")
-            if trace is not None:
-                trace.write(f"{fire_at},{sequence},{_label_text(kind, action)}\n")
-            action()
+        heap, trace, cap = self._heap, self.trace, self.event_cap
+        fired = self._fired
+        try:
+            while heap:
+                fire_at, sequence, action, kind = heappop(heap)
+                self._now = fire_at
+                fired += 1
+                if fired > cap:
+                    raise RunawaySimulation(
+                        f"fired-event count exceeded cap {cap}")
+                if trace is not None:
+                    trace.write(f"{fire_at},{sequence},{_label_text(kind, action)}\n")
+                action()
+        finally:
+            self._fired = fired
         return self._now

@@ -1,11 +1,14 @@
+import contextlib
 import csv
 import errno
+import gc
 import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -609,10 +612,15 @@ def test_latency_requirement_is_checked_on_each_case_ring(tmp_path, capsys):
     assert main(["validate", "--scenario", write(tmp_path, doc)]) == 0
 
 
-def test_cli_import_loads_no_scipy():
+def src_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout."""
     src = str(SCENARIO_DIR.parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
+def test_cli_import_loads_no_scipy():
+    env = src_env()
     loaded = subprocess.run(
         [sys.executable, "-c", "import sys, metrotwin.cli; print(sorted("
          "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
@@ -623,12 +631,53 @@ def test_cli_import_loads_no_scipy():
 def test_cli_import_loads_no_numpy_random():
     # a stream loads numpy.random on its first draw, not at import; numpy
     # before 2.0 loads it with numpy itself, which this does not count
-    src = str(SCENARIO_DIR.parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env = src_env()
     loaded = subprocess.run(
         [sys.executable, "-c", "import sys, numpy; before = set(sys.modules); "
          "import metrotwin.cli; print(sorted(m for m in sys.modules if "
          "m not in before and m.startswith('numpy.random')))"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert loaded.strip() == "[]"
+
+
+def test_runs_in_one_process_report_what_each_reports_alone(tmp_path,
+                                                            capsys):
+    # main builds its parser once a process: a run after another reports
+    # what it reports in a fresh interpreter, and the first run's --rate
+    # does not reach the second
+    path = write(tmp_path, softfail_doc())
+    runs = [["softfail", "--scenario", path, "--rate", "0.5",
+             "--format", "json"],
+            ["softfail", "--scenario", path, "--format", "json"]]
+    alone = [subprocess.run([sys.executable, "-m", "metrotwin.cli", *argv],
+                            env=src_env(), capture_output=True, text=True,
+                            check=True).stdout for argv in runs]
+    together = []
+    for argv in runs:
+        assert main(argv) == 0
+        together.append(capsys.readouterr().out)
+    assert together == alone
+    rates = [[case["rate_db_per_s"] for case in
+              json.loads(out)["results"]["softfail"]["cases"]]
+             for out in together]
+    assert rates == [["0.5000"], ["0.2500"]]
+
+
+def test_runs_in_one_process_hold_no_memory(tmp_path):
+    # 30 validate runs in a row grow traced memory by about 2 KB; building
+    # a parser on each run grew it by about 19 KB
+    argv = ["validate", "--scenario", write(tmp_path, make_scenario())]
+    with open(os.devnull, "w", buffering=1) as sink, \
+            contextlib.redirect_stdout(sink):
+        assert main(argv) == 0
+        tracemalloc.start()
+        try:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(30):
+                assert main(argv) == 0
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+    assert grown < 8 * 1024

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import SCENARIO_DIR, make_scenario, shipped
 from metrotwin import scenario
+from metrotwin.cli import main
 from metrotwin.errors import ParseError, TwinError, ValidationError
 from metrotwin.scenario import (RunReport, TraceRows, build_world,
                                 load_scenario, run_scenario,
@@ -165,6 +166,24 @@ def test_setup_report_layout():
     assert [r["repetition"] for r in setup["per_repetition"]] == [0, 1, 2]
     assert setup["per_repetition"][0]["kpi_e2e_s"] == "177.000"
     assert setup["summary"]["kpi_e2e"]["std_s"] == "0.000"
+
+
+def test_a_setup_world_built_alone_gives_its_report_row(tmp_path):
+    # a world's deployment draws are its own streams', whether its runner's
+    # table draws them for 40 worlds or a table of its own for it alone
+    path = SCENARIO_DIR / "paper_setup.json"
+    out = tmp_path / "report.json"
+    assert main(["setup", "--scenario", str(path), "--repeat", "40",
+                 "--format", "json", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["results"]["setup"]["per_repetition"]
+    sc = load_scenario(path)
+    assert sc.service.jitter and len(rows) == 40
+    for k, row in enumerate(rows):
+        world = build_world(sc, (k,))
+        kpis = world.stack.compute_kpis(world.record)
+        assert row == {"repetition": k, **{
+            f"{name[:-3]}_s": f"{ns / SECOND:.3f}"
+            for name, ns in zip(kpis._fields, kpis)}}
 
 
 def test_latency_report_values():

@@ -169,7 +169,7 @@ def test_lognormal_mean_cv_parameterisation(mean, cv):
     # streams are
     keys = KeyTable(42, [(i,) for i in range(400)])
     params = lognormal_params(mean, cv)
-    draws = [keys.draw_ns((i,), [params])[0] / SECOND for i in range(400)]
+    draws = [keys.draws((i,), (), [params])[0] / SECOND for i in range(400)]
     assert all(x > 0 for x in draws)
     sample_mean = sum(draws) / len(draws)
     assert abs(sample_mean - mean) / mean < 6 * cv / 20  # 6 sigma of the mean estimate
@@ -205,7 +205,9 @@ def test_rng_draws_equal_numpy_seed_sequence(seed, key, cut, size, mean, cv):
     for rng in streams:
         assert rng.spawn_key == key
         first = rng.normal(1.5, 2.0)
-        assert rng.keys.draw_ns(key, [params, 7, params]) == durations
+        root, = rng.keys.roots  # the table's one root, which key starts with
+        assert rng.keys.draws(root, key[len(root):],
+                              [params, 7, params]) == durations
         # each draw takes a turn, and skips the stream's earlier draws
         assert [first, *rng.normal(1.5, 2.0, size),
                 rng.normal(1.5, 2.0)] == expected
@@ -220,8 +222,13 @@ def test_split_tree_draws_equal_numpy_seed_sequence(seed, width, data):
     # The tree grows from the roots of one key table, as a runner's worlds
     # do (equal width, labels below 2**32), from the root of a one-row
     # table and from an untabled stream; the last two key on Python ints.
-    # However the draws interleave, each table that draws builds one Philox
+    # However the draws interleave, each table that draws builds one Philox.
+    # A path's durations are drawn for every root of its table at once, so
+    # they are one lognormal for every path
     labels = st.lists(st.integers(min_value=0, max_value=2 ** 80), max_size=3)
+    mean = data.draw(st.floats(min_value=0.5, max_value=200.0))
+    cv = data.draw(st.floats(min_value=0.005, max_value=0.3))
+    params = lognormal_params(mean, cv)
     roots = data.draw(st.lists(st.tuples(*[st.integers(
         min_value=0, max_value=2 ** 32 - 1)] * width), min_size=1,
         max_size=4, unique=True))
@@ -255,13 +262,11 @@ def test_split_tree_draws_equal_numpy_seed_sequence(seed, width, data):
                     list(oracle.normal(1.5, 2.0, size))
             else:
                 # the stream's durations in one turn, from the stream's start
-                mean = data.draw(st.floats(min_value=0.5, max_value=200.0))
-                cv = data.draw(st.floats(min_value=0.005, max_value=0.3))
-                sigma2 = math.log1p(cv * cv)
-                params = (math.log(mean) - sigma2 / 2.0, math.sqrt(sigma2))
                 fresh = np.random.Generator(np.random.Philox(
                     np.random.SeedSequence(seed, spawn_key=paths[i])))
-                assert rng.keys.draw_ns(rng.spawn_key, [params]) == [
+                width = len(rng.keys.roots[0])
+                assert rng.keys.draws(rng.spawn_key[:width],
+                                      rng.spawn_key[width:], [params]) == [
                     round(fresh.lognormal(*params) * SECOND)]
     assert len(built) == len(drew)
 
@@ -325,31 +330,36 @@ def test_streams_build_a_generator_only_when_they_draw(monkeypatch):
                                 st.integers(min_value=0, max_value=4)),
                       max_size=12))
 def test_streams_take_turns_on_one_generator(draws):
-    # two SimRng streams and a stream drawn through the table, interleaved
-    # in any order: each draw (a single one at size 0) takes one turn on
-    # the table's one Philox and matches its stream's numpy generator
+    # two SimRng streams and a path drawn through the table for both roots,
+    # read in any order: each SimRng draw (a single one at size 0) takes
+    # one turn on the table's one Philox, the path takes one turn per root
+    # when it is first read, and each matches its stream's numpy generator
     def oracle(key):
         return np.random.Generator(np.random.Philox(
             np.random.SeedSequence(3, spawn_key=key)))
 
     oracles = {"a": oracle((0, 7)), "b": oracle((1, 7))}
     mu, sigma = lognormal_params(40.0, 0.1)
-    # the table draws the stream's durations in one turn, from its start
-    durations = [round(oracle((0, 8)).lognormal(mu, sigma) * SECOND), 5]
+    # the table draws each root's durations in one turn, from its start
+    durations = {root: [round(oracle(root + (8,)).lognormal(mu, sigma)
+                              * SECOND), 5] for root in [(0,), (1,)]}
     keys = KeyTable(3, [(0,), (1,)])
     streams = {"a": SimRng(3, (0, 7), keys), "b": SimRng(3, (1, 7), keys)}
     with pytest.MonkeyPatch.context() as patch:
         built, turns = count_philox(patch), count_turns(patch)
         for name, size in draws:
             if name == "t":
-                assert keys.draw_ns((0, 8), [(mu, sigma), 5]) == durations
+                root = (size % 2,)
+                assert keys.draws(root, (8,), [(mu, sigma), 5]) == \
+                    durations[root]
             elif size == 0:
                 assert streams[name].normal(1.0, 2.0) == \
                     oracles[name].normal(1.0, 2.0)
             else:
                 assert list(streams[name].normal(0.0, 1.0, size)) == \
                     list(oracles[name].normal(0.0, 1.0, size))
-    assert turns == [keys] * len(draws)
+    reads = sum(name == "t" for name, _ in draws)
+    assert turns == [keys] * (len(draws) - reads + 2 * (reads > 0))
     assert len(built) == min(len(draws), 1)
 
 
@@ -397,6 +407,33 @@ def test_stream_keys_equal_numpy_seed_sequence(seed, width, data):
     for root, key in zip(roots, keys):
         assert key == np.random.SeedSequence(
             seed, spawn_key=root + path).generate_state(2, np.uint64).tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 160),
+       width=st.integers(min_value=0, max_value=2), data=st.data())
+def test_drawn_paths_equal_numpy_seed_sequence(seed, width, data):
+    # a path read through ``draws`` is drawn for every root of its table at
+    # once: each root's row, read in any order, is its own stream's draws,
+    # a lognormal for each (mu, sigma) and a nominal value kept, and a
+    # table over that root alone draws the same row
+    label = st.integers(min_value=0, max_value=2 ** 32 - 1)
+    roots = data.draw(st.lists(st.tuples(*[label] * width), min_size=1,
+                               max_size=5, unique=True))
+    path = tuple(data.draw(st.lists(
+        st.integers(min_value=0, max_value=2 ** 80), max_size=4)))
+    durations = data.draw(st.lists(st.one_of(
+        st.tuples(st.floats(min_value=-3.0, max_value=6.0),
+                  st.floats(min_value=0.0, max_value=1.0)),
+        st.integers(min_value=0, max_value=10 ** 18)), max_size=4))
+    keys = KeyTable(seed, roots)
+    for root in data.draw(st.permutations(roots)):
+        oracle = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(seed, spawn_key=root + path)))
+        row = [round(oracle.lognormal(*d) * SECOND) if isinstance(d, tuple)
+               else d for d in durations]
+        assert keys.draws(root, path, durations) == row
+        assert KeyTable(seed, [root]).draws(root, path, durations) == row
 
 
 @pytest.mark.parametrize("probe_jitter_ns, passes, drawn", [
