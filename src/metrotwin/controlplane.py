@@ -25,7 +25,8 @@ from .errors import FieldInvalid, IllegalTransition, IncompleteRecord
 from .optics import TRANSPONDER_JITTER_CV
 from .probe import (LatencyMeasurement, ProbeConfig, measure_round_trip,
                     noiseless_round_trip)
-from .simkernel import Kernel, MS, SECOND, SimRng, SimTime, lognormal_params
+from .simkernel import (Kernel, KeyTable, MS, SECOND, SimRng, SimTime,
+                        lognormal_params)
 from .topology import (ChannelId, NodeId, OpticalPath, Record, RingState,
                        RingTopology, TransponderState)
 
@@ -292,11 +293,14 @@ class DeployPlan:
 class OrchestrationStack:
     """One world's orchestrator, controller hierarchy and device drivers:
     it deploys its plan's service on a ``RingState`` of its own, drawing
-    on streams below the world's root ``rng``."""
+    on the streams of ``keys``, its runner's key table, below the world's
+    ``root``."""
 
-    def __init__(self, plan: DeployPlan, kernel: Kernel, rng: SimRng) -> None:
+    def __init__(self, plan: DeployPlan, kernel: Kernel, keys: KeyTable,
+                 root: tuple[int, ...]) -> None:
         self.plan, self.ring, self.timings = plan, plan.ring, plan.timings
-        self.state, self.kernel, self.rng = RingState(plan.ring), kernel, rng
+        self.state, self.kernel = RingState(plan.ring), kernel
+        self.keys, self.root = keys, root
         self.record: Optional[ServiceRecord] = None
         self._arc: Optional[_Arc] = None  # the arc being programmed
 
@@ -306,7 +310,7 @@ class OrchestrationStack:
         leaf, durations = stream
         if leaf is None:
             return durations
-        return self.rng.keys.draws(self.rng.spawn_key, leaf, durations)
+        return self.keys.draws(self.root, leaf, durations)
 
     # ---------------------------------------------------------- deployment
 
@@ -441,7 +445,7 @@ class OrchestrationStack:
         leaf = plan.probe_stream
         rec.probe = measure_round_trip(
             rec.path, self.state, plan.probe_cfg, plan.shot,
-            None if leaf is None else self.rng.split(*leaf))
+            None if leaf is None else SimRng(self.keys, self.root + leaf))
         rec.timestamps.t_probe_verified = self.kernel.now()
         req = plan.ns.connectivity.max_rt_latency_ns
         if req is not None and rec.probe.measured_rt_ns > req:

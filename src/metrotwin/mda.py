@@ -19,10 +19,10 @@ import numpy as np
 
 from .controlplane import OrchestrationStack, ServiceRecord, ServiceStatus
 from .errors import OutOfOrderSample, TwinError
-from .optics import (AttenuationRamp, OpticalPlant, SignalModel,
-                     TelemetrySample, ber_from_snr, ramped_snr)
+from .optics import (AttenuationRamp, SignalModel, TelemetrySample,
+                     ber_from_snr, ramped_snr)
 from .simkernel import Kernel, SECOND, SimRng, SimTime
-from .topology import Frozen, OpticalPath
+from .topology import Frozen
 
 
 class DetectorConfig(Frozen):
@@ -128,12 +128,12 @@ def anticipation_time(detection: DegradationEvent, t_cross: SimTime) -> SimTime:
 
 
 class SoftFailWorld(NamedTuple):
-    """One freshly provisioned repetition: kernel, plant and an active service."""
+    """One freshly provisioned repetition: its kernel, and the stack and
+    record of its active service; the stack holds the world's key table
+    and root, below which its noise stream lies."""
     kernel: Kernel
-    plant: OpticalPlant
     stack: OrchestrationStack
     record: ServiceRecord
-    rng: SimRng
 
 
 class RepetitionResult(NamedTuple):
@@ -253,7 +253,7 @@ def episode_horizon(cfg: DetectorConfig, model: SignalModel,
     return samples, cfg.baseline_window + cross
 
 
-def _scan_telemetry(plant: OpticalPlant, path: OpticalPath, model: SignalModel,
+def _scan_telemetry(ramps: list[AttenuationRamp], model: SignalModel,
                     cfg: DetectorConfig, fail_snr_db: float,
                     first_sample: SimTime, noise_sigma_db: float,
                     noise_rng: SimRng, samples: int, first: int,
@@ -263,7 +263,8 @@ def _scan_telemetry(plant: OpticalPlant, path: OpticalPath, model: SignalModel,
     """Detection and fail-crossing index of one episode, or None for either,
     and the instants and SNR values of its samples up to the crossing.
 
-    Sample i is the noiseless SNR at ``first_sample + i * period`` plus one
+    Sample i is the noiseless SNR at ``first_sample + i * period`` under
+    ``ramps``, the ramps on the monitored path (``ramped_snr``), plus one
     draw of ``noise_rng``.  The crossing is the first sample whose BER is
     above the fail limit, that is whose SNR is at or below ``fail_snr_db``;
     detection is as in ``DegradationDetector``, up to the crossing.  The
@@ -278,7 +279,7 @@ def _scan_telemetry(plant: OpticalPlant, path: OpticalPath, model: SignalModel,
     def draw(piece: int, lo: int, hi: int) -> np.ndarray:
         if len(noiseless) == piece:  # no earlier episode needed it
             times = first_sample + period * np.arange(lo, hi, dtype=np.int64)
-            noiseless.append(plant.snr_series(path, times, model))
+            noiseless.append(ramped_snr(model, times, ramps))
         return noiseless[piece] + noise_rng.normal(0.0, noise_sigma_db,
                                                    size=hi - lo)
 
@@ -346,21 +347,21 @@ def run_softfail_case(world_factory: Callable[[int], SoftFailWorld],
     noiseless: dict[tuple[str, ...], list[np.ndarray]] = {}
 
     for rep in range(repetitions):
-        world = world_factory(rep)
-        kernel, plant, stack, rec = (world.kernel, world.plant, world.stack,
-                                     world.record)
+        kernel, stack, rec = world_factory(rep)
         if rec.status is not ServiceStatus.ACTIVE or rec.path is None:
             raise TwinError(f"repetition {rep}: service not active before episode")
         monitored_path = rec.path  # crossing is tracked on the original arc
         first_sample = kernel.now() + period
         ramp_start = first_sample + (detector_cfg.baseline_window - 1) * period
-        plant.apply_attenuation_ramp(AttenuationRamp(
-            ramp_link or monitored_path.links[0], rate_db_per_s, ramp_start,
-            snr_coupling))
+        ramp = AttenuationRamp(ramp_link or monitored_path.links[0],
+                               rate_db_per_s, ramp_start, snr_coupling)
+        if ramp.link_id not in stack.ring.links:
+            raise TwinError(f"ramp_link: no link {ramp.link_id!r} in the ring")
         ev, cross, times, snr = _scan_telemetry(
-            plant, monitored_path, model, detector_cfg, fail_snr,
-            first_sample, noise_sigma_db, world.rng.split(NOISE_STREAM), samples,
-            first, noiseless.setdefault(monitored_path.links, []))
+            [ramp] if ramp.link_id in monitored_path.links else [], model,
+            detector_cfg, fail_snr, first_sample, noise_sigma_db,
+            SimRng(stack.keys, stack.root + (NOISE_STREAM,)), samples, first,
+            noiseless.setdefault(monitored_path.links, []))
         if keep_trace and rep == 0:
             trace = EpisodeTrace(times, snr, ramp_start, model)
         t_last = first_sample + period * (

@@ -171,7 +171,9 @@ class OpticalPlant:
     """Time-varying physical state: ramps, receiver SNR, telemetry.
 
     Ramps are kept here, one per link, and the receiver SNR at any instant
-    is computed from them; the shared ring is never written.
+    is computed from them; the shared ring is never written.  No world
+    builds one: an episode's scan computes its series with ``ramped_snr``,
+    and the plant samples one instant at a time for the per-sample oracle.
     """
 
     def __init__(self, state: RingState):

@@ -26,7 +26,7 @@ from .controlplane import (ConnectivityRequirements, DeployPlan,
 from .errors import FieldInvalid, ParseError, TwinError, ValidationError
 from .mda import (DetectorConfig, SoftFailWorld, episode_horizon,
                   run_softfail_case)
-from .optics import OpticalPlant, SignalModel, SPEED_OF_LIGHT_M_PER_S
+from .optics import SignalModel, SPEED_OF_LIGHT_M_PER_S
 from .probe import (ProbeConfig, budget_from_config, fit_budget,
                     measure_round_trip, noiseless_round_trip)
 from .simkernel import Kernel, KeyTable, SECOND, SimRng
@@ -459,17 +459,19 @@ def build_world(sc: Scenario, spawn_key: tuple[int, ...],
                 trace_sink: Optional[IO[str]] = None,
                 keys: Optional[KeyTable] = None, where: str = "") -> SoftFailWorld:
     """Provision one isolated world and deploy ``plan``'s service in it, by
-    default the scenario's on its own ring; ``where`` names the world in
-    the TwinError of a failed deployment."""
+    default the scenario's on its own ring.  The world's streams lie below
+    its root ``spawn_key`` in ``keys``, its runner's key table, by default a
+    table of that one root; ``where`` names the world in the TwinError of a
+    failed deployment."""
     kernel = Kernel(trace=trace_sink)
-    rng = SimRng(sc.seed, spawn_key, keys)
-    stack = OrchestrationStack(plan or sc.plan(), kernel, rng)
+    stack = OrchestrationStack(plan or sc.plan(), kernel,
+                               keys or KeyTable(sc.seed, [spawn_key]), spawn_key)
     record = stack.request_network_service()
     kernel.run_to_end()
     if record.status is not ServiceStatus.ACTIVE:
         raise TwinError(f"{where}deployment ended {record.status.value}: "
                         f"{record.failure_reason}")
-    return SoftFailWorld(kernel, OpticalPlant(stack.state), stack, record, rng)
+    return SoftFailWorld(kernel, stack, record)
 
 
 # --------------------------------------------------------------- reporting
@@ -620,12 +622,13 @@ def _run_latency(sc: Scenario, trace_sink=None) -> dict:
         measured = []
         estimated = None
         for rep in range(latency.repetitions):
-            world = build_world(sc, (200 + case_idx, rep), plan, trace_sink, keys,
+            root = (200 + case_idx, rep)
+            world = build_world(sc, root, plan, trace_sink, keys,
                                 f"latency.cases[{case_idx}] repetition {rep}: ")
             # the probe stream draws only if the probe has jitter
             m = measure_round_trip(
                 world.record.path, world.stack.state, plan.probe_cfg, plan.shot,
-                world.rng.split(LATENCY_PROBE_STREAM)
+                SimRng(keys, root + (LATENCY_PROBE_STREAM,))
                 if plan.probe_cfg.jitter_sigma_ns else None)
             measured.append(m.measured_rt_ns)
             estimated = m.estimated_rt_prop_ns

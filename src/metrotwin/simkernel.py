@@ -6,20 +6,21 @@ simulation start (64-bit range), so microsecond-scale probe latencies and
 minute-scale attenuation ramps coexist without floating-point drift.
 
 Randomness comes from numpy's Philox 4x64 counter-based bit generator.
-Repetition and sub-module streams are split off the run seed by spawn keys,
-and every draw equals numpy's ``Generator(Philox(SeedSequence(seed,
+A stream is named by its spawn key: a world's root below the run seed, then
+a path.  Every draw equals numpy's ``Generator(Philox(SeedSequence(seed,
 spawn_key)))``, so draws are reproducible independently of execution order:
-the same (seed, spawn path) always yields the same values.
+the same (seed, spawn key) always yields the same values.
 
 ``philox_keys`` replays ``SeedSequence``'s key derivation in numpy arithmetic
 over a row of entropy words per stream, so a runner's ``KeyTable`` keys a
 stream path for all its worlds' roots in one pass, on the path's first draw;
-``philox_key`` does the same for a single row in Python ints.  ``Philox``
-takes each key as it is.  The streams of one table take turns on its one
-``Philox`` generator: every draw takes a turn, which resets the generator
-to the stream's key.  A ``SimRng`` stream draws when it is asked; a
-deployment path, which ``KeyTable.draws`` asks for, is drawn for every root
-at once, one turn a root, and its worlds read their rows of durations.
+``philox_key`` does the same for a single row in Python ints.  The streams
+of one table take turns on its one ``Philox`` generator, built from
+``Philox(0)``: every draw takes a turn, which sets the generator's key to
+the stream's.  A deployment path, which ``KeyTable.draws`` asks for, is
+drawn for every root at once, one turn a root, and its worlds read their
+rows of durations; a ``SimRng`` stream, made only where a stream draws
+otherwise, draws when it is asked.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import functools
 import itertools
 import math
 from heapq import heappop, heappush
-from typing import Callable, IO, Optional, Sequence, Union
+from typing import Callable, IO, Optional, Union
 
 import numpy as np
 
@@ -150,8 +151,8 @@ class KeyTable:
     pass; a deployment path's, which ``draws`` reads, each root's durations.
 
     The table's streams take turns on one generator, built on the first
-    draw: every draw takes a turn, which resets the generator to the
-    drawing stream's key, so the table builds one ``Philox`` at most.
+    draw from ``Philox(0)``: every turn, the first included, sets its key to
+    the drawing stream's, so the table builds one ``Philox`` at most.
     """
 
     def __init__(self, seed: int, roots: list[tuple[int, ...]]):
@@ -176,11 +177,9 @@ class KeyTable:
     def take_turn(self, key: list[int]) -> np.random.Generator:
         """The shared generator, as ``Philox`` builds it from ``key``."""
         if self._shared is None:
-            self._shared = np.random.Generator(
-                np.random.Philox(_fixed_key()(key)))
-        else:
-            self._state["state"]["key"] = key
-            self._shared.bit_generator.state = self._state
+            self._shared = np.random.Generator(np.random.Philox(0))
+        self._state["state"]["key"] = key
+        self._shared.bit_generator.state = self._state
         return self._shared
 
     def draws(self, root: tuple[int, ...], path: tuple[int, ...],
@@ -189,73 +188,37 @@ class KeyTable:
         order: a ``(mu, sigma)`` pair is a lognormal draw in seconds,
         rounded, and any other value is kept as it is.  The path's first
         call draws it for every root, each in one turn from its start, with
-        its ``durations``, which every later call asks of the path too; the
-        rows lie end to end in one list."""
-        column = self._drawn.get(path)
-        if column is None:
-            column = self._drawn[path] = [
+        its ``durations``; the rows lie end to end in one list.  A later
+        call that asks other durations of the path raises ValueError."""
+        drawn = self._drawn.get(path)
+        if drawn is None:
+            drawn = self._drawn[path] = durations, [
                 round(gen.lognormal(*d) * SECOND) if d.__class__ is tuple else d
                 for gen in map(self.take_turn,
                                stream_keys(self.seed, self.roots, path))
                 for d in durations]
+        elif drawn[0] is not durations and drawn[0] != durations:
+            raise ValueError(f"stream path {path} was drawn with durations "
+                             f"{drawn[0]}, not {durations}")
         n = len(durations)
         start = self._row[root] * n
-        return column[start:start + n]
-
-
-@functools.cache
-def _fixed_key() -> type:
-    """The seed sequence that hands ``Philox`` a key derived already.
-
-    Made on first use: subclassing numpy's ``ISeedSequence`` imports
-    ``numpy.random``, which would otherwise load with the program.
-    """
-    from numpy.random.bit_generator import ISeedSequence
-
-    class FixedKey(ISeedSequence):
-        __slots__ = ("key",)
-
-        def __init__(self, key: Sequence[int]):
-            self.key = key
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            # Philox asks for its two 64-bit key words and reads them by
-            # index, so a pair of ints spares building an array
-            return self.key
-
-    return FixedKey
+        return drawn[1][start:start + n]
 
 
 class SimRng:
-    """Splittable deterministic RNG stream.
+    """The stream of ``keys`` at ``spawn_key``, one of the table's roots
+    then a path, for a stream that draws when it is asked.
 
-    Wraps ``numpy.random.Philox`` (counter-based, 4x64).  ``split`` derives an
-    independent child stream from integer labels; the (seed, spawn path)
-    pair fully determines every draw.  Its key comes from ``keys``, the
-    ``KeyTable`` over ``seed`` that splits pass on, or from a one-row table
-    of its own whose root is the stream's spawn key, so that a world's root
-    stream is a root of its table.  Each draw takes a turn on the table's
-    generator and skips the standard normals the stream drew before, so a
-    stream's n-th draw re-draws its n - 1 earlier ones; every stream of the
-    twin draws once, but a soft-failure episode's noise when no sample of
-    its first block crosses.
+    Each draw takes a turn on the table's generator and skips the standard
+    normals the stream drew before, so a stream's n-th draw re-draws its
+    n - 1 earlier ones; every stream of the twin draws once, but a
+    soft-failure episode's noise when no sample of its first block crosses.
     """
 
-    __slots__ = ("seed", "spawn_key", "keys", "_drawn")
+    __slots__ = ("keys", "spawn_key", "_drawn")
 
-    def __init__(self, seed: int, spawn_key: tuple[int, ...] = (),
-                 keys: Optional[KeyTable] = None):
-        spawn_key = tuple(spawn_key)
-        if keys is None:
-            keys = KeyTable(int(seed), [spawn_key])
-        elif keys.seed != seed:
-            raise ValueError(f"SimRng seed {seed} differs from the seed "
-                             f"{keys.seed} of its key table")
-        self.seed, self.spawn_key, self.keys = keys.seed, spawn_key, keys
-        self._drawn = 0
-
-    def split(self, *labels: int) -> "SimRng":
-        return SimRng(self.seed, self.spawn_key + labels, self.keys)
+    def __init__(self, keys: KeyTable, spawn_key: tuple[int, ...]):
+        self.keys, self.spawn_key, self._drawn = keys, spawn_key, 0
 
     def normal(self, mu: float = 0.0, sigma: float = 1.0,
                size: Optional[int] = None):

@@ -62,6 +62,13 @@ def shipped(name):
     return json.loads((SCENARIO_DIR / name).read_text())
 
 
+def tabled(seed, spawn_key=(), root=()):
+    """The stream at ``spawn_key`` of a key table over the one ``root``."""
+    from metrotwin.simkernel import KeyTable, SimRng
+
+    return SimRng(KeyTable(seed, [root]), spawn_key)
+
+
 def count_turns(monkeypatch) -> list:
     """The key table of each turn taken on a table's generator from here
     on, one entry a turn."""

@@ -17,7 +17,13 @@ from hypothesis import strategies as st
 from conftest import SCENARIO_DIR, make_scenario, shipped
 from metrotwin import cli
 from metrotwin.cli import main
-from metrotwin.scenario import RunReport, run_scenario, scenario_from_dict
+from metrotwin.controlplane import (PROBE_STREAM, REQUEST_ID, STACK_STREAM,
+                                    hash_label)
+from metrotwin.mda import NOISE_STREAM
+from metrotwin.optics import OpticalPlant
+from metrotwin.scenario import (LATENCY_PROBE_STREAM, RunReport, run_scenario,
+                                scenario_from_dict)
+from metrotwin.simkernel import SimRng
 
 
 def write(tmp_path, doc, name="scenario.json"):
@@ -681,3 +687,68 @@ def test_runs_in_one_process_hold_no_memory(tmp_path):
         finally:
             tracemalloc.stop()
     assert grown < 8 * 1024
+
+
+@pytest.mark.parametrize("jitter_sigma_ns", [0, 400])
+def test_a_world_makes_no_plant_and_a_stream_only_where_it_draws(
+        tmp_path, monkeypatch, jitter_sigma_ns):
+    # a world's deployment draws through its runner's key table; a SimRng
+    # is made for a soft-failure episode's noise, and under probe jitter
+    # for the deployment's probe and a latency world's probe, and each draws
+    doc = shipped("paper_full_demo.json")
+    doc["latency"]["probe"]["jitter_sigma_ns"] = jitter_sigma_ns
+    plants, made, drew = [], [], set()
+    init, normal = SimRng.__init__, SimRng.normal
+
+    def recording_init(self, keys, spawn_key):
+        made.append(self)
+        init(self, keys, spawn_key)
+
+    def recording_normal(self, mu=0.0, sigma=1.0, size=None):
+        if sigma:
+            drew.add(id(self))
+        return normal(self, mu, sigma, size)
+
+    monkeypatch.setattr(SimRng, "__init__", recording_init)
+    monkeypatch.setattr(SimRng, "normal", recording_normal)
+    monkeypatch.setattr(OpticalPlant, "__init__",
+                        lambda self, state: plants.append(state))
+    assert main(["demo", "--scenario", write(tmp_path, doc), "--repeat", "1",
+                 "--format", "json", "--out", str(tmp_path / "r.json")]) == 0
+    assert plants == []
+    assert drew == {id(rng) for rng in made}
+    # (root, path) of each stream, in the order the runners make them
+    probe = (STACK_STREAM, hash_label(REQUEST_ID), PROBE_STREAM)
+    expected = noise = [((100 + case, 0), (NOISE_STREAM,)) for case in range(2)]
+    if jitter_sigma_ns:
+        expected = [((0,), probe)] + [
+            stream for root, leaf in [((200 + case, 0), (LATENCY_PROBE_STREAM,))
+                                      for case in range(4)] + noise
+            for stream in ((root, probe), (root, leaf))]
+    assert [(rng.spawn_key[:len(rng.keys.roots[0])],
+             rng.spawn_key[len(rng.keys.roots[0]):]) for rng in made] == expected
+
+
+def test_the_bench_tracer_finds_every_name_it_patches(tmp_path, monkeypatch):
+    # perfbench's tracer patches twin functions by name: a traced demo run
+    # writes the untraced report, and names each fired event's layer by its
+    # action's module, never functools or other
+    monkeypatch.syspath_prepend(str(SCENARIO_DIR.parents[2] / "perfbench"))
+    import tracer
+
+    argv = ["demo", "--scenario", str(SCENARIO_DIR / "paper_full_demo.json"),
+            "--repeat", "1", "--format", "json", "--out"]
+    plain, traced = tmp_path / "plain.json", tmp_path / "traced.json"
+    assert main(argv + [str(plain)]) == 0
+    spans = tracer.Tracer()
+    with tracer.tracing(spans):
+        spans.enter(tracer.ROOT_SPAN)
+        try:
+            assert main(argv + [str(traced)]) == 0
+        finally:
+            spans.exit()
+    assert traced.read_bytes() == plain.read_bytes()
+    fired = {name for name in spans.self_ns if name.endswith(".fire")}
+    assert {"controlplane.fire", "mda.fire"} <= fired
+    assert not {"functools.fire", "other.fire"} & fired
+    assert spans.calls["simkernel.rng_init"] == 2

@@ -18,7 +18,7 @@ from metrotwin.controlplane import (ConnectivityRequirements, DeployPlan,
 from metrotwin.errors import IllegalTransition, IncompleteRecord
 from metrotwin.optics import TRANSPONDER_JITTER_CV
 from metrotwin.scenario import build_world, scenario_from_dict
-from metrotwin.simkernel import Kernel, KeyTable, SECOND, SimRng
+from metrotwin.simkernel import Kernel, KeyTable, SECOND
 from metrotwin.topology import TransponderState, build_ring
 
 
@@ -37,7 +37,7 @@ def fresh_stack(section=None, ns=None, kernel=None):
     """A world's state, kernel and stack for the service ``ns``."""
     plan = DeployPlan(build_ring(section or ring_section()), ns or descriptor())
     kernel = kernel or Kernel()
-    stack = OrchestrationStack(plan, kernel, SimRng(0))
+    stack = OrchestrationStack(plan, kernel, KeyTable(0, [()]), ())
     return stack.state, kernel, stack
 
 

@@ -246,13 +246,14 @@ def oracle_softfail_case(world_factory, rate_db_per_s, repetitions,
                          noise_sigma_db, detector_cfg, model, snr_coupling=1.0,
                          ramp_link=None, keep_trace=True):
     """Reference episode: one kernel event, one ``sample_telemetry`` and one
-    detector ingest per sample period.  Returns (per-repetition results,
-    trace)."""
+    detector ingest per sample period, on an ``OpticalPlant`` over the
+    world's ring state.  Each sample's noise is the next draw of the world's
+    noise stream, from numpy's own generator.  Returns (per-repetition
+    results, trace)."""
     reps, trace = [], []
     for rep in range(repetitions):
-        world = world_factory(rep)
-        kernel, plant, stack, rec = (world.kernel, world.plant, world.stack,
-                                     world.record)
+        kernel, stack, rec = world_factory(rep)
+        plant = OpticalPlant(stack.state)
         monitored_path = rec.path
         period = detector_cfg.sample_period_ns
         first_sample = kernel.now() + period
@@ -263,7 +264,8 @@ def oracle_softfail_case(world_factory, rate_db_per_s, repetitions,
             snr_coupling=snr_coupling))
         fail_snr = model.fail_snr_db()
         detector = DegradationDetector(detector_cfg, fail_snr)
-        noise_rng = world.rng.split(11)
+        noise_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(
+            stack.keys.seed, spawn_key=stack.root + (mda.NOISE_STREAM,))))
         state = {"event": None, "t_cross": None}
         sample_cap = detector_cfg.baseline_window + 1000 + int(
             2 * (model.snr0_db - fail_snr)
@@ -618,15 +620,18 @@ def test_an_episode_that_never_crosses_draws_its_horizon_and_raises(
 
 
 def snr_series_calls(monkeypatch):
-    """Record each ``OpticalPlant.snr_series`` call, by its sample count."""
+    """Record each noiseless series an episode computes, by its sample
+    count: each ``ramped_snr`` call of ``mda`` but ``episode_horizon``'s,
+    whose ramp lies on no link."""
     calls = []
-    snr_series = OpticalPlant.snr_series
+    ramped_snr = mda.ramped_snr
 
-    def spy(self, path, times, model):
-        calls.append(len(times))
-        return snr_series(self, path, times, model)
+    def spy(model, times, ramps):
+        if all(ramp.link_id for ramp in ramps):
+            calls.append(len(times))
+        return ramped_snr(model, times, ramps)
 
-    monkeypatch.setattr(OpticalPlant, "snr_series", spy)
+    monkeypatch.setattr(mda, "ramped_snr", spy)
     return calls
 
 
@@ -638,6 +643,24 @@ def test_a_case_computes_its_noiseless_ramp_once(monkeypatch):
     run_scenario(sc)
     # one call for each of the two cases, not one for each repetition
     assert len(calls) == 2
+
+
+def test_a_ramp_on_an_unknown_link_raises_before_its_episode():
+    worlds = []
+    factory = softfail_world_factory()
+
+    def recording(rep):
+        worlds.append(factory(rep))
+        return worlds[-1]
+
+    with pytest.raises(TwinError, match="ramp_link: no link 'nope'"):
+        run_softfail_case(recording, rate_db_per_s=0.1, repetitions=3,
+                          noise_sigma_db=0.1, detector_cfg=DetectorConfig(),
+                          model=SignalModel(), ramp_link="nope")
+    # the first world is deployed, and its episode never starts
+    world, = worlds
+    assert world.kernel.idle()
+    assert world.kernel.now() == world.record.timestamps.t_monitoring_active
 
 
 @pytest.mark.parametrize("ramp_link,calls", [(None, 2), ("r1-r2", 3)])

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ring_section
+from conftest import ring_section, tabled
 from metrotwin.errors import PathNotOperational, RampConflict
 from metrotwin.optics import (AttenuationRamp, BER_CEIL, BER_FLOOR,
                               LOS_FLOOR_DB, OpticalPlant, SignalModel,
                               ber_from_snr, rt_propagation_delay,
                               snr_from_ber)
-from metrotwin.simkernel import SECOND, SimRng
+from metrotwin.simkernel import SECOND
 from metrotwin.topology import RingState, TransponderState, build_ring
 
 mpmath.mp.dps = 60
@@ -189,20 +189,20 @@ def test_sampling_requires_operational_path():
     dark = type(path)(path.source, path.destination, path.links, path.roadms,
                       path.direction, None)
     with pytest.raises(PathNotOperational):
-        plant.sample_telemetry(dark, 0, SignalModel(), 0.0, SimRng(1))
+        plant.sample_telemetry(dark, 0, SignalModel(), 0.0, tabled(1))
     state.transponders["tp2"].state = TransponderState.LASER_WARMUP
     with pytest.raises(PathNotOperational):
-        plant.sample_telemetry(path, 0, SignalModel(), 0.0, SimRng(1))
+        plant.sample_telemetry(path, 0, SignalModel(), 0.0, tabled(1))
 
 
 def test_telemetry_noise_is_seeded():
     state, path = _operational_world()
     plant = OpticalPlant(state)
     model = SignalModel()
-    a = plant.sample_telemetry(path, 0, model, 0.3, SimRng(5)).snr_db
-    b = plant.sample_telemetry(path, 0, model, 0.3, SimRng(5)).snr_db
-    c = plant.sample_telemetry(path, 0, model, 0.3, SimRng(6)).snr_db
+    a = plant.sample_telemetry(path, 0, model, 0.3, tabled(5)).snr_db
+    b = plant.sample_telemetry(path, 0, model, 0.3, tabled(5)).snr_db
+    c = plant.sample_telemetry(path, 0, model, 0.3, tabled(6)).snr_db
     assert a == b and a != c
-    clean = plant.sample_telemetry(path, 0, model, 0.0, SimRng(5))
+    clean = plant.sample_telemetry(path, 0, model, 0.0, tabled(5))
     assert clean.snr_db == pytest.approx(21.84)
     assert clean.pre_fec_ber == pytest.approx(ber_from_snr(21.84, model))

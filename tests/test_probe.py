@@ -3,13 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ring_section
+from conftest import ring_section, tabled
 from metrotwin.errors import PathNotOperational, RankDeficient, Underdetermined
 from metrotwin.probe import (BudgetReport, LatencyMeasurement, ProbeConfig,
                              budget_from_config, estimate_rt_propagation,
                              fit_budget, measure_round_trip,
                              noiseless_round_trip)
-from metrotwin.simkernel import SimRng
 from metrotwin.topology import (OpticalPath, RingState, TransponderState,
                                 build_ring)
 
@@ -62,9 +61,9 @@ def test_probe_jitter_seeded():
     state = RingState(build_ring(ring_section()))
     path = lit_path(state)
     cfg = ProbeConfig(jitter_sigma_ns=200)
-    a = measure(path, state, cfg, rng=SimRng(1)).measured_rt_ns
-    b = measure(path, state, cfg, rng=SimRng(1)).measured_rt_ns
-    c = measure(path, state, cfg, rng=SimRng(2)).measured_rt_ns
+    a = measure(path, state, cfg, rng=tabled(1)).measured_rt_ns
+    b = measure(path, state, cfg, rng=tabled(1)).measured_rt_ns
+    c = measure(path, state, cfg, rng=tabled(2)).measured_rt_ns
     assert a == b != c
 
 
@@ -74,7 +73,7 @@ def test_probe_jitter_seeded():
 def test_jittered_shot_never_beats_light(sigma, seed):
     state = RingState(build_ring(ring_section()))
     m = measure(lit_path(state), state, ProbeConfig(jitter_sigma_ns=sigma),
-                rng=SimRng(seed))
+                rng=tabled(seed))
     assert m.measured_rt_ns >= m.estimated_rt_prop_ns
 
 

@@ -2,14 +2,13 @@ import enum
 import io
 import json
 import math
-from functools import reduce
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SCENARIO_DIR, count_turns
+from conftest import SCENARIO_DIR, count_turns, tabled
 from metrotwin import simkernel
 from metrotwin.cli import main
 from metrotwin.errors import RunawaySimulation, SchedulingInPast
@@ -144,19 +143,19 @@ def test_seconds_round_trip():
 
 
 def test_rng_reproducible_and_split_independent():
-    a = SimRng(1234)
-    b = SimRng(1234)
+    a = tabled(1234)
+    b = tabled(1234)
     assert [a.normal(0, 1) for _ in range(5)] == [b.normal(0, 1) for _ in range(5)]
 
-    c = SimRng(1234).split(1)
-    d = SimRng(1234).split(2)
+    c = tabled(1234, (1,))
+    d = tabled(1234, (2,))
     assert c.normal(0, 1) != d.normal(0, 1)
-    # split order must not matter
-    assert SimRng(9, (3,)).split(4).normal(0, 1) == SimRng(9).split(3, 4).normal(0, 1)
+    # where the table's root ends in the spawn key must not matter
+    assert tabled(9, (3, 4), (3,)).normal(0, 1) == tabled(9, (3, 4)).normal(0, 1)
 
 
 def test_rng_zero_sigma_is_exact():
-    r = SimRng(0)
+    r = tabled(0)
     assert r.normal(40.0, 0.0) == 40.0
     assert list(r.normal(40.0, 0.0, 3)) == [40.0] * 3
 
@@ -199,9 +198,8 @@ def test_rng_draws_equal_numpy_seed_sequence(seed, key, cut, size, mean, cv):
     drawn = oracle()
     durations = [round(drawn.lognormal(*params) * SECOND), 7,
                  round(drawn.lognormal(*params) * SECOND)]
-    streams = [SimRng(seed, key), SimRng(seed).split(*key),
-               reduce(SimRng.split, key, SimRng(seed)),
-               SimRng(seed, key[:cut]).split(*key[cut:])]
+    streams = [tabled(seed, key, key), tabled(seed, key),
+               tabled(seed, key, key[:cut])]
     for rng in streams:
         assert rng.spawn_key == key
         first = rng.normal(1.5, 2.0)
@@ -217,11 +215,11 @@ def test_rng_draws_equal_numpy_seed_sequence(seed, key, cut, size, mean, cv):
 @given(seed=st.integers(min_value=0, max_value=2 ** 160),
        width=st.integers(min_value=0, max_value=2), data=st.data())
 def test_split_tree_draws_equal_numpy_seed_sequence(seed, width, data):
-    # streams split off one another in a random tree, drawn from in a
-    # random order: each matches its own numpy generator draw for draw.
-    # The tree grows from the roots of one key table, as a runner's worlds
-    # do (equal width, labels below 2**32), from the root of a one-row
-    # table and from an untabled stream; the last two key on Python ints.
+    # streams whose spawn keys extend one another in a random tree, drawn
+    # from in a random order: each matches its own numpy generator draw for
+    # draw.  The tree grows from the roots of one key table, as a runner's
+    # worlds do (equal width, labels below 2**32), and from the roots of
+    # two one-row tables, one of any labels; those two key on Python ints.
     # However the draws interleave, each table that draws builds one Philox.
     # A path's durations are drawn for every root of its table at once, so
     # they are one lognormal for every path
@@ -233,11 +231,11 @@ def test_split_tree_draws_equal_numpy_seed_sequence(seed, width, data):
         min_value=0, max_value=2 ** 32 - 1)] * width), min_size=1,
         max_size=4, unique=True))
     keys = KeyTable(seed, roots)
-    untabled = tuple(data.draw(labels))
-    nodes = [SimRng(seed, root, keys) for root in roots]
-    nodes.append(SimRng(seed, roots[0], KeyTable(seed, roots[:1])))
-    nodes.append(SimRng(seed, untabled))
-    paths = roots + [roots[0], untabled]
+    lone = tuple(data.draw(labels))
+    nodes = [SimRng(keys, root) for root in roots]
+    nodes.append(SimRng(KeyTable(seed, roots[:1]), roots[0]))
+    nodes.append(tabled(seed, lone, lone))
+    paths = roots + [roots[0], lone]
     oracles, drew = {}, set()
     with pytest.MonkeyPatch.context() as patch:
         built = count_philox(patch)
@@ -245,7 +243,7 @@ def test_split_tree_draws_equal_numpy_seed_sequence(seed, width, data):
             i = data.draw(st.integers(min_value=0, max_value=len(nodes) - 1))
             if data.draw(st.booleans()):
                 key = tuple(data.draw(labels))
-                nodes.append(nodes[i].split(*key))
+                nodes.append(SimRng(nodes[i].keys, paths[i] + key))
                 paths.append(paths[i] + key)
                 continue
             rng = nodes[i]
@@ -301,7 +299,7 @@ def record_tables(monkeypatch) -> list:
 
 def test_streams_build_a_generator_only_when_they_draw(monkeypatch):
     built, turns = count_philox(monkeypatch), count_turns(monkeypatch)
-    idle = SimRng(5).split(1, 2)
+    idle = tabled(5, (1, 2))
     assert idle.normal(3.0, 0.0) == 3.0
     assert list(idle.normal(3.0, 0.0, 2)) == [3.0, 3.0]
     assert built == [] and turns == []
@@ -318,11 +316,11 @@ def test_streams_build_a_generator_only_when_they_draw(monkeypatch):
     monkeypatch.setattr(SimRng, "__init__", recording_init)
     build_world(sc, (0,))
     # two VNF and two transponder streams draw, each through the world's
-    # key table in one turn on its one generator; the world's one SimRng is
-    # its root, and no probe stream is made (jitter_sigma_ns 0)
+    # key table in one turn on its one generator; a setup world makes no
+    # SimRng: no probe stream draws (jitter_sigma_ns 0)
     assert len(tables) == 1 and turns == tables * 4
     assert len(built) == len(tables)
-    assert made == [(sc.seed, (0,), None)]
+    assert made == []
 
 
 @settings(max_examples=40, deadline=None)
@@ -344,7 +342,7 @@ def test_streams_take_turns_on_one_generator(draws):
     durations = {root: [round(oracle(root + (8,)).lognormal(mu, sigma)
                               * SECOND), 5] for root in [(0,), (1,)]}
     keys = KeyTable(3, [(0,), (1,)])
-    streams = {"a": SimRng(3, (0, 7), keys), "b": SimRng(3, (1, 7), keys)}
+    streams = {"a": SimRng(keys, (0, 7)), "b": SimRng(keys, (1, 7))}
     with pytest.MonkeyPatch.context() as patch:
         built, turns = count_philox(patch), count_turns(patch)
         for name, size in draws:
@@ -363,9 +361,18 @@ def test_streams_take_turns_on_one_generator(draws):
     assert len(built) == min(len(draws), 1)
 
 
-def test_stream_refuses_a_table_of_another_seed():
-    with pytest.raises(ValueError, match="seed 5 .* seed 7"):
-        SimRng(5, (0,), KeyTable(7, [(0,)]))
+def test_a_path_read_with_other_durations_raises():
+    # the first read of a path draws it for every root with its durations;
+    # a later read that asks others of it would get the first's draws
+    keys = KeyTable(1, [(0,), (1,)])
+    durations = [(0.0, 0.1)]
+    first = keys.draws((0,), (5,), durations)
+    assert keys.draws((1,), (5,), durations) != first
+    assert keys.draws((0,), (5,), [(0.0, 0.1)]) == first  # equal, not the same
+    with pytest.raises(ValueError, match=r"stream path \(5,\)"):
+        keys.draws((0,), (5,), [7])
+    with pytest.raises(ValueError, match=r"stream path \(5,\)"):
+        keys.draws((1,), (5,), [(0.0, 0.2)])
 
 
 @settings(max_examples=60, deadline=None)
