@@ -114,12 +114,16 @@ def _setup_rows(results: dict) -> list[list[str]]:
     return rows
 
 
-def _latency_rows(results: dict) -> list[list[str]]:
-    rows = [["link_length_km", "measured_us", "estimated_us", "delta_us"]]
-    for case in results["cases"]:
-        rows.append([case["link_length_km"], case["measured_us"],
-                     case["estimated_us"], case["delta_us"]])
-    return rows
+def _columns(keys: tuple[str, ...], records: list[dict]) -> list[list[str]]:
+    """A header of ``keys``, then each record's values at them, as text."""
+    return [list(keys)] + [[str(r[k]) for k in keys] for r in records]
+
+
+_LATENCY_KEYS = ("link_length_km", "measured_us", "estimated_us", "delta_us")
+_SOFTFAIL_CSV_KEYS = (
+    "name", "rate_db_per_s", "detection_time_s", "anticipation_s",
+    "predicted_anticipation_s", "mean_detection_snr_db", "mean_detection_ber",
+    "restored", "failed")
 
 
 _SOFTFAIL_METRICS = (
@@ -136,19 +140,6 @@ def _softfail_rows(results: dict) -> list[list[str]]:
     rows = [header]
     for label, key in _SOFTFAIL_METRICS:
         rows.append([label] + [case[key] for case in cases])
-    return rows
-
-
-def _softfail_csv_rows(results: dict) -> list[list[str]]:
-    rows = [["name", "rate_db_per_s", "detection_time_s", "anticipation_s",
-             "predicted_anticipation_s", "mean_detection_snr_db",
-             "mean_detection_ber", "restored", "failed"]]
-    for case in results["cases"]:
-        rows.append([case["name"], case["rate_db_per_s"],
-                     case["detection_time_s"], case["anticipation_s"],
-                     case["predicted_anticipation_s"],
-                     case["mean_detection_snr_db"], case["mean_detection_ber"],
-                     str(case["restored"]), str(case["failed"])])
     return rows
 
 
@@ -171,10 +162,12 @@ def render_report(report: RunReport, fmt: str) -> str:
     if "setup" in report.results:
         sections.append(("setup", _setup_rows(report.results["setup"])))
     if "latency" in report.results:
-        sections.append(("latency", _latency_rows(report.results["latency"])))
+        sections.append(("latency", _columns(
+            _LATENCY_KEYS, report.results["latency"]["cases"])))
     if "softfail" in report.results:
-        rows = (_softfail_csv_rows if fmt == "csv" else _softfail_rows)(
-            report.results["softfail"])
+        softfail = report.results["softfail"]
+        rows = (_columns(_SOFTFAIL_CSV_KEYS, softfail["cases"]) if fmt == "csv"
+                else _softfail_rows(softfail))
         sections.append(("softfail", rows))
     out = []
     for name, rows in sections:

@@ -7,12 +7,13 @@ ring's chosen arc in that arc's visit order, transponder bring-up, probe
 verification, monitoring registration.  Phase timestamps land on the service
 record so KPIs can be derived afterwards.
 
-Every world deploys one service, on channel 0.  What all worlds of a runner
-deploy alike, a ``DeployPlan`` settles once: a world makes only its draws and
-schedules its events from the plan.  Restoration reuses the same machinery:
-on a degradation alert the service is moved to the complementary ring arc on
-its channel, and the same routine that programmed the ROADMs for deployment
-reprograms them, from the plan's visit list for that arc.
+Every world deploys one service, on channel 0.  What all worlds on one ring
+deploy alike, a ``DeployPlan`` settles once, when a scenario is validated: a
+world makes only its draws and schedules its events from the plan.
+Restoration reuses the same machinery: on a degradation alert the service is
+moved to the complementary ring arc on its channel, and the same routine that
+programmed the ROADMs for deployment reprograms them, from the plan's visit
+list for that arc.
 """
 
 from __future__ import annotations
@@ -138,19 +139,16 @@ class RestorationOutcome(Record):
 
 
 class ServiceRecord(Record):
-    __slots__ = ("request_id", "status", "timestamps", "path", "channel",
-                 "probe", "restoration", "failure_reason", "passes")
+    __slots__ = ("request_id", "status", "timestamps", "path", "probe",
+                 "restoration", "failure_reason")
 
     def __init__(self, request_id: str) -> None:
         self.request_id, self.status = request_id, ServiceStatus.DEPLOYING
         self.timestamps = Timestamps()
         self.path: Optional[OpticalPath] = None
-        self.channel: Optional[ChannelId] = None
         self.probe: Optional[LatencyMeasurement] = None
         self.restoration: Optional[RestorationOutcome] = None
         self.failure_reason = ""
-        # roadm_id -> the (exit link id, channel) pass entries it holds
-        self.passes: dict[NodeId, frozenset[tuple[str, ChannelId]]] = {}
 
     def transition(self, new: ServiceStatus) -> None:
         if (self.status, new) not in _TRANSITIONS:
@@ -194,7 +192,7 @@ def check_no_light_loop(stack: "OrchestrationStack") -> list[str]:
     for origin, far, entry_link in ((first, last, rec.path.links[0]),
                                     (last, first, rec.path.links[-1])):
         traversed, drops, looped = trace_channel_light(
-            stack.state, origin, entry_link, rec.channel)
+            stack.state, origin, entry_link, rec.path.channel)
         if looped:
             problems.append(f"{rec.request_id}: light loop from {origin}")
         if far not in drops:
@@ -247,12 +245,13 @@ def _deploy_stream(leaf: tuple[int, ...], jitter: bool, values: list) -> tuple:
 
 
 class DeployPlan:
-    """What every world of a runner deploys alike, settled once: the service
+    """What every world on ``ring`` deploys alike, settled once: the service
     ``ns`` on ``ring``, on the arc ``select_path`` gives it, then the spare
     arc; its event labels, VNF demand and noiseless probe shot; and its
     streams: each VNF's instantiation and each transponder's configuration,
     then warm-up, as ``_deploy_stream`` settles them, and the probe's leaf
-    spawn path if it draws.  A key table draws a path for all its roots at
+    spawn path if it draws.  A scenario's validation builds its plans, and
+    its runners read them.  A key table draws a path for all its roots at
     once, so the plans of one runner ask the same durations of each path."""
 
     def __init__(self, ring: RingTopology, ns: NsDescriptor,
@@ -324,15 +323,14 @@ class OrchestrationStack:
 
     def _fail(self, reason: str) -> None:
         """Fail the service: its compute goes back to each node, and its
-        pass entries leave the ROADMs."""
+        pass entries, the only ones, leave the ROADMs."""
         rec = self.record
         rec.failure_reason = reason
         for node_id, (cpu, mem) in self.plan.demand.items():
             self.state.vcpu_free[node_id] += cpu
             self.state.mem_free_mb[node_id] += mem
-        for roadm_id, entries in rec.passes.items():
-            self.state.roadms[roadm_id].passing -= entries
-        rec.passes.clear()
+        for roadm in self.state.roadms.values():
+            roadm.passing.clear()
         rec.transition(ServiceStatus.FAILED)
 
     def _start_deploy(self) -> None:
@@ -357,7 +355,7 @@ class OrchestrationStack:
         out through events."""
         rec, now = self.record, self.kernel.now()
         rec.timestamps.t_vnfs_ready = rec.timestamps.t_conn_requested = now
-        rec.path, rec.channel = self.plan.path, CHANNEL
+        rec.path = self.plan.path
         self.kernel.schedule(self._configure_path,
                              now + self.timings.control_messaging_ns,
                              self.plan.labels["messaging"])
@@ -372,9 +370,9 @@ class OrchestrationStack:
         and a restoration ("restore") retunes them.  One programming runs
         at a time, which ``handle_degradation_alert`` enforces.
 
-        A visit drops the service's earlier pass entries at that ROADM, then
-        passes the channel through it if the arc runs through it, or opens
-        it for add/drop if the arc ends there.
+        A visit opens the ROADM for add/drop if the arc ends there, or else
+        sets its pass entries, only ever the service's, to the visit's: the
+        channel passing through on the arc, nothing off it.
         """
         self._arc, self._kind, self._visited = arc, kind, 0
         at, step = self.kernel.now() + delay, self.timings.roadm_config_ns
@@ -383,16 +381,14 @@ class OrchestrationStack:
             self.kernel.schedule(self._visit, at, label)
 
     def _visit(self) -> None:
-        visits, passes = self._arc.visits, self.record.passes
+        visits = self._arc.visits
         roadm_id, entries = visits[self._visited]
         self._visited += 1
         roadm = self.state.roadms[roadm_id]
-        roadm.passing -= passes.pop(roadm_id, frozenset())
         if entries is None:
             roadm.add_drop_channels.add(CHANNEL)
-        elif entries:
-            passes[roadm_id] = entries
-            roadm.passing |= entries
+        else:
+            roadm.passing = set(entries)
         if self._visited < len(visits):
             return
         if self._kind == "roadm":

@@ -19,8 +19,8 @@ import numpy as np
 
 from .controlplane import OrchestrationStack, ServiceRecord, ServiceStatus
 from .errors import OutOfOrderSample, TwinError
-from .optics import (AttenuationRamp, SignalModel, TelemetrySample,
-                     ber_from_snr, ramped_snr)
+from .optics import (AttenuationRamp, SignalModel, SNR_COUPLING,
+                     TelemetrySample, ber_from_snr, ramped_snr)
 from .simkernel import Kernel, SECOND, SimRng, SimTime
 from .topology import Frozen
 
@@ -202,7 +202,7 @@ _CLOCK_MAX = int(np.iinfo(np.int64).max)
 
 
 def episode_horizon(cfg: DetectorConfig, model: SignalModel,
-                    rate_db_per_s: float, snr_coupling: float = 1.0
+                    rate_db_per_s: float, snr_coupling: float = SNR_COUPLING
                     ) -> tuple[int, int]:
     """Samples an episode may take, and the index of its first noiseless
     sample at or below the fail SNR.  The samples are the baseline window,
@@ -315,7 +315,7 @@ def run_softfail_case(world_factory: Callable[[int], SoftFailWorld],
                       noise_sigma_db: float,
                       detector_cfg: DetectorConfig,
                       model: SignalModel,
-                      snr_coupling: float = 1.0,
+                      snr_coupling: float = SNR_COUPLING,
                       ramp_link: Optional[str] = None,
                       keep_trace: bool = True) -> SoftFailReport:
     """Run one degradation scenario over independent repetitions.

@@ -36,6 +36,9 @@ _FLOOR_ABOVE_PENALTY_DB = 40.0
 # The coefficient of variation of a transponder phase's duration under jitter.
 TRANSPONDER_JITTER_CV = 0.02
 
+# The dB of SNR an attenuation ramp costs per dB of added loss, by default.
+SNR_COUPLING = 1.0
+
 
 class AttenuationRamp(Record):
     """Linear added-loss ramp on one link, e.g. a motorised attenuator;
@@ -44,7 +47,8 @@ class AttenuationRamp(Record):
     __slots__ = ("link_id", "rate_db_per_s", "start_time", "snr_coupling")
 
     def __init__(self, link_id: str, rate_db_per_s: float,
-                 start_time: SimTime, snr_coupling: float = 1.0) -> None:
+                 start_time: SimTime,
+                 snr_coupling: float = SNR_COUPLING) -> None:
         if rate_db_per_s <= 0:
             raise ValueError("ramp rate must be positive")
         if not 0 < snr_coupling <= 1.5:

@@ -28,7 +28,7 @@ from .mda import (DetectorConfig, SoftFailWorld, episode_horizon,
                   run_softfail_case)
 from .optics import SignalModel, SPEED_OF_LIGHT_M_PER_S
 from .probe import (ProbeConfig, budget_from_config, fit_budget,
-                    measure_round_trip, noiseless_round_trip)
+                    measure_round_trip)
 from .simkernel import Kernel, KeyTable, SECOND, SimRng
 from .topology import FiberLink, RingTopology, build_ring
 
@@ -283,22 +283,16 @@ class Softfail(NamedTuple):
 
 class Scenario(NamedTuple):
     """A validated scenario: the document as parsed, and the typed objects
-    read from it once, its ring among them."""
+    read from it once, its ring and the deploy plans it checked among them."""
     experiment: str
     seed: int
     raw: dict  # as parsed: reports echo it
     ring: RingTopology
     service: Service
+    plans: Sequence[DeployPlan]  # on the ring, then each latency case's
     latency: Optional[Latency] = None
     softfail: Optional[Softfail] = None
     warnings: Sequence[str] = ()
-
-    def plan(self, ring: Optional[RingTopology] = None) -> DeployPlan:
-        """What each world deploys on ``ring``, by default the scenario's."""
-        return DeployPlan(ring or self.ring, self.service.descriptor,
-                          self.service.timings,
-                          self.latency and self.latency.probe,
-                          self.service.jitter)
 
 
 def _case_ring(ring: RingTopology, link: FiberLink) -> RingTopology:
@@ -309,12 +303,15 @@ def _case_ring(ring: RingTopology, link: FiberLink) -> RingTopology:
 
 
 def _sections(doc: dict, top: dict, errors: list[str]) -> tuple[
-        RingTopology, Service, Optional[Latency], Optional[Softfail]]:
-    """The ring and typed sections of a document that passed the table;
-    checks every name the sections give against the ring."""
+        RingTopology, Service, list[DeployPlan], Optional[Latency],
+        Optional[Softfail]]:
+    """The ring, typed sections and plans of a document that passed the
+    table, a ``DeployPlan`` per ring the service deploys on; checks every
+    name the sections give against the ring, and each plan's probe shot
+    against the latency requirement."""
     ring = _make(errors, "topology", build_ring, doc["topology"])
     if ring is None:
-        return None, None, None, None
+        return None, None, None, None, None
 
     def known(where: str, name: str, names: dict) -> bool:
         if name not in names:
@@ -347,8 +344,8 @@ def _sections(doc: dict, top: dict, errors: list[str]) -> tuple[
                               f"{node.id} ask for {ask} in all; it has {has}")
     service = Service(ns, **svc)
 
-    rings = [("", ring)]  # each ring the service deploys on, as errors name it
-    probe_cfg = ProbeConfig()
+    rings = [ring]  # each ring the service deploys on
+    probe_cfg = None
     latency = top.get("latency")
     if latency is not None and known("latency.measured_link",
                                      latency["measured_link"], ring.links):
@@ -358,8 +355,7 @@ def _sections(doc: dict, top: dict, errors: list[str]) -> tuple[
                       **case) for case in latency["cases"]]
         latency = Latency(**latency)
         probe_cfg = latency.probe
-        rings += [(f" in latency.cases[{i}]", _case_ring(ring, case))
-                  for i, case in enumerate(latency.cases)]
+        rings += [_case_ring(ring, case) for case in latency.cases]
         if latency.attribution is not None:
             # the budget's own shape and rank checks, on the cases it reads
             _make(errors, "latency.attribution.matrix (one row per case "
@@ -370,23 +366,24 @@ def _sections(doc: dict, top: dict, errors: list[str]) -> tuple[
                   latency.attribution["matrix"],
                   latency.attribution["components"])
 
+    plans = [DeployPlan(on, ns, service.timings, probe_cfg, service.jitter)
+             for on in rings] if ns is not None and (a, b) in ring.arcs else []
     req = conn.max_rt_latency_ns
-    if req is not None and (a, b) in ring.arcs:
-        for where, on in rings:
-            path = on.select_path(a, b)
-            least = noiseless_round_trip(path, on, probe_cfg).measured_rt_ns
-            if req < least:
-                errors.append(
-                    f"service.connectivity.max_rt_latency_us: {req / 1000:g}"
-                    f" us is below the {least / 1000:g} us a probe measures "
-                    f"without jitter over {'+'.join(path.links)}{where}")
-                break
+    for i, plan in enumerate(plans if req is not None else ()):
+        least = plan.shot.measured_rt_ns
+        if req < least:
+            where = f" in latency.cases[{i - 1}]" if i else ""
+            errors.append(
+                f"service.connectivity.max_rt_latency_us: {req / 1000:g}"
+                f" us is below the {least / 1000:g} us a probe measures "
+                f"without jitter over {'+'.join(plan.path.links)}{where}")
+            break
 
     softfail = top.get("softfail")
     if softfail is not None:
         detector = softfail.pop("detector")
         # the service's path, which a ramp on any other link never reaches
-        monitored = ring.select_path(a, b) if (a, b) in ring.arcs else None
+        monitored = plans[0].path if plans else None
         cases = []
         for i, case in enumerate(softfail["cases"]):
             link, where = case.get("ramp_link"), f"softfail.cases[{i}].link"
@@ -401,13 +398,13 @@ def _sections(doc: dict, top: dict, errors: list[str]) -> tuple[
                     case.pop("drop_threshold_db"),
                     detector.consecutive_required, detector.regression_window)
             horizon = {k: case[k] for k in ("rate_db_per_s", "snr_coupling")
-                       if k in case}  # defaults are run_softfail_case's
+                       if k in case}  # defaults are episode_horizon's
             _make(errors, f"softfail.cases[{i}].rate_db_per_s",
                   episode_horizon, cfg, softfail["signal"], **horizon)
             cases.append(SoftfailCase(case.pop("name", f"case{i + 1}"), cfg,
                                       case))
         softfail = Softfail(**{**softfail, "cases": cases})
-    return ring, service, latency, softfail
+    return ring, service, plans, latency, softfail
 
 
 def scenario_from_dict(doc: dict, lenient: bool = False) -> Scenario:
@@ -459,12 +456,12 @@ def build_world(sc: Scenario, spawn_key: tuple[int, ...],
                 trace_sink: Optional[IO[str]] = None,
                 keys: Optional[KeyTable] = None, where: str = "") -> SoftFailWorld:
     """Provision one isolated world and deploy ``plan``'s service in it, by
-    default the scenario's on its own ring.  The world's streams lie below
-    its root ``spawn_key`` in ``keys``, its runner's key table, by default a
-    table of that one root; ``where`` names the world in the TwinError of a
-    failed deployment."""
+    default ``sc.plans[0]``, the scenario's on its own ring.  The world's
+    streams lie below its root ``spawn_key`` in ``keys``, its runner's key
+    table, by default a table of that one root; ``where`` names the world
+    in the TwinError of a failed deployment."""
     kernel = Kernel(trace=trace_sink)
-    stack = OrchestrationStack(plan or sc.plan(), kernel,
+    stack = OrchestrationStack(plan or sc.plans[0], kernel,
                                keys or KeyTable(sc.seed, [spawn_key]), spawn_key)
     record = stack.request_network_service()
     kernel.run_to_end()
@@ -584,9 +581,8 @@ def _run_setup(sc: Scenario, trace_sink=None) -> dict:
     rows = []
     kpis = []  # each world's KPIs in seconds, as a KpiReport orders them
     keys = KeyTable(sc.seed, [(rep,) for rep in range(reps)])
-    plan = sc.plan()
     for rep in range(reps):
-        world = build_world(sc, (rep,), plan, trace_sink, keys,
+        world = build_world(sc, (rep,), sc.plans[0], trace_sink, keys,
                             f"setup repetition {rep}: ")
         deploy, conn, e2e, excl = seconds = [
             ns / SECOND for ns in world.stack.compute_kpis(world.record)]
@@ -617,10 +613,8 @@ def _run_latency(sc: Scenario, trace_sink=None) -> dict:
     deltas = []
     keys = KeyTable(sc.seed, [(200 + c, r) for c in range(len(latency.cases))
                               for r in range(latency.repetitions)])
-    for case_idx, link in enumerate(latency.cases):
-        plan = sc.plan(_case_ring(sc.ring, link))
+    for case_idx, (link, plan) in enumerate(zip(latency.cases, sc.plans[1:])):
         measured = []
-        estimated = None
         for rep in range(latency.repetitions):
             root = (200 + case_idx, rep)
             world = build_world(sc, root, plan, trace_sink, keys,
@@ -631,7 +625,7 @@ def _run_latency(sc: Scenario, trace_sink=None) -> dict:
                 SimRng(keys, root + (LATENCY_PROBE_STREAM,))
                 if plan.probe_cfg.jitter_sigma_ns else None)
             measured.append(m.measured_rt_ns)
-            estimated = m.estimated_rt_prop_ns
+        estimated = plan.shot.estimated_rt_prop_ns
         mean_measured = sum(measured) / len(measured)
         delta = mean_measured - estimated
         # only clean rows inform the overhead budget
@@ -666,12 +660,11 @@ def _run_softfail(sc: Scenario, trace_sink=None) -> dict:
     cases_out = []
     keys = KeyTable(sc.seed, [(100 + c, r) for c in range(len(softfail.cases))
                               for r in range(softfail.repetitions)])
-    plan = sc.plan()
     for idx, case in enumerate(softfail.cases):
         try:
             report = run_softfail_case(
                 world_factory=lambda rep, idx=idx: build_world(
-                    sc, (100 + idx, rep), plan, trace_sink, keys,
+                    sc, (100 + idx, rep), sc.plans[0], trace_sink, keys,
                     f"repetition {rep}: "),
                 repetitions=softfail.repetitions,
                 noise_sigma_db=softfail.noise_sigma_db,

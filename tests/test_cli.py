@@ -125,8 +125,9 @@ def test_csv_parses_back_into_the_report_cells(names):
     results = {"cases": [dict(cells, name=name, restored=1, failed=0)
                          for name in names]}
     report = RunReport("softfail", 1, {}, {"softfail": results})
-    assert parsed_csv(cli.render_report(report, "csv")) == \
-        cli._softfail_csv_rows(results)
+    assert parsed_csv(cli.render_report(report, "csv")) == [
+        ["name", *cells, "restored", "failed"]] + [
+        [name, *cells.values(), "1", "0"] for name in names]
 
 
 def test_csv_keeps_a_case_name_with_a_comma_quote_and_newline(tmp_path,

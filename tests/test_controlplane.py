@@ -125,7 +125,7 @@ def test_deploy_draws_equal_numpy_seed_sequence(seed, width, data):
     vnfs = [(40.0, 0.05), (31.5, 0.1)]
     sc = jittered(seed, vnfs)
     trace = io.StringIO()
-    world = build_world(sc, root, sc.plan(), trace, KeyTable(seed, roots))
+    world = build_world(sc, root, sc.plans[0], trace, KeyTable(seed, roots))
     assert world.record.status is ServiceStatus.ACTIVE
     service = (STACK_STREAM, hash_label(REQUEST_ID))
 
@@ -159,7 +159,7 @@ def test_zero_cv_is_the_mean_under_jitter(monkeypatch):
     sc = jittered(7, [(37.5, 0.0), (37.5, 0)])
     keys = KeyTable(sc.seed, [(0,)])
     turns = count_turns(monkeypatch)
-    world = build_world(sc, (0,), sc.plan(), keys=keys)
+    world = build_world(sc, (0,), sc.plans[0], keys=keys)
     assert world.stack.compute_kpis(world.record).kpi_ns_deploy_ns == 37.5 * S
     assert turns == [keys] * 2
 
@@ -193,7 +193,7 @@ def test_path_choice_and_channel():
     state, kernel, stack = fresh_stack()
     rec = deploy(stack, kernel)
     assert rec.path.links == ("r1-r2",)  # fewest hops wins over total length
-    assert rec.channel == 0
+    assert rec.path.channel == 0
     assert rec.path == state.ring.select_path("tp1", "tp2")._replace(channel=0)
 
 
@@ -257,7 +257,6 @@ def test_failed_service_gives_up_its_pass_entries():
     assert x.path.links == ("r1-r2", "r2-r3")
     assert passed == [{("r1-r2", 0), ("r2-r3", 0)}]
     assert all(not roadm.passing for roadm in state.roadms.values())
-    assert x.passes == {}
     assert stack.verify_invariants() == []
 
 
@@ -295,7 +294,7 @@ def test_restoration_moves_to_spare_arc():
     assert outcome.restored_at == alert_at + 10 * S
     assert outcome.failed_at is None
     assert set(rec.path.links) == {"r2-r3", "r3-r1"}
-    assert rec.channel == 0  # same channel, complementary arc
+    assert rec.path.channel == 0  # same channel, complementary arc
     spare, = [p for p in state.ring.arcs[("tp1", "tp2")]
               if p.links != ("r1-r2",)]
     assert rec.path == spare._replace(channel=0)

@@ -31,7 +31,9 @@ DELETED = ("teardown", "transponder_teardown", "TORN_DOWN", "DetectionTooLate",
            "lognormal_mean_cv", "transponder_lifecycle", "lifecycle_pending",
            # a key table builds its generator from Philox(0) and sets its
            # key through the state setter on every turn
-           "_fixed_key", "FixedKey", "ISeedSequence")
+           "_fixed_key", "FixedKey", "ISeedSequence",
+           # one column writer renders the latency table and soft-failure CSV
+           "_latency_rows", "_softfail_csv_rows")
 
 
 def test_every_export_resolves():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import SCENARIO_DIR, make_scenario, shipped
 from metrotwin import scenario
 from metrotwin.cli import main
+from metrotwin.controlplane import DeployPlan
 from metrotwin.errors import ParseError, TwinError, ValidationError
 from metrotwin.scenario import (RunReport, TraceRows, build_world,
                                 load_scenario, run_scenario,
@@ -142,6 +143,29 @@ def test_every_world_keeps_the_invariants_and_the_shared_ring(monkeypatch,
     for world in worlds:
         assert world.stack.verify_invariants() == []
     assert sc.ring == build_ring(doc["topology"])
+
+
+def test_validation_builds_every_plan_a_run_deploys(monkeypatch):
+    # one DeployPlan per ring the service deploys on, the scenario's then
+    # each latency case's, built when the scenario is validated; neither
+    # a run nor a world built alone builds another
+    built = []
+    init = DeployPlan.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DeployPlan, "__init__", counting_init)
+    sc = load_scenario(SCENARIO_DIR / "paper_full_demo.json")
+    assert len(built) == 1 + 4 and list(sc.plans) == built
+    assert sc.plans[0].ring is sc.ring
+    link = sc.raw["latency"]["measured_link"]
+    for i, case in enumerate(sc.latency.cases):
+        assert sc.plans[1 + i].ring.links[link] is case
+    run_scenario(sc)
+    build_world(sc, (0,))
+    assert len(built) == 5
 
 
 def test_failed_deployment_surfaces_reason():
