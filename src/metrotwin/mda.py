@@ -5,8 +5,9 @@ It learns a baseline from the first window of samples, then fires when a run
 of consecutive samples sits below baseline minus a drop threshold.  At
 detection it fits a linear SNR trend and extrapolates the time the signal
 will cross the fail criterion.  ``run_softfail_case`` replays the whole
-episode (ramp, detection, alert, restoration race) over fresh worlds and
-aggregates per-repetition results.
+episode (ramp, detection, alert, restoration race) over fresh worlds,
+scanning their telemetry in blocks of one row an episode, and aggregates
+per-repetition results.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .controlplane import OrchestrationStack, ServiceRecord, ServiceStatus
 from .errors import OutOfOrderSample, TwinError
 from .optics import (AttenuationRamp, SignalModel, SNR_COUPLING,
                      TelemetrySample, ber_from_snr, ramped_snr)
-from .simkernel import Kernel, SECOND, SimRng, SimTime
+from .simkernel import Kernel, KeyTable, SECOND, SimRng, SimTime
 from .topology import Frozen
 
 
@@ -95,19 +96,28 @@ class DegradationDetector:
                                  self._bers[-1], self.fail_snr_db)
 
 
-def _degradation_event(times, snrs, ber_now: float,
-                      fail_snr_db: float) -> DegradationEvent:
+def _fit_terms(times) -> tuple[list[float], float]:
+    """Each of ``times`` (int ns) in seconds since the first, less their mean,
+    and the sum of their squares: alike for windows of one length and period."""
+    ts = [(t - times[0]) / SECOND for t in times]
+    t_bar = math.fsum(ts) / len(ts)
+    dts = [t - t_bar for t in ts]
+    return dts, math.fsum([d * d for d in dts])
+
+
+def _degradation_event(times, snrs, ber_now: float, fail_snr_db: float,
+                       terms=None) -> DegradationEvent:
     """Detection at the last of ``times``, with trend and predicted fail time.
 
     ``times`` (int ns) and ``snrs`` are the regression window, sequences of
-    at least two samples that end at the detection sample.  Their least-squares
+    at least two samples that end at the detection sample, and ``terms``
+    their ``_fit_terms``, computed here if not given.  Their least-squares
     line, in exactly rounded float sums, extrapolates the instant the SNR
     reaches ``fail_snr_db``; a flat or rising trend predicts none.
     """
-    ts = [(t - times[0]) / SECOND for t in times]
-    t_bar, y_bar = math.fsum(ts) / len(ts), math.fsum(snrs) / len(snrs)
-    slope = (math.fsum([(t - t_bar) * (y - y_bar) for t, y in zip(ts, snrs)])
-             / math.fsum([(t - t_bar) * (t - t_bar) for t in ts]))
+    dts, sxx = terms or _fit_terms(times)
+    y_bar = math.fsum(snrs) / len(snrs)
+    slope = math.fsum([d * (y - y_bar) for d, y in zip(dts, snrs)]) / sxx
     t_now, snr_now = int(times[-1]), float(snrs[-1])
     predicted: Optional[SimTime]
     if snr_now <= fail_snr_db:
@@ -197,6 +207,10 @@ NOISE_STREAM = 11  # a soft-failure world's telemetry noise, below its root
 # period.  An episode's telemetry is at most one array of its horizon.
 _MAX_EPISODE_SAMPLES = 2**20
 
+# The samples of a block of episodes' first draws, scanned together: enough
+# to share numpy's cost per call among dozens of episodes, and no more.
+_BLOCK_SAMPLES = 8192
+
 # Sample instants are int64 nanoseconds.
 _CLOCK_MAX = int(np.iinfo(np.int64).max)
 
@@ -233,8 +247,8 @@ def episode_horizon(cfg: DetectorConfig, model: SignalModel,
                         f"sample period, all of the {span_db:.4g} dB to the "
                         f"fail criterion")
     # the noiseless samples from one period past the ramp start, up to one
-    # past where the span ends, and their level, as _scan_telemetry
-    # computes them: detection needs consecutive_required of them below the
+    # past where the span ends, and their level, as _scan_block computes
+    # them: detection needs consecutive_required of them below the
     # level by the first at or below the fail SNR
     after = period * np.arange(1, math.ceil(span_db / step) + 2,
                                dtype=np.int64)
@@ -253,60 +267,55 @@ def episode_horizon(cfg: DetectorConfig, model: SignalModel,
     return samples, cfg.baseline_window + cross
 
 
-def _scan_telemetry(ramps: list[AttenuationRamp], model: SignalModel,
-                    cfg: DetectorConfig, fail_snr_db: float,
-                    first_sample: SimTime, noise_sigma_db: float,
-                    noise_rng: SimRng, samples: int, first: int,
-                    noiseless: list[np.ndarray]
-                    ) -> tuple[Optional[DegradationEvent], Optional[int],
-                               range, np.ndarray]:
-    """Detection and fail-crossing index of one episode, or None for either,
-    and the instants and SNR values of its samples up to the crossing.
-
-    Sample i is the noiseless SNR at ``first_sample + i * period`` under
-    ``ramps``, the ramps on the monitored path (``ramped_snr``), plus one
-    draw of ``noise_rng``.  The crossing is the first sample whose BER is
-    above the fail limit, that is whose SNR is at or below ``fail_snr_db``;
-    detection is as in ``DegradationDetector``, up to the crossing.  The
-    first ``first`` samples are drawn, and the rest of the ``samples`` only
-    when none of those crosses.  ``noiseless`` holds the pieces' noiseless
-    SNR that earlier episodes computed; this one adds what it lacks.
-    """
-    period = cfg.sample_period_ns
-    if first_sample + period * (samples - 1) > _CLOCK_MAX:
-        raise TwinError("telemetry stream ran past the 64-bit clock")
-
-    def draw(piece: int, lo: int, hi: int) -> np.ndarray:
-        if len(noiseless) == piece:  # no earlier episode needed it
-            times = first_sample + period * np.arange(lo, hi, dtype=np.int64)
-            noiseless.append(ramped_snr(model, times, ramps))
-        return noiseless[piece] + noise_rng.normal(0.0, noise_sigma_db,
-                                                   size=hi - lo)
-
-    snr = draw(0, 0, first)
-    low = snr <= fail_snr_db
-    if first < samples and not low[low.argmax()]:
-        snr = np.concatenate((snr, draw(1, first, samples)))
-        low = snr <= fail_snr_db
-    cross = int(low.argmax())  # the first crossing, or 0 when there is none
-    end = cross + 1 if low[cross] else samples
-    times = range(first_sample, first_sample + period * end, period)
-    w = cfg.baseline_window
-    below = snr[w:end] < snr[:w].sum() / w - cfg.drop_threshold_db
-    # run[j]: the span samples from j on are all below; span doubles up to k
-    run, span, k = below, 1, cfg.consecutive_required
+def _scan_block(snr: np.ndarray, cfg: DetectorConfig, fail_snr_db: float
+                ) -> list[tuple[Optional[int], Optional[int]]]:
+    """Each row's crossing, its first sample at or below ``fail_snr_db``
+    (whose BER is above the fail limit), and its detection as in
+    ``DegradationDetector`` up to the crossing: indices, or None."""
+    rows = np.arange(len(snr))
+    cross = (snr <= fail_snr_db).argmax(axis=1)  # 0 where none crosses
+    crossed = snr[rows, cross] <= fail_snr_db
+    w, k = cfg.baseline_window, cfg.consecutive_required
+    below = snr[:, w:] < (snr[:, :w].sum(axis=1) / w
+                          - cfg.drop_threshold_db)[:, None]
+    for r in np.flatnonzero(crossed).tolist():  # no sample past it counts
+        below[r, max(int(cross[r]) + 1 - w, 0):] = False
+    # run[:, j]: the span samples from j on are all below; span doubles up
+    # to k.  episode_horizon leaves k samples past the window, so run has one
+    run, span = below, 1
     while span < k:
         step = min(span, k - span)
-        run, span = run[:-step] & run[step:], span + step
-    hits = np.flatnonzero(run)
-    event = None
-    if hits.size:
-        i = w + int(hits[0]) + k - 1
-        lo = max(i + 1 - cfg.regression_window, 0)
-        event = _degradation_event(times[lo:i + 1], snr[lo:i + 1].tolist(),
-                                   ber_from_snr(float(snr[i]), model),
-                                   fail_snr_db)
-    return event, cross if low[cross] else None, times, snr[:end]
+        run, span = run[:, :-step] & run[:, step:], span + step
+    hit = run.argmax(axis=1)
+    return [(c if x else None, w + h + k - 1 if f else None)
+            for c, x, h, f in zip(cross.tolist(), crossed.tolist(),
+                                  hit.tolist(), run[rows, hit].tolist())]
+
+
+def _scan_episodes(keys: KeyTable, roots: list[tuple[int, ...]],
+                   noiseless: Callable[[int], np.ndarray], cfg: DetectorConfig,
+                   fail_snr_db: float, noise_sigma_db: float, samples: int,
+                   first: int) -> dict:
+    """By (``keys``, root), each root's episode: its SNR samples up to its
+    crossing, or all ``samples``, and its ``_scan_block`` indices.  Sample i
+    is ``noiseless(0)[i]``, or ``noiseless(1)[i - first]`` from ``first`` on,
+    plus the root's noise stream's i-th draw; an episode that does not cross
+    by ``first`` draws the rest and is scanned as a block of its own."""
+    rngs = [SimRng(keys, root + (NOISE_STREAM,)) for root in roots]
+    block = np.empty((len(roots), first))
+    for row, rng in zip(block, rngs):
+        row[:] = rng.normal(0.0, noise_sigma_db, size=first)
+    block += noiseless(0)
+    episodes = {}
+    for root, rng, snr, (cross, detect) in zip(
+            roots, rngs, block, _scan_block(block, cfg, fail_snr_db)):
+        if cross is None and first < samples:
+            snr = np.concatenate((snr, noiseless(1) + rng.normal(
+                0.0, noise_sigma_db, size=samples - first)))
+            (cross, detect), = _scan_block(snr[None], cfg, fail_snr_db)
+        end = samples if cross is None else cross + 1
+        episodes[keys, root] = snr[:end], cross, detect
+    return episodes
 
 
 def run_softfail_case(world_factory: Callable[[int], SoftFailWorld],
@@ -324,11 +333,13 @@ def run_softfail_case(world_factory: Callable[[int], SoftFailWorld],
     period after the baseline window fills, and lets detection, alerting and
     restoration race the fail-criterion crossing.
 
-    The telemetry of a repetition is computed up front (``_scan_telemetry``),
-    so the kernel carries only the events that can change its outcome: the
-    detection, which raises the alert; one event per sample instant while
-    any other event is queued, so same-instant ties break by sequence
-    number exactly as for one event per sample; and the crossing.
+    The telemetry of a repetition is computed up front, so the kernel
+    carries only the events that can change its outcome: the detection,
+    which raises the alert; one event per sample instant while any other
+    event is queued, so same-instant ties break by sequence number exactly
+    as for one event per sample; and the crossing.  A world whose root has
+    no scanned episode scans it with those of the next roots of its key
+    table, up to the case's end and ``_BLOCK_SAMPLES`` first-draw samples.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be positive")
@@ -343,8 +354,11 @@ def run_softfail_case(world_factory: Callable[[int], SoftFailWorld],
     step = rate_db_per_s * snr_coupling * period / SECOND  # dB a sample
     first = min(samples, crossing + math.ceil(6 * noise_sigma_db / step) + 1)
     # a ramp starts baseline_window - 1 periods in, on ramp_link or the path's
-    # first: sample i's noiseless SNR depends on the monitored path alone
-    noiseless: dict[tuple[str, ...], list[np.ndarray]] = {}
+    # first: sample i's noiseless SNR depends on the monitored path alone.
+    # By path: its noiseless pieces, and the episodes scanned but not run
+    paths: dict[tuple[str, ...], tuple[list[np.ndarray], dict]] = {}
+    # the _fit_terms of every window of regression_window samples
+    full = _fit_terms(range(0, detector_cfg.regression_window * period, period))
 
     for rep in range(repetitions):
         kernel, stack, rec = world_factory(rep)
@@ -357,13 +371,37 @@ def run_softfail_case(world_factory: Callable[[int], SoftFailWorld],
                                rate_db_per_s, ramp_start, snr_coupling)
         if ramp.link_id not in stack.ring.links:
             raise TwinError(f"ramp_link: no link {ramp.link_id!r} in the ring")
-        ev, cross, times, snr = _scan_telemetry(
-            [ramp] if ramp.link_id in monitored_path.links else [], model,
-            detector_cfg, fail_snr, first_sample, noise_sigma_db,
-            SimRng(stack.keys, stack.root + (NOISE_STREAM,)), samples, first,
-            noiseless.setdefault(monitored_path.links, []))
+        if first_sample + period * (samples - 1) > _CLOCK_MAX:
+            raise TwinError("telemetry stream ran past the 64-bit clock")
+        pieces, scanned = paths.setdefault(monitored_path.links, ([], {}))
+        key = stack.keys, stack.root
+        if key not in scanned:  # the first of a block: scan it and those after
+
+            def noiseless(piece: int) -> np.ndarray:  # once for each path
+                if len(pieces) == piece:
+                    pieces.append(ramped_snr(model, first_sample + period * (
+                        np.arange(*((0, first), (first, samples))[piece],
+                                  dtype=np.int64)),
+                        [ramp] if ramp.link_id in monitored_path.links else []))
+                return pieces[piece]
+
+            at = stack.keys.row[stack.root]
+            scanned.update(_scan_episodes(
+                stack.keys, stack.keys.roots[at:at + min(
+                    max(1, _BLOCK_SAMPLES // first), repetitions - rep)],
+                noiseless, detector_cfg, fail_snr, noise_sigma_db, samples,
+                first))
+        snr, cross, i = scanned.pop(key)
+        times = range(first_sample, first_sample + period * len(snr), period)
+        ev = None
+        if i is not None:
+            lo = max(i + 1 - detector_cfg.regression_window, 0)
+            ev = _degradation_event(times[lo:i + 1], snr[lo:i + 1].tolist(),
+                                    ber_from_snr(float(snr[i]), model),
+                                    fail_snr, full if lo else None)
         if keep_trace and rep == 0:
-            trace = EpisodeTrace(times, snr, ramp_start, model)
+            # a copy, so that the block the row lies in is freed
+            trace = EpisodeTrace(times, snr.copy(), ramp_start, model)
         t_last = first_sample + period * (
             samples - 1 if cross is None else cross)
         t_detect = None if ev is None else ev.t_detect

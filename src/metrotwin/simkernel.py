@@ -157,7 +157,7 @@ class KeyTable:
 
     def __init__(self, seed: int, roots: list[tuple[int, ...]]):
         self.seed, self.roots, self._columns, self._drawn = seed, roots, {}, {}
-        self._row = {root: i for i, root in enumerate(roots)}
+        self.row = {root: i for i, root in enumerate(roots)}  # root -> row
         self._width = len(roots[0]) if roots else 0
         self._shared: Optional[np.random.Generator] = None
         # a fresh Philox's state in Python ints, whose key each turn swaps
@@ -172,7 +172,7 @@ class KeyTable:
         column = self._columns.get(path)
         if column is None:
             column = self._columns[path] = stream_keys(self.seed, self.roots, path)
-        return column[self._row[root]]
+        return column[self.row[root]]
 
     def take_turn(self, key: list[int]) -> np.random.Generator:
         """The shared generator, as ``Philox`` builds it from ``key``."""
@@ -201,7 +201,7 @@ class KeyTable:
             raise ValueError(f"stream path {path} was drawn with durations "
                              f"{drawn[0]}, not {durations}")
         n = len(durations)
-        start = self._row[root] * n
+        start = self.row[root] * n
         return drawn[1][start:start + n]
 
 
@@ -212,7 +212,7 @@ class SimRng:
     Each draw takes a turn on the table's generator and skips the standard
     normals the stream drew before, so a stream's n-th draw re-draws its
     n - 1 earlier ones; every stream of the twin draws once, but a
-    soft-failure episode's noise when no sample of its first block crosses.
+    soft-failure episode's noise when no sample of its first draw crosses.
     """
 
     __slots__ = ("keys", "spawn_key", "_drawn")

@@ -121,7 +121,8 @@ class RingTopology(Frozen):
         # arcs, shorter first (clockwise on a tie); the arcs are link-disjoint
         # and partition the ring
         "arcs",
-        "_selected")  # select_path's arcs
+        "_selected",  # select_path's arcs
+        "_free")  # each compute node's vCPUs and memory, copied by each world
 
     def __init__(self, links: Mapping[str, FiberLink],
                  ring_order: tuple[NodeId, ...], ring_links: tuple[str, ...],
@@ -141,7 +142,9 @@ class RingTopology(Frozen):
         # arcs run shorter first, clockwise on a tie, and min keeps the first
         # of the fewest hops: select_path's rule in full
         self._set(arcs=MappingProxyType(arcs), _selected={
-            k: min(v, key=lambda p: len(p.links)) for k, v in arcs.items()})
+            k: min(v, key=lambda p: len(p.links)) for k, v in arcs.items()},
+            _free=({c: n.vcpu_capacity for c, n in compute_nodes.items()},
+                   {c: n.mem_capacity_mb for c, n in compute_nodes.items()}))
     def select_path(self, a: NodeId, b: NodeId) -> OpticalPath:
         """The arc a service from ``a`` to ``b`` takes, chosen once: fewest
         ROADM hops, then length, then clockwise."""
@@ -193,10 +196,8 @@ class RingState:
         self.ring = ring
         self.roadms = {r: Roadm() for r in ring.ring_order}
         self.transponders = {t: Transponder() for t in ring.transponders}
-        self.vcpu_free = {c: node.vcpu_capacity
-                          for c, node in ring.compute_nodes.items()}
-        self.mem_free_mb = {c: node.mem_capacity_mb
-                            for c, node in ring.compute_nodes.items()}
+        vcpu, mem = ring._free
+        self.vcpu_free, self.mem_free_mb = vcpu.copy(), mem.copy()
 
 
 def _given(entry: dict, *keys: str) -> dict:

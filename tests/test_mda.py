@@ -1,5 +1,6 @@
 import io
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -13,12 +14,12 @@ from metrotwin.controlplane import ServiceStatus
 from metrotwin.errors import OutOfOrderSample, TwinError
 from metrotwin.mda import (DegradationDetector, DetectorConfig,
                            RepetitionResult, SoftFailReport,
-                           _degradation_event, anticipation_time,
+                           _degradation_event, _fit_terms, anticipation_time,
                            episode_horizon, run_softfail_case)
 from metrotwin.optics import (AttenuationRamp, OpticalPlant, SignalModel,
                               TelemetrySample, ber_from_snr)
 from metrotwin.scenario import build_world, run_scenario, scenario_from_dict
-from metrotwin.simkernel import SECOND, SimRng
+from metrotwin.simkernel import SECOND, KeyTable, SimRng
 
 FAIL_SNR = SignalModel().fail_snr_db()
 
@@ -369,13 +370,55 @@ def run_both_episodes(doc, **kwargs):
                     for rep in range(kwargs["repetitions"])]
         except TwinError as exc:
             outcome = (type(exc), str(exc))
-        state = [(w.record.status, w.record.restoration, w.record.path)
-                 for w in worlds]
-        events = [(int(t), kind) for t, _, kind in
-                  (line.split(",", 2) for line in sink.getvalue().splitlines())
-                  if kind != "telemetry_sample"]
-        sides.append((outcome, per_rep, state, events))
+        sides.append((outcome, per_rep) + world_outcomes(worlds, sink))
     return sides
+
+
+def world_outcomes(worlds, sink):
+    """Each world's final service state, and the fired kernel events other
+    than telemetry instants as (time, kind)."""
+    state = [(w.record.status, w.record.restoration, w.record.path)
+             for w in worlds]
+    events = [(int(t), kind) for t, _, kind in
+              (line.split(",", 2) for line in sink.getvalue().splitlines())
+              if kind != "telemetry_sample"]
+    return state, events
+
+
+def run_on_one_table(doc, spare=0, **kwargs):
+    """``run_softfail_case`` on worlds whose streams lie in one key table,
+    as a runner's do, with ``spare`` roots past the case's own: its side as
+    ``run_both_episodes`` gives it, each repetition's result taken from this
+    one run, and the noise streams it built, in order."""
+    sc = scenario_from_dict(doc)
+    reps = kwargs["repetitions"]
+    keys = KeyTable(sc.seed, [(500, rep) for rep in range(reps + spare)])
+    sink, worlds, results, streams = io.StringIO(), [], [], []
+
+    def factory(rep):
+        worlds.append(build_world(sc, (500, rep), trace_sink=sink, keys=keys))
+        return worlds[-1]
+
+    def result(**fields):
+        results.append(RepetitionResult(**fields))
+        return results[-1]
+
+    class Stream(SimRng):
+        __slots__ = ()
+
+        def __init__(self, keys, spawn_key):
+            streams.append(spawn_key)
+            super().__init__(keys, spawn_key)
+
+    with patch.object(mda, "RepetitionResult", result), \
+            patch.object(mda, "SimRng", Stream):
+        try:
+            outcome = run_softfail_case(factory, **kwargs)
+            per_rep = [oracle_report(kwargs["rate_db_per_s"], [r], [])
+                       for r in results]
+        except TwinError as exc:
+            outcome, per_rep = (type(exc), str(exc)), []
+    return (outcome, per_rep) + world_outcomes(worlds, sink), streams
 
 
 @st.composite
@@ -477,6 +520,157 @@ def test_block_scan_matches_oracle_over_several_full_blocks():
         model=SignalModel())
     assert len(oracle[0].trace) > 1024
     assert scan == oracle
+
+
+@settings(max_examples=40, deadline=None)
+@given(inputs=episode_inputs(), reps=st.integers(2, 6),
+       spare=st.integers(0, 3),
+       budget=st.sampled_from([mda._BLOCK_SAMPLES, 1, 700]))
+def test_episodes_scanned_in_blocks_match_the_oracle(inputs, reps, spare,
+                                                     budget):
+    # worlds on one key table, as a runner's are, scan the first draws of an
+    # episode and of those after it as one block, up to the case's last
+    # repetition and the block's sample budget (one episode a block at 1)
+    doc, kwargs = inputs
+    kwargs["repetitions"] = reps
+    oracle, scan = run_both_episodes(doc, **kwargs)
+    with patch.object(mda, "_BLOCK_SAMPLES", budget):
+        shared, streams = run_on_one_table(doc, spare, **kwargs)
+    assert shared == scan == oracle
+    if isinstance(oracle[0], SoftFailReport):
+        assert streams == [(500, rep, mda.NOISE_STREAM) for rep in range(reps)]
+
+
+def block_sizes(monkeypatch):
+    """Record the rows of each block ``_scan_block`` scans."""
+    sizes = []
+    scan_block = mda._scan_block
+
+    def spy(snr, *args):
+        sizes.append(len(snr))
+        return scan_block(snr, *args)
+
+    monkeypatch.setattr(mda, "_scan_block", spy)
+    return sizes
+
+
+def test_noiseless_blocks_stop_at_the_case_end(monkeypatch):
+    # a budget of two first draws splits five episodes into blocks of 2, 2
+    # and 1: the table's three spare roots lie past the case's end
+    kwargs = dict(rate_db_per_s=0.1, repetitions=5, noise_sigma_db=0.0,
+                  detector_cfg=DetectorConfig(), model=SignalModel())
+    doc = make_scenario(experiment="softfail", seed=4,
+                        softfail={"cases": [{"rate_db_per_s": 0.1}]})
+    oracle, scan = run_both_episodes(doc, **kwargs)
+    first = episode_horizon(DetectorConfig(), SignalModel(), 0.1)[1] + 1
+    monkeypatch.setattr(mda, "_BLOCK_SAMPLES", 2 * first)
+    sizes = block_sizes(monkeypatch)
+    shared, streams = run_on_one_table(doc, 3, **kwargs)
+    assert shared == scan == oracle
+    assert sizes == [2, 2, 1]
+    assert streams == [(500, rep, mda.NOISE_STREAM) for rep in range(5)]
+
+
+def test_a_second_draw_inside_a_block_matches_the_oracle(monkeypatch):
+    # The first draw ends at the noiseless crossing, so most episodes cross
+    # in it and the others, inside the block, draw the rest of their
+    # horizon and are scanned as blocks of their own.
+    horizon = episode_horizon
+    monkeypatch.setattr(mda, "episode_horizon", lambda *args: (
+        horizon(*args)[0], horizon(*args)[1] - 14))
+    doc = make_scenario(experiment="softfail", seed=3,
+                        softfail={"cases": [{"rate_db_per_s": 0.05}]})
+    kwargs = dict(rate_db_per_s=0.05, repetitions=8, noise_sigma_db=0.1,
+                  detector_cfg=DetectorConfig(), model=SignalModel())
+    oracle, scan = run_both_episodes(doc, **kwargs)
+    drawn, normal = [], SimRng.normal
+
+    def spy(self, mu=0.0, sigma=1.0, size=None):
+        drawn.append((self.spawn_key[1], size))
+        return normal(self, mu, sigma, size)
+
+    monkeypatch.setattr(SimRng, "normal", spy)
+    sizes = block_sizes(monkeypatch)
+    shared, _ = run_on_one_table(doc, **kwargs)
+    assert shared == scan == oracle
+    samples, crossing = horizon(DetectorConfig(), SignalModel(), 0.05)
+    first = crossing - 14 + math.ceil(6 * 0.1 / 0.05) + 1
+    assert drawn[:8] == [(rep, first) for rep in range(8)]
+    second = [rep for rep, size in drawn[8:] if size == samples - first]
+    assert len(drawn) == 8 + len(second)
+    assert 0 < len(second) < 8 and max(second) > 0
+    assert sizes == [8] + [1] * len(second)
+
+
+def test_an_episode_inside_a_block_that_crosses_first_raises(monkeypatch):
+    # 51 samples below the level reach the noiseless crossing exactly
+    # (test_a_ramp_that_crosses_before_a_detection_raises_before_any_world),
+    # so the noise of repetition 2 crosses before its run completes; the
+    # samples of its row in the block past that crossing detect nothing
+    doc = make_scenario(experiment="softfail", seed=1,
+                        softfail={"cases": [{"rate_db_per_s": 0.25}]})
+    kwargs = dict(rate_db_per_s=0.25, repetitions=4, noise_sigma_db=0.1,
+                  detector_cfg=DetectorConfig(consecutive_required=51),
+                  model=SignalModel())
+    oracle, scan = run_both_episodes(doc, **kwargs)
+    sizes = block_sizes(monkeypatch)
+    shared, _ = run_on_one_table(doc, **kwargs)
+    assert shared == scan == oracle
+    assert oracle[0] == (TwinError, "repetition 2: episode ended without "
+                                    "detection and crossing")
+    assert sizes == [4]
+
+
+def closed_form_event(times, snrs, ber_now, fail_snr_db):
+    """The detection event with its fit summed whole for one window: the
+    reference that the fit on shared time terms must equal, bit for bit."""
+    ts = [(t - times[0]) / SECOND for t in times]
+    t_bar, y_bar = math.fsum(ts) / len(ts), math.fsum(snrs) / len(snrs)
+    slope = (math.fsum([(t - t_bar) * (y - y_bar) for t, y in zip(ts, snrs)])
+             / math.fsum([(t - t_bar) * (t - t_bar) for t in ts]))
+    t_now, snr_now = times[-1], snrs[-1]
+    if snr_now <= fail_snr_db:
+        predicted = t_now
+    elif slope < 0.0:
+        predicted = t_now + round((snr_now - fail_snr_db) / -slope * SECOND)
+    else:
+        predicted = None
+    return (t_now, snr_now, ber_now, slope.hex(), predicted)
+
+
+@settings(max_examples=200, deadline=None)
+@given(snrs=st.lists(st.floats(-10.0, 30.0), min_size=2, max_size=60),
+       t0=st.sampled_from([0, 2**62]) | st.integers(0, 2**62),
+       period=st.sampled_from([SECOND, SECOND // 2, 2 * SECOND])
+       | st.integers(1, 10**13))
+def test_a_fit_on_shared_time_terms_is_the_closed_form(snrs, t0, period):
+    # a block computes a window length's time terms once, from instants
+    # that start at 0; every window of that length has the same terms
+    times = range(t0, t0 + period * len(snrs), period)
+    terms = _fit_terms(range(0, period * len(snrs), period))
+    assert terms == _fit_terms(times)
+    event = _degradation_event(times, snrs, 1e-3, FAIL_SNR, terms)
+    assert event == _degradation_event(list(times), snrs, 1e-3, FAIL_SNR)
+    assert (event.t_detect, event.snr_at_detect_db, event.ber_at_detect,
+            event.fitted_slope_db_per_s.hex(), event.predicted_t_fail) == \
+        closed_form_event(list(times), snrs, 1e-3, FAIL_SNR)
+
+
+def test_a_window_shorter_than_regression_window_matches_the_oracle():
+    # 5 baseline samples and 1 below the level take fewer than the 30 of
+    # the regression window: a detection's window is every sample so far
+    cfg = DetectorConfig(baseline_window=5, consecutive_required=1,
+                         regression_window=30)
+    doc = make_scenario(experiment="softfail", seed=6,
+                        softfail={"cases": [{"rate_db_per_s": 0.25}]})
+    kwargs = dict(rate_db_per_s=0.25, repetitions=4, noise_sigma_db=0.05,
+                  detector_cfg=cfg, model=SignalModel())
+    oracle, scan = run_both_episodes(doc, **kwargs)
+    shared, _ = run_on_one_table(doc, **kwargs)
+    assert shared == scan == oracle
+    # the detection sample's index: the ramp starts at the window's last
+    detect = [4 + round(r.detection_time_s) for r in oracle[1]]
+    assert len(detect) == 4 and max(detect) + 1 < 30
 
 
 def test_sample_instants_past_the_64_bit_clock_raise():
