@@ -9,7 +9,8 @@ record so KPIs can be derived afterwards.
 
 Every world deploys one service, on channel 0.  What all worlds on one ring
 deploy alike, a ``DeployPlan`` settles once, when a scenario is validated: a
-world makes only its draws and schedules its events from the plan.
+world reads its row of the plan's durations from its runner's key table and
+schedules its events from the plan.
 Restoration reuses the same machinery: on a degradation alert the service is
 moved to the complementary ring arc on its channel, and the same routine that
 programmed the ROADMs for deployment reprograms them, from the plan's visit
@@ -238,8 +239,8 @@ def _deploy_stream(leaf: tuple[int, ...], jitter: bool, values: list) -> tuple:
     if it draws nothing, and its durations for ``KeyTable.draws``.  Each
     value, (nominal ns, mean s, cv), is a lognormal draw under ``jitter``,
     unless its mean or cv is 0: then it is the mean, undrawn."""
-    durations = [lognormal_params(mean, cv) if jitter and mean and cv
-                 else nominal for nominal, mean, cv in values]
+    durations = tuple(lognormal_params(mean, cv) if jitter and mean and cv
+                      else nominal for nominal, mean, cv in values)
     return (leaf if any(d.__class__ is tuple for d in durations) else None,
             durations)
 
@@ -248,11 +249,13 @@ class DeployPlan:
     """What every world on ``ring`` deploys alike, settled once: the service
     ``ns`` on ``ring``, on the arc ``select_path`` gives it, then the spare
     arc; its event labels, VNF demand and noiseless probe shot; and its
-    streams: each VNF's instantiation and each transponder's configuration,
-    then warm-up, as ``_deploy_stream`` settles them, and the probe's leaf
-    spawn path if it draws.  A scenario's validation builds its plans, and
-    its runners read them.  A key table draws a path for all its roots at
-    once, so the plans of one runner ask the same durations of each path."""
+    streams: ``streams``, the deployment streams a world reads in one row,
+    each VNF's instantiation and then each transponder's configuration and
+    warm-up, as ``_deploy_stream`` settles them; and the probe's leaf spawn
+    path if it draws.  A scenario's validation builds its plans, and its
+    runners read them.  A key table draws a plan's streams for all its roots
+    on the first read, so the plans of one runner ask the same durations of
+    each path."""
 
     def __init__(self, ring: RingTopology, ns: NsDescriptor,
                  timings: Optional[PhaseTimings] = None,
@@ -271,18 +274,17 @@ class DeployPlan:
                        for kind in ("request", "messaging", "probe", "retune")}
         self.vnf_labels = [(REQUEST_ID, "vnf", vnf.name) for vnf in ns.vnfs]
         service = (STACK_STREAM, hash_label(REQUEST_ID))
-        self.vnf_streams = [_deploy_stream(
+        nodes = [ring.transponders[tp_id]
+                 for tp_id in (self.path.source, self.path.destination)]
+        self.streams = tuple([_deploy_stream(
             service + (VNF_STREAM, i), jitter,
             [(round(vnf.instantiation_mean_s * SECOND),
               vnf.instantiation_mean_s, vnf.instantiation_cv)])
-            for i, vnf in enumerate(ns.vnfs)]
-        nodes = [ring.transponders[tp_id]
-                 for tp_id in (self.path.source, self.path.destination)]
-        self.transponder_streams = [_deploy_stream(
-            service + (TRANSPONDER_STREAM, i), jitter,
-            [(d, d / SECOND, TRANSPONDER_JITTER_CV)
-             for d in (node.config_duration_ns, node.warmup_duration_ns)])
-            for i, node in enumerate(nodes)]
+            for i, vnf in enumerate(ns.vnfs)] + [_deploy_stream(
+                service + (TRANSPONDER_STREAM, i), jitter,
+                [(d, d / SECOND, TRANSPONDER_JITTER_CV)
+                 for d in (node.config_duration_ns, node.warmup_duration_ns)])
+                for i, node in enumerate(nodes)])
         self.transponder_labels = [
             [("tp", node.id, state) for state in _BRING_UP] for node in nodes]
         self.probe_stream = (service + (PROBE_STREAM,) if jitter
@@ -291,25 +293,25 @@ class DeployPlan:
 
 class OrchestrationStack:
     """One world's orchestrator, controller hierarchy and device drivers:
-    it deploys its plan's service on a ``RingState`` of its own, drawing
-    on the streams of ``keys``, its runner's key table, below the world's
-    ``root``."""
+    it deploys its plan's service on a ``RingState`` of its own, on the
+    streams of ``keys``, its runner's key table, below the world's
+    ``root``.  It reads its row of the plan's deployment streams once, when
+    it is made: each VNF's instantiation, then each transponder's
+    configuration and warm-up, in ns.  Its handlers read the kernel's clock
+    as ``kernel._now``."""
+
+    __slots__ = ("plan", "ring", "timings", "state", "kernel", "keys",
+                 "root", "record", "_row", "_arc", "_kind", "_visited",
+                 "_pending", "_warm", "_operational")
 
     def __init__(self, plan: DeployPlan, kernel: Kernel, keys: KeyTable,
                  root: tuple[int, ...]) -> None:
         self.plan, self.ring, self.timings = plan, plan.ring, plan.timings
         self.state, self.kernel = RingState(plan.ring), kernel
         self.keys, self.root = keys, root
+        self._row = keys.draws(root, plan.streams)
         self.record: Optional[ServiceRecord] = None
         self._arc: Optional[_Arc] = None  # the arc being programmed
-
-    def _durations(self, stream: tuple) -> list[SimTime]:
-        """A deployment stream's durations in ns, the world's row of those
-        its key table draws if it draws."""
-        leaf, durations = stream
-        if leaf is None:
-            return durations
-        return self.keys.draws(self.root, leaf, durations)
 
     # ---------------------------------------------------------- deployment
 
@@ -317,7 +319,7 @@ class OrchestrationStack:
         """Accept the plan's service request, once; the workflow advances
         via kernel events."""
         rec = self.record = ServiceRecord(REQUEST_ID)
-        now = rec.timestamps.t_request = self.kernel.now()
+        now = rec.timestamps.t_request = self.kernel._now
         self.kernel.schedule(self._start_deploy, now, self.plan.labels["request"])
         return rec
 
@@ -335,14 +337,13 @@ class OrchestrationStack:
 
     def _start_deploy(self) -> None:
         """Place every VNF, then let their instantiations run in parallel."""
-        plan, now = self.plan, self.kernel.now()
+        plan, now = self.plan, self.kernel._now
         for node_id, (cpu, mem) in plan.demand.items():
             self.state.vcpu_free[node_id] -= cpu
             self.state.mem_free_mb[node_id] -= mem
         self.record.timestamps.t_vnfs_started = now
-        self._pending = len(plan.ns.vnfs)
-        for stream, label in zip(plan.vnf_streams, plan.vnf_labels):
-            dur_ns, = self._durations(stream)
+        self._pending = len(plan.vnf_labels)
+        for dur_ns, label in zip(self._row, plan.vnf_labels):
             self.kernel.schedule(self._vnf_ready, now + dur_ns, label)
 
     def _vnf_ready(self) -> None:
@@ -353,7 +354,7 @@ class OrchestrationStack:
     def _setup_connectivity(self) -> None:
         """The service takes the plan's path; device configuration goes
         out through events."""
-        rec, now = self.record, self.kernel.now()
+        rec, now = self.record, self.kernel._now
         rec.timestamps.t_vnfs_ready = rec.timestamps.t_conn_requested = now
         rec.path = self.plan.path
         self.kernel.schedule(self._configure_path,
@@ -375,7 +376,7 @@ class OrchestrationStack:
         channel passing through on the arc, nothing off it.
         """
         self._arc, self._kind, self._visited = arc, kind, 0
-        at, step = self.kernel.now() + delay, self.timings.roadm_config_ns
+        at, step = self.kernel._now + delay, self.timings.roadm_config_ns
         for label in arc.labels[kind]:
             at += step
             self.kernel.schedule(self._visit, at, label)
@@ -396,19 +397,19 @@ class OrchestrationStack:
             self._bring_up_transponders()
         else:
             self.kernel.schedule(self._retune_done,
-                                 self.kernel.now() + self.timings.retune_ns,
+                                 self.kernel._now + self.timings.retune_ns,
                                  self.plan.labels["retune"])
 
     def _bring_up_transponders(self) -> None:
         """Runs once every ROADM is programmed for the service: each
         transponder enters its bring-up phases by events of its own."""
-        rec, now = self.record, self.kernel.now()
+        rec, now, row = self.record, self.kernel._now, self._row
         rec.timestamps.t_roadms_configured = now
         self._warm = self._operational = 0  # transponders past each phase
-        for phase, stream, labels in zip(
+        # the row ends with each transponder's configuration and warm-up
+        for phase, labels, config_ns, warmup_ns in zip(
                 (self._source_phase, self._destination_phase),
-                self.plan.transponder_streams, self.plan.transponder_labels):
-            config_ns, warmup_ns = self._durations(stream)
+                self.plan.transponder_labels, row[-4::2], row[-3::2]):
             for at, label in zip((now, now + config_ns,
                                   now + config_ns + warmup_ns), labels):
                 self.kernel.schedule(phase, at, label)
@@ -427,11 +428,11 @@ class OrchestrationStack:
         if state is TransponderState.LASER_WARMUP:
             self._warm += 1
             if self._warm == 2:
-                ts.t_transponders_configured = self.kernel.now()
+                ts.t_transponders_configured = self.kernel._now
         elif state is TransponderState.OPERATIONAL:
             self._operational += 1
             if self._operational == 2:
-                now = ts.t_path_operational = self.kernel.now()
+                now = ts.t_path_operational = self.kernel._now
                 self.kernel.schedule(self._verify_probe,
                                      now + self.timings.probe_verify_ns,
                                      self.plan.labels["probe"])
@@ -442,13 +443,13 @@ class OrchestrationStack:
         rec.probe = measure_round_trip(
             rec.path, self.state, plan.probe_cfg, plan.shot,
             None if leaf is None else SimRng(self.keys, self.root + leaf))
-        rec.timestamps.t_probe_verified = self.kernel.now()
+        rec.timestamps.t_probe_verified = self.kernel._now
         req = plan.ns.connectivity.max_rt_latency_ns
         if req is not None and rec.probe.measured_rt_ns > req:
             self._fail("probe verification exceeded latency requirement")
             return
         # monitoring registration is bookkeeping only, no extra delay
-        rec.timestamps.t_monitoring_active = self.kernel.now()
+        rec.timestamps.t_monitoring_active = self.kernel._now
         rec.transition(ServiceStatus.ACTIVE)
 
     # ------------------------------------------------------------- KPIs
@@ -497,7 +498,7 @@ class OrchestrationStack:
         rec.path, self._arc = self._arc.path, None
         if rec.status is ServiceStatus.DEGRADED:
             rec.transition(ServiceStatus.RESTORED)
-            outcome.restored_at = self.kernel.now()
+            outcome.restored_at = self.kernel._now
         else:
             outcome.reason = outcome.reason or (
                 f"service already {rec.status.value} at retune")

@@ -406,12 +406,13 @@ def run_softfail_case(world_factory: Callable[[int], SoftFailWorld],
             samples - 1 if cross is None else cross)
         t_detect = None if ev is None else ev.t_detect
 
-        def at_sample(t: SimTime) -> None:
+        def at_sample() -> None:
+            t = kernel._now  # the sample instant
             if t == t_detect:
                 # detector -> parent controller, two control hops
                 kernel.schedule_in(
                     2 * stack.timings.alert_hop_ns,
-                    lambda: stack.handle_degradation_alert(rec, kernel.now()),
+                    lambda: stack.handle_degradation_alert(rec, kernel._now),
                     kind=(rec.request_id, "alert"))
             if t == t_last:
                 if cross is None:
@@ -428,8 +429,7 @@ def run_softfail_case(world_factory: Callable[[int], SoftFailWorld],
                 nxt = t_detect
             else:
                 nxt = t_last
-            kernel.schedule(lambda: at_sample(nxt), nxt,
-                            kind="telemetry_sample")
+            kernel.schedule(at_sample, nxt, kind="telemetry_sample")
 
         schedule_after(first_sample - period)
         kernel.run_to_end()
@@ -446,6 +446,9 @@ def run_softfail_case(world_factory: Callable[[int], SoftFailWorld],
             snr_at_detect_db=ev.snr_at_detect_db,
             ber_at_detect=ev.ber_at_detect,
             restored=rec.status is ServiceStatus.RESTORED))
+    # the two sample closures refer to each other: unbound, they no longer
+    # keep the last world and its key table alive until a collection
+    del at_sample, schedule_after
 
     n = len(reps)
     predicted_vals = [r.predicted_anticipation_ns for r in reps

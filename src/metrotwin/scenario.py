@@ -6,8 +6,8 @@ table, ``_TABLE``, and reads it once into typed objects.  ``run_scenario``
 provisions a fresh world per repetition (nothing leaks between repetitions)
 and produces a RunReport whose canonical JSON form is byte-identical for
 identical inputs: every floating-point result is rendered to a fixed number
-of decimals, at build time or, for a soft-failure trace's rows, when the
-report is written, and keys are emitted sorted.
+of decimals, at build time or, for a soft-failure trace's rows and the
+setup table's, when the report is written, and keys are emitted sorted.
 """
 
 from __future__ import annotations
@@ -483,23 +483,45 @@ def _fmt(x: float, decimals: int) -> str:
     return format(x, _FIXED_SPECS[decimals])
 
 
-class TraceRows(Sequence):
-    """A soft-failure case's trace as report rows of text, formatted only
-    when read or written."""
+class _Rows(Sequence):
+    """Report rows kept as numbers, ``values``, one row of them per report
+    row, formatted only when read or written."""
 
-    def __init__(self, trace: Sequence[tuple[float, float, float]]) -> None:
-        self.trace = trace
+    def __init__(self, values: Sequence[Sequence[float]]) -> None:
+        self.values = values
 
     def __len__(self) -> int:
-        return len(self.trace)
-
-    def __getitem__(self, i: int) -> list[str]:
-        return [cell.format(x) for cell, x in zip(_TRACE_CELLS, self.trace[i])]
+        return len(self.values)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):
             return NotImplemented
         return list(self) == list(other)
+
+
+class TraceRows(_Rows):
+    """A soft-failure case's trace, (seconds, SNR dB, BER) a row, as report
+    rows of text."""
+
+    def __getitem__(self, i: int) -> list[str]:
+        return [cell.format(x) for cell, x in zip(_TRACE_CELLS, self.values[i])]
+
+
+# a setup row's keys for the four KPIs of a KpiReport, in its order
+_KPI_KEYS = ("kpi_ns_deploy_s", "kpi_connectivity_s", "kpi_e2e_s",
+             "e2e_excl_transponder_s")
+
+
+class KpiRows(_Rows):
+    """The setup experiment's per-repetition rows: each world's four KPIs,
+    in seconds and in ``KpiReport`` order.  Row i reads as the dict of its
+    ``repetition``, i, and each KPI's key with its value to three
+    decimals."""
+
+    def __getitem__(self, i: int) -> dict:
+        rep = range(len(self.values))[i]
+        return {"repetition": rep, **{key: _fmt(x, 3) for key, x in zip(
+            _KPI_KEYS, self.values[rep])}}
 
 
 _json_str = json.encoder.encode_basestring_ascii  # the C function
@@ -530,12 +552,21 @@ def _write_json(value, out: list[str], indent: str) -> None:
                 _write_json(item, out, inner)
             sep = "," + inner
         out.append(indent + "}")
+    elif isinstance(value, KpiRows):
+        # one template per row, its keys sorted; its cells are numbers
+        inner, cell = indent + "  ", indent + "    "
+        fields = sorted([(key, f'"{{{j}:.3f}}"') for j, key in enumerate(
+            _KPI_KEYS)] + [("repetition", "{4}")])
+        row = (inner + "{{" + cell + ("," + cell).join(
+            f'"{key}": {field}' for key, field in fields) + inner + "}}").format
+        out.append("[" + ",".join(row(*kpis, rep) for rep, kpis in enumerate(
+            value.values)) + indent + "]" if value else "[]")
     elif isinstance(value, TraceRows):
         # one template per row; its cells are numbers, which need no escapes
         inner, cell = indent + "  ", indent + "    "
         row = (inner + "[" + cell + '"' + ('",' + cell + '"').join(_TRACE_CELLS)
                + '"' + inner + "]").format
-        out.append("[" + ",".join(starmap(row, value.trace)) + indent + "]"
+        out.append("[" + ",".join(starmap(row, value.values)) + indent + "]"
                    if value else "[]")
     elif isinstance(value, (list, tuple)):
         if not value:
@@ -578,19 +609,13 @@ class RunReport(NamedTuple):
 
 def _run_setup(sc: Scenario, trace_sink=None) -> dict:
     reps = sc.service.repetitions
-    rows = []
     kpis = []  # each world's KPIs in seconds, as a KpiReport orders them
     keys = KeyTable(sc.seed, [(rep,) for rep in range(reps)])
     for rep in range(reps):
         world = build_world(sc, (rep,), sc.plans[0], trace_sink, keys,
                             f"setup repetition {rep}: ")
-        deploy, conn, e2e, excl = seconds = [
-            ns / SECOND for ns in world.stack.compute_kpis(world.record)]
-        kpis.append(seconds)
-        rows.append({"repetition": rep, "kpi_ns_deploy_s": _fmt(deploy, 3),
-                     "kpi_connectivity_s": _fmt(conn, 3),
-                     "kpi_e2e_s": _fmt(e2e, 3),
-                     "e2e_excl_transponder_s": _fmt(excl, 3)})
+        kpis.append([ns / SECOND
+                     for ns in world.stack.compute_kpis(world.record)])
 
     def stats(values: list[float]) -> dict:
         n = len(values)
@@ -601,7 +626,7 @@ def _run_setup(sc: Scenario, trace_sink=None) -> dict:
 
     return {
         "repetitions": reps,
-        "per_repetition": rows,
+        "per_repetition": KpiRows(kpis),
         "summary": dict(zip(("kpi_ns_deploy", "kpi_connectivity", "kpi_e2e",
                              "e2e_excl_transponder"), map(stats, zip(*kpis)))),
     }

@@ -12,15 +12,15 @@ spawn_key)))``, so draws are reproducible independently of execution order:
 the same (seed, spawn key) always yields the same values.
 
 ``philox_keys`` replays ``SeedSequence``'s key derivation in numpy arithmetic
-over a row of entropy words per stream, so a runner's ``KeyTable`` keys a
-stream path for all its worlds' roots in one pass, on the path's first draw;
+over a row of entropy words per stream, so a runner's ``KeyTable`` keys
+stream paths for all its worlds' roots in one pass, on their first draw;
 ``philox_key`` does the same for a single row in Python ints.  The streams
 of one table take turns on its one ``Philox`` generator, built from
 ``Philox(0)``: every draw takes a turn, which sets the generator's key to
-the stream's.  A deployment path, which ``KeyTable.draws`` asks for, is
-drawn for every root at once, one turn a root, and its worlds read their
-rows of durations; a ``SimRng`` stream, made only where a stream draws
-otherwise, draws when it is asked.
+the stream's.  A world's deployment streams, which ``KeyTable.draws`` asks
+for, are drawn for every root on the first read, one turn a stream and a
+root, and each world reads its row of durations once; a ``SimRng`` stream,
+made only where a stream draws otherwise, draws when it is asked.
 """
 
 from __future__ import annotations
@@ -130,25 +130,33 @@ def philox_key(words: list[int]) -> list[int]:
 
 
 def stream_keys(seed: int, roots: list[tuple[int, ...]],
-                path: tuple[int, ...]) -> list[list[int]]:
-    """The Philox keys of the streams ``roots[i] + path``, one pair of ints
-    per root; the roots hold one count of labels below 2**32, as a runner's
-    do."""
-    n, head, tail = len(roots), _words((seed,)), _words(path)
+                paths: list[tuple[int, ...]]) -> list[list[int]]:
+    """The Philox keys of the streams ``root + path``, one pair of ints per
+    stream, root by root and each root's in ``paths`` order; the roots hold
+    one count of labels below 2**32, as a runner's do.  Paths of one word
+    count are keyed in one pass, as a deployment plan's are."""
+    n, head, tails = len(roots), _words((seed,)), list(map(_words, paths))
     head += [0] * (4 - len(head))
     if n < 2:
-        return [philox_key(head + _words(root) + tail) for root in roots]
+        return [philox_key(head + _words(root) + tail)
+                for root in roots for tail in tails]
+    if len(set(map(len, tails))) > 1:
+        by_path = [stream_keys(seed, roots, [path]) for path in paths]
+        return [keys[i] for i in range(n) for keys in by_path]
+    m = len(tails)
     return philox_keys(np.hstack([
-        np.full((n, len(head)), head, np.uint32),
-        np.array(roots, np.uint32),
-        np.full((n, len(tail)), tail, np.uint32)])).tolist()
+        np.full((n * m, len(head)), head, np.uint32),
+        np.repeat(np.array(roots, np.uint32), m, axis=0),
+        np.tile(np.array(tails, np.uint32), (n, 1))])).tolist()
 
 
 class KeyTable:
-    """The streams below one runner's world roots, by path: a path's first
-    use fills its column for every root, read one row at a time.  A
-    ``SimRng`` path's column holds each root's key, from one ``stream_keys``
-    pass; a deployment path's, which ``draws`` reads, each root's durations.
+    """The streams below one runner's world roots: a stream's first use
+    settles it for every root, and each world reads its own row.  A
+    ``SimRng`` path's column holds each root's key, from one
+    ``stream_keys`` pass; a world's deployment streams, which ``draws``
+    reads, are drawn for every root on the first read, and each root's row
+    holds its durations.
 
     The table's streams take turns on one generator, built on the first
     draw from ``Philox(0)``: every turn, the first included, sets its key to
@@ -156,7 +164,10 @@ class KeyTable:
     """
 
     def __init__(self, seed: int, roots: list[tuple[int, ...]]):
-        self.seed, self.roots, self._columns, self._drawn = seed, roots, {}, {}
+        self.seed, self.roots, self._columns = seed, roots, {}
+        # by the streams read: a row's length, and the rows end to end
+        self._rows: dict[tuple, tuple[int, list[SimTime]]] = {}
+        self._drawn: dict[tuple[int, ...], tuple] = {}  # a path's durations
         self.row = {root: i for i, root in enumerate(roots)}  # root -> row
         self._width = len(roots[0]) if roots else 0
         self._shared: Optional[np.random.Generator] = None
@@ -171,7 +182,8 @@ class KeyTable:
         root, path = spawn_key[:self._width], spawn_key[self._width:]
         column = self._columns.get(path)
         if column is None:
-            column = self._columns[path] = stream_keys(self.seed, self.roots, path)
+            column = self._columns[path] = stream_keys(
+                self.seed, self.roots, [path])
         return column[self.row[root]]
 
     def take_turn(self, key: list[int]) -> np.random.Generator:
@@ -182,27 +194,43 @@ class KeyTable:
         self._shared.bit_generator.state = self._state
         return self._shared
 
-    def draws(self, root: tuple[int, ...], path: tuple[int, ...],
-              durations: list) -> list[SimTime]:
-        """The durations of the stream at ``root + path``, in ns and in draw
-        order: a ``(mu, sigma)`` pair is a lognormal draw in seconds,
-        rounded, and any other value is kept as it is.  The path's first
-        call draws it for every root, each in one turn from its start, with
-        its ``durations``; the rows lie end to end in one list.  A later
-        call that asks other durations of the path raises ValueError."""
-        drawn = self._drawn.get(path)
+    def draws(self, root: tuple[int, ...], streams: tuple) -> list[SimTime]:
+        """The row at ``root`` of ``streams``, a world's deployment streams:
+        each stream's durations in ns, stream after stream, in draw order.
+
+        A stream is a (path, durations) pair, hashable as a tuple: a
+        ``(mu, sigma)`` duration is a lognormal draw in seconds, rounded,
+        and any other is kept as it is; a stream whose path is None draws
+        nothing.  The first read of ``streams`` draws each of their paths
+        for every root, keyed in one ``stream_keys`` pass, each in one turn
+        from its start.  A read that asks other durations of a path drawn
+        before raises ValueError."""
+        drawn = self._rows.get(streams)
         if drawn is None:
-            drawn = self._drawn[path] = durations, [
-                round(gen.lognormal(*d) * SECOND) if d.__class__ is tuple else d
-                for gen in map(self.take_turn,
-                               stream_keys(self.seed, self.roots, path))
-                for d in durations]
-        elif drawn[0] is not durations and drawn[0] != durations:
-            raise ValueError(f"stream path {path} was drawn with durations "
-                             f"{drawn[0]}, not {durations}")
-        n = len(durations)
+            drawing = [stream for stream in streams if stream[0] is not None]
+            for path, durations in drawing:
+                if self._drawn.get(path, durations) != durations:
+                    raise ValueError(
+                        f"stream path {path} was drawn with durations "
+                        f"{self._drawn[path]}, not {durations}")
+            self._drawn.update(drawing)
+            keys = iter(stream_keys(self.seed, self.roots,
+                                    [path for path, _ in drawing])
+                        if drawing else ())
+            rows: list[SimTime] = []  # the rows end to end
+            for _ in self.roots:
+                for path, durations in streams:
+                    if path is None:
+                        rows += durations
+                        continue
+                    gen = self.take_turn(next(keys))
+                    rows += [round(gen.lognormal(*d) * SECOND)
+                             if d.__class__ is tuple else d for d in durations]
+            drawn = self._rows[streams] = (
+                sum(len(durations) for _, durations in streams), rows)
+        n, rows = drawn
         start = self.row[root] * n
-        return drawn[1][start:start + n]
+        return rows[start:start + n]
 
 
 class SimRng:
@@ -264,9 +292,12 @@ class Kernel:
     Events with equal ``fire_at`` fire in insertion order.  An event's label
     (``kind``) is a string or a tuple of its parts; it is formatted, by
     ``_label_text``, only when the event fires with a ``trace`` sink set.
-    One instance is strictly single-threaded; separate instances share
-    nothing.
+    The twin's event handlers read the clock as ``_now``, with no call; an
+    event enters the queue only through ``schedule``.  One instance is
+    strictly single-threaded; separate instances share nothing.
     """
+
+    __slots__ = ("_now", "_heap", "_next_seq", "_fired", "event_cap", "trace")
 
     def __init__(self, event_cap: int = DEFAULT_EVENT_CAP,
                  trace: Optional[IO[str]] = None):

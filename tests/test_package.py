@@ -33,7 +33,9 @@ DELETED = ("teardown", "transponder_teardown", "TORN_DOWN", "DetectionTooLate",
            # key through the state setter on every turn
            "_fixed_key", "FixedKey", "ISeedSequence",
            # one column writer renders the latency table and soft-failure CSV
-           "_latency_rows", "_softfail_csv_rows")
+           "_latency_rows", "_softfail_csv_rows",
+           # a world reads its row of the plan's deployment streams once
+           "_durations", "vnf_streams", "transponder_streams")
 
 
 def test_every_export_resolves():

@@ -168,7 +168,8 @@ def test_lognormal_mean_cv_parameterisation(mean, cv):
     # streams are
     keys = KeyTable(42, [(i,) for i in range(400)])
     params = lognormal_params(mean, cv)
-    draws = [keys.draws((i,), (), [params])[0] / SECOND for i in range(400)]
+    draws = [keys.draws((i,), (((), (params,)),))[0] / SECOND
+             for i in range(400)]
     assert all(x > 0 for x in draws)
     sample_mean = sum(draws) / len(draws)
     assert abs(sample_mean - mean) / mean < 6 * cv / 20  # 6 sigma of the mean estimate
@@ -204,8 +205,8 @@ def test_rng_draws_equal_numpy_seed_sequence(seed, key, cut, size, mean, cv):
         assert rng.spawn_key == key
         first = rng.normal(1.5, 2.0)
         root, = rng.keys.roots  # the table's one root, which key starts with
-        assert rng.keys.draws(root, key[len(root):],
-                              [params, 7, params]) == durations
+        assert rng.keys.draws(root, ((key[len(root):], (params, 7, params)),)
+                              ) == durations
         # each draw takes a turn, and skips the stream's earlier draws
         assert [first, *rng.normal(1.5, 2.0, size),
                 rng.normal(1.5, 2.0)] == expected
@@ -263,8 +264,8 @@ def test_split_tree_draws_equal_numpy_seed_sequence(seed, width, data):
                 fresh = np.random.Generator(np.random.Philox(
                     np.random.SeedSequence(seed, spawn_key=paths[i])))
                 width = len(rng.keys.roots[0])
-                assert rng.keys.draws(rng.spawn_key[:width],
-                                      rng.spawn_key[width:], [params]) == [
+                assert rng.keys.draws(rng.spawn_key[:width], (
+                    (rng.spawn_key[width:], (params,)),)) == [
                     round(fresh.lognormal(*params) * SECOND)]
     assert len(built) == len(drew)
 
@@ -348,7 +349,7 @@ def test_streams_take_turns_on_one_generator(draws):
         for name, size in draws:
             if name == "t":
                 root = (size % 2,)
-                assert keys.draws(root, (8,), [(mu, sigma), 5]) == \
+                assert keys.draws(root, (((8,), ((mu, sigma), 5)),)) == \
                     durations[root]
             elif size == 0:
                 assert streams[name].normal(1.0, 2.0) == \
@@ -363,16 +364,20 @@ def test_streams_take_turns_on_one_generator(draws):
 
 def test_a_path_read_with_other_durations_raises():
     # the first read of a path draws it for every root with its durations;
-    # a later read that asks others of it would get the first's draws
+    # a later read that asks others of it, alone or beside another path,
+    # raises.  A stream that draws nothing has no path to hold to
     keys = KeyTable(1, [(0,), (1,)])
-    durations = [(0.0, 0.1)]
-    first = keys.draws((0,), (5,), durations)
-    assert keys.draws((1,), (5,), durations) != first
-    assert keys.draws((0,), (5,), [(0.0, 0.1)]) == first  # equal, not the same
+    streams = (((5,), ((0.0, 0.1),)), (None, (3,)))
+    first = keys.draws((0,), streams)
+    assert first[1] == 3 and keys.draws((1,), streams) != first
+    # equal, not the same
+    assert keys.draws((0,), (((5,), ((0.0, 0.1),)), (None, (3,)))) == first
+    assert keys.draws((0,), (((5,), ((0.0, 0.1),)), (None, (4,)))) == \
+        first[:1] + [4]
     with pytest.raises(ValueError, match=r"stream path \(5,\)"):
-        keys.draws((0,), (5,), [7])
+        keys.draws((0,), (((5,), (7,)),))
     with pytest.raises(ValueError, match=r"stream path \(5,\)"):
-        keys.draws((1,), (5,), [(0.0, 0.2)])
+        keys.draws((1,), (((6,), ((0.0, 0.1),)), ((5,), ((0.0, 0.2),))))
 
 
 @settings(max_examples=60, deadline=None)
@@ -405,63 +410,80 @@ def test_philox_keys_equal_numpy_seed_sequence(seed, keys):
 @given(seed=st.integers(min_value=0, max_value=2 ** 160),
        width=st.integers(min_value=0, max_value=2), data=st.data())
 def test_stream_keys_equal_numpy_seed_sequence(seed, width, data):
+    # root by root, each root's key of each path: paths of one word count
+    # in one pass, of several in one pass a path
     label = st.integers(min_value=0, max_value=2 ** 32 - 1)
     roots = data.draw(st.lists(st.tuples(*[label] * width), max_size=5))
-    path = tuple(data.draw(st.lists(
-        st.integers(min_value=0, max_value=2 ** 80), max_size=4)))
-    keys = stream_keys(seed, roots, path)
-    assert len(keys) == len(roots)
-    for root, key in zip(roots, keys):
-        assert key == np.random.SeedSequence(
-            seed, spawn_key=root + path).generate_state(2, np.uint64).tolist()
+    paths = data.draw(st.lists(st.lists(st.integers(
+        min_value=0, max_value=2 ** 80), max_size=4).map(tuple),
+        min_size=1, max_size=3))
+    keys = iter(stream_keys(seed, roots, paths))
+    for root in roots:
+        for path in paths:
+            assert next(keys) == np.random.SeedSequence(
+                seed, spawn_key=root + path).generate_state(
+                2, np.uint64).tolist()
+    assert next(keys, None) is None
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2 ** 160),
        width=st.integers(min_value=0, max_value=2), data=st.data())
 def test_drawn_paths_equal_numpy_seed_sequence(seed, width, data):
-    # a path read through ``draws`` is drawn for every root of its table at
-    # once: each root's row, read in any order, is its own stream's draws,
-    # a lognormal for each (mu, sigma) and a nominal value kept, and a
-    # table over that root alone draws the same row
+    # streams read through ``draws`` are drawn for every root of their
+    # table at once: each root's row, read in any order, is each stream's
+    # draws in turn, a lognormal for each (mu, sigma) of its own stream and
+    # a nominal value kept, or its durations as they are if its path is
+    # None; and a table over that root alone draws the same row
     label = st.integers(min_value=0, max_value=2 ** 32 - 1)
     roots = data.draw(st.lists(st.tuples(*[label] * width), min_size=1,
                                max_size=5, unique=True))
-    path = tuple(data.draw(st.lists(
-        st.integers(min_value=0, max_value=2 ** 80), max_size=4)))
-    durations = data.draw(st.lists(st.one_of(
+    paths = data.draw(st.lists(st.lists(st.integers(
+        min_value=0, max_value=2 ** 80), max_size=4).map(tuple),
+        max_size=3, unique=True))
+    duration = st.integers(min_value=0, max_value=10 ** 18)
+    streams = tuple((path, tuple(data.draw(st.lists(st.one_of(
         st.tuples(st.floats(min_value=-3.0, max_value=6.0),
-                  st.floats(min_value=0.0, max_value=1.0)),
-        st.integers(min_value=0, max_value=10 ** 18)), max_size=4))
+                  st.floats(min_value=0.0, max_value=1.0)), duration),
+        max_size=4)))) for path in paths) + tuple(
+        (None, tuple(data.draw(st.lists(duration, max_size=2))))
+        for _ in range(data.draw(st.integers(min_value=0, max_value=2))))
+    streams = tuple(data.draw(st.permutations(streams)))
     keys = KeyTable(seed, roots)
     for root in data.draw(st.permutations(roots)):
-        oracle = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(seed, spawn_key=root + path)))
-        row = [round(oracle.lognormal(*d) * SECOND) if isinstance(d, tuple)
-               else d for d in durations]
-        assert keys.draws(root, path, durations) == row
-        assert KeyTable(seed, [root]).draws(root, path, durations) == row
+        row = []
+        for path, durations in streams:
+            if path is None:
+                row += durations
+                continue
+            oracle = np.random.Generator(np.random.Philox(
+                np.random.SeedSequence(seed, spawn_key=root + path)))
+            row += [round(oracle.lognormal(*d) * SECOND)
+                    if isinstance(d, tuple) else d for d in durations]
+        assert keys.draws(root, streams) == row
+        assert KeyTable(seed, [root]).draws(root, streams) == row
 
 
 @pytest.mark.parametrize("probe_jitter_ns, passes, drawn", [
-    (0, (4, 4, 5), 30), (400, (5, 6, 6), 41)],
+    (0, ([4], [4], [4, 1]), 30), (400, ([4, 1], [4, 1, 1], [4, 1, 1]), 41)],
     ids=["probe_jitter_0", "probe_jitter_400"])
 def test_each_stream_path_of_a_demo_is_keyed_once_for_every_root(
         monkeypatch, tmp_path, probe_jitter_ns, passes, drawn):
     # Each runner keys a stream path for all its worlds' roots in one pass,
-    # on the first draw on that path.  With --repeat 1 one setup world, four
-    # latency worlds and two soft-failure worlds draw on their two VNF and
-    # two transponder streams, and the soft-failure worlds on their noise
-    # stream: 4 + 4 + 5 passes and 30 streams that draw.  A probe with
+    # on the first draw on that path, and a world's four deployment paths,
+    # two VNF and two transponder streams, in one pass.  With --repeat 1 one
+    # setup world, four latency worlds and two soft-failure worlds draw on
+    # their deployment streams, and the soft-failure worlds on their noise
+    # stream: 1 + 1 + 2 passes and 30 streams that draw.  A probe with
     # jitter adds every world's probe verification stream and each latency
-    # world's probe stream: 5 + 6 + 6 passes and 41 streams.  Each runner's
+    # world's probe stream: 2 + 3 + 3 passes and 41 streams.  Each runner's
     # streams take turns on its table's one generator.
     rows = []
     keyed = simkernel.stream_keys
 
-    def counting_stream_keys(seed, roots, path):
-        rows.append(len(roots))
-        return keyed(seed, roots, path)
+    def counting_stream_keys(seed, roots, paths):
+        rows.append((len(roots), len(paths)))
+        return keyed(seed, roots, paths)
 
     monkeypatch.setattr(simkernel, "stream_keys", counting_stream_keys)
     built, turns = count_philox(monkeypatch), count_turns(monkeypatch)
@@ -473,6 +495,7 @@ def test_each_stream_path_of_a_demo_is_keyed_once_for_every_root(
     assert main(["demo", "--scenario", str(scenario), "--repeat", "1",
                  "--out", str(tmp_path / "report.txt")]) == 0
     # setup, then latency, then soft failure: 1, 4 and 2 roots each
-    assert rows == [1] * passes[0] + [4] * passes[1] + [2] * passes[2]
+    assert rows == [(n, paths) for n, runner in zip((1, 4, 2), passes)
+                    for paths in runner]
     assert len(turns) == drawn
     assert len(built) == len(tables) == 3
