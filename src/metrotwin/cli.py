@@ -14,7 +14,8 @@ import sys
 from typing import Optional
 
 from .errors import ParseError, TwinError, ValidationError
-from .scenario import RunReport, Scenario, load_scenario, run_scenario, scenario_from_dict
+from .scenario import (SECTIONS, RunReport, Scenario, load_scenario,
+                       run_scenario, scenario_from_dict)
 
 _EXPERIMENT_FOR = {
     "setup": "setup_kpi",
@@ -79,7 +80,7 @@ def _apply_overrides(sc: Scenario, args: argparse.Namespace,
                 doc[section]["repetitions"] = args.repeat
         changed = True
     if args.rate:
-        if experiment not in ("softfail", "full_demo"):
+        if "softfail" not in SECTIONS[experiment]:
             raise ValidationError(f"--rate: mst {args.command} runs no "
                                   f"soft-failure experiment")
         section = doc.setdefault("softfail", {})
@@ -105,13 +106,10 @@ def _pad_table(rows: list[list[str]]) -> str:
 
 
 def _setup_rows(results: dict) -> list[list[str]]:
-    summary = results["summary"]
-    rows = [["kpi", "mean_s", "std_s", "min_s", "max_s"]]
-    for key in ("kpi_ns_deploy", "kpi_connectivity", "kpi_e2e",
-                "e2e_excl_transponder"):
-        s = summary[key]
-        rows.append([key, s["mean_s"], s["std_s"], s["min_s"], s["max_s"]])
-    return rows
+    """A row of statistics per KPI, in the summary's order."""
+    stats = ("mean_s", "std_s", "min_s", "max_s")
+    return [["kpi", *stats]] + [[kpi] + [s[k] for k in stats]
+                                for kpi, s in results["summary"].items()]
 
 
 def _columns(keys: tuple[str, ...], records: list[dict]) -> list[list[str]]:

@@ -230,7 +230,8 @@ class _Arc:
                 {(links[i - 1], CHANNEL), (links[i], CHANNEL)}
                 if i < len(links) else ()))
             for i, roadm_id in enumerate(order)]
-        self.labels = {kind: [(REQUEST_ID, kind, roadm_id) for roadm_id in order]
+        self.labels = {kind: [f"{REQUEST_ID}:{kind}:{roadm_id}"
+                              for roadm_id in order]
                        for kind in ("roadm", "restore")}
 
 
@@ -270,9 +271,9 @@ class DeployPlan:
         self.arcs = (_Arc(ring, chosen), _Arc(ring, spare))
         self.path = self.arcs[0].path
         self.shot = noiseless_round_trip(self.path, ring, self.probe_cfg)
-        self.labels = {kind: (REQUEST_ID, kind)
-                       for kind in ("request", "messaging", "probe", "retune")}
-        self.vnf_labels = [(REQUEST_ID, "vnf", vnf.name) for vnf in ns.vnfs]
+        self.labels = {kind: f"{REQUEST_ID}:{kind}" for kind in (
+            "request", "messaging", "probe", "retune", "alert")}
+        self.vnf_labels = [f"{REQUEST_ID}:vnf:{vnf.name}" for vnf in ns.vnfs]
         service = (STACK_STREAM, hash_label(REQUEST_ID))
         nodes = [ring.transponders[tp_id]
                  for tp_id in (self.path.source, self.path.destination)]
@@ -286,7 +287,8 @@ class DeployPlan:
                  for d in (node.config_duration_ns, node.warmup_duration_ns)])
                 for i, node in enumerate(nodes)])
         self.transponder_labels = [
-            [("tp", node.id, state) for state in _BRING_UP] for node in nodes]
+            [f"tp:{node.id}:{state.value}" for state in _BRING_UP]
+            for node in nodes]
         self.probe_stream = (service + (PROBE_STREAM,) if jitter
                              and self.probe_cfg.jitter_sigma_ns else None)
 
@@ -298,7 +300,7 @@ class OrchestrationStack:
     ``root``.  It reads its row of the plan's deployment streams once, when
     it is made: each VNF's instantiation, then each transponder's
     configuration and warm-up, in ns.  Its handlers read the kernel's clock
-    as ``kernel._now``."""
+    as ``kernel.now``."""
 
     __slots__ = ("plan", "ring", "timings", "state", "kernel", "keys",
                  "root", "record", "_row", "_arc", "_kind", "_visited",
@@ -319,7 +321,7 @@ class OrchestrationStack:
         """Accept the plan's service request, once; the workflow advances
         via kernel events."""
         rec = self.record = ServiceRecord(REQUEST_ID)
-        now = rec.timestamps.t_request = self.kernel._now
+        now = rec.timestamps.t_request = self.kernel.now
         self.kernel.schedule(self._start_deploy, now, self.plan.labels["request"])
         return rec
 
@@ -337,7 +339,7 @@ class OrchestrationStack:
 
     def _start_deploy(self) -> None:
         """Place every VNF, then let their instantiations run in parallel."""
-        plan, now = self.plan, self.kernel._now
+        plan, now = self.plan, self.kernel.now
         for node_id, (cpu, mem) in plan.demand.items():
             self.state.vcpu_free[node_id] -= cpu
             self.state.mem_free_mb[node_id] -= mem
@@ -354,7 +356,7 @@ class OrchestrationStack:
     def _setup_connectivity(self) -> None:
         """The service takes the plan's path; device configuration goes
         out through events."""
-        rec, now = self.record, self.kernel._now
+        rec, now = self.record, self.kernel.now
         rec.timestamps.t_vnfs_ready = rec.timestamps.t_conn_requested = now
         rec.path = self.plan.path
         self.kernel.schedule(self._configure_path,
@@ -376,7 +378,7 @@ class OrchestrationStack:
         channel passing through on the arc, nothing off it.
         """
         self._arc, self._kind, self._visited = arc, kind, 0
-        at, step = self.kernel._now + delay, self.timings.roadm_config_ns
+        at, step = self.kernel.now + delay, self.timings.roadm_config_ns
         for label in arc.labels[kind]:
             at += step
             self.kernel.schedule(self._visit, at, label)
@@ -397,13 +399,13 @@ class OrchestrationStack:
             self._bring_up_transponders()
         else:
             self.kernel.schedule(self._retune_done,
-                                 self.kernel._now + self.timings.retune_ns,
+                                 self.kernel.now + self.timings.retune_ns,
                                  self.plan.labels["retune"])
 
     def _bring_up_transponders(self) -> None:
         """Runs once every ROADM is programmed for the service: each
         transponder enters its bring-up phases by events of its own."""
-        rec, now, row = self.record, self.kernel._now, self._row
+        rec, now, row = self.record, self.kernel.now, self._row
         rec.timestamps.t_roadms_configured = now
         self._warm = self._operational = 0  # transponders past each phase
         # the row ends with each transponder's configuration and warm-up
@@ -428,11 +430,11 @@ class OrchestrationStack:
         if state is TransponderState.LASER_WARMUP:
             self._warm += 1
             if self._warm == 2:
-                ts.t_transponders_configured = self.kernel._now
+                ts.t_transponders_configured = self.kernel.now
         elif state is TransponderState.OPERATIONAL:
             self._operational += 1
             if self._operational == 2:
-                now = ts.t_path_operational = self.kernel._now
+                now = ts.t_path_operational = self.kernel.now
                 self.kernel.schedule(self._verify_probe,
                                      now + self.timings.probe_verify_ns,
                                      self.plan.labels["probe"])
@@ -443,13 +445,13 @@ class OrchestrationStack:
         rec.probe = measure_round_trip(
             rec.path, self.state, plan.probe_cfg, plan.shot,
             None if leaf is None else SimRng(self.keys, self.root + leaf))
-        rec.timestamps.t_probe_verified = self.kernel._now
+        rec.timestamps.t_probe_verified = self.kernel.now
         req = plan.ns.connectivity.max_rt_latency_ns
         if req is not None and rec.probe.measured_rt_ns > req:
             self._fail("probe verification exceeded latency requirement")
             return
         # monitoring registration is bookkeeping only, no extra delay
-        rec.timestamps.t_monitoring_active = self.kernel._now
+        rec.timestamps.t_monitoring_active = self.kernel.now
         rec.transition(ServiceStatus.ACTIVE)
 
     # ------------------------------------------------------------- KPIs
@@ -498,7 +500,7 @@ class OrchestrationStack:
         rec.path, self._arc = self._arc.path, None
         if rec.status is ServiceStatus.DEGRADED:
             rec.transition(ServiceStatus.RESTORED)
-            outcome.restored_at = self.kernel._now
+            outcome.restored_at = self.kernel.now
         else:
             outcome.reason = outcome.reason or (
                 f"service already {rec.status.value} at retune")

@@ -8,7 +8,7 @@ class TwinError(Exception):
 # -- simulation kernel ------------------------------------------------------
 
 class SchedulingInPast(TwinError):
-    """An event or horizon was requested at a virtual time before now()."""
+    """An event or horizon was requested at a virtual time before ``Kernel.now``."""
 
 
 class RunawaySimulation(TwinError):

@@ -174,7 +174,8 @@ class EpisodeTrace(Sequence):
     an episode up to its crossing.
 
     It keeps the sample instants and SNR values as the scan computed them;
-    a row, and its BER, is built only when it is read.
+    a row, and its BER, is built only when it is read, and a slice reads as
+    a list of rows.
     """
 
     def __init__(self, times: range, snr: np.ndarray, ramp_start: SimTime,
@@ -185,7 +186,9 @@ class EpisodeTrace(Sequence):
     def __len__(self) -> int:
         return len(self.times)
 
-    def __getitem__(self, i: int) -> tuple[float, float, float]:
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
         snr = float(self.snr[i])
         return ((self.times[i] - self.ramp_start) / SECOND, snr,
                 ber_from_snr(snr, self.model))
@@ -365,7 +368,7 @@ def run_softfail_case(world_factory: Callable[[int], SoftFailWorld],
         if rec.status is not ServiceStatus.ACTIVE or rec.path is None:
             raise TwinError(f"repetition {rep}: service not active before episode")
         monitored_path = rec.path  # crossing is tracked on the original arc
-        first_sample = kernel.now() + period
+        first_sample = kernel.now + period
         ramp_start = first_sample + (detector_cfg.baseline_window - 1) * period
         ramp = AttenuationRamp(ramp_link or monitored_path.links[0],
                                rate_db_per_s, ramp_start, snr_coupling)
@@ -407,13 +410,13 @@ def run_softfail_case(world_factory: Callable[[int], SoftFailWorld],
         t_detect = None if ev is None else ev.t_detect
 
         def at_sample() -> None:
-            t = kernel._now  # the sample instant
+            t = kernel.now  # the sample instant
             if t == t_detect:
                 # detector -> parent controller, two control hops
-                kernel.schedule_in(
-                    2 * stack.timings.alert_hop_ns,
-                    lambda: stack.handle_degradation_alert(rec, kernel._now),
-                    kind=(rec.request_id, "alert"))
+                kernel.schedule(
+                    lambda: stack.handle_degradation_alert(rec, kernel.now),
+                    t + 2 * stack.timings.alert_hop_ns,
+                    stack.plan.labels["alert"])
             if t == t_last:
                 if cross is None:
                     raise TwinError(

@@ -20,7 +20,7 @@ from itertools import starmap
 from pathlib import Path
 from typing import IO, NamedTuple, Optional, Union
 
-from .controlplane import (ConnectivityRequirements, DeployPlan,
+from .controlplane import (ConnectivityRequirements, DeployPlan, KpiReport,
                            NsDescriptor, OrchestrationStack, PhaseTimings,
                            ServiceStatus, VnfDescriptor)
 from .errors import FieldInvalid, ParseError, TwinError, ValidationError
@@ -34,7 +34,12 @@ from .topology import FiberLink, RingTopology, build_ring
 
 ARTIFACT_VERSION = 1
 LATENCY_PROBE_STREAM = 5  # a latency world's probe jitter, below its root
-EXPERIMENTS = ("setup_kpi", "latency", "softfail", "full_demo")
+# each experiment's results sections, in run order; a "latency" or
+# "softfail" section needs the document's section of that name
+SECTIONS = {"setup_kpi": ("setup",), "latency": ("latency",),
+            "softfail": ("softfail",),
+            "full_demo": ("setup", "latency", "softfail")}
+EXPERIMENTS = tuple(SECTIONS)
 
 _UNSET = object()
 
@@ -253,13 +258,6 @@ def _read(node: dict, path: str, where: str, errors: list[str],
     return _make(errors, where, target, **values)
 
 
-class Service(NamedTuple):
-    descriptor: NsDescriptor
-    timings: PhaseTimings
-    jitter: bool
-    repetitions: int
-
-
 class Latency(NamedTuple):
     cases: list[FiberLink]  # the measured link as each case sets it
     repetitions: int
@@ -283,12 +281,11 @@ class Softfail(NamedTuple):
 
 class Scenario(NamedTuple):
     """A validated scenario: the document as parsed, and the typed objects
-    read from it once, its ring and the deploy plans it checked among them."""
+    read from it once, the deploy plans it checked among them."""
     experiment: str
     seed: int
     raw: dict  # as parsed: reports echo it
-    ring: RingTopology
-    service: Service
+    repetitions: int  # the setup experiment's
     plans: Sequence[DeployPlan]  # on the ring, then each latency case's
     latency: Optional[Latency] = None
     softfail: Optional[Softfail] = None
@@ -303,15 +300,14 @@ def _case_ring(ring: RingTopology, link: FiberLink) -> RingTopology:
 
 
 def _sections(doc: dict, top: dict, errors: list[str]) -> tuple[
-        RingTopology, Service, list[DeployPlan], Optional[Latency],
-        Optional[Softfail]]:
-    """The ring, typed sections and plans of a document that passed the
-    table, a ``DeployPlan`` per ring the service deploys on; checks every
-    name the sections give against the ring, and each plan's probe shot
-    against the latency requirement."""
+        int, list[DeployPlan], Optional[Latency], Optional[Softfail]]:
+    """The setup repetitions, plans and typed sections of a document that
+    passed the table, a ``DeployPlan`` per ring the service deploys on;
+    checks every name the sections give against the ring, and each plan's
+    probe shot against the latency requirement."""
     ring = _make(errors, "topology", build_ring, doc["topology"])
     if ring is None:
-        return None, None, None, None, None
+        return None, None, None, None
 
     def known(where: str, name: str, names: dict) -> bool:
         if name not in names:
@@ -342,7 +338,6 @@ def _sections(doc: dict, top: dict, errors: list[str]) -> tuple[
                         if vnf.target_compute == node.id)
                 errors.append(f"service.vnfs[{i}].{key}: the VNFs on "
                               f"{node.id} ask for {ask} in all; it has {has}")
-    service = Service(ns, **svc)
 
     rings = [ring]  # each ring the service deploys on
     probe_cfg = None
@@ -366,7 +361,7 @@ def _sections(doc: dict, top: dict, errors: list[str]) -> tuple[
                   latency.attribution["matrix"],
                   latency.attribution["components"])
 
-    plans = [DeployPlan(on, ns, service.timings, probe_cfg, service.jitter)
+    plans = [DeployPlan(on, ns, svc["timings"], probe_cfg, svc["jitter"])
              for on in rings] if ns is not None and (a, b) in ring.arcs else []
     req = conn.max_rt_latency_ns
     for i, plan in enumerate(plans if req is not None else ()):
@@ -404,7 +399,7 @@ def _sections(doc: dict, top: dict, errors: list[str]) -> tuple[
             cases.append(SoftfailCase(case.pop("name", f"case{i + 1}"), cfg,
                                       case))
         softfail = Softfail(**{**softfail, "cases": cases})
-    return ring, service, plans, latency, softfail
+    return svc["repetitions"], plans, latency, softfail
 
 
 def scenario_from_dict(doc: dict, lenient: bool = False) -> Scenario:
@@ -420,8 +415,8 @@ def scenario_from_dict(doc: dict, lenient: bool = False) -> Scenario:
     warnings: list[str] = []
     top = _read(doc, "", "", errors, warnings)
     experiment = doc.get("experiment")
-    for section in ("latency", "softfail"):
-        if experiment in (section, "full_demo") and section not in doc:
+    for section in SECTIONS[experiment] if experiment in EXPERIMENTS else ():
+        if section != "setup" and section not in doc:
             errors.append(f"experiment {experiment!r} needs a {section!r} "
                           f"section")
     if not errors:
@@ -485,13 +480,18 @@ def _fmt(x: float, decimals: int) -> str:
 
 class _Rows(Sequence):
     """Report rows kept as numbers, ``values``, one row of them per report
-    row, formatted only when read or written."""
+    row, formatted only when read or written; a slice reads as a list."""
 
     def __init__(self, values: Sequence[Sequence[float]]) -> None:
         self.values = values
 
     def __len__(self) -> int:
         return len(self.values)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._row(j) for j in range(len(self))[i]]
+        return self._row(i)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):
@@ -503,13 +503,14 @@ class TraceRows(_Rows):
     """A soft-failure case's trace, (seconds, SNR dB, BER) a row, as report
     rows of text."""
 
-    def __getitem__(self, i: int) -> list[str]:
+    def _row(self, i: int) -> list[str]:
         return [cell.format(x) for cell, x in zip(_TRACE_CELLS, self.values[i])]
 
 
-# a setup row's keys for the four KPIs of a KpiReport, in its order
-_KPI_KEYS = ("kpi_ns_deploy_s", "kpi_connectivity_s", "kpi_e2e_s",
-             "e2e_excl_transponder_s")
+# the four KPIs of a KpiReport, in its order: each one's summary key, its
+# field less "_ns", and its key in a setup row
+_KPIS = [field[:-3] for field in KpiReport._fields]
+_KPI_KEYS = [f"{kpi}_s" for kpi in _KPIS]
 
 
 class KpiRows(_Rows):
@@ -518,7 +519,7 @@ class KpiRows(_Rows):
     ``repetition``, i, and each KPI's key with its value to three
     decimals."""
 
-    def __getitem__(self, i: int) -> dict:
+    def _row(self, i: int) -> dict:
         rep = range(len(self.values))[i]
         return {"repetition": rep, **{key: _fmt(x, 3) for key, x in zip(
             _KPI_KEYS, self.values[rep])}}
@@ -608,7 +609,7 @@ class RunReport(NamedTuple):
 
 
 def _run_setup(sc: Scenario, trace_sink=None) -> dict:
-    reps = sc.service.repetitions
+    reps = sc.repetitions
     kpis = []  # each world's KPIs in seconds, as a KpiReport orders them
     keys = KeyTable(sc.seed, [(rep,) for rep in range(reps)])
     for rep in range(reps):
@@ -627,8 +628,7 @@ def _run_setup(sc: Scenario, trace_sink=None) -> dict:
     return {
         "repetitions": reps,
         "per_repetition": KpiRows(kpis),
-        "summary": dict(zip(("kpi_ns_deploy", "kpi_connectivity", "kpi_e2e",
-                             "e2e_excl_transponder"), map(stats, zip(*kpis)))),
+        "summary": dict(zip(_KPIS, map(stats, zip(*kpis)))),
     }
 
 
@@ -726,8 +726,6 @@ def run_scenario(sc: Scenario, trace_sink: Optional[IO[str]] = None) -> RunRepor
     """Execute the scenario's experiment and wrap results in a RunReport."""
     runs = {"setup": _run_setup, "latency": _run_latency,
             "softfail": _run_softfail}
-    names = {"setup_kpi": ["setup"], "full_demo": list(runs)}.get(
-        sc.experiment, [sc.experiment])
     return RunReport(experiment=sc.experiment, seed=sc.seed, scenario=sc.raw,
                      results={name: runs[name](sc, trace_sink)
-                              for name in names})
+                              for name in SECTIONS[sc.experiment]})

@@ -25,12 +25,11 @@ made only where a stream draws otherwise, draws when it is asked.
 
 from __future__ import annotations
 
-import enum
 import functools
 import itertools
 import math
 from heapq import heappop, heappush
-from typing import Callable, IO, Optional, Union
+from typing import Callable, IO, Optional
 
 import numpy as np
 
@@ -42,9 +41,6 @@ MS = 1_000_000
 SECOND = 1_000_000_000
 
 DEFAULT_EVENT_CAP = 100_000_000
-
-# An event's label: a string, or its parts, which a trace joins with ":"
-Label = Union[str, tuple]
 
 
 _M32 = 0xFFFFFFFF
@@ -275,76 +271,58 @@ def lognormal_params(mean: float, cv: float) -> tuple[float, float]:
     return math.log(mean) - sigma2 / 2.0, math.sqrt(sigma2)
 
 
-def _label_text(kind: Label, action: Callable[[], None]) -> str:
-    """An event's trace label: its parts joined by ``:``, an enum part by
-    its value, or the action's ``__name__`` if the label is empty."""
-    if not kind:
-        return getattr(action, "__name__", "")
-    if isinstance(kind, str):
-        return kind
-    return ":".join(str(p.value) if isinstance(p, enum.Enum) else str(p)
-                    for p in kind)
-
-
 class Kernel:
     """Single-threaded discrete-event scheduler over virtual nanoseconds.
 
     Events with equal ``fire_at`` fire in insertion order.  An event's label
-    (``kind``) is a string or a tuple of its parts; it is formatted, by
-    ``_label_text``, only when the event fires with a ``trace`` sink set.
-    The twin's event handlers read the clock as ``_now``, with no call; an
-    event enters the queue only through ``schedule``.  One instance is
-    strictly single-threaded; separate instances share nothing.
+    (``kind``) is its trace text, or the action's ``__name__`` if empty.
+    The clock is the attribute ``now``, which only firing advances; an event
+    enters the queue only through ``schedule``.  One instance is strictly
+    single-threaded; separate instances share nothing.
     """
 
-    __slots__ = ("_now", "_heap", "_next_seq", "_fired", "event_cap", "trace")
+    __slots__ = ("now", "_heap", "_next_seq", "_fired", "event_cap", "trace")
 
     def __init__(self, event_cap: int = DEFAULT_EVENT_CAP,
                  trace: Optional[IO[str]] = None):
-        self._now: SimTime = 0
+        self.now: SimTime = 0
         # (fire_at, sequence, action, kind): the sequence is unique, so it
         # breaks time ties and no action or label is ever compared
-        self._heap: list[tuple[SimTime, int, Callable[[], None], Label]] = []
+        self._heap: list[tuple[SimTime, int, Callable[[], None], str]] = []
         self._next_seq = 0
         self._fired = 0
         self.event_cap = event_cap
         self.trace = trace  # file-like; one line "fire_at_ns,sequence,kind" per fired event
-
-    def now(self) -> SimTime:
-        return self._now
 
     def idle(self) -> bool:
         """True when no event is queued."""
         return not self._heap
 
     def schedule(self, action: Callable[[], None], at: SimTime,
-                 kind: Label = "") -> None:
+                 kind: str = "") -> None:
         """Enqueue ``action`` to run at virtual time ``at``."""
-        if at < self._now:
-            raise SchedulingInPast(f"schedule at {at} ns < now {self._now} ns")
+        if at < self.now:
+            raise SchedulingInPast(f"schedule at {at} ns < now {self.now} ns")
         heappush(self._heap, (at, self._next_seq, action, kind))
         self._next_seq += 1
 
-    def schedule_in(self, delay: SimTime, action: Callable[[], None],
-                    kind: Label = "") -> None:
-        self.schedule(action, self._now + delay, kind=kind)
-
     def run_to_end(self) -> SimTime:
         """Fire every queued event in order, including those queued while
-        firing; returns the fire time of the last (now() if none)."""
+        firing; returns the fire time of the last (``now`` if none)."""
         heap, trace, cap = self._heap, self.trace, self.event_cap
         fired = self._fired
         try:
             while heap:
                 fire_at, sequence, action, kind = heappop(heap)
-                self._now = fire_at
+                self.now = fire_at
                 fired += 1
                 if fired > cap:
                     raise RunawaySimulation(
                         f"fired-event count exceeded cap {cap}")
                 if trace is not None:
-                    trace.write(f"{fire_at},{sequence},{_label_text(kind, action)}\n")
+                    trace.write(f"{fire_at},{sequence},"
+                                f"{kind or getattr(action, '__name__', '')}\n")
                 action()
         finally:
             self._fired = fired
-        return self._now
+        return self.now

@@ -208,7 +208,7 @@ def _given(entry: dict, *keys: str) -> dict:
 def build_ring(section: dict) -> RingTopology:
     """Validate a scenario topology section into the ring its worlds share.
 
-    Raises TopologyInvalid for duplicate names, rings smaller than 3 ROADMs,
+    Raises TopologyInvalid for empty or duplicate names, rings smaller than 3 ROADMs,
     link sets that do not form a single cycle, or dangling attachments.
     """
     roadm_names = list(section.get("roadms", []))
@@ -230,10 +230,12 @@ def build_ring(section: dict) -> RingTopology:
     links: dict[str, FiberLink] = {}
     for entry in section.get("links", []):
         a, b = entry["endpoints"]
+        if not entry.get("id"):
+            raise TopologyInvalid("link: empty link id")
         for end in (a, b):
             if end not in roadms:
-                raise TopologyInvalid(f"link {entry.get('id')}: unknown ROADM {end!r}")
-        lk = FiberLink(id=entry.get("id") or f"{a}-{b}", endpoints=(a, b),
+                raise TopologyInvalid(f"link {entry['id']}: unknown ROADM {end!r}")
+        lk = FiberLink(id=entry["id"], endpoints=(a, b),
                        length_m=float(entry["length_m"]),
                        **_given(entry, "group_index", "legacy_residual_delay_ns"))
         if lk.id in links:

@@ -519,6 +519,8 @@ def set_key(doc, path, value):
         "latency.probe.probe_overhead_ns", "latency.probe.switch_overhead_ns",
         "latency.probe.optical_device_overhead_ns",
         "latency.probe.jitter_sigma_ns")),
+    # renamed roadm1-roadm2, silently, before
+    ("topology.links[0].id", "", "topology: link: empty link id"),
 ])
 def test_bad_document_fails_validation_naming_key(tmp_path, capsys, path,
                                                   value, named):

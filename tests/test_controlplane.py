@@ -140,7 +140,7 @@ def test_deploy_draws_equal_numpy_seed_sequence(seed, width, data):
         return out
 
     fired = fired_at(trace)
-    for i, (vnf, mean_cv) in enumerate(zip(sc.service.descriptor.vnfs, vnfs)):
+    for i, (vnf, mean_cv) in enumerate(zip(sc.plans[0].ns.vnfs, vnfs)):
         assert [fired[f"{REQUEST_ID}:vnf:{vnf.name}"]] == draws(
             (VNF_STREAM, i), mean_cv)
     start = world.record.timestamps.t_roadms_configured
@@ -182,7 +182,7 @@ def test_kpis_refuse_incomplete_record():
     def at_30_s():  # VNFs still instantiating
         with pytest.raises(IncompleteRecord):
             stack.compute_kpis(rec)
-        refused.append(kernel.now())
+        refused.append(kernel.now)
 
     kernel.schedule(at_30_s, 30 * S)
     kernel.run_to_end()
@@ -277,7 +277,7 @@ def test_plan_visits_every_roadm_once_from_each_arc():
         order = [roadm for roadm, _ in arc.visits]
         assert order[:len(arc.path.roadms)] == list(arc.path.roadms)
         assert sorted(order) == sorted(ring.ring_order)
-        assert arc.labels["restore"] == [("svc-1", "restore", roadm)
+        assert arc.labels["restore"] == [f"svc-1:restore:{roadm}"
                                          for roadm in order]
 
 
@@ -285,7 +285,7 @@ def test_restoration_moves_to_spare_arc():
     state, kernel, stack = fresh_stack()
     rec = deploy(stack, kernel)
     assert stack.verify_invariants() == []
-    alert_at = kernel.now()
+    alert_at = kernel.now
     outcome = stack.handle_degradation_alert(rec, alert_at)
     assert rec.status is ServiceStatus.DEGRADED
     kernel.run_to_end()
@@ -304,14 +304,14 @@ def test_restoration_moves_to_spare_arc():
 def test_alert_during_a_restoration_is_refused():
     state, kernel, stack = fresh_stack()
     rec = deploy(stack, kernel)
-    first = stack.handle_degradation_alert(rec, kernel.now())
+    first = stack.handle_degradation_alert(rec, kernel.now)
     with pytest.raises(IllegalTransition):
-        stack.handle_degradation_alert(rec, kernel.now())
+        stack.handle_degradation_alert(rec, kernel.now)
     kernel.run_to_end()
     assert rec.status is ServiceStatus.RESTORED and rec.restoration is first
     assert stack.verify_invariants() == []
     # once the retune is done, a new alert moves the service back
-    second = stack.handle_degradation_alert(rec, kernel.now())
+    second = stack.handle_degradation_alert(rec, kernel.now)
     kernel.run_to_end()
     assert rec.status is ServiceStatus.RESTORED and second.restored_at
     assert rec.path.links == ("r1-r2",)
@@ -321,9 +321,9 @@ def test_alert_during_a_restoration_is_refused():
 def test_crossing_before_retune_means_failed():
     _, kernel, stack = fresh_stack()
     rec = deploy(stack, kernel)
-    t0 = kernel.now()
+    t0 = kernel.now
     stack.handle_degradation_alert(rec, t0)
-    kernel.schedule(lambda: stack.notify_fail_crossing(rec, kernel.now()),
+    kernel.schedule(lambda: stack.notify_fail_crossing(rec, kernel.now),
                     t0 + 5 * S)  # mid-rewrite
     kernel.run_to_end()
     assert rec.status is ServiceStatus.FAILED

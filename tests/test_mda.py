@@ -257,7 +257,7 @@ def oracle_softfail_case(world_factory, rate_db_per_s, repetitions,
         plant = OpticalPlant(stack.state)
         monitored_path = rec.path
         period = detector_cfg.sample_period_ns
-        first_sample = kernel.now() + period
+        first_sample = kernel.now + period
         ramp_start = first_sample + (detector_cfg.baseline_window - 1) * period
         plant.apply_attenuation_ramp(AttenuationRamp(
             link_id=ramp_link or monitored_path.links[0],
@@ -273,7 +273,7 @@ def oracle_softfail_case(world_factory, rate_db_per_s, repetitions,
             / (rate_db_per_s * max(snr_coupling, 1e-9)) / (period / SECOND))
 
         def take_sample(count=0):
-            t = kernel.now()
+            t = kernel.now
             s = plant.sample_telemetry(monitored_path, t, model,
                                        noise_sigma_db, noise_rng)
             if keep_trace and rep == 0:
@@ -284,10 +284,10 @@ def oracle_softfail_case(world_factory, rate_db_per_s, repetitions,
                 ev = detector.detect_degradation()
                 if ev is not None:
                     state["event"] = ev
-                    kernel.schedule_in(
-                        2 * stack.timings.alert_hop_ns,
+                    kernel.schedule(
                         lambda: stack.handle_degradation_alert(rec,
-                                                               kernel.now()),
+                                                               kernel.now),
+                        t + 2 * stack.timings.alert_hop_ns,
                         kind=f"{rec.request_id}:alert")
             crossed = s.pre_fec_ber > model.fail_ber_above
             if state["t_cross"] is None and crossed:
@@ -296,8 +296,8 @@ def oracle_softfail_case(world_factory, rate_db_per_s, repetitions,
                 return
             if count + 1 >= sample_cap:
                 raise TwinError("telemetry stream ran past its expected horizon")
-            kernel.schedule_in(period, lambda: take_sample(count + 1),
-                               kind="telemetry_sample")
+            kernel.schedule(lambda: take_sample(count + 1), t + period,
+                            kind="telemetry_sample")
 
         kernel.schedule(lambda: take_sample(0), first_sample,
                         kind="telemetry_sample")
@@ -854,7 +854,7 @@ def test_a_ramp_on_an_unknown_link_raises_before_its_episode():
     # the first world is deployed, and its episode never starts
     world, = worlds
     assert world.kernel.idle()
-    assert world.kernel.now() == world.record.timestamps.t_monitoring_active
+    assert world.kernel.now == world.record.timestamps.t_monitoring_active
 
 
 @pytest.mark.parametrize("ramp_link,calls", [(None, 2), ("r1-r2", 3)])

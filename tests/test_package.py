@@ -12,7 +12,7 @@ from metrotwin.errors import TopologyInvalid
 from metrotwin.mda import DegradationEvent, DetectorConfig
 from metrotwin.optics import AttenuationRamp, SignalModel, TelemetrySample
 from metrotwin.probe import LatencyMeasurement, ProbeConfig
-from metrotwin.scenario import (Latency, Service, Softfail, SoftfailCase,
+from metrotwin.scenario import (Latency, Softfail, SoftfailCase,
                                 scenario_from_dict)
 from metrotwin.simkernel import SECOND
 from metrotwin.topology import (ComputeNode, FiberLink, OpticalPath,
@@ -35,7 +35,11 @@ DELETED = ("teardown", "transponder_teardown", "TORN_DOWN", "DetectionTooLate",
            # one column writer renders the latency table and soft-failure CSV
            "_latency_rows", "_softfail_csv_rows",
            # a world reads its row of the plan's deployment streams once
-           "_durations", "vnf_streams", "transponder_streams")
+           "_durations", "vnf_streams", "transponder_streams",
+           # an event's label is its trace text, the clock is the kernel's
+           # now attribute, and schedule is the one way in; a scenario's
+           # plans carry its ring and service
+           "_label_text", "Label", "schedule_in", "Service")
 
 
 def test_every_export_resolves():
@@ -64,7 +68,7 @@ def test_importing_the_cli_makes_no_dataclass():
 
 
 _SC = scenario_from_dict(shipped("paper_full_demo.json"))
-_RING = _SC.ring
+_RING = _SC.plans[0].ring
 # each record of the twin that is frozen, and AttenuationRamp, with its
 # positional arguments, and the keyword value out of its range that it
 # rejects, with the error it raises, if it checks one
@@ -84,7 +88,6 @@ RECORDS = [
     (DetectorConfig, (SECOND, 10, 0.5, 3, 5),
      ({"regression_window": 1}, ValueError)),
     (DegradationEvent, (0, 20.0, 1e-9, -0.1, None), None),
-    (Service, tuple(_SC.service), None),
     (Latency, tuple(_SC.latency), None),
     (SoftfailCase, tuple(_SC.softfail.cases[0]), None),
     (Softfail, tuple(_SC.softfail), None),

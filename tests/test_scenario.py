@@ -104,8 +104,8 @@ def test_worlds_are_isolated():
     w1 = build_world(sc, (0,))
     w2 = build_world(sc, (0,))
     assert w1.stack.state is not w2.stack.state
-    assert w1.stack.ring is w2.stack.ring is sc.ring  # shared, read-only
-    w1.stack.handle_degradation_alert(w1.record, w1.kernel.now())
+    assert w1.stack.ring is w2.stack.ring is sc.plans[0].ring  # shared, read-only
+    w1.stack.handle_degradation_alert(w1.record, w1.kernel.now)
     assert w1.record.status.value == "Degraded"
     assert w2.record.status.value == "Active"  # untouched by w1's alert
     w1.kernel.run_to_end()
@@ -142,7 +142,7 @@ def test_every_world_keeps_the_invariants_and_the_shared_ring(monkeypatch,
                               for run in runs)
     for world in worlds:
         assert world.stack.verify_invariants() == []
-    assert sc.ring == build_ring(doc["topology"])
+    assert sc.plans[0].ring == build_ring(doc["topology"])
 
 
 def test_validation_builds_every_plan_a_run_deploys(monkeypatch):
@@ -159,7 +159,7 @@ def test_validation_builds_every_plan_a_run_deploys(monkeypatch):
     monkeypatch.setattr(DeployPlan, "__init__", counting_init)
     sc = load_scenario(SCENARIO_DIR / "paper_full_demo.json")
     assert len(built) == 1 + 4 and list(sc.plans) == built
-    assert sc.plans[0].ring is sc.ring
+    assert sc.plans[0].ring == build_ring(sc.raw["topology"])
     link = sc.raw["latency"]["measured_link"]
     for i, case in enumerate(sc.latency.cases):
         assert sc.plans[1 + i].ring.links[link] is case
@@ -172,7 +172,7 @@ def test_failed_deployment_surfaces_reason():
     sc = scenario_from_dict(make_scenario())
     # set after validation, which rejects a requirement below the probe's
     # noiseless round trip, so the probe verification fails at deploy
-    ns = sc.service.descriptor
+    ns = sc.plans[0].ns
     ns.connectivity = ns.connectivity._replace(max_rt_latency_ns=1)
     with pytest.raises(TwinError) as err:
         build_world(sc, (0,), where="setup repetition 0: ")
@@ -192,6 +192,20 @@ def test_setup_report_layout():
     assert setup["summary"]["kpi_e2e"]["std_s"] == "0.000"
 
 
+def test_report_rows_read_a_slice_as_a_list():
+    # each lazy row sequence of a report raised TypeError on a slice before
+    doc = make_scenario(experiment="full_demo", **latency_extra(),
+                        **softfail_extra())
+    doc["service"]["repetitions"] = 3
+    doc["softfail"]["emit_trace"] = True
+    results = run_scenario(scenario_from_dict(doc)).results
+    for rows in (results["setup"]["per_repetition"],
+                 results["softfail"]["cases"][0]["trace"],
+                 results["softfail"]["cases"][0]["trace"].values):
+        assert rows[0:2] == [rows[0], rows[1]]
+        assert rows[::-1] == list(rows)[::-1] and rows[5:5] == []
+
+
 def test_a_setup_world_built_alone_gives_its_report_row(tmp_path):
     # a world's deployment draws are its own streams', whether its runner's
     # table draws them for 40 worlds or a table of its own for it alone
@@ -201,7 +215,7 @@ def test_a_setup_world_built_alone_gives_its_report_row(tmp_path):
                  "--format", "json", "--out", str(out)]) == 0
     rows = json.loads(out.read_text())["results"]["setup"]["per_repetition"]
     sc = load_scenario(path)
-    assert sc.service.jitter and len(rows) == 40
+    assert sc.raw["service"]["jitter"] and len(rows) == 40
     for k, row in enumerate(rows):
         world = build_world(sc, (k,))
         kpis = world.stack.compute_kpis(world.record)
