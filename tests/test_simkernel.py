@@ -94,17 +94,47 @@ def test_event_cap_raises_runaway():
 
 
 def test_trace_lines():
+    sink = io.StringIO()
+    k = Kernel(trace=sink)
+    k.schedule(lambda: None, 5, kind="ping")
+    k.schedule(lambda: None, 9, kind="pong")
+    k.run_to_end()
+    assert sink.getvalue() == "5,0,ping\n9,1,pong\n"
+
+
+def test_labels_are_formatted_only_for_a_trace_sink():
+    class Unnamed:
+        def __init__(self, fired):
+            self.fired = fired
+
+        def __call__(self):
+            self.fired.append("quiet")
+
+        def __getattr__(self, name):
+            raise AssertionError(f"label read: {name}")
+
     def named():
         pass
 
     sink = io.StringIO()
     k = Kernel(trace=sink)
-    k.schedule(lambda: None, 5, kind="ping")
-    k.schedule(lambda: None, 9, kind="svc-1:vnf:css-dm")
-    k.schedule(named, 11)
+    k.schedule(lambda: None, 5, kind="svc-1:vnf:css-dm")
+    k.schedule(lambda: None, 6, kind="tp:t1:Warm")
+    k.schedule(named, 7)
     k.run_to_end()
     # a label is written as given; with none, the action's name
-    assert sink.getvalue() == "5,0,ping\n9,1,svc-1:vnf:css-dm\n11,2,named\n"
+    assert sink.getvalue() == "5,0,svc-1:vnf:css-dm\n6,1,tp:t1:Warm\n7,2,named\n"
+
+    fired = []
+    quiet = Kernel()
+    quiet.schedule(Unnamed(fired), 1)
+    quiet.run_to_end()
+    assert fired == ["quiet"]
+    # the same unlabelled action fails once a sink asks for its name
+    traced = Kernel(trace=io.StringIO())
+    traced.schedule(Unnamed([]), 1)
+    with pytest.raises(AssertionError, match="label read"):
+        traced.run_to_end()
 
 
 def test_seconds_round_trip():
