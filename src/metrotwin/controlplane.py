@@ -30,7 +30,7 @@ from .probe import (LatencyMeasurement, ProbeConfig, measure_round_trip,
 from .simkernel import (Kernel, KeyTable, MS, SECOND, SimRng, SimTime,
                         lognormal_params)
 from .topology import (ChannelId, NodeId, OpticalPath, Record, RingState,
-                       RingTopology, TransponderState)
+                       RingTopology, Transponder, TransponderState)
 
 
 class ServiceStatus(Enum):
@@ -304,7 +304,8 @@ class OrchestrationStack:
 
     __slots__ = ("plan", "ring", "timings", "state", "kernel", "keys",
                  "root", "record", "_row", "_arc", "_kind", "_visited",
-                 "_pending", "_warm", "_operational")
+                 "_pending", "_source", "_destination", "_warm",
+                 "_operational")
 
     def __init__(self, plan: DeployPlan, kernel: Kernel, keys: KeyTable,
                  root: tuple[int, ...]) -> None:
@@ -405,27 +406,33 @@ class OrchestrationStack:
     def _bring_up_transponders(self) -> None:
         """Runs once every ROADM is programmed for the service: each
         transponder enters its bring-up phases by events of its own."""
-        rec, now, row = self.record, self.kernel.now, self._row
-        rec.timestamps.t_roadms_configured = now
+        now, schedule = self.kernel.now, self.kernel.schedule
+        self.record.timestamps.t_roadms_configured = now
         self._warm = self._operational = 0  # transponders past each phase
+        path, transponders = self.plan.path, self.state.transponders
+        self._source = transponders[path.source]
+        self._destination = transponders[path.destination]
         # the row ends with each transponder's configuration and warm-up
-        for phase, labels, config_ns, warmup_ns in zip(
-                (self._source_phase, self._destination_phase),
-                self.plan.transponder_labels, row[-4::2], row[-3::2]):
-            for at, label in zip((now, now + config_ns,
-                                  now + config_ns + warmup_ns), labels):
-                self.kernel.schedule(phase, at, label)
+        config, warmup, dst_config, dst_warmup = self._row[-4:]
+        labels, dst_labels = self.plan.transponder_labels
+        phase, dst_phase = self._source_phase, self._destination_phase
+        schedule(phase, now, labels[0])
+        schedule(phase, now + config, labels[1])
+        schedule(phase, now + config + warmup, labels[2])
+        schedule(dst_phase, now, dst_labels[0])
+        schedule(dst_phase, now + dst_config, dst_labels[1])
+        schedule(dst_phase, now + dst_config + dst_warmup, dst_labels[2])
 
     def _source_phase(self) -> None:
-        self._next_phase(self.plan.path.source)
+        self._next_phase(self._source)
 
     def _destination_phase(self) -> None:
-        self._next_phase(self.plan.path.destination)
+        self._next_phase(self._destination)
 
-    def _next_phase(self, tp_id: NodeId) -> None:
+    def _next_phase(self, tp: Transponder) -> None:
         """Moves a transponder on to its next phase, and stamps a phase when
         the second transponder reaches it."""
-        tp, ts = self.state.transponders[tp_id], self.record.timestamps
+        ts = self.record.timestamps
         state = tp.state = _NEXT_PHASE[tp.state._name_]
         if state is TransponderState.LASER_WARMUP:
             self._warm += 1

@@ -363,6 +363,13 @@ def _sections(doc: dict, top: dict, errors: list[str]) -> tuple[
 
     plans = [DeployPlan(on, ns, svc["timings"], probe_cfg, svc["jitter"])
              for on in rings] if ns is not None and (a, b) in ring.arcs else []
+    # a case's probe measures its link only if the case's path crosses it
+    for i, plan in enumerate(plans[1:]):
+        measured = latency.cases[i].id
+        if measured not in plan.path.links:
+            errors.append(f"latency.cases[{i}]: the service's path "
+                          f"{'+'.join(plan.path.links)} leaves out "
+                          f"latency.measured_link {measured}")
     req = conn.max_rt_latency_ns
     for i, plan in enumerate(plans if req is not None else ()):
         least = plan.shot.measured_rt_ns
@@ -610,13 +617,15 @@ class RunReport(NamedTuple):
 
 def _run_setup(sc: Scenario, trace_sink=None) -> dict:
     reps = sc.repetitions
-    kpis = []  # each world's KPIs in seconds, as a KpiReport orders them
+    reports = []  # each world's KpiReport
     keys = KeyTable(sc.seed, [(rep,) for rep in range(reps)])
     for rep in range(reps):
         world = build_world(sc, (rep,), sc.plans[0], trace_sink, keys,
                             f"setup repetition {rep}: ")
-        kpis.append([ns / SECOND
-                     for ns in world.stack.compute_kpis(world.record)])
+        reports.append(world.stack.compute_kpis(world.record))
+    # each KPI's column in seconds, and each world's row of them
+    columns = [[ns / SECOND for ns in column] for column in zip(*reports)]
+    kpis = list(zip(*columns))
 
     def stats(values: list[float]) -> dict:
         n = len(values)
@@ -628,7 +637,7 @@ def _run_setup(sc: Scenario, trace_sink=None) -> dict:
     return {
         "repetitions": reps,
         "per_repetition": KpiRows(kpis),
-        "summary": dict(zip(_KPIS, map(stats, zip(*kpis)))),
+        "summary": dict(zip(_KPIS, map(stats, columns))),
     }
 
 

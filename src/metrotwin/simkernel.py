@@ -18,9 +18,10 @@ stream paths for all its worlds' roots in one pass, on their first draw;
 of one table take turns on its one ``Philox`` generator, built from
 ``Philox(0)``: every draw takes a turn, which sets the generator's key to
 the stream's.  A world's deployment streams, which ``KeyTable.draws`` asks
-for, are drawn for every root on the first read, one turn a stream and a
-root, and each world reads its row of durations once; a ``SimRng`` stream,
-made only where a stream draws otherwise, draws when it is asked.
+for, are drawn path by path for every root on the first read, one turn a
+stream and a root, and each world reads its row of durations once; a
+``SimRng`` stream, made only where a stream draws otherwise, draws when it
+is asked.
 """
 
 from __future__ import annotations
@@ -151,8 +152,8 @@ class KeyTable:
     settles it for every root, and each world reads its own row.  A
     ``SimRng`` path's column holds each root's key, from one
     ``stream_keys`` pass; a world's deployment streams, which ``draws``
-    reads, are drawn for every root on the first read, and each root's row
-    holds its durations.
+    reads, are drawn path by path for every root on the first read, and
+    each root's row holds its durations.
 
     The table's streams take turns on one generator, built on the first
     draw from ``Philox(0)``: every turn, the first included, sets its key to
@@ -161,8 +162,9 @@ class KeyTable:
 
     def __init__(self, seed: int, roots: list[tuple[int, ...]]):
         self.seed, self.roots, self._columns = seed, roots, {}
-        # by the streams read: a row's length, and the rows end to end
-        self._rows: dict[tuple, tuple[int, list[SimTime]]] = {}
+        # by the id of the streams read: the streams, which the entry keeps
+        # alive, and a row's length and the rows end to end
+        self._rows: dict[int, tuple[tuple, tuple[int, list[SimTime]]]] = {}
         self._drawn: dict[tuple[int, ...], tuple] = {}  # a path's durations
         self.row = {root: i for i, root in enumerate(roots)}  # root -> row
         self._width = len(roots[0]) if roots else 0
@@ -194,39 +196,49 @@ class KeyTable:
         """The row at ``root`` of ``streams``, a world's deployment streams:
         each stream's durations in ns, stream after stream, in draw order.
 
-        A stream is a (path, durations) pair, hashable as a tuple: a
-        ``(mu, sigma)`` duration is a lognormal draw in seconds, rounded,
-        and any other is kept as it is; a stream whose path is None draws
-        nothing.  The first read of ``streams`` draws each of their paths
-        for every root, keyed in one ``stream_keys`` pass, each in one turn
-        from its start.  A read that asks other durations of a path drawn
-        before raises ValueError."""
-        drawn = self._rows.get(streams)
-        if drawn is None:
-            drawing = [stream for stream in streams if stream[0] is not None]
-            for path, durations in drawing:
-                if self._drawn.get(path, durations) != durations:
-                    raise ValueError(
-                        f"stream path {path} was drawn with durations "
-                        f"{self._drawn[path]}, not {durations}")
-            self._drawn.update(drawing)
-            keys = iter(stream_keys(self.seed, self.roots,
-                                    [path for path, _ in drawing])
-                        if drawing else ())
-            rows: list[SimTime] = []  # the rows end to end
-            for _ in self.roots:
-                for path, durations in streams:
-                    if path is None:
-                        rows += durations
-                        continue
-                    gen = self.take_turn(next(keys))
-                    rows += [round(gen.lognormal(*d) * SECOND)
-                             if d.__class__ is tuple else d for d in durations]
-            drawn = self._rows[streams] = (
-                sum(len(durations) for _, durations in streams), rows)
-        n, rows = drawn
+        A stream is a (path, durations) pair: a ``(mu, sigma)`` duration is
+        a lognormal draw in seconds, rounded, and any other is kept as it
+        is; a stream whose path is None draws nothing.  The first read of
+        ``streams``, or of streams equal to them, keys their paths for every
+        root in one ``stream_keys`` pass, then draws them path by path:
+        each path for every root, one turn a root from the stream's start.
+        A read that asks other durations of a path drawn before raises
+        ValueError."""
+        read = self._rows.get(id(streams))
+        if read is None:
+            read = self._rows[id(streams)] = (streams, next(
+                (drawn for equal, drawn in self._rows.values()
+                 if equal == streams), None) or self._draw(streams))
+        n, rows = read[1]
         start = self.row[root] * n
         return rows[start:start + n]
+
+    def _draw(self, streams: tuple) -> tuple[int, list[SimTime]]:
+        """A row's length of ``streams``, and every root's row end to end."""
+        drawing = [stream for stream in streams if stream[0] is not None]
+        for path, durations in drawing:
+            if self._drawn.get(path, durations) != durations:
+                raise ValueError(
+                    f"stream path {path} was drawn with durations "
+                    f"{self._drawn[path]}, not {durations}")
+        self._drawn.update(drawing)
+        m, n = len(drawing), len(self.roots)
+        keys = stream_keys(self.seed, self.roots,
+                           [path for path, _ in drawing]) if drawing else []
+        by_path = iter([keys[j::m] for j in range(m)])  # each root's key
+        columns = []  # each duration's value at every root
+        for path, durations in streams:
+            if path is None:
+                columns += ([d] * n for d in durations)
+                continue
+            # root by root, the values of the path's turn at that root
+            values = [round(gen.lognormal(*d) * SECOND)
+                      if d.__class__ is tuple else d
+                      for gen in map(self.take_turn, next(by_path))
+                      for d in durations]
+            k = len(durations)
+            columns += (values[i::k] for i in range(k))
+        return len(columns), list(itertools.chain.from_iterable(zip(*columns)))
 
 
 class SimRng:

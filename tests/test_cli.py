@@ -422,95 +422,153 @@ def set_key(doc, path, value):
 
 
 @pytest.mark.parametrize("path,value,named", [
-    ("service.vnfs[0].vcpu", "abc", None),
-    ("topology.links[0].length_m", "x", None),
-    ("topology.links[0].group_index", "x", None),
-    ("service.phase_durations.retune_s", "x", None),
-    ("service.phase_durations.retune_s", -5, None),
-    ("latency.probe.jitter_sigma_ns", "x", None),
-    ("service.connectivity.max_rt_latency_us", "x", None),
-    ("topology.channel_grid_size", "x", None),
-    ("topology.channel_grid_size", 0, None),
-    ("softfail.signal", 5, None),
-    ("softfail.detector", 5, None),
-    ("softfail.cases", [5], None),
-    ("latency.probe", 5, None),
-    ("service.phase_durations", 5, None),
-    ("topology.links", 5, None),
-    ("service.vnfs", 5, None),
-    ("service.connectivity.endpoints", "tp1", None),
-    ("latency.cases[0].legacy_residual_delay_ns", "x", None),
-    ("topology.transponders[0].warmup_duration_ns", -1, None),
-    ("latency.attribution", {"components": ["probe"], "matrix": "x"},
-     "latency.attribution.matrix"),
-    ("softfail.cases[0].link", "nope", None),
-    ("service.vnfs", [{"name": "solo", "compute": "edge1"}], "service.vnfs"),
-    ("service.jitter", "false", None),
-    ("softfail.emit_trace", "no", None),
-    ("service.vnfs[0].name", 5, None),
-    ("service.vnfs[0].instantiation_cv", -1, None),
-    ("topology.roadms", ["roadm1", "roadm2"], "topology:"),
-    ("latency.measured_link", "nope", None),
+    pytest.param("service.vnfs[0].vcpu", "abc", None,
+                 id="service.vnfs[0].vcpu-abc-None"),
+    pytest.param("topology.links[0].length_m", "x", None,
+                 id="topology.links[0].length_m-x-None"),
+    pytest.param("topology.links[0].group_index", "x", None,
+                 id="topology.links[0].group_index-x-None"),
+    pytest.param("service.phase_durations.retune_s", "x", None,
+                 id="service.phase_durations.retune_s-x-None"),
+    pytest.param("service.phase_durations.retune_s", -5, None,
+                 id="service.phase_durations.retune_s--5-None"),
+    pytest.param("latency.probe.jitter_sigma_ns", "x", None,
+                 id="latency.probe.jitter_sigma_ns-x-None"),
+    pytest.param("service.connectivity.max_rt_latency_us", "x", None,
+                 id="service.connectivity.max_rt_latency_us-x-None"),
+    pytest.param("topology.channel_grid_size", "x", None,
+                 id="topology.channel_grid_size-x-None"),
+    pytest.param("topology.channel_grid_size", 0, None,
+                 id="topology.channel_grid_size-0-None"),
+    pytest.param("softfail.signal", 5, None, id="softfail.signal-5-None"),
+    pytest.param("softfail.detector", 5, None, id="softfail.detector-5-None"),
+    pytest.param("softfail.cases", [5], None,
+                 id="softfail.cases-value11-None"),
+    pytest.param("latency.probe", 5, None, id="latency.probe-5-None"),
+    pytest.param("service.phase_durations", 5, None,
+                 id="service.phase_durations-5-None"),
+    pytest.param("topology.links", 5, None, id="topology.links-5-None"),
+    pytest.param("service.vnfs", 5, None, id="service.vnfs-5-None"),
+    pytest.param("service.connectivity.endpoints", "tp1", None,
+                 id="service.connectivity.endpoints-tp1-None"),
+    pytest.param("latency.cases[0].legacy_residual_delay_ns", "x", None,
+                 id="latency.cases[0].legacy_residual_delay_ns-x-None"),
+    pytest.param("topology.transponders[0].warmup_duration_ns", -1, None,
+                 id="topology.transponders[0].warmup_duration_ns--1-None"),
+    pytest.param("latency.attribution",
+                 {"components": ["probe"], "matrix": "x"},
+                 "latency.attribution.matrix",
+                 id="latency.attribution-value19-latency.attribution.matrix"),
+    pytest.param("softfail.cases[0].link", "nope", None,
+                 id="softfail.cases[0].link-nope-None"),
+    pytest.param("service.vnfs", [{"name": "solo", "compute": "edge1"}],
+                 "service.vnfs", id="service.vnfs-value21-service.vnfs"),
+    pytest.param("service.jitter", "false", None,
+                 id="service.jitter-false-None"),
+    pytest.param("softfail.emit_trace", "no", None,
+                 id="softfail.emit_trace-no-None"),
+    pytest.param("service.vnfs[0].name", 5, None,
+                 id="service.vnfs[0].name-5-None"),
+    pytest.param("service.vnfs[0].instantiation_cv", -1, None,
+                 id="service.vnfs[0].instantiation_cv--1-None"),
+    pytest.param("topology.roadms", ["roadm1", "roadm2"], "topology:",
+                 id="topology.roadms-value26-topology:"),
+    pytest.param("latency.measured_link", "nope", None,
+                 id="latency.measured_link-nope-None"),
     # demo_doc has one clean latency case, so one matrix row
-    ("latency.attribution", {"components": ["a"], "matrix": [[1], [1]]},
-     "latency.attribution.matrix"),
-    ("latency.attribution", {"components": ["a", "b"], "matrix": [[1]]},
-     "latency.attribution.matrix"),
-    ("latency.attribution", {"components": ["a", "b"], "matrix": [[1, 0]]},
-     "latency.attribution.matrix"),
-    ("latency.attribution", {"components": ["a"], "matrix": [[0]]},
-     "latency.attribution.matrix"),
+    pytest.param("latency.attribution",
+                 {"components": ["a"], "matrix": [[1], [1]]},
+                 "latency.attribution.matrix",
+                 id="latency.attribution-value28-latency.attribution.matrix"),
+    pytest.param("latency.attribution",
+                 {"components": ["a", "b"], "matrix": [[1]]},
+                 "latency.attribution.matrix",
+                 id="latency.attribution-value29-latency.attribution.matrix"),
+    pytest.param("latency.attribution",
+                 {"components": ["a", "b"], "matrix": [[1, 0]]},
+                 "latency.attribution.matrix",
+                 id="latency.attribution-value30-latency.attribution.matrix"),
+    pytest.param("latency.attribution", {"components": ["a"], "matrix": [[0]]},
+                 "latency.attribution.matrix",
+                 id="latency.attribution-value31-latency.attribution.matrix"),
     # puts tp2 on roadm1 next to tp1, so the endpoints share a ROADM
-    ("topology.transponders[1].roadm", "roadm1",
-     "service.connectivity.endpoints"),
+    pytest.param("topology.transponders[1].roadm", "roadm1",
+                 "service.connectivity.endpoints",
+                 id="topology.transponders[1].roadm-roadm1-"
+                    "service.connectivity.endpoints"),
     # its nanoseconds overflow the clock: exit 2 with an OverflowError before
-    ("service.vnfs[0].instantiation_mean_s", 1e300, None),
+    pytest.param("service.vnfs[0].instantiation_mean_s", 1e300, None,
+                 id="service.vnfs[0].instantiation_mean_s-1e+300-None"),
     # an episode horizon of about 2.6e301 samples: ran over 5 minutes before
-    ("softfail.cases[0].rate_db_per_s", 1e-300, None),
+    pytest.param("softfail.cases[0].rate_db_per_s", 1e-300, None,
+                 id="softfail.cases[0].rate_db_per_s-1e-300-None"),
     # 1,060 samples 1e9 s apart pass the 64-bit clock: exit 2 before
-    ("softfail.detector.sample_period_s", 1e9,
-     "softfail.cases[0].rate_db_per_s"),
+    pytest.param("softfail.detector.sample_period_s", 1e9,
+                 "softfail.cases[0].rate_db_per_s",
+                 id="softfail.detector.sample_period_s-1000000000.0-"
+                    "softfail.cases[0].rate_db_per_s"),
     # exit 2 before: "telemetry stream ran past the 64-bit clock"
-    ("topology.transponders[0].warmup_duration_ns", 10**30, None),
+    pytest.param("topology.transponders[0].warmup_duration_ns", 10**30, None,
+                 id="topology.transponders[0].warmup_duration_ns-"
+                    f"{10**30}-None"),
     # edge1 has 16 vCPUs: exit 2 with "deployment ended Failed" before
-    ("service.vnfs[0].vcpu", 10**6, None),
+    pytest.param("service.vnfs[0].vcpu", 10**6, None,
+                 id="service.vnfs[0].vcpu-1000000-None"),
     # the ramp takes the whole span in one sample period: exit 2 after
     # numpy's overflow warning before
-    ("softfail.cases[0].rate_db_per_s", 1e300, None),
+    pytest.param("softfail.cases[0].rate_db_per_s", 1e300, None,
+                 id="softfail.cases[0].rate_db_per_s-1e+300-None"),
     # below the probe's noiseless estimate: exit 2 with "probe verification
     # exceeded latency requirement" before
-    ("service.connectivity.max_rt_latency_us", 0, None),
+    pytest.param("service.connectivity.max_rt_latency_us", 0, None,
+                 id="service.connectivity.max_rt_latency_us-0-None"),
     # the ramp reaches the fail SNR at its 2nd sample, before 3 samples can
     # fall below the level: exit 2 with "episode ended without detection
     # and crossing" before
-    ("softfail.cases[0].rate_db_per_s", 8.0, None),
-    ("softfail.detector.consecutive_required", 10**6, "consecutive_required"),
+    pytest.param("softfail.cases[0].rate_db_per_s", 8.0, None,
+                 id="softfail.cases[0].rate_db_per_s-8.0-None"),
+    pytest.param("softfail.detector.consecutive_required", 10**6,
+                 "consecutive_required",
+                 id="softfail.detector.consecutive_required-1000000-"
+                    "consecutive_required"),
     # r2-r3 is off the monitored r1-r2: exit 2 with "telemetry stream ran
     # past its expected horizon" before
-    ("softfail.cases[0].link", "r2-r3", None),
+    pytest.param("softfail.cases[0].link", "r2-r3", None,
+                 id="softfail.cases[0].link-r2-r3-None"),
     # the detector fired on the third sample after the baseline, whatever
     # the ramp, before
-    ("softfail.detector.drop_threshold_db", -5, None),
-    ("softfail.cases[0].drop_threshold_db", 0, None),
+    pytest.param("softfail.detector.drop_threshold_db", -5, None,
+                 id="softfail.detector.drop_threshold_db--5-None"),
+    pytest.param("softfail.cases[0].drop_threshold_db", 0, None,
+                 id="softfail.cases[0].drop_threshold_db-0-None"),
     # exit 2 with an OverflowError from the probe's round trip before
-    ("latency.cases[0].length_km", 1e307, None),
-    ("topology.links[0].length_m", 1e308, None),
+    pytest.param("latency.cases[0].length_km", 1e307, None,
+                 id="latency.cases[0].length_km-1e+307-None"),
+    pytest.param("topology.links[0].length_m", 1e308, None,
+                 id="topology.links[0].length_m-1e+308-None"),
     # log1p(cv**2) is infinite: with service.jitter on, exit 2 with a NaN
     # ValueError before
-    ("service.vnfs[0].instantiation_cv", 1e300, None),
+    pytest.param("service.vnfs[0].instantiation_cv", 1e300, None,
+                 id="service.vnfs[0].instantiation_cv-1e+300-None"),
     # exit 0 before, with no case measured: a latency budget fitted to no
     # measurement, and a soft-failure section with nothing in it
-    ("latency.cases", [], None),
-    ("softfail.cases", [], None),
+    pytest.param("latency.cases", [], None, id="latency.cases-value48-None"),
+    pytest.param("softfail.cases", [], None, id="softfail.cases-value49-None"),
     # named only "service" before
-    ("service.vnfs", [], None),
-    ("service.connectivity.endpoints", ["tp1", "tp1"], None),
+    pytest.param("service.vnfs", [], None, id="service.vnfs-value50-None"),
+    pytest.param("service.connectivity.endpoints", ["tp1", "tp1"], None,
+                 id="service.connectivity.endpoints-value51-None"),
     # its nanoseconds overflow: exit 2 with an OverflowError traceback before
-    ("service.connectivity.max_rt_latency_us", 1e306, None),
+    pytest.param("service.connectivity.max_rt_latency_us", 1e306, None,
+                 id="service.connectivity.max_rt_latency_us-1e+306-None"),
     # 4 + 13 vCPUs on edge1's 16: reported at the last VNF on the node
-    ("service.vnfs", [{"name": "a", "vcpu": 4, "compute": "edge1"},
-                      {"name": "b", "vcpu": 13, "compute": "edge1"}],
-     "service.vnfs[1].vcpu: the VNFs on edge1 ask for 17 in all; it has 16"),
+    pytest.param("service.vnfs",
+                 [{"name": "a", "vcpu": 4, "compute": "edge1"},
+                  {"name": "b", "vcpu": 13, "compute": "edge1"}],
+                 "service.vnfs[1].vcpu: the VNFs on edge1 ask for 17 in all; "
+                 "it has 16",
+                 id="service.vnfs-value53-service.vnfs[1].vcpu: the VNFs on "
+                    "edge1 ask for 17 in all; it has 16"),
     # a float of the round trip overflows: validate passed and a run exited
     # 2 with an OverflowError before, or validate died with a traceback
     *(pytest.param(path, 10**320, None, id=f"{path}-10**320") for path in (
@@ -520,7 +578,12 @@ def set_key(doc, path, value):
         "latency.probe.optical_device_overhead_ns",
         "latency.probe.jitter_sigma_ns")),
     # renamed roadm1-roadm2, silently, before
-    ("topology.links[0].id", "", "topology: link: empty link id"),
+    pytest.param("topology.links[0].id", "", "topology: link: empty link id",
+                 id="topology.links[0].id--topology: link: empty link id"),
+    # every plan took r1-r2, so each case measured 798.407 us whatever its
+    # length: validate and a run exited 0 before
+    pytest.param("latency.measured_link", "r2-r3", "latency.cases[0]",
+                 id="latency.measured_link-off-the-path"),
 ])
 def test_bad_document_fails_validation_naming_key(tmp_path, capsys, path,
                                                   value, named):
@@ -670,6 +733,19 @@ def test_runs_in_one_process_report_what_each_reports_alone(tmp_path,
               json.loads(out)["results"]["softfail"]["cases"]]
              for out in together]
     assert rates == [["0.5000"], ["0.2500"]]
+
+
+def test_report_bytes_do_not_depend_on_the_hash_seed():
+    # str hashing is salted per process: a report must not depend on set or
+    # dict order of strings, nor on hash() in a spawn key
+    argv = ["demo", "--scenario", str(SCENARIO_DIR / "paper_full_demo.json"),
+            "--repeat", "2", "--format", "json"]
+    reports = [subprocess.run(
+        [sys.executable, "-m", "metrotwin.cli", *argv],
+        env={**src_env(), "PYTHONHASHSEED": hash_seed},
+        capture_output=True, check=True).stdout for hash_seed in ("1", "2")]
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["results"]["setup"]["repetitions"] == 2
 
 
 def test_runs_in_one_process_hold_no_memory(tmp_path):

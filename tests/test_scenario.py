@@ -1,14 +1,17 @@
 import json
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import SCENARIO_DIR, make_scenario, shipped
 from metrotwin import scenario, simkernel
 from metrotwin.cli import main
-from metrotwin.controlplane import DeployPlan
+from metrotwin.controlplane import (REQUEST_ID, STACK_STREAM,
+                                    TRANSPONDER_STREAM, VNF_STREAM, DeployPlan,
+                                    hash_label)
 from metrotwin.errors import ParseError, TwinError, ValidationError
 from metrotwin.scenario import (KpiRows, RunReport, TraceRows, build_world,
                                 load_scenario, run_scenario,
@@ -253,6 +256,68 @@ def test_a_world_reads_its_deployment_row_once(monkeypatch, tmp_path):
                  "--out", str(tmp_path / "report.json")]) == 0
     assert events == [("read", (0,)), ("keys", 40 * 4)] + ["turn"] * 40 * 4 \
         + [("read", (rep,)) for rep in range(1, 40)]
+
+
+# The setup experiment's closed form, from the document and the spawn-path
+# constants alone.  What paper_setup.json leaves unset takes the twin's
+# documented defaults: each control-plane phase lasts 2 s, and a transponder
+# configures in 2 s and warms up in 125 s, each jittered with a cv of 0.02.
+PHASE_NS, TP_DURATIONS_NS, TP_CV = 2 * SECOND, (2 * SECOND, 125 * SECOND), 0.02
+
+
+def setup_oracle(doc: dict) -> list[dict]:
+    """Each world's setup row: its four KPIs, each a sum of the slower VNF's
+    instantiation, the control messaging, one config step per ring ROADM,
+    the slower transponder's configuration plus warm-up, and the probe
+    verification.  Every duration is drawn straight from numpy, one stream
+    per VNF and per transponder."""
+    service = (STACK_STREAM, hash_label(REQUEST_ID))
+
+    def drawn(root, leaf, means_s, cv):
+        stream = np.random.Generator(np.random.Philox(np.random.SeedSequence(
+            doc["seed"], spawn_key=root + service + leaf)))
+        sigma2 = math.log1p(cv * cv)
+        return [round(stream.lognormal(math.log(mean) - sigma2 / 2.0,
+                                       math.sqrt(sigma2)) * SECOND)
+                for mean in means_s]
+
+    rows = []
+    for rep in range(doc["service"]["repetitions"]):
+        vnfs = max(drawn((rep,), (VNF_STREAM, i),
+                         [vnf["instantiation_mean_s"]],
+                         vnf["instantiation_cv"])[0]
+                   for i, vnf in enumerate(doc["service"]["vnfs"]))
+        transponders = max(sum(drawn((rep,), (TRANSPONDER_STREAM, i),
+                                     [d / SECOND for d in TP_DURATIONS_NS],
+                                     TP_CV))
+                           for i in range(2))  # source, then destination
+        roadms = len(doc["topology"]["roadms"]) * PHASE_NS
+        connectivity = PHASE_NS + roadms + transponders
+        e2e = vnfs + connectivity + PHASE_NS
+        rows.append({"repetition": rep, **{
+            key: f"{ns / SECOND:.3f}" for key, ns in (
+                ("kpi_ns_deploy_s", vnfs),
+                ("kpi_connectivity_s", connectivity), ("kpi_e2e_s", e2e),
+                ("e2e_excl_transponder_s", e2e - transponders))}})
+    return rows
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 64),
+       reps=st.integers(min_value=1, max_value=300))
+@example(seed=1, reps=500)
+@example(seed=2, reps=500)
+@example(seed=90017, reps=500)
+@example(seed=123456789, reps=500)
+def test_setup_rows_equal_an_independent_oracle(seed, reps):
+    # every jittered setup row of the shipped scenario, however the key
+    # table orders its draws, equals the closed form drawn stream by stream
+    doc = shipped("paper_setup.json")
+    assert doc["service"]["jitter"]
+    doc["seed"], doc["service"]["repetitions"] = seed, reps
+    report = run_scenario(scenario_from_dict(doc))
+    assert list(report.results["setup"]["per_repetition"]) == \
+        setup_oracle(doc)
 
 
 def test_latency_report_values():

@@ -382,6 +382,21 @@ def test_a_path_read_with_other_durations_raises():
         keys.draws((1,), (((6,), ((0.0, 0.1),)), ((5,), ((0.0, 0.2),))))
 
 
+def test_a_read_by_equal_streams_shares_their_draw_and_no_other():
+    # reads by streams equal to earlier ones share their draw; a table
+    # knows streams by identity first, so a read by other streams, which
+    # may take the address of a freed equal copy, must get its own draw
+    keys = KeyTable(1, [(0,), (1,)])
+    stream = ((5,), ((0.0, 0.1),))
+    row = keys.draws((1,), (stream,))
+    for i in range(20):
+        other = ((6 + i,), ((1.0, 0.1),))
+        assert keys.draws((1,), tuple([stream])) == row  # a copy, then freed
+        other = tuple([other])
+        assert keys.draws((1,), other) == \
+            KeyTable(1, [(1,)]).draws((1,), other) != row
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2 ** 160),
        keys=st.lists(st.lists(st.integers(min_value=0, max_value=2 ** 80),
