@@ -248,15 +248,16 @@ def _deploy_stream(leaf: tuple[int, ...], jitter: bool, values: list) -> tuple:
 
 class DeployPlan:
     """What every world on ``ring`` deploys alike, settled once: the service
-    ``ns`` on ``ring``, on the arc ``select_path`` gives it, then the spare
-    arc; its event labels, VNF demand and noiseless probe shot; and its
-    streams: ``streams``, the deployment streams a world reads in one row,
-    each VNF's instantiation and then each transponder's configuration and
-    warm-up, as ``_deploy_stream`` settles them; and the probe's leaf spawn
-    path if it draws.  A scenario's validation builds its plans, and its
-    runners read them.  A key table draws a plan's streams for all its roots
-    on the first read, so the plans of one runner ask the same durations of
-    each path."""
+    ``ns`` on ``ring``, on the arc ``select_path`` gives it (the spare arc
+    when only the spare's noiseless probe shot meets the latency bound),
+    then the other arc; its event labels, VNF demand and each arc's
+    noiseless probe shot; and its streams: ``streams``, the deployment
+    streams a world reads in one row, each VNF's instantiation and then
+    each transponder's configuration and warm-up, as ``_deploy_stream``
+    settles them; and the probe's leaf spawn path if it draws.  A
+    scenario's validation builds its plans, and its runners read them.  A
+    key table draws a plan's streams for all its roots on the first read,
+    so the plans of one runner ask the same durations of each path."""
 
     def __init__(self, ring: RingTopology, ns: NsDescriptor,
                  timings: Optional[PhaseTimings] = None,
@@ -268,9 +269,17 @@ class DeployPlan:
         chosen = ring.select_path(*ns.connectivity.endpoints)
         spare, = (p for p in ring.arcs[ns.connectivity.endpoints]
                   if p is not chosen)
+        # each arc's noiseless probe shot; the spare arc takes the service
+        # when only its shot meets the latency bound
+        self.shots = [noiseless_round_trip(p, ring, self.probe_cfg)
+                      for p in (chosen, spare)]
+        bound = ns.connectivity.max_rt_latency_ns
+        if bound is not None and (self.shots[1].measured_rt_ns <= bound
+                                  < self.shots[0].measured_rt_ns):
+            chosen, spare = spare, chosen
+            self.shots.reverse()
         self.arcs = (_Arc(ring, chosen), _Arc(ring, spare))
-        self.path = self.arcs[0].path
-        self.shot = noiseless_round_trip(self.path, ring, self.probe_cfg)
+        self.path, self.shot = self.arcs[0].path, self.shots[0]
         self.labels = {kind: f"{REQUEST_ID}:{kind}" for kind in (
             "request", "messaging", "probe", "retune", "alert")}
         self.vnf_labels = [f"{REQUEST_ID}:vnf:{vnf.name}" for vnf in ns.vnfs]

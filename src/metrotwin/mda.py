@@ -13,6 +13,7 @@ per-repetition results.
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Sequence
 from typing import Callable, NamedTuple, Optional
 
@@ -165,43 +166,42 @@ class SoftFailReport(NamedTuple):
     mean_detection_ber: float
     restored_count: int
     failed_count: int
-    # the first repetition's EpisodeTrace, when kept
-    trace: Sequence[tuple[float, float, float]]
+    # the first repetition's trace, when kept: a Table of each sample's
+    # seconds since ramp start, SNR in dB and pre-FEC BER up to the crossing
+    trace: Sequence[list[float]]
 
 
-class EpisodeTrace(Sequence):
-    """(seconds since ramp start, SNR in dB, pre-FEC BER) of each sample of
-    an episode up to its crossing.
+class Table(Sequence):
+    """Report rows kept as numeric ``columns``, a row the numbers at one
+    index of each.  ``cells`` gives each column's format spec: its cells
+    are written quoted, as ``format`` gives them, or, where the spec is
+    None, as the number itself, bare (an int's).  With ``keys``, plain
+    names, a row is an object of them.  A row reads as exactly the JSON
+    value a report writes for it, a dict or a list, and a slice as a list
+    of rows."""
 
-    It keeps the sample instants and SNR values as the scan computed them;
-    a row, and its BER, is built only when it is read, and a slice reads as
-    a list of rows.
-    """
-
-    def __init__(self, times: range, snr: np.ndarray, ramp_start: SimTime,
-                 model: SignalModel) -> None:
-        self.times, self.snr = times, snr
-        self.ramp_start, self.model = ramp_start, model
+    def __init__(self, columns: Sequence[Sequence[float]],
+                 cells: Sequence[Optional[str]],
+                 keys: Optional[Sequence[str]] = None) -> None:
+        self.columns, self.cells, self.keys = columns, cells, keys
 
     def __len__(self) -> int:
-        return len(self.times)
+        return len(self.columns[0])
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(len(self))[i]]
-        snr = float(self.snr[i])
-        return ((self.times[i] - self.ramp_start) / SECOND, snr,
-                ber_from_snr(snr, self.model))
-
-    def __iter__(self):
-        ramp_start, model = self.ramp_start, self.model
-        for t, snr in zip(self.times, self.snr.tolist()):
-            yield (t - ramp_start) / SECOND, snr, ber_from_snr(snr, model)
+        return self._row([column[i] for column in self.columns])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):
             return NotImplemented
         return list(self) == list(other)
+
+    def _row(self, values) -> list | dict:
+        row = [x if spec is None else format(x, spec)
+               for spec, x in zip(self.cells, values)]
+        return row if self.keys is None else dict(zip(self.keys, row))
 
 
 NOISE_STREAM = 11  # a soft-failure world's telemetry noise, below its root
@@ -347,7 +347,7 @@ def run_softfail_case(world_factory: Callable[[int], SoftFailWorld],
     if repetitions < 1:
         raise ValueError("repetitions must be positive")
     reps: list[RepetitionResult] = []
-    trace: Sequence[tuple[float, float, float]] = []
+    trace: Sequence[list[float]] = []
     fail_snr = model.fail_snr_db()
     period = detector_cfg.sample_period_ns
     samples, crossing = episode_horizon(detector_cfg, model, rate_db_per_s,
@@ -403,8 +403,12 @@ def run_softfail_case(world_factory: Callable[[int], SoftFailWorld],
                                     ber_from_snr(float(snr[i]), model),
                                     fail_snr, full if lo else None)
         if keep_trace and rep == 0:
-            # a copy, so that the block the row lies in is freed
-            trace = EpisodeTrace(times, snr.copy(), ramp_start, model)
+            # BER on Python floats: numpy's power rounds some values apart
+            snrs = array("d", snr.tobytes())
+            trace = Table([array("d", [(t - ramp_start) / SECOND
+                                       for t in times]), snrs,
+                           array("d", [ber_from_snr(x, model) for x in snrs])],
+                          (None,) * 3)
         t_last = first_sample + period * (
             samples - 1 if cross is None else cross)
         t_detect = None if ev is None else ev.t_detect

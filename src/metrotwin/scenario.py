@@ -6,8 +6,9 @@ table, ``_TABLE``, and reads it once into typed objects.  ``run_scenario``
 provisions a fresh world per repetition (nothing leaks between repetitions)
 and produces a RunReport whose canonical JSON form is byte-identical for
 identical inputs: every floating-point result is rendered to a fixed number
-of decimals, at build time or, for a soft-failure trace's rows and the
-setup table's, when the report is written, and keys are emitted sorted.
+of decimals, at build time or, for the two tables kept as numbers (the
+setup table and a soft-failure trace, each an ``mda.Table``), when the
+report is written, and keys are emitted sorted.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import json
 import math
 import sys
 from collections.abc import Sequence
-from itertools import starmap
 from pathlib import Path
 from typing import IO, NamedTuple, Optional, Union
 
@@ -24,7 +24,7 @@ from .controlplane import (ConnectivityRequirements, DeployPlan, KpiReport,
                            NsDescriptor, OrchestrationStack, PhaseTimings,
                            ServiceStatus, VnfDescriptor)
 from .errors import FieldInvalid, ParseError, TwinError, ValidationError
-from .mda import (DetectorConfig, SoftFailWorld, episode_horizon,
+from .mda import (DetectorConfig, SoftFailWorld, Table, episode_horizon,
                   run_softfail_case)
 from .optics import SignalModel, SPEED_OF_LIGHT_M_PER_S
 from .probe import (ProbeConfig, budget_from_config, fit_budget,
@@ -372,13 +372,15 @@ def _sections(doc: dict, top: dict, errors: list[str]) -> tuple[
                           f"latency.measured_link {measured}")
     req = conn.max_rt_latency_ns
     for i, plan in enumerate(plans if req is not None else ()):
-        least = plan.shot.measured_rt_ns
-        if req < least:
+        if req < plan.shot.measured_rt_ns:  # so does the other arc's shot
             where = f" in latency.cases[{i - 1}]" if i else ""
             errors.append(
-                f"service.connectivity.max_rt_latency_us: {req / 1000:g}"
-                f" us is below the {least / 1000:g} us a probe measures "
-                f"without jitter over {'+'.join(plan.path.links)}{where}")
+                f"service.connectivity.max_rt_latency_us: {req / 1000:g} us "
+                f"is below what a probe measures without jitter over either "
+                f"arc{where}: " + " and ".join(
+                    f"{shot.measured_rt_ns / 1000:g} us over "
+                    f"{'+'.join(arc.path.links)}"
+                    for shot, arc in zip(plan.shots, plan.arcs)))
             break
 
     softfail = top.get("softfail")
@@ -477,59 +479,14 @@ def build_world(sc: Scenario, spawn_key: tuple[int, ...],
 
 
 _FIXED_SPECS = [f".{d}f" for d in range(10)]  # _fmt's, built once
-# the cells of a trace row: seconds since ramp start, SNR in dB and BER
-_TRACE_CELLS = ("{:.1f}", "{:.4f}", "{:.3e}")
 
 
 def _fmt(x: float, decimals: int) -> str:
     return format(x, _FIXED_SPECS[decimals])
 
 
-class _Rows(Sequence):
-    """Report rows kept as numbers, ``values``, one row of them per report
-    row, formatted only when read or written; a slice reads as a list."""
-
-    def __init__(self, values: Sequence[Sequence[float]]) -> None:
-        self.values = values
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self._row(j) for j in range(len(self))[i]]
-        return self._row(i)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return list(self) == list(other)
-
-
-class TraceRows(_Rows):
-    """A soft-failure case's trace, (seconds, SNR dB, BER) a row, as report
-    rows of text."""
-
-    def _row(self, i: int) -> list[str]:
-        return [cell.format(x) for cell, x in zip(_TRACE_CELLS, self.values[i])]
-
-
-# the four KPIs of a KpiReport, in its order: each one's summary key, its
-# field less "_ns", and its key in a setup row
+# the four KPIs of a KpiReport, in its order: each one's field less "_ns"
 _KPIS = [field[:-3] for field in KpiReport._fields]
-_KPI_KEYS = [f"{kpi}_s" for kpi in _KPIS]
-
-
-class KpiRows(_Rows):
-    """The setup experiment's per-repetition rows: each world's four KPIs,
-    in seconds and in ``KpiReport`` order.  Row i reads as the dict of its
-    ``repetition``, i, and each KPI's key with its value to three
-    decimals."""
-
-    def _row(self, i: int) -> dict:
-        rep = range(len(self.values))[i]
-        return {"repetition": rep, **{key: _fmt(x, 3) for key, x in zip(
-            _KPI_KEYS, self.values[rep])}}
 
 
 _json_str = json.encoder.encode_basestring_ascii  # the C function
@@ -560,22 +517,20 @@ def _write_json(value, out: list[str], indent: str) -> None:
                 _write_json(item, out, inner)
             sep = "," + inner
         out.append(indent + "}")
-    elif isinstance(value, KpiRows):
-        # one template per row, its keys sorted; its cells are numbers
+    elif isinstance(value, Table):
+        # one template for every row; its cells are numbers, which need no
+        # escapes, and a dict row's keys are sorted
         inner, cell = indent + "  ", indent + "    "
-        fields = sorted([(key, f'"{{{j}:.3f}}"') for j, key in enumerate(
-            _KPI_KEYS)] + [("repetition", "{4}")])
-        row = (inner + "{{" + cell + ("," + cell).join(
-            f'"{key}": {field}' for key, field in fields) + inner + "}}").format
-        out.append("[" + ",".join(row(*kpis, rep) for rep, kpis in enumerate(
-            value.values)) + indent + "]" if value else "[]")
-    elif isinstance(value, TraceRows):
-        # one template per row; its cells are numbers, which need no escapes
-        inner, cell = indent + "  ", indent + "    "
-        row = (inner + "[" + cell + '"' + ('",' + cell + '"').join(_TRACE_CELLS)
-               + '"' + inner + "]").format
-        out.append("[" + ",".join(starmap(row, value.values)) + indent + "]"
-                   if value else "[]")
+        fields = ["{%d}" % j if spec is None else '"{%d:%s}"' % (j, spec)
+                  for j, spec in enumerate(value.cells)]
+        if value.keys is None:
+            row = inner + "[" + cell + ("," + cell).join(fields) + inner + "]"
+        else:
+            row = inner + "{{" + cell + ("," + cell).join(
+                f"{_json_str(key)}: {field}" for key, field in
+                sorted(zip(value.keys, fields))) + inner + "}}"
+        out.append("[" + ",".join(map(row.format, *value.columns)) + indent
+                   + "]" if value else "[]")
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
@@ -623,9 +578,8 @@ def _run_setup(sc: Scenario, trace_sink=None) -> dict:
         world = build_world(sc, (rep,), sc.plans[0], trace_sink, keys,
                             f"setup repetition {rep}: ")
         reports.append(world.stack.compute_kpis(world.record))
-    # each KPI's column in seconds, and each world's row of them
+    # each KPI's column in seconds
     columns = [[ns / SECOND for ns in column] for column in zip(*reports)]
-    kpis = list(zip(*columns))
 
     def stats(values: list[float]) -> dict:
         n = len(values)
@@ -636,7 +590,10 @@ def _run_setup(sc: Scenario, trace_sink=None) -> dict:
 
     return {
         "repetitions": reps,
-        "per_repetition": KpiRows(kpis),
+        # a row: its repetition, and each KPI to three decimals
+        "per_repetition": Table([range(reps), *columns],
+                                [None] + [".3f"] * len(_KPIS),
+                                ["repetition"] + [f"{kpi}_s" for kpi in _KPIS]),
         "summary": dict(zip(_KPIS, map(stats, columns))),
     }
 
@@ -724,7 +681,8 @@ def _run_softfail(sc: Scenario, trace_sink=None) -> dict:
             "failed": report.failed_count,
         }
         if softfail.emit_trace:
-            entry["trace"] = TraceRows(report.trace)
+            # seconds since ramp start, SNR in dB and BER
+            entry["trace"] = Table(report.trace.columns, (".1f", ".4f", ".3e"))
         cases_out.append(entry)
     return {"repetitions": softfail.repetitions,
             "noise_sigma_db": _fmt(softfail.noise_sigma_db, 3),

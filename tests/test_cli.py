@@ -671,17 +671,58 @@ def test_unreachable_fail_threshold_exits_1(tmp_path, capsys):
 
 
 def test_latency_requirement_is_checked_on_each_case_ring(tmp_path, capsys):
-    # the scenario ring's r1-r2 (80 km) gives a noiseless probe 798.4 us; a
-    # case that sets it to 90 km gives 896.6 us, past the requirement
+    # each plan takes an arc whose noiseless probe shot meets the bound on
+    # its own ring.  The scenario ring's r1-r2 (80 km) gives 798.4 us; a case
+    # that sets it to 90 km gives 896.6 us, past 850 us, so that case takes
+    # the spare arc, which leaves out the link the case measures
     doc = latency_doc()
     doc["latency"]["cases"].append({"length_km": 90.0})
     doc["service"]["connectivity"]["max_rt_latency_us"] = 850
     assert main(["latency", "--scenario", write(tmp_path, doc)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: service.connectivity.max_rt_latency_us") \
-        and "896.64 us" in err and "latency.cases[2]" in err
+    assert capsys.readouterr().err == (
+        "error: latency.cases[2]: the service's path r3-r1+r2-r3 leaves out "
+        "latency.measured_link r1-r2\n")
     doc["service"]["connectivity"]["max_rt_latency_us"] = 896.64
     assert main(["validate", "--scenario", write(tmp_path, doc)]) == 0
+    # measuring r2-r3, on the spare arc: at 100 km it takes that arc to
+    # 1061.17 us, so neither arc of the second case's ring meets 600 us
+    doc = latency_doc(latency={"measured_link": "r2-r3", "cases": [
+        {"length_km": 41.3665}, {"length_km": 100.0}]})
+    doc["service"]["connectivity"]["max_rt_latency_us"] = 600
+    assert main(["latency", "--scenario", write(tmp_path, doc)]) == 1
+    assert ("service.connectivity.max_rt_latency_us: 600 us is below what a "
+            "probe measures without jitter over either arc in "
+            "latency.cases[1]: 798.407 us over r1-r2 and 1061.17 us over "
+            "r3-r1+r2-r3") in capsys.readouterr().err
+    del doc["latency"]["cases"][1]
+    assert main(["latency", "--scenario", write(tmp_path, doc)]) == 0
+
+
+def test_the_latency_bound_chooses_the_arc(tmp_path, capsys):
+    # on the shipped ring a probe measures 798.407 us over r1-r2 without
+    # jitter, and 486.945 us over the spare arc: a 600 us bound deploys the
+    # service on the spare arc, and a soft-failure link must lie on it
+    doc = shipped("paper_setup.json")
+    doc["service"]["connectivity"]["max_rt_latency_us"] = 600
+    assert scenario_from_dict(doc).plans[0].path.links == ("r3-r1", "r2-r3")
+    assert main(["setup", "--scenario", write(tmp_path, doc),
+                 "--repeat", "3"]) == 0
+    drill = softfail_doc()
+    drill["service"]["connectivity"]["max_rt_latency_us"] = 600
+    assert main(["softfail", "--scenario", write(tmp_path, drill)]) == 0
+    capsys.readouterr()
+    drill["softfail"]["cases"][0]["link"] = "r1-r2"
+    assert main(["softfail", "--scenario", write(tmp_path, drill)]) == 1
+    assert capsys.readouterr().err == (
+        "error: softfail.cases[0].link: r1-r2 is not on the monitored path "
+        "r3-r1+r2-r3\n")
+    # a bound that neither arc meets exits 1, naming both arcs' figures
+    doc["service"]["connectivity"]["max_rt_latency_us"] = 400
+    assert main(["setup", "--scenario", write(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err == (
+        "error: service.connectivity.max_rt_latency_us: 400 us is below what "
+        "a probe measures without jitter over either arc: 798.407 us over "
+        "r1-r2 and 486.945 us over r3-r1+r2-r3\n")
 
 
 def src_env() -> dict:

@@ -277,8 +277,8 @@ def oracle_softfail_case(world_factory, rate_db_per_s, repetitions,
             s = plant.sample_telemetry(monitored_path, t, model,
                                        noise_sigma_db, noise_rng)
             if keep_trace and rep == 0:
-                trace.append(((t - ramp_start) / SECOND, s.snr_db,
-                              s.pre_fec_ber))
+                trace.append([(t - ramp_start) / SECOND, s.snr_db,
+                              s.pre_fec_ber])
             detector.ingest_sample(s)
             if state["event"] is None:
                 ev = detector.detect_degradation()

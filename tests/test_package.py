@@ -39,7 +39,10 @@ DELETED = ("teardown", "transponder_teardown", "TORN_DOWN", "DetectionTooLate",
            # an event's label is its trace text, the clock is the kernel's
            # now attribute, and schedule is the one way in; a scenario's
            # plans carry its ring and service
-           "_label_text", "Label", "schedule_in", "Service")
+           "_label_text", "Label", "schedule_in", "Service",
+           # one report-table type holds a table's numeric columns and its
+           # cells' formats, and one writer branch renders it
+           "EpisodeTrace", "TraceRows", "KpiRows", "_Rows", "_TRACE_CELLS")
 
 
 def test_every_export_resolves():

@@ -13,7 +13,8 @@ from metrotwin.controlplane import (REQUEST_ID, STACK_STREAM,
                                     TRANSPONDER_STREAM, VNF_STREAM, DeployPlan,
                                     hash_label)
 from metrotwin.errors import ParseError, TwinError, ValidationError
-from metrotwin.scenario import (KpiRows, RunReport, TraceRows, build_world,
+from metrotwin.mda import Table, run_softfail_case
+from metrotwin.scenario import (LATENCY_PROBE_STREAM, RunReport, build_world,
                                 load_scenario, run_scenario,
                                 scenario_from_dict)
 from metrotwin.simkernel import SECOND, KeyTable
@@ -195,16 +196,23 @@ def test_setup_report_layout():
     assert setup["summary"]["kpi_e2e"]["std_s"] == "0.000"
 
 
-def test_report_rows_read_a_slice_as_a_list():
-    # each lazy row sequence of a report raised TypeError on a slice before
+def test_report_rows_read_a_slice_as_a_list(monkeypatch):
+    # each lazy row sequence of a report raised TypeError on a slice before:
+    # the report's two tables, and the numeric trace the report's wraps
+    kept = []
+
+    def keep(*args, **kwargs):
+        kept.append(run_softfail_case(*args, **kwargs))
+        return kept[-1]
+
+    monkeypatch.setattr(scenario, "run_softfail_case", keep)
     doc = make_scenario(experiment="full_demo", **latency_extra(),
                         **softfail_extra())
     doc["service"]["repetitions"] = 3
     doc["softfail"]["emit_trace"] = True
     results = run_scenario(scenario_from_dict(doc)).results
     for rows in (results["setup"]["per_repetition"],
-                 results["softfail"]["cases"][0]["trace"],
-                 results["softfail"]["cases"][0]["trace"].values):
+                 results["softfail"]["cases"][0]["trace"], kept[0].trace):
         assert rows[0:2] == [rows[0], rows[1]]
         assert rows[::-1] == list(rows)[::-1] and rows[5:5] == []
 
@@ -320,6 +328,69 @@ def test_setup_rows_equal_an_independent_oracle(seed, reps):
         setup_oracle(doc)
 
 
+# The latency experiment's closed form, from the document and the spawn-path
+# constants alone.  A link's group index defaults to 1.4680; light travels
+# 299,792,458 m/s.
+GROUP_INDEX, LIGHT_M_PER_S = 1.4680, 299792458.0
+
+
+def latency_oracle(doc: dict) -> tuple[list[dict], int]:
+    """Each case's latency row, and how many shots the propagation delay
+    clamped.  The service takes the one-hop arc, the measured link; a
+    repetition's shot is the noiseless round trip plus its world's probe
+    stream's normal draw, rounded, and never less than the propagation."""
+    latency, probe = doc["latency"], doc["latency"]["probe"]
+    ends = {tp["id"]: tp["roadm"] for tp in doc["topology"]["transponders"]}
+    link, = (link for link in doc["topology"]["links"] if set(
+        link["endpoints"]) == {ends[tp] for tp in
+                               doc["service"]["connectivity"]["endpoints"]})
+    assert link["id"] == latency["measured_link"]
+    overheads = sum(probe[key] for key in (
+        "probe_overhead_ns", "switch_overhead_ns",
+        "optical_device_overhead_ns"))
+    rows, clamped = [], 0
+    for c, case in enumerate(latency["cases"]):
+        length_m = case["length_km"] * 1000.0
+        prop = round(2.0 * length_m * link.get("group_index", GROUP_INDEX)
+                     / LIGHT_M_PER_S * 1e9)
+        noiseless = prop + case.get("legacy_residual_delay_ns", 0) + overheads
+        measured = []
+        for rep in range(latency["repetitions"]):
+            stream = np.random.Generator(np.random.Philox(
+                np.random.SeedSequence(doc["seed"], spawn_key=(
+                    200 + c, rep, LATENCY_PROBE_STREAM))))
+            shot = noiseless + round(stream.normal(0.0,
+                                                   probe["jitter_sigma_ns"]))
+            clamped += shot < prop
+            measured.append(max(prop, shot))
+        mean = sum(measured) / len(measured)
+        rows.append({"link_length_km": f"{length_m / 1000.0:.4f}",
+                     "measured_us": f"{mean / 1000.0:.3f}",
+                     "estimated_us": f"{prop / 1000.0:.3f}",
+                     "delta_us": f"{(mean - prop) / 1000.0:.3f}"})
+    return rows, clamped
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 64),
+       sigma=st.sampled_from([1, 400, 5000, 50000]),
+       reps=st.integers(min_value=1, max_value=30))
+@example(seed=1, sigma=400, reps=30)
+@example(seed=90017, sigma=50000, reps=20)
+def test_latency_rows_equal_an_independent_oracle(seed, sigma, reps):
+    # every jittered row of the shipped latency scenario equals the closed
+    # form drawn shot by shot
+    doc = shipped("paper_table2.json")
+    doc["seed"], doc["latency"]["repetitions"] = seed, reps
+    doc["latency"]["probe"]["jitter_sigma_ns"] = sigma
+    rows, clamped = latency_oracle(doc)
+    assert run_scenario(scenario_from_dict(doc)).results["latency"][
+        "cases"] == rows
+    # the 2.1 m case's shots clamp at its 21 ns of propagation when drawn
+    # below minus its 15.23 us of overheads: some do at 50 us of jitter
+    assert clamped or (seed, sigma, reps) != (90017, 50000, 20)
+
+
 def test_latency_report_values():
     doc = make_scenario(experiment="latency", **latency_extra())
     report = run_scenario(scenario_from_dict(doc))
@@ -364,12 +435,32 @@ _FLOATS = st.sampled_from([-0.0, 5e-324, 1e300, math.nan, math.inf, -math.inf]) 
 _KPIS = st.sampled_from([0.0, 0.0625, 2.5625, 0.0005, 1.0005, 999999999.9995,
                          (10 ** 18 - 1) / SECOND, 10 ** 18 / SECOND]) \
     | st.floats(min_value=0.0, max_value=1e9)
+_SETUP_KEYS = ("kpi_ns_deploy_s", "kpi_connectivity_s", "kpi_e2e_s",
+               "e2e_excl_transponder_s")
+
+
+def columns(rows: list, n: int) -> list:
+    return [[row[j] for row in rows] for j in range(n)]
+
+
+def trace_table(rows: list) -> Table:
+    """A soft-failure trace's shape: a list of three quoted cells a row."""
+    return Table(columns(rows, 3), (".1f", ".4f", ".3e"))
+
+
+def setup_table(rows: list) -> Table:
+    """The setup table's shape: each row's repetition, bare, and its four
+    KPIs to three decimals, as an object."""
+    return Table([range(len(rows)), *columns(rows, 4)],
+                 [None] + [".3f"] * 4, ["repetition", *_SETUP_KEYS])
+
+
 _LEAVES = (_TEXT | _FLOATS | st.integers() | st.integers(-2**200, 2**200)
            | st.booleans() | st.none()
            | st.lists(st.tuples(_FLOATS, _FLOATS, _FLOATS), max_size=3)
-           .map(TraceRows)
+           .map(trace_table)
            | st.lists(st.tuples(_KPIS, _KPIS, _KPIS, _KPIS), max_size=3)
-           .map(KpiRows))
+           .map(setup_table))
 _TREES = st.recursive(_LEAVES, lambda children:
                       st.lists(children, max_size=4)
                       | st.dictionaries(_TEXT, children, max_size=4),
@@ -394,11 +485,10 @@ def test_canonical_writer_matches_json_dumps(experiment, seed, scenario,
 def test_setup_table_renders_as_its_rows(kpis):
     # each row reads as the dict the report holds, and the table renders
     # as json.dumps renders those dicts
-    rows = KpiRows(kpis)
+    rows = setup_table(kpis)
     assert list(rows) == [{"repetition": rep, **{
-        key: format(x, ".3f") for key, x in zip(
-            ("kpi_ns_deploy_s", "kpi_connectivity_s", "kpi_e2e_s",
-             "e2e_excl_transponder_s"), row)}} for rep, row in enumerate(kpis)]
+        key: format(x, ".3f") for key, x in zip(_SETUP_KEYS, row)}}
+        for rep, row in enumerate(kpis)]
     report = RunReport("setup_kpi", 1, {}, {"setup": {"per_repetition": rows}})
     assert report.to_canonical_json() == json.dumps(
         report.to_dict(), sort_keys=True, indent=2, default=list) + "\n"
