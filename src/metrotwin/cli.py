@@ -205,7 +205,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         with trace_file or contextlib.nullcontext():
             report = run_scenario(sc, trace_sink=trace_file)
-        rendered = render_report(report, args.format)
+        # the canonical JSON is written as it is formatted, below
+        rendered = (None if args.format == "json"
+                    else render_report(report, args.format))
     except TwinError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
@@ -215,15 +217,21 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"runtime error: {exc!r}", file=sys.stderr)
         return 2
 
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(rendered)
-        except OSError as exc:
-            return _cannot_write("--out", args.out, exc)
-        print(f"report written to {args.out}", file=sys.stderr)
-    else:
-        sys.stdout.write(rendered)
+    def emit(write) -> None:
+        if rendered is None:
+            report.to_canonical_json(write)
+        else:
+            write(rendered)
+
+    if not args.out:
+        emit(sys.stdout.write)
+        return 0
+    try:  # opened only now: a run that fails leaves the file as it was
+        with open(args.out, "w") as fh:
+            emit(fh.write)
+    except OSError as exc:
+        return _cannot_write("--out", args.out, exc)
+    print(f"report written to {args.out}", file=sys.stderr)
     return 0
 
 

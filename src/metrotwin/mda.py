@@ -173,12 +173,12 @@ class SoftFailReport(NamedTuple):
 
 class Table(Sequence):
     """Report rows kept as numeric ``columns``, a row the numbers at one
-    index of each.  ``cells`` gives each column's format spec: its cells
-    are written quoted, as ``format`` gives them, or, where the spec is
-    None, as the number itself, bare (an int's).  With ``keys``, plain
-    names, a row is an object of them.  A row reads as exactly the JSON
-    value a report writes for it, a dict or a list, and a slice as a list
-    of rows."""
+    index of each.  ``cells`` gives each column's conversion spec, such as
+    ".3f": its cells are written quoted, as ``"%" + spec`` formats them, or,
+    where the spec is None, as the number itself, bare (an int's).  With
+    ``keys``, plain names, a row is an object of them.  A row reads as
+    exactly the JSON value a report writes for it, a dict or a list, and a
+    slice as a list of rows."""
 
     def __init__(self, columns: Sequence[Sequence[float]],
                  cells: Sequence[Optional[str]],
@@ -199,7 +199,7 @@ class Table(Sequence):
         return list(self) == list(other)
 
     def _row(self, values) -> list | dict:
-        row = [x if spec is None else format(x, spec)
+        row = [x if spec is None else ("%" + spec) % x
                for spec, x in zip(self.cells, values)]
         return row if self.keys is None else dict(zip(self.keys, row))
 
@@ -363,29 +363,34 @@ def run_softfail_case(world_factory: Callable[[int], SoftFailWorld],
     # the _fit_terms of every window of regression_window samples
     full = _fit_terms(range(0, detector_cfg.regression_window * period, period))
 
+    active, restored = ServiceStatus.ACTIVE, ServiceStatus.RESTORED
+    lead = (detector_cfg.baseline_window - 1) * period  # to the ramp start
     for rep in range(repetitions):
         kernel, stack, rec = world_factory(rep)
-        if rec.status is not ServiceStatus.ACTIVE or rec.path is None:
+        if rec.status is not active or rec.path is None:
             raise TwinError(f"repetition {rep}: service not active before episode")
-        monitored_path = rec.path  # crossing is tracked on the original arc
+        monitored = rec.path.links  # crossing is tracked on the original arc
         first_sample = kernel.now + period
-        ramp_start = first_sample + (detector_cfg.baseline_window - 1) * period
-        ramp = AttenuationRamp(ramp_link or monitored_path.links[0],
-                               rate_db_per_s, ramp_start, snr_coupling)
-        if ramp.link_id not in stack.ring.links:
-            raise TwinError(f"ramp_link: no link {ramp.link_id!r} in the ring")
+        ramp_start = first_sample + lead
+        link = ramp_link or monitored[0]
+        if link not in stack.ring.links:
+            raise TwinError(f"ramp_link: no link {link!r} in the ring")
         if first_sample + period * (samples - 1) > _CLOCK_MAX:
             raise TwinError("telemetry stream ran past the 64-bit clock")
-        pieces, scanned = paths.setdefault(monitored_path.links, ([], {}))
+        by_path = paths.get(monitored)
+        if by_path is None:
+            by_path = paths[monitored] = ([], {})
+        pieces, scanned = by_path
         key = stack.keys, stack.root
         if key not in scanned:  # the first of a block: scan it and those after
+            ramps = [AttenuationRamp(link, rate_db_per_s, ramp_start,
+                                     snr_coupling)] if link in monitored else []
 
             def noiseless(piece: int) -> np.ndarray:  # once for each path
                 if len(pieces) == piece:
                     pieces.append(ramped_snr(model, first_sample + period * (
                         np.arange(*((0, first), (first, samples))[piece],
-                                  dtype=np.int64)),
-                        [ramp] if ramp.link_id in monitored_path.links else []))
+                                  dtype=np.int64)), ramps))
                 return pieces[piece]
 
             at = stack.keys.row[stack.root]
@@ -413,11 +418,13 @@ def run_softfail_case(world_factory: Callable[[int], SoftFailWorld],
             samples - 1 if cross is None else cross)
         t_detect = None if ev is None else ev.t_detect
 
-        def at_sample() -> None:
+        schedule, idle = kernel.schedule, kernel.idle
+
+        def tick() -> None:
             t = kernel.now  # the sample instant
             if t == t_detect:
                 # detector -> parent controller, two control hops
-                kernel.schedule(
+                schedule(
                     lambda: stack.handle_degradation_alert(rec, kernel.now),
                     t + 2 * stack.timings.alert_hop_ns,
                     stack.plan.labels["alert"])
@@ -427,18 +434,18 @@ def run_softfail_case(world_factory: Callable[[int], SoftFailWorld],
                         "telemetry stream ran past its expected horizon")
                 stack.notify_fail_crossing(rec, t)
                 return  # stream ends once the old arc would have failed
-            schedule_after(t)
-
-        def schedule_after(t: SimTime) -> None:
-            if not kernel.idle():
-                nxt = t + period
+            if not idle():
+                t += period
             elif t_detect is not None and t_detect > t:
-                nxt = t_detect
+                t = t_detect
             else:
-                nxt = t_last
-            kernel.schedule(at_sample, nxt, kind="telemetry_sample")
+                t = t_last
+            schedule(tick, t, "telemetry_sample")
 
-        schedule_after(first_sample - period)
+        # the deployed world is idle: nothing can change the outcome before
+        # the detection, or the crossing if none
+        schedule(tick, t_last if t_detect is None else t_detect,
+                 "telemetry_sample")
         kernel.run_to_end()
 
         if ev is None:
@@ -452,10 +459,10 @@ def run_softfail_case(world_factory: Callable[[int], SoftFailWorld],
             predicted_anticipation_ns=predicted,
             snr_at_detect_db=ev.snr_at_detect_db,
             ber_at_detect=ev.ber_at_detect,
-            restored=rec.status is ServiceStatus.RESTORED))
-    # the two sample closures refer to each other: unbound, they no longer
-    # keep the last world and its key table alive until a collection
-    del at_sample, schedule_after
+            restored=rec.status is restored))
+    # the sample closure refers to itself: unbound, it no longer keeps the
+    # last world and its key table alive until a collection
+    del tick
 
     n = len(reps)
     predicted_vals = [r.predicted_anticipation_ns for r in reps

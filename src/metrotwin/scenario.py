@@ -16,7 +16,8 @@ from __future__ import annotations
 import json
 import math
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from itertools import islice
 from pathlib import Path
 from typing import IO, NamedTuple, Optional, Union
 
@@ -364,13 +365,19 @@ def _sections(doc: dict, top: dict, errors: list[str]) -> tuple[
     plans = [DeployPlan(on, ns, svc["timings"], probe_cfg, svc["jitter"])
              for on in rings] if ns is not None and (a, b) in ring.arcs else []
     # a case's probe measures its link only if the case's path crosses it
+    req = conn.max_rt_latency_ns
     for i, plan in enumerate(plans[1:]):
         measured = latency.cases[i].id
         if measured not in plan.path.links:
+            # the arcs partition the ring: the other one crosses the link
+            shot, other = plan.shots[1], plan.arcs[1].path.links
+            why = (f": {shot.measured_rt_ns / 1000:g} us over "
+                   f"{'+'.join(other)} is above "
+                   f"service.connectivity.max_rt_latency_us {req / 1000:g} us"
+                   if req is not None and shot.measured_rt_ns > req else "")
             errors.append(f"latency.cases[{i}]: the service's path "
                           f"{'+'.join(plan.path.links)} leaves out "
-                          f"latency.measured_link {measured}")
-    req = conn.max_rt_latency_ns
+                          f"latency.measured_link {measured}{why}")
     for i, plan in enumerate(plans if req is not None else ()):
         if req < plan.shot.measured_rt_ns:  # so does the other arc's shot
             where = f" in latency.cases[{i - 1}]" if i else ""
@@ -494,58 +501,70 @@ _json_str = json.encoder.encode_basestring_ascii  # the C function
 _json_scalar = json.JSONEncoder().encode
 
 
-def _write_json(value, out: list[str], indent: str) -> None:
-    """Append to ``out`` the text ``json.dumps(value, sort_keys=True,
-    indent=2)`` gives ``value`` at the depth whose lines start with
-    ``indent``, a newline and the depth's spaces."""
+# the rows of a table formatted and written at a time
+_TABLE_CHUNK = 4096
+
+
+def _write_json(value, write: Callable[[str], object], indent: str) -> None:
+    """Write with ``write``, piece by piece, the text ``json.dumps(value,
+    sort_keys=True, indent=2)`` gives ``value`` at the depth whose lines
+    start with ``indent``, a newline and the depth's spaces."""
     if isinstance(value, str):
-        out.append(_json_str(value))
+        write(_json_str(value))
     elif isinstance(value, dict):
         if not value:
-            out.append("{}")
+            write("{}")
             return
         inner = indent + "  "
         sep = "{" + inner
         for key, item in sorted(value.items()):  # keys are unique
             # most values are plain strings or ints: in the key's piece
             if item.__class__ is str:
-                out.append(f"{sep}{_json_str(key)}: {_json_str(item)}")
+                write(f"{sep}{_json_str(key)}: {_json_str(item)}")
             elif item.__class__ is int:
-                out.append(f"{sep}{_json_str(key)}: {item}")
+                write(f"{sep}{_json_str(key)}: {item}")
             else:
-                out.append(f"{sep}{_json_str(key)}: ")
-                _write_json(item, out, inner)
+                write(f"{sep}{_json_str(key)}: ")
+                _write_json(item, write, inner)
             sep = "," + inner
-        out.append(indent + "}")
+        write(indent + "}")
     elif isinstance(value, Table):
-        # one template for every row; its cells are numbers, which need no
-        # escapes, and a dict row's keys are sorted
+        # one %-template for every row; its cells are numbers, which need no
+        # escapes.  A dict row's keys are sorted, any % in them doubled, and
+        # its columns taken in their keys' order
         inner, cell = indent + "  ", indent + "    "
-        fields = ["{%d}" % j if spec is None else '"{%d:%s}"' % (j, spec)
-                  for j, spec in enumerate(value.cells)]
-        if value.keys is None:
+        keys, order = value.keys, range(len(value.cells))
+        if keys is not None:
+            order = sorted(order, key=keys.__getitem__)
+        fields = ["%s" if value.cells[j] is None else f'"%{value.cells[j]}"'
+                  for j in order]
+        if keys is None:
             row = inner + "[" + cell + ("," + cell).join(fields) + inner + "]"
         else:
-            row = inner + "{{" + cell + ("," + cell).join(
-                f"{_json_str(key)}: {field}" for key, field in
-                sorted(zip(value.keys, fields))) + inner + "}}"
-        out.append("[" + ",".join(map(row.format, *value.columns)) + indent
-                   + "]" if value else "[]")
+            row = inner + "{" + cell + ("," + cell).join(
+                _json_str(keys[j]).replace("%", "%%") + ": " + field
+                for j, field in zip(order, fields)) + inner + "}"
+        rows, sep = zip(*[value.columns[j] for j in order]), "["
+        while chunk := ",".join(map(row.__mod__, islice(rows, _TABLE_CHUNK))):
+            write(sep)
+            write(chunk)
+            sep = ","
+        write("[]" if sep == "[" else indent + "]")
     elif isinstance(value, (list, tuple)):
         if not value:
-            out.append("[]")
+            write("[]")
             return
         inner = indent + "  "
         sep = "[" + inner
         for item in value:
-            out.append(sep)
-            _write_json(item, out, inner)
+            write(sep)
+            _write_json(item, write, inner)
             sep = "," + inner
-        out.append(indent + "]")
+        write(indent + "]")
     elif isinstance(value, int) and not isinstance(value, bool):
-        out.append(int.__repr__(value))
+        write(int.__repr__(value))
     else:
-        out.append(_json_scalar(value))
+        write(_json_scalar(value))
 
 
 class RunReport(NamedTuple):
@@ -561,13 +580,16 @@ class RunReport(NamedTuple):
                 "scenario": self.scenario,
                 "results": self.results}
 
-    def to_canonical_json(self) -> str:
+    def to_canonical_json(self, write: Optional[Callable[[str], object]] = None
+                          ) -> Optional[str]:
         """``json.dumps(self.to_dict(), sort_keys=True, indent=2)`` and a
-        newline, written in one pass."""
+        newline, written in one pass: piece by piece with ``write``, a
+        table's rows in chunks, or, without it, returned as one string."""
         out: list[str] = []
-        _write_json(self.to_dict(), out, "\n")
-        out.append("\n")
-        return "".join(out)
+        sink = out.append if write is None else write
+        _write_json(self.to_dict(), sink, "\n")
+        sink("\n")
+        return "".join(out) if write is None else None
 
 
 def _run_setup(sc: Scenario, trace_sink=None) -> dict:

@@ -268,7 +268,8 @@ class SimRng:
         if sigma == 0.0:
             return mu if size is None else np.full(size, mu)
         gen = self.keys.take_turn(self.keys.key(self.spawn_key))
-        gen.standard_normal(self._drawn)  # the stream's earlier draws
+        if self._drawn:
+            gen.standard_normal(self._drawn)  # the stream's earlier draws
         if size is None:
             self._drawn += 1
             return float(gen.normal(mu, sigma))

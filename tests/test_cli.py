@@ -223,6 +223,57 @@ def test_trace_on_a_full_device_exits_1_naming_it(tmp_path, capsys):
                             "No space left on device\n")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="no /dev/full on this system")
+def test_out_on_a_full_device_exits_1_naming_it(tmp_path, capsys):
+    # the report is written as it is formatted: a write, or the flush that
+    # closes the file, fails
+    assert main(["setup", "--scenario", write(tmp_path, make_scenario()),
+                 "--repeat", "1", "--format", "json",
+                 "--out", "/dev/full"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --out: cannot write /dev/full: "
+                            "No space left on device\n")
+
+
+@pytest.mark.parametrize("earlier", [None, "an earlier report\n"],
+                         ids=["absent", "present"])
+def test_a_failed_run_leaves_out_as_it_was(tmp_path, capsys, earlier):
+    # --out is opened only once the run has returned
+    doc = softfail_doc()
+    doc["softfail"]["noise_sigma_db"] = 20  # no detection: a runtime error
+    target = tmp_path / "report.json"
+    if earlier is not None:
+        target.write_text(earlier)
+    assert main(["softfail", "--scenario", write(tmp_path, doc),
+                 "--format", "json", "--out", str(target)]) == 2
+    assert capsys.readouterr().err.startswith("runtime error:")
+    if earlier is None:
+        assert not target.exists()
+    else:
+        assert target.read_text() == earlier
+
+
+@pytest.mark.parametrize("to_out", [False, True], ids=["stdout", "out"])
+def test_streamed_json_equals_the_string_writer(tmp_path, capsys, monkeypatch,
+                                                to_out):
+    # a trace written three rows a chunk: its chunks meet mid-table
+    monkeypatch.setattr("metrotwin.scenario._TABLE_CHUNK", 3)
+    doc = softfail_doc()
+    doc["softfail"]["emit_trace"] = True
+    target = tmp_path / "report.json"
+    assert main(["softfail", "--scenario", write(tmp_path, doc),
+                 "--format", "json"]
+                + (["--out", str(target)] if to_out else [])) == 0
+    out = capsys.readouterr().out
+    report = run_scenario(scenario_from_dict(doc))
+    rows = len(report.results["softfail"]["cases"][0]["trace"])
+    assert rows > 3 and rows % 3
+    assert (target.read_text() if to_out else out) == \
+        report.to_canonical_json()
+
+
 def test_trace_write_failing_mid_run_exits_1_naming_it(tmp_path, capsys,
                                                        monkeypatch):
     class FailingFile(io.StringIO):
@@ -681,7 +732,8 @@ def test_latency_requirement_is_checked_on_each_case_ring(tmp_path, capsys):
     assert main(["latency", "--scenario", write(tmp_path, doc)]) == 1
     assert capsys.readouterr().err == (
         "error: latency.cases[2]: the service's path r3-r1+r2-r3 leaves out "
-        "latency.measured_link r1-r2\n")
+        "latency.measured_link r1-r2: 896.64 us over r1-r2 is above "
+        "service.connectivity.max_rt_latency_us 850 us\n")
     doc["service"]["connectivity"]["max_rt_latency_us"] = 896.64
     assert main(["validate", "--scenario", write(tmp_path, doc)]) == 0
     # measuring r2-r3, on the spare arc: at 100 km it takes that arc to
@@ -807,6 +859,27 @@ def test_runs_in_one_process_hold_no_memory(tmp_path):
         finally:
             tracemalloc.stop()
     assert grown < 8 * 1024
+
+
+def test_a_run_leaves_no_cycle_for_the_collector(tmp_path):
+    # each soft-failure repetition's sample closure refers to itself; the
+    # runner unbinds it, so a run frees its worlds without a collection
+    doc = softfail_doc()
+    doc["softfail"]["emit_trace"] = True
+    argv = ["softfail", "--scenario", write(tmp_path, doc), "--format", "json",
+            "--out", str(tmp_path / "report.json")]
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert main(argv) == 0
+            gc.collect()
+            garbage = list(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+    assert garbage == []
 
 
 @pytest.mark.parametrize("jitter_sigma_ns", [0, 400])

@@ -1,5 +1,6 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -474,7 +475,33 @@ def test_canonical_writer_matches_json_dumps(experiment, seed, scenario,
     report = RunReport(experiment, seed, scenario, results)
     # a trace's rows are written as the lists of text they read as, and a
     # setup table's as the dicts
-    assert report.to_canonical_json() == json.dumps(
+    expected = json.dumps(report.to_dict(), sort_keys=True, indent=2,
+                          default=list) + "\n"
+    assert report.to_canonical_json() == expected
+    # written piece by piece, a table two rows a chunk, the same text
+    pieces = []
+    with mock.patch("metrotwin.scenario._TABLE_CHUNK", 2):
+        assert report.to_canonical_json(pieces.append) is None
+    assert "".join(pieces) == expected
+
+
+@pytest.mark.parametrize("rows", [
+    0, 1, scenario._TABLE_CHUNK - 1, scenario._TABLE_CHUNK,
+    scenario._TABLE_CHUNK + 1])
+@pytest.mark.parametrize("table", [
+    trace_table, setup_table,
+    # keys that a %- or a format template would read as fields
+    lambda rows: Table(columns(rows, 3), (".1f", None, ".3e"),
+                       ["100%", "%s", "{0}"])],
+    ids=["lists", "objects", "percent-keys"])
+def test_streamed_tables_equal_the_string_writer(rows, table):
+    # rows either side of a chunk's end, each with a value to round
+    values = [(i / 7, -i * 1e-3, 2.0 ** -i, 1e9 - i / 3) for i in range(rows)]
+    report = RunReport("softfail", 1, {"a": [table(values)]},
+                       {"t": table(values), "z": 0})
+    pieces = []
+    assert report.to_canonical_json(pieces.append) is None
+    assert "".join(pieces) == report.to_canonical_json() == json.dumps(
         report.to_dict(), sort_keys=True, indent=2, default=list) + "\n"
 
 

@@ -162,6 +162,29 @@ def test_rng_zero_sigma_is_exact():
     assert list(r.normal(40.0, 0.0, 3)) == [40.0] * 3
 
 
+@pytest.mark.parametrize("seed, n, m", [
+    (1, 1, 1), (90017, 436, 37), (2 ** 64 + 5, 3, 8192)])
+def test_rng_blocks_equal_numpy_draws(monkeypatch, seed, n, m):
+    turns = count_turns(monkeypatch)
+    key = (100, 7, 11)  # a soft-failure world's root, then its noise stream
+    oracle = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(seed, spawn_key=key)))
+    both = oracle.normal(0.5, 2.0, n + m)
+    # a stream's first block, on its own, skips nothing
+    assert tabled(seed, key, key[:2]).normal(0.5, 2.0, size=n).tolist() == \
+        both[:n].tolist()
+    # a later block skips the earlier: the tail of one block of both sizes
+    rng = tabled(seed, key, key[:2])
+    rng.normal(0.5, 2.0, size=n)
+    assert rng.normal(0.5, 2.0, size=m).tolist() == both[n:].tolist()
+    assert len(turns) == 3
+    # sigma 0 takes no turn and leaves the stream where it was
+    assert rng.normal(0.5, 0.0, size=m).tolist() == [0.5] * m
+    assert rng.normal(0.5, 0.0) == 0.5
+    assert len(turns) == 3
+    assert rng.normal(0.5, 2.0) == oracle.normal(0.5, 2.0)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.floats(min_value=0.5, max_value=200.0),
        st.floats(min_value=0.005, max_value=0.3))
