@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import functools
 import sys
+from collections.abc import Callable
 from typing import Optional
 
 from .errors import ParseError, TwinError, ValidationError
@@ -153,9 +154,13 @@ def _csv(rows: list[list[str]]) -> str:
     return "".join(",".join(map(_csv_cell, cells)) + "\n" for cells in rows)
 
 
-def render_report(report: RunReport, fmt: str) -> str:
+def render_report(report: RunReport, fmt: str,
+                  write: Callable[[str], object]) -> None:
+    """Write ``report`` in ``fmt`` with ``write``: the canonical JSON piece
+    by piece as it is formatted, a table or CSV whole."""
     if fmt == "json":
-        return report.to_canonical_json()
+        report.to_canonical_json(write)
+        return
     sections = []
     if "setup" in report.results:
         sections.append(("setup", _setup_rows(report.results["setup"])))
@@ -172,7 +177,7 @@ def render_report(report: RunReport, fmt: str) -> str:
         if len(sections) > 1:
             out.append(f"# {name}\n")
         out.append(_csv(rows) if fmt == "csv" else _pad_table(rows))
-    return "".join(out)
+    write("".join(out))
 
 
 # ------------------------------------------------------------------ main
@@ -181,6 +186,20 @@ def render_report(report: RunReport, fmt: str) -> str:
 def _cannot_write(option: str, path: str, exc: OSError) -> int:
     print(f"error: {option}: cannot write {path}: {exc.strerror}", file=sys.stderr)
     return 1
+
+
+def _render(report: RunReport, fmt: str, write: Callable[[str], object]
+            ) -> int:
+    """0 once ``report`` is written with ``write``, or 2 if rendering it
+    raised; an OSError, ``write``'s, is left to the caller."""
+    try:
+        render_report(report, fmt, write)
+    except OSError:
+        raise
+    except Exception as exc:  # noqa: BLE001 - report, fail with runtime code
+        print(f"runtime error: {exc!r}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -205,9 +224,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         with trace_file or contextlib.nullcontext():
             report = run_scenario(sc, trace_sink=trace_file)
-        # the canonical JSON is written as it is formatted, below
-        rendered = (None if args.format == "json"
-                    else render_report(report, args.format))
     except TwinError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
@@ -217,22 +233,16 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"runtime error: {exc!r}", file=sys.stderr)
         return 2
 
-    def emit(write) -> None:
-        if rendered is None:
-            report.to_canonical_json(write)
-        else:
-            write(rendered)
-
     if not args.out:
-        emit(sys.stdout.write)
-        return 0
+        return _render(report, args.format, sys.stdout.write)
     try:  # opened only now: a run that fails leaves the file as it was
         with open(args.out, "w") as fh:
-            emit(fh.write)
+            code = _render(report, args.format, fh.write)
     except OSError as exc:
         return _cannot_write("--out", args.out, exc)
-    print(f"report written to {args.out}", file=sys.stderr)
-    return 0
+    if code == 0:
+        print(f"report written to {args.out}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -58,9 +58,6 @@ _TRANSITIONS = (
 # entered by an event; each state's next, by its name, whose hash is a str's
 _BRING_UP = tuple(TransponderState)[1:]
 _NEXT_PHASE = {s._name_: phase for s, phase in zip(TransponderState, _BRING_UP)}
-# the two phases a world stamps, read once: an enum member's lookup costs
-_LASER_WARMUP, _OPERATIONAL = (TransponderState.LASER_WARMUP,
-                               TransponderState.OPERATIONAL)
 
 
 class VnfDescriptor(NamedTuple):
@@ -352,16 +349,14 @@ class OrchestrationStack:
 
     def _start_deploy(self) -> None:
         """Place every VNF, then let their instantiations run in parallel."""
-        plan, kernel, state = self.plan, self.kernel, self.state
-        now, vcpu, mem_mb = kernel.now, state.vcpu_free, state.mem_free_mb
+        plan, now = self.plan, self.kernel.now
         for node_id, (cpu, mem) in plan.demand.items():
-            vcpu[node_id] -= cpu
-            mem_mb[node_id] -= mem
+            self.state.vcpu_free[node_id] -= cpu
+            self.state.mem_free_mb[node_id] -= mem
         self.record.timestamps.t_vnfs_started = now
         self._pending = len(plan.vnf_labels)
-        schedule, ready = kernel.schedule, self._vnf_ready
         for dur_ns, label in zip(self._row, plan.vnf_labels):
-            schedule(ready, now + dur_ns, label)
+            self.kernel.schedule(self._vnf_ready, now + dur_ns, label)
 
     def _vnf_ready(self) -> None:
         self._pending -= 1
@@ -393,12 +388,10 @@ class OrchestrationStack:
         channel passing through on the arc, nothing off it.
         """
         self._arc, self._kind, self._visited = arc, kind, 0
-        kernel, visit = self.kernel, self._visit
-        schedule, at = kernel.schedule, kernel.now + delay
-        step = self.timings.roadm_config_ns
+        at, step = self.kernel.now + delay, self.timings.roadm_config_ns
         for label in arc.labels[kind]:
             at += step
-            schedule(visit, at, label)
+            self.kernel.schedule(self._visit, at, label)
 
     def _visit(self) -> None:
         visits = self._arc.visits
@@ -448,20 +441,19 @@ class OrchestrationStack:
     def _next_phase(self, tp: Transponder) -> None:
         """Moves a transponder on to its next phase, and stamps a phase when
         the second transponder reaches it."""
+        ts = self.record.timestamps
         state = tp.state = _NEXT_PHASE[tp.state._name_]
-        if state is _LASER_WARMUP:
+        if state is TransponderState.LASER_WARMUP:
             self._warm += 1
             if self._warm == 2:
-                ts = self.record.timestamps
                 ts.t_transponders_configured = self.kernel.now
-        elif state is _OPERATIONAL:
+        elif state is TransponderState.OPERATIONAL:
             self._operational += 1
             if self._operational == 2:
-                kernel = self.kernel
-                now = self.record.timestamps.t_path_operational = kernel.now
-                kernel.schedule(self._verify_probe,
-                                now + self.timings.probe_verify_ns,
-                                self.plan.labels["probe"])
+                now = ts.t_path_operational = self.kernel.now
+                self.kernel.schedule(self._verify_probe,
+                                     now + self.timings.probe_verify_ns,
+                                     self.plan.labels["probe"])
 
     def _verify_probe(self) -> None:
         rec, plan = self.record, self.plan

@@ -442,9 +442,11 @@ def run_softfail_case(world_factory: Callable[[int], SoftFailWorld],
                 t = t_last
             schedule(tick, t, "telemetry_sample")
 
-        # the deployed world is idle: nothing can change the outcome before
-        # the detection, or the crossing if none
-        schedule(tick, t_last if t_detect is None else t_detect,
+        # a world with events still queued is sampled from the first sample
+        # on; an idle one, as a deployed world is, from the detection, or the
+        # crossing if none: nothing before it can change the outcome
+        schedule(tick, first_sample if not idle()
+                 else t_last if t_detect is None else t_detect,
                  "telemetry_sample")
         kernel.run_to_end()
 

@@ -366,15 +366,16 @@ def _sections(doc: dict, top: dict, errors: list[str]) -> tuple[
              for on in rings] if ns is not None and (a, b) in ring.arcs else []
     # a case's probe measures its link only if the case's path crosses it
     req = conn.max_rt_latency_ns
-    for i, plan in enumerate(plans[1:]):
+    for i, (on, plan) in enumerate(zip(rings[1:], plans[1:])):
         measured = latency.cases[i].id
         if measured not in plan.path.links:
-            # the arcs partition the ring: the other one crosses the link
+            # the arcs partition the ring: the other one crosses the link.
+            # If that is select_path's arc, the latency bound moved the case
             shot, other = plan.shots[1], plan.arcs[1].path.links
             why = (f": {shot.measured_rt_ns / 1000:g} us over "
                    f"{'+'.join(other)} is above "
                    f"service.connectivity.max_rt_latency_us {req / 1000:g} us"
-                   if req is not None and shot.measured_rt_ns > req else "")
+                   if other == on.select_path(a, b).links else "")
             errors.append(f"latency.cases[{i}]: the service's path "
                           f"{'+'.join(plan.path.links)} leaves out "
                           f"latency.measured_link {measured}{why}")

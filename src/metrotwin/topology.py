@@ -192,16 +192,10 @@ class Transponder(Record):
 class RingState:
     """One world's mutable state on a shared ring."""
 
-    __slots__ = ("ring", "roadms", "transponders", "vcpu_free", "mem_free_mb")
-
     def __init__(self, ring: RingTopology) -> None:
         self.ring = ring
-        # loops: cheaper than comprehensions for a ring's few nodes
-        self.roadms, self.transponders = roadms, transponders = {}, {}
-        for roadm_id in ring.ring_order:
-            roadms[roadm_id] = Roadm()
-        for tp_id in ring.transponders:
-            transponders[tp_id] = Transponder()
+        self.roadms = {r: Roadm() for r in ring.ring_order}
+        self.transponders = {t: Transponder() for t in ring.transponders}
         vcpu, mem = ring._free
         self.vcpu_free, self.mem_free_mb = vcpu.copy(), mem.copy()
 

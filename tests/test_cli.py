@@ -125,7 +125,9 @@ def test_csv_parses_back_into_the_report_cells(names):
     results = {"cases": [dict(cells, name=name, restored=1, failed=0)
                          for name in names]}
     report = RunReport("softfail", 1, {}, {"softfail": results})
-    assert parsed_csv(cli.render_report(report, "csv")) == [
+    pieces = []
+    cli.render_report(report, "csv", pieces.append)
+    assert parsed_csv("".join(pieces)) == [
         ["name", *cells, "restored", "failed"]] + [
         [name, *cells.values(), "1", "0"] for name in names]
 
@@ -253,6 +255,21 @@ def test_a_failed_run_leaves_out_as_it_was(tmp_path, capsys, earlier):
         assert not target.exists()
     else:
         assert target.read_text() == earlier
+
+
+@pytest.mark.parametrize("to_out", [False, True], ids=["stdout", "out"])
+def test_a_report_that_cannot_be_rendered_exits_2(tmp_path, capsys,
+                                                  monkeypatch, to_out):
+    # a value the canonical writer cannot encode, met part way through
+    report = RunReport("setup", 1, {}, {"setup": {"z": object()}})
+    monkeypatch.setattr(cli, "run_scenario", lambda *a, **kw: report)
+    target = tmp_path / "report.json"
+    assert main(["setup", "--scenario", write(tmp_path, make_scenario()),
+                 "--format", "json"]
+                + (["--out", str(target)] if to_out else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("runtime error: TypeError(")
+    assert "report written" not in captured.err
 
 
 @pytest.mark.parametrize("to_out", [False, True], ids=["stdout", "out"])
@@ -737,15 +754,28 @@ def test_latency_requirement_is_checked_on_each_case_ring(tmp_path, capsys):
     doc["service"]["connectivity"]["max_rt_latency_us"] = 896.64
     assert main(["validate", "--scenario", write(tmp_path, doc)]) == 0
     # measuring r2-r3, on the spare arc: at 100 km it takes that arc to
-    # 1061.17 us, so neither arc of the second case's ring meets 600 us
+    # 1061.17 us, so neither arc of the second case's ring meets 600 us.
+    # The bound moved nothing there: the case's arc leaving out the link
+    # is given no reason
     doc = latency_doc(latency={"measured_link": "r2-r3", "cases": [
         {"length_km": 41.3665}, {"length_km": 100.0}]})
     doc["service"]["connectivity"]["max_rt_latency_us"] = 600
     assert main(["latency", "--scenario", write(tmp_path, doc)]) == 1
-    assert ("service.connectivity.max_rt_latency_us: 600 us is below what a "
-            "probe measures without jitter over either arc in "
-            "latency.cases[1]: 798.407 us over r1-r2 and 1061.17 us over "
-            "r3-r1+r2-r3") in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: latency.cases[1]: the service's path r1-r2 leaves out "
+        "latency.measured_link r2-r3; service.connectivity.max_rt_latency_us: "
+        "600 us is below what a probe measures without jitter over either arc "
+        "in latency.cases[1]: 798.407 us over r1-r2 and 1061.17 us over "
+        "r3-r1+r2-r3\n")
+    # at 900 us select_path's own arc, r1-r2, meets the bound on both case
+    # rings and keeps each case; the spare arc being above it is no reason
+    doc["service"]["connectivity"]["max_rt_latency_us"] = 900
+    assert main(["latency", "--scenario", write(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err == (
+        "error: latency.cases[0]: the service's path r1-r2 leaves out "
+        "latency.measured_link r2-r3; latency.cases[1]: the service's path "
+        "r1-r2 leaves out latency.measured_link r2-r3\n")
+    doc["service"]["connectivity"]["max_rt_latency_us"] = 600
     del doc["latency"]["cases"][1]
     assert main(["latency", "--scenario", write(tmp_path, doc)]) == 0
 

@@ -204,6 +204,25 @@ def test_episode_detects_restores_and_accounts():
     assert report.trace[0][0] == pytest.approx(-59.0)  # seconds before onset
 
 
+def test_a_world_with_events_queued_runs_as_an_idle_one():
+    # a factory may hand over a kernel that still holds events: they fire,
+    # and the episode's outcome is the idle world's
+    idle, fired = softfail_world_factory(), []
+
+    def busy(rep):
+        world = idle(rep)
+        kernel = world.kernel
+        kernel.schedule(lambda: fired.append(kernel.now),
+                        kernel.now + 3 * SECOND + 1, "late")
+        return world
+
+    kwargs = dict(rate_db_per_s=0.25, repetitions=2, noise_sigma_db=0.1,
+                  detector_cfg=DetectorConfig(), model=SignalModel())
+    assert (run_softfail_case(world_factory=busy, **kwargs)
+            == run_softfail_case(world_factory=idle, **kwargs))
+    assert len(fired) == 2
+
+
 def test_episode_determinism_with_noise():
     mk = softfail_world_factory(seed=9)
     kwargs = dict(rate_db_per_s=0.1, repetitions=3, noise_sigma_db=0.15,
