@@ -35,6 +35,7 @@ from .topology import FiberLink, RingTopology, build_ring
 
 ARTIFACT_VERSION = 1
 LATENCY_PROBE_STREAM = 5  # a latency world's probe jitter, below its root
+SOFTFAIL_ROOT, LATENCY_ROOT = 100, 200  # case worlds' roots: (base + case, rep)
 # each experiment's results sections, in run order; a "latency" or
 # "softfail" section needs the document's section of that name
 SECTIONS = {"setup_kpi": ("setup",), "latency": ("latency",),
@@ -393,6 +394,9 @@ def _sections(doc: dict, top: dict, errors: list[str]) -> tuple[
 
     softfail = top.get("softfail")
     if softfail is not None:
+        if (n := len(softfail["cases"])) > LATENCY_ROOT - SOFTFAIL_ROOT:
+            errors.append(f"softfail.cases: at most "
+                          f"{LATENCY_ROOT - SOFTFAIL_ROOT} cases; got {n}")
         detector = softfail.pop("detector")
         # the service's path, which a ramp on any other link never reaches
         monitored = plans[0].path if plans else None
@@ -463,34 +467,36 @@ def load_scenario(path: Union[str, Path], lenient: bool = False) -> Scenario:
 # ------------------------------------------------------------- world setup
 
 
+def world_name(root: tuple[int, ...]) -> str:
+    """Name the world at ``root`` in an error; _run_softfail names its case."""
+    if len(root) == 1:
+        return f"setup repetition {root[0]}: "
+    if root[0] < LATENCY_ROOT:
+        return f"repetition {root[1]}: "
+    return f"latency.cases[{root[0] - LATENCY_ROOT}] repetition {root[1]}: "
+
+
 def build_world(sc: Scenario, spawn_key: tuple[int, ...],
                 plan: Optional[DeployPlan] = None,
                 trace_sink: Optional[IO[str]] = None,
-                keys: Optional[KeyTable] = None, where: str = "") -> SoftFailWorld:
+                keys: Optional[KeyTable] = None) -> SoftFailWorld:
     """Provision one isolated world and deploy ``plan``'s service in it, by
     default ``sc.plans[0]``, the scenario's on its own ring.  The world's
     streams lie below its root ``spawn_key`` in ``keys``, its runner's key
-    table, by default a table of that one root; ``where`` names the world
-    in the TwinError of a failed deployment."""
+    table, by default a table of that one root; a failed deployment raises a
+    TwinError that ``world_name`` names."""
     kernel = Kernel(trace=trace_sink)
     stack = OrchestrationStack(plan or sc.plans[0], kernel,
                                keys or KeyTable(sc.seed, [spawn_key]), spawn_key)
     record = stack.request_network_service()
     kernel.run_to_end()
     if record.status is not ServiceStatus.ACTIVE:
-        raise TwinError(f"{where}deployment ended {record.status.value}: "
-                        f"{record.failure_reason}")
+        raise TwinError(f"{world_name(spawn_key)}deployment ended "
+                        f"{record.status.value}: {record.failure_reason}")
     return SoftFailWorld(kernel, stack, record)
 
 
 # --------------------------------------------------------------- reporting
-
-
-_FIXED_SPECS = [f".{d}f" for d in range(10)]  # _fmt's, built once
-
-
-def _fmt(x: float, decimals: int) -> str:
-    return format(x, _FIXED_SPECS[decimals])
 
 
 # the four KPIs of a KpiReport, in its order: each one's field less "_ns"
@@ -595,12 +601,10 @@ class RunReport(NamedTuple):
 
 def _run_setup(sc: Scenario, trace_sink=None) -> dict:
     reps = sc.repetitions
-    reports = []  # each world's KpiReport
     keys = KeyTable(sc.seed, [(rep,) for rep in range(reps)])
-    for rep in range(reps):
-        world = build_world(sc, (rep,), sc.plans[0], trace_sink, keys,
-                            f"setup repetition {rep}: ")
-        reports.append(world.stack.compute_kpis(world.record))
+    worlds = (build_world(sc, root, sc.plans[0], trace_sink, keys)
+              for root in keys.roots)
+    reports = [w.stack.compute_kpis(w.record) for w in worlds]  # KpiReports
     # each KPI's column in seconds
     columns = [[ns / SECOND for ns in column] for column in zip(*reports)]
 
@@ -608,8 +612,8 @@ def _run_setup(sc: Scenario, trace_sink=None) -> dict:
         n = len(values)
         mean = sum(values) / n
         var = (sum((v - mean) ** 2 for v in values) / (n - 1)) if n > 1 else 0.0
-        return {"mean_s": _fmt(mean, 3), "std_s": _fmt(var ** 0.5, 3),
-                "min_s": _fmt(min(values), 3), "max_s": _fmt(max(values), 3)}
+        return {"mean_s": f"{mean:.3f}", "std_s": f"{var ** 0.5:.3f}",
+                "min_s": f"{min(values):.3f}", "max_s": f"{max(values):.3f}"}
 
     return {
         "repetitions": reps,
@@ -625,14 +629,14 @@ def _run_latency(sc: Scenario, trace_sink=None) -> dict:
     latency = sc.latency
     rows = []
     deltas = []
-    keys = KeyTable(sc.seed, [(200 + c, r) for c in range(len(latency.cases))
+    keys = KeyTable(sc.seed, [(LATENCY_ROOT + c, r)
+                              for c in range(len(latency.cases))
                               for r in range(latency.repetitions)])
-    for case_idx, (link, plan) in enumerate(zip(latency.cases, sc.plans[1:])):
+    roots = iter(keys.roots)  # each case's in turn
+    for link, plan in zip(latency.cases, sc.plans[1:]):
         measured = []
-        for rep in range(latency.repetitions):
-            root = (200 + case_idx, rep)
-            world = build_world(sc, root, plan, trace_sink, keys,
-                                f"latency.cases[{case_idx}] repetition {rep}: ")
+        for root in islice(roots, latency.repetitions):
+            world = build_world(sc, root, plan, trace_sink, keys)
             # the probe stream draws only if the probe has jitter
             m = measure_round_trip(
                 world.record.path, world.stack.state, plan.probe_cfg, plan.shot,
@@ -646,10 +650,10 @@ def _run_latency(sc: Scenario, trace_sink=None) -> dict:
         if link.legacy_residual_delay_ns == 0:
             deltas.append(round(delta))
         rows.append({
-            "link_length_km": _fmt(link.length_m / 1000.0, 4),
-            "measured_us": _fmt(mean_measured / 1000.0, 3),
-            "estimated_us": _fmt(estimated / 1000.0, 3),
-            "delta_us": _fmt(delta / 1000.0, 3),
+            "link_length_km": f"{link.length_m / 1000.0:.4f}",
+            "measured_us": f"{mean_measured / 1000.0:.3f}",
+            "estimated_us": f"{estimated / 1000.0:.3f}",
+            "delta_us": f"{delta / 1000.0:.3f}",
         })
 
     attribution = latency.attribution
@@ -662,9 +666,9 @@ def _run_latency(sc: Scenario, trace_sink=None) -> dict:
         "repetitions": latency.repetitions,
         "cases": rows,
         "budget": {
-            "components_us": {k: _fmt(v / 1000.0, 3)
+            "components_us": {k: f"{v / 1000.0:.3f}"
                               for k, v in budget.components_ns.items()},
-            "residual_rms_us": _fmt(budget.residual_rms_ns / 1000.0, 3),
+            "residual_rms_us": f"{budget.residual_rms_ns / 1000.0:.3f}",
         },
     }
 
@@ -672,15 +676,16 @@ def _run_latency(sc: Scenario, trace_sink=None) -> dict:
 def _run_softfail(sc: Scenario, trace_sink=None) -> dict:
     softfail = sc.softfail
     cases_out = []
-    keys = KeyTable(sc.seed, [(100 + c, r) for c in range(len(softfail.cases))
-                              for r in range(softfail.repetitions)])
+    reps = softfail.repetitions
+    keys = KeyTable(sc.seed, [(SOFTFAIL_ROOT + c, r)
+                              for c in range(len(softfail.cases))
+                              for r in range(reps)])
     for idx, case in enumerate(softfail.cases):
         try:
             report = run_softfail_case(
-                world_factory=lambda rep, idx=idx: build_world(
-                    sc, (100 + idx, rep), sc.plans[0], trace_sink, keys,
-                    f"repetition {rep}: "),
-                repetitions=softfail.repetitions,
+                world_factory=lambda rep, at=idx * reps: build_world(
+                    sc, keys.roots[at + rep], sc.plans[0], trace_sink, keys),
+                repetitions=reps,
                 noise_sigma_db=softfail.noise_sigma_db,
                 detector_cfg=case.detector,
                 model=softfail.signal,
@@ -691,14 +696,14 @@ def _run_softfail(sc: Scenario, trace_sink=None) -> dict:
                             f"{exc}") from exc
         entry = {
             "name": case.name,
-            "rate_db_per_s": _fmt(report.rate_db_per_s, 4),
+            "rate_db_per_s": f"{report.rate_db_per_s:.4f}",
             "repetitions": report.repetitions,
-            "detection_time_s": _fmt(report.detection_time_s, 3),
-            "detection_time_min": _fmt(report.detection_time_s / 60.0, 3),
-            "anticipation_s": _fmt(report.anticipation_s, 3),
-            "anticipation_min": _fmt(report.anticipation_s / 60.0, 3),
-            "predicted_anticipation_s": _fmt(report.predicted_anticipation_s, 3),
-            "mean_detection_snr_db": _fmt(report.mean_detection_snr_db, 2),
+            "detection_time_s": f"{report.detection_time_s:.3f}",
+            "detection_time_min": f"{report.detection_time_s / 60.0:.3f}",
+            "anticipation_s": f"{report.anticipation_s:.3f}",
+            "anticipation_min": f"{report.anticipation_s / 60.0:.3f}",
+            "predicted_anticipation_s": f"{report.predicted_anticipation_s:.3f}",
+            "mean_detection_snr_db": f"{report.mean_detection_snr_db:.2f}",
             "mean_detection_ber": f"{report.mean_detection_ber:.3e}",
             "restored": report.restored_count,
             "failed": report.failed_count,
@@ -708,7 +713,7 @@ def _run_softfail(sc: Scenario, trace_sink=None) -> dict:
             entry["trace"] = Table(report.trace.columns, (".1f", ".4f", ".3e"))
         cases_out.append(entry)
     return {"repetitions": softfail.repetitions,
-            "noise_sigma_db": _fmt(softfail.noise_sigma_db, 3),
+            "noise_sigma_db": f"{softfail.noise_sigma_db:.3f}",
             "cases": cases_out}
 
 

@@ -652,6 +652,11 @@ def set_key(doc, path, value):
     # length: validate and a run exited 0 before
     pytest.param("latency.measured_link", "r2-r3", "latency.cases[0]",
                  id="latency.measured_link-off-the-path"),
+    # soft-failure case 100's root, (200, 0), was latency case 0's: both
+    # worlds drew the same deployment before
+    pytest.param("softfail.cases", [{"rate_db_per_s": 0.25}] * 101,
+                 "softfail.cases: at most 100 cases; got 101",
+                 id="softfail.cases-101-cases"),
 ])
 def test_bad_document_fails_validation_naming_key(tmp_path, capsys, path,
                                                   value, named):
@@ -662,6 +667,18 @@ def test_bad_document_fails_validation_naming_key(tmp_path, capsys, path,
         assert main([command, "--scenario", scenario]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and (named or path) in err
+
+
+def test_soft_failure_cases_stop_below_the_latency_roots(tmp_path, capsys):
+    # 100 cases fit between the two root bases; a 101st --rate does not
+    doc = demo_doc()
+    doc["softfail"]["cases"] = [{"rate_db_per_s": 0.25}] * 100
+    scenario = write(tmp_path, doc)
+    assert main(["validate", "--scenario", scenario]) == 0
+    assert main(["softfail", "--scenario", scenario,
+                 *["--rate", "0.25"] * 101]) == 1
+    assert "softfail.cases: at most 100 cases; got 101" in \
+        capsys.readouterr().err
 
 
 def test_nanosecond_delays_at_their_bound_run(tmp_path, capsys):

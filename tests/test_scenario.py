@@ -180,10 +180,34 @@ def test_failed_deployment_surfaces_reason():
     ns = sc.plans[0].ns
     ns.connectivity = ns.connectivity._replace(max_rt_latency_ns=1)
     with pytest.raises(TwinError) as err:
-        build_world(sc, (0,), where="setup repetition 0: ")
+        build_world(sc, (0,))
     assert str(err.value) == ("setup repetition 0: deployment ended Failed: "
                               "probe verification exceeded latency "
                               "requirement")
+
+
+@pytest.mark.parametrize("root,name", [
+    ((0,), "setup repetition 0: "),
+    ((17,), "setup repetition 17: "),
+    # a soft-failure root, (100 + case, rep), sits in its runner's case wrap
+    ((100, 3), "repetition 3: "),
+    ((199, 0), "repetition 0: "),
+    # a root that no runner makes
+    ((99, 2), "repetition 2: "),
+    ((200, 0), "latency.cases[0] repetition 0: "),
+    ((201, 4), "latency.cases[1] repetition 4: "),
+])
+def test_world_name_names_each_runners_root(root, name):
+    assert scenario.world_name(root) == name
+
+
+def test_a_successful_run_names_no_world(monkeypatch):
+    # a world is named only when its deployment fails
+    def named(root):
+        raise AssertionError(f"world_name({root}) called")
+
+    monkeypatch.setattr(scenario, "world_name", named)
+    run_scenario(load_scenario(SCENARIO_DIR / "paper_full_demo.json"))
 
 
 def test_setup_report_layout():
